@@ -54,6 +54,7 @@ from repro.partition.probe import (
     batch_probe_tasks,
     use_probe_implementation,
 )
+from repro.types import ReproError
 
 __all__ = [
     "DEFAULT_SETS",
@@ -309,6 +310,10 @@ def run_probe_bench(sets: int = DEFAULT_SETS, seed: int = SEED) -> dict:
     ``probes``, ``batch``/``scalar`` seconds and probes/sec, ``speedup``,
     and the median paired ``disabled_overhead_ratio``.
     """
+    if sets < 1:
+        raise ReproError(f"sets must be >= 1, got {sets}")
+    if seed < 0:
+        raise ReproError(f"seed must be >= 0, got {seed}")
     config = WorkloadConfig()  # the Fig.-1 default point
     states = replay_probe_states(config, sets, seed)
     if not states:

@@ -46,6 +46,8 @@ Gate probe throughput/overhead against the committed ``BENCH_*.json``
 baselines (exits non-zero on regression; CI runs this)::
 
     repro-mc bench compare
+
+Each subcommand accepts only its own flags: ``repro-mc <command> --help``.
 """
 
 from __future__ import annotations
@@ -54,10 +56,12 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro import bench as bench_defaults
+from repro import bench
 from repro._version import __version__
 from repro.engine import Engine, ResultStore, default_store_root
 from repro.experiments.report import (
@@ -79,6 +83,7 @@ from repro.obs import (
     write_manifest,
 )
 from repro.obs import runtime as obs_runtime
+from repro.obs.live import parse_slo
 from repro.partition.backend import available_backends, get_backend
 from repro.partition.catpa import CATPA
 from repro.partition.classical import FirstFitDecreasing
@@ -98,12 +103,9 @@ def version_string() -> str:
 class _LazyOutput:
     """``--out`` target that opens (and truncates) only on first write.
 
-    ``argparse.FileType("w")`` used to create/truncate the target at
-    *parse* time, so a run that failed validation had already clobbered
-    an existing report — and the handle was never explicitly closed.
-    This wrapper is stdout when no path was given, otherwise a file that
-    comes into existence with the first report byte and is closed by
-    :func:`main`'s ``finally``.
+    Stdout when no path was given; otherwise a file that comes into
+    existence with the first report byte, so a command that fails before
+    reporting never clobbers an existing report.  :func:`main` closes it.
     """
 
     def __init__(self, path: str | None):
@@ -116,12 +118,6 @@ class _LazyOutput:
         if self._file is None:
             self._file = open(self.path, "w")
         return self._file.write(text)
-
-    def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-        elif self.path is None:
-            sys.stdout.flush()
 
     def close(self) -> None:
         if self._file is not None:
@@ -143,378 +139,145 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-mc",
-        description=(
-            "Criticality-aware partitioning for multicore mixed-criticality "
-            "systems: regenerate the paper's figures and tables."
-        ),
-    )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            *FIGURES.keys(),
-            "tables",
-            "all",
-            "dynamic",
-            "validate",
-            "simulate",
-            "explain",
-            "inspect",
-            "trace",
-            "bench",
-            "serve",
-            "top",
-        ],
-        help=(
-            "which paper artifact to regenerate, 'dynamic' for the "
-            "injected-event resilience sweep, 'validate' to fuzz the "
-            "cross-layer invariant oracles, 'simulate' to run one "
-            "partitioned EDF-VD simulation (optionally with an injected "
-            "event script), 'explain' to decompose one admission decision "
-            "(per-core Theorem-1 condition margins, headroom, rejection "
-            "sensitivity), 'inspect' to pretty-print "
-            "the run manifest of an existing artifact, 'trace' to analyse "
-            "the span tree of an instrumented run, 'bench' to gate "
-            "probe throughput against the committed baselines, 'serve' "
-            "to run the online admission-control daemon, or 'top' for a "
-            "live dashboard over a daemon URL or a sweep's events.jsonl"
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help=(
-            "artifact or manifest paths (inspect), an events.jsonl file or "
-            "run directory (trace), the action 'compare' (bench), or a "
-            "daemon URL / events.jsonl / run directory (top)"
-        ),
-    )
-    parser.add_argument("--version", action=_VersionAction)
-    parser.add_argument(
+# -- flag types ---------------------------------------------------------
+
+
+def _library_type(check: Callable[[str], object]) -> Callable[[str], str]:
+    """An argparse ``type=`` that validates a flag with a library ``check``.
+
+    The check's :class:`ReproError` becomes a usage error (exit 2) that
+    carries the library's own message; argparse only maps
+    ``ArgumentTypeError`` (and ``ValueError``) to usage errors.
+    """
+
+    def convert(text: str) -> str:
+        try:
+            check(text)
+        except ReproError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return convert
+
+
+def _burst_factors(text: str) -> tuple[float, ...]:
+    """``--burst-factors``: a non-empty comma-separated float list."""
+    try:
+        factors = tuple(float(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated float list, got {text!r}"
+        ) from None
+    if not factors:
+        raise argparse.ArgumentTypeError("is empty")
+    return factors
+
+
+# -- flag groups shared between subcommands -----------------------------
+
+
+def _flag_groups() -> dict[str, argparse.ArgumentParser]:
+    """The flag groups several subcommands share, as argparse parents.
+
+    ``serve-probe`` is ``probe`` with serve's default backend; parents
+    share their actions, so a subcommand cannot re-default a group flag.
+    """
+    names = ("run", "out", "artifacts", "obs", "probe", "serve-probe", "partition")
+    groups = {name: argparse.ArgumentParser(add_help=False) for name in names}
+    run = groups["run"]
+    run.add_argument(
         "--sets",
         type=int,
         default=500,
         help="random task sets per data point (paper: 50000; default 500)",
     )
-    parser.add_argument("--seed", type=int, default=2016, help="root RNG seed")
-    parser.add_argument(
+    run.add_argument("--seed", type=int, default=2016, help="root RNG seed")
+    run.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes; 0 = all CPU cores (default 1)",
     )
-    parser.add_argument(
+    run.add_argument(
+        "--store",
+        metavar="DIR",
+        help=(
+            "checkpoint store for completed shards (default: $REPRO_MC_STORE "
+            "or ~/.cache/repro-mc/store); interrupted sweeps resume from it"
+        ),
+    )
+    run.add_argument(
+        "--no-store",
+        action="store_true",
+        help="disable shard checkpointing (always recompute)",
+    )
+    run.add_argument(
+        "--progress",
+        action="store_true",
+        help="stream per-shard timing and cache hit/miss counts to stderr",
+    )
+    groups["out"].add_argument(
         "--out",
         metavar="PATH",
-        default=None,
         help=(
             "write the report to PATH instead of stdout; the file is "
             "opened only when the first report line is ready, so a "
             "failing command never clobbers an existing report"
         ),
     )
-    parser.add_argument(
+    groups["artifacts"].add_argument(
         "--csv",
         metavar="DIR",
-        default=None,
         help="also write each figure's data as <DIR>/<figure>.csv",
     )
-    parser.add_argument(
+    groups["artifacts"].add_argument(
         "--json",
         metavar="DIR",
-        nargs="?",
-        const="-",
-        default=None,
         help=(
-            "also write each figure's SweepArtifact as <DIR>/<figure>.json; "
-            "for 'explain', bare --json prints the explanation document to "
-            "stdout instead of the text report (a DIR writes "
-            "<DIR>/explain.json)"
+            "also write each figure's SweepArtifact as <DIR>/<figure>.json "
+            "and its run manifest as <DIR>/<figure>.manifest.json"
         ),
     )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help=(
-            "checkpoint store for completed shards (default: $REPRO_MC_STORE "
-            "or ~/.cache/repro-mc/store); interrupted sweeps resume from it"
-        ),
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="disable shard checkpointing (always recompute)",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream per-shard timing and cache hit/miss counts to stderr",
-    )
-    parser.add_argument(
+    groups["obs"].add_argument(
         "--log-json",
         metavar="PATH",
-        default=None,
         help="stream structured run events (JSON lines) to PATH",
     )
-    parser.add_argument(
+    groups["obs"].add_argument(
         "--metrics",
         metavar="PATH",
-        default=None,
         help=(
             "write the merged instrumentation counters/summaries of the "
             "whole invocation to PATH as JSON"
         ),
     )
-    parser.add_argument(
-        "--probe-impl",
-        metavar="NAME",
-        default=None,
-        help=(
-            "probe backend for every schedulability probe of this "
-            "invocation (figures, validate, serve); one of: "
-            f"{', '.join(available_backends())}.  Defaults: batch for "
-            "sweeps/validate, incremental for serve.  All backends are "
-            "pinned bit-identical, so results never depend on the choice"
-        ),
+    for name, default in (("probe", None), ("serve-probe", "incremental")):
+        groups[name].add_argument(
+            "--probe-impl",
+            metavar="NAME",
+            type=_library_type(get_backend),
+            default=default,
+            help=(
+                "probe backend for every schedulability probe of this "
+                f"invocation; one of: {', '.join(available_backends())}.  "
+                "Defaults: batch for sweeps/validate, incremental for serve.  "
+                "All backends are pinned bit-identical, so results never "
+                "depend on the choice"
+            ),
+        )
+    partition = groups["partition"]
+    partition.add_argument(
+        "--cores", type=int, default=4, help="cores of the target system (default 4)"
     )
-    parser.add_argument(
-        "--repro-dir",
-        metavar="DIR",
-        default="counterexamples",
-        help=(
-            "where 'validate' writes shrunk counterexample JSON files "
-            "(default: counterexamples/)"
-        ),
-    )
-    sim_group = parser.add_argument_group("simulate options")
-    sim_group.add_argument(
-        "--taskset",
-        metavar="PATH",
-        default=None,
-        help=(
-            "simulate/explain: task-set JSON (repro-mc-taskset format) to "
-            "partition (--scheme, --cores) and simulate or explain"
-        ),
-    )
-    sim_group.add_argument(
-        "--events",
-        metavar="PATH",
-        default=None,
-        help=(
-            "simulate: injected-event script JSON (repro-mc-events "
-            "format); validated up front against the partition"
-        ),
-    )
-    sim_group.add_argument(
+    partition.add_argument(
         "--scheme",
         default="ca-tpa",
-        help=(
-            "simulate/explain: partitioning scheme from the registry "
-            "(default ca-tpa)"
-        ),
+        help="partitioning scheme from the registry (default ca-tpa)",
     )
-    sim_group.add_argument(
-        "--scenario",
-        choices=("honest", "random", "level"),
-        default="random",
-        help=(
-            "simulate: execution-demand scenario; 'random' overruns "
-            "with --overrun-prob (default random)"
-        ),
-    )
-    sim_group.add_argument(
-        "--overrun-prob",
-        type=float,
-        default=0.1,
-        help="simulate: per-job overrun probability of --scenario random",
-    )
-    sim_group.add_argument(
-        "--cycles",
-        type=float,
-        default=20.0,
-        help=(
-            "simulate: horizon in multiples of the longest period "
-            "(default 20)"
-        ),
-    )
-    sim_group.add_argument(
-        "--allow-infeasible",
-        action="store_true",
-        help=(
-            "simulate: run cores that fail the Theorem-1 analysis under "
-            "plain EDF instead of refusing (misses are then expected)"
-        ),
-    )
-    dynamic_group = parser.add_argument_group("dynamic options")
-    dynamic_group.add_argument(
-        "--burst-factors",
-        metavar="CSV",
-        default=None,
-        help=(
-            "dynamic: comma-separated WCET burst factors to sweep "
-            "(default 1.0,1.5,2.0,3.0,4.0)"
-        ),
-    )
-    trace_group = parser.add_argument_group("trace options")
-    trace_group.add_argument(
-        "--report",
-        action="store_true",
-        help=(
-            "trace: print the critical-path + self-time report "
-            "(default when no export flag is given)"
-        ),
-    )
-    trace_group.add_argument(
-        "--folded",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trace: write folded stacks (flamegraph.pl/speedscope input) "
-            "to PATH ('-' for stdout)"
-        ),
-    )
-    trace_group.add_argument(
-        "--chrome",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trace: write Chrome trace-event JSON (chrome://tracing / "
-            "Perfetto) to PATH ('-' for stdout)"
-        ),
-    )
-    trace_group.add_argument(
-        "--top",
-        type=int,
-        default=15,
-        help="trace: rows in the self-time table (default 15)",
-    )
-    serve_group = parser.add_argument_group("serve options")
-    serve_group.add_argument(
-        "--cores",
-        type=int,
-        default=4,
-        help=(
-            "serve/simulate/explain: cores of the target system (default 4)"
-        ),
-    )
-    serve_group.add_argument(
-        "--levels",
-        type=int,
-        default=2,
-        help="serve: criticality levels K of the live system (default 2)",
-    )
-    serve_group.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve: bind address (default 127.0.0.1)",
-    )
-    serve_group.add_argument(
-        "--port",
-        type=int,
-        default=8787,
-        help="serve: TCP port; 0 picks an ephemeral port (default 8787)",
-    )
-    serve_group.add_argument(
-        "--window-ms",
-        type=float,
-        default=1.0,
-        help=(
-            "serve: micro-batch coalescing window in milliseconds; "
-            "concurrent requests arriving within it share one probe "
-            "kernel call (default 1.0)"
-        ),
-    )
-    serve_group.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="serve: max requests per flush (default 64)",
-    )
-    serve_group.add_argument(
-        "--backlog",
-        type=int,
-        default=256,
-        help=(
-            "serve: bounded request queue size; a full queue answers 503 "
-            "(default 256)"
-        ),
-    )
-    serve_group.add_argument(
-        "--slo",
-        action="append",
-        metavar="RULE",
-        default=None,
-        help=(
-            "serve: SLO rule over the live window, e.g. "
-            "'p95(serve.place.seconds) < 5ms' or "
-            "'rate(serve.rejected_503) == 0'; repeatable.  Violations "
-            "emit slo.alert events and bump the serve.slo.alerts counter"
-        ),
-    )
-    top_group = parser.add_argument_group("top options")
-    top_group.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="top: refresh interval in seconds (default 2.0)",
-    )
-    top_group.add_argument(
-        "--once",
-        action="store_true",
-        help=(
-            "top: render a single frame without terminal control codes "
-            "and exit (for scripts/CI)"
-        ),
-    )
-    bench_group = parser.add_argument_group("bench options")
-    bench_group.add_argument(
-        "--gate-ratio",
-        type=float,
-        default=None,
-        help=(
-            "bench compare: measured throughput/speedup must be at least "
-            "this fraction of the committed baseline (default "
-            f"{bench_defaults.DEFAULT_GATE_RATIO})"
-        ),
-    )
-    bench_group.add_argument(
-        "--overhead-gate",
-        type=float,
-        default=None,
-        help=(
-            "bench compare: max median disabled guarded/raw probe ratio "
-            f"(default {bench_defaults.DEFAULT_OVERHEAD_GATE})"
-        ),
-    )
-    bench_group.add_argument(
-        "--baseline-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "bench compare: directory holding the committed BENCH_*.json "
-            "baselines (default: current directory)"
-        ),
-    )
-    return parser
+    return groups
 
 
-def _render_tables() -> str:
-    ts = paper_example_taskset()
-    out = [format_table1(ts), ""]
-    ffd_steps = allocation_trace(FirstFitDecreasing(), ts, cores=2)
-    out.append(
-        format_allocation_trace("Table II: allocations under FFD", ts, ffd_steps)
-    )
-    out.append("")
-    ca_steps = allocation_trace(CATPA(), ts, cores=2)
-    out.append(
-        format_allocation_trace("Table III: allocations under CA-TPA", ts, ca_steps)
-    )
-    return "\n".join(out)
+# -- shared run plumbing ------------------------------------------------
 
 
 def _progress_hook(stream):
@@ -541,27 +304,480 @@ def _progress_hook(stream):
     return hook
 
 
-def _inspect(paths: list[str], out) -> int:
-    """Pretty-print the run manifest next to each artifact path."""
-    if not paths:
+def _engine_options(args) -> dict:
+    """Engine keywords from the ``--jobs/--store/--no-store/--progress`` group."""
+    store = None
+    if not args.no_store:
+        root = Path(args.store).expanduser() if args.store else default_store_root()
+        store = ResultStore(root)
+    return {
+        "jobs": None if args.jobs == 0 else args.jobs,
+        "store": store,
+        "progress": _progress_hook(sys.stderr) if args.progress else None,
+    }
+
+
+class _Instrumentation:
+    """``--log-json`` / ``--metrics`` for one invocation.
+
+    Enabled (by either flag, or ``always``), each :meth:`call` runs in a
+    fresh registry under a ``cli.<name>`` root span and merges into the
+    totals that a clean exit from the ``with`` block writes to
+    ``--metrics``; disabled, it is a plain call and OBS stays off.
+    """
+
+    def __init__(self, args, command: list[str], *, always: bool = False):
+        self.enabled = bool(args.log_json or args.metrics or always)
+        self.run_id = new_run_id() if self.enabled else None
+        self._sink = JsonlSink(args.log_json) if args.log_json else None
+        self._metrics_path = args.metrics
+        self._command = command
+        self._totals = MetricsRegistry()
+
+    def __enter__(self) -> _Instrumentation:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._sink is not None:
+            self._sink.close()
+        if exc_type is None and self._metrics_path is not None:
+            self._write_metrics()
+
+    def call(self, name: str, fn, *, span: dict | None = None, **start):
+        """``(fn(), metrics snapshot)``; the snapshot is ``None`` when disabled."""
+        if not self.enabled:
+            return fn(), None
+        with obs_runtime.instrument(sink=self._sink, run_id=self.run_id) as state:
+            obs_runtime.emit(f"cli.{name}_start", **start)
+            with obs_runtime.span(f"cli.{name}", **(span or {})):
+                result = fn()
+            snapshot = state.registry.snapshot()
+            self._totals.merge(state.registry.dump())
+        return result, snapshot
+
+    def _write_metrics(self) -> None:
+        """Dump the merged instrumentation snapshot to ``--metrics PATH``."""
+        metrics_path = Path(self._metrics_path)
+        metrics_path.parent.mkdir(parents=True, exist_ok=True)
+        metrics_path.write_text(
+            json.dumps(
+                {
+                    "run_id": self.run_id,
+                    "repro_version": __version__,
+                    "command": self._command,
+                    "metrics": self._totals.snapshot(),
+                },
+                indent=2,
+            )
+            + "\n"
+        )
+
+
+# -- subcommands --------------------------------------------------------
+
+
+def _render_tables() -> str:
+    ts = paper_example_taskset()
+    out = [format_table1(ts), ""]
+    ffd_steps = allocation_trace(FirstFitDecreasing(), ts, cores=2)
+    out.append(
+        format_allocation_trace("Table II: allocations under FFD", ts, ffd_steps)
+    )
+    out.append("")
+    ca_steps = allocation_trace(CATPA(), ts, cores=2)
+    out.append(
+        format_allocation_trace("Table III: allocations under CA-TPA", ts, ca_steps)
+    )
+    return "\n".join(out)
+
+
+def _figure(args, command, name, inst: _Instrumentation, engine_options) -> str:
+    """Run one figure sweep and write its ``--csv``/``--json`` artifacts;
+    returns the text report."""
+    engine = Engine(probe_impl=args.probe_impl, **engine_options)
+    spec = definition_to_spec(FIGURES[name](), sets=args.sets, seed=args.seed)
+    # The run's root span: every engine/worker span of this figure hangs
+    # off it, so `repro-mc trace` sees one rooted tree whose duration is
+    # the figure's wall clock.
+    artifact, figure_metrics = inst.call(
+        "figure", lambda: engine.run(spec), span={"figure": name}, figure=name
+    )
+    text = format_sweep(artifact)
+    if args.csv is not None:
+        from repro.experiments.export import save_sweep_csv
+
+        directory = Path(args.csv)
+        directory.mkdir(parents=True, exist_ok=True)
+        save_sweep_csv(artifact, directory / f"{name}.csv")
+    if args.json is not None:
+        directory = Path(args.json)
+        directory.mkdir(parents=True, exist_ok=True)
+        artifact_path = directory / f"{name}.json"
+        artifact_path.write_text(artifact.to_json() + "\n")
+        manifest = build_manifest(
+            run_id=inst.run_id,
+            command=command,
+            figure=name,
+            sets=args.sets,
+            seed=args.seed,
+            jobs=args.jobs,
+            artifact_path=artifact_path,
+            engine_stats=engine.stats.as_dict(),
+            metrics=figure_metrics,
+            events_log=args.log_json,
+        )
+        write_manifest(manifest_path_for(artifact_path), manifest)
+    if args.progress:
+        s = engine.stats
         print(
-            "repro-mc inspect: pass at least one artifact or manifest path",
+            f"[{name}: {s.shards_planned} shards planned, "
+            f"{s.cache_hits} cache hits, {s.cache_misses} misses, "
+            f"{s.shards_computed} computed in {s.compute_seconds:.2f}s]",
             file=sys.stderr,
         )
-        return 2
-    for i, raw in enumerate(paths):
+    return text
+
+
+def _regenerate(args, command: list[str], names: list[str]) -> int:
+    """Regenerate paper artifacts (figures and/or the tables) in order."""
+    engine_options = _engine_options(args)
+    # --json writes run manifests, so it instruments the run too.
+    with _Instrumentation(args, command, always=bool(args.json)) as inst:
+        for name in names:
+            start = time.perf_counter()
+            if name == "tables":
+                text = _render_tables()
+            else:
+                text = _figure(args, command, name, inst, engine_options)
+            elapsed = time.perf_counter() - start
+            print(text, file=args.out)
+            print(f"[{name} regenerated in {elapsed:.1f}s]\n", file=args.out)
+    return 0
+
+
+def _run_artifact(args, command: list[str]) -> int:
+    """``repro-mc fig1..fig5|tables``: regenerate the named artifact."""
+    return _regenerate(args, command, [args.experiment])
+
+
+def _run_all(args, command: list[str]) -> int:
+    """``repro-mc all``: every figure, then the tables, in one report."""
+    return _regenerate(args, command, [*FIGURES, "tables"])
+
+
+def _configure_dynamic(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json",
+        metavar="DIR",
+        help="also write the raw tallies and derived rows as <DIR>/dynamic.json",
+    )
+    parser.add_argument(
+        "--burst-factors",
+        metavar="CSV",
+        type=_burst_factors,
+        help=(
+            "comma-separated WCET burst factors to sweep "
+            "(default 1.0,1.5,2.0,3.0,4.0)"
+        ),
+    )
+
+
+def _run_dynamic(args, command: list[str]) -> int:
+    """``repro-mc dynamic``: the injected-event resilience sweep."""
+    from repro.experiments.dynamic import (
+        DEFAULT_BURST_FACTORS,
+        format_dynamic,
+        run_dynamic_sweep,
+    )
+
+    engine_options = _engine_options(args)
+    with _Instrumentation(args, command) as inst:
+        start = time.perf_counter()
+        result, _ = inst.call(
+            "dynamic",
+            lambda: run_dynamic_sweep(
+                args.burst_factors or DEFAULT_BURST_FACTORS,
+                sets=args.sets,
+                seed=args.seed,
+                probe_impl=args.probe_impl,
+                **engine_options,
+            ),
+            sets=args.sets,
+            seed=args.seed,
+        )
+        print(format_dynamic(result), file=args.out)
+        print(
+            f"[dynamic regenerated in {time.perf_counter() - start:.1f}s]",
+            file=args.out,
+        )
+        if args.json is not None:
+            directory = Path(args.json)
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / "dynamic.json").write_text(
+                json.dumps(result.to_dict(), indent=2) + "\n"
+            )
+    return 0
+
+
+def _configure_validate(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--repro-dir",
+        metavar="DIR",
+        default="counterexamples",
+        help="where shrunk counterexample JSON files go (default: counterexamples/)",
+    )
+
+
+def _run_validate(args, command: list[str]) -> int:
+    """``repro-mc validate``: fuzz the oracle registry, shrink failures."""
+    from repro.validate import run_campaign, shrink_failure, write_repro
+
+    engine_options = _engine_options(args)
+    # --probe-impl rides the contextvar: the campaign engine resolves it
+    # per evaluate() and forwards it into worker processes + shard keys.
+    backend = (
+        use_probe_implementation(args.probe_impl)
+        if args.probe_impl
+        else nullcontext()
+    )
+    with _Instrumentation(args, command) as inst:
+        start = time.perf_counter()
+        with backend:
+            result, _ = inst.call(
+                "validate",
+                lambda: run_campaign(args.sets, args.seed, **engine_options),
+                sets=args.sets,
+                seed=args.seed,
+            )
+        print(result.summary(), file=args.out)
+        for failure in result.failures:
+            doc = shrink_failure(failure)
+            path = write_repro(doc, args.repro_dir)
+            print(
+                f"  repro written: {path} ({len(doc['taskset']['tasks'])} tasks)",
+                file=args.out,
+            )
+        print(
+            f"[validate done in {time.perf_counter() - start:.1f}s]",
+            file=args.out,
+        )
+    return 0 if result.ok else 1
+
+
+def _configure_simulate(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--taskset",
+        metavar="PATH",
+        required=True,
+        help="task-set JSON (repro-mc-taskset format) to partition and simulate",
+    )
+    parser.add_argument(
+        "--events",
+        metavar="PATH",
+        help=(
+            "injected-event script JSON (repro-mc-events format); "
+            "validated up front against the partition"
+        ),
+    )
+    parser.add_argument(
+        "--scenario",
+        choices=("honest", "random", "level"),
+        default="random",
+        help=(
+            "execution-demand scenario; 'random' overruns with "
+            "--overrun-prob (default random)"
+        ),
+    )
+    parser.add_argument(
+        "--overrun-prob",
+        type=float,
+        default=0.1,
+        help="per-job overrun probability of --scenario random (default 0.1)",
+    )
+    parser.add_argument(
+        "--cycles",
+        type=float,
+        default=20.0,
+        help="horizon in multiples of the longest period (default 20)",
+    )
+    parser.add_argument("--seed", type=int, default=2016, help="root RNG seed")
+    parser.add_argument(
+        "--allow-infeasible",
+        action="store_true",
+        help=(
+            "run cores that fail the Theorem-1 analysis under plain EDF "
+            "instead of refusing (misses are then expected)"
+        ),
+    )
+
+
+def _run_simulate(args, command: list[str]) -> int:
+    """``repro-mc simulate``: one partitioned EDF-VD run, optionally
+    under an injected-event script (``--events``)."""
+    from repro.model import load_events, load_taskset
+    from repro.partition.registry import get_partitioner
+    from repro.sched import (
+        EventInjectionRuntime,
+        HonestScenario,
+        LevelScenario,
+        RandomScenario,
+        SystemSimulator,
+        default_horizon,
+    )
+
+    taskset = load_taskset(args.taskset)
+    result = get_partitioner(args.scheme).partition(taskset, args.cores)
+    if not result.partition.is_complete:
+        raise ReproError(
+            f"{args.scheme} could not place every task on {args.cores} cores "
+            f"(failed at task {result.failed_task}); nothing to simulate"
+        )
+    if not result.schedulable and not args.allow_infeasible:
+        raise ReproError(
+            f"the {args.scheme} partition fails the schedulability analysis; "
+            "pass --allow-infeasible to simulate it anyway"
+        )
+    horizon = default_horizon(result.partition, cycles=args.cycles)
+    runtime = None
+    if args.events is not None:
+        runtime = EventInjectionRuntime(load_events(args.events), horizon=horizon)
+    scenario = {
+        "honest": lambda: HonestScenario(),
+        "random": lambda: RandomScenario(overrun_prob=args.overrun_prob),
+        "level": lambda: LevelScenario(target=taskset.levels),
+    }[args.scenario]()
+    sim = SystemSimulator(
+        result.partition,
+        scenario,
+        horizon=horizon,
+        allow_infeasible=args.allow_infeasible,
+        events=runtime,
+    )
+    with _Instrumentation(args, command) as inst:
+        report, _ = inst.call(
+            "simulate",
+            lambda: sim.run(seed=args.seed),
+            taskset=args.taskset,
+            events=args.events,
+            scheme=args.scheme,
+        )
+        lines = [
+            f"simulate: {len(taskset)} tasks on {args.cores} cores "
+            f"({args.scheme}), horizon {horizon:g}, scenario {args.scenario}, "
+            f"seed {args.seed}",
+            f"  schedulable offline: {result.schedulable}",
+        ]
+        for key, value in sorted(report.telemetry().items()):
+            lines.append(f"  {key}: {value}")
+        for key, value in sorted(report.event_telemetry().items()):
+            lines.append(f"  {key}: {value}")
+        print("\n".join(lines), file=args.out)
+    return 0
+
+
+def _configure_explain(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json",
+        metavar="DIR",
+        help=(
+            "'-' prints the explanation document (schema v1) to stdout "
+            "instead of the text report; DIR also writes <DIR>/explain.json"
+        ),
+    )
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "--taskset",
+        metavar="PATH",
+        help="task-set JSON (repro-mc-taskset format) to partition and explain",
+    )
+    source.add_argument(
+        "path",
+        nargs="?",
+        metavar="TASKSET",
+        help="the task-set JSON, given positionally instead of --taskset",
+    )
+
+
+def _run_explain(args, command: list[str]) -> int:
+    """``repro-mc explain``: decompose one admission decision."""
+    from repro.analysis.explain import explain_admission, format_explanation
+    from repro.model import load_taskset
+
+    taskset = load_taskset(args.path if args.taskset is None else args.taskset)
+    exp = explain_admission(
+        taskset, args.cores, args.scheme, probe_impl=args.probe_impl
+    )
+    document = json.dumps(exp.to_dict(), indent=2, allow_nan=False)
+    if args.json == "-":
+        print(document, file=args.out)
+        return 0
+    if args.json is not None:
+        out_dir = Path(args.json)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "explain.json").write_text(document + "\n")
+    print(format_explanation(exp), file=args.out)
+    return 0
+
+
+def _configure_inspect(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs="+",
+        metavar="PATH",
+        help="artifact paths (their <name>.manifest.json is read) or manifest paths",
+    )
+
+
+def _run_inspect(args, command: list[str]) -> int:
+    """``repro-mc inspect``: pretty-print the run manifest of each artifact."""
+    for i, raw in enumerate(args.paths):
         path = Path(raw)
         if not path.name.endswith(".manifest.json"):
             path = manifest_path_for(path)
-        try:
-            manifest = load_manifest(path)
-        except ReproError as exc:
-            print(f"repro-mc inspect: {exc}", file=sys.stderr)
-            return 1
+        manifest = load_manifest(path)
         if i:
-            print("", file=out)
-        print(format_manifest(manifest), file=out)
+            print("", file=args.out)
+        print(format_manifest(manifest), file=args.out)
     return 0
+
+
+def _configure_trace(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs=1,
+        metavar="EVENTS",
+        help="events.jsonl file (written with --log-json) or a run directory",
+    )
+    parser.add_argument(
+        "--report",
+        action="store_true",
+        help=(
+            "print the critical-path + self-time report "
+            "(default when no export flag is given)"
+        ),
+    )
+    parser.add_argument(
+        "--folded",
+        metavar="PATH",
+        help=(
+            "write folded stacks (flamegraph.pl/speedscope input) to PATH "
+            "('-' for stdout)"
+        ),
+    )
+    parser.add_argument(
+        "--chrome",
+        metavar="PATH",
+        help=(
+            "write Chrome trace-event JSON (chrome://tracing / Perfetto) to "
+            "PATH ('-' for stdout)"
+        ),
+    )
+    parser.add_argument(
+        "--top",
+        type=int,
+        default=15,
+        help="rows in the self-time table (default 15)",
+    )
 
 
 def _write_export(target: str, text: str, out) -> None:
@@ -574,28 +790,17 @@ def _write_export(target: str, text: str, out) -> None:
     path.write_text(text + "\n")
 
 
-def _trace(args) -> int:
+def _run_trace(args, command: list[str]) -> int:
     """``repro-mc trace``: analyse/export the span tree of a past run."""
     from repro.obs import trace as trace_mod
 
-    if len(args.paths) != 1:
-        print(
-            "repro-mc trace: pass exactly one events.jsonl file or run directory",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        tree = trace_mod.load_tree(args.paths[0])
-    except ReproError as exc:
-        print(f"repro-mc trace: {exc}", file=sys.stderr)
-        return 1
+    source = args.paths[0]
+    tree = trace_mod.load_tree(source)
     if not tree.roots:
-        print(
-            f"repro-mc trace: no span events in {args.paths[0]} "
-            "(was the run instrumented with --log-json?)",
-            file=sys.stderr,
+        raise ReproError(
+            f"no span events in {source} "
+            "(was the run instrumented with --log-json?)"
         )
-        return 1
     if tree.orphans:
         print(
             f"repro-mc trace: warning: {len(tree.orphans)} orphan span(s) "
@@ -615,324 +820,122 @@ def _trace(args) -> int:
     return 0
 
 
-def _bench(args) -> int:
-    """``repro-mc bench compare``: quick probe bench vs committed baselines."""
-    from repro import bench
+def _configure_bench(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs=1,
+        choices=["compare"],
+        metavar="compare",
+        help="re-measure the quick probe bench and gate it",
+    )
+    parser.add_argument(
+        "--sets",
+        type=int,
+        default=bench.DEFAULT_SETS,
+        help=f"task sets the probe bench replays (default {bench.DEFAULT_SETS})",
+    )
+    parser.add_argument("--seed", type=int, default=bench.SEED, help="root RNG seed")
+    parser.add_argument(
+        "--gate-ratio",
+        type=float,
+        default=bench.DEFAULT_GATE_RATIO,
+        help=(
+            "measured throughput/speedup must be at least this fraction of "
+            f"the committed baseline (default {bench.DEFAULT_GATE_RATIO})"
+        ),
+    )
+    parser.add_argument(
+        "--overhead-gate",
+        type=float,
+        default=bench.DEFAULT_OVERHEAD_GATE,
+        help=(
+            "max median disabled guarded/raw probe ratio "
+            f"(default {bench.DEFAULT_OVERHEAD_GATE})"
+        ),
+    )
+    parser.add_argument(
+        "--baseline-dir",
+        metavar="DIR",
+        help=(
+            "directory holding the committed BENCH_*.json baselines "
+            "(default: current directory)"
+        ),
+    )
 
-    if args.paths != ["compare"]:
-        print(
-            "repro-mc bench: the only supported action is 'compare' "
-            "(repro-mc bench compare)",
-            file=sys.stderr,
-        )
-        return 2
+
+def _run_bench(args, command: list[str]) -> int:
+    """``repro-mc bench compare``: quick probe bench vs committed baselines."""
     code, report = bench.run_compare(
-        sets=args.sets if args.sets != 500 else bench.DEFAULT_SETS,
+        sets=args.sets,
         seed=args.seed,
         baseline_dir=args.baseline_dir,
-        gate_ratio=(
-            bench.DEFAULT_GATE_RATIO if args.gate_ratio is None else args.gate_ratio
-        ),
-        overhead_gate=(
-            bench.DEFAULT_OVERHEAD_GATE
-            if args.overhead_gate is None
-            else args.overhead_gate
-        ),
+        gate_ratio=args.gate_ratio,
+        overhead_gate=args.overhead_gate,
     )
     print(report, file=args.out)
     return code
 
 
-def _write_metrics(args, run_id, command, snapshot) -> None:
-    """Dump the merged instrumentation snapshot to ``--metrics PATH``."""
-    metrics_path = Path(args.metrics)
-    metrics_path.parent.mkdir(parents=True, exist_ok=True)
-    metrics_path.write_text(
-        json.dumps(
-            {
-                "run_id": run_id,
-                "repro_version": __version__,
-                "command": command,
-                "metrics": snapshot,
-            },
-            indent=2,
-        )
-        + "\n"
+def _configure_serve(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cores", type=int, default=4, help="cores of the live system (default 4)"
+    )
+    parser.add_argument(
+        "--levels",
+        type=int,
+        default=2,
+        help="criticality levels K of the live system (default 2)",
+    )
+    parser.add_argument(
+        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
+    )
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=8787,
+        help="TCP port; 0 picks an ephemeral port (default 8787)",
+    )
+    parser.add_argument(
+        "--window-ms",
+        type=float,
+        default=1.0,
+        help=(
+            "micro-batch coalescing window in milliseconds; concurrent "
+            "requests arriving within it share one probe kernel call "
+            "(default 1.0)"
+        ),
+    )
+    parser.add_argument(
+        "--max-batch",
+        type=int,
+        default=64,
+        help="max requests per flush (default 64)",
+    )
+    parser.add_argument(
+        "--backlog",
+        type=int,
+        default=256,
+        help="bounded request queue size; a full queue answers 503 (default 256)",
+    )
+    parser.add_argument(
+        "--slo",
+        action="append",
+        metavar="RULE",
+        type=_library_type(parse_slo),
+        help=(
+            "SLO rule over the live window, e.g. "
+            "'p95(serve.place.seconds) < 5ms' or "
+            "'rate(serve.rejected_503) == 0'; repeatable.  Violations "
+            "emit slo.alert events and bump the serve.slo.alerts counter"
+        ),
     )
 
 
-def _simulate(args, command: list[str]) -> int:
-    """``repro-mc simulate``: one partitioned EDF-VD run, optionally
-    under an injected-event script (``--events``)."""
-    from repro.model import load_events, load_taskset
-    from repro.partition.registry import get_partitioner
-    from repro.sched import (
-        EventInjectionRuntime,
-        HonestScenario,
-        LevelScenario,
-        RandomScenario,
-        SystemSimulator,
-        default_horizon,
-    )
-
-    if args.paths:
-        print(
-            f"repro-mc simulate: unexpected positional arguments {args.paths}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.taskset is None:
-        print(
-            "repro-mc simulate: --taskset PATH is required",
-            file=sys.stderr,
-        )
-        return 2
-    taskset = load_taskset(args.taskset)
-    result = get_partitioner(args.scheme).partition(taskset, args.cores)
-    if not result.partition.is_complete:
-        print(
-            f"repro-mc simulate: {args.scheme} could not place every task "
-            f"on {args.cores} cores (failed at task {result.failed_task}); "
-            "nothing to simulate",
-            file=sys.stderr,
-        )
-        return 1
-    if not result.schedulable and not args.allow_infeasible:
-        print(
-            f"repro-mc simulate: the {args.scheme} partition fails the "
-            "schedulability analysis; pass --allow-infeasible to simulate "
-            "it anyway",
-            file=sys.stderr,
-        )
-        return 1
-    horizon = default_horizon(result.partition, cycles=args.cycles)
-    runtime = None
-    if args.events is not None:
-        runtime = EventInjectionRuntime(
-            load_events(args.events), horizon=horizon
-        )
-    scenario = {
-        "honest": lambda: HonestScenario(),
-        "random": lambda: RandomScenario(overrun_prob=args.overrun_prob),
-        "level": lambda: LevelScenario(target=taskset.levels),
-    }[args.scenario]()
-    sim = SystemSimulator(
-        result.partition,
-        scenario,
-        horizon=horizon,
-        allow_infeasible=args.allow_infeasible,
-        events=runtime,
-    )
-
-    instrumented = bool(args.log_json or args.metrics)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    snapshot = None
-    try:
-        if instrumented:
-            with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                obs_runtime.emit(
-                    "cli.simulate_start",
-                    taskset=args.taskset,
-                    events=args.events,
-                    scheme=args.scheme,
-                )
-                with obs_runtime.span("cli.simulate"):
-                    report = sim.run(seed=args.seed)
-                snapshot = state.registry.snapshot()
-        else:
-            report = sim.run(seed=args.seed)
-    finally:
-        if sink is not None:
-            sink.close()
-
-    lines = [
-        f"simulate: {len(taskset)} tasks on {args.cores} cores "
-        f"({args.scheme}), horizon {horizon:g}, scenario {args.scenario}, "
-        f"seed {args.seed}",
-        f"  schedulable offline: {result.schedulable}",
-    ]
-    for key, value in sorted(report.telemetry().items()):
-        lines.append(f"  {key}: {value}")
-    for key, value in sorted(report.event_telemetry().items()):
-        lines.append(f"  {key}: {value}")
-    print("\n".join(lines), file=args.out)
-    if args.metrics is not None:
-        _write_metrics(args, run_id, command, snapshot)
-    return 0
-
-
-def _run_dynamic(args, jobs, store, progress, command) -> int:
-    """``repro-mc dynamic``: the injected-event resilience sweep."""
-    from repro.experiments.dynamic import (
-        DEFAULT_BURST_FACTORS,
-        format_dynamic,
-        run_dynamic_sweep,
-    )
-
-    if args.burst_factors is None:
-        factors = DEFAULT_BURST_FACTORS
-    else:
-        try:
-            factors = tuple(
-                float(tok) for tok in args.burst_factors.split(",") if tok
-            )
-        except ValueError:
-            print(
-                f"repro-mc dynamic: --burst-factors must be a comma-"
-                f"separated float list, got {args.burst_factors!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if not factors:
-            print(
-                "repro-mc dynamic: --burst-factors is empty", file=sys.stderr
-            )
-            return 2
-    instrumented = bool(args.log_json or args.metrics)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    snapshot = None
-    start = time.perf_counter()
-    try:
-        if instrumented:
-            with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                obs_runtime.emit(
-                    "cli.dynamic_start", sets=args.sets, seed=args.seed
-                )
-                with obs_runtime.span("cli.dynamic"):
-                    result = run_dynamic_sweep(
-                        factors,
-                        sets=args.sets,
-                        seed=args.seed,
-                        jobs=jobs,
-                        store=store,
-                        progress=progress,
-                        probe_impl=args.probe_impl,
-                    )
-                snapshot = state.registry.snapshot()
-        else:
-            result = run_dynamic_sweep(
-                factors,
-                sets=args.sets,
-                seed=args.seed,
-                jobs=jobs,
-                store=store,
-                progress=progress,
-                probe_impl=args.probe_impl,
-            )
-    finally:
-        if sink is not None:
-            sink.close()
-    print(format_dynamic(result), file=args.out)
-    print(
-        f"[dynamic regenerated in {time.perf_counter() - start:.1f}s]",
-        file=args.out,
-    )
-    if args.json is not None:
-        directory = Path(args.json)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "dynamic.json").write_text(
-            json.dumps(result.to_dict(), indent=2) + "\n"
-        )
-    if args.metrics is not None:
-        _write_metrics(args, run_id, command, snapshot)
-    return 0
-
-
-def _run_validate(args, jobs, store, progress, command) -> int:
-    """``repro-mc validate``: fuzz the oracle registry, shrink failures."""
-    from repro.validate import run_campaign, shrink_failure, write_repro
-
-    instrumented = bool(args.log_json or args.metrics)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    snapshot = None
-    start = time.perf_counter()
-    # --probe-impl rides the contextvar: the campaign engine resolves it
-    # per evaluate() and forwards it into worker processes + shard keys.
-    impl_ctx = (
-        use_probe_implementation(args.probe_impl)
-        if args.probe_impl
-        else nullcontext()
-    )
-    try:
-        with impl_ctx:
-            if instrumented:
-                with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                    obs_runtime.emit(
-                        "cli.validate_start", sets=args.sets, seed=args.seed
-                    )
-                    with obs_runtime.span("cli.validate"):
-                        result = run_campaign(
-                            args.sets,
-                            args.seed,
-                            jobs=jobs,
-                            store=store,
-                            progress=progress,
-                        )
-                    snapshot = state.registry.snapshot()
-            else:
-                result = run_campaign(
-                    args.sets, args.seed, jobs=jobs, store=store, progress=progress
-                )
-    finally:
-        if sink is not None:
-            sink.close()
-    print(result.summary(), file=args.out)
-    for failure in result.failures:
-        doc = shrink_failure(failure)
-        path = write_repro(doc, args.repro_dir)
-        print(
-            f"  repro written: {path} ({len(doc['taskset']['tasks'])} tasks)",
-            file=args.out,
-        )
-    print(
-        f"[validate done in {time.perf_counter() - start:.1f}s]",
-        file=args.out,
-    )
-    if args.metrics is not None:
-        metrics_path = Path(args.metrics)
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(
-            json.dumps(
-                {
-                    "run_id": run_id,
-                    "repro_version": __version__,
-                    "command": command,
-                    "metrics": snapshot,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    return 0 if result.ok else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = list(argv) if argv is not None else sys.argv[1:]
-    # The report target opens lazily on first write and is always closed
-    # here, whatever exit path the subcommand takes.
-    args.out = _LazyOutput(args.out)
-    try:
-        return _dispatch(args, command)
-    finally:
-        args.out.close()
-
-
-def _serve(args, command: list[str]) -> int:
+def _run_serve(args, command: list[str]) -> int:
     """``repro-mc serve``: run the online admission-control daemon."""
-    from repro.obs.live import parse_slo
     from repro.serve import ServeConfig
     from repro.serve.daemon import run_forever
 
-    for rule in args.slo or []:
-        try:
-            parse_slo(rule)
-        except ReproError as exc:
-            print(f"repro-mc serve: {exc}", file=sys.stderr)
-            return 2
     config = ServeConfig(
         cores=args.cores,
         levels=args.levels,
@@ -941,7 +944,7 @@ def _serve(args, command: list[str]) -> int:
         window_ms=args.window_ms,
         max_batch=args.max_batch,
         backlog=args.backlog,
-        probe_impl=args.probe_impl or "incremental",
+        probe_impl=args.probe_impl,
         metrics_path=args.metrics,
         log_json=args.log_json,
         slo=args.slo or [],
@@ -950,233 +953,177 @@ def _serve(args, command: list[str]) -> int:
     return run_forever(config)
 
 
-def _top(args) -> int:
+def _configure_top(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs=1,
+        metavar="TARGET",
+        help=(
+            "daemon URL (e.g. http://127.0.0.1:8787), or an events.jsonl "
+            "file / run directory of a sweep"
+        ),
+    )
+    parser.add_argument(
+        "--interval",
+        type=float,
+        default=2.0,
+        help="refresh interval in seconds (default 2.0)",
+    )
+    parser.add_argument(
+        "--once",
+        action="store_true",
+        help=(
+            "render a single frame without terminal control codes and exit "
+            "(for scripts/CI)"
+        ),
+    )
+
+
+def _run_top(args, command: list[str]) -> int:
     """``repro-mc top``: live dashboard over a daemon URL or events file."""
     from repro.obs.top import run_top
 
-    if len(args.paths) != 1:
-        print(
-            "repro-mc top: pass exactly one daemon URL "
-            "(e.g. http://127.0.0.1:8787) or an events.jsonl file / run "
-            "directory",
-            file=sys.stderr,
-        )
-        return 2
     try:
         return run_top(
-            args.paths[0],
-            interval=args.interval,
-            once=args.once,
-            stream=sys.stdout,
+            args.paths[0], interval=args.interval, once=args.once, stream=sys.stdout
         )
-    except ReproError as exc:
-        print(f"repro-mc top: {exc}", file=sys.stderr)
-        return 1
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 0
 
 
-def _explain_cmd(args) -> int:
-    """``repro-mc explain``: decompose one admission decision.
+# -- the subcommand table -----------------------------------------------
 
-    The task set comes from ``--taskset PATH`` or a single positional
-    path.  ``--json`` (bare) prints the :class:`ProbeExplanation`
-    document to stdout; ``--json DIR`` writes ``<DIR>/explain.json``
-    and still prints the text report; neither prints the report only.
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: help line, ``run(args, argv) -> exit code``, the
+    shared flag groups it accepts, and ``configure(parser)`` for its own."""
+
+    help: str
+    run: Callable[[argparse.Namespace, list[str]], int]
+    groups: tuple[str, ...] = ()
+    configure: Callable[[argparse.ArgumentParser], None] | None = None
+
+
+_SWEEP = ("run", "out", "obs", "probe")
+# `tables` takes the figure flags because `all` runs it in the figure loop.
+_FIGURE = _SWEEP + ("artifacts",)
+
+COMMANDS: dict[str, Command] = {
+    **{
+        name: Command(f"regenerate Figure {name[3:]}", _run_artifact, _FIGURE)
+        for name in FIGURES
+    },
+    "tables": Command(
+        "print the worked example (Tables I-III)", _run_artifact, _FIGURE
+    ),
+    "all": Command("regenerate every figure, then the tables", _run_all, _FIGURE),
+    "dynamic": Command(
+        "run the injected-event resilience sweep",
+        _run_dynamic,
+        _SWEEP,
+        _configure_dynamic,
+    ),
+    "validate": Command(
+        "fuzz the cross-layer invariant oracles; shrink failures to JSON repros",
+        _run_validate,
+        _SWEEP,
+        _configure_validate,
+    ),
+    "simulate": Command(
+        "run one partitioned EDF-VD simulation, optionally with injected events",
+        _run_simulate,
+        ("partition", "out", "obs"),
+        _configure_simulate,
+    ),
+    "explain": Command(
+        "decompose one admission decision (per-core Theorem-1 margins, "
+        "headroom, rejection sensitivity)",
+        _run_explain,
+        ("partition", "out", "probe"),
+        _configure_explain,
+    ),
+    "inspect": Command(
+        "pretty-print the run manifest of artifacts",
+        _run_inspect,
+        ("out",),
+        _configure_inspect,
+    ),
+    "trace": Command(
+        "analyse the span tree of an instrumented run",
+        _run_trace,
+        ("out",),
+        _configure_trace,
+    ),
+    "bench": Command(
+        "gate probe throughput against the committed baselines",
+        _run_bench,
+        ("out",),
+        _configure_bench,
+    ),
+    "serve": Command(
+        "run the online admission-control daemon",
+        _run_serve,
+        ("obs", "serve-probe"),
+        _configure_serve,
+    ),
+    "top": Command(
+        "show a live dashboard over a daemon URL or a sweep's events.jsonl",
+        _run_top,
+        configure=_configure_top,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-mc",
+        description=(
+            "Criticality-aware partitioning for multicore mixed-criticality "
+            "systems: regenerate the paper's figures and tables."
+        ),
+    )
+    parser.add_argument("--version", action=_VersionAction)
+    groups = _flag_groups()
+    subcommands = parser.add_subparsers(
+        dest="experiment", metavar="COMMAND", required=True
+    )
+    for name, command in COMMANDS.items():
+        subparser = subcommands.add_parser(
+            name,
+            help=command.help,
+            description=command.help,
+            parents=[groups[group] for group in command.groups],
+        )
+        if command.configure is not None:
+            command.configure(subparser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one ``repro-mc`` command and return its exit code.
+
+    The only error boundary: argparse usage errors return 2 (``--help``
+    and ``--version`` return 0), and a :class:`ReproError` or an
+    ``OSError`` (a path the user named that cannot be read or written,
+    a port that cannot be bound) prints one ``repro-mc <command>:
+    <message>`` line on stderr and returns 1.
     """
-    from repro.analysis.explain import explain_admission, format_explanation
-    from repro.model import load_taskset
-
-    if args.taskset is not None and args.paths:
-        print(
-            "repro-mc explain: pass the task set either as --taskset PATH "
-            "or as one positional path, not both",
-            file=sys.stderr,
-        )
-        return 2
-    path = args.taskset if args.taskset is not None else (
-        args.paths[0] if len(args.paths) == 1 else None
-    )
-    if path is None:
-        print(
-            "repro-mc explain: exactly one task-set JSON is required "
-            "(--taskset PATH or a positional path)",
-            file=sys.stderr,
-        )
-        return 2
-    taskset = load_taskset(path)
-    exp = explain_admission(
-        taskset,
-        args.cores,
-        args.scheme,
-        probe_impl=args.probe_impl,
-    )
-    if args.json == "-":
-        print(
-            json.dumps(exp.to_dict(), indent=2, allow_nan=False),
-            file=args.out,
-        )
-        return 0
-    if args.json is not None:
-        out_dir = Path(args.json)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "explain.json").write_text(
-            json.dumps(exp.to_dict(), indent=2, allow_nan=False) + "\n"
-        )
-    print(format_explanation(exp), file=args.out)
-    return 0
-
-
-def _dispatch(args, command: list[str]) -> int:
-    if args.probe_impl is not None:
-        try:
-            get_backend(args.probe_impl)
-        except ReproError as exc:
-            print(f"repro-mc: {exc}", file=sys.stderr)
-            return 2
-    if args.experiment == "explain":
-        try:
-            return _explain_cmd(args)
-        except ReproError as exc:
-            print(f"repro-mc explain: {exc}", file=sys.stderr)
-            return 1
-    if args.json == "-":
-        print(
-            "repro-mc: bare --json (print to stdout) is only supported by "
-            "'explain'; pass --json DIR",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment == "inspect":
-        return _inspect(args.paths, args.out)
-    if args.experiment == "trace":
-        return _trace(args)
-    if args.experiment == "bench":
-        return _bench(args)
-    if args.experiment == "serve":
-        return _serve(args, command)
-    if args.experiment == "top":
-        return _top(args)
-    if args.experiment == "simulate":
-        try:
-            return _simulate(args, command)
-        except ReproError as exc:
-            print(f"repro-mc simulate: {exc}", file=sys.stderr)
-            return 1
-    if args.paths:
-        print(
-            f"repro-mc {args.experiment}: unexpected positional arguments "
-            f"{args.paths} (paths are for the inspect subcommand)",
-            file=sys.stderr,
-        )
-        return 2
-    jobs = None if args.jobs == 0 else args.jobs
-    names = list(FIGURES) + ["tables"] if args.experiment == "all" else [args.experiment]
-
-    store = None
-    if not args.no_store:
-        root = Path(args.store).expanduser() if args.store else default_store_root()
-        store = ResultStore(root)
-    progress = _progress_hook(sys.stderr) if args.progress else None
-
-    if args.experiment == "validate":
-        return _run_validate(args, jobs, store, progress, command)
-    if args.experiment == "dynamic":
-        return _run_dynamic(args, jobs, store, progress, command)
-
-    # One run id + (optional) shared event log per invocation; each
-    # figure gets a fresh registry whose dump is merged into the totals
-    # that --metrics writes at the end.
-    instrumented = bool(args.log_json or args.metrics or args.json)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    totals = MetricsRegistry()
-
     try:
-        for name in names:
-            start = time.perf_counter()
-            if name == "tables":
-                text = _render_tables()
-            else:
-                engine = Engine(
-                    jobs=jobs,
-                    store=store,
-                    progress=progress,
-                    probe_impl=args.probe_impl,
-                )
-                spec = definition_to_spec(
-                    FIGURES[name](), sets=args.sets, seed=args.seed
-                )
-                figure_metrics = None
-                if instrumented:
-                    with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                        obs_runtime.emit("cli.figure_start", figure=name)
-                        # The run's root span: every engine/worker span of
-                        # this figure hangs off it, so `repro-mc trace`
-                        # sees one rooted tree whose duration is the
-                        # figure's wall clock.
-                        with obs_runtime.span("cli.figure", figure=name):
-                            artifact = engine.run(spec)
-                        figure_metrics = state.registry.snapshot()
-                        totals.merge(state.registry.dump())
-                else:
-                    artifact = engine.run(spec)
-                text = format_sweep(artifact)
-                if args.csv is not None:
-                    from repro.experiments.export import save_sweep_csv
-
-                    directory = Path(args.csv)
-                    directory.mkdir(parents=True, exist_ok=True)
-                    save_sweep_csv(artifact, directory / f"{name}.csv")
-                if args.json is not None:
-                    directory = Path(args.json)
-                    directory.mkdir(parents=True, exist_ok=True)
-                    artifact_path = directory / f"{name}.json"
-                    artifact_path.write_text(artifact.to_json() + "\n")
-                    manifest = build_manifest(
-                        run_id=run_id,
-                        command=command,
-                        figure=name,
-                        sets=args.sets,
-                        seed=args.seed,
-                        jobs=args.jobs,
-                        artifact_path=artifact_path,
-                        engine_stats=engine.stats.as_dict(),
-                        metrics=figure_metrics,
-                        events_log=args.log_json,
-                    )
-                    write_manifest(manifest_path_for(artifact_path), manifest)
-                if args.progress:
-                    s = engine.stats
-                    print(
-                        f"[{name}: {s.shards_planned} shards planned, "
-                        f"{s.cache_hits} cache hits, {s.cache_misses} misses, "
-                        f"{s.shards_computed} computed in {s.compute_seconds:.2f}s]",
-                        file=sys.stderr,
-                    )
-            elapsed = time.perf_counter() - start
-            print(text, file=args.out)
-            print(f"[{name} regenerated in {elapsed:.1f}s]\n", file=args.out)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    command = list(argv) if argv is not None else sys.argv[1:]
+    # The report target opens lazily on first write and is always closed
+    # here, whatever exit path the subcommand takes.
+    args.out = _LazyOutput(getattr(args, "out", None))
+    try:
+        return COMMANDS[args.experiment].run(args, command)
+    except (ReproError, OSError) as exc:
+        print(f"repro-mc {args.experiment}: {exc}", file=sys.stderr)
+        return 1
     finally:
-        if sink is not None:
-            sink.close()
-
-    if args.metrics is not None:
-        metrics_path = Path(args.metrics)
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(
-            json.dumps(
-                {
-                    "run_id": run_id,
-                    "repro_version": __version__,
-                    "command": command,
-                    "metrics": totals.snapshot(),
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    return 0
+        args.out.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

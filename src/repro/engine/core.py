@@ -345,7 +345,8 @@ class Engine:
     ----------
     jobs:
         Worker processes per point; 1 (default) runs inline — results
-        are bit-identical either way.  ``None`` uses ``os.cpu_count()``.
+        are bit-identical either way.  ``None`` uses ``os.cpu_count()``;
+        anything below 1 raises :class:`ReproError`.
     store:
         Optional :class:`ResultStore` (or a path, coerced).  With a
         store, completed shards are checkpointed as they finish and
@@ -374,6 +375,8 @@ class Engine:
             store = ResultStore(store)
         if probe_impl is not None:
             get_backend(probe_impl)  # fail fast on unknown names
+        if jobs is not None and jobs < 1:
+            raise ReproError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.store = store
         self.progress = progress

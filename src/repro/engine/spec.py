@@ -108,6 +108,8 @@ class PointSpec:
     def __post_init__(self) -> None:
         if self.sets < 1:
             raise ReproError(f"sets must be >= 1, got {self.sets}")
+        if self.seed < 0:
+            raise ReproError(f"seed must be >= 0, got {self.seed}")
         if not self.schemes:
             raise ReproError("at least one scheme is required")
         labels = self.labels

@@ -112,12 +112,27 @@ def taskset_from_dict(data: dict[str, Any]) -> MCTaskSet:
     return MCTaskSet(tasks, levels=levels)
 
 
+def _read_document(path: str | Path, what: str) -> dict[str, Any]:
+    """The JSON object stored at ``path``.
+
+    A missing or unreadable file, malformed JSON, or a document that is
+    not an object raises :class:`ModelError` naming ``path``.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ModelError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ModelError(f"cannot read {what} {path}: not a JSON object")
+    return data
+
+
 def save_taskset(taskset: MCTaskSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(taskset_to_dict(taskset), indent=2) + "\n")
 
 
 def load_taskset(path: str | Path) -> MCTaskSet:
-    return taskset_from_dict(json.loads(Path(path).read_text()))
+    return taskset_from_dict(_read_document(path, "task set"))
 
 
 def partition_to_dict(partition: Partition) -> dict[str, Any]:
@@ -153,7 +168,7 @@ def save_partition(partition: Partition, path: str | Path) -> None:
 
 
 def load_partition(path: str | Path) -> Partition:
-    return partition_from_dict(json.loads(Path(path).read_text()))
+    return partition_from_dict(_read_document(path, "partition"))
 
 
 # ----------------------------------------------------------------------
@@ -256,4 +271,4 @@ def save_events(events, path: str | Path) -> None:
 
 
 def load_events(path: str | Path):
-    return events_from_dict(json.loads(Path(path).read_text()))
+    return events_from_dict(_read_document(path, "event script"))

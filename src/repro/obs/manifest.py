@@ -103,7 +103,8 @@ def build_manifest(
 def manifest_path_for(artifact_path: Path | str) -> Path:
     """``<dir>/fig1.json`` -> ``<dir>/fig1.manifest.json``."""
     p = Path(artifact_path)
-    return p.with_name(f"{p.stem}.manifest.json")
+    # Not with_name(): it raises on nameless paths such as "." or "/".
+    return p.parent / f"{p.stem}.manifest.json"
 
 
 def write_manifest(path: Path | str, manifest: dict) -> Path:

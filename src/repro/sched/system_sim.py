@@ -36,8 +36,8 @@ def default_horizon(partition: Partition, cycles: float = 20.0) -> float:
     2000) are astronomically long; a few tens of max-period cycles
     exercise every release phase relation that matters in practice.
     """
-    if cycles <= 0:
-        raise SimulationError(f"cycles must be positive, got {cycles}")
+    if not 0 < cycles < np.inf:  # a NaN or infinite horizon never ends
+        raise SimulationError(f"cycles must be positive and finite, got {cycles}")
     longest = max((t.period for t in partition.taskset), default=None)
     if longest is None:
         raise SimulationError(
@@ -190,6 +190,8 @@ class SystemSimulator:
             return self._run(seed)
 
     def _run(self, seed: int | np.random.SeedSequence) -> SystemReport:
+        if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {seed}")
         root = (
             seed
             if isinstance(seed, np.random.SeedSequence)

@@ -31,6 +31,7 @@ from repro.serve.coordinator import Coordinator
 from repro.serve.handlers import Api
 from repro.serve.http import HttpServer
 from repro.serve.state import ServeState
+from repro.types import ReproError
 
 __all__ = ["ServeConfig", "ServeDaemon", "run_forever"]
 
@@ -61,6 +62,20 @@ class ServeConfig:
     bucket_seconds: float = 1.0
     history_buckets: int = 120
     command: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # Checked before any socket binds.  backlog=0 matters most: it
+        # would build an unbounded asyncio.Queue and silently turn off
+        # the 503 backpressure.
+        floors = {"cores": 1, "levels": 1, "window_ms": 0, "max_batch": 1, "backlog": 1}
+        for name, floor in floors.items():
+            value = getattr(self, name)
+            if not value >= floor:  # also rejects NaN
+                raise ReproError(f"{name} must be >= {floor}, got {value}")
+        if self.window_ms == float("inf"):  # the batcher would never flush
+            raise ReproError("window_ms must be finite, got inf")
+        if not 0 <= self.port <= 65535:
+            raise ReproError(f"port must be in [0, 65535], got {self.port}")
 
 
 class ServeDaemon:

@@ -99,13 +99,13 @@ class HttpServer:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
 
-        length = 0
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                await self._respond(writer, 400, {"error": "bad Content-Length"})
-                return False
+        try:
+            length = int(headers.get("content-length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:  # readexactly(-n) would raise inside this task
+            await self._respond(writer, 400, {"error": "bad Content-Length"})
+            return False
         if length > MAX_BODY_BYTES:
             await self._respond(
                 writer, 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}

@@ -182,6 +182,11 @@ class TestShardRunKwargs:
 
 
 class TestRunValidation:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ReproError, match=f"jobs must be >= 1.*got {jobs}"):
+            Engine(jobs=jobs)
+
     def test_run_rejects_h2h_points(self):
         spec = _spec(sets=2)
         bad = ExperimentSpec(

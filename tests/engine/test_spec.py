@@ -85,6 +85,13 @@ class TestPointSpec:
                 config=WorkloadConfig(), schemes=(SchemeSpec.make("ffd"),), sets=0
             )
 
+    def test_negative_seed_rejected(self):
+        # Caught here rather than inside numpy's SeedSequence mid-shard.
+        with pytest.raises(ReproError, match="seed must be >= 0, got -1"):
+            PointSpec(
+                config=WorkloadConfig(), schemes=(SchemeSpec.make("ffd"),), seed=-1
+            )
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReproError, match="kind"):
             PointSpec(

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import bench
+from repro.types import ReproError
 
 
 def _measured(
@@ -189,6 +190,14 @@ class TestCompare:
 
 
 class TestRunProbeBench:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"sets": 0}, "sets must be >= 1"), ({"seed": -1}, "seed must be >= 0")],
+    )
+    def test_out_of_range_arguments_rejected(self, kwargs, message):
+        with pytest.raises(ReproError, match=message):
+            bench.run_probe_bench(**kwargs)
+
     def test_tiny_measurement_has_expected_shape(self):
         measured = bench.run_probe_bench(sets=1)
         assert measured["probes"] > 0

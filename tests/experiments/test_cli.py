@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -222,7 +223,7 @@ class TestMain:
 
     def test_stray_paths_on_figure_subcommand_rejected(self, capsys):
         assert cli.main(["fig1", "whoops.json"]) == 2
-        assert "inspect subcommand" in capsys.readouterr().err
+        assert "unrecognized arguments: whoops.json" in capsys.readouterr().err
 
 
 class TestObservability:
@@ -266,6 +267,23 @@ class TestObservability:
         assert "engine.shard" in names
         run_ids = {e["run_id"] for e in events}
         assert len(run_ids) == 1
+
+    def test_only_instrumented_runs_enable_obs(self, tiny_fig1, monkeypatch, capsys):
+        from repro.engine import Engine
+        from repro.obs.runtime import OBS
+
+        enabled = []
+        real_run = Engine.run
+
+        def spy(engine, spec):
+            enabled.append(OBS.enabled)
+            return real_run(engine, spec)
+
+        monkeypatch.setattr(Engine, "run", spy)
+        argv = ["fig1", "--sets", "2", "--no-store"]
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--json", str(tiny_fig1 / "artifacts")]) == 0
+        assert enabled == [False, True]
 
     def test_instrumented_artifact_matches_plain_run(self, tiny_fig1, capsys):
         plain_dir = tiny_fig1 / "plain"
@@ -435,7 +453,7 @@ class TestTraceCommand:
 
     def test_trace_without_path_errors(self, capsys):
         assert cli.main(["trace"]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        assert "the following arguments are required: EVENTS" in capsys.readouterr().err
 
     def test_trace_missing_file_errors(self, tmp_path, capsys):
         assert cli.main(["trace", str(tmp_path / "nope.jsonl")]) == 1
@@ -506,7 +524,7 @@ class TestInspect:
 
     def test_inspect_without_paths_errors(self, capsys):
         assert cli.main(["inspect"]) == 2
-        assert "at least one" in capsys.readouterr().err
+        assert "the following arguments are required: PATH" in capsys.readouterr().err
 
     def test_inspect_missing_manifest_errors(self, tmp_path, capsys):
         assert cli.main(["inspect", str(tmp_path / "nope.json")]) == 1
@@ -528,8 +546,7 @@ class TestLazyOut:
 
     def test_parse_error_does_not_create_out(self, tmp_path, capsys):
         out = tmp_path / "never.txt"
-        with pytest.raises(SystemExit):
-            cli.main(["no-such-experiment", "--out", str(out)])
+        assert cli.main(["no-such-experiment", "--out", str(out)]) == 2
         capsys.readouterr()
         assert not out.exists()
 
@@ -601,7 +618,7 @@ class TestTopCommand:
 
     def test_requires_exactly_one_target(self, capsys):
         assert cli.main(["top"]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        assert "the following arguments are required: TARGET" in capsys.readouterr().err
         assert cli.main(["top", "a", "b"]) == 2
 
     def test_renders_once_from_sweep_events(self, tmp_path, capsys):
@@ -676,12 +693,13 @@ class TestSimulateCommand:
 
     def test_requires_taskset(self, capsys):
         assert cli.main(["simulate"]) == 2
-        assert "--taskset PATH is required" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --taskset" in err
 
     def test_stray_paths_rejected(self, capsys):
-        assert cli.main(self._args()[:1] + ["whoops.json"]) == 2
+        assert cli.main(self._args() + ["whoops.json"]) == 2
         err = capsys.readouterr().err
-        assert "unexpected positional arguments" in err
+        assert "unrecognized arguments: whoops.json" in err
 
     def test_plain_run_prints_telemetry(self, capsys):
         assert cli.main(self._args()) == 0
@@ -747,7 +765,7 @@ class TestDynamicCommand:
             ["dynamic", "--burst-factors", "1.0,2.5"]
         )
         assert args.experiment == "dynamic"
-        assert args.burst_factors == "1.0,2.5"
+        assert args.burst_factors == (1.0, 2.5)
 
     def test_bad_burst_factors_exit_two(self, capsys):
         assert cli.main(["dynamic", "--burst-factors", "1.0,oops"]) == 2
@@ -779,3 +797,167 @@ class TestDynamicCommand:
         assert doc["figure"] == "dynamic"
         assert doc["factors"] == [2.0]
         assert doc["rows"][0]["simulated"] == 1
+
+
+REPO = Path(__file__).resolve().parents[2]
+DEMO = "{examples}/taskset_demo.json"
+
+# The exit-code contract, one row per invocation: (argv, exit code, a
+# stderr substring).  0 = success; 1 = a runtime or input error, one
+# "repro-mc <command>: <message>" line; 2 = a usage error from argparse.
+# Rows run in an empty temporary cwd, so bare relative paths do not exist.
+EXIT_CODES = [
+    # -- success, one per subcommand
+    *[(f"{name} --sets 1", 0, "") for name in ("fig1", "fig2", "fig3", "fig4", "fig5")],
+    ("tables", 0, ""),
+    ("all --sets 1", 0, ""),
+    ("dynamic --sets 1 --burst-factors 2.0 --no-store", 0, ""),
+    ("validate --sets 1 --seed 0 --no-store", 0, ""),
+    (f"simulate --taskset {DEMO} --cores 2 --scenario honest", 0, ""),
+    (f"explain {DEMO} --cores 2", 0, ""),
+    ("inspect {run}/fig1.json", 0, ""),
+    ("trace {run}/events.jsonl", 0, ""),
+    (
+        "bench compare --sets 1 --gate-ratio 0.000001 --overhead-gate 1000 "
+        "--baseline-dir {repo}",
+        0,
+        "",
+    ),
+    ("serve --port 0", 0, ""),  # the daemon loop is stubbed out below
+    ("top {run}/events.jsonl --once", 0, ""),
+    # -- usage errors
+    ("", 2, "the following arguments are required: COMMAND"),
+    ("no-such-command", 2, "invalid choice: 'no-such-command'"),
+    ("fig1 --port 80", 2, "unrecognized arguments: --port 80"),
+    (
+        "fig1 --port 80 --burst-factors x",
+        2,
+        "unrecognized arguments: --port 80 --burst-factors x",
+    ),
+    ("fig1 whoops.json", 2, "unrecognized arguments: whoops.json"),
+    ("fig1 --probe-impl simd", 2, "unknown probe implementation 'simd'"),
+    ("fig2 --sets x", 2, "argument --sets: invalid int value: 'x'"),
+    ("fig3 --json", 2, "argument --json: expected one argument"),
+    ("fig4 --taskset t.json", 2, "unrecognized arguments: --taskset t.json"),
+    ("fig5 --repro-dir d", 2, "unrecognized arguments: --repro-dir d"),
+    ("tables --cores 2", 2, "unrecognized arguments: --cores 2"),
+    ("all --burst-factors 2.0", 2, "unrecognized arguments: --burst-factors 2.0"),
+    ("dynamic --burst-factors 1.0,oops", 2, "comma-separated float list"),
+    ("dynamic --burst-factors ,", 2, "argument --burst-factors: is empty"),
+    ("dynamic --csv d", 2, "unrecognized arguments: --csv d"),
+    ("validate --csv d", 2, "unrecognized arguments: --csv d"),
+    ("simulate", 2, "the following arguments are required: --taskset"),
+    ("simulate --taskset t.json --probe-impl scalar", 2, "unrecognized arguments"),
+    ("explain", 2, "one of the arguments --taskset TASKSET is required"),
+    ("explain a.json --taskset b.json", 2, "not allowed with argument"),
+    (f"explain {DEMO} --json", 2, "argument --json: expected one argument"),
+    ("inspect", 2, "the following arguments are required: PATH"),
+    ("trace", 2, "the following arguments are required: EVENTS"),
+    ("trace a.jsonl b.jsonl", 2, "unrecognized arguments: b.jsonl"),
+    ("bench", 2, "the following arguments are required: compare"),
+    ("bench run", 2, "invalid choice: 'run'"),
+    ("bench compare --jobs 2", 2, "unrecognized arguments: --jobs 2"),
+    ("serve --sets 3", 2, "unrecognized arguments: --sets 3"),
+    ("serve --slo 'p95(x) ~ 1'", 2, "bad SLO rule"),
+    ("serve --probe-impl simd", 2, "unknown probe implementation 'simd'"),
+    ("top", 2, "the following arguments are required: TARGET"),
+    ("top a b", 2, "unrecognized arguments: b"),
+    # -- runtime and input errors
+    ("fig1 --sets 0", 1, "sets must be >= 1, got 0"),
+    ("fig1 --seed -1", 1, "seed must be >= 0, got -1"),
+    ("fig1 --jobs -1", 1, "jobs must be >= 1"),
+    ("fig2 --sets 0", 1, "sets must be >= 1, got 0"),
+    ("fig3 --seed -1", 1, "seed must be >= 0, got -1"),
+    ("fig4 --sets 0", 1, "sets must be >= 1, got 0"),
+    ("fig5 --jobs -2", 1, "jobs must be >= 1"),
+    ("tables --log-json .", 1, "Is a directory"),
+    ("all --sets 0", 1, "sets must be >= 1, got 0"),
+    ("dynamic --sets 0 --no-store", 1, "sets must be >= 1, got 0"),
+    ("dynamic --sets 1 --seed -1 --no-store", 1, "seed must be >= 0, got -1"),
+    ("validate --sets 0 --no-store", 1, "sets must be >= 1, got 0"),
+    ("validate --sets 1 --jobs -1 --no-store", 1, "jobs must be >= 1"),
+    ("simulate --taskset missing.json", 1, "cannot read task set missing.json"),
+    ("simulate --taskset garbled.json", 1, "cannot read task set garbled.json"),
+    (f"simulate --taskset {DEMO} --cores 2 --seed -1", 1, "seed must be >= 0"),
+    (f"simulate --taskset {DEMO} --cores 1 --scenario honest", 1, "1 cores"),
+    (f"simulate --taskset {DEMO} --cores 2 --cycles nan", 1, "positive and finite"),
+    ("explain missing.json", 1, "cannot read task set missing.json"),
+    ("explain garbled.json", 1, "cannot read task set garbled.json"),
+    (f"explain {DEMO} --scheme bogus", 1, "unknown scheme 'bogus'"),
+    ("inspect missing.json", 1, "cannot read run manifest"),
+    ("inspect .", 1, "cannot read run manifest"),
+    ("trace missing.jsonl", 1, "no such events file"),
+    ("bench compare --sets 0", 1, "sets must be >= 1, got 0"),
+    ("bench compare --seed -1", 1, "seed must be >= 0, got -1"),
+    ("serve --cores 0", 1, "cores must be >= 1, got 0"),
+    ("serve --levels 0", 1, "levels must be >= 1, got 0"),
+    ("serve --window-ms -1", 1, "window_ms must be >= 0, got -1.0"),
+    ("serve --window-ms inf", 1, "window_ms must be finite, got inf"),
+    ("serve --max-batch 0", 1, "max_batch must be >= 1, got 0"),
+    ("serve --backlog 0", 1, "backlog must be >= 1, got 0"),
+    ("serve --port 65536", 1, "port must be in [0, 65535], got 65536"),
+    ("top missing.jsonl --once", 1, "no events file"),
+]
+
+
+def _tiny(make_definition):
+    """A one-point, two-core version of a figure definition."""
+
+    def tiny():
+        d = make_definition()
+        base_point = d.point
+
+        def small_point(v):
+            config, schemes = base_point(v)
+            return config.with_(cores=2, task_count_range=(5, 6)), schemes
+
+        return dataclasses.replace(d, values=d.values[:1], point=small_point)
+
+    return tiny
+
+
+@pytest.fixture(scope="module")
+def instrumented_run(tmp_path_factory):
+    """A tiny fig1 artifact with its manifest and events log."""
+    run = tmp_path_factory.mktemp("run")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cli.FIGURES, "fig1", _tiny_fig1)
+        argv = ["fig1", "--sets", "1", "--no-store", "--json", str(run)]
+        assert cli.main(argv + ["--log-json", str(run / "events.jsonl")]) == 0
+    return run
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "line, code, message",
+        EXIT_CODES,
+        ids=[row[0] or "<none>" for row in EXIT_CODES],
+    )
+    def test_exit_code(
+        self, line, code, message, instrumented_run, monkeypatch, tmp_path, capsys
+    ):
+        from repro.serve import daemon
+
+        for name, make_definition in list(cli.FIGURES.items()):
+            monkeypatch.setitem(cli.FIGURES, name, _tiny(make_definition))
+        monkeypatch.setenv("REPRO_MC_STORE", str(tmp_path / "store"))
+        monkeypatch.setattr(daemon, "run_forever", lambda config: 0)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "garbled.json").write_text("{garbled")
+        paths = {"examples": EXAMPLES, "run": instrumented_run, "repo": REPO}
+        argv = [token.format(**paths) for token in shlex.split(line)]
+        out = tmp_path / "report.txt"
+        if argv and "out" in getattr(cli.COMMANDS.get(argv[0]), "groups", ()):
+            argv += ["--out", str(out)]
+
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+        if code == 1:
+            assert err.startswith(f"repro-mc {argv[0]}: ")
+            assert err.count("\n") == 1
+        if code == 2:
+            assert "usage: repro-mc" in err
+        if code != 0:
+            assert not out.exists()

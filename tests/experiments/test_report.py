@@ -112,8 +112,7 @@ class TestCLI:
     def test_unknown_experiment_rejected(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["not-a-figure"])
+        assert main(["not-a-figure"]) == 2
 
 
 class TestCLIOutput:

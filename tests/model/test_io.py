@@ -1,6 +1,7 @@
 """Tests for JSON serialization of task sets and partitions."""
 
 import json
+import re
 
 import pytest
 
@@ -195,3 +196,28 @@ class TestEventsRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["format"] == "repro-mc-events"
         assert len(doc["events"]) == len(events)
+
+
+LOADERS = [
+    (load_taskset, "task set"),
+    (load_partition, "partition"),
+    (load_events, "event script"),
+]
+
+
+class TestLoadErrors:
+    """Unreadable input files fail with one ModelError naming the path."""
+
+    @pytest.mark.parametrize("load, what", LOADERS)
+    def test_missing_file(self, load, what, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(ModelError, match=re.escape(f"cannot read {what} {path}: ")):
+            load(path)
+
+    @pytest.mark.parametrize("load, what", LOADERS)
+    @pytest.mark.parametrize("text", ["{garbled", "[1, 2]", "\xff"])
+    def test_garbled_file(self, load, what, text, tmp_path):
+        path = tmp_path / "garbled.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ModelError, match=re.escape(f"cannot read {what} {path}: ")):
+            load(path)

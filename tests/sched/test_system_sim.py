@@ -44,6 +44,12 @@ class TestSystemSimulator:
         assert report.core_reports[2] is None
         assert report.core_reports[1] is not None
 
+    def test_negative_seed_rejected(self):
+        res = CATPA().partition(dual_taskset(), cores=2)
+        sim = SystemSimulator(res.partition, HonestScenario(), horizon=50.0)
+        with pytest.raises(SimulationError, match="seed must be >= 0"):
+            sim.run(seed=-1)
+
     def test_incomplete_partition_rejected(self):
         ts = dual_taskset()
         part = Partition(ts, cores=2)
@@ -117,6 +123,12 @@ class TestSystemSimulator:
             part.assign(i, 0)
         with pytest.raises(SimulationError, match="cycles"):
             default_horizon(part, cycles=0.0)
+
+    @pytest.mark.parametrize("cycles", [float("nan"), float("inf")])
+    def test_default_horizon_rejects_non_finite_cycles(self, cycles):
+        res = CATPA().partition(dual_taskset(), cores=2)
+        with pytest.raises(SimulationError, match="positive and finite"):
+            default_horizon(res.partition, cycles=cycles)
 
     def test_report_aggregation_over_all_empty_cores(self):
         from repro.sched import SystemReport

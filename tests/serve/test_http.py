@@ -12,10 +12,13 @@ import asyncio
 import json
 
 import numpy as np
+import pytest
 
 from repro.model.io import taskset_to_dict
 from repro.obs import load_manifest
 from repro.partition.registry import get_partitioner
+from repro.serve import ServeConfig
+from repro.types import ReproError
 from tests.conftest import random_taskset
 from tests.serve.conftest import DaemonHarness, task_entry
 
@@ -135,6 +138,24 @@ class TestErrorStatuses:
                 return int(raw.split()[1])
 
         assert run(main()) == 400
+
+    def test_negative_content_length_400_and_close(self):
+        async def main():
+            async with DaemonHarness() as h:
+                reader, writer = await asyncio.open_connection(*h.daemon.bound)
+                writer.write(
+                    b"POST /place HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n"
+                )
+                await writer.drain()
+                raw = await reader.read()  # EOF: the daemon closed the connection
+                writer.close()
+                return raw, await h.client.get("/healthz")
+
+        raw, (healthz, _) = run(main())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(body) == {"error": "bad Content-Length"}
+        assert healthz == 200
 
     def test_validation_error_400(self):
         async def main():
@@ -297,3 +318,25 @@ class TestTelemetryEndpoints:
         assert place["window"]["count"] == 1
         assert body["gauges"]["serve.tasks"] == 1.0
         assert "serve.lambda" in body["gauges"]
+
+
+class TestConfigChecks:
+    """Settings that would start a broken daemon fail before any bind."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cores", 0),
+            ("levels", 0),
+            ("window_ms", -1.0),
+            ("window_ms", float("nan")),
+            ("window_ms", float("inf")),
+            ("max_batch", 0),
+            # 0 would build an unbounded queue: no 503 backpressure at all.
+            ("backlog", 0),
+            ("port", 65536),
+        ],
+    )
+    def test_rejected(self, field, value):
+        with pytest.raises(ReproError, match=f"{field} must be"):
+            ServeConfig(**{field: value})
