@@ -15,13 +15,14 @@ probe-independent pipeline (task-set generation, sorting, bookkeeping)
 and by the scalar path's lazy early-exit in the feasibility scans, so
 its ratio is much smaller than the probe-engine ratio.
 
-The third section pins the **incremental** backend: a daemon-style
-placement loop (probe every pending task, place one, re-probe — the
-coordinator's ``/place`` flush) timed under the batch and incremental
-backends on identical work.  The batch path recomputes the full
-``(pending, cores)`` grid every round; the incremental path answers
-unchanged columns from the warm per-core Theorem-1 state, so only the
-mutated core is fresh kernel work.
+The third section pins the **column refresh** of the serve flush: a
+daemon-style placement loop (probe every pending task, place one,
+re-probe — the coordinator's ``/place`` flush) timed two ways on
+identical work.  The ``batch`` row recomputes the full
+``(pending, cores)`` grid every round; the ``incremental`` row (named
+after the backend that once served it, so the committed baseline keeps
+its schema) re-probes only the placed core's column, the one column a
+placement makes stale.
 
 Results land in ``BENCH_partition.json`` at the repo root (schema in
 docs/API.md).  The acceptance gate is the probe-engine throughput.
@@ -171,6 +172,6 @@ def test_probe_throughput(emit):
         f"batch probe engine only {probe_speedup:.2f}x faster than scalar"
     )
     assert placement["speedup"] >= 3.0, (
-        f"incremental backend only {placement['speedup']:.2f}x faster "
-        f"than batch on the placement loop"
+        f"column refresh only {placement['speedup']:.2f}x faster "
+        f"than a full re-probe on the placement loop"
     )

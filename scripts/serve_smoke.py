@@ -6,10 +6,10 @@ ISSUE acceptance criteria from the outside:
 
 1.  **Offline parity** — ``POST /admit`` answers are bit-identical to
     running the same partitioner offline, for several random task sets
-    and schemes; ``POST /explain`` documents match the offline
-    explanation layer (modulo the recorded probe backend), and an
-    impossible ``/place`` 409s with a structured margin/condition
-    reason.
+    and schemes; ``GET /healthz`` and ``POST /explain`` name the default
+    probe backend, ``/explain`` documents match the offline explanation
+    layer exactly, and an impossible ``/place`` 409s with a structured
+    margin/condition reason.
 2.  **Throughput** — a concurrent burst of ``POST /place`` admission
     queries sustains at least ``SERVE_SMOKE_MIN_QPS`` queries/s
     (default 1000) *and* the queries actually coalesce
@@ -64,6 +64,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.explain import explain_admission  # noqa: E402
 from repro.gen import WorkloadConfig, generate_taskset  # noqa: E402
 from repro.model.io import taskset_to_dict  # noqa: E402
+from repro.partition.backend import DEFAULT_BACKEND  # noqa: E402
 from repro.partition.registry import get_partitioner  # noqa: E402
 
 MIN_QPS = float(os.environ.get("SERVE_SMOKE_MIN_QPS", "1000"))
@@ -171,10 +172,9 @@ def check_admit_parity(host: str, port: int) -> None:
 def check_explain(host: str, port: int) -> None:
     """``POST /explain`` must match the offline explanation layer.
 
-    The daemon explains under its incremental backend, the offline call
-    under the ambient batch backend; backends are bit-identical, so the
-    documents must agree on everything except the recorded
-    ``probe_impl`` name.
+    The daemon explains under its default probe backend, the offline
+    call under the ambient one — the same default — so the documents
+    must agree field for field, the recorded ``probe_impl`` included.
     """
     config = WorkloadConfig(cores=CORES, levels=2, nsu=0.7, ifc=1.0)
     for seed in range(3):
@@ -188,10 +188,9 @@ def check_explain(host: str, port: int) -> None:
         )
         assert status == 200, f"explain seed={seed}: HTTP {status}"
         assert body["version"] == 1, body.get("version")
-        assert body.pop("probe_impl") == "incremental", body
+        assert body["probe_impl"] == DEFAULT_BACKEND, body
         body.pop("request_id", None)
         offline = explain_admission(taskset, CORES).to_dict()
-        offline.pop("probe_impl")
         assert body == offline, (
             f"/explain diverges from offline explain (seed={seed})"
         )
@@ -488,10 +487,9 @@ def main() -> int:
         try:
             status, body = request(host, port, "GET", "/healthz")
             assert status == 200 and body["ok"]
-            # The daemon must run the incremental probe backend by
-            # default — the offline-parity check below then proves the
-            # backend choice changes no decision.
-            assert body["probe_impl"] == "incremental", body
+            # An unset --probe-impl resolves to the same default backend
+            # as every other subcommand, and /healthz names it.
+            assert body["probe_impl"] == DEFAULT_BACKEND, body
             # Run the (rejected, state-free) /place probe first: it
             # seeds serve.place.seconds before the daemon's first SLO
             # tick, which would otherwise read an empty histogram as

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.edfvd import check_eq9_rule
 from repro.types import EPS, INFEASIBLE, ModelError, fits_unit_capacity
 
 __all__ = [
@@ -200,8 +201,7 @@ def batch_core_utilization(
     Theorem-1 condition has non-negative available utilization; the
     ``rule`` knob matches :func:`repro.analysis.edfvd.core_utilization`.
     """
-    if rule not in ("max", "min"):
-        raise ModelError(f"unknown Eq. (9) rule {rule!r}; use 'max' or 'min'")
+    check_eq9_rule(rule)
     return _core_utilization_stack(_check_stack(level_matrices), rule)
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "demand_terms",
     "capacity_terms",
     "available_utilizations",
+    "check_eq9_rule",
     "core_utilization",
     "is_feasible_theorem1",
     "first_feasible_condition",
@@ -136,6 +137,17 @@ def available_utilizations(level_matrix: np.ndarray) -> np.ndarray:
     return avail
 
 
+def check_eq9_rule(rule: str) -> None:
+    """Raise :class:`ModelError` unless ``rule`` names an Eq.-(9) aggregation.
+
+    The one rule check behind every entry point that takes ``rule``:
+    this module, :mod:`repro.analysis.batch`, the probe backends and
+    :meth:`repro.model.Partition.core_utilizations`.
+    """
+    if rule not in ("max", "min"):
+        raise ModelError(f"unknown Eq. (9) rule {rule!r}; use 'max' or 'min'")
+
+
 def core_utilization(level_matrix: np.ndarray, rule: str = "max") -> float:
     """Core utilization ``U^{Psi_m}`` per Eq. (9).
 
@@ -149,15 +161,13 @@ def core_utilization(level_matrix: np.ndarray, rule: str = "max") -> float:
     research knob for the ablation benches (for ``K = 2`` the two
     coincide, since there is a single condition).
     """
+    check_eq9_rule(rule)
     avail = available_utilizations(level_matrix)
     ok = avail >= -EPS
     if not ok.any():
         return INFEASIBLE
-    if rule == "max":
-        return float(np.max(1.0 - avail[ok]))
-    if rule == "min":
-        return float(np.min(1.0 - avail[ok]))
-    raise ModelError(f"unknown Eq. (9) rule {rule!r}; use 'max' or 'min'")
+    pick = np.max if rule == "max" else np.min
+    return float(pick(1.0 - avail[ok]))
 
 
 def is_feasible_theorem1(level_matrix: np.ndarray) -> bool:

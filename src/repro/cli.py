@@ -84,10 +84,10 @@ from repro.obs import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.live import parse_slo
-from repro.partition.backend import available_backends, get_backend
+from repro.partition.backend import DEFAULT_BACKEND, available_backends, get_backend
 from repro.partition.catpa import CATPA
 from repro.partition.classical import FirstFitDecreasing
-from repro.partition.probe import use_probe_implementation
+from repro.partition.probe import probe_implementation, use_probe_implementation
 from repro.types import ReproError
 
 __all__ = ["main", "build_parser", "version_string"]
@@ -177,12 +177,8 @@ def _burst_factors(text: str) -> tuple[float, ...]:
 
 
 def _flag_groups() -> dict[str, argparse.ArgumentParser]:
-    """The flag groups several subcommands share, as argparse parents.
-
-    ``serve-probe`` is ``probe`` with serve's default backend; parents
-    share their actions, so a subcommand cannot re-default a group flag.
-    """
-    names = ("run", "out", "artifacts", "obs", "probe", "serve-probe", "partition")
+    """The flag groups several subcommands share, as argparse parents."""
+    names = ("run", "out", "artifacts", "obs", "probe", "partition")
     groups = {name: argparse.ArgumentParser(add_help=False) for name in names}
     run = groups["run"]
     run.add_argument(
@@ -251,20 +247,17 @@ def _flag_groups() -> dict[str, argparse.ArgumentParser]:
             "whole invocation to PATH as JSON"
         ),
     )
-    for name, default in (("probe", None), ("serve-probe", "incremental")):
-        groups[name].add_argument(
-            "--probe-impl",
-            metavar="NAME",
-            type=_library_type(get_backend),
-            default=default,
-            help=(
-                "probe backend for every schedulability probe of this "
-                f"invocation; one of: {', '.join(available_backends())}.  "
-                "Defaults: batch for sweeps/validate, incremental for serve.  "
-                "All backends are pinned bit-identical, so results never "
-                "depend on the choice"
-            ),
-        )
+    groups["probe"].add_argument(
+        "--probe-impl",
+        metavar="NAME",
+        type=_library_type(get_backend),
+        help=(
+            "probe backend for every schedulability probe of this "
+            f"invocation; one of: {', '.join(available_backends())} "
+            f"(default {DEFAULT_BACKEND}).  Both backends are pinned "
+            "bit-identical, so results never depend on the choice"
+        ),
+    )
     partition = groups["partition"]
     partition.add_argument(
         "--cores", type=int, default=4, help="cores of the target system (default 4)"
@@ -944,7 +937,7 @@ def _run_serve(args, command: list[str]) -> int:
         window_ms=args.window_ms,
         max_batch=args.max_batch,
         backlog=args.backlog,
-        probe_impl=args.probe_impl,
+        probe_impl=args.probe_impl or probe_implementation(),
         metrics_path=args.metrics,
         log_json=args.log_json,
         slo=args.slo or [],
@@ -1064,7 +1057,7 @@ COMMANDS: dict[str, Command] = {
     "serve": Command(
         "run the online admission-control daemon",
         _run_serve,
-        ("obs", "serve-probe"),
+        ("obs", "probe"),
         _configure_serve,
     ),
     "top": Command(

@@ -36,7 +36,7 @@ from repro.gen.params import WorkloadConfig
 from repro.metrics.aggregate import SchemeAccumulator, SchemeStats
 from repro.obs import runtime as obs
 from repro.obs.metrics import Histogram, Summary
-from repro.partition.backend import get_backend
+from repro.partition.backend import DEFAULT_BACKEND, get_backend
 from repro.partition.probe import probe_implementation, use_probe_implementation
 from repro.types import ReproError
 
@@ -232,7 +232,7 @@ def _run_shard_job(
     start: int,
     count: int,
     collect_metrics: bool,
-    probe_impl: str = "batch",
+    probe_impl: str = DEFAULT_BACKEND,
     params: tuple[tuple[str, object], ...] = (),
 ):
     """Worker-process entry point: run one shard, optionally with metrics.

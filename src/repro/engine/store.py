@@ -41,6 +41,7 @@ from pathlib import Path
 from repro._version import __version__
 from repro.engine.artifact import SCHEMA_VERSION
 from repro.engine.spec import PointSpec
+from repro.partition.backend import DEFAULT_BACKEND
 
 __all__ = [
     "ResultStore",
@@ -78,7 +79,7 @@ def _canonical(payload: dict) -> str:
 
 
 def shard_key(
-    point: PointSpec, start: int, count: int, probe_impl: str = "batch"
+    point: PointSpec, start: int, count: int, probe_impl: str = DEFAULT_BACKEND
 ) -> str:
     """The content hash addressing one shard of one data point.
 

@@ -46,8 +46,6 @@ class Partition:
         "_level_mats",
         "_counts",
         "_util_cache",
-        "_core_seq",
-        "probe_state",
         "_frozen",
     )
 
@@ -65,14 +63,6 @@ class Partition:
         self._counts = np.zeros(self._cores, dtype=np.int64)
         # Per-rule caches of the Eq.-(9) core utilizations; nan = stale.
         self._util_cache: dict[str, np.ndarray] = {}
-        # Monotonic per-core mutation counters: every assign/unassign
-        # bumps the touched core, so any cache keyed by (core, version)
-        # can detect staleness without subscribing to mutations.
-        self._core_seq = np.zeros(self._cores, dtype=np.int64)
-        #: Namespace for probe-backend caches (e.g. the incremental
-        #: backend's per-core Theorem-1 state).  Values may implement
-        #: ``carried(n_prefix)`` to survive :meth:`extended`.
-        self.probe_state: dict[str, object] = {}
         self._frozen = False
 
     # ------------------------------------------------------------------
@@ -150,77 +140,28 @@ class Partition:
         mats[:, crit - 1, :crit] += taskset.utilization_matrix[task_index, :crit]
         return mats
 
-    def core_versions(self) -> np.ndarray:
-        """Read-only view of the per-core mutation counters: ``(M,)`` int64.
-
-        Each :meth:`assign`/:meth:`unassign` bumps exactly the mutated
-        core.  Probe backends snapshot this vector next to cached
-        per-core results; an entry whose stored version differs from the
-        current one is stale and must be recomputed.
-        """
-        view = self._core_seq[:]
-        view.setflags(write=False)
-        return view
-
-    def candidate_stack_for_cores(
-        self, task_index: int, cores: Sequence[int]
+    def candidate_stacks(
+        self, task_indices: Sequence[int], cores: Sequence[int] | None = None
     ) -> np.ndarray:
-        """Candidate matrices of ``task_index`` on a *subset* of cores.
+        """Writable ``(T, C, K, K)`` stacks: each task added to each core.
 
-        ``(C, K, K)`` writable stack, entry ``c`` being the hypothetical
-        ``U^{Psi_{cores[c]} + tau_i}``.  Bit-identical to the matching
-        rows of :meth:`candidate_stack`; the incremental probe backend
-        uses it to recompute only the cores whose version moved.
-        """
-        sel = np.asarray(cores, dtype=np.int64)
-        taskset = self._taskset
-        crit = int(taskset.criticalities[task_index])
-        mats = self._level_mats[sel]  # advanced indexing: a fresh copy
-        mats[:, crit - 1, :crit] += taskset.utilization_matrix[task_index, :crit]
-        return mats
-
-    def candidate_pairs_stack(
-        self, task_indices: Sequence[int], core_indices: Sequence[int]
-    ) -> np.ndarray:
-        """Candidate matrices for explicit (task, core) pairs: ``(P, K, K)``.
-
-        ``task_indices`` and ``core_indices`` are parallel vectors; entry
-        ``p`` is ``U^{Psi_{core_p} + tau_{task_p}}``.  This is the flat
-        refresh primitive of the incremental backend: every stale
-        (task, core) hypothesis of a whole micro-batch goes through one
-        kernel call.  Exact for the same reason as
-        :meth:`candidate_stacks` — utilization rows are zero above each
-        task's criticality, so the full-row add touches only ``:crit``.
-        """
-        ti = np.asarray(task_indices, dtype=np.int64)
-        ci = np.asarray(core_indices, dtype=np.int64)
-        if ti.shape != ci.shape or ti.ndim != 1:
-            raise PartitionError(
-                "task_indices and core_indices must be parallel 1-D vectors"
-            )
-        taskset = self._taskset
-        mats = self._level_mats[ci]  # advanced indexing: a fresh copy
-        rows = taskset.criticalities[ti] - 1
-        mats[np.arange(ti.size), rows, :] += taskset.utilization_matrix[ti]
-        return mats
-
-    def candidate_stacks(self, task_indices: Sequence[int]) -> np.ndarray:
-        """Writable ``(T, M, K, K)`` stacks: each task added to every core.
-
-        Entry ``[t, m]`` is the hypothetical level matrix
-        ``U^{Psi_m + tau_{i_t}}`` — the multi-task generalization of
+        Entry ``[t, c]`` is the hypothetical level matrix
+        ``U^{Psi_m + tau_{i_t}}`` for core ``m = cores[c]`` (every core,
+        ``C = M``, when ``cores`` is ``None``; the caller passes valid
+        indices) — the multi-task generalization of
         :meth:`candidate_stack`, built with a single fancy-indexed add so
-        the admission daemon can probe a whole micro-batch in one kernel
-        call.  Correct because ``utilization_matrix`` rows are zero above
-        each task's criticality, so adding the *full* row into row
-        ``l_i - 1`` touches exactly the ``:crit`` prefix.
+        the admission daemon can probe a whole micro-batch, or one core's
+        column of it, in one kernel call.  Correct because
+        ``utilization_matrix`` rows are zero above each task's
+        criticality, so adding the *full* row into row ``l_i - 1``
+        touches exactly the ``:crit`` prefix.
         """
         idx = np.asarray(task_indices, dtype=np.int64)
         if idx.ndim != 1:
             raise PartitionError("task_indices must be a 1-D sequence")
         taskset = self._taskset
-        shape = (idx.size,) + self._level_mats.shape
-        stacks = np.broadcast_to(self._level_mats, shape).copy()
+        base = self._level_mats if cores is None else self._level_mats[cores]
+        stacks = base[None].repeat(idx.size, axis=0)
         rows = taskset.criticalities[idx] - 1
         stacks[np.arange(idx.size), :, rows, :] += (
             taskset.utilization_matrix[idx][:, None, :]
@@ -235,8 +176,12 @@ class Partition:
         :meth:`assign`, so repeated metric evaluations only pay for the
         cores that actually changed.
         """
+        # Deferred imports: repro.analysis pulls this module in.
         cache = self._util_cache.get(rule)
         if cache is None:
+            from repro.analysis.edfvd import check_eq9_rule
+
+            check_eq9_rule(rule)  # once per rule, before it gets a cache
             cache = np.full(self._cores, np.nan, dtype=np.float64)
             self._util_cache[rule] = cache
         stale = np.flatnonzero(np.isnan(cache))
@@ -245,7 +190,6 @@ class Partition:
             cache[stale[empty]] = 0.0
             todo = stale[~empty]
             if todo.size:
-                # Deferred import: repro.analysis pulls this module in.
                 from repro.analysis.batch import batch_core_utilization
 
                 cache[todo] = batch_core_utilization(
@@ -283,7 +227,6 @@ class Partition:
         finally:
             self._level_mats.setflags(write=False)
         self._counts[core] += 1
-        self._core_seq[core] += 1
         for cache in self._util_cache.values():
             cache[core] = np.nan
 
@@ -320,7 +263,6 @@ class Partition:
             self._level_mats[core] = fresh
         finally:
             self._level_mats.setflags(write=False)
-        self._core_seq[core] += 1
         for cache in self._util_cache.values():
             cache[core] = np.nan
         return core
@@ -348,11 +290,6 @@ class Partition:
         # Utilization caches stay writable: lazy cache fill is not a
         # logical mutation of the partition.
         snap._util_cache = {r: c.copy() for r, c in self._util_cache.items()}
-        snap._core_seq = self._core_seq.copy()
-        # Probe-backend caches are per-partition (they pair cached values
-        # with *this* object's version counters), so the snapshot starts
-        # cold; backends refill lazily, which is not a logical mutation.
-        snap.probe_state = {}
         snap._frozen = True
         return snap
 
@@ -384,20 +321,6 @@ class Partition:
         finally:
             part._level_mats.setflags(write=False)
         part._counts[:] = self._counts
-        # Version counters carry verbatim: the per-core matrices are the
-        # same, so probe caches keyed on them stay valid for the prefix
-        # tasks.  Backends decide what survives via carried(n_prefix)
-        # (rows for appended indices must be dropped — the index space
-        # above ``n`` now means different tasks than in any rebuilt
-        # sibling partition).
-        part._core_seq[:] = self._core_seq
-        for name, state in self.probe_state.items():
-            carried = getattr(state, "carried", None)
-            if carried is None:
-                continue
-            kept = carried(n)
-            if kept is not None:
-                part.probe_state[name] = kept
         return part
 
     # ------------------------------------------------------------------

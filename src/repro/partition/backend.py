@@ -1,32 +1,45 @@
-"""Pluggable probe backends: scalar, batch, and incremental Δ-state.
+"""Pluggable probe backends: scalar (the reference) and batch (the default).
 
 The probing question of Algorithm 1 — "what would ``U^{Psi_m + tau_i}``
-be if task ``i`` joined core ``m``?" — admits three evaluation
-strategies with bit-identical answers:
+be if task ``i`` joined core ``m``?" — admits two evaluation strategies
+with bit-identical answers:
 
 * :class:`ScalarBackend` evaluates one ``(K, K)`` matrix per core with
   :mod:`repro.analysis.edfvd`, probing lazily in preference order where
-  the heuristics historically did;
-* :class:`BatchBackend` builds all ``M`` candidate matrices in one
-  broadcasted ``(M, K, K)`` stack and evaluates them with
-  :mod:`repro.analysis.batch` in a single NumPy pass;
-* :class:`IncrementalBackend` caches evaluated probe rows on the
-  partition (:attr:`repro.model.partition.Partition.probe_state`) next
-  to the per-core version counters and, on re-probe, recomputes **only**
-  the (task, core) hypotheses whose core was mutated since — every stale
-  pair of a whole micro-batch goes through one flat kernel call
-  (:meth:`Partition.candidate_pairs_stack`).
+  the heuristics historically did — the readable reference;
+* :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) builds all ``M``
+  candidate matrices in one broadcasted ``(M, K, K)`` stack and
+  evaluates them with :mod:`repro.analysis.batch` in a single NumPy
+  pass.
 
-Bit-identity of the incremental path rests on a structural property of
-the batch kernels (:func:`~repro.analysis.batch._core_utilization_stack`
-and :func:`~repro.analysis.batch._is_feasible_stack`): they are per-row
+Why batch is the only vectorized backend: an incremental backend once
+sat beside it, caching probe answers on the partition next to per-core
+version counters and recomputing only the (task, core) pairs whose
+core had changed.  Its cache almost never answered — every scheme
+probes a task against a partition the previous placement just changed
+— so offline it was pure bookkeeping.  Measured on a 2-vCPU VM with
+``repro-mc fig1 --sets 30 --seed 2016 --no-store``, 8 alternating
+pairs: median CPU 9.07 s under batch against 9.57 s under incremental,
+batch cheaper in 6 of 8 pairs; the repo benchmark's sweep, serve and
+validate workloads recorded a cache-hit ratio of 0.  The one place a
+probe answer outlives a placement is the admission daemon's
+multi-request ``/place`` flush, and there no cache is needed: after a
+placement on core ``c`` only column ``c`` of the pending rows is stale,
+so the flush re-probes that column alone
+(``probe_tasks(..., cores=[c])``).  On the same VM the daemon-shaped
+placement loop (``repro.bench.run_placement_bench``, 3 alternating
+pairs) took 0.135-0.167 s with the column refresh against
+0.176-0.279 s with the cache.
+
+That column refresh is bit-identical to a full re-probe because the
+batch kernels (:func:`~repro.analysis.batch._core_utilization_stack`
+and :func:`~repro.analysis.batch._is_feasible_stack`) are per-row
 independent — rows interact only through masked writes and an early
 ``break`` taken when *all* rows are dead, at which point every
 remaining entry is ``nan``-final anyway.  Evaluating any sub-stack of
 candidate matrices therefore reproduces the matching rows of the full
-stack bit for bit, so serving the unchanged columns from cache cannot
-move a placement decision.  The validate campaign pins
-scalar == batch == incremental end to end.
+stack bit for bit.  The validate campaign pins scalar == batch end to
+end.
 
 Backends are selected *by name* through the registry below; the
 contextvar that holds the active name (and the public module-level
@@ -34,14 +47,11 @@ probe functions the schemes call) lives in :mod:`repro.partition.probe`.
 Unknown names raise :class:`repro.types.ModelError` (a
 :class:`~repro.types.ReproError`), never a bare ``KeyError``.
 
-Instrumentation mirrors the historical probe counters
-(``probe.calls.<impl>``, ``probe.cores_probed``, theorem-1 admission
-attribution) with one incremental-specific nuance: ``probe.cores_probed``
-counts only *freshly evaluated* hypotheses (the kernel work actually
-done) and the columns served from cache accrue under
-``probe.cache_hits.incremental``; the ``theorem1.*`` admission-path
-attribution is likewise recorded for fresh evaluations only, because a
-cached column no longer has its candidate matrix at hand.
+Instrumentation mirrors the historical probe counters:
+``probe.calls.<impl>`` counts probed tasks, ``probe.cores_probed`` the
+(task, core) hypotheses evaluated, ``probe.infeasible_cores`` the
+Theorem-1 failures among them, and feasibility probes attribute every
+core to its ``theorem1.*`` admission path.
 """
 
 from __future__ import annotations
@@ -57,17 +67,21 @@ from repro.analysis.batch import (
     _core_utilization_stack,
     _is_feasible_stack,
 )
-from repro.analysis.edfvd import available_utilizations, core_utilization
+from repro.analysis.edfvd import (
+    available_utilizations,
+    check_eq9_rule,
+    core_utilization,
+)
 from repro.analysis.feasibility import is_feasible_core
 from repro.model.partition import Partition
 from repro.obs.runtime import OBS, add_span_time
-from repro.types import EPS, ModelError, fits_unit_capacity
+from repro.types import EPS, ModelError, PartitionError, fits_unit_capacity
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "ProbeBackend",
     "ScalarBackend",
     "BatchBackend",
-    "IncrementalBackend",
     "register_backend",
     "get_backend",
     "available_backends",
@@ -75,11 +89,6 @@ __all__ = [
     "probe_core_utilization",
     "probe_feasible",
 ]
-
-
-def _check_rule(rule: str) -> None:
-    if rule not in ("max", "min"):
-        raise ModelError(f"unknown Eq. (9) rule {rule!r}; use 'max' or 'min'")
 
 
 # ----------------------------------------------------------------------
@@ -91,10 +100,12 @@ def _tagged(name: str) -> str:
     return f"{name}[{scheme}]" if scheme else name
 
 
-def _record_utilization_probe(impl: str, new_utils: np.ndarray) -> None:
-    """Count one Eq.-(15) probe evaluation and its infeasible cores."""
+def _record_utilization_probe(
+    impl: str, new_utils: np.ndarray, calls: int = 1
+) -> None:
+    """Count Eq.-(15) probe evaluations (one per task) and infeasible cores."""
     reg = OBS.registry
-    reg.counter(_tagged(f"probe.calls.{impl}")).inc()
+    reg.counter(_tagged(f"probe.calls.{impl}")).inc(int(calls))
     reg.counter("probe.cores_probed").inc(int(new_utils.size))
     reg.counter("probe.infeasible_cores").inc(
         int(np.count_nonzero(~np.isfinite(new_utils)))
@@ -143,18 +154,6 @@ def _record_scalar_feasibility(mat: np.ndarray, feasible: bool) -> None:
         reg.counter(_tagged(f"theorem1.cond_pass.k{k + 1}")).inc()
     if not feasible:
         reg.counter(_tagged("theorem1.rejected")).inc()
-
-
-def _record_incremental(
-    values: np.ndarray, n_calls: int, n_fresh: int
-) -> None:
-    """Count an incremental probe: fresh kernel work vs cached columns."""
-    reg = OBS.registry
-    reg.counter(_tagged("probe.calls.incremental")).inc(int(n_calls))
-    reg.counter("probe.cores_probed").inc(int(n_fresh))
-    reg.counter("probe.cache_hits.incremental").inc(
-        int(values.size - n_fresh)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +212,26 @@ def probe_feasible(partition: Partition, core: int, task_index: int) -> bool:
 # ----------------------------------------------------------------------
 # The backend protocol
 # ----------------------------------------------------------------------
+def _columns(partition: Partition, cores: Sequence[int] | None) -> np.ndarray:
+    """The probed core indices: every core, or a checked selection."""
+    if cores is None:
+        return np.arange(partition.cores)
+    cols = np.asarray(cores, dtype=np.int64)
+    m = partition.cores
+    if cols.ndim != 1 or not all(0 <= c < m for c in cols.tolist()):
+        raise PartitionError(
+            f"cores must be a 1-D selection of [0, {partition.cores}), "
+            f"got {np.asarray(cores).tolist()}"
+        )
+    return cols
+
+
 class ProbeBackend(abc.ABC):
     """One strategy for answering every probe the heuristics can ask.
 
     Implementations must be bit-identical to each other for every
     method: the schemes (and the admission daemon) switch backends
-    without changing a single placement decision.  The four abstract
+    without changing a single placement decision.  The three abstract
     methods are the evaluation primitives; the two preference-order
     scans have a shared full-row default that lazy backends may
     override.
@@ -245,14 +258,15 @@ class ProbeBackend(abc.ABC):
         partition: Partition,
         task_indices: Sequence[int],
         rule: str = "max",
+        cores: Sequence[int] | None = None,
     ) -> np.ndarray:
-        """Eq.-(15) probes of several tasks against every core: ``(T, M)``."""
+        """Eq.-(15) probes of several tasks: ``(T, C)`` floats.
 
-    @abc.abstractmethod
-    def probe_feasible_tasks(
-        self, partition: Partition, task_indices: Sequence[int]
-    ) -> np.ndarray:
-        """Feasibility of several tasks on every core: boolean ``(T, M)``."""
+        Column ``c`` probes core ``cores[c]`` (every core, ``C = M``,
+        when ``cores`` is ``None``).  Each entry is bit-identical to the
+        matching entry of the full ``(T, M)`` grid, so a caller that
+        mutated one core can re-probe just that core's column.
+        """
 
     def first_feasible_core(
         self,
@@ -320,21 +334,20 @@ class ScalarBackend(ProbeBackend):
         partition: Partition,
         task_indices: Sequence[int],
         rule: str = "max",
+        cores: Sequence[int] | None = None,
     ) -> np.ndarray:
         idx = np.asarray(task_indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.empty((0, partition.cores), dtype=np.float64)
-        return np.stack(
-            [self.probe(partition, int(i), rule=rule) for i in idx]
-        )
-
-    def probe_feasible_tasks(
-        self, partition: Partition, task_indices: Sequence[int]
-    ) -> np.ndarray:
-        idx = np.asarray(task_indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.empty((0, partition.cores), dtype=bool)
-        return np.stack([self.probe_feasible(partition, int(i)) for i in idx])
+        cols = _columns(partition, cores)
+        return np.array(
+            [
+                [
+                    probe_core_utilization(partition, int(m), int(i), rule=rule)
+                    for m in cols
+                ]
+                for i in idx
+            ],
+            dtype=np.float64,
+        ).reshape(idx.size, cols.size)
 
     def first_feasible_core(
         self,
@@ -378,7 +391,7 @@ class BatchBackend(ProbeBackend):
     def probe(
         self, partition: Partition, task_index: int, rule: str = "max"
     ) -> np.ndarray:
-        _check_rule(rule)
+        check_eq9_rule(rule)
         if OBS.enabled:
             t0 = time.perf_counter()
             new_utils = _core_utilization_stack(
@@ -409,292 +422,35 @@ class BatchBackend(ProbeBackend):
         partition: Partition,
         task_indices: Sequence[int],
         rule: str = "max",
+        cores: Sequence[int] | None = None,
     ) -> np.ndarray:
         idx = np.asarray(task_indices, dtype=np.int64)
-        cores = partition.cores
+        cols = _columns(partition, cores)
         if idx.size == 0:
-            return np.empty((0, cores), dtype=np.float64)
-        _check_rule(rule)
+            return np.empty((0, cols.size), dtype=np.float64)
+        check_eq9_rule(rule)
         if OBS.enabled:
             t0 = time.perf_counter()
-            stacks = partition.candidate_stacks(idx)
-            flat = _core_utilization_stack(
-                stacks.reshape((-1,) + stacks.shape[2:]), rule
-            )
-            new_utils = flat.reshape(idx.size, cores)
-            add_span_time("probe", time.perf_counter() - t0)
-            reg = OBS.registry
-            reg.counter(_tagged("probe.calls.batch")).inc(int(idx.size))
-            reg.counter("probe.cores_probed").inc(int(new_utils.size))
-            reg.counter("probe.infeasible_cores").inc(
-                int(np.count_nonzero(~np.isfinite(new_utils)))
-            )
-            return new_utils
-        stacks = partition.candidate_stacks(idx)
-        flat = _core_utilization_stack(
+        stacks = partition.candidate_stacks(idx, None if cores is None else cols)
+        new_utils = _core_utilization_stack(
             stacks.reshape((-1,) + stacks.shape[2:]), rule
-        )
-        return flat.reshape(idx.size, cores)
-
-    def probe_feasible_tasks(
-        self, partition: Partition, task_indices: Sequence[int]
-    ) -> np.ndarray:
-        idx = np.asarray(task_indices, dtype=np.int64)
-        cores = partition.cores
-        if idx.size == 0:
-            return np.empty((0, cores), dtype=bool)
-        if OBS.enabled:
-            t0 = time.perf_counter()
-            stacks = partition.candidate_stacks(idx)
-            flat_stack = stacks.reshape((-1,) + stacks.shape[2:])
-            flat = _is_feasible_stack(flat_stack)
-            feasible = flat.reshape(idx.size, cores)
-            add_span_time("probe", time.perf_counter() - t0)
-            reg = OBS.registry
-            reg.counter(_tagged("probe.calls.batch")).inc(int(idx.size))
-            reg.counter("probe.cores_probed").inc(int(feasible.size))
-            _record_feasibility_stack(flat_stack, flat)
-            return feasible
-        stacks = partition.candidate_stacks(idx)
-        flat = _is_feasible_stack(stacks.reshape((-1,) + stacks.shape[2:]))
-        return flat.reshape(idx.size, cores)
-
-
-# ----------------------------------------------------------------------
-# Incremental backend: warm per-core Theorem-1 state, Δ-refresh
-# ----------------------------------------------------------------------
-class _IncrementalState:
-    """Per-partition probe cache: one ``(T, M)`` table per probe kind.
-
-    For each ``("util", rule)`` / ``("feas",)`` key the state holds the
-    cached answers ``values[t, m]`` alongside ``seqs[t, m]`` — the
-    per-core version counter each answer was computed under.  An entry
-    whose stored version differs from the partition's current one is
-    stale.  Keeping whole tables (rather than per-task rows) makes the
-    micro-batch staleness scan a single broadcast compare instead of a
-    Python loop, which is what keeps the Δ-refresh bookkeeping cheaper
-    than the kernel work it saves.
-
-    Stored under ``partition.probe_state["incremental"]`` so the cache's
-    lifetime is the partition's — :meth:`Partition.snapshot` starts cold
-    (fresh counters-to-values pairing), :meth:`Partition.extended`
-    carries the prefix rows over via :meth:`carried`.
-    """
-
-    __slots__ = ("tables",)
-
-    def __init__(self) -> None:
-        #: ``("util", rule) | ("feas",)`` -> ``(values (T, M), seqs (T, M))``
-        self.tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-    def table(
-        self, key: tuple, n_tasks: int, cores: int, dtype
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The (values, seqs) table for ``key``, grown to ``n_tasks`` rows.
-
-        New rows start with version ``-1`` (never matches a real
-        counter), i.e. all-stale.
-        """
-        entry = self.tables.get(key)
-        if entry is None or entry[0].shape[0] < n_tasks:
-            values = np.empty((n_tasks, cores), dtype=dtype)
-            seqs = np.full((n_tasks, cores), -1, dtype=np.int64)
-            if entry is not None:
-                old_values, old_seqs = entry
-                values[: old_values.shape[0]] = old_values
-                seqs[: old_seqs.shape[0]] = old_seqs
-            entry = (values, seqs)
-            self.tables[key] = entry
-        return entry
-
-    def carried(self, n_prefix: int) -> "_IncrementalState | None":
-        """State for an :meth:`Partition.extended` successor.
-
-        Rows for prefix tasks stay valid (same tasks, same matrices,
-        same version counters); rows at or past ``n_prefix`` are dropped
-        — those indices name *different* tasks in the grown set.  Arrays
-        are copied so the two partitions never share mutable tables.
-        """
-        kept = _IncrementalState()
-        for key, (values, seqs) in self.tables.items():
-            n = min(n_prefix, values.shape[0])
-            if n:
-                kept.tables[key] = (values[:n].copy(), seqs[:n].copy())
-        return kept if kept.tables else None
-
-
-class IncrementalBackend(ProbeBackend):
-    """Δ-state probing: unchanged cores answer from cache.
-
-    The cache rides the partition (see :class:`_IncrementalState`), so
-    warm state survives exactly as long as the partition object does —
-    which is what lets the admission daemon keep Theorem-1 state hot
-    across requests.  The single-task probes refresh stale columns with
-    a sub-stack kernel call; the micro-batch probes collect every stale
-    (task, core) pair across all rows into **one** flat
-    :meth:`Partition.candidate_pairs_stack` evaluation, which is where
-    the throughput win over the batch backend comes from.
-    """
-
-    name = "incremental"
-
-    @staticmethod
-    def state_of(partition: Partition) -> _IncrementalState:
-        state = partition.probe_state.get("incremental")
-        if not isinstance(state, _IncrementalState):
-            state = _IncrementalState()
-            partition.probe_state["incremental"] = state
-        return state
-
-    def probe(
-        self, partition: Partition, task_index: int, rule: str = "max"
-    ) -> np.ndarray:
-        _check_rule(rule)
-        state = self.state_of(partition)
-        seqs_now = partition.core_versions()
-        if OBS.enabled:
-            t0 = time.perf_counter()
-        values, seqs = state.table(
-            ("util", rule), len(partition.taskset), partition.cores, np.float64
-        )
-        t = int(task_index)
-        stale = np.flatnonzero(seqs[t] != seqs_now)
-        n_fresh = stale.size
-        if stale.size == seqs_now.size:
-            values[t] = _core_utilization_stack(
-                partition.candidate_stack(t), rule
-            )
-            seqs[t] = seqs_now
-        elif stale.size:
-            values[t, stale] = _core_utilization_stack(
-                partition.candidate_stack_for_cores(t, stale), rule
-            )
-            seqs[t, stale] = seqs_now[stale]
-        out = values[t].copy()
+        ).reshape(idx.size, cols.size)
         if OBS.enabled:
             add_span_time("probe", time.perf_counter() - t0)
-            _record_incremental(out, 1, n_fresh)
-            OBS.registry.counter("probe.infeasible_cores").inc(
-                int(np.count_nonzero(~np.isfinite(out)))
-            )
-        return out
-
-    def probe_feasible(
-        self, partition: Partition, task_index: int
-    ) -> np.ndarray:
-        state = self.state_of(partition)
-        seqs_now = partition.core_versions()
-        if OBS.enabled:
-            t0 = time.perf_counter()
-        values, seqs = state.table(
-            ("feas",), len(partition.taskset), partition.cores, bool
-        )
-        t = int(task_index)
-        stale = np.flatnonzero(seqs[t] != seqs_now)
-        n_fresh = stale.size
-        fresh_stack: np.ndarray | None = None
-        fresh_vals: np.ndarray | None = None
-        if stale.size == seqs_now.size:
-            fresh_stack = partition.candidate_stack(t)
-            fresh_vals = _is_feasible_stack(fresh_stack)
-            values[t] = fresh_vals
-            seqs[t] = seqs_now
-        elif stale.size:
-            fresh_stack = partition.candidate_stack_for_cores(t, stale)
-            fresh_vals = _is_feasible_stack(fresh_stack)
-            values[t, stale] = fresh_vals
-            seqs[t, stale] = seqs_now[stale]
-        out = values[t].copy()
-        if OBS.enabled:
-            add_span_time("probe", time.perf_counter() - t0)
-            _record_incremental(out, 1, n_fresh)
-            if fresh_stack is not None:
-                _record_feasibility_stack(fresh_stack, fresh_vals)
-        return out
-
-    def _refresh_rows(
-        self,
-        partition: Partition,
-        idx: np.ndarray,
-        key: tuple,
-        evaluate,
-        dtype,
-    ) -> tuple[np.ndarray, int, np.ndarray | None, np.ndarray | None]:
-        """Shared Δ-refresh for the micro-batch probes.
-
-        One broadcast compare finds every stale (task, core) pair of the
-        whole micro-batch; one flat kernel call evaluates them; one
-        fancy-index scatter writes them back.  Returns the ``(T, M)``
-        answers, the fresh-pair count, and the fresh stack + values for
-        admission-path attribution (``None`` when fully cached).
-        """
-        state = self.state_of(partition)
-        seqs_now = partition.core_versions()
-        values, seqs = state.table(
-            key, len(partition.taskset), partition.cores, dtype
-        )
-        t_local, ci = np.nonzero(seqs[idx] != seqs_now)
-        fresh_stack: np.ndarray | None = None
-        fresh_vals: np.ndarray | None = None
-        n_fresh = int(t_local.size)
-        if n_fresh:
-            ti = idx[t_local]
-            fresh_stack = partition.candidate_pairs_stack(ti, ci)
-            fresh_vals = evaluate(fresh_stack)
-            values[ti, ci] = fresh_vals
-            seqs[ti, ci] = seqs_now[ci]
-        return values[idx], n_fresh, fresh_stack, fresh_vals
-
-    def probe_tasks(
-        self,
-        partition: Partition,
-        task_indices: Sequence[int],
-        rule: str = "max",
-    ) -> np.ndarray:
-        idx = np.asarray(task_indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.empty((0, partition.cores), dtype=np.float64)
-        _check_rule(rule)
-        if OBS.enabled:
-            t0 = time.perf_counter()
-        out, n_fresh, _, _ = self._refresh_rows(
-            partition,
-            idx,
-            ("util", rule),
-            lambda mats: _core_utilization_stack(mats, rule),
-            np.float64,
-        )
-        if OBS.enabled:
-            add_span_time("probe", time.perf_counter() - t0)
-            _record_incremental(out, int(idx.size), n_fresh)
-            OBS.registry.counter("probe.infeasible_cores").inc(
-                int(np.count_nonzero(~np.isfinite(out)))
-            )
-        return out
-
-    def probe_feasible_tasks(
-        self, partition: Partition, task_indices: Sequence[int]
-    ) -> np.ndarray:
-        idx = np.asarray(task_indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.empty((0, partition.cores), dtype=bool)
-        if OBS.enabled:
-            t0 = time.perf_counter()
-        out, n_fresh, fresh_stack, fresh_vals = self._refresh_rows(
-            partition, idx, ("feas",), _is_feasible_stack, bool
-        )
-        if OBS.enabled:
-            add_span_time("probe", time.perf_counter() - t0)
-            _record_incremental(out, int(idx.size), n_fresh)
-            if fresh_stack is not None:
-                _record_feasibility_stack(fresh_stack, fresh_vals)
-        return out
+            _record_utilization_probe("batch", new_utils, calls=idx.size)
+        return new_utils
 
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _BACKENDS: dict[str, ProbeBackend] = {}
+
+#: The backend every probe runs on unless ``--probe-impl`` (or
+#: :func:`repro.partition.probe.use_probe_implementation`) names another:
+#: the probe contextvar, engine shards and shard keys, and the serve
+#: daemon all default to this one name.
+DEFAULT_BACKEND = "batch"
 
 
 def register_backend(backend: ProbeBackend) -> ProbeBackend:
@@ -723,4 +479,3 @@ def get_backend(name: str) -> ProbeBackend:
 
 register_backend(ScalarBackend())
 register_backend(BatchBackend())
-register_backend(IncrementalBackend())

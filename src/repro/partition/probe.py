@@ -14,13 +14,9 @@ functions the schemes call, while the strategies themselves live in
   :mod:`repro.analysis.batch` in a single NumPy pass;
 * the **scalar** backend evaluates one ``(K, K)`` matrix per core with
   :mod:`repro.analysis.edfvd`, probing lazily in preference order where
-  the heuristics historically did;
-* the **incremental** backend caches probe rows on the partition next to
-  its per-core version counters and recomputes only the (task, core)
-  hypotheses whose core was mutated since the last probe — the admission
-  daemon's warm-state engine.
+  the heuristics historically did.
 
-All backends produce bit-identical placement decisions (pinned by the
+Both backends produce bit-identical placement decisions (pinned by the
 test suite and the ``repro-mc validate`` differential campaign);
 :func:`use_probe_implementation` switches between them, which the
 ``benchmarks/test_bench_probe_speed.py`` throughput benchmark uses to
@@ -50,6 +46,7 @@ import numpy as np
 
 from repro.model.partition import Partition
 from repro.partition.backend import (
+    DEFAULT_BACKEND,
     available_backends,
     candidate_level_matrix,
     get_backend,
@@ -61,11 +58,8 @@ __all__ = [
     "candidate_level_matrix",
     "probe_core_utilization",
     "probe_feasible",
-    "batch_candidate_matrices",
     "batch_probe",
-    "batch_probe_feasible",
     "batch_probe_tasks",
-    "batch_probe_feasible_tasks",
     "first_feasible_core",
     "first_finite_probe",
     "probe_implementation",
@@ -73,14 +67,14 @@ __all__ = [
     "available_backends",
 ]
 
-#: Active probe backend name: "batch" (default), "scalar" or
-#: "incremental" (see :mod:`repro.partition.backend`).  A
+#: Active probe backend name: ``DEFAULT_BACKEND`` or another registered
+#: name (see :mod:`repro.partition.backend`).  A
 #: :class:`~contextvars.ContextVar`, not a module global: the selection
 #: is isolated per thread and per asyncio task, so a benchmark thread
 #: running scalar probes cannot flip a concurrent server handler (or the
 #: admission daemon's coordinator) onto the wrong engine mid-decision.
 _ACTIVE_IMPLEMENTATION: ContextVar[str] = ContextVar(
-    "repro_probe_implementation", default="batch"
+    "repro_probe_implementation", default=DEFAULT_BACKEND
 )
 
 
@@ -113,17 +107,8 @@ def _active_backend():
 
 
 # ----------------------------------------------------------------------
-# Batch path (all cores at once)
+# Probes of one task, and of a micro-batch of tasks
 # ----------------------------------------------------------------------
-def batch_candidate_matrices(partition: Partition, task_index: int) -> np.ndarray:
-    """The ``(M, K, K)`` stack of all candidate level matrices for a task.
-
-    One broadcasted add builds every ``U^{Psi_m + tau_i}`` hypothesis at
-    once instead of ``M`` per-core copies.
-    """
-    return partition.candidate_stack(task_index)
-
-
 def batch_probe(
     partition: Partition, task_index: int, rule: str = "max"
 ) -> np.ndarray:
@@ -136,37 +121,24 @@ def batch_probe(
     return _active_backend().probe(partition, task_index, rule=rule)
 
 
-def batch_probe_feasible(partition: Partition, task_index: int) -> np.ndarray:
-    """Eq.(4)-or-Theorem-1 feasibility of the task on every core: ``(M,)``."""
-    return _active_backend().probe_feasible(partition, task_index)
-
-
-# ----------------------------------------------------------------------
-# Micro-batch path (several tasks x all cores, one kernel call)
-# ----------------------------------------------------------------------
 def batch_probe_tasks(
-    partition: Partition, task_indices: Sequence[int], rule: str = "max"
+    partition: Partition,
+    task_indices: Sequence[int],
+    rule: str = "max",
+    cores: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Eq.-(15) probes of several tasks against every core: ``(T, M)``.
+    """Eq.-(15) probes of several tasks: ``(T, M)``, or ``(T, len(cores))``.
 
     Row ``t`` is exactly :func:`batch_probe` of ``task_indices[t]``
-    bit-for-bit, whichever backend is active — but the whole micro-batch
-    costs one kernel pass (batch) or one flat refresh of only the stale
-    (task, core) pairs (incremental).  This is the admission daemon's
-    flush primitive.
+    bit-for-bit, whichever backend is active, and the whole micro-batch
+    costs one kernel pass under the batch backend.  ``cores`` restricts
+    the probe to a column selection: after a placement on core ``c``
+    only column ``c`` of the pending rows is stale, so the admission
+    daemon's flush re-probes ``cores=[c]`` instead of the full grid.
     """
-    return _active_backend().probe_tasks(partition, task_indices, rule=rule)
-
-
-def batch_probe_feasible_tasks(
-    partition: Partition, task_indices: Sequence[int]
-) -> np.ndarray:
-    """Feasibility of several tasks on every core: boolean ``(T, M)``.
-
-    Row ``t`` equals :func:`batch_probe_feasible` of ``task_indices[t]``
-    bit-for-bit under every backend.
-    """
-    return _active_backend().probe_feasible_tasks(partition, task_indices)
+    return _active_backend().probe_tasks(
+        partition, task_indices, rule=rule, cores=cores
+    )
 
 
 # ----------------------------------------------------------------------
@@ -179,10 +151,10 @@ def first_feasible_core(
 ) -> int | None:
     """First core in ``core_order`` on which the task is feasible.
 
-    The batch/incremental backends evaluate all cores in one pass and
-    scan the result; the scalar backend probes lazily in preference
-    order (the historical behaviour of FFD-like schemes).  ``None`` when
-    no core fits.
+    The batch backend evaluates all cores in one pass and scans the
+    result; the scalar backend probes lazily in preference order (the
+    historical behaviour of FFD-like schemes).  ``None`` when no core
+    fits.
     """
     return _active_backend().first_feasible_core(
         partition, task_index, core_order

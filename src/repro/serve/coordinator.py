@@ -10,15 +10,15 @@ handlers only enqueue work and await futures.  Each flush:
 * answers the flush's ``/place`` requests with **one** call into the
   stacked probe kernel (:func:`repro.partition.probe.batch_probe_tasks`
   over the whole micro-batch), then applies placements greedily in
-  arrival order, re-probing the remaining rows after each assignment.
+  arrival order.  After each assignment to core ``c`` only column ``c``
+  of the remaining rows is stale, so the flush re-probes that one column
+  (``batch_probe_tasks(..., cores=[c])``) — bit-identical to a full
+  re-probe, because the batch kernels are per-row independent.
 
 Every flush runs under the coordinator's configured probe backend
-(``--probe-impl``, default ``incremental``): the live partition carries
-warm per-core Theorem-1 state across requests, so the post-assignment
-re-probe recomputes only the column of the core that just changed —
-every other (task, core) hypothesis answers from cache.  All backends
-are pinned bit-identical, so the placement decisions (and the
-``serve-offline`` oracle parity) do not depend on the choice.
+(``--probe-impl``, default :data:`~repro.partition.backend.DEFAULT_BACKEND`).
+Both backends are pinned bit-identical, so the placement decisions (and
+the ``serve-offline`` oracle parity) do not depend on the choice.
 
 Placement rule: best fit by Eq. (15) — the feasible core whose new
 Eq.-(9) utilization is smallest (ties to the lowest core index), i.e.
@@ -36,7 +36,7 @@ from repro.metrics.core import imbalance_factor
 from repro.model import MCTaskSet, Partition
 from repro.obs.live import LiveMetrics
 from repro.obs.runtime import OBS, current_span_id, record_span, span
-from repro.partition.backend import get_backend
+from repro.partition.backend import DEFAULT_BACKEND, get_backend
 from repro.partition.probe import batch_probe_tasks, use_probe_implementation
 from repro.partition.registry import get_partitioner
 from repro.serve.batcher import MicroBatcher, WorkItem
@@ -60,7 +60,7 @@ class Coordinator:
         state: ServeState,
         batcher: MicroBatcher,
         rule: str = "max",
-        probe_impl: str = "incremental",
+        probe_impl: str = DEFAULT_BACKEND,
         live: LiveMetrics | None = None,
     ):
         get_backend(probe_impl)  # fail fast on unknown names
@@ -270,14 +270,11 @@ class Coordinator:
                 part.assign(task_index, core)
                 remaining = idx[t + 1 :]
                 if remaining:
-                    # Re-probe the rows still waiting through the active
-                    # backend.  Only the chosen core's column went stale,
-                    # which is exactly what the incremental backend
-                    # recomputes — the other columns answer from the
-                    # warm per-core state (bit-identical either way).
+                    # Only the chosen core's column went stale: re-probe
+                    # that column of the rows still waiting.
                     t0 = time.perf_counter()
-                    utils[t + 1 :] = batch_probe_tasks(
-                        part, remaining, rule=self.rule
+                    utils[t + 1 :, [core]] = batch_probe_tasks(
+                        part, remaining, rule=self.rule, cores=[core]
                     )
                     kernel_total += time.perf_counter() - t0
 
@@ -306,9 +303,8 @@ class Coordinator:
 
         # Attribution shares: kernel time is the measured probe-kernel
         # total, apply is everything else in the placement block
-        # (assignments, column refreshes bookkeeping, rebuild, commit) —
-        # both split evenly across the batch, since the stacked kernel
-        # serves all rows at once.
+        # (assignments, rebuild, commit) — both split evenly across the
+        # batch, since the stacked kernel serves all rows at once.
         place_total = time.perf_counter() - place_start
         apply_total = max(place_total - kernel_total, 0.0)
         kernel_share = kernel_total / len(ready)

@@ -26,6 +26,7 @@ from repro.obs import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.live import LiveMetrics, SloMonitor, parse_slo
+from repro.partition.backend import DEFAULT_BACKEND
 from repro.serve.batcher import MicroBatcher
 from repro.serve.coordinator import Coordinator
 from repro.serve.handlers import Api
@@ -48,9 +49,8 @@ class ServeConfig:
     max_batch: int = 64
     backlog: int = 256
     rule: str = "max"
-    #: Probe backend the coordinator flushes under; ``incremental``
-    #: keeps Theorem-1 state warm across requests (the serve default).
-    probe_impl: str = "incremental"
+    #: Probe backend the coordinator flushes under.
+    probe_impl: str = DEFAULT_BACKEND
     metrics_path: str | None = None
     log_json: str | None = None
     #: SLO rules (``"p95(serve.place.seconds) < 5ms"``…) checked every

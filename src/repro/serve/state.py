@@ -17,6 +17,7 @@ import numpy as np
 from repro.metrics.core import imbalance_factor
 from repro.model import MCTaskSet, Partition
 from repro.model.io import taskset_to_dict
+from repro.partition.backend import DEFAULT_BACKEND
 
 __all__ = ["ServeState", "StateSnapshot"]
 
@@ -35,7 +36,7 @@ class StateSnapshot:
     seq: int
     partition: Partition | None
     #: Probe backend the coordinator places under (informational).
-    probe_impl: str = "incremental"
+    probe_impl: str = DEFAULT_BACKEND
 
     @property
     def task_count(self) -> int:
@@ -71,7 +72,7 @@ class ServeState:
     """Holder of the live partition plus its published snapshot."""
 
     def __init__(
-        self, cores: int, levels: int = 2, probe_impl: str = "incremental"
+        self, cores: int, levels: int = 2, probe_impl: str = DEFAULT_BACKEND
     ):
         self.cores = int(cores)
         self.levels = int(levels)

@@ -16,8 +16,8 @@ The registry is deliberately open: downstream experiments can
 Built-in oracles
 ----------------
 ``probe-scalar-batch``
-    The scalar, batch, and incremental probe backends make bit-identical
-    placement decisions for every scheme.
+    The scalar and batch probe backends make bit-identical placement
+    decisions for every scheme.
 ``theorem1-eq7-k2``
     At ``K = 2``, Ineq. (5) (Theorem 1) agrees with the classical
     dual-criticality test Eq. (7) on every core's level matrix.
@@ -46,7 +46,7 @@ Built-in oracles
 ``explain-decision``
     The structured explanation layer reproduces every backend's
     admission decision: ``ProbeExplanation.admitted`` matches the
-    partitioner's verdict under scalar/batch/incremental, all decision
+    partitioner's verdict under scalar and batch, all decision
     margins are nonnegative iff the set is admitted, and the
     explanation document itself is backend-invariant.
 ``events-job-conservation``
@@ -210,28 +210,27 @@ def get_oracle(name: str) -> Oracle:
 
 @register_oracle(
     "probe-scalar-batch",
-    "scalar, batch, and incremental probe backends make identical decisions",
+    "scalar and batch probe backends make identical decisions",
 )
 def _check_probe_equivalence(case: ValidationCase) -> list[str]:
     failures = []
     batch = case.scheme_results()
-    for impl in ("scalar", "incremental"):
-        with use_probe_implementation(impl):
-            for spec in case.schemes:
-                b = batch[spec.label]
-                s = spec.build().partition(case.taskset, case.config.cores)
-                if (
-                    s.schedulable != b.schedulable
-                    or s.failed_task != b.failed_task
-                    or not np.array_equal(s.assignment, b.assignment)
-                ):
-                    failures.append(
-                        f"{spec.label}: {impl}/batch probes disagree "
-                        f"(schedulable {s.schedulable}/{b.schedulable}, "
-                        f"failed_task {s.failed_task}/{b.failed_task}, "
-                        f"assignment {s.assignment.tolist()} "
-                        f"vs {b.assignment.tolist()})"
-                    )
+    with use_probe_implementation("scalar"):
+        for spec in case.schemes:
+            b = batch[spec.label]
+            s = spec.build().partition(case.taskset, case.config.cores)
+            if (
+                s.schedulable != b.schedulable
+                or s.failed_task != b.failed_task
+                or not np.array_equal(s.assignment, b.assignment)
+            ):
+                failures.append(
+                    f"{spec.label}: scalar/batch probes disagree "
+                    f"(schedulable {s.schedulable}/{b.schedulable}, "
+                    f"failed_task {s.failed_task}/{b.failed_task}, "
+                    f"assignment {s.assignment.tolist()} "
+                    f"vs {b.assignment.tolist()})"
+                )
     return failures
 
 
@@ -500,8 +499,8 @@ def _check_explain_decision(case: ValidationCase) -> list[str]:
     * every decision margin ``>= -EPS``  <=>  admitted — the sign of
       the margins *is* the decision;
     * the same document (modulo the recorded ``probe_impl``) from the
-      scalar and incremental backends' partition results — explanations
-      are backend-invariant because the backends are bit-identical.
+      scalar backend's partition results — explanations are
+      backend-invariant because the backends are bit-identical.
 
     Headroom/sensitivity are skipped: they are derived views (their own
     bisection invariant is property-tested in ``tests/analysis``), and
@@ -539,30 +538,27 @@ def _check_explain_decision(case: ValidationCase) -> list[str]:
                 f"admitted={margins_admit} but the decision was "
                 f"admitted={exp.admitted}"
             )
-    for impl in ("scalar", "incremental"):
-        with use_probe_implementation(impl):
-            for spec in case.schemes:
-                r = spec.build().partition(case.taskset, case.config.cores)
-                exp = explain_result(
-                    case.taskset,
-                    case.config.cores,
-                    r,
-                    probe_impl=impl,
-                    include_headroom=False,
-                    include_sensitivity=False,
+    with use_probe_implementation("scalar"):
+        for spec in case.schemes:
+            r = spec.build().partition(case.taskset, case.config.cores)
+            exp = explain_result(
+                case.taskset,
+                case.config.cores,
+                r,
+                probe_impl="scalar",
+                include_headroom=False,
+                include_sensitivity=False,
+            )
+            got = exp.to_dict()
+            want = reference[spec.label].to_dict()
+            got.pop("probe_impl")
+            want.pop("probe_impl")
+            if got != want:
+                diff = sorted(k for k in want if got.get(k) != want.get(k))
+                failures.append(
+                    f"{spec.label}: scalar/batch explanations diverge "
+                    f"on {diff}"
                 )
-                got = exp.to_dict()
-                want = reference[spec.label].to_dict()
-                got.pop("probe_impl")
-                want.pop("probe_impl")
-                if got != want:
-                    diff = sorted(
-                        k for k in want if got.get(k) != want.get(k)
-                    )
-                    failures.append(
-                        f"{spec.label}: {impl}/batch explanations diverge "
-                        f"on {diff}"
-                    )
     return failures
 
 

@@ -22,7 +22,7 @@ from repro.analysis.explain import (
     task_sensitivity,
 )
 from repro.model import MCTask, MCTaskSet
-from repro.partition.probe import use_probe_implementation
+from repro.partition.probe import available_backends, use_probe_implementation
 from repro.partition.registry import PAPER_SCHEMES, get_partitioner
 from repro.types import EPS
 from tests.conftest import random_taskset
@@ -139,7 +139,7 @@ class TestBackendEquivalence:
             ts = random_taskset(rng, n=6, levels=levels, max_u=0.4)
             for scheme in PAPER_SCHEMES:
                 docs = []
-                for impl in ("scalar", "batch", "incremental"):
+                for impl in available_backends():
                     exp = explain_admission(
                         ts, 2, scheme, probe_impl=impl
                     )
@@ -147,7 +147,7 @@ class TestBackendEquivalence:
                     doc = exp.to_dict()
                     doc.pop("probe_impl")
                     docs.append(doc)
-                assert docs[0] == docs[1] == docs[2], (levels, scheme)
+                assert len(docs) == 2 and docs[0] == docs[1], (levels, scheme)
 
     def test_ambient_backend_is_recorded(self):
         ts = MCTaskSet([heavy_task(0.1)])

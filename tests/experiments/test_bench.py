@@ -214,3 +214,20 @@ class TestRunProbeBench:
         assert serve["qps"] > 0
         assert serve["accepted"] > 0
         assert 0 < serve["place_p50_s"] <= serve["place_p95_s"]
+
+
+class TestPlacementLoop:
+    def test_refresh_and_full_reprobe_answer_the_same_hypotheses(self):
+        """Both timed variants count the full (pending, cores) grid of
+        every round, so probes/sec stays comparable with the committed
+        placement baseline — and the count is the one that baseline's
+        loop produced for this set."""
+        import numpy as np
+
+        from repro.gen import WorkloadConfig, generate_taskset
+
+        config = WorkloadConfig(task_count_range=bench.PLACEMENT_TASK_RANGE)
+        ts = generate_taskset(config, np.random.default_rng(bench.SEED))
+        refreshed = bench.placement_loop(ts, config.cores, refresh=True)
+        full = bench.placement_loop(ts, config.cores, refresh=False)
+        assert refreshed == full == 316968

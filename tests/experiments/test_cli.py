@@ -12,6 +12,7 @@ from repro._version import __version__
 from repro.engine import SweepArtifact
 from repro.experiments import sweeps
 from repro.obs import load_manifest
+from repro.partition.backend import DEFAULT_BACKEND
 
 SUBCOMMANDS = ["fig1", "fig2", "fig3", "fig4", "fig5", "tables", "all", "validate"]
 
@@ -128,10 +129,8 @@ class TestParser:
         assert args.baseline_dir == "baselines"
 
     def test_probe_impl_round_trips(self):
-        args = cli.build_parser().parse_args(
-            ["fig1", "--probe-impl", "incremental"]
-        )
-        assert args.probe_impl == "incremental"
+        args = cli.build_parser().parse_args(["fig1", "--probe-impl", "scalar"])
+        assert args.probe_impl == "scalar"
         # Default: defer to the library's contextvar default.
         assert cli.build_parser().parse_args(["fig1"]).probe_impl is None
 
@@ -144,7 +143,7 @@ class TestProbeImpl:
         assert "available" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("impl", ["scalar", "incremental"])
+    @pytest.mark.parametrize("impl", ["scalar"])
     def test_backend_artifact_matches_default_run(self, tiny_fig1, capsys, impl):
         base_dir = tiny_fig1 / "default"
         impl_dir = tiny_fig1 / impl
@@ -166,7 +165,7 @@ class TestProbeImpl:
                     "0",
                     "--no-store",
                     "--probe-impl",
-                    "incremental",
+                    "scalar",
                 ]
             )
             == 0
@@ -581,6 +580,20 @@ class TestServeParser:
         assert args.cores == 4 and args.port == 8787
         assert args.window_ms == 1.0 and args.backlog == 256
 
+    @pytest.mark.parametrize(
+        "flags, resolved",
+        [([], DEFAULT_BACKEND), (["--probe-impl", "scalar"], "scalar")],
+    )
+    def test_probe_impl_resolves_like_every_subcommand(
+        self, monkeypatch, flags, resolved
+    ):
+        from repro.serve import daemon
+
+        configs = []
+        monkeypatch.setattr(daemon, "run_forever", configs.append)
+        cli.main(["serve", "--port", "0", *flags])
+        assert configs[0].probe_impl == resolved
+
 
 class TestServeSloFlags:
     def test_slo_rules_round_trip(self):
@@ -836,6 +849,11 @@ EXIT_CODES = [
     ),
     ("fig1 whoops.json", 2, "unrecognized arguments: whoops.json"),
     ("fig1 --probe-impl simd", 2, "unknown probe implementation 'simd'"),
+    (
+        "fig1 --probe-impl incremental",
+        2,
+        "unknown probe implementation 'incremental'; available: batch, scalar\n",
+    ),
     ("fig2 --sets x", 2, "argument --sets: invalid int value: 'x'"),
     ("fig3 --json", 2, "argument --json: expected one argument"),
     ("fig4 --taskset t.json", 2, "unrecognized arguments: --taskset t.json"),
@@ -860,6 +878,11 @@ EXIT_CODES = [
     ("serve --sets 3", 2, "unrecognized arguments: --sets 3"),
     ("serve --slo 'p95(x) ~ 1'", 2, "bad SLO rule"),
     ("serve --probe-impl simd", 2, "unknown probe implementation 'simd'"),
+    (
+        "serve --probe-impl incremental",
+        2,
+        "unknown probe implementation 'incremental'; available: batch, scalar\n",
+    ),
     ("top", 2, "the following arguments are required: TARGET"),
     ("top a b", 2, "unrecognized arguments: b"),
     # -- runtime and input errors

@@ -315,6 +315,10 @@ class TestCandidateStacks:
         stacks = part.candidate_stacks([0, 1, 2])
         for t, i in enumerate([0, 1, 2]):
             assert np.array_equal(stacks[t], part.candidate_stack(i))
+        # A core selection is exactly those columns of the full stacks.
+        assert np.array_equal(
+            part.candidate_stacks([0, 1, 2], cores=[2, 0]), stacks[:, [2, 0]]
+        )
 
     def test_empty_and_repeated_indices(self, ts):
         part = Partition(ts, cores=2)

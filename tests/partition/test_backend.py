@@ -1,17 +1,17 @@
-"""The pluggable probe-backend layer: registry, protocol, Δ-state.
+"""The pluggable probe-backend layer: registry, protocol, equivalence.
 
-Pins the tentpole guarantees of the backend refactor:
+Pins the guarantees of the two-backend probe layer:
 
 * the registry resolves by name and rejects unknown names with a clean
   :class:`~repro.types.ReproError` (never a bare ``KeyError``);
-* the incremental backend is bit-identical to batch across arbitrary
-  ``assign``/``unassign``/``extended`` interleavings — its warm per-core
-  state must be indistinguishable from a from-scratch rebuild;
-* invalidation: ``unassign`` bumps the mutated core's version, so a
-  warm cache can never serve the pre-unassign column (the PR-6
-  warm-prefix regression);
-* observability: cached columns count as cache hits, only fresh kernel
-  work counts as ``probe.cores_probed``.
+* probes on an incrementally mutated partition — arbitrary
+  ``assign``/``unassign``/``extended`` interleavings — are bit-identical
+  to batch probes on a from-scratch rebuild, under every backend;
+* a core selection (``probe_tasks(..., cores=...)``) answers exactly
+  the matching columns of the full grid, which is what lets the serve
+  flush re-probe only the placed core;
+* observability: every evaluated hypothesis counts as
+  ``probe.cores_probed``.
 """
 
 from __future__ import annotations
@@ -19,30 +19,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.model import MCTask, MCTaskSet, Partition
+from repro.model import MCTaskSet, Partition
 from repro.obs import runtime as obs
 from repro.partition.backend import (
     BatchBackend,
-    IncrementalBackend,
     ProbeBackend,
+    ScalarBackend,
     available_backends,
     get_backend,
     register_backend,
 )
 from repro.partition.probe import (
     batch_probe,
-    batch_probe_feasible,
-    batch_probe_feasible_tasks,
     batch_probe_tasks,
     first_feasible_core,
     first_finite_probe,
     use_probe_implementation,
 )
-from repro.types import EPS, ModelError, ReproError, fits_unit_capacity
+from repro.types import EPS, ModelError, PartitionError, ReproError, fits_unit_capacity
 from tests.conftest import make_task, random_taskset
 
 BATCH = BatchBackend()
-INCREMENTAL = IncrementalBackend()
+SCALAR = ScalarBackend()
 
 
 def fresh_rebuild(partition: Partition) -> Partition:
@@ -53,30 +51,27 @@ def fresh_rebuild(partition: Partition) -> Partition:
 
 
 def assert_backend_parity(part: Partition, idx: list[int]) -> None:
-    """Incremental answers (warm state) == batch answers on a rebuild."""
+    """Every backend on the mutated partition == batch on a rebuild."""
     cold = fresh_rebuild(part)
-    for i in idx:
-        np.testing.assert_array_equal(
-            INCREMENTAL.probe(part, i), BATCH.probe(cold, i)
-        )
-        np.testing.assert_array_equal(
-            INCREMENTAL.probe_feasible(part, i),
-            BATCH.probe_feasible(cold, i),
-        )
-    if idx:
-        np.testing.assert_array_equal(
-            INCREMENTAL.probe_tasks(part, idx),
-            BATCH.probe_tasks(cold, idx),
-        )
-        np.testing.assert_array_equal(
-            INCREMENTAL.probe_feasible_tasks(part, idx),
-            BATCH.probe_feasible_tasks(cold, idx),
-        )
+    for backend in (BATCH, SCALAR):
+        for i in idx:
+            np.testing.assert_array_equal(
+                backend.probe(part, i), BATCH.probe(cold, i)
+            )
+            np.testing.assert_array_equal(
+                backend.probe_feasible(part, i),
+                BATCH.probe_feasible(cold, i),
+            )
+        if idx:
+            np.testing.assert_array_equal(
+                backend.probe_tasks(part, idx),
+                BATCH.probe_tasks(cold, idx),
+            )
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert available_backends() == ("batch", "incremental", "scalar")
+    def test_both_backends_registered(self):
+        assert available_backends() == ("batch", "scalar")
 
     def test_get_backend_returns_named_instance(self):
         for name in available_backends():
@@ -107,10 +102,7 @@ class TestRegistry:
             def probe_feasible(self, partition, task_index):
                 raise NotImplementedError
 
-            def probe_tasks(self, partition, task_indices, rule="max"):
-                raise NotImplementedError
-
-            def probe_feasible_tasks(self, partition, task_indices):
+            def probe_tasks(self, partition, task_indices, rule="max", cores=None):
                 raise NotImplementedError
 
         with pytest.raises(ModelError, match="name"):
@@ -118,7 +110,7 @@ class TestRegistry:
 
 
 class TestIncrementalEquivalence:
-    """Warm incremental state == cold batch rebuild, under any mutation."""
+    """Probes on an incrementally mutated partition == a cold rebuild."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_assign_unassign_interleaving(self, seed):
@@ -141,15 +133,19 @@ class TestIncrementalEquivalence:
 
     @pytest.mark.parametrize("rule", ["max", "min"])
     def test_rules_are_cached_independently(self, rng, rule):
-        ts = random_taskset(rng, n=10, levels=2, max_u=0.5)
+        ts = random_taskset(rng, n=10, levels=3, max_u=0.5)
         part = Partition(ts, cores=3)
-        # Warm both rule caches, mutate, re-probe: each rule must see
-        # the mutation (a shared cache row would leak the other rule's
-        # values or the stale ones).
-        INCREMENTAL.probe(part, 0, rule="max")
-        INCREMENTAL.probe(part, 0, rule="min")
+        # Warm both per-rule Eq.-(9) caches, mutate, re-read: each rule
+        # must see the mutation (a shared cache row would leak the
+        # other rule's values or the stale ones).
+        part.core_utilizations("max")
+        part.core_utilizations("min")
         part.assign(1, 0)
-        got = INCREMENTAL.probe(part, 0, rule=rule)
+        np.testing.assert_array_equal(
+            part.core_utilizations(rule),
+            fresh_rebuild(part).core_utilizations(rule),
+        )
+        got = BATCH.probe(part, 0, rule=rule)
         want = BATCH.probe(fresh_rebuild(part), 0, rule=rule)
         np.testing.assert_array_equal(got, want)
 
@@ -157,20 +153,24 @@ class TestIncrementalEquivalence:
         ts = random_taskset(rng, n=8)
         part = Partition(ts, cores=3)
         part.assign(0, 1)
-        first = INCREMENTAL.probe(part, 2)
-        second = INCREMENTAL.probe(part, 2)
-        np.testing.assert_array_equal(first, second)
-        # Returned rows are copies: the caller cannot poison the cache.
-        first[:] = -1.0
-        np.testing.assert_array_equal(INCREMENTAL.probe(part, 2), second)
+        for backend in (BATCH, SCALAR):
+            first = backend.probe(part, 2)
+            second = backend.probe(part, 2)
+            np.testing.assert_array_equal(first, second)
+            # Returned rows are fresh arrays: the caller cannot poison
+            # a later answer.
+            first[:] = -1.0
+            np.testing.assert_array_equal(backend.probe(part, 2), second)
 
     def test_duplicate_task_indices_in_micro_batch(self, rng):
         ts = random_taskset(rng, n=8)
         part = Partition(ts, cores=3)
         part.assign(0, 0)
-        got = INCREMENTAL.probe_tasks(part, [2, 2, 3])
         want = BATCH.probe_tasks(fresh_rebuild(part), [2, 2, 3])
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(want[0], want[1])
+        for backend in (BATCH, SCALAR):
+            got = backend.probe_tasks(part, [2, 2, 3])
+            np.testing.assert_array_equal(got, want)
 
     def test_preference_order_scans_match_all_backends(self, rng):
         for _ in range(10):
@@ -192,42 +192,40 @@ class TestIncrementalEquivalence:
 
 
 class TestInvalidation:
-    """The satellite-2 regression: unassign must invalidate warm state."""
+    """``unassign`` and ``extended`` leave nothing stale behind."""
 
     def test_unassign_then_probe_same_core(self, rng):
         ts = random_taskset(rng, n=10, levels=3, max_u=0.4)
         part = Partition(ts, cores=3)
         for i in range(6):
             part.assign(i, i % 3)
-        warm = INCREMENTAL.probe(part, 7)  # warm every column
+        before = BATCH.probe(part, 7)
         part.unassign(3)  # core 0 shrinks
-        got = INCREMENTAL.probe(part, 7)
         want = BATCH.probe(fresh_rebuild(part), 7)
-        np.testing.assert_array_equal(got, want)
-        assert not np.array_equal(got, warm) or np.array_equal(
-            want, warm
-        )  # if values moved, the cache must have moved with them
+        for backend in (BATCH, SCALAR):
+            np.testing.assert_array_equal(backend.probe(part, 7), want)
+        # Only core 0 changed, so only its column may move.
+        np.testing.assert_array_equal(want[1:], before[1:])
 
     def test_unassign_then_candidate_stacks_on_warm_prefix(self, rng):
         """unassign + probes on an ``extended`` (warm-prefix) partition.
 
-        The PR-6 warm-prefix path carries level matrices and version
-        counters verbatim; a missed version bump in ``unassign`` would
-        let the carried cache answer with the pre-unassign column.
+        The warm-prefix path carries level matrices and counts
+        verbatim; ``unassign`` on the grown partition must rebuild the
+        core from its remaining tasks, old and new alike.
         """
         ts = random_taskset(rng, n=8, levels=2, max_u=0.4)
         part = Partition(ts, cores=3)
         for i in range(8):
             part.assign(i, i % 3)
-        INCREMENTAL.probe_tasks(part, list(range(8)))  # warm the table
         grown = MCTaskSet(
             list(ts) + [make_task([0.1, 0.2], period=50.0, name="new")],
             levels=2,
         )
         ext = part.extended(grown)
-        ext.unassign(0)  # mutate a prefix core under the carried cache
+        ext.unassign(0)  # mutate a prefix core of the carried matrices
         np.testing.assert_array_equal(
-            INCREMENTAL.probe_tasks(ext, list(range(9))),
+            BATCH.probe_tasks(ext, list(range(9))),
             BATCH.probe_tasks(fresh_rebuild(ext), list(range(9))),
         )
         np.testing.assert_array_equal(
@@ -235,67 +233,73 @@ class TestInvalidation:
             fresh_rebuild(ext).candidate_stacks(np.arange(9)),
         )
 
-    def test_snapshot_starts_cold_and_stays_consistent(self, rng):
+    def test_snapshot_stays_consistent(self, rng):
         ts = random_taskset(rng, n=6)
         part = Partition(ts, cores=2)
         part.assign(0, 0)
-        INCREMENTAL.probe(part, 1)
         snap = part.snapshot()
-        assert snap.probe_state == {}
-        np.testing.assert_array_equal(
-            INCREMENTAL.probe(snap, 1), BATCH.probe(fresh_rebuild(part), 1)
-        )
+        want = BATCH.probe(fresh_rebuild(part), 1)
+        part.assign(2, 0)  # the live partition moves on, the copy does not
+        for backend in (BATCH, SCALAR):
+            np.testing.assert_array_equal(backend.probe(snap, 1), want)
 
-    def test_extended_drops_rows_of_appended_indices(self, rng):
-        """Index ``n`` in the grown set is a *different* task."""
-        ts = random_taskset(rng, n=4, levels=2, max_u=0.3)
-        part = Partition(ts, cores=2)
-        part.assign(0, 0)
-        part.assign(1, 1)
-        # Warm a row for every index, including 2 and 3 (unassigned).
-        INCREMENTAL.probe_tasks(part, [0, 1, 2, 3])
-        heavy = make_task([0.6, 0.9], period=10.0, name="heavy")
-        grown = MCTaskSet(list(ts)[:4] + [heavy], levels=2)
-        ext = part.extended(grown)
-        got = INCREMENTAL.probe(ext, 4)
-        want = BATCH.probe(fresh_rebuild(ext), 4)
-        np.testing.assert_array_equal(got, want)
+
+class TestColumnSelection:
+    """``probe_tasks(..., cores=...)`` == the matching full-grid columns."""
+
+    @pytest.mark.parametrize("backend", [BATCH, SCALAR], ids=lambda b: b.name)
+    @pytest.mark.parametrize("rule", ["max", "min"])
+    def test_selected_columns_match_full_grid(self, rng, backend, rule):
+        for _ in range(5):
+            ts = random_taskset(rng, n=12, levels=3, max_u=0.4)
+            part = Partition(ts, cores=4)
+            for i in range(0, 12, 2):
+                part.assign(i, int(rng.integers(4)))
+            idx = list(range(1, 12, 2))
+            full = backend.probe_tasks(part, idx, rule=rule)
+            for cores in ([2], [3, 0], [1, 1], []):
+                got = backend.probe_tasks(part, idx, rule=rule, cores=cores)
+                assert got.shape == (len(idx), len(cores))
+                np.testing.assert_array_equal(got, full[:, cores])
+
+    def test_empty_task_list_keeps_the_column_count(self, rng):
+        part = Partition(random_taskset(rng, n=4), cores=3)
+        for backend in (BATCH, SCALAR):
+            assert backend.probe_tasks(part, [], cores=[1]).shape == (0, 1)
+            assert backend.probe_tasks(part, []).shape == (0, 3)
+
+    @pytest.mark.parametrize("cores", [[3], [-1], [[0]]])
+    def test_out_of_range_selection_rejected(self, rng, cores):
+        part = Partition(random_taskset(rng, n=4), cores=3)
+        for backend in (BATCH, SCALAR):
+            with pytest.raises(PartitionError, match="cores must be"):
+                backend.probe_tasks(part, [0], cores=cores)
 
 
 class TestObservability:
-    def test_cache_hits_and_fresh_work_are_separated(self, rng):
-        ts = random_taskset(rng, n=8)
-        part = Partition(ts, cores=4)
-        with obs.collect() as registry:
-            INCREMENTAL.probe(part, 0)  # 4 fresh columns
-            INCREMENTAL.probe(part, 0)  # 4 cached columns
-            part.assign(1, 2)
-            INCREMENTAL.probe(part, 0)  # 1 fresh, 3 cached
-            counters = registry.snapshot()["counters"]
-        assert counters["probe.calls.incremental"] == 3
-        assert counters["probe.cores_probed"] == 5
-        assert counters["probe.cache_hits.incremental"] == 7
-
     def test_micro_batch_counts_rows_as_calls(self, rng):
         ts = random_taskset(rng, n=8)
         part = Partition(ts, cores=2)
         with obs.collect() as registry:
-            INCREMENTAL.probe_tasks(part, [0, 1, 2])
+            BATCH.probe_tasks(part, [0, 1, 2])
+            BATCH.probe_tasks(part, [0, 1, 2], cores=[1])
             counters = registry.snapshot()["counters"]
-        assert counters["probe.calls.incremental"] == 3
-        assert counters["probe.cores_probed"] == 6
+        assert counters["probe.calls.batch"] == 6
+        assert counters["probe.cores_probed"] == 9
 
     def test_plain_probe_functions_route_through_contextvar(self, rng):
         ts = random_taskset(rng, n=6)
         part = Partition(ts, cores=2)
-        with use_probe_implementation("incremental"):
+        with use_probe_implementation("scalar"):
             with obs.collect() as registry:
                 batch_probe(part, 0)
-                batch_probe_feasible(part, 0)
                 batch_probe_tasks(part, [1, 2])
-                batch_probe_feasible_tasks(part, [1, 2])
+                batch_probe_tasks(part, [1, 2], cores=[0])
+                first_feasible_core(part, 0)
                 counters = registry.snapshot()["counters"]
-        assert counters["probe.calls.incremental"] == 6
+        # Scalar counts one call per evaluated (task, core) hypothesis.
+        assert counters["probe.calls.scalar"] == 2 + 4 + 2 + 1
+        assert "probe.calls.batch" not in counters
 
 
 class TestEpsBoundary:
@@ -306,7 +310,7 @@ class TestEpsBoundary:
             [make_task([util], period=10.0, name="a")], levels=1
         )
         part = Partition(ts, cores=1)
-        return INCREMENTAL.probe_feasible(part, 0)
+        return BATCH.probe_feasible(part, 0)
 
     def test_exactly_unit_capacity_is_feasible(self):
         assert fits_unit_capacity(1.0)
@@ -328,6 +332,5 @@ class TestEpsBoundary:
             answers = set()
             for name in available_backends():
                 part = Partition(ts, cores=2)
-                with use_probe_implementation(name):
-                    answers.add(batch_probe_feasible(part, 0).tobytes())
+                answers.add(get_backend(name).probe_feasible(part, 0).tobytes())
             assert len(answers) == 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import batch_core_utilization, core_utilization
 from repro.model import Partition
 from repro.partition import (
     CATPA,
@@ -20,13 +21,12 @@ from repro.partition import (
     HybridPartitioner,
     WorstFitDecreasing,
 )
+from repro.partition.backend import get_backend
 from repro.partition.probe import (
-    batch_candidate_matrices,
     batch_probe,
-    batch_probe_feasible,
-    batch_probe_feasible_tasks,
     batch_probe_tasks,
     candidate_level_matrix,
+    first_finite_probe,
     probe_core_utilization,
     probe_feasible,
     probe_implementation,
@@ -52,7 +52,7 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=10, levels=4, max_u=0.4)
             part = random_partial_partition(rng, ts, cores=4)
             task = int(rng.integers(0, len(ts)))
-            stack = batch_candidate_matrices(part, task)
+            stack = part.candidate_stack(task)
             for m in range(4):
                 np.testing.assert_array_equal(
                     stack[m], candidate_level_matrix(part, m, task)
@@ -78,7 +78,7 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=12, levels=2, max_u=0.6)
             part = random_partial_partition(rng, ts, cores=3)
             task = int(rng.integers(0, len(ts)))
-            batch = batch_probe_feasible(part, task)
+            batch = get_backend("batch").probe_feasible(part, task)
             scalar = np.array(
                 [probe_feasible(part, m, task) for m in range(3)]
             )
@@ -154,39 +154,47 @@ class TestMicroBatchProbes:
         want = np.stack([batch_probe(part, i, rule=rule) for i in idx])
         assert np.array_equal(got, want)  # bit-identical, same kernel
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_batch_probe_feasible_tasks_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        ts = random_taskset(rng, n=14)
-        part = random_partial_partition(rng, ts, cores=4)
-        idx = [i for i in range(len(ts)) if part.core_of(i) < 0][:5]
-        got = batch_probe_feasible_tasks(part, idx)
-        want = np.stack([batch_probe_feasible(part, i) for i in idx])
-        assert np.array_equal(got, want)
-
     def test_scalar_path_matches_batch_path(self):
         rng = np.random.default_rng(3)
         ts = random_taskset(rng, n=12)
         part = random_partial_partition(rng, ts, cores=3)
         idx = list(range(len(ts)))
         batch_utils = batch_probe_tasks(part, idx)
-        batch_feas = batch_probe_feasible_tasks(part, idx)
         with use_probe_implementation("scalar"):
             scalar_utils = batch_probe_tasks(part, idx)
-            scalar_feas = batch_probe_feasible_tasks(part, idx)
         np.testing.assert_allclose(scalar_utils, batch_utils, rtol=0, atol=1e-12)
-        assert np.array_equal(scalar_feas, batch_feas)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(1)
         ts = random_taskset(rng, n=6)
         part = random_partial_partition(rng, ts, cores=2)
         assert batch_probe_tasks(part, []).shape == (0, 2)
-        assert batch_probe_feasible_tasks(part, []).shape == (0, 2)
 
     def test_bad_rule_rejected(self):
+        """Every public entry point taking an Eq.-(9) rule rejects an
+        unknown one with the same message — even on an overloaded
+        matrix, where no condition holds and no aggregation runs."""
         rng = np.random.default_rng(1)
         ts = random_taskset(rng, n=6)
-        part = random_partial_partition(rng, ts, cores=2)
-        with pytest.raises(ModelError, match="rule"):
-            batch_probe_tasks(part, [0], rule="median")
+        part = Partition(ts, cores=2)
+        part.assign(1, 0)
+        overloaded = np.array([[1.5, 0.0], [0.0, 0.0]])
+        entry_points = [
+            lambda rule: core_utilization(np.zeros((2, 2)), rule=rule),
+            lambda rule: core_utilization(overloaded, rule=rule),
+            lambda rule: batch_core_utilization(overloaded[None], rule=rule),
+            lambda rule: part.core_utilizations(rule=rule),
+            lambda rule: Partition(ts, cores=2).core_utilizations(rule=rule),
+            lambda rule: probe_core_utilization(part, 0, 0, rule=rule),
+            lambda rule: batch_probe(part, 0, rule=rule),
+            lambda rule: batch_probe_tasks(part, [0], rule=rule),
+            lambda rule: batch_probe_tasks(part, [0], rule=rule, cores=[1]),
+            lambda rule: first_finite_probe(part, 0, [1, 0], rule=rule),
+        ]
+        message = r"unknown Eq\. \(9\) rule 'median'; use 'max' or 'min'"
+        for impl in ("batch", "scalar"):
+            with use_probe_implementation(impl):
+                for call in entry_points:
+                    call("max")  # the entry point itself works
+                    with pytest.raises(ModelError, match=message):
+                        call("median")

@@ -5,16 +5,22 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.partition.backend import DEFAULT_BACKEND
 from repro.partition.registry import PAPER_SCHEMES, get_partitioner
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.coordinator import Coordinator
+from repro.serve.daemon import ServeConfig
 from repro.serve.protocol import AdmitRequest, PlaceRequest, ProtocolError
 from repro.serve.state import ServeState
 from repro.types import ReproError
 from tests.conftest import make_task, random_taskset
 
 
-def make_coordinator(cores=2, levels=2, probe_impl="incremental"):
+def make_coordinator(cores=2, levels=2, probe_impl=None):
+    """A coordinator over fresh state; ``None`` keeps both defaults."""
+    if probe_impl is None:
+        state = ServeState(cores=cores, levels=levels)
+        return Coordinator(state, MicroBatcher()), state
     state = ServeState(cores=cores, levels=levels, probe_impl=probe_impl)
     return Coordinator(state, MicroBatcher(), probe_impl=probe_impl), state
 
@@ -137,41 +143,85 @@ class TestPlace:
         assert state.partition is None
 
     def test_backend_choice_never_moves_a_placement(self):
-        """Incremental (warm state across flushes) == batch, decision-level."""
-        tasks = [
+        """scalar == batch == one request per flush, decision-level.
+
+        The first flush holds two identical tasks on an empty system:
+        both rows first probe best on core 0, and placing the first
+        moves the second's best core to 1 — a flush that skipped the
+        post-placement column refresh would stack both on core 0.
+        """
+        twins = [make_task([0.3, 0.5], name=f"twin{i}") for i in range(2)]
+        tasks = twins + [
             make_task([u, min(1.9 * u, 0.9)], name=f"t{i}")
             for i, u in enumerate(
                 [0.3, 0.25, 0.4, 0.2, 0.35, 0.15, 0.5, 0.1, 0.45, 0.2]
             )
         ]
+
+        def outcome(bodies, state):
+            return (
+                [(b["accepted"], b["core"]) for b in bodies],
+                state.partition.assignment.tolist(),
+                state.partition.level_matrices().tolist(),
+            )
+
         outcomes = []
-        for impl in ("batch", "incremental"):
+        for impl in ("batch", "scalar"):
             coordinator, state = make_coordinator(cores=3, probe_impl=impl)
             bodies = []
-            # Several flushes against the same live state: the second
-            # and later ones hit the carried-over warm state.
-            for chunk in (tasks[:4], tasks[4:7], tasks[7:]):
+            # Several multi-request flushes against the same live state.
+            for chunk in (tasks[:2], tasks[2:6], tasks[6:9], tasks[9:]):
                 bodies += flush_many(
                     coordinator, [("place", PlaceRequest(t)) for t in chunk]
                 )
-            outcomes.append(
-                (
-                    [(b["accepted"], b["core"]) for b in bodies],
-                    state.partition.assignment.tolist(),
-                    state.partition.level_matrices().tolist(),
+            outcomes.append(outcome(bodies, state))
+        sequential, state = make_coordinator(cores=3)
+        bodies = [flush_one(sequential, "place", PlaceRequest(t)) for t in tasks]
+        outcomes.append(outcome(bodies, state))
+        assert outcomes[0][0][:2] == [(True, 0), (True, 1)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_multi_request_flush_decisions_are_pinned(self):
+        """Four multi-request flushes (with rejections) give exactly the
+        decisions and final level matrices of the warm-cache placement
+        path this flush replaced, under every backend."""
+        tasks = list(
+            random_taskset(np.random.default_rng(14), n=24, levels=2, max_u=0.35)
+        )
+        want_decisions = [
+            (True, 0), (True, 1), (True, 2), (True, 0), (True, 2), (True, 1),
+            (True, 0), (True, 2), (True, 0), (True, 1), (False, None),
+            (False, None), (False, None), (True, 1), (True, 0), (False, None),
+            (False, None), (True, 1), (False, None), (True, 2), (False, None),
+            (True, 1), (True, 1), (True, 2),
+        ]
+        want_matrices = [
+            [[0.368592492448762, 0.0], [0.37848926986970194, 0.5853967921619261]],
+            [[0.12077900051076448, 0.0], [0.5899704115096884, 0.8340807128188785]],
+            [[0.5254699306372653, 0.0], [0.31732727828681034, 0.4285831135339019]],
+        ]
+        for impl in ("batch", "scalar"):
+            coordinator, state = make_coordinator(cores=3, probe_impl=impl)
+            bodies = []
+            for lo, hi in ((0, 5), (5, 11), (11, 18), (18, 24)):
+                bodies += flush_many(
+                    coordinator,
+                    [("place", PlaceRequest(t)) for t in tasks[lo:hi]],
                 )
-            )
-        assert outcomes[0] == outcomes[1]
+            assert [(b["accepted"], b["core"]) for b in bodies] == want_decisions
+            assert state.partition.level_matrices().tolist() == want_matrices
 
     def test_unknown_probe_impl_rejected_at_construction(self):
         with pytest.raises(ReproError, match="unknown probe implementation"):
             Coordinator(ServeState(cores=2), MicroBatcher(), probe_impl="simd")
 
-    def test_default_backend_is_incremental(self):
+    def test_default_backend_is_batch(self):
         coordinator, state = make_coordinator()
-        assert coordinator.probe_impl == "incremental"
-        assert state.snapshot.probe_impl == "incremental"
-        assert state.snapshot.to_dict()["probe_impl"] == "incremental"
+        assert DEFAULT_BACKEND == "batch"
+        assert coordinator.probe_impl == DEFAULT_BACKEND
+        assert state.snapshot.probe_impl == DEFAULT_BACKEND
+        assert state.snapshot.to_dict()["probe_impl"] == DEFAULT_BACKEND
+        assert ServeConfig().probe_impl == DEFAULT_BACKEND
 
     def test_mixed_admit_and_place_flush(self):
         ts = random_taskset(np.random.default_rng(3), n=5)

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.analysis.explain import EXPLAIN_VERSION, explain_admission
 from repro.model.io import taskset_to_dict
+from repro.partition.backend import DEFAULT_BACKEND
 from tests.conftest import random_taskset
 from tests.serve.conftest import DaemonHarness, task_entry
 
@@ -39,14 +40,11 @@ class TestExplainEndpoint:
         status, body = run(main())
         assert status == 200
         assert body["version"] == EXPLAIN_VERSION
-        # The daemon decided under its incremental backend; offline
-        # explain defaults to the ambient batch backend.  Backends are
-        # bit-identical, so only the recorded name may differ.
-        assert body["probe_impl"] == "incremental"
+        # The daemon and offline explain both decide under the default
+        # backend, so the documents agree field for field.
+        assert body["probe_impl"] == DEFAULT_BACKEND
         offline = explain_admission(ts, 3).to_dict()
-        body.pop("probe_impl")
         body.pop("request_id", None)
-        offline.pop("probe_impl")
         assert body == offline
 
     def test_rejected_explain_carries_candidates(self):

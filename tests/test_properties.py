@@ -29,7 +29,8 @@ from repro.analysis import (
 from repro.analysis.dual import DualUtilizations, is_feasible_classic
 from repro.metrics import imbalance_factor
 from repro.model import MCTask, MCTaskSet, Partition
-from repro.partition.backend import BatchBackend, IncrementalBackend
+from repro.partition.backend import available_backends, get_backend
+from repro.partition.probe import batch_probe_tasks, use_probe_implementation
 from repro.types import EPS, fits_unit_capacity
 
 # ----------------------------------------------------------------------
@@ -218,69 +219,53 @@ class TestPartitionProperties:
 
 
 # ----------------------------------------------------------------------
-# Incremental probe-backend invariants
+# Probe-backend invariants: the /place flush's column refresh
 # ----------------------------------------------------------------------
 
 
-class TestIncrementalBackendProperties:
-    """The incremental backend's warm Δ-state is unobservable.
+class TestColumnRefreshProperties:
+    """Re-probing only the placed core's column is unobservable.
 
-    After *any* interleaving of ``assign``/``unassign``/``extended``,
-    every probe answered from the warm per-core cache must be bit-equal
-    to the batch backend's answer on a from-scratch rebuild of the same
-    assignment.
+    The serve flush probes a micro-batch once, then after every
+    placement on core ``c`` re-probes column ``c`` of the rows still
+    waiting.  Whatever the task set, core count, warm prefix and
+    micro-batch, those refreshed rows must equal a full re-probe bit
+    for bit — under every backend.
     """
 
     @given(data=st.data())
-    @settings(deadline=None, max_examples=30)
-    def test_interleaving_leaves_state_equal_to_rebuild(self, data):
-        batch = BatchBackend()
-        incremental = IncrementalBackend()
-        ts = data.draw(mc_tasksets(min_tasks=2, max_tasks=6, levels=3))
-        cores = data.draw(st.integers(min_value=1, max_value=3))
-        part = Partition(ts, cores)
-        n_ops = data.draw(st.integers(min_value=1, max_value=10))
-        for _ in range(n_ops):
-            assigned = [i for i in range(len(ts)) if part.core_of(i) >= 0]
-            free = [i for i in range(len(ts)) if part.core_of(i) < 0]
-            ops = ["probe", "extended"]
-            if free:
-                ops.append("assign")
-            if assigned:
-                ops.append("unassign")
-            op = data.draw(st.sampled_from(ops))
-            if op == "assign":
-                task = data.draw(st.sampled_from(free))
-                part.assign(task, data.draw(st.integers(0, cores - 1)))
-            elif op == "unassign":
-                part.unassign(data.draw(st.sampled_from(assigned)))
-            elif op == "extended":
-                grown = MCTaskSet(
-                    list(ts) + [data.draw(mc_tasks(max_levels=3))],
-                    levels=3,
-                )
-                part = part.extended(grown)
-                ts = grown
-            # Warm (or re-warm) the incremental state, then compare the
-            # whole probe surface against a cold rebuild.
-            idx = list(range(len(ts)))
-            rebuilt = Partition.from_assignment(ts, cores, part.assignment)
-            np.testing.assert_array_equal(
-                incremental.probe_tasks(part, idx),
-                batch.probe_tasks(rebuilt, idx),
+    @settings(deadline=None, max_examples=40)
+    def test_column_refresh_equals_full_reprobe(self, data):
+        ts = data.draw(mc_tasksets(min_tasks=2, max_tasks=10, levels=3))
+        cores = data.draw(st.integers(min_value=1, max_value=4))
+        placed = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=cores - 1),
+                max_size=len(ts) - 1,
             )
-            np.testing.assert_array_equal(
-                incremental.probe_feasible_tasks(part, idx),
-                batch.probe_feasible_tasks(rebuilt, idx),
-            )
-            task = data.draw(st.sampled_from(idx))
-            np.testing.assert_array_equal(
-                incremental.probe(part, task), batch.probe(rebuilt, task)
-            )
-            np.testing.assert_array_equal(
-                incremental.probe_feasible(part, task),
-                batch.probe_feasible(rebuilt, task),
-            )
+        )
+        batch = data.draw(
+            st.permutations(range(len(placed), len(ts))).map(list)
+        )
+        for impl in available_backends():
+            part = Partition(ts, cores)
+            for i, core in enumerate(placed):
+                part.assign(i, core)
+            with use_probe_implementation(impl):
+                utils = batch_probe_tasks(part, batch)
+                for t, task in enumerate(batch):
+                    finite = np.isfinite(utils[t])
+                    if not finite.any():
+                        continue
+                    core = int(np.argmin(np.where(finite, utils[t], np.inf)))
+                    part.assign(task, core)
+                    rest = batch[t + 1 :]
+                    utils[t + 1 :, [core]] = batch_probe_tasks(
+                        part, rest, cores=[core]
+                    )
+                    np.testing.assert_array_equal(
+                        utils[t + 1 :], batch_probe_tasks(part, rest)
+                    )
 
     @given(
         st.floats(min_value=-4.0, max_value=4.0),
@@ -290,20 +275,19 @@ class TestIncrementalBackendProperties:
     def test_eps_boundary_feasibility_agrees_with_fits_unit_capacity(
         self, offset_in_eps, cores
     ):
-        # Utilizations straddling 1.0 by fractions of EPS: the probe's
-        # feasibility verdict on an empty core must match the Eq.-(4)
-        # capacity predicate exactly, through the warm cache too.
+        # Utilizations straddling 1.0 by fractions of EPS: every
+        # backend's feasibility verdict on an empty core must match the
+        # Eq.-(4) capacity predicate exactly.
         util = 1.0 + offset_in_eps * EPS
         ts = MCTaskSet(
             [MCTask.from_utilizations([util], period=10.0)], levels=1
         )
         part = Partition(ts, cores)
-        incremental = IncrementalBackend()
         expected = fits_unit_capacity(util)
-        cold = incremental.probe_feasible(part, 0)
-        warm = incremental.probe_feasible(part, 0)
-        assert cold.all() == expected
-        np.testing.assert_array_equal(cold, warm)
+        for impl in available_backends():
+            feasible = get_backend(impl).probe_feasible(part, 0)
+            assert feasible.shape == (cores,)
+            assert (feasible == expected).all()
 
 
 # ----------------------------------------------------------------------
