@@ -16,11 +16,11 @@ ISSUE acceptance criteria from the outside:
     (``serve.batch_size`` p50 > 1 in the exported metrics).
 3.  **Live telemetry** — while the daemon is still serving:
     ``GET /metrics?format=prometheus`` parses as text exposition 0.0.4
-    with ordered histogram buckets, ``GET /metrics/history`` returns
-    the versioned windowed series (saved as the ``windowed-metrics``
-    CI artifact), the ``serve_headroom`` gauge exposes a finite sample,
-    and ``repro-mc top --once <url>`` renders a frame with a headroom
-    row.
+    with one ``# TYPE`` line per family and ordered histogram buckets,
+    ``GET /metrics/history`` returns the versioned windowed series
+    (saved as the ``windowed-metrics`` CI artifact), the
+    ``serve_headroom`` gauge exposes a finite sample, and ``repro-mc top
+    --once <url>`` renders a frame with a headroom row.
 4.  **Graceful shutdown** — SIGINT drains the queue, the process exits
     0, and the metrics dump + run manifest are written.
 5.  **SLO gate** — the daemon runs with ``--slo`` rules; the exported
@@ -320,7 +320,10 @@ def check_prometheus(host: str, port: int) -> None:
         if line.startswith("# "):
             kind, name = line.split()[1:3]
             assert kind in ("HELP", "TYPE"), line
-            families.add(name)
+            if kind == "TYPE":
+                # A scraper rejects a family typed twice.
+                assert name not in families, f"# TYPE {name} repeated"
+                families.add(name)
             continue
         assert _SAMPLE_RE.match(line), f"unparseable sample line: {line!r}"
     for required in (
@@ -461,7 +464,7 @@ def check_shutdown(proc: subprocess.Popen, metrics_path: Path, burst: dict):
 
     dump = json.loads(metrics_path.read_text())
     counters = dump["metrics"]["counters"]
-    batch = dump["metrics"]["summaries"]["serve.batch_size"]
+    batch = dump["metrics"]["histograms"]["serve.batch_size"]
     assert counters["serve.place.accepted"] == burst["accepted"]
     assert batch["p50"] > 1, (
         f"serve.batch_size p50={batch['p50']} — the burst never coalesced"

@@ -30,7 +30,7 @@ to a minimal JSON repro under ``--repro-dir``::
 
 Instrumented runs write full provenance: ``--json DIR`` drops a
 ``<figure>.manifest.json`` run manifest next to each artifact,
-``--metrics PATH`` dumps the merged counter/summary snapshot, and
+``--metrics PATH`` dumps the merged counter/histogram snapshot, and
 ``--log-json PATH`` streams structured JSONL events.  ``repro-mc
 inspect out/fig1.json`` pretty-prints the manifest of a past run.
 
@@ -243,7 +243,7 @@ def _flag_groups() -> dict[str, argparse.ArgumentParser]:
         "--metrics",
         metavar="PATH",
         help=(
-            "write the merged instrumentation counters/summaries of the "
+            "write the merged instrumentation counters/histograms of the "
             "whole invocation to PATH as JSON"
         ),
     )

@@ -1,12 +1,12 @@
 """repro.obs — lightweight instrumentation for the whole stack.
 
-A process-local registry of counters and bounded summaries, a JSON-lines
-structured event sink carrying a per-run ``run_id``, ``span()`` timing
-context managers, and run manifests with full provenance.  The default
-state is **off** with near-zero overhead: instrumented call sites guard
-on ``OBS.enabled`` (one attribute load + branch), which the
-``benchmarks/test_bench_probe_overhead.py`` gate pins at < 2 % of the
-Theorem-1 probe hot path.
+A process-local registry of counters and exact-merge histograms, a
+JSON-lines structured event sink carrying a per-run ``run_id``,
+``span()`` timing context managers, and run manifests with full
+provenance.  The default state is **off** with near-zero overhead:
+instrumented call sites guard on ``OBS.enabled`` (one attribute load +
+branch), which the ``benchmarks/test_bench_probe_overhead.py`` gate
+pins at < 2 % of the Theorem-1 probe hot path.
 
 Typical use::
 
@@ -39,7 +39,7 @@ from repro.obs.live import (
     parse_slo,
     render_prometheus,
 )
-from repro.obs.metrics import HIST_EDGES, Counter, Histogram, MetricsRegistry, Summary
+from repro.obs.metrics import HIST_EDGES, Counter, Histogram, MetricsRegistry
 from repro.obs.runtime import (
     MAX_SPAN_RECORDS,
     OBS,
@@ -59,7 +59,6 @@ from repro.obs.runtime import (
     record_span,
     scheme_tag,
     span,
-    summary,
 )
 from repro.obs.trace import (
     SpanNode,
@@ -90,7 +89,6 @@ __all__ = [
     "SloResult",
     "SloRule",
     "SpanNode",
-    "Summary",
     "TraceTree",
     "add_span_time",
     "adopt_spans",
@@ -118,7 +116,6 @@ __all__ = [
     "render_prometheus",
     "scheme_tag",
     "span",
-    "summary",
     "to_chrome",
     "to_folded",
     "write_manifest",

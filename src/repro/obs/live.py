@@ -292,13 +292,11 @@ def render_prometheus(
 ) -> str:
     """Prometheus text exposition (0.0.4) of a registry + gauge readings.
 
-    Counters become ``<name>_total`` counter families, summaries become
-    ``summary`` families with ``quantile`` labels (reservoir-approximate
-    — prefer the histograms), histograms become native ``histogram``
-    families with the full fixed ``le`` ladder (cross-scrape merges by
-    any consumer stay exact), and gauge readings become ``gauge``
-    families.  Output groups samples by family and is sorted, so diffs
-    are stable.
+    Counters become ``<name>_total`` counter families, histograms become
+    native ``histogram`` families with the full fixed ``le`` ladder
+    (cross-scrape merges by any consumer stay exact), and gauge readings
+    become ``gauge`` families.  Output groups samples by family and is
+    sorted, so diffs are stable.
     """
     families: dict[tuple[str, str], list[str]] = {}
 
@@ -311,17 +309,6 @@ def render_prometheus(
     for name in sorted(registry.counters):
         base, labels = _split_name(name)
         sample(f"{base}_total", "counter", "", labels, registry.counters[name].value)
-    for name in sorted(registry.summaries):
-        summary = registry.summaries[name]
-        base, labels = _split_name(name)
-        if summary.count:
-            for q in (50.0, 95.0):
-                joined = f'quantile="{q / 100}"'
-                if labels:
-                    joined = f"{labels},{joined}"
-                sample(base, "summary", "", joined, summary.percentile(q))
-        sample(base, "summary", "_sum", labels, summary.total)
-        sample(base, "summary", "_count", labels, summary.count)
     for name in sorted(registry.histograms):
         hist = registry.histograms[name]
         base, labels = _split_name(name)
@@ -438,10 +425,10 @@ def evaluate_slo(rule: SloRule, view) -> SloResult:
 class MetricsView:
     """SLO view over an exported metrics snapshot (post-mortem gating).
 
-    ``snapshot`` is the ``{"counters", "summaries", "histograms"}`` dict
-    a metrics dump carries.  ``elapsed`` (seconds) turns counter totals
-    into rates; without it, ``rate`` degenerates to the total count,
-    which is still exact for ``== 0`` gates.
+    ``snapshot`` is the ``{"counters", "histograms"}`` dict a metrics
+    dump carries.  ``elapsed`` (seconds) turns counter totals into
+    rates; without it, ``rate`` degenerates to the total count, which
+    is still exact for ``== 0`` gates.
     """
 
     def __init__(self, snapshot: dict, *, elapsed: float | None = None):
@@ -457,8 +444,6 @@ class MetricsView:
         if fn == "value":
             return float("nan")  # snapshots carry no gauges
         digest = self.snapshot.get("histograms", {}).get(metric)
-        if digest is None:
-            digest = self.snapshot.get("summaries", {}).get(metric)
         if not digest or not digest.get("count"):
             return float("nan")
         value = digest.get(fn)

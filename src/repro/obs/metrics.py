@@ -1,4 +1,4 @@
-"""Process-local metric primitives: counters and bounded summaries.
+"""Process-local metric primitives: counters and exact-merge histograms.
 
 Everything here is deliberately boring: plain Python objects with
 ``__slots__``, no locks (the library is single-threaded per process;
@@ -8,14 +8,10 @@ point — when instrumentation is disabled no object in this module is
 even touched (call sites guard on :data:`repro.obs.OBS` ``.enabled``),
 and when it is enabled a counter increment is one attribute add.
 
-:class:`Summary` is the bounded replacement for the old unbounded
-``EngineRunStats.shard_seconds`` list: exact ``count/total/min/max``
-plus approximate ``p50``/``p95`` from a decimating reservoir.  The
-reservoir keeps every ``stride``-th observation; when it fills, every
-other retained sample is dropped and the stride doubles, so memory stays
-at ``<= max_samples`` floats forever while the retained samples remain
-spread over the whole stream.  The policy is deterministic: two
-identical observation streams produce identical summaries.
+:class:`Histogram` is the one distribution primitive: every value stream
+— span timings, batch sizes, observed utilizations — lands in bucket
+counts over globally fixed edges, so any grouping of the same
+observations merges to identical counts.
 """
 
 from __future__ import annotations
@@ -23,10 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "Summary", "Histogram", "MetricsRegistry", "HIST_EDGES"]
-
-#: Reservoir capacity of a :class:`Summary` (floats kept per summary).
-DEFAULT_MAX_SAMPLES = 512
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "HIST_EDGES"]
 
 #: Log-spaced bucket-edge schema of every :class:`Histogram`:
 #: ``10**(k / PER_DECADE)`` for ``k`` in ``[MIN_EXP*PER_DECADE,
@@ -64,138 +57,15 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
-class Summary:
-    """Bounded streaming summary of a float-valued observation stream.
-
-    Exact: ``count``, ``total``, ``min``, ``max``.  Approximate (from
-    the decimating reservoir): :meth:`percentile`.  Memory is bounded by
-    ``max_samples`` regardless of stream length.
-    """
-
-    __slots__ = (
-        "name",
-        "count",
-        "total",
-        "min",
-        "max",
-        "max_samples",
-        "_samples",
-        "_stride",
-        "_pending",
-    )
-
-    def __init__(self, name: str = "", max_samples: int = DEFAULT_MAX_SAMPLES):
-        if max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.max_samples = max_samples
-        self._samples: list[float] = []
-        self._stride = 1  #: keep every _stride-th observation
-        self._pending = 0  #: observations since the last kept sample
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self._pending += 1
-        if self._pending >= self._stride:
-            self._pending = 0
-            self._samples.append(value)
-            if len(self._samples) >= self.max_samples:
-                self._decimate()
-
-    def _decimate(self) -> None:
-        """Halve the reservoir and double the stride (bounded memory)."""
-        self._samples = self._samples[::2]
-        self._stride *= 2
-
-    def percentile(self, q: float) -> float:
-        """Approximate ``q``-th percentile (``0 <= q <= 100``); ``nan`` if empty.
-
-        Nearest-rank over the sorted reservoir — exact while the stream
-        still fits in the reservoir, approximate after decimation.
-        """
-        if not self._samples:
-            return float("nan")
-        ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def as_dict(self) -> dict:
-        """The bounded reporting form: count/total/min/max/p50/p95."""
-        if self.count == 0:
-            return {
-                "count": 0,
-                "total": 0.0,
-                "min": None,
-                "max": None,
-                "p50": None,
-                "p95": None,
-            }
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
-        }
-
-    def state(self) -> dict:
-        """Full transferable state (used for cross-process merging)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self._samples),
-            "stride": self._stride,
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another summary's :meth:`state` into this one.
-
-        Exact fields combine exactly; reservoirs concatenate at the
-        coarser stride and re-decimate to stay bounded.
-        """
-        if not state["count"]:
-            return
-        self.count += int(state["count"])
-        self.total += float(state["total"])
-        self.min = min(self.min, float(state["min"]))
-        self.max = max(self.max, float(state["max"]))
-        self._stride = max(self._stride, int(state["stride"]))
-        self._samples.extend(float(v) for v in state["samples"])
-        while len(self._samples) >= self.max_samples:
-            self._decimate()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Summary {self.name} n={self.count} total={self.total:.6g}>"
-
-
 class Histogram:
-    """Latency histogram over the fixed log-spaced :data:`HIST_EDGES`.
+    """Value-stream histogram over the fixed log-spaced :data:`HIST_EDGES`.
 
-    The complement of :class:`Summary`: a ``Summary`` keeps a bounded
-    *reservoir* (approximate percentiles that decay as the stream grows,
-    merges that depend on merge order), a ``Histogram`` keeps *bucket
-    counts* over globally fixed edges — percentiles quantized to bucket
-    resolution (~1.78x) but **merges are exact and associative**: any
-    grouping of the same observations into processes, shards, or time
-    windows produces identical bucket counts (pinned by a hypothesis
-    property in the engine test suite).
+    Bucket counts over globally fixed edges: percentiles are quantized
+    to bucket resolution (~1.78x), but **merges are exact and
+    associative** — any grouping of the same observations into
+    processes, shards, or time windows produces identical bucket counts
+    (pinned by a hypothesis property in the engine test suite).  Memory
+    is one fixed-length count list, however long the stream.
 
     ``counts[i]`` tallies observations ``v`` with
     ``HIST_EDGES[i-1] < v <= HIST_EDGES[i]``; ``counts[0]`` is the
@@ -252,7 +122,7 @@ class Histogram:
         return self.max  # pragma: no cover - rank <= count always hits
 
     def as_dict(self) -> dict:
-        """Bounded reporting form: count/total/min/max/p50/p95/p99/overflow.
+        """Reporting form: count/total/min/max/p50/p90/p95/p99/overflow.
 
         ``overflow`` is the count of observations past the last bucket
         edge — manifest rendering surfaces it so a saturated histogram
@@ -265,6 +135,7 @@ class Histogram:
                 "min": None,
                 "max": None,
                 "p50": None,
+                "p90": None,
                 "p95": None,
                 "p99": None,
                 "overflow": 0,
@@ -275,6 +146,7 @@ class Histogram:
             "min": self.min,
             "max": self.max,
             "p50": self.percentile(50.0),
+            "p90": self.percentile(90.0),
             "p95": self.percentile(95.0),
             "p99": self.percentile(99.0),
             "overflow": int(self.counts[-1]),
@@ -340,9 +212,9 @@ class Histogram:
 
 @dataclass
 class MetricsRegistry:
-    """A named bag of counters and summaries.
+    """A named bag of counters and histograms.
 
-    ``counter(name)`` / ``summary(name)`` create on first use, so call
+    ``counter(name)`` / ``histogram(name)`` create on first use, so call
     sites never need registration boilerplate.  :meth:`snapshot` is the
     human/JSON reporting form; :meth:`dump` + :meth:`merge` is the exact
     transfer form the engine uses to pull worker-process metrics back
@@ -350,7 +222,6 @@ class MetricsRegistry:
     """
 
     counters: dict[str, Counter] = field(default_factory=dict)
-    summaries: dict[str, Summary] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
@@ -359,12 +230,6 @@ class MetricsRegistry:
             c = self.counters[name] = Counter(name)
         return c
 
-    def summary(self, name: str) -> Summary:
-        s = self.summaries.get(name)
-        if s is None:
-            s = self.summaries[name] = Summary(name)
-        return s
-
     def histogram(self, name: str) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
@@ -372,20 +237,15 @@ class MetricsRegistry:
         return h
 
     def snapshot(self) -> dict:
-        """Reporting form: ``{"counters", "summaries", "histograms"}``.
+        """Reporting form: ``{"counters", "histograms"}``.
 
-        Counters map to ints, summaries to their bounded
-        ``count/total/min/max/p50/p95`` dicts, histograms to their
-        ``count/total/min/max/p50/p95/p99`` digests; keys are sorted so
-        the output is stable for diffing and tests.
+        Counters map to ints, histograms to their
+        ``count/total/min/max/p50/p90/p95/p99/overflow`` digests; keys are
+        sorted so the output is stable for diffing and tests.
         """
         return {
             "counters": {
                 name: self.counters[name].value for name in sorted(self.counters)
-            },
-            "summaries": {
-                name: self.summaries[name].as_dict()
-                for name in sorted(self.summaries)
             },
             "histograms": {
                 name: self.histograms[name].as_dict()
@@ -394,10 +254,9 @@ class MetricsRegistry:
         }
 
     def dump(self) -> dict:
-        """Transfer form: exact counter values + summary/histogram states."""
+        """Transfer form: exact counter values + histogram states."""
         return {
             "counters": {name: c.value for name, c in self.counters.items()},
-            "summaries": {name: s.state() for name, s in self.summaries.items()},
             "histograms": {
                 name: h.state() for name, h in self.histograms.items()
             },
@@ -406,20 +265,17 @@ class MetricsRegistry:
     def merge(self, dump: dict) -> None:
         """Fold a :meth:`dump` (e.g. from a worker process) into this registry.
 
-        Counters and summaries are *independent namespaces*: a name that
-        arrives as a counter in one dump and as a summary in another
+        Counters and histograms are *independent namespaces*: a name that
+        arrives as a counter in one dump and as a histogram in another
         coexists as both (``snapshot()["counters"][name]`` and
-        ``snapshot()["summaries"][name]``) — merging never converts one
+        ``snapshot()["histograms"][name]``) — merging never converts one
         kind into the other and never raises on a kind collision.
         """
         for name, value in dump.get("counters", {}).items():
             self.counter(name).inc(int(value))
-        for name, state in dump.get("summaries", {}).items():
-            self.summary(name).merge_state(state)
         for name, state in dump.get("histograms", {}).items():
             self.histogram(name).merge_state(state)
 
     def clear(self) -> None:
         self.counters.clear()
-        self.summaries.clear()
         self.histograms.clear()

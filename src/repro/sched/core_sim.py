@@ -467,6 +467,6 @@ def _record_core_report(report: CoreReport) -> None:
     reg.counter("sim.mode_up").inc(report.mode_switches)
     reg.counter("sim.idle_reset").inc(report.idle_resets)
     reg.counter("sim.deadline_miss").inc(report.miss_count)
-    reg.summary("sim.core_utilization_observed").observe(
+    reg.histogram("sim.core_utilization_observed").observe(
         report.utilization_observed
     )

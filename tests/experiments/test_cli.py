@@ -238,7 +238,7 @@ class TestObservability:
         assert manifest["repro_version"] == __version__
         assert manifest["artifact"]["path"] == "fig1.json"
         assert manifest["engine"]["shards_computed"] > 0
-        assert manifest["engine"]["shard_seconds"]["count"] > 0
+        assert manifest["engine"]["shard_seconds_hist"]["count"] > 0
         # Workload counters survived the worker-process boundary.
         counters = manifest["metrics"]["counters"]
         assert any(name.startswith("probe.") for name in counters)
@@ -254,7 +254,7 @@ class TestObservability:
         payload = json.loads(metrics_path.read_text())
         assert payload["run_id"].startswith("r-")
         assert payload["metrics"]["counters"]["engine.shards_computed"] >= 1
-        assert payload["metrics"]["summaries"]["engine.shard_seconds"]["count"] >= 1
+        assert payload["metrics"]["histograms"]["engine.shard_seconds"]["count"] >= 1
 
     def test_log_json_streams_engine_events(self, tiny_fig1, capsys):
         log = tiny_fig1 / "events.jsonl"
@@ -744,9 +744,9 @@ class TestSimulateCommand:
         doc = json.loads(metrics.read_text())
         counters = doc["metrics"]["counters"]
         assert counters["sim.event.injected"] == 6
-        summaries = doc["metrics"]["summaries"]
-        assert "cli.simulate.seconds" in summaries
-        assert "sim.events.compile.seconds" in summaries
+        histograms = doc["metrics"]["histograms"]
+        assert histograms["cli.simulate.seconds"]["count"] == 1
+        assert histograms["sim.events.compile.seconds"]["count"] >= 1
 
     def test_unschedulable_partition_needs_allow_infeasible(
         self, tmp_path, capsys

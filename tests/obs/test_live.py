@@ -18,6 +18,7 @@ from repro.obs.live import (
     render_prometheus,
 )
 from repro.obs.metrics import HIST_EDGES, Histogram, MetricsRegistry
+from repro.obs.runtime import instrument, span
 from repro.types import ReproError
 
 
@@ -169,15 +170,19 @@ class TestRenderPrometheus:
         assert 'probe_calls_total{core="3"} 2' in text
 
     def test_summary_quantiles_sum_count(self):
-        reg = MetricsRegistry()
-        for v in [1.0, 2.0, 3.0]:
-            reg.summary("lat").observe(v)
-        text = render_prometheus(reg)
-        assert "# TYPE lat summary" in text
-        assert 'lat{quantile="0.5"}' in text
-        assert 'lat{quantile="0.95"}' in text
-        assert "lat_sum 6" in text
-        assert "lat_count 3" in text
+        # A span's timing and a direct observation of the same name are
+        # one histogram: the family is typed exactly once, carries no
+        # summary quantiles, and its _sum/_count cover both.
+        with instrument() as state:
+            with span("lat"):
+                pass
+            state.registry.histogram("lat.seconds").observe(2.0)
+            text = render_prometheus(state.registry)
+        assert text.count("# TYPE lat_seconds ") == 1
+        assert "# TYPE lat_seconds histogram" in text
+        assert "summary" not in text and "quantile=" not in text
+        assert "lat_seconds_sum 2" in text
+        assert "lat_seconds_count 2" in text
 
     def test_histogram_buckets_ordered_and_cumulative(self):
         reg = MetricsRegistry()
@@ -306,7 +311,32 @@ class TestMetricsView:
     def test_percentiles_prefer_histograms(self):
         view = MetricsView(self.SNAPSHOT)
         assert view.slo_value("p95", "serve.place.seconds") == 0.004
-        assert view.slo_value("p95", "old.lat") == 0.2
+        # Percentiles come from histograms only: the reservoir section
+        # of an older dump is not read.
+        assert math.isnan(view.slo_value("p95", "old.lat"))
+
+    @pytest.mark.parametrize("fn", ["p50", "p90", "p95", "p99"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.001 + i * 1e-4 for i in range(10)],
+            [10 ** (i / 20 - 4) for i in range(100)],
+        ],
+        ids=["ten-1-2ms", "five-decades"],
+    )
+    def test_post_mortem_percentiles_match_the_live_window(
+        self, live, fn, values
+    ):
+        reg = MetricsRegistry()
+        for v in values:
+            reg.histogram("lat").observe(v)
+            live.observe("lat", v)
+        post_mortem = MetricsView(reg.snapshot()).slo_value(fn, "lat")
+        assert not math.isnan(post_mortem)
+        assert post_mortem == live.slo_value(fn, "lat")
+        rule = parse_slo(f"{fn}(lat) < 20s")
+        assert evaluate_slo(rule, MetricsView(reg.snapshot())).ok
+        assert evaluate_slo(rule, live).ok
 
     def test_missing_metric_is_nan(self):
         view = MetricsView(self.SNAPSHOT)

@@ -38,16 +38,19 @@ def _manifest(tmp_path, **overrides):
             "shards_computed": 9,
             "compute_seconds": 1.25,
             "worker_retries": 0,
-            "shard_seconds": {
+            "shard_seconds_hist": {
                 "count": 9,
                 "total": 1.25,
                 "min": 0.1,
                 "max": 0.3,
-                "p50": 0.12,
-                "p95": 0.29,
+                "p50": 0.1334,
+                "p90": 0.3,
+                "p95": 0.3,
+                "p99": 0.3,
+                "overflow": 0,
             },
         },
-        metrics={"counters": {"probe.cores_probed": 42}, "summaries": {}},
+        metrics={"counters": {"probe.cores_probed": 42}, "histograms": {}},
         events_log="events.jsonl",
     )
     kwargs.update(overrides)
@@ -106,12 +109,12 @@ class TestFormat:
         assert "repro-mc fig1 --sets 4" in text
         assert "1 cache hits" in text
         assert "probe.cores_probed" in text
-        assert "shard_seconds" in text
+        assert "shard_seconds_hist" in text
 
     def test_counter_truncation(self, tmp_path):
         metrics = {
             "counters": {f"c{i:03}": i for i in range(50)},
-            "summaries": {},
+            "histograms": {},
         }
         text = format_manifest(_manifest(tmp_path, metrics=metrics), top=5)
         assert "top 5 of 50" in text
@@ -140,7 +143,6 @@ class TestFormat:
     def test_renders_metrics_histograms_section(self, tmp_path):
         metrics = {
             "counters": {},
-            "summaries": {},
             "histograms": {
                 "serve.place.seconds": {
                     "count": 120,
@@ -169,3 +171,95 @@ class TestFormat:
         assert "serve.place.seconds" in text
         assert "overflow=3" in text
         assert "serve.empty" in text and "(empty)" in text
+
+
+#: A v1 manifest as written before histograms were the only
+#: distribution kind: a reservoir ``shard_seconds`` digest beside
+#: ``shard_seconds_hist``, and a ``metrics.summaries`` section.
+OLD_LAYOUT_V1 = {
+    "manifest_version": 1,
+    "run_id": "r-old",
+    "created": "2026-10-01T12:00:00Z",
+    "repro_version": "0.1.0",
+    "git_describe": None,
+    "command": ["fig1", "--sets", "2", "--json", "out"],
+    "figure": "fig1",
+    "sets": 2,
+    "seed": 2016,
+    "jobs": 1,
+    "engine": {
+        "points": 5,
+        "shards_planned": 5,
+        "cache_hits": 0,
+        "cache_misses": 0,
+        "shards_computed": 5,
+        "compute_seconds": 0.648,
+        "worker_retries": 0,
+        "shard_seconds": {
+            "count": 5,
+            "total": 0.648,
+            "min": 0.0799,
+            "max": 0.1832,
+            "p50": 0.1269,
+            "p95": 0.1832,
+        },
+        "shard_seconds_hist": {
+            "count": 5,
+            "total": 0.648,
+            "min": 0.0799,
+            "max": 0.1832,
+            "p50": 0.1778,
+            "p95": 0.1832,
+            "p99": 0.1832,
+            "overflow": 0,
+        },
+    },
+    "metrics": {
+        "counters": {"engine.shards_computed": 5},
+        "summaries": {
+            "engine.run.seconds": {
+                "count": 1,
+                "total": 0.7,
+                "min": 0.7,
+                "max": 0.7,
+                "p50": 0.7,
+                "p95": 0.7,
+            },
+        },
+        "histograms": {
+            "engine.shard_seconds": {
+                "count": 5,
+                "total": 0.648,
+                "min": 0.0799,
+                "max": 0.1832,
+                "p50": 0.1778,
+                "p95": 0.1832,
+                "p99": 0.1832,
+                "overflow": 0,
+            },
+        },
+    },
+    "events_log": None,
+}
+
+
+class TestOldLayout:
+    """v1 manifests written with reservoir digests still inspect."""
+
+    def test_format_renders_histogram_rows(self):
+        text = format_manifest(OLD_LAYOUT_V1)
+        assert "Run manifest (v1)" in text
+        assert "shard_seconds_hist" in text and "p50=0.1778" in text
+        assert "Histograms" in text
+        assert "engine.shard_seconds" in text and "p99=0.1832" in text
+        # The reservoir digests are skipped, not rendered.
+        assert "engine.run.seconds" not in text
+
+    def test_inspect_exits_zero(self, tmp_path, capsys):
+        from repro import cli
+
+        path = write_manifest(tmp_path / "fig1.manifest.json", OLD_LAYOUT_V1)
+        assert cli.main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "shard_seconds_hist" in out
+        assert "engine.shard_seconds" in out and "p99=0.1832" in out

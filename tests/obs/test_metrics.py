@@ -1,4 +1,4 @@
-"""Unit tests for the counter/summary primitives of repro.obs."""
+"""Unit tests for the counter/histogram primitives of repro.obs."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.obs.metrics import (
-    DEFAULT_MAX_SAMPLES,
     HIST_EDGES,
     HIST_SCHEMA,
     Counter,
     Histogram,
     MetricsRegistry,
-    Summary,
 )
 
 
@@ -28,110 +27,12 @@ class TestCounter:
         assert c.value == 6
 
 
-class TestSummary:
-    def test_empty_as_dict(self):
-        s = Summary("t")
-        assert s.as_dict() == {
-            "count": 0,
-            "total": 0.0,
-            "min": None,
-            "max": None,
-            "p50": None,
-            "p95": None,
-        }
-        assert math.isnan(s.percentile(50))
-        assert math.isnan(s.mean)
-
-    def test_exact_fields(self):
-        s = Summary("t")
-        for v in [3.0, 1.0, 2.0]:
-            s.observe(v)
-        d = s.as_dict()
-        assert d["count"] == 3
-        assert d["total"] == pytest.approx(6.0)
-        assert d["min"] == 1.0
-        assert d["max"] == 3.0
-        assert s.mean == pytest.approx(2.0)
-
-    def test_percentiles_exact_before_decimation(self):
-        s = Summary("t")
-        for v in range(1, 101):
-            s.observe(float(v))
-        assert s.percentile(0) == 1.0
-        assert s.percentile(100) == 100.0
-        assert s.percentile(50) == pytest.approx(50.0, abs=1.0)
-
-    def test_memory_stays_bounded(self):
-        s = Summary("t", max_samples=16)
-        for v in range(10_000):
-            s.observe(float(v))
-        assert len(s._samples) < 16
-        assert s.count == 10_000
-        # The reservoir still spans the stream, not just its head.
-        assert s.percentile(95) > 5_000
-
-    def test_rejects_tiny_capacity(self):
-        with pytest.raises(ValueError):
-            Summary("t", max_samples=1)
-
-    def test_decimation_is_deterministic(self):
-        a, b = Summary("a"), Summary("b")
-        for v in range(5 * DEFAULT_MAX_SAMPLES):
-            a.observe(float(v))
-            b.observe(float(v))
-        assert a._samples == b._samples
-        assert a.as_dict() == b.as_dict()
-
-    def test_merge_state_combines_exact_fields(self):
-        a, b = Summary("a"), Summary("b")
-        for v in [1.0, 2.0]:
-            a.observe(v)
-        for v in [10.0, 0.5]:
-            b.observe(v)
-        a.merge_state(b.state())
-        d = a.as_dict()
-        assert d["count"] == 4
-        assert d["total"] == pytest.approx(13.5)
-        assert d["min"] == 0.5
-        assert d["max"] == 10.0
-
-    def test_merge_empty_state_is_a_noop(self):
-        a = Summary("a")
-        a.observe(1.0)
-        before = a.as_dict()
-        a.merge_state(Summary("b").state())
-        assert a.as_dict() == before
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=300,
-        ),
-        st.integers(min_value=1, max_value=299),
-    )
-    def test_merged_equals_sequential_on_exact_fields(self, values, split):
-        split = min(split, len(values))
-        seq = Summary("seq")
-        for v in values:
-            seq.observe(v)
-        left, right = Summary("l"), Summary("r")
-        for v in values[:split]:
-            left.observe(v)
-        for v in values[split:]:
-            right.observe(v)
-        left.merge_state(right.state())
-        assert left.count == seq.count
-        assert left.total == pytest.approx(seq.total)
-        assert left.min == seq.min
-        assert left.max == seq.max
-
-
 class TestHistogram:
     def test_empty(self):
         h = Histogram("t")
         assert h.count == 0
         assert math.isnan(h.percentile(50))
+        assert h.as_dict()["p90"] is None
         assert h.as_dict()["p95"] is None
         assert h.digest()["counts"] == {}
 
@@ -245,10 +146,10 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("a").inc(2)
         reg.counter("a").inc()
-        reg.summary("s").observe(1.5)
+        reg.histogram("s").observe(1.5)
         snap = reg.snapshot()
         assert snap["counters"] == {"a": 3}
-        assert snap["summaries"]["s"]["count"] == 1
+        assert snap["histograms"]["s"]["count"] == 1
 
     def test_snapshot_keys_are_sorted(self):
         reg = MetricsRegistry()
@@ -259,16 +160,16 @@ class TestMetricsRegistry:
     def test_dump_merge_roundtrip(self):
         worker = MetricsRegistry()
         worker.counter("probe.calls").inc(7)
-        worker.summary("seconds").observe(0.25)
-        worker.summary("seconds").observe(0.75)
+        worker.histogram("seconds").observe(0.25)
+        worker.histogram("seconds").observe(0.75)
 
         parent = MetricsRegistry()
         parent.counter("probe.calls").inc(3)
         parent.merge(worker.dump())
         snap = parent.snapshot()
         assert snap["counters"]["probe.calls"] == 10
-        assert snap["summaries"]["seconds"]["count"] == 2
-        assert snap["summaries"]["seconds"]["total"] == pytest.approx(1.0)
+        assert snap["histograms"]["seconds"]["count"] == 2
+        assert snap["histograms"]["seconds"]["total"] == pytest.approx(1.0)
 
     def test_histogram_dump_merge_roundtrip(self):
         worker = MetricsRegistry()
@@ -281,45 +182,52 @@ class TestMetricsRegistry:
         assert snap["histograms"]["lat"]["count"] == 3
         assert parent.histogram("lat").digest()["count"] == 3
 
+    def test_counters_and_histograms_are_the_only_kinds(self):
+        reg = MetricsRegistry()
+        reg.counter("a").inc()
+        reg.histogram("h").observe(0.5)
+        assert set(reg.snapshot()) == {"counters", "histograms"}
+        assert set(reg.dump()) == {"counters", "histograms"}
+        assert not hasattr(reg, "summary")
+        assert not hasattr(obs, "summary") and not hasattr(obs, "Summary")
+
     def test_clear(self):
         reg = MetricsRegistry()
         reg.counter("a").inc()
         reg.clear()
-        assert reg.snapshot() == {
-            "counters": {},
-            "summaries": {},
-            "histograms": {},
-        }
+        assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
 
 class TestMergeKindCollision:
-    """Counters and summaries are independent namespaces (pinned).
+    """Counters and histograms are independent namespaces (pinned).
 
     The same name arriving as a Counter in one worker dump and as a
-    Summary in another must coexist — merge never raises, never converts
-    one kind into the other, and never loses either side's data.
+    Histogram in another must coexist — merge never raises, never
+    converts one kind into the other, and never loses either side's data.
     """
 
     def test_same_name_as_counter_and_summary_coexists(self):
+        # The distribution side of the collision is a histogram, the
+        # registry's one distribution kind.
         counter_worker = MetricsRegistry()
         counter_worker.counter("probe.time").inc(5)
-        summary_worker = MetricsRegistry()
-        summary_worker.summary("probe.time").observe(0.5)
+        histogram_worker = MetricsRegistry()
+        histogram_worker.histogram("probe.time").observe(0.5)
 
         parent = MetricsRegistry()
         parent.merge(counter_worker.dump())
-        parent.merge(summary_worker.dump())
+        parent.merge(histogram_worker.dump())
 
         snap = parent.snapshot()
         assert snap["counters"]["probe.time"] == 5
-        assert snap["summaries"]["probe.time"]["count"] == 1
-        assert snap["summaries"]["probe.time"]["total"] == pytest.approx(0.5)
+        assert snap["histograms"]["probe.time"]["count"] == 1
+        assert snap["histograms"]["probe.time"]["total"] == pytest.approx(0.5)
 
     def test_collision_merge_order_is_irrelevant(self):
         a = MetricsRegistry()
         a.counter("x").inc(2)
         b = MetricsRegistry()
-        b.summary("x").observe(1.0)
+        b.histogram("x").observe(1.0)
 
         forward = MetricsRegistry()
         forward.merge(a.dump())
@@ -332,15 +240,15 @@ class TestMergeKindCollision:
     def test_local_kind_collision_also_coexists(self):
         reg = MetricsRegistry()
         reg.counter("x").inc()
-        reg.summary("x").observe(2.0)
+        reg.histogram("x").observe(2.0)
         snap = reg.snapshot()
         assert snap["counters"]["x"] == 1
-        assert snap["summaries"]["x"]["count"] == 1
+        assert snap["histograms"]["x"]["count"] == 1
 
     def test_dump_roundtrips_both_kinds_of_a_collided_name(self):
         reg = MetricsRegistry()
         reg.counter("x").inc(3)
-        reg.summary("x").observe(1.5)
+        reg.histogram("x").observe(1.5)
         clone = MetricsRegistry()
         clone.merge(reg.dump())
         assert clone.snapshot() == reg.snapshot()

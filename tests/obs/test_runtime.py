@@ -77,12 +77,13 @@ class TestInstrument:
 
 class TestSpanAndTag:
     def test_span_observes_summary_and_emits(self):
+        # The span's timing summary is the ``<name>.seconds`` histogram.
         stream = io.StringIO()
         with obs.instrument(sink=obs.JsonlSink(stream)) as state:
             with obs.span("work", shard=3):
                 pass
-            summaries = state.registry.snapshot()["summaries"]
-        assert summaries["work.seconds"]["count"] == 1
+            histograms = state.registry.snapshot()["histograms"]
+        assert histograms["work.seconds"]["count"] == 1
         event = json.loads(stream.getvalue().splitlines()[0])
         assert event["event"] == "span.work"
         assert event["shard"] == 3

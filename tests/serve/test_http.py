@@ -91,7 +91,7 @@ class TestPlaceEndpoint:
         assert st_status == 200
         assert state["tasks"] == 8
         assert sorted(state["assignment"].count(c) for c in (0, 1)) == [4, 4]
-        batch = metrics["metrics"]["summaries"]["serve.batch_size"]
+        batch = metrics["metrics"]["histograms"]["serve.batch_size"]
         assert batch["p50"] > 1  # the burst really coalesced
 
     def test_infeasible_placement_answers_409(self):
@@ -243,7 +243,7 @@ class TestGracefulShutdown:
         run_id = run(main())
         dump = json.loads(metrics_path.read_text())
         assert dump["run_id"] == run_id
-        assert "serve.batch_size" in dump["metrics"]["summaries"]
+        assert dump["metrics"]["histograms"]["serve.batch_size"]["count"] >= 1
         assert dump["metrics"]["counters"]["serve.place.accepted"] == 1
         manifest = load_manifest(tmp_path / "serve.metrics.manifest.json")
         assert manifest["run_id"] == run_id
@@ -284,6 +284,37 @@ class TestTelemetryEndpoints:
         assert "# TYPE serve_place_seconds histogram" in body
         assert 'serve_place_seconds_bucket{le="+Inf"}' in body
         assert "# TYPE serve_queue_depth gauge" in body
+
+    def test_prometheus_types_each_family_once(self):
+        ts = random_taskset(np.random.default_rng(5), n=6)
+        doc = {"taskset": taskset_to_dict(ts), "cores": 2}
+
+        async def main():
+            async with DaemonHarness(cores=2) as h:
+                await h.client.post("/place", task_entry(10.0, [1.0, 2.0]))
+                await h.client.post("/admit", doc)
+                await h.client.post("/explain", doc)
+                _, metrics = await h.client.get("/metrics")
+                _, _, body = await h.client.get_raw("/metrics?format=prometheus")
+                return metrics["metrics"]["histograms"], body
+
+        histograms, body = run(main())
+        typed = [
+            line.split()[2] for line in body.splitlines() if line.startswith("# TYPE ")
+        ]
+        assert len(typed) == len(set(typed))
+        samples = [
+            line.rsplit(" ", 1)[0]
+            for line in body.splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(samples) == len(set(samples))
+        # Each per-request latency histogram counts its requests only;
+        # the flush-stage spans time under their own names.
+        for kind in ("place", "admit", "explain"):
+            assert histograms[f"serve.{kind}.seconds"]["count"] == 1
+            assert histograms[f"serve.flush.{kind}.seconds"]["count"] == 1
+        assert histograms["serve.handle.seconds"]["count"] >= 3
 
     def test_unknown_metrics_format_is_400(self):
         async def main():

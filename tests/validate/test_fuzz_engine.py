@@ -2,8 +2,9 @@
 
 The campaign is just another shard kind: it must checkpoint/resume
 through the ResultStore, survive worker processes (whose interpreters
-have not imported :mod:`repro.validate`), and produce identical
-payloads serial vs. parallel and cold vs. warm.
+have not imported :mod:`repro.validate`), produce identical payloads
+serial vs. parallel and cold vs. warm, and identical value-stream
+histograms serial vs. parallel.
 """
 
 import subprocess
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro.engine import Engine
 from repro.engine.core import shard_kind
 from repro.gen import WorkloadConfig
@@ -89,3 +91,30 @@ class TestEngineEquivalence:
         again = run_campaign(sets=2, seed=0, store=tmp_path, progress=events.append)
         assert again.cases == result.cases
         assert all(e["cached"] for e in events if e["event"] == "shard")
+
+
+class TestDistributionDigests:
+    def test_jobs1_and_jobs2_value_streams_have_equal_digests(self):
+        """Every non-timing distribution merges exactly across processes.
+
+        Twelve sets per config feed ``sim.core_utilization_observed``
+        704 observations, past the 512 floats a decimating reservoir
+        would keep, so an order-dependent merge shows up here.
+        """
+        digests = []
+        for jobs in (1, 2):
+            with obs.instrument() as state:
+                result = run_campaign(12, 0, jobs=jobs)
+                histograms = state.registry.histograms
+                digests.append(
+                    {
+                        name: hist.digest()
+                        for name, hist in histograms.items()
+                        if not name.endswith("seconds")
+                    }
+                )
+            assert result.ok
+        serial, parallel = digests
+        assert {"sim.core_utilization_observed", "serve.batch_size"} <= set(serial)
+        assert serial["sim.core_utilization_observed"]["count"] > 512
+        assert serial == parallel
