@@ -37,6 +37,7 @@ from repro.metrics.aggregate import SchemeAccumulator, SchemeStats
 from repro.obs import runtime as obs
 from repro.obs.metrics import Histogram
 from repro.partition.backend import DEFAULT_BACKEND, get_backend
+from repro.partition.base import partition_lockstep
 from repro.partition.probe import probe_implementation, use_probe_implementation
 from repro.types import ReproError
 
@@ -103,6 +104,30 @@ def _generate_timed(config: WorkloadConfig, rng):
     return taskset
 
 
+#: Task sets a shard steps in lockstep at once: past a few hundred rows
+#: per kernel call the per-row cost is flat, and the bound keeps a
+#: whole-point (``--jobs 1``) shard from holding every set alive.
+LOCKSTEP_SETS = 64
+
+
+def _shard_results(config, schemes, seed, start, count):
+    """Every set x scheme of one shard, partitioned in lockstep; yields
+    each set's results in scheme order, set by set (accumulator order)."""
+    partitioners = [spec.build() for spec in schemes]
+    for lo in range(start, start + count, LOCKSTEP_SETS):
+        tasksets = [
+            _generate_timed(
+                config,
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+            )
+            for i in range(lo, min(lo + LOCKSTEP_SETS, start + count))
+        ]
+        jobs = [(p, ts, config.cores) for ts in tasksets for p in partitioners]
+        results = iter(partition_lockstep(jobs))
+        for _ in tasksets:
+            yield [next(results) for _ in partitioners]
+
+
 def _run_stats_shard(
     config: WorkloadConfig,
     schemes: tuple[SchemeSpec, ...],
@@ -111,17 +136,13 @@ def _run_stats_shard(
     count: int,
 ) -> list[SchemeAccumulator]:
     """Evaluate task sets ``start .. start+count-1`` of a stats point."""
-    partitioners = [(spec.label, spec.build()) for spec in schemes]
-    accs = {label: SchemeAccumulator(label) for label, _ in partitioners}
-    for i in range(start, start + count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        taskset = _generate_timed(config, rng)
-        for label, partitioner in partitioners:
-            result = partitioner.partition(taskset, config.cores)
+    accs = [SchemeAccumulator(spec.label) for spec in schemes]
+    for results in _shard_results(config, schemes, seed, start, count):
+        for acc, result in zip(accs, results):
             # Accumulators are keyed by label, which may differ from the
             # partitioner's registry name (e.g. alpha variants).
-            accs[label].add(result, check_scheme=False)
-    return list(accs.values())
+            acc.add(result, check_scheme=False)
+    return accs
 
 
 def _run_h2h_shard(
@@ -132,17 +153,11 @@ def _run_h2h_shard(
     count: int,
 ) -> dict:
     """Pairwise dominance tallies over one shard of the common batch."""
-    partitioners = [(spec.label, spec.build()) for spec in schemes]
-    labels = [label for label, _ in partitioners]
+    labels = [spec.label for spec in schemes]
     accepted = {label: 0 for label in labels}
     wins = {a: {b: 0 for b in labels if b != a} for a in labels}
-    for i in range(start, start + count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        taskset = _generate_timed(config, rng)
-        outcome = {
-            label: p.partition(taskset, config.cores).schedulable
-            for label, p in partitioners
-        }
+    for results in _shard_results(config, schemes, seed, start, count):
+        outcome = {lb: r.schedulable for lb, r in zip(labels, results)}
         for a in labels:
             accepted[a] += outcome[a]
             for b in labels:

@@ -24,9 +24,8 @@ from repro.analysis.contribution import (
 )
 from repro.gen.params import WorkloadConfig
 from repro.gen.generator import generate_taskset
-from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
-from repro.partition.base import Partitioner
+from repro.partition.base import Attempt, Partitioner, advance
 from repro.partition.catpa import CATPA
 from repro.partition.classical import FirstFitDecreasing
 from repro.types import ReproError
@@ -118,26 +117,26 @@ def allocation_trace(
 
     This is exactly what Tables II and III tabulate: the task-to-core
     decisions in processing order with the evolving per-core level
-    utilizations.
+    utilizations.  One attempt driven through the scheme's step machine,
+    the same steps :meth:`~repro.partition.Partitioner.partition` takes.
     """
-    partition = Partition(taskset, cores)
-    state: dict = {}
+    attempt = Attempt(partitioner, taskset, cores)
+    partition = attempt.partition
     steps: list[AllocationStep] = []
-    for task_index in partitioner.order_tasks(taskset):
-        target = partitioner.select_core(task_index, partition, state)
-        if target is not None:
-            partition.assign(task_index, target)
+    live = [attempt]
+    while live:
+        task = attempt.task
+        live = advance(live)
+        core = partition.core_of(task)
         steps.append(
             AllocationStep(
-                task_index=task_index,
-                core=target,
+                task_index=task,
+                core=core if core >= 0 else None,
                 core_levels=tuple(
                     partition.level_matrix(m).copy() for m in range(cores)
                 ),
             )
         )
-        if target is None:
-            break
     return steps
 
 

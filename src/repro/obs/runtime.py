@@ -346,14 +346,17 @@ def record_span(
     seconds: float,
     parent_id: int | None = None,
     error: bool = False,
+    calls: int | None = None,
     **fields,
 ) -> int | None:
     """Record an explicitly-timed span (no stack involvement).
 
     For intervals that cannot be a ``with`` block — e.g. the parent
     engine's per-shard submit→receive windows, which overlap each other
-    while worker processes run concurrently.  ``parent_id`` defaults to
-    the innermost open span.  Returns the new ``span_id`` (``None`` when
+    while worker processes run concurrently, or partitioning attempts
+    the lockstep driver interleaves.  ``parent_id`` defaults to the
+    innermost open span; ``calls`` marks an aggregate record (see
+    :func:`add_span_time`).  Returns the new ``span_id`` (``None`` when
     instrumentation is disabled) so callers can adopt child spans under
     it with :func:`adopt_spans`.
     """
@@ -362,7 +365,9 @@ def record_span(
     if parent_id is None:
         parent_id = current_span_id()
     span_id = _next_span_id()
-    _finish_record(span_id, parent_id, name, start, seconds, error, fields)
+    _finish_record(
+        span_id, parent_id, name, start, seconds, error, fields, calls=calls
+    )
     return span_id
 
 

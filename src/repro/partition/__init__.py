@@ -1,7 +1,7 @@
 """Task-to-core partitioning heuristics (CA-TPA and baselines)."""
 
 from repro.partition.ablation import CATPAVariant
-from repro.partition.base import Partitioner, PartitionResult
+from repro.partition.base import Partitioner, PartitionResult, partition_lockstep
 from repro.partition.catpa import CATPA
 from repro.partition.classical import (
     BestFitDecreasing,
@@ -32,5 +32,6 @@ __all__ = [
     "WorstFitDecreasing",
     "available_schemes",
     "get_partitioner",
+    "partition_lockstep",
     "register",
 ]

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
+from repro.partition.base import Attempt
 from repro.partition.catpa import CATPA
-from repro.partition.probe import first_finite_probe
 from repro.types import PartitionError
 
 __all__ = ["CATPAVariant", "ORDERINGS", "SELECTIONS"]
@@ -82,17 +81,12 @@ class CATPAVariant(CATPA):
             return ordering.randomized(taskset, self.rng)
         return ORDERINGS[self.order](taskset)
 
-    def _min_increment_core(
-        self, task_index: int, partition: Partition, utils: np.ndarray
-    ) -> tuple[int | None, float]:
+    def _preference(self, attempt: Attempt):
         if self.selection == "min-increment":
-            return super()._min_increment_core(task_index, partition, utils)
+            return None
         if self.selection == "first-fit":
-            core_order = range(partition.cores)
-        elif self.selection == "best-fit":
-            core_order = np.argsort(-utils, kind="stable")
-        else:  # worst-fit
-            core_order = np.argsort(utils, kind="stable")
-        return first_finite_probe(
-            partition, task_index, core_order, rule=self.eq9_rule
-        )
+            return range(attempt.cores)
+        utils = attempt.loads
+        if self.selection == "best-fit":
+            return np.argsort(-utils, kind="stable").tolist()
+        return np.argsort(utils, kind="stable").tolist()  # worst-fit

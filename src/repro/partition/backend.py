@@ -5,12 +5,12 @@ be if task ``i`` joined core ``m``?" — admits two evaluation strategies
 with bit-identical answers:
 
 * :class:`ScalarBackend` evaluates one ``(K, K)`` matrix per core with
-  :mod:`repro.analysis.edfvd`, probing lazily in preference order where
-  the heuristics historically did — the readable reference;
-* :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) builds all ``M``
-  candidate matrices in one broadcasted ``(M, K, K)`` stack and
-  evaluates them with :mod:`repro.analysis.batch` in a single NumPy
-  pass.
+  :mod:`repro.analysis.edfvd`, lazily along a request's preference
+  order where one is given — the readable reference;
+* :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) stacks the candidate
+  matrices of every request of a placement step — across all attempts
+  the lockstep driver (:mod:`repro.partition.base`) advances — into one
+  ``(R, K, K)`` array for one :mod:`repro.analysis.batch` kernel call.
 
 Why batch is the only vectorized backend: an incremental backend once
 sat beside it, caching probe answers on the partition next to per-core
@@ -31,34 +31,40 @@ placement loop (``repro.bench.run_placement_bench``, 3 alternating
 pairs) took 0.135-0.167 s with the column refresh against
 0.176-0.279 s with the cache.
 
-That column refresh is bit-identical to a full re-probe because the
-batch kernels (:func:`~repro.analysis.batch._core_utilization_stack`
-and :func:`~repro.analysis.batch._is_feasible_stack`) are per-row
+Both that column refresh and the lockstep stack are bit-identical to
+probing one task of one partition at a time because the batch kernels
+(:func:`~repro.analysis.batch._core_utilization_stack` and
+:func:`~repro.analysis.batch._is_feasible_stack`) are per-row
 independent — rows interact only through masked writes and an early
 ``break`` taken when *all* rows are dead, at which point every
-remaining entry is ``nan``-final anyway.  Evaluating any sub-stack of
-candidate matrices therefore reproduces the matching rows of the full
-stack bit for bit.  The validate campaign pins scalar == batch end to
-end.
+remaining entry is ``nan``-final anyway.  Evaluating any sub- or
+super-stack of candidate matrices therefore reproduces the matching
+rows bit for bit.  The validate campaign pins scalar == batch end to
+end.  The kernels are called through this module's names, so a caller
+that wraps them here sees every stacked call.
 
 Backends are selected *by name* through the registry below; the
 contextvar that holds the active name (and the public module-level
-probe functions the schemes call) lives in :mod:`repro.partition.probe`.
-Unknown names raise :class:`repro.types.ModelError` (a
+probe functions) lives in :mod:`repro.partition.probe`.  Unknown names
+raise :class:`repro.types.ModelError` (a
 :class:`~repro.types.ReproError`), never a bare ``KeyError``.
 
 Instrumentation mirrors the historical probe counters:
-``probe.calls.<impl>`` counts probed tasks, ``probe.cores_probed`` the
-(task, core) hypotheses evaluated, ``probe.infeasible_cores`` the
-Theorem-1 failures among them, and feasibility probes attribute every
-core to its ``theorem1.*`` admission path.
+``probe.calls.<impl>`` counts probed tasks (under the asking attempt's
+scheme tag), ``probe.cores_probed`` the (task, core) hypotheses
+evaluated, ``probe.infeasible_cores`` the Theorem-1 failures among
+them, and feasibility probes attribute every core to its
+``theorem1.*`` admission path.  ``partition.lockstep.rows`` observes
+the rows of every stacked kernel call.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
+import math
 import time
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,18 +73,15 @@ from repro.analysis.batch import (
     _core_utilization_stack,
     _is_feasible_stack,
 )
-from repro.analysis.edfvd import (
-    available_utilizations,
-    check_eq9_rule,
-    core_utilization,
-)
+from repro.analysis.edfvd import check_eq9_rule, core_utilization
 from repro.analysis.feasibility import is_feasible_core
 from repro.model.partition import Partition
-from repro.obs.runtime import OBS, add_span_time
-from repro.types import EPS, ModelError, PartitionError, fits_unit_capacity
+from repro.obs.runtime import OBS, add_span_time, scheme_tag
+from repro.types import EPS, INFEASIBLE, ModelError, PartitionError, fits_unit_capacity
 
 __all__ = [
     "DEFAULT_BACKEND",
+    "FEASIBLE",
     "ProbeBackend",
     "ScalarBackend",
     "BatchBackend",
@@ -89,6 +92,10 @@ __all__ = [
     "probe_core_utilization",
     "probe_feasible",
 ]
+
+#: Request kind of a feasibility probe; the other kinds are the Eq.-(9)
+#: rules (``"max"`` / ``"min"``) of an Eq.-(15) utilization probe.
+FEASIBLE = "feasible"
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +119,11 @@ def _record_utilization_probe(
     )
 
 
-def _record_feasibility_stack(stack: np.ndarray, feasible: np.ndarray) -> None:
-    """Attribute every core of a feasibility probe to its admission path.
+def _record_feasibility_stack(
+    stack: np.ndarray, feasible: np.ndarray, impl: str = "batch"
+) -> None:
+    """Count one feasibility probe and attribute every core to its
+    admission path.
 
     ``eq4_pass`` counts cores admitted by the Eq.-(4) trace test alone;
     ``admitted`` counts cores that failed Eq. (4) but passed the
@@ -122,6 +132,8 @@ def _record_feasibility_stack(stack: np.ndarray, feasible: np.ndarray) -> None:
     counts cores that failed both.
     """
     reg = OBS.registry
+    reg.counter(_tagged(f"probe.calls.{impl}")).inc()
+    reg.counter("probe.cores_probed").inc(int(feasible.size))
     eq4 = fits_unit_capacity(np.trace(stack, axis1=1, axis2=2))
     reg.counter(_tagged("theorem1.eq4_pass")).inc(int(np.count_nonzero(eq4)))
     reg.counter(_tagged("theorem1.rejected")).inc(
@@ -137,23 +149,6 @@ def _record_feasibility_stack(stack: np.ndarray, feasible: np.ndarray) -> None:
             reg.counter(_tagged(f"theorem1.cond_pass.k{int(k) + 1}")).inc(
                 int(np.count_nonzero(first == k))
             )
-
-
-def _record_scalar_feasibility(mat: np.ndarray, feasible: bool) -> None:
-    """Scalar twin of :func:`_record_feasibility_stack` (one core)."""
-    reg = OBS.registry
-    reg.counter(_tagged("probe.calls.scalar")).inc()
-    reg.counter("probe.cores_probed").inc()
-    eq4 = bool(fits_unit_capacity(float(np.trace(mat))))
-    if eq4:
-        reg.counter(_tagged("theorem1.eq4_pass")).inc()
-    elif feasible:
-        reg.counter(_tagged("theorem1.admitted")).inc()
-        avail = available_utilizations(mat)
-        k = int(np.argmax(avail >= -EPS))
-        reg.counter(_tagged(f"theorem1.cond_pass.k{k + 1}")).inc()
-    if not feasible:
-        reg.counter(_tagged("theorem1.rejected")).inc()
 
 
 # ----------------------------------------------------------------------
@@ -180,33 +175,21 @@ def probe_core_utilization(
     fails Theorem 1, per Eq. (15a).  ``rule`` selects the Eq. (9)
     aggregation (see :func:`repro.analysis.core_utilization`).
     """
-    if OBS.enabled:
-        t0 = time.perf_counter()
-        new_util = core_utilization(
-            candidate_level_matrix(partition, core, task_index), rule=rule
-        )
-        add_span_time("probe", time.perf_counter() - t0)
-        reg = OBS.registry
-        reg.counter(_tagged("probe.calls.scalar")).inc()
-        reg.counter("probe.cores_probed").inc()
-        if not np.isfinite(new_util):
-            reg.counter("probe.infeasible_cores").inc()
-        return new_util
-    return core_utilization(
+    new_util = core_utilization(
         candidate_level_matrix(partition, core, task_index), rule=rule
     )
+    if OBS.enabled:
+        _record_utilization_probe("scalar", np.array([new_util]))
+    return new_util
 
 
 def probe_feasible(partition: Partition, core: int, task_index: int) -> bool:
     """Would the enlarged subset pass the Eq.(4)-or-Theorem-1 test?"""
+    mat = candidate_level_matrix(partition, core, task_index)
+    feasible = is_feasible_core(mat)
     if OBS.enabled:
-        t0 = time.perf_counter()
-        mat = candidate_level_matrix(partition, core, task_index)
-        feasible = is_feasible_core(mat)
-        add_span_time("probe", time.perf_counter() - t0)
-        _record_scalar_feasibility(mat, feasible)
-        return feasible
-    return is_feasible_core(candidate_level_matrix(partition, core, task_index))
+        _record_feasibility_stack(mat[None], np.array([feasible]), "scalar")
+    return feasible
 
 
 # ----------------------------------------------------------------------
@@ -231,26 +214,23 @@ class ProbeBackend(abc.ABC):
 
     Implementations must be bit-identical to each other for every
     method: the schemes (and the admission daemon) switch backends
-    without changing a single placement decision.  The three abstract
-    methods are the evaluation primitives; the two preference-order
-    scans have a shared full-row default that lazy backends may
-    override.
+    without changing a single placement decision.  :meth:`answer` serves
+    the lockstep driver, ``probe``/``probe_tasks`` the daemon and benchmarks.
     """
 
     #: Registry name; also the value of the ``--probe-impl`` flag.
     name: str = ""
 
     @abc.abstractmethod
+    def answer(self, kind: str, attempts: Sequence) -> list[list]:
+        """One row per attempt (:class:`~repro.partition.base.Attempt`,
+        all of one ``K``): ``kind`` answers for ``a.task`` on each core."""
+
+    @abc.abstractmethod
     def probe(
         self, partition: Partition, task_index: int, rule: str = "max"
     ) -> np.ndarray:
         """Eq.-(15) probe of one task against every core: ``(M,)`` floats."""
-
-    @abc.abstractmethod
-    def probe_feasible(
-        self, partition: Partition, task_index: int
-    ) -> np.ndarray:
-        """Eq.(4)-or-Theorem-1 feasibility on every core: ``(M,)`` bools."""
 
     @abc.abstractmethod
     def probe_tasks(
@@ -268,35 +248,6 @@ class ProbeBackend(abc.ABC):
         mutated one core can re-probe just that core's column.
         """
 
-    def first_feasible_core(
-        self,
-        partition: Partition,
-        task_index: int,
-        core_order: Iterable[int] | None = None,
-    ) -> int | None:
-        """First core in ``core_order`` on which the task is feasible."""
-        if core_order is None:
-            core_order = range(partition.cores)
-        feasible = self.probe_feasible(partition, task_index)
-        for m in core_order:
-            if feasible[int(m)]:
-                return int(m)
-        return None
-
-    def first_finite_probe(
-        self,
-        partition: Partition,
-        task_index: int,
-        core_order: Iterable[int],
-        rule: str = "max",
-    ) -> tuple[int | None, float]:
-        """First core in ``core_order`` with a finite Eq.-(15) probe."""
-        new_utils = self.probe(partition, task_index, rule=rule)
-        for m in core_order:
-            if np.isfinite(new_utils[int(m)]):
-                return int(m), float(new_utils[int(m)])
-        return None, np.inf
-
 
 # ----------------------------------------------------------------------
 # Scalar backend: one (K, K) matrix per core, lazy preference order
@@ -305,6 +256,25 @@ class ScalarBackend(ProbeBackend):
     """Per-core scalar evaluation via :mod:`repro.analysis.edfvd`."""
 
     name = "scalar"
+
+    def answer(self, kind: str, attempts: Sequence) -> list[list]:
+        # Row by row, lazily along the preference order: the historical
+        # behaviour (and probe counters) of the first-hit schemes.
+        if kind == FEASIBLE:
+            probe, hit, miss = probe_feasible, bool, False
+        else:
+            probe = functools.partial(probe_core_utilization, rule=kind)
+            hit, miss = math.isfinite, INFEASIBLE
+        rows = []
+        for a in attempts:
+            row, lazy = [miss] * a.cores, a.prefer is not None
+            with scheme_tag(a.scheme.name):
+                for m in a.prefer if lazy else range(a.cores):
+                    row[m] = probe(a.partition, int(m), a.task)
+                    if lazy and hit(row[m]):
+                        break
+            rows.append(row)
+        return rows
 
     def probe(
         self, partition: Partition, task_index: int, rule: str = "max"
@@ -316,17 +286,6 @@ class ScalarBackend(ProbeBackend):
                 for m in range(partition.cores)
             ],
             dtype=np.float64,
-        )
-
-    def probe_feasible(
-        self, partition: Partition, task_index: int
-    ) -> np.ndarray:
-        return np.array(
-            [
-                probe_feasible(partition, m, task_index)
-                for m in range(partition.cores)
-            ],
-            dtype=bool,
         )
 
     def probe_tasks(
@@ -349,44 +308,56 @@ class ScalarBackend(ProbeBackend):
             dtype=np.float64,
         ).reshape(idx.size, cols.size)
 
-    def first_feasible_core(
-        self,
-        partition: Partition,
-        task_index: int,
-        core_order: Iterable[int] | None = None,
-    ) -> int | None:
-        # Lazy preference-order probing: the historical behaviour of the
-        # FFD-like schemes (stop at the first feasible core).
-        if core_order is None:
-            core_order = range(partition.cores)
-        for m in core_order:
-            if probe_feasible(partition, int(m), task_index):
-                return int(m)
-        return None
-
-    def first_finite_probe(
-        self,
-        partition: Partition,
-        task_index: int,
-        core_order: Iterable[int],
-        rule: str = "max",
-    ) -> tuple[int | None, float]:
-        for m in core_order:
-            new_util = probe_core_utilization(
-                partition, int(m), task_index, rule=rule
-            )
-            if np.isfinite(new_util):
-                return int(m), new_util
-        return None, np.inf
-
 
 # ----------------------------------------------------------------------
-# Batch backend: all cores at once, one NumPy pass
+# Batch backend: every request of a step in one stacked kernel call
 # ----------------------------------------------------------------------
+def _candidate_rows(attempts: Sequence) -> np.ndarray:
+    """``(R, K, K)``: each attempt's task added to each of its cores, by
+    one concatenation and one add of each task's *full* utilization row
+    (exact: the row is zero above ``l_i``)."""
+    if len(attempts) == 1:
+        a = attempts[0]
+        return a.partition.candidate_stack(a.task)
+    stack = np.concatenate([a.partition.level_matrices() for a in attempts])
+    cores = [a.cores for a in attempts]
+    tasksets = [a.partition.taskset for a in attempts]
+    crit = [ts.criticalities[a.task] for ts, a in zip(tasksets, attempts)]
+    util = [ts.utilization_matrix[a.task] for ts, a in zip(tasksets, attempts)]
+    stack[np.arange(stack.shape[0]), np.repeat(crit, cores) - 1] += np.repeat(
+        util, cores, axis=0
+    )
+    return stack
+
+
 class BatchBackend(ProbeBackend):
-    """Stacked ``(M, K, K)`` evaluation via :mod:`repro.analysis.batch`."""
+    """Stacked ``(R, K, K)`` evaluation via :mod:`repro.analysis.batch`."""
 
     name = "batch"
+
+    def answer(self, kind: str, attempts: Sequence) -> list[list]:
+        stack = _candidate_rows(attempts)
+        if kind == FEASIBLE:
+            out = _is_feasible_stack(stack)
+        else:
+            check_eq9_rule(kind)
+            out = _core_utilization_stack(stack, kind)
+        if OBS.enabled:
+            OBS.registry.histogram("partition.lockstep.rows").observe(out.size)
+        flat, rows, lo = out.tolist(), [], 0
+        for a in attempts:
+            hi = lo + a.cores
+            rows.append(flat[lo:hi])
+            if OBS.enabled:
+                # Counters under the attempt's own scheme tag: exactly
+                # what probing it alone records.
+                with scheme_tag(a.scheme.name):
+                    if kind == FEASIBLE:
+                        _record_feasibility_stack(stack[lo:hi], out[lo:hi])
+                    else:
+                        _record_utilization_probe("batch", out[lo:hi])
+            lo = hi
+        return rows
 
     def probe(
         self, partition: Partition, task_index: int, rule: str = "max"
@@ -401,21 +372,6 @@ class BatchBackend(ProbeBackend):
             _record_utilization_probe("batch", new_utils)
             return new_utils
         return _core_utilization_stack(partition.candidate_stack(task_index), rule)
-
-    def probe_feasible(
-        self, partition: Partition, task_index: int
-    ) -> np.ndarray:
-        if OBS.enabled:
-            t0 = time.perf_counter()
-            stack = partition.candidate_stack(task_index)
-            feasible = _is_feasible_stack(stack)
-            add_span_time("probe", time.perf_counter() - t0)
-            reg = OBS.registry
-            reg.counter(_tagged("probe.calls.batch")).inc()
-            reg.counter("probe.cores_probed").inc(int(feasible.size))
-            _record_feasibility_stack(stack, feasible)
-            return feasible
-        return _is_feasible_stack(partition.candidate_stack(task_index))
 
     def probe_tasks(
         self,

@@ -25,23 +25,24 @@ first ``M`` tasks for every ``alpha < 1``.  The *reported* imbalance
 metric, :func:`repro.metrics.imbalance_factor`, follows the same
 loaded-core convention for finished partitions.
 
-The Eq.-(15) probes run through the vectorized batch engine
-(:func:`repro.partition.probe.batch_probe`): one ``(M, K, K)`` NumPy
-pass per task instead of ``M`` scalar evaluations.  The per-core
-Eq.-(9) utilizations are tracked incrementally, so a full run costs
-``O(N * M * K^2)`` probe work plus the ``O(N log N)`` sort, matching the
-paper's complexity analysis.
+Each placement step requests the task's Eq.-(15) row under the Eq.-(9)
+rule — whole for the minimum increment, in ascending current-utilization
+order for the override — and the lockstep driver (:mod:`repro.partition.base`)
+answers every attempt it advances together with one stacked kernel call
+per step.  The per-core Eq.-(9) utilizations are tracked incrementally,
+so a full run costs ``O(N * M * K^2)`` probe work plus the
+``O(N log N)`` sort, matching the paper's complexity analysis.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
-from repro.partition.base import Partitioner
-from repro.partition.probe import batch_probe, first_finite_probe
+from repro.partition.base import Attempt, Partitioner, first_hit
 from repro.types import EPS, PartitionError
 
 __all__ = ["CATPA"]
@@ -85,37 +86,37 @@ class CATPA(Partitioner):
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
         return ordering.by_contribution(taskset)
 
-    def select_core(
-        self, task_index: int, partition: Partition, state: dict
-    ) -> int | None:
-        utils = state.get("core_utils")
-        if utils is None:
-            utils = np.zeros(partition.cores, dtype=np.float64)
-            state["core_utils"] = utils
+    def request(self, attempt: Attempt):
+        if self._imbalance_exceeded(attempt):
+            # Min-utilization override: cores by ascending utilization,
+            # the stable sort keeping the lowest index first among ties.
+            return self.eq9_rule, np.argsort(attempt.loads, kind="stable").tolist()
+        return self.eq9_rule, self._preference(attempt)
 
-        if self._imbalance_exceeded(utils, partition):
-            target, new_util = self._min_utilization_core(
-                task_index, partition, utils
-            )
+    def _preference(self, attempt: Attempt):
+        """Core order of the regular selection; ``None`` reads the whole
+        row for the minimum increment."""
+        return None
+
+    def pick(self, attempt: Attempt) -> int | None:
+        row, utils = attempt.row, attempt.loads
+        if attempt.prefer is None:
+            target = _min_increment(row, utils)
         else:
-            target, new_util = self._min_increment_core(
-                task_index, partition, utils
-            )
-        if target is None:
-            return None
-        utils[target] = new_util
+            target = first_hit(row, attempt.prefer, math.isfinite)
+        if target is not None:
+            utils[target] = row[target]
         return target
 
-    def _final_core_utils(self, partition, state):
-        utils = state.get("core_utils")
-        return None if utils is None else utils.copy()
+    def _final_core_utils(self, attempt: Attempt) -> np.ndarray:
+        return attempt.loads.copy()
 
     # ------------------------------------------------------------------
-    def _imbalance_exceeded(self, utils: np.ndarray, partition: Partition) -> bool:
+    def _imbalance_exceeded(self, attempt: Attempt) -> bool:
         """Eq. (16) over the loaded cores of the partial mapping."""
         if self.alpha is None:
             return False
-        loaded = utils[partition.core_counts > 0]
+        loaded = attempt.loads[attempt.partition.core_counts > 0]
         if loaded.size == 0:
             return False  # empty system: Lambda defined as 0
         u_sys = float(loaded.max())
@@ -124,33 +125,17 @@ class CATPA(Partitioner):
         imbalance = (u_sys - float(loaded.min())) / u_sys
         return imbalance > self.alpha
 
-    def _min_increment_core(
-        self, task_index: int, partition: Partition, utils: np.ndarray
-    ) -> tuple[int | None, float]:
-        new_utils = batch_probe(partition, task_index, rule=self.eq9_rule)
-        best_core: int | None = None
-        best_increment = np.inf
-        best_new = np.inf
-        for m in range(partition.cores):
-            new_util = float(new_utils[m])
-            if not np.isfinite(new_util):
-                continue
-            increment = new_util - utils[m]
-            # ties (within float noise) keep the lowest-index core
-            if increment < best_increment - TIE_EPS:
-                best_increment = increment
-                best_core = m
-                best_new = new_util
-        return best_core, best_new
 
-    def _min_utilization_core(
-        self, task_index: int, partition: Partition, utils: np.ndarray
-    ) -> tuple[int | None, float]:
-        # Cores by ascending current utilization; stable sort keeps the
-        # lowest index first among ties.
-        return first_finite_probe(
-            partition,
-            task_index,
-            np.argsort(utils, kind="stable"),
-            rule=self.eq9_rule,
-        )
+def _min_increment(row: list, utils: np.ndarray) -> int | None:
+    """The feasible core with the minimum Eq.-(14) increment."""
+    best_core: int | None = None
+    best_increment = np.inf
+    for m, new_util in enumerate(row):
+        if not math.isfinite(new_util):
+            continue
+        increment = new_util - utils[m]
+        # ties (within float noise) keep the lowest-index core
+        if increment < best_increment - TIE_EPS:
+            best_increment = increment
+            best_core = m
+    return best_core

@@ -20,42 +20,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
-from repro.partition.base import Partitioner
-from repro.partition.probe import first_feasible_core
+from repro.partition.base import FEASIBLE, Attempt, Partitioner, first_hit
 
 __all__ = ["FirstFitDecreasing", "BestFitDecreasing", "WorstFitDecreasing"]
 
 
 class _ClassicalDecreasing(Partitioner):
-    """Shared machinery for the utilization-sorted classical heuristics."""
+    """Shared machinery for the load-tracking first-hit heuristics: each
+    step requests the feasibility row in the scheme's core preference
+    order (:meth:`request`) and takes the first feasible core."""
 
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
         return ordering.by_max_utilization(taskset)
 
-    def select_core(
-        self, task_index: int, partition: Partition, state: dict
-    ) -> int | None:
-        loads = state.get("loads")
-        if loads is None:
-            loads = np.zeros(partition.cores, dtype=np.float64)
-            state["loads"] = loads
-        target = self._pick(task_index, partition, loads)
+    def pick(self, attempt: Attempt) -> int | None:
+        target = first_hit(attempt.row, attempt.prefer)
         if target is not None:
-            loads[target] += partition.taskset[task_index].max_utilization
+            task = attempt.partition.taskset[attempt.task]
+            attempt.loads[target] += task.max_utilization
         return target
-
-    def _pick(
-        self, task_index: int, partition: Partition, loads: np.ndarray
-    ) -> int | None:
-        raise NotImplementedError
-
-    def _feasible_in_preference_order(
-        self, task_index: int, partition: Partition, core_order
-    ) -> int | None:
-        return first_feasible_core(partition, task_index, core_order)
 
 
 class FirstFitDecreasing(_ClassicalDecreasing):
@@ -63,10 +48,8 @@ class FirstFitDecreasing(_ClassicalDecreasing):
 
     name = "ffd"
 
-    def _pick(self, task_index, partition, loads):
-        return self._feasible_in_preference_order(
-            task_index, partition, range(partition.cores)
-        )
+    def request(self, attempt: Attempt):
+        return FEASIBLE, range(attempt.cores)
 
 
 class BestFitDecreasing(_ClassicalDecreasing):
@@ -77,9 +60,8 @@ class BestFitDecreasing(_ClassicalDecreasing):
 
     name = "bfd"
 
-    def _pick(self, task_index, partition, loads):
-        order = np.argsort(-loads, kind="stable")
-        return self._feasible_in_preference_order(task_index, partition, order)
+    def request(self, attempt: Attempt):
+        return FEASIBLE, np.argsort(-attempt.loads, kind="stable").tolist()
 
 
 class WorstFitDecreasing(_ClassicalDecreasing):
@@ -90,6 +72,5 @@ class WorstFitDecreasing(_ClassicalDecreasing):
 
     name = "wfd"
 
-    def _pick(self, task_index, partition, loads):
-        order = np.argsort(loads, kind="stable")
-        return self._feasible_in_preference_order(task_index, partition, order)
+    def request(self, attempt: Attempt):
+        return FEASIBLE, np.argsort(attempt.loads, kind="stable").tolist()

@@ -9,7 +9,8 @@ per-task virtual-deadline tuning (:mod:`repro.analysis.dbf`) instead of
 the utilization-based Theorem 1.
 
 For ``K != 2`` the DBF analysis does not apply and the scheme falls back
-to the standard Theorem-1 probe, making it usable inside generic sweeps.
+to the standard Theorem-1 feasibility row, making it usable inside
+generic sweeps; at ``K = 2`` it makes no kernel request.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from repro.analysis.dbf import tune_virtual_deadlines
 from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
-from repro.partition.base import Partitioner
-from repro.partition.probe import first_feasible_core
+from repro.partition.base import FEASIBLE, Attempt, Partitioner, first_hit
 
 __all__ = ["DBFFirstFit"]
 
@@ -35,13 +35,17 @@ class DBFFirstFit(Partitioner):
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
         return ordering.by_max_utilization(taskset)
 
-    def select_core(
-        self, task_index: int, partition: Partition, state: dict
-    ) -> int | None:
-        if partition.taskset.levels != 2:
-            return first_feasible_core(partition, task_index)
+    def request(self, attempt: Attempt):
+        if attempt.levels != 2:
+            return FEASIBLE, range(attempt.cores)
+        return None, None
+
+    def pick(self, attempt: Attempt) -> int | None:
+        if attempt.row is not None:
+            return first_hit(attempt.row, attempt.prefer)
+        partition = attempt.partition
         for m in range(partition.cores):
-            candidate = partition.tasks_on(m) + [task_index]
+            candidate = partition.tasks_on(m) + [attempt.task]
             subset = partition.taskset.subset(candidate)
             if tune_virtual_deadlines(subset, self.max_iterations) is not None:
                 return m

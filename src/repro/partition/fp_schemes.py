@@ -18,7 +18,7 @@ from repro.analysis.response_time import audsley_assignment
 from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
-from repro.partition.base import Partitioner
+from repro.partition.base import Attempt, Partitioner
 from repro.types import ModelError, PartitionError
 
 __all__ = ["FPPartitioner"]
@@ -61,13 +61,9 @@ class FPPartitioner(Partitioner):
             return ordering.by_max_utilization(taskset)
         return ordering.by_criticality_then_utilization(taskset)
 
-    def select_core(
-        self, task_index: int, partition: Partition, state: dict
-    ) -> int | None:
-        loads = state.get("loads")
-        if loads is None:
-            loads = np.zeros(partition.cores, dtype=np.float64)
-            state["loads"] = loads
+    def pick(self, attempt: Attempt) -> int | None:
+        # No kernel request: every core runs its own AMC-rtb test.
+        partition, task_index, loads = attempt.partition, attempt.task, attempt.loads
         if self.fit == "first":
             core_order = range(partition.cores)
         else:

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
-from repro.partition.base import Partitioner
-from repro.partition.probe import first_feasible_core
+from repro.partition.base import FEASIBLE, Attempt
+from repro.partition.classical import _ClassicalDecreasing
 from repro.types import PartitionError
 
 __all__ = ["HybridPartitioner"]
 
 
-class HybridPartitioner(Partitioner):
+class HybridPartitioner(_ClassicalDecreasing):
     """WFD for high-criticality tasks, then FFD for low-criticality ones."""
 
     name = "hybrid"
@@ -43,19 +42,8 @@ class HybridPartitioner(Partitioner):
         # Final tie: lower index (lexsort stability).
         return np.lexsort((-umax, ~high)).tolist()
 
-    def select_core(
-        self, task_index: int, partition: Partition, state: dict
-    ) -> int | None:
-        loads = state.get("loads")
-        if loads is None:
-            loads = np.zeros(partition.cores, dtype=np.float64)
-            state["loads"] = loads
-        task = partition.taskset[task_index]
+    def request(self, attempt: Attempt):
+        task = attempt.partition.taskset[attempt.task]
         if task.criticality >= self.high_threshold:
-            core_order = np.argsort(loads, kind="stable")  # WFD
-        else:
-            core_order = np.arange(partition.cores)  # FFD
-        target = first_feasible_core(partition, task_index, core_order)
-        if target is not None:
-            loads[target] += task.max_utilization
-        return target
+            return FEASIBLE, np.argsort(attempt.loads, kind="stable").tolist()  # WFD
+        return FEASIBLE, range(attempt.cores)  # FFD

@@ -5,42 +5,33 @@ matrix ``U_j^{Psi_m + tau_i}(k)`` by adding the task's utilization row to
 the core's cached matrix and evaluate the schedulability machinery on it.
 
 The evaluation strategy is pluggable: this module holds the *selection*
-mechanism (a contextvar naming the active backend) and the public probe
-functions the schemes call, while the strategies themselves live in
-:mod:`repro.partition.backend`:
-
-* the **batch** backend (default) builds all ``M`` candidate matrices in
-  one broadcasted ``(M, K, K)`` stack and evaluates them with
-  :mod:`repro.analysis.batch` in a single NumPy pass;
-* the **scalar** backend evaluates one ``(K, K)`` matrix per core with
-  :mod:`repro.analysis.edfvd`, probing lazily in preference order where
-  the heuristics historically did.
-
-Both backends produce bit-identical placement decisions (pinned by the
-test suite and the ``repro-mc validate`` differential campaign);
-:func:`use_probe_implementation` switches between them, which the
-``benchmarks/test_bench_probe_speed.py`` throughput benchmark uses to
-measure the speedups.
+mechanism (a contextvar naming the active backend, read by
+:func:`active_backend`) and the per-task probe functions the admission
+daemon and the benchmarks call; the strategies — **batch** (default: one
+stacked NumPy pass, for the schemes one per request kind per placement
+step across every attempt the lockstep driver advances together) and
+**scalar** (one ``(K, K)`` matrix per core, lazily in preference order)
+— live in :mod:`repro.partition.backend`.  Both make bit-identical
+placement decisions (pinned by the test suite and the ``repro-mc
+validate`` differential campaign); :func:`use_probe_implementation`
+switches between them.
 
 Instrumentation: when :data:`repro.obs.OBS` is enabled, every probe
-records how many candidate (task, core) hypotheses it evaluated, how
-many were Theorem-1 infeasible, and — for feasibility probes — which
-admission path accepted each core (Eq. (4) directly vs the Theorem-1
-chain, and in the latter case *which* condition ``k`` of Ineq. (5)
-passed first).  The counters carry the active scheme tag
-(``theorem1.cond_pass.k2[ca-tpa]``), so per-scheme hit rates come for
-free, and each probe's kernel time is attributed to a synthetic
-``probe`` child of the innermost open span
-(:func:`repro.obs.add_span_time`) — the trace layer's scheme→probe
-level.  Disabled, the entire layer is one branch per probe (pinned
-< 2 % by ``benchmarks/test_bench_probe_overhead.py``).
+counts the (task, core) hypotheses it evaluated, the Theorem-1
+infeasible ones, and — for feasibility probes — the admission path of
+each core (Eq. (4) vs which condition ``k`` of Ineq. (5)), tagged with
+the asking attempt's scheme (``theorem1.cond_pass.k2[ca-tpa]``); each
+attempt's share of the probe time becomes a synthetic ``probe`` child
+of its ``partition.attempt`` span.  Disabled, the entire layer is one
+branch per probe (pinned < 2 % by
+``benchmarks/test_bench_probe_overhead.py``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,8 +51,7 @@ __all__ = [
     "probe_feasible",
     "batch_probe",
     "batch_probe_tasks",
-    "first_feasible_core",
-    "first_finite_probe",
+    "active_backend",
     "probe_implementation",
     "use_probe_implementation",
     "available_backends",
@@ -102,7 +92,9 @@ def use_probe_implementation(impl: str) -> Iterator[None]:
         _ACTIVE_IMPLEMENTATION.reset(token)
 
 
-def _active_backend():
+def active_backend():
+    """The :class:`~repro.partition.backend.ProbeBackend` selected for
+    the current context (what the lockstep driver asks)."""
     return get_backend(_ACTIVE_IMPLEMENTATION.get())
 
 
@@ -118,7 +110,7 @@ def batch_probe(
     the enlarged subset is Theorem-1 infeasible, per Eq. (15a)).
     Evaluated by the active backend (see :func:`probe_implementation`).
     """
-    return _active_backend().probe(partition, task_index, rule=rule)
+    return active_backend().probe(partition, task_index, rule=rule)
 
 
 def batch_probe_tasks(
@@ -136,43 +128,6 @@ def batch_probe_tasks(
     only column ``c`` of the pending rows is stale, so the admission
     daemon's flush re-probes ``cores=[c]`` instead of the full grid.
     """
-    return _active_backend().probe_tasks(
+    return active_backend().probe_tasks(
         partition, task_indices, rule=rule, cores=cores
-    )
-
-
-# ----------------------------------------------------------------------
-# Preference-order scans shared by the heuristics
-# ----------------------------------------------------------------------
-def first_feasible_core(
-    partition: Partition,
-    task_index: int,
-    core_order: Iterable[int] | None = None,
-) -> int | None:
-    """First core in ``core_order`` on which the task is feasible.
-
-    The batch backend evaluates all cores in one pass and scans the
-    result; the scalar backend probes lazily in preference order (the
-    historical behaviour of FFD-like schemes).  ``None`` when no core
-    fits.
-    """
-    return _active_backend().first_feasible_core(
-        partition, task_index, core_order
-    )
-
-
-def first_finite_probe(
-    partition: Partition,
-    task_index: int,
-    core_order: Iterable[int],
-    rule: str = "max",
-) -> tuple[int | None, float]:
-    """First core in ``core_order`` with a finite Eq.-(15) probe.
-
-    Returns ``(core, new_utilization)``, or ``(None, inf)`` when the task
-    fits nowhere.  Used by the min-utilization override and the ablation
-    fit rules, which pick by preference order rather than by increment.
-    """
-    return _active_backend().first_finite_probe(
-        partition, task_index, core_order, rule=rule
     )

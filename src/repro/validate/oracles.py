@@ -80,7 +80,7 @@ from repro.engine.spec import SchemeSpec, default_schemes
 from repro.gen.params import WorkloadConfig
 from repro.model import MCTaskSet
 from repro.obs import runtime as obs
-from repro.partition.base import PartitionResult
+from repro.partition.base import PartitionResult, partition_lockstep
 from repro.partition.probe import use_probe_implementation
 from repro.sched import (
     CoreSimulator,
@@ -136,13 +136,15 @@ class ValidationCase:
         """Partition outcome per scheme label (batch probe engine), cached."""
         if self._results is None:
             with use_probe_implementation("batch"):
-                self._results = {
-                    spec.label: spec.build().partition(
-                        self.taskset, self.config.cores
-                    )
-                    for spec in self.schemes
-                }
+                self._results = self.partition_all()
         return self._results
+
+    def partition_all(self) -> dict[str, PartitionResult]:
+        """Every scheme's outcome under the active backend, in lockstep."""
+        results = partition_lockstep(
+            [(spec.build(), self.taskset, self.config.cores) for spec in self.schemes]
+        )
+        return {spec.label: r for spec, r in zip(self.schemes, results)}
 
     def first_schedulable(self) -> tuple[str, PartitionResult] | tuple[None, None]:
         """The first scheme (in spec order) that produced a feasible partition."""
@@ -216,21 +218,21 @@ def _check_probe_equivalence(case: ValidationCase) -> list[str]:
     failures = []
     batch = case.scheme_results()
     with use_probe_implementation("scalar"):
-        for spec in case.schemes:
-            b = batch[spec.label]
-            s = spec.build().partition(case.taskset, case.config.cores)
-            if (
-                s.schedulable != b.schedulable
-                or s.failed_task != b.failed_task
-                or not np.array_equal(s.assignment, b.assignment)
-            ):
-                failures.append(
-                    f"{spec.label}: scalar/batch probes disagree "
-                    f"(schedulable {s.schedulable}/{b.schedulable}, "
-                    f"failed_task {s.failed_task}/{b.failed_task}, "
-                    f"assignment {s.assignment.tolist()} "
-                    f"vs {b.assignment.tolist()})"
-                )
+        scalar = case.partition_all()
+    for spec in case.schemes:
+        b, s = batch[spec.label], scalar[spec.label]
+        if (
+            s.schedulable != b.schedulable
+            or s.failed_task != b.failed_task
+            or not np.array_equal(s.assignment, b.assignment)
+        ):
+            failures.append(
+                f"{spec.label}: scalar/batch probes disagree "
+                f"(schedulable {s.schedulable}/{b.schedulable}, "
+                f"failed_task {s.failed_task}/{b.failed_task}, "
+                f"assignment {s.assignment.tolist()} "
+                f"vs {b.assignment.tolist()})"
+            )
     return failures
 
 
@@ -539,8 +541,9 @@ def _check_explain_decision(case: ValidationCase) -> list[str]:
                 f"admitted={exp.admitted}"
             )
     with use_probe_implementation("scalar"):
+        scalar = case.partition_all()
         for spec in case.schemes:
-            r = spec.build().partition(case.taskset, case.config.cores)
+            r = scalar[spec.label]
             exp = explain_result(
                 case.taskset,
                 case.config.cores,

@@ -8,6 +8,19 @@ import pytest
 from repro.model import MCTask, MCTaskSet
 
 
+def feasible_row(backend, partition, task_index):
+    """``task_index``'s Eq.(4)-or-Theorem-1 feasibility on every core of
+    ``partition``: ``(M,)`` bools, asked as one whole-row lockstep
+    request (``ProbeBackend.answer``)."""
+    from repro.partition import FirstFitDecreasing
+    from repro.partition.base import FEASIBLE, Attempt
+
+    attempt = Attempt(FirstFitDecreasing(), partition.taskset, partition.cores)
+    attempt.partition, attempt.task, attempt.prefer = partition, task_index, None
+    (row,) = backend.answer(FEASIBLE, [attempt])
+    return np.array(row, dtype=bool)
+
+
 def make_task(utils, period=100.0, name=""):
     """Task from a per-level utilization sequence (ascending WCETs implied)."""
     return MCTask.from_utilizations(utils, period=period, name=name)

@@ -29,15 +29,15 @@ from repro.partition.backend import (
     get_backend,
     register_backend,
 )
+from repro.partition.base import FEASIBLE, Attempt
+from repro.partition.classical import FirstFitDecreasing
 from repro.partition.probe import (
     batch_probe,
     batch_probe_tasks,
-    first_feasible_core,
-    first_finite_probe,
     use_probe_implementation,
 )
 from repro.types import EPS, ModelError, PartitionError, ReproError, fits_unit_capacity
-from tests.conftest import make_task, random_taskset
+from tests.conftest import feasible_row, make_task, random_taskset
 
 BATCH = BatchBackend()
 SCALAR = ScalarBackend()
@@ -59,8 +59,7 @@ def assert_backend_parity(part: Partition, idx: list[int]) -> None:
                 backend.probe(part, i), BATCH.probe(cold, i)
             )
             np.testing.assert_array_equal(
-                backend.probe_feasible(part, i),
-                BATCH.probe_feasible(cold, i),
+                feasible_row(backend, part, i), feasible_row(BATCH, cold, i)
             )
         if idx:
             np.testing.assert_array_equal(
@@ -96,10 +95,10 @@ class TestRegistry:
 
     def test_register_requires_a_name(self):
         class Anonymous(ProbeBackend):
-            def probe(self, partition, task_index, rule="max"):
+            def answer(self, kind, attempts):
                 raise NotImplementedError
 
-            def probe_feasible(self, partition, task_index):
+            def probe(self, partition, task_index, rule="max"):
                 raise NotImplementedError
 
             def probe_tasks(self, partition, task_indices, rule="max", cores=None):
@@ -173,22 +172,26 @@ class TestIncrementalEquivalence:
             np.testing.assert_array_equal(got, want)
 
     def test_preference_order_scans_match_all_backends(self, rng):
+        """First-hit requests: the lazy scalar row and the full batch
+        row agree on every entry up to and including the first hit."""
         for _ in range(10):
             ts = random_taskset(rng, n=10, levels=3, max_u=0.6)
-            parts = {}
-            for name in available_backends():
-                p = Partition(ts, cores=4)
-                p.assign(0, 2)
-                parts[name] = p
-            order = list(np.argsort(rng.random(4)))
-            answers = set()
-            probes = set()
-            for name, p in parts.items():
-                with use_probe_implementation(name):
-                    answers.add(first_feasible_core(p, 1, order))
-                    probes.add(first_finite_probe(p, 1, order))
-            assert len(answers) == 1
-            assert len(probes) == 1
+            order = [int(m) for m in np.argsort(rng.random(4))]
+            for kind in (FEASIBLE, "max", "min"):
+                rows = []
+                for backend in (BATCH, SCALAR):
+                    attempt = Attempt(FirstFitDecreasing(), ts, cores=4)
+                    attempt.partition.assign(0, 2)
+                    attempt.task, attempt.prefer = 1, order
+                    (row,) = backend.answer(kind, [attempt])
+                    rows.append(row)
+                hits = [
+                    bool(v) if kind == FEASIBLE else bool(np.isfinite(v))
+                    for v in (rows[0][m] for m in order)
+                ]
+                first = hits.index(True) if True in hits else len(order) - 1
+                for m in order[: first + 1]:
+                    assert rows[0][m] == rows[1][m]
 
 
 class TestInvalidation:
@@ -295,10 +298,9 @@ class TestObservability:
                 batch_probe(part, 0)
                 batch_probe_tasks(part, [1, 2])
                 batch_probe_tasks(part, [1, 2], cores=[0])
-                first_feasible_core(part, 0)
                 counters = registry.snapshot()["counters"]
         # Scalar counts one call per evaluated (task, core) hypothesis.
-        assert counters["probe.calls.scalar"] == 2 + 4 + 2 + 1
+        assert counters["probe.calls.scalar"] == 2 + 4 + 2
         assert "probe.calls.batch" not in counters
 
 
@@ -310,7 +312,7 @@ class TestEpsBoundary:
             [make_task([util], period=10.0, name="a")], levels=1
         )
         part = Partition(ts, cores=1)
-        return BATCH.probe_feasible(part, 0)
+        return feasible_row(BATCH, part, 0)
 
     def test_exactly_unit_capacity_is_feasible(self):
         assert fits_unit_capacity(1.0)
@@ -332,5 +334,5 @@ class TestEpsBoundary:
             answers = set()
             for name in available_backends():
                 part = Partition(ts, cores=2)
-                answers.add(get_backend(name).probe_feasible(part, 0).tobytes())
+                answers.add(feasible_row(get_backend(name), part, 0).tobytes())
             assert len(answers) == 1

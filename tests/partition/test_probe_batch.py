@@ -22,18 +22,25 @@ from repro.partition import (
     WorstFitDecreasing,
 )
 from repro.partition.backend import get_backend
+from repro.partition.base import Attempt
 from repro.partition.probe import (
     batch_probe,
     batch_probe_tasks,
     candidate_level_matrix,
-    first_finite_probe,
     probe_core_utilization,
     probe_feasible,
     probe_implementation,
     use_probe_implementation,
 )
 from repro.types import ModelError
-from tests.conftest import random_taskset
+from tests.conftest import feasible_row, random_taskset
+
+
+def _answer_first_hit(part, rule):
+    """A lockstep first-hit request for task 0 in core order [1, 0]."""
+    attempt = Attempt(FirstFitDecreasing(), part.taskset, part.cores)
+    attempt.task, attempt.prefer = 0, [1, 0]
+    return get_backend(probe_implementation()).answer(rule, [attempt])
 
 
 def random_partial_partition(rng, ts, cores):
@@ -78,7 +85,7 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=12, levels=2, max_u=0.6)
             part = random_partial_partition(rng, ts, cores=3)
             task = int(rng.integers(0, len(ts)))
-            batch = get_backend("batch").probe_feasible(part, task)
+            batch = feasible_row(get_backend("batch"), part, task)
             scalar = np.array(
                 [probe_feasible(part, m, task) for m in range(3)]
             )
@@ -189,7 +196,7 @@ class TestMicroBatchProbes:
             lambda rule: batch_probe(part, 0, rule=rule),
             lambda rule: batch_probe_tasks(part, [0], rule=rule),
             lambda rule: batch_probe_tasks(part, [0], rule=rule, cores=[1]),
-            lambda rule: first_finite_probe(part, 0, [1, 0], rule=rule),
+            lambda rule: _answer_first_hit(part, rule),
         ]
         message = r"unknown Eq\. \(9\) rule 'median'; use 'max' or 'min'"
         for impl in ("batch", "scalar"):

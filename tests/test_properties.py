@@ -32,6 +32,7 @@ from repro.model import MCTask, MCTaskSet, Partition
 from repro.partition.backend import available_backends, get_backend
 from repro.partition.probe import batch_probe_tasks, use_probe_implementation
 from repro.types import EPS, fits_unit_capacity
+from tests.conftest import feasible_row
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -285,7 +286,7 @@ class TestColumnRefreshProperties:
         part = Partition(ts, cores)
         expected = fits_unit_capacity(util)
         for impl in available_backends():
-            feasible = get_backend(impl).probe_feasible(part, 0)
+            feasible = feasible_row(get_backend(impl), part, 0)
             assert feasible.shape == (cores,)
             assert (feasible == expected).all()
 
