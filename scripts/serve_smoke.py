@@ -31,6 +31,14 @@ ISSUE acceptance criteria from the outside:
     ``serve.request`` span per burst query, each parented to a
     ``serve.flush`` span, and ``queue_wait + kernel + apply``
     reconciling with the span's own duration.
+7.  **State body** — after the burst, the raw ``GET /state`` bytes are
+    the canonical ``json.dumps`` encoding of their own document, a
+    ``Partition.from_assignment`` rebuild from them reproduces the
+    reported utilizations exactly, and a second read with no write in
+    between returns identical bytes.
+8.  **Hostile input** — a request line and a header line over 64 KiB,
+    and a 50,000-deep nested JSON body, each get their 4xx; ``/healthz``
+    then still answers with the same ``seq``.
 
 Environment overrides: ``SERVE_SMOKE_MIN_QPS``, ``SERVE_SMOKE_PLACES``,
 ``SERVE_SMOKE_THREADS``, ``SERVE_SMOKE_SLO_PLACE`` (the place-latency
@@ -49,6 +57,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -63,7 +72,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.explain import explain_admission  # noqa: E402
 from repro.gen import WorkloadConfig, generate_taskset  # noqa: E402
-from repro.model.io import taskset_to_dict  # noqa: E402
+from repro.model import Partition  # noqa: E402
+from repro.model.io import taskset_from_dict, taskset_to_dict  # noqa: E402
 from repro.partition.backend import DEFAULT_BACKEND  # noqa: E402
 from repro.partition.registry import get_partitioner  # noqa: E402
 
@@ -286,6 +296,61 @@ def run_place_burst(host: str, port: int) -> dict:
     return {"accepted": accepted, "rejected": rejected, "qps": qps}
 
 
+def check_state_body(host: str, port: int) -> int:
+    """``/state`` bytes: canonical, self-consistent, stable; returns seq."""
+    raw = request_bytes(host, port, "/state")
+    doc = json.loads(raw)
+    assert raw == json.dumps(doc).encode(), "/state is not the canonical encoding"
+    rebuilt = Partition.from_assignment(
+        taskset_from_dict(doc["taskset"]), doc["cores"], doc["assignment"]
+    )
+    assert rebuilt.core_utilizations().tolist() == doc["utilizations"], (
+        "/state utilizations differ from a rebuild of its own assignment"
+    )
+    assert request_bytes(host, port, "/state") == raw, "/state bytes moved"
+    print(
+        f"state body: {len(raw)} canonical bytes, {doc['tasks']} tasks rebuild "
+        f"exactly, stable across reads at seq {doc['seq']}"
+    )
+    return doc["seq"]
+
+
+HOSTILE = [
+    ("request line over 64 KiB",
+     b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: smoke\r\n\r\n", 400),
+    ("header line over 64 KiB",
+     b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+    ("50,000-deep nested JSON body",
+     b"POST /place HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
+     + b"[" * 50_000 + b"]" * 50_000, 400),
+]
+
+
+def check_hostile_inputs(host: str, port: int, seq: int) -> None:
+    """Each hostile request gets its 4xx; the daemon keeps its state."""
+    for what, payload, want in HOSTILE:
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(payload)
+            raw = b"".join(iter(lambda: sock.recv(65536), b""))
+        status_line = raw.split(b"\r\n", 1)[0].split()
+        assert status_line[:2] == [b"HTTP/1.1", str(want).encode()], (
+            f"{what}: got {raw[:80]!r}, want {want}"
+        )
+    status, body = request(host, port, "GET", "/healthz")
+    assert status == 200 and body["seq"] == seq, (status, body)
+    print(f"hostile input: {len(HOSTILE)} cases answered 4xx, seq {seq} kept")
+
+
+def request_bytes(host: str, port: int, path: str) -> bytes:
+    """GET returning the raw response body."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("GET", path)
+        return conn.getresponse().read()
+    finally:
+        conn.close()
+
+
 def request_text(host: str, port: int, path: str) -> tuple[int, str, str]:
     """GET returning (status, content-type, raw body) — for non-JSON."""
     conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -501,6 +566,7 @@ def main() -> int:
             check_admit_parity(host, port)
             check_explain(host, port)
             burst = run_place_burst(host, port)
+            check_hostile_inputs(host, port, check_state_body(host, port))
             check_prometheus(host, port)
             check_history(host, port, artifact_dir)
             check_top(f"http://{host}:{port}")

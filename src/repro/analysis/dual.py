@@ -93,7 +93,9 @@ def is_feasible_classic(u: DualUtilizations) -> bool:
     smallest admissible virtual-deadline factor
     ``x = U_2(1) / (1 - U_1(1))`` also satisfies the HI-mode condition
     ``x * U_1(1) + U_2(2) <= 1``.  (The LO-mode condition
-    ``U_1(1) + U_2(1)/x <= 1`` holds by the choice of ``x``.)
+    ``U_1(1) + U_2(1)/x <= 1`` holds by the choice of ``x``; in slack form,
+    like every unit-capacity check, ``x = U_2(1) / (1 - U_1(1) + EPS)``,
+    which stays defined at ``U_1(1) = 1``.)
 
     Note: this test *dominates* Eq. (7) — whenever Eq. (7) accepts, so
     does this test (if the ratio branch of Eq. (7) holds then
@@ -105,10 +107,11 @@ def is_feasible_classic(u: DualUtilizations) -> bool:
     """
     if fits_unit_capacity(u.lo_lo + u.hi_hi):  # plain EDF on worst-case budgets
         return True
-    x = deadline_scale_factor(u)
-    if x is None:
+    room = (1.0 - u.lo_lo) + EPS  # LO-mode room for U_2(1)/x, slack form
+    if room <= 0.0:
         return False
-    return bool(fits_unit_capacity(x * u.lo_lo + u.hi_hi))
+    x = u.hi_lo / room
+    return bool(x < 1.0 and fits_unit_capacity(x * u.lo_lo + u.hi_hi))
 
 
 def minimum_speed(u: DualUtilizations, test=None) -> float:

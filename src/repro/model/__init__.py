@@ -14,6 +14,7 @@ from repro.model.io import (
     save_events,
     save_partition,
     save_taskset,
+    task_to_dict,
     taskset_from_dict,
     taskset_to_dict,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "partition_to_dict",
     "save_partition",
     "save_taskset",
+    "task_to_dict",
     "taskset_from_dict",
     "taskset_to_dict",
 ]

@@ -56,6 +56,7 @@ from repro.model.taskset import MCTaskSet
 from repro.types import ModelError
 
 __all__ = [
+    "task_to_dict",
     "taskset_to_dict",
     "taskset_from_dict",
     "save_taskset",
@@ -76,16 +77,25 @@ _EVENTS_FORMAT = "repro-mc-events"
 _VERSION = 1
 
 
-def taskset_to_dict(taskset: MCTaskSet) -> dict[str, Any]:
-    """A JSON-ready dict describing ``taskset``."""
+def task_to_dict(task: MCTask) -> dict[str, Any]:
+    """One entry of a task-set document's ``"tasks"`` list."""
+    return {"name": task.name, "period": task.period, "wcets": list(task.wcets)}
+
+
+def taskset_to_dict(
+    taskset: MCTaskSet, tasks: list[Any] | None = None
+) -> dict[str, Any]:
+    """A JSON-ready dict describing ``taskset``.
+
+    ``"tasks"`` is the last key.  Its list holds :func:`task_to_dict` of
+    every task unless ``tasks`` supplies it (the admission daemon passes
+    an empty list and splices its pre-encoded entries in).
+    """
     return {
         "format": _TASKSET_FORMAT,
         "version": _VERSION,
         "levels": taskset.levels,
-        "tasks": [
-            {"name": t.name, "period": t.period, "wcets": list(t.wcets)}
-            for t in taskset
-        ],
+        "tasks": [task_to_dict(t) for t in taskset] if tasks is None else tasks,
     }
 
 
@@ -188,11 +198,7 @@ def _event_to_entry(event) -> dict[str, Any]:
     if event.tasks is not None:
         entry["tasks"] = list(event.tasks)
     if event.task is not None:
-        entry["task"] = {
-            "name": event.task.name,
-            "period": event.task.period,
-            "wcets": list(event.task.wcets),
-        }
+        entry["task"] = task_to_dict(event.task)
     if event.task_index is not None:
         entry["task_index"] = event.task_index
     if event.core is not None:

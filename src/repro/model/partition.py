@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.model.task import MCTask
 from repro.model.taskset import MCTaskSet
 from repro.types import PartitionError
 
@@ -293,27 +294,18 @@ class Partition:
         snap._frozen = True
         return snap
 
-    def extended(self, taskset: MCTaskSet) -> "Partition":
-        """A new mutable partition over a *grown* task set, warm-started.
+    def extended(self, tasks: Iterable[MCTask]) -> "Partition":
+        """A new mutable partition with ``tasks`` appended, warm-started.
 
-        ``taskset`` must contain this partition's tasks as a prefix (same
-        ``K``); the appended tasks start unassigned.  The per-core level
-        matrices and counts carry over verbatim — no O(N) reassignment
-        loop — which is how the admission daemon admits new tasks into a
-        live system without replaying history.
+        The task set grows by :meth:`MCTaskSet.appended` (same ``K``; a
+        task above it raises :class:`~repro.types.ModelError`), and the
+        new tasks start unassigned.  The per-core level matrices and
+        counts carry over verbatim — no O(N) reassignment loop — which
+        is how the admission daemon admits new tasks into a live system
+        without replaying history.
         """
-        old = self._taskset
-        n = len(old)
-        if taskset.levels != old.levels:
-            raise PartitionError(
-                f"extended task set must keep K={old.levels}, "
-                f"got K={taskset.levels}"
-            )
-        if len(taskset) < n or list(taskset)[:n] != list(old):
-            raise PartitionError(
-                "extended task set must contain the current tasks as a prefix"
-            )
-        part = Partition(taskset, self._cores)
+        n = len(self._taskset)
+        part = Partition(self._taskset.appended(tasks), self._cores)
         part._assignment[:n] = self._assignment
         part._level_mats.setflags(write=True)
         try:

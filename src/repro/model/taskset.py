@@ -175,6 +175,25 @@ class MCTaskSet:
         """The same tasks viewed under a different system level count ``K``."""
         return MCTaskSet(self._tasks, levels=levels)
 
+    def appended(self, tasks: Iterable[MCTask]) -> "MCTaskSet":
+        """This set grown by ``tasks`` (same ``K``), building the new rows only.
+
+        The tail goes through the constructor (so a task above ``K``
+        raises :class:`ModelError`) and its rows are concatenated onto
+        the cached matrix and criticality vector: the result equals
+        ``MCTaskSet(list(self) + list(tasks), levels=K)`` bit for bit,
+        at the cost of the new tasks, not of ``len(self)``.
+        """
+        tail = MCTaskSet(tasks, levels=self._levels)
+        grown = MCTaskSet.__new__(MCTaskSet)
+        grown._tasks = self._tasks + tail._tasks
+        grown._levels = self._levels
+        grown._umat = np.concatenate((self._umat, tail._umat))
+        grown._crit = np.concatenate((self._crit, tail._crit))
+        grown._umat.setflags(write=False)
+        grown._crit.setflags(write=False)
+        return grown
+
     def hyperperiod(self) -> float | None:
         """LCM of the periods, or ``None`` when any period is non-integer.
 

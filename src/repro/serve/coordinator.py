@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.analysis.explain import explain_admission, place_rejection_reason
 from repro.metrics.core import imbalance_factor
-from repro.model import MCTaskSet, Partition
+from repro.model import MCTask, MCTaskSet, Partition
+from repro.model.io import task_to_dict
 from repro.obs.live import LiveMetrics
 from repro.obs.runtime import OBS, current_span_id, record_span, span
 from repro.partition.backend import DEFAULT_BACKEND, get_backend
@@ -236,13 +237,9 @@ class Coordinator:
             return
 
         old = state.partition
-        old_tasks = list(old.taskset) if old is not None else []
         new_tasks = [item.request.task for item in ready]
-        grown = MCTaskSet(old_tasks + new_tasks, levels=state.levels)
-        part = old.extended(grown) if old is not None else Partition(
-            grown, state.cores
-        )
-        base = len(old_tasks)
+        part = self._grown(new_tasks)
+        base = len(old.taskset) if old is not None else 0
         idx = list(range(base, base + len(ready)))
 
         place_start = time.perf_counter()
@@ -264,7 +261,7 @@ class Coordinator:
                     # for rejected rows — the accept path is untouched).
                     reasons.append(
                         place_rejection_reason(
-                            part, grown[task_index], rule=self.rule
+                            part, new_tasks[t], rule=self.rule
                         )
                     )
                     continue
@@ -280,23 +277,16 @@ class Coordinator:
                     )
                     kernel_total += time.perf_counter() - t0
 
-        accepted = [i for i, c in zip(idx, decisions) if c is not None]
+        accepted = [t for t, core in enumerate(decisions) if core is not None]
         if len(accepted) < len(ready):
-            # Drop rejected tasks from the live set: rebuild the grown
-            # task set from the accepted suffix only.  Decisions are
-            # unaffected — rejected tasks were never assigned, so they
-            # contributed nothing to any level matrix.
+            # Rejected tasks never enter the live set: grow the old state
+            # by the accepted tasks only and replay their assignments.
+            # Decisions are unaffected — rejected tasks were never
+            # assigned, so they contributed nothing to any level matrix.
             if accepted:
-                kept = old_tasks + [grown[i] for i in accepted]
-                final_ts = MCTaskSet(kept, levels=state.levels)
-                final = (
-                    old.extended(final_ts)
-                    if old is not None
-                    else Partition(final_ts, state.cores)
-                )
-                for offset, i in enumerate(accepted):
-                    final.assign(base + offset, int(part.core_of(i)))
-                part = final
+                part = self._grown([new_tasks[t] for t in accepted])
+                for offset, t in enumerate(accepted):
+                    part.assign(base + offset, decisions[t])
             else:
                 part = old  # nothing accepted: state is unchanged
         if part is not None and part is not old:
@@ -331,6 +321,14 @@ class Coordinator:
                 apply=apply_share,
             )
 
+    def _grown(self, tasks: list[MCTask]) -> Partition:
+        """The live partition with ``tasks`` appended, unassigned."""
+        old = self.state.partition
+        if old is None:
+            taskset = MCTaskSet(tasks, levels=self.state.levels)
+            return Partition(taskset, self.state.cores)
+        return old.extended(tasks)
+
     def _place_response(
         self,
         req: PlaceRequest,
@@ -339,11 +337,7 @@ class Coordinator:
         reason: dict | None = None,
     ) -> dict:
         body = {
-            "task": {
-                "name": req.task.name,
-                "period": req.task.period,
-                "wcets": list(req.task.wcets),
-            },
+            "task": task_to_dict(req.task),
             "accepted": core is not None,
             "core": core,
             "seq": seq,

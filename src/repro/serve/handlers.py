@@ -50,7 +50,8 @@ class Api:
     async def handle(
         self, method: str, path: str, payload: object, query: dict | None = None
     ):
-        """Returns ``(status, body)`` — a dict (JSON) or str (text/plain)."""
+        """Returns ``(status, body)``: a dict (JSON), pre-encoded JSON
+        bytes (``/state``), or a str (text/plain)."""
         started = time.perf_counter()
         try:
             status, body = await self._route(method, path, payload, query or {})
@@ -88,7 +89,7 @@ class Api:
             body = await future
             return (200 if body["accepted"] else 409), body
         if path == "/state" and method == "GET":
-            return 200, self.state.snapshot.to_dict()
+            return 200, self.state.snapshot.body
         if path == "/metrics" and method == "GET":
             fmt = query.get("format", "json")
             if fmt == "prometheus":

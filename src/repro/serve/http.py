@@ -4,8 +4,11 @@ Just enough protocol for a local admission daemon: request line,
 query strings, headers, ``Content-Length`` bodies (JSON only),
 keep-alive, and nothing else — no chunked encoding, no TLS, no external
 dependencies.  Anything malformed gets a ``400`` and the connection
-closed.  Responses are JSON by default; a handler returning a ``str``
-body is sent as ``text/plain`` (the Prometheus exposition path).
+closed; so does a request line over the stream's 64 KiB line limit, and
+a header line over it gets a ``431``.  Responses are JSON by default; a
+handler returning ``bytes`` has them sent verbatim as JSON (the cached
+``/state`` body), and a ``str`` body is sent as ``text/plain`` (the
+Prometheus exposition path).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
     503: "Service Unavailable",
 }
 
@@ -78,7 +82,11 @@ class HttpServer:
                 pass
 
     async def _one_request(self, reader, writer) -> bool:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        try:
+            request_line = (await reader.readline()).decode("latin-1").strip()
+        except ValueError:  # longer than the reader's line limit
+            await self._respond(writer, 400, {"error": "request line too long"})
+            return False
         if not request_line:
             return False  # clean close between keep-alive requests
         parts = request_line.split()
@@ -92,7 +100,11 @@ class HttpServer:
 
         headers: dict[str, str] = {}
         while True:
-            line = (await reader.readline()).decode("latin-1")
+            try:
+                line = (await reader.readline()).decode("latin-1")
+            except ValueError:  # longer than the reader's line limit
+                await self._respond(writer, 431, {"error": "header line too long"})
+                return False
             if line in ("\r\n", "\n", ""):
                 break
             if ":" in line:
@@ -116,7 +128,7 @@ class HttpServer:
             raw = await reader.readexactly(length)
             try:
                 payload = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
                 await self._respond(writer, 400, {"error": "body is not JSON"})
                 return False
 
@@ -129,14 +141,16 @@ class HttpServer:
 
     @staticmethod
     async def _respond(
-        writer, status: int, body: dict | str, keep_alive=False
+        writer, status: int, body: dict | bytes | str, keep_alive=False
     ) -> None:
-        if isinstance(body, str):
+        content_type = "application/json"
+        if isinstance(body, bytes):
+            data = body
+        elif isinstance(body, str):
             data = body.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
             data = json.dumps(body).encode("utf-8")
-            content_type = "application/json"
         reason = _REASONS.get(status, "Unknown")
         connection = "keep-alive" if keep_alive else "close"
         head = (

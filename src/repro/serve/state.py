@@ -6,17 +6,23 @@ copy (see :meth:`Partition.snapshot`), replacing the previous one with a
 single attribute store — atomic under both the GIL and asyncio's
 cooperative scheduling — so ``GET /state`` handlers read without any
 lock and can never observe a half-applied flush.
+
+The live task set only grows, so a commit JSON-encodes its new tasks
+only, and a snapshot encodes its ``/state`` body once, on the first read
+of its ``seq``, from those per-task fragments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.metrics.core import imbalance_factor
 from repro.model import MCTaskSet, Partition
-from repro.model.io import taskset_to_dict
+from repro.model.io import task_to_dict, taskset_to_dict
 from repro.partition.backend import DEFAULT_BACKEND
 
 __all__ = ["ServeState", "StateSnapshot"]
@@ -37,6 +43,9 @@ class StateSnapshot:
     partition: Partition | None
     #: Probe backend the coordinator places under (informational).
     probe_impl: str = DEFAULT_BACKEND
+    #: The state's per-task JSON fragments; the first ``task_count`` are
+    #: this snapshot's tasks (the list only ever grows).
+    fragments: list[str] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def task_count(self) -> int:
@@ -48,9 +57,26 @@ class StateSnapshot:
         return self.partition.core_utilizations(rule)
 
     def to_dict(self, rule: str = "max") -> dict:
-        """The ``GET /state`` body."""
+        """The ``GET /state`` document: the reference encoder of :attr:`body`."""
+        return self._document(rule, tasks=None)
+
+    @cached_property
+    def body(self) -> bytes:
+        """The ``GET /state`` bytes, encoded once per ``seq``.
+
+        Equal to ``json.dumps(self.to_dict()).encode()``: the document is
+        encoded with an empty task list, which is its last value, and the
+        committed per-task fragments are spliced into that list.
+        """
+        text = json.dumps(self._document("max", tasks=[]))
+        if self.partition is None:
+            return text.encode()
+        tasks = ", ".join(self.fragments[: self.task_count])
+        return (text[:-3] + tasks + text[-3:]).encode()  # text ends "[]}}"
+
+    def _document(self, rule: str, tasks: list | None) -> dict:
         utils = self.utilizations(rule)
-        body = {
+        doc = {
             "cores": self.cores,
             "levels": self.levels,
             "seq": self.seq,
@@ -60,12 +86,12 @@ class StateSnapshot:
             "lambda": float(imbalance_factor(utils)),
         }
         if self.partition is None:
-            body["assignment"] = []
-            body["taskset"] = None
+            doc["assignment"] = []
+            doc["taskset"] = None
         else:
-            body["assignment"] = self.partition.assignment.tolist()
-            body["taskset"] = taskset_to_dict(self.partition.taskset)
-        return body
+            doc["assignment"] = self.partition.assignment.tolist()
+            doc["taskset"] = taskset_to_dict(self.partition.taskset, tasks)
+        return doc
 
 
 class ServeState:
@@ -78,6 +104,10 @@ class ServeState:
         self.levels = int(levels)
         self.probe_impl = str(probe_impl)
         self._partition: Partition | None = None
+        # Append-only, like the live task set it encodes: no endpoint
+        # removes a live task and a rejected task never enters it, so a
+        # commit encodes the new tail and every snapshot shares the list.
+        self._fragments: list[str] = []
         self._snapshot = StateSnapshot(
             cores=self.cores,
             levels=self.levels,
@@ -101,14 +131,20 @@ class ServeState:
         return None if self._partition is None else self._partition.taskset
 
     def commit(self, partition: Partition) -> StateSnapshot:
-        """Install ``partition`` as the live state; publish its snapshot."""
+        """Install ``partition`` as the live state; publish its snapshot.
+
+        ``partition``'s task set must extend the committed one.
+        """
         self._partition = partition
+        new_tasks = partition.taskset.tasks[len(self._fragments) :]
+        self._fragments.extend(json.dumps(task_to_dict(t)) for t in new_tasks)
         snap = StateSnapshot(
             cores=self.cores,
             levels=self.levels,
             seq=self._snapshot.seq + 1,
             partition=partition.snapshot(),
             probe_impl=self.probe_impl,
+            fragments=self._fragments,
         )
         self._snapshot = snap
         return snap

@@ -91,6 +91,18 @@ class TestCrossChecks:
                 assert is_feasible_classic(u)
         assert hits > 50
 
+    @pytest.mark.parametrize(
+        "u",
+        [du(1.0, 0.0, 0.5), du(1.0, 3.832936958126261e-97, 0.5)],
+        ids=["no-lo-mode-hi-demand", "subnormal-lo-mode-hi-demand"],
+    )
+    def test_eq7_implies_classic_at_saturated_lo(self, u):
+        # U_1(1) = 1 leaves deadline_scale_factor no quotient, yet Eq. (7)
+        # accepts; the classic test must too (x -> 0+ is admissible).
+        assert deadline_scale_factor(u) is None
+        assert is_feasible_dual(u)
+        assert is_feasible_classic(u)
+
     def test_classic_strictly_stronger_example(self):
         # Accepted by the x-factor test, rejected by Eq. (7).
         u = du(0.3, 0.2, 0.75)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model import MCTask, MCTaskSet, Partition
-from repro.types import PartitionError
+from repro.types import ModelError, PartitionError
 
 
 @pytest.fixture
@@ -277,11 +277,10 @@ class TestExtended:
         part = Partition(ts, cores=2)
         part.assign(0, 0)
         part.assign(1, 1)
-        grown = MCTaskSet(
-            list(ts) + [MCTask(wcets=(1.0, 2.0), period=5.0)], levels=2
-        )
-        ext = part.extended(grown)
-        assert len(ext.taskset) == 4
+        new = MCTask(wcets=(1.0, 2.0), period=5.0)
+        ext = part.extended([new])
+        grown = MCTaskSet(list(ts) + [new], levels=2)
+        assert ext.taskset == grown
         assert ext.core_of(0) == 0 and ext.core_of(1) == 1
         assert ext.core_of(2) == -1 and ext.core_of(3) == -1
         assert np.array_equal(ext.level_matrices(), part.level_matrices())
@@ -293,18 +292,10 @@ class TestExtended:
                 cold.assign(i, int(core))
         assert np.array_equal(ext.level_matrices(), cold.level_matrices())
 
-    def test_extended_rejects_non_prefix(self, ts):
-        part = Partition(ts, cores=2)
-        shuffled = ts.subset([1, 0, 2])
-        with pytest.raises(PartitionError, match="prefix"):
-            part.extended(shuffled)
-        with pytest.raises(PartitionError, match="prefix"):
-            part.extended(ts.subset([0, 1]))
-
     def test_extended_rejects_level_change(self, ts):
         part = Partition(ts, cores=2)
-        with pytest.raises(PartitionError, match="K="):
-            part.extended(ts.with_levels(3))
+        with pytest.raises(ModelError, match="K=2"):
+            part.extended([MCTask(wcets=(1.0, 2.0, 3.0), period=10.0)])
 
 
 class TestCandidateStacks:

@@ -152,3 +152,27 @@ class TestDerivedSets:
         ts = simple_set().with_levels(5)
         assert ts.levels == 5
         assert ts.utilization_matrix.shape == (3, 5)
+
+    def test_appended_equals_cold_build(self):
+        ts = simple_set()
+        tail = [
+            MCTask(wcets=(0.5, 1.0), period=8.0, name="new"),
+            MCTask(wcets=(2.0,), period=40.0),
+        ]
+        grown = ts.appended(tail)
+        cold = MCTaskSet(list(ts) + tail, levels=3)
+        assert grown == cold and hash(grown) == hash(cold)
+        np.testing.assert_array_equal(
+            grown.utilization_matrix, cold.utilization_matrix
+        )
+        np.testing.assert_array_equal(grown.criticalities, cold.criticalities)
+        assert grown.criticalities.dtype == cold.criticalities.dtype
+        assert not grown.utilization_matrix.flags.writeable
+        assert not grown.criticalities.flags.writeable
+        assert len(ts) == 3  # the original is untouched
+
+    def test_appended_validates_tail(self):
+        with pytest.raises(ModelError, match="K=3"):
+            simple_set().appended([MCTask(wcets=(1.0,) * 4, period=9.0)])
+        with pytest.raises(ModelError, match="at least one task"):
+            simple_set().appended([])

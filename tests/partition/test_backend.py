@@ -221,11 +221,8 @@ class TestInvalidation:
         part = Partition(ts, cores=3)
         for i in range(8):
             part.assign(i, i % 3)
-        grown = MCTaskSet(
-            list(ts) + [make_task([0.1, 0.2], period=50.0, name="new")],
-            levels=2,
-        )
-        ext = part.extended(grown)
+        ext = part.extended([make_task([0.1, 0.2], period=50.0, name="new")])
+        assert len(ext.taskset) == 9
         ext.unassign(0)  # mutate a prefix core of the carried matrices
         np.testing.assert_array_equal(
             BATCH.probe_tasks(ext, list(range(9))),

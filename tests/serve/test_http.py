@@ -10,6 +10,7 @@ concurrent burst), lock-free ``/state``, error statuses, backpressure
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -196,6 +197,62 @@ class TestErrorStatuses:
         assert 503 in statuses  # overload sheds load instead of queueing
         assert any(status == 200 for status in statuses)  # but still serves
         assert metrics["metrics"]["counters"]["serve.overflow_503"] >= 1
+
+
+def _deep_json_post() -> bytes:
+    body = b"[" * 50_000 + b"]" * 50_000  # 100 kB, far past json's recursion
+    return (
+        b"POST /place HTTP/1.1\r\nHost: t\r\nContent-Length: "
+        + str(len(body)).encode()
+        + b"\r\n\r\n"
+        + body
+    )
+
+
+def _raw_exchange(address, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh socket; everything read until close."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestHostileInput:
+    """Input past the transport's limits gets a 4xx, not a dead task."""
+
+    @pytest.mark.parametrize(
+        "payload, status",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (_deep_json_post(), 400),
+        ],
+        ids=["request-line-over-64k", "header-line-over-64k", "json-nested-50k"],
+    )
+    def test_answered_and_state_untouched(self, payload, status):
+        async def main():
+            recorded = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: recorded.append(context)
+            )
+            async with DaemonHarness() as h:
+                await h.client.post("/place", task_entry(10.0, [1.0, 2.0]))
+                _, before = await h.client.get("/state")
+                raw = await asyncio.to_thread(_raw_exchange, h.daemon.bound, payload)
+                _, after = await h.client.get("/state")
+            return recorded, raw, before, after
+
+        recorded, raw, before, after = run(main())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split()[:2] == ["HTTP/1.1", str(status)]
+        assert "Connection: close" in lines
+        assert f"Content-Length: {len(body)}" in lines
+        assert "error" in json.loads(body)
+        assert after["seq"] == before["seq"] == 1
+        assert recorded == []
 
 
 class TestKeepAlive:

@@ -10,7 +10,7 @@ rules, partition incrementality, and generator postconditions.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -165,6 +165,8 @@ class TestAnalysisProperties:
             assert is_feasible_theorem1(mat)
 
     @given(dual_utilizations())
+    @example(DualUtilizations(1.0, 0.0, 0.5))
+    @example(DualUtilizations(1.0, 3.832936958126261e-97, 0.5))
     def test_dual_eq7_equals_theorem1_and_implies_classic(self, u):
         mat = np.array([[u.lo_lo, 0.0], [u.hi_lo, u.hi_hi]])
         assert is_feasible_dual(u) == is_feasible_theorem1(mat)
