@@ -8,8 +8,6 @@ from repro.partition.classical import (
     FirstFitDecreasing,
     WorstFitDecreasing,
 )
-from repro.partition.dbf_scheme import DBFFirstFit
-from repro.partition.fp_schemes import FPPartitioner
 from repro.partition.hybrid import HybridPartitioner
 from repro.partition.registry import (
     PAPER_SCHEMES,
@@ -22,8 +20,6 @@ __all__ = [
     "BestFitDecreasing",
     "CATPA",
     "CATPAVariant",
-    "DBFFirstFit",
-    "FPPartitioner",
     "FirstFitDecreasing",
     "HybridPartitioner",
     "PAPER_SCHEMES",

@@ -86,8 +86,8 @@ class Attempt:
 
     ``task`` is this step's task, ``kind``/``prefer`` its request, and
     ``row`` the answer: ``M`` bools for :data:`FEASIBLE`, Eq.-(15) floats
-    (``inf`` = infeasible) for a rule, ``None`` without a request; a lazy
-    backend leaves entries past the first hit of ``prefer`` infeasible.
+    (``inf`` = infeasible) for a rule; a lazy backend leaves entries past
+    the first hit of ``prefer`` infeasible.
     ``loads`` is the per-core figure the scheme carries between steps.
     """
 
@@ -180,14 +180,14 @@ class Partitioner(abc.ABC):
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
         """The order in which tasks are offered to cores."""
 
-    def request(self, attempt: Attempt) -> tuple[str | None, Sequence[int] | None]:
+    @abc.abstractmethod
+    def request(self, attempt: Attempt) -> tuple[str, Sequence[int] | None]:
         """This step's probe request for ``attempt.task``: ``(kind, prefer)``.
 
-        ``kind`` is :data:`FEASIBLE`, an Eq.-(9) rule (the Eq.-(15) row),
-        or ``None`` for a scheme that tests cores itself (the default);
-        ``prefer`` is the core order of a first-hit pick, else ``None``.
+        ``kind`` is :data:`FEASIBLE` or an Eq.-(9) rule (the Eq.-(15)
+        row); ``prefer`` is the core order of a first-hit pick, else
+        ``None``.
         """
-        return None, None
 
     @abc.abstractmethod
     def pick(self, attempt: Attempt) -> int | None:
@@ -222,8 +222,7 @@ def advance(attempts: list[Attempt]) -> list[Attempt]:
     clock = time.perf_counter if OBS.enabled else None
     groups: dict[tuple, list[Attempt]] = {}
     for a in attempts:
-        if a.kind is not None:
-            groups.setdefault((a.kind, a.levels), []).append(a)
+        groups.setdefault((a.kind, a.levels), []).append(a)
     for (kind, _), group in groups.items():
         if clock:
             t0 = clock()

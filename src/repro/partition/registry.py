@@ -16,8 +16,6 @@ from repro.partition.classical import (
     FirstFitDecreasing,
     WorstFitDecreasing,
 )
-from repro.partition.dbf_scheme import DBFFirstFit
-from repro.partition.fp_schemes import FPPartitioner
 from repro.partition.hybrid import HybridPartitioner
 from repro.types import PartitionError
 
@@ -33,10 +31,6 @@ _REGISTRY: dict[str, Callable[..., Partitioner]] = {
     "wfd": WorstFitDecreasing,
     "hybrid": HybridPartitioner,
     "ca-tpa-variant": CATPAVariant,
-    "dbf-ffd": DBFFirstFit,
-    "fp-ff": lambda **kw: FPPartitioner(fit="first", **kw),
-    "fp-wf": lambda **kw: FPPartitioner(fit="worst", **kw),
-    "fp-ff-ca": lambda **kw: FPPartitioner(order="criticality", fit="first", **kw),
 }
 
 

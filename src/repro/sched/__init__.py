@@ -21,8 +21,6 @@ from repro.sched.scenario import (
     LevelScenario,
     RandomScenario,
 )
-from repro.sched.fp_sim import fp_core_simulator
-from repro.sched.global_sim import GlobalSimulator, dual_global_plan
 from repro.sched.releases import PeriodicReleases, ReleaseModel, SporadicReleases
 from repro.sched.system_sim import SystemReport, SystemSimulator, default_horizon
 from repro.sched.trace import (
@@ -45,7 +43,6 @@ __all__ = [
     "ExecutionScenario",
     "ExecutionSlice",
     "FaultyScenario",
-    "GlobalSimulator",
     "HonestScenario",
     "Job",
     "LevelScenario",
@@ -60,8 +57,6 @@ __all__ = [
     "core_failure",
     "core_hotplug",
     "default_horizon",
-    "dual_global_plan",
-    "fp_core_simulator",
     "mode_recovery",
     "render_timeline",
     "task_arrival",

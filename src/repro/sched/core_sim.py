@@ -120,7 +120,6 @@ class CoreSimulator:
         rng: np.random.Generator,
         horizon: float,
         record_trace: bool = False,
-        priority_fn=None,
         releases=None,
         events=None,
     ):
@@ -136,11 +135,6 @@ class CoreSimulator:
         self.rng = rng
         self.horizon = float(horizon)
         self.record_trace = record_trace
-        #: optional scheduling-key override ``(job, mode) -> float``
-        #: (lower runs first).  Default: EDF-VD virtual deadlines.  The
-        #: fixed-priority simulator passes static priorities here; the
-        #: AMC machinery (budgets, drops, idle reset) is unchanged.
-        self.priority_fn = priority_fn
         #: arrival model; ``None`` means strictly periodic releases.
         #: See :mod:`repro.sched.releases`.
         self.releases = releases
@@ -206,15 +200,8 @@ class CoreSimulator:
             scale = plan.task_scale(job.task_index, int(job.level), mode)
             return job.release + scale * (job.deadline - job.release)
 
-        priority_fn = self.priority_fn
-
         def push(job: Job) -> None:
-            key = (
-                virtual_deadline(job)
-                if priority_fn is None
-                else float(priority_fn(job, mode))
-            )
-            heapq.heappush(ready, (key, job.seq, job))
+            heapq.heappush(ready, (virtual_deadline(job), job.seq, job))
 
         def rebuild() -> None:
             jobs = [entry[2] for entry in ready]

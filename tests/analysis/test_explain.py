@@ -23,9 +23,9 @@ from repro.analysis.explain import (
 )
 from repro.model import MCTask, MCTaskSet
 from repro.partition.probe import available_backends, use_probe_implementation
-from repro.partition.registry import PAPER_SCHEMES, get_partitioner
+from repro.partition.registry import available_schemes, get_partitioner
 from repro.types import EPS
-from tests.conftest import random_taskset
+from tests.conftest import contract_workload, random_taskset
 
 
 def heavy_task(scale: float = 1.0) -> MCTask:
@@ -35,6 +35,14 @@ def heavy_task(scale: float = 1.0) -> MCTask:
 def rejected_taskset() -> MCTaskSet:
     """Three tasks of which only two fit on two cores."""
     return MCTaskSet([heavy_task() for _ in range(3)])
+
+
+def assert_margins_are_the_decision(exp) -> None:
+    """The explain contract: all decision margins >= -EPS iff admitted."""
+    margins = exp.decision_margins()
+    assert all(m >= -EPS for m in margins) == exp.admitted, (
+        exp.scheme, exp.admitted, margins,
+    )
 
 
 class TestExplainLevelMatrix:
@@ -119,12 +127,19 @@ class TestExplainResult:
         assert is_feasible_core(mat)
 
     def test_to_dict_is_json_safe(self):
-        for ts in (rejected_taskset(), MCTaskSet([heavy_task(0.1)])):
-            exp = explain_admission(ts, 2)
-            doc = json.loads(json.dumps(exp.to_dict(), allow_nan=False))
-            assert doc["version"] == EXPLAIN_VERSION
-            for ce in doc["core_explanations"]:
-                assert ce["margin"] is None or math.isfinite(ce["margin"])
+        inputs = [
+            (rejected_taskset(), 2),
+            (MCTaskSet([heavy_task(0.1)]), 2),
+            contract_workload(),
+        ]
+        for scheme in available_schemes():
+            for ts, cores in inputs:
+                exp = explain_admission(ts, cores, scheme)
+                doc = json.loads(json.dumps(exp.to_dict(), allow_nan=False))
+                assert doc["version"] == EXPLAIN_VERSION
+                for ce in doc["core_explanations"]:
+                    assert ce["margin"] is None or math.isfinite(ce["margin"])
+                assert_margins_are_the_decision(exp)
 
     def test_format_explanation_renders(self):
         text = format_explanation(explain_admission(rejected_taskset(), 2))
@@ -135,19 +150,25 @@ class TestExplainResult:
 
 class TestBackendEquivalence:
     def test_all_backends_all_schemes(self, rng):
-        for levels in (1, 2, 3):
-            ts = random_taskset(rng, n=6, levels=levels, max_u=0.4)
-            for scheme in PAPER_SCHEMES:
+        inputs = [
+            (random_taskset(rng, n=6, levels=levels, max_u=0.4), 2)
+            for levels in (1, 2, 3)
+        ]
+        inputs.append(contract_workload())
+        for ts, cores in inputs:
+            for scheme in available_schemes():
                 docs = []
                 for impl in available_backends():
                     exp = explain_admission(
-                        ts, 2, scheme, probe_impl=impl
+                        ts, cores, scheme, probe_impl=impl
                     )
                     assert exp.probe_impl == impl
+                    assert_margins_are_the_decision(exp)
                     doc = exp.to_dict()
+                    json.dumps(doc, allow_nan=False)
                     doc.pop("probe_impl")
                     docs.append(doc)
-                assert len(docs) == 2 and docs[0] == docs[1], (levels, scheme)
+                assert len(docs) == 2 and docs[0] == docs[1], (ts.levels, scheme)
 
     def test_ambient_backend_is_recorded(self):
         ts = MCTaskSet([heavy_task(0.1)])

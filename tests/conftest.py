@@ -21,6 +21,19 @@ def feasible_row(backend, partition, task_index):
     return np.array(row, dtype=bool)
 
 
+def contract_workload():
+    """``(taskset, cores)``: the first seed-0 draw of a 4-core K=2 sweep
+    point at NSU 0.55 with 10-20 tasks, the input the registry-wide
+    contract tests run every scheme on."""
+    from repro.gen import WorkloadConfig, generate_taskset
+
+    config = WorkloadConfig(
+        cores=4, levels=2, nsu=0.55, task_count_range=(10, 20)
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,)))
+    return generate_taskset(config, rng), config.cores
+
+
 def make_task(utils, period=100.0, name=""):
     """Task from a per-level utilization sequence (ascending WCETs implied)."""
     return MCTask.from_utilizations(utils, period=period, name=name)

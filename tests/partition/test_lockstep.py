@@ -29,8 +29,8 @@ from repro.partition.catpa import CATPA
 from repro.partition.probe import use_probe_implementation
 from tests.conftest import random_taskset
 
-#: Scheme factories by the criticality depths they accept.
-_ANY_K = [
+#: Scheme factories drawn by the lockstep property.
+_SCHEMES = [
     lambda: CATPA(alpha=None),
     lambda: CATPA(alpha=0.3),
     lambda: CATPA(eq9_rule="min"),
@@ -42,13 +42,7 @@ _ANY_K = [
     *[
         (lambda name=name: get_partitioner(name))
         for name in available_schemes()
-        if not name.startswith("fp-")
     ],
-]
-_K2_ONLY = [
-    (lambda name=name: get_partitioner(name))
-    for name in available_schemes()
-    if name.startswith("fp-")
 ]
 
 
@@ -66,8 +60,7 @@ def _jobs(draw):
     jobs = []
     for _ in range(draw(st.integers(1, 7))):
         levels = draw(st.integers(1, 6))
-        factories = _ANY_K + (_K2_ONLY if levels == 2 else [])
-        scheme = draw(st.sampled_from(factories))()
+        scheme = draw(st.sampled_from(_SCHEMES))()
         cores = draw(st.sampled_from([1, 2, 8]))
         if draw(st.integers(0, 9)) == 0:
             taskset = _overloaded(levels)

@@ -113,12 +113,12 @@ class TestModeSwitches:
 class TestBudgetBoundaries:
     """Exact-boundary workloads pinning the TIME_EPS comparison policy."""
 
-    def fixed_priority(self):
-        # Static priorities (index order) keep the dispatch order exact:
-        # t0 (LO, period 5) always preempts t1 (HI).  With LevelScenario
-        # t1 draws 9.0 against a level-1 budget of 4.0, so it runs
-        # [1, 5) and hits the budget at t=5.0 — exactly the instant of
-        # t0's second release (1.0 + 4.0 == 5.0 in floats).
+    def budget_at_release(self):
+        # t0 (LO, period 5) has the earlier virtual deadline (5 against
+        # t1's 0.7 * 30 = 21), so it runs [0, 1) first.  With
+        # LevelScenario t1 (HI) draws 9.0 against a level-1 budget of
+        # 4.0, so it runs [1, 5) and hits the budget at t=5.0 — exactly
+        # the instant of t0's second release (1.0 + 4.0 == 5.0 in floats).
         subset = MCTaskSet(
             [
                 MCTask(wcets=(1.0,), period=5.0, name="lo"),
@@ -135,7 +135,6 @@ class TestBudgetBoundaries:
             rng=np.random.default_rng(0),
             horizon=30.0,
             record_trace=True,
-            priority_fn=lambda job, mode: job.task_index,
         )
 
     def test_release_at_budget_instant_sees_raised_mode(self):
@@ -143,7 +142,7 @@ class TestBudgetBoundaries:
         # the mode raise was deferred until after the release was
         # admitted at the *old* mode, so the LO job ran to completion
         # instead of being dropped at release.
-        report = self.fixed_priority().run()
+        report = self.budget_at_release().run()
         from repro.sched.trace import EventKind
 
         mode_ups = report.trace.events_of(EventKind.MODE_UP)

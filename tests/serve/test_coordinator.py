@@ -1,19 +1,20 @@
 """Coordinator semantics: offline parity, batched placement, rollback."""
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
 from repro.partition.backend import DEFAULT_BACKEND
-from repro.partition.registry import PAPER_SCHEMES, get_partitioner
+from repro.partition.registry import available_schemes, get_partitioner
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.coordinator import Coordinator
 from repro.serve.daemon import ServeConfig
 from repro.serve.protocol import AdmitRequest, PlaceRequest, ProtocolError
 from repro.serve.state import ServeState
 from repro.types import ReproError
-from tests.conftest import make_task, random_taskset
+from tests.conftest import contract_workload, make_task, random_taskset
 
 
 def make_coordinator(cores=2, levels=2, probe_impl=None):
@@ -43,18 +44,24 @@ def flush_many(coordinator, reqs):
 
 
 class TestAdmit:
-    @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+    @pytest.mark.parametrize("scheme", available_schemes())
     def test_bit_identical_to_offline(self, scheme):
-        ts = random_taskset(np.random.default_rng(1), n=12)
-        coordinator, _ = make_coordinator(cores=3)
-        body = flush_one(coordinator, "admit", AdmitRequest(ts, 3, scheme))
-        offline = get_partitioner(scheme).partition(ts, 3)
-        assert body["schedulable"] == offline.schedulable
-        assert body["assignment"] == offline.partition.assignment.tolist()
-        assert body["failed_task"] == offline.failed_task
-        assert body["order"] == list(offline.order)
-        # Utilizations too — same floats, not merely close.
-        assert body["utilizations"] == offline.partition.core_utilizations().tolist()
+        for ts, cores in (
+            (random_taskset(np.random.default_rng(1), n=12), 3),
+            contract_workload(),
+        ):
+            coordinator, _ = make_coordinator(cores=cores)
+            body = flush_one(coordinator, "admit", AdmitRequest(ts, cores, scheme))
+            offline = get_partitioner(scheme).partition(ts, cores)
+            assert body["schedulable"] == offline.schedulable
+            assert body["assignment"] == offline.partition.assignment.tolist()
+            assert body["failed_task"] == offline.failed_task
+            assert body["order"] == list(offline.order)
+            # Utilizations too — same floats, not merely close.
+            utils = offline.partition.core_utilizations().tolist()
+            assert body["utilizations"] == utils
+            # RFC 8259 JSON: no Infinity/NaN (json.loads would accept them).
+            json.dumps(body, allow_nan=False)
 
     def test_admit_does_not_touch_live_state(self):
         ts = random_taskset(np.random.default_rng(2), n=6)

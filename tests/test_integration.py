@@ -70,9 +70,7 @@ class TestFullJourney:
             # every scheme must at least terminate with a coherent result
             assert result.partition.cores == cfg.cores
             if result.schedulable:
-                assert is_feasible_partition(result.partition) or name.startswith(
-                    ("fp-", "dbf-")
-                )  # FP/DBF schemes certify with their own (non-Thm-1) tests
+                assert is_feasible_partition(result.partition), name
 
     def test_accepted_schemes_all_survive_the_same_overload(self, workload):
         cfg, ts = workload

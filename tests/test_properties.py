@@ -412,30 +412,6 @@ class TestDbfProperties:
                 assert plan.deadlines[i] == task.period
 
 
-class TestGlobalProperties:
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=10),
-        st.integers(min_value=1, max_value=8),
-    )
-    def test_gfb_monotone_in_processors(self, densities, m):
-        from repro.analysis import gfb_edf_schedulable
-
-        if gfb_edf_schedulable(densities, m):
-            assert gfb_edf_schedulable(densities, m + 1)
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=0.9), min_size=1, max_size=8),
-        st.integers(min_value=1, max_value=4),
-        st.floats(min_value=0.0, max_value=0.5),
-    )
-    def test_gfb_antitone_in_load(self, densities, m, bump):
-        from repro.analysis import gfb_edf_schedulable
-
-        heavier = [min(d + bump, 1.0) for d in densities]
-        if not gfb_edf_schedulable(densities, m):
-            assert not gfb_edf_schedulable(heavier, m) or bump == 0.0
-
-
 class TestElasticProperties:
     @given(
         st.floats(min_value=0.01, max_value=0.9),
