@@ -35,7 +35,7 @@ def test_catpa_scales_with_cores(benchmark):
 def test_probe_cost(benchmark):
     """A single CA-TPA probe (the hot inner loop)."""
     from repro.model import Partition
-    from repro.partition.probe import probe_core_utilization
+    from repro.partition.backend import probe_core_utilization
 
     config, ts = workload()
     part = Partition(ts, config.cores)

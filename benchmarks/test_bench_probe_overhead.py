@@ -10,8 +10,9 @@ state —
 * **raw**: the bare batch kernel,
   ``_core_utilization_stack(partition.candidate_stack(i), "max")``,
   with no instrumentation guard at all;
-* **guarded**: the public :func:`repro.partition.probe.batch_probe`,
-  which adds the ``if OBS.enabled:`` guard (and the rule validation).
+* **guarded**: the batch backend's public probe,
+  :meth:`repro.partition.backend.BatchBackend.probe` on ``BATCH``, which
+  adds the ``if OBS.enabled:`` guard (and the rule validation).
 
 The acceptance gate is ``median(guarded / raw) <= 1.02`` over paired
 A/B/A chunk timings: the states are split into interleaved chunks, each
@@ -44,7 +45,7 @@ from repro.analysis.batch import _core_utilization_stack
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import Partition
 from repro.partition import ordering
-from repro.partition.probe import batch_probe
+from repro.partition.backend import BATCH
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_obs_overhead.json"
@@ -133,16 +134,16 @@ def test_disabled_instrumentation_overhead(emit):
     chunks = [states[k::CHUNKS] for k in range(CHUNKS)]
     assert not obs.OBS.enabled  # the default state is what we are gating
 
-    disabled_ratios, raw_s, guarded_s = _paired_ratios(batch_probe, chunks)
+    disabled_ratios, raw_s, guarded_s = _paired_ratios(BATCH.probe, chunks)
     disabled_ratio = statistics.median(disabled_ratios)
 
     with obs.instrument():
-        enabled_ratios, _, enabled_s = _paired_ratios(batch_probe, chunks)
+        enabled_ratios, _, enabled_s = _paired_ratios(BATCH.probe, chunks)
         # Inside an open span the probe additionally accumulates its
         # timing bucket on the innermost frame — the cost an actual
         # instrumented sweep pays (informational, not gated).
         with obs.span("bench.overhead"):
-            in_span_ratios, _, in_span_s = _paired_ratios(batch_probe, chunks)
+            in_span_ratios, _, in_span_s = _paired_ratios(BATCH.probe, chunks)
     enabled_ratio = statistics.median(enabled_ratios)
     in_span_ratio = statistics.median(in_span_ratios)
 

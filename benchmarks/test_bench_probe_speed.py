@@ -9,11 +9,12 @@ through the vectorized batch path (one broadcasted ``(M, K, K)`` stack,
 one NumPy pass).  Each pair of probes is asserted bit-equal, so the
 speedup is measured on provably equivalent work.
 
-An end-to-end ``evaluate_point`` timing of all five schemes under both
-implementations is reported alongside; it is diluted by the
-probe-independent pipeline (task-set generation, sorting, bookkeeping)
-and by the scalar path's lazy early-exit in the feasibility scans, so
-its ratio is much smaller than the probe-engine ratio.
+An end-to-end ``Engine(probe_impl=...).evaluate`` timing of all five
+schemes under both implementations is reported alongside; it is diluted
+by the probe-independent pipeline (task-set generation, sorting,
+bookkeeping) and by the scalar path's lazy early-exit in the
+feasibility scans, so its ratio is much smaller than the probe-engine
+ratio.
 
 The third section pins the **column refresh** of the serve flush: a
 daemon-style placement loop (probe every pending task, place one,
@@ -39,11 +40,12 @@ import numpy as np
 from conftest import bench_sets
 
 from repro.bench import run_placement_bench
-from repro.experiments import default_schemes, evaluate_point
+from repro.engine import Engine, PointSpec
+from repro.experiments import default_schemes
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import Partition
 from repro.partition import ordering
-from repro.partition.probe import batch_probe, use_probe_implementation
+from repro.partition.backend import BATCH, get_backend
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_partition.json"
@@ -53,6 +55,7 @@ SEED = 2016
 def _replay_probe_timings(config: WorkloadConfig, sets: int):
     """Time scalar vs batch probes on identical replayed CA-TPA states."""
     rng = np.random.default_rng(SEED)
+    scalar = get_backend("scalar")
     probes = 0
     scalar_s = 0.0
     batch_s = 0.0
@@ -60,14 +63,12 @@ def _replay_probe_timings(config: WorkloadConfig, sets: int):
         taskset = generate_taskset(config, rng)
         partition = Partition(taskset, config.cores)
         for task_index in ordering.by_contribution(taskset):
-            with use_probe_implementation("batch"):
-                start = time.perf_counter()
-                new_utils = batch_probe(partition, task_index)
-                batch_s += time.perf_counter() - start
-            with use_probe_implementation("scalar"):
-                start = time.perf_counter()
-                scalar_utils = batch_probe(partition, task_index)
-                scalar_s += time.perf_counter() - start
+            start = time.perf_counter()
+            new_utils = BATCH.probe(partition, task_index)
+            batch_s += time.perf_counter() - start
+            start = time.perf_counter()
+            scalar_utils = scalar.probe(partition, task_index)
+            scalar_s += time.perf_counter() - start
             np.testing.assert_array_equal(new_utils, scalar_utils)
             probes += 1
             # Greedy min-increment placement, as in Algorithm 1.
@@ -80,11 +81,12 @@ def _replay_probe_timings(config: WorkloadConfig, sets: int):
 
 
 def _timed_evaluate(implementation: str, config: WorkloadConfig, sets: int):
-    with use_probe_implementation(implementation):
-        start = time.perf_counter()
-        stats = evaluate_point(config, sets=sets, seed=SEED, jobs=1)
-        elapsed = time.perf_counter() - start
-    return stats, elapsed
+    point = PointSpec(
+        config=config, schemes=tuple(default_schemes()), sets=sets, seed=SEED
+    )
+    start = time.perf_counter()
+    stats = Engine(probe_impl=implementation).evaluate(point)
+    return stats, time.perf_counter() - start
 
 
 def test_probe_throughput(emit):

@@ -15,7 +15,14 @@ that analysis for dual-criticality subsets:
   ``p_i - d_i`` time to its real deadline; HI demand is therefore
   bounded by ``dbf(t; p_i, p_i - d_i, c_i(2))`` (first deadline at the
   offset, then periodic) and the test is ``sum_HI ... <= t`` for all
-  ``t``;
+  ``t``.  The bound charges the full ``c_i(2)`` from the offset, with
+  no credit for the ``c_i(1)`` the job ran before the switch, so this
+  analysis is incomparable with Theorem 1: a lone HI task with period
+  10 and wcets (6, 9) passes Theorem 1 (margin +0.1), yet the LO test
+  needs ``d >= 6`` and the HI test ``d <= 1``, so
+  :func:`tune_virtual_deadlines` returns ``None``.  A K=2 differential
+  against this module must count Theorem-1-admit / DBF-reject as
+  expected, not as a counterexample;
 * the *tuning* loop shrinks individual ``d_i`` (improving the HI test at
   the expense of the LO test) until both pass or no progress is
   possible.

@@ -32,7 +32,6 @@ unless a backend does.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -593,39 +592,27 @@ def explain_admission(
     scheme: str = "ca-tpa",
     *,
     rule: str = "max",
-    probe_impl: str | None = None,
     include_headroom: bool = True,
     include_sensitivity: bool = True,
     max_scale: float = HEADROOM_MAX_SCALE,
 ) -> ProbeExplanation:
     """Run ``scheme`` on ``(taskset, cores)`` and explain its decision.
 
-    ``probe_impl`` selects the backend for the partitioning run (``None``
-    keeps the ambient contextvar selection); the recorded ``probe_impl``
-    field is always the backend that actually decided.  All backends are
-    pinned bit-identical, so the explanation never depends on the choice
-    — which is exactly what the ``explain-decision`` oracle re-proves.
+    The partitioning run probes on the batch backend, which the document
+    records as ``probe_impl``.  Both backends are pinned bit-identical,
+    so the explanation never depends on it — which is exactly what the
+    ``explain-decision`` oracle re-proves on the scalar backend.
     """
-    from repro.partition.probe import (
-        probe_implementation,
-        use_probe_implementation,
-    )
+    from repro.partition.backend import BATCH
     from repro.partition.registry import get_partitioner
 
-    ctx = (
-        use_probe_implementation(probe_impl)
-        if probe_impl is not None
-        else nullcontext()
-    )
-    with ctx:
-        result = get_partitioner(scheme).partition(taskset, cores)
-        decided_by = probe_implementation()
+    result = get_partitioner(scheme).partition(taskset, cores)
     return explain_result(
         taskset,
         cores,
         result,
         rule=rule,
-        probe_impl=decided_by,
+        probe_impl=BATCH.name,
         include_headroom=include_headroom,
         include_sensitivity=include_sensitivity,
         max_scale=max_scale,

@@ -49,11 +49,7 @@ from repro.analysis.batch import _core_utilization_stack
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import Partition
 from repro.partition import ordering
-from repro.partition.probe import (
-    batch_probe,
-    batch_probe_tasks,
-    use_probe_implementation,
-)
+from repro.partition.backend import BATCH, get_backend
 from repro.types import ReproError
 
 __all__ = [
@@ -147,7 +143,7 @@ def placement_loop(
     """
     partition = Partition(taskset, cores)
     pending = list(ordering.by_contribution(taskset))
-    utils = batch_probe_tasks(partition, pending, rule=rule)
+    utils = BATCH.probe_tasks(partition, pending, rule=rule)
     hypotheses = 0
     while pending:
         hypotheses += utils.size
@@ -159,11 +155,11 @@ def placement_loop(
         core = int(np.argmin(np.where(finite, head, np.inf)))
         partition.assign(task_index, core)
         if refresh:
-            utils[:, [core]] = batch_probe_tasks(
+            utils[:, [core]] = BATCH.probe_tasks(
                 partition, pending, rule=rule, cores=[core]
             )
         else:
-            utils = batch_probe_tasks(partition, pending, rule=rule)
+            utils = BATCH.probe_tasks(partition, pending, rule=rule)
     return hypotheses
 
 
@@ -219,12 +215,12 @@ def run_serve_bench(
     """Serve-latency burst: an in-process daemon under concurrent /place.
 
     Boots a real :class:`~repro.serve.daemon.ServeDaemon` (ephemeral
-    port, default probe backend — the serve defaults), fires ``places``
-    concurrent HTTP ``/place`` requests at it, and reports qps plus the
-    exact log-bucket p50/p95 of ``serve.place.seconds`` (queue-wait +
-    kernel + apply per request, the same histogram the daemon exposes
-    via Prometheus).  Everything runs in one process on one event loop,
-    so the numbers are the coalescing path's, not a client fleet's.
+    port, the serve defaults), fires ``places`` concurrent HTTP
+    ``/place`` requests at it, and reports qps plus the exact log-bucket
+    p50/p95 of ``serve.place.seconds`` (queue-wait + kernel + apply per
+    request, the same histogram the daemon exposes via Prometheus).
+    Everything runs in one process on one event loop, so the numbers are
+    the coalescing path's, not a client fleet's.
     """
     import asyncio
     import json as json_mod
@@ -330,15 +326,14 @@ def run_probe_bench(sets: int = DEFAULT_SETS, seed: int = SEED) -> dict:
     if not states:
         raise ValueError("probe-state replay produced no states")
 
-    batch_seconds = _time_states(batch_probe, states)
-    with use_probe_implementation("scalar"):
-        scalar_seconds = _time_states(batch_probe, states)
+    batch_seconds = _time_states(BATCH.probe, states)
+    scalar_seconds = _time_states(get_backend("scalar").probe, states)
 
     chunks = [states[k::CHUNKS] for k in range(CHUNKS)]
     ratios = []
     for chunk in chunks:
         before = _time_states(_raw, chunk)
-        timed = _time_states(batch_probe, chunk)
+        timed = _time_states(BATCH.probe, chunk)
         after = _time_states(_raw, chunk)
         ratios.append(timed / ((before + after) / 2))
 

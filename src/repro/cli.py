@@ -57,7 +57,6 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,10 +83,14 @@ from repro.obs import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.live import parse_slo
-from repro.partition.backend import DEFAULT_BACKEND, available_backends, get_backend
+from repro.partition.backend import (
+    DEFAULT_BACKEND,
+    ProbeBackend,
+    available_backends,
+    get_backend,
+)
 from repro.partition.catpa import CATPA
 from repro.partition.classical import FirstFitDecreasing
-from repro.partition.probe import probe_implementation, use_probe_implementation
 from repro.types import ReproError
 
 __all__ = ["main", "build_parser", "version_string"]
@@ -251,6 +254,7 @@ def _flag_groups() -> dict[str, argparse.ArgumentParser]:
         "--probe-impl",
         metavar="NAME",
         type=_library_type(get_backend),
+        default=DEFAULT_BACKEND,
         help=(
             "probe backend for every schedulability probe of this "
             f"invocation; one of: {', '.join(available_backends())} "
@@ -369,15 +373,15 @@ class _Instrumentation:
 # -- subcommands --------------------------------------------------------
 
 
-def _render_tables() -> str:
+def _render_tables(backend: ProbeBackend) -> str:
     ts = paper_example_taskset()
     out = [format_table1(ts), ""]
-    ffd_steps = allocation_trace(FirstFitDecreasing(), ts, cores=2)
+    ffd_steps = allocation_trace(FirstFitDecreasing(), ts, 2, backend)
     out.append(
         format_allocation_trace("Table II: allocations under FFD", ts, ffd_steps)
     )
     out.append("")
-    ca_steps = allocation_trace(CATPA(), ts, cores=2)
+    ca_steps = allocation_trace(CATPA(), ts, 2, backend)
     out.append(
         format_allocation_trace("Table III: allocations under CA-TPA", ts, ca_steps)
     )
@@ -439,7 +443,7 @@ def _regenerate(args, command: list[str], names: list[str]) -> int:
         for name in names:
             start = time.perf_counter()
             if name == "tables":
-                text = _render_tables()
+                text = _render_tables(get_backend(args.probe_impl))
             else:
                 text = _figure(args, command, name, inst, engine_options)
             elapsed = time.perf_counter() - start
@@ -492,7 +496,6 @@ def _run_dynamic(args, command: list[str]) -> int:
                 args.burst_factors or DEFAULT_BURST_FACTORS,
                 sets=args.sets,
                 seed=args.seed,
-                probe_impl=args.probe_impl,
                 **engine_options,
             ),
             sets=args.sets,
@@ -526,22 +529,14 @@ def _run_validate(args, command: list[str]) -> int:
     from repro.validate import run_campaign, shrink_failure, write_repro
 
     engine_options = _engine_options(args)
-    # --probe-impl rides the contextvar: the campaign engine resolves it
-    # per evaluate() and forwards it into worker processes + shard keys.
-    backend = (
-        use_probe_implementation(args.probe_impl)
-        if args.probe_impl
-        else nullcontext()
-    )
     with _Instrumentation(args, command) as inst:
         start = time.perf_counter()
-        with backend:
-            result, _ = inst.call(
-                "validate",
-                lambda: run_campaign(args.sets, args.seed, **engine_options),
-                sets=args.sets,
-                seed=args.seed,
-            )
+        result, _ = inst.call(
+            "validate",
+            lambda: run_campaign(args.sets, args.seed, **engine_options),
+            sets=args.sets,
+            seed=args.seed,
+        )
         print(result.summary(), file=args.out)
         for failure in result.failures:
             doc = shrink_failure(failure)
@@ -697,9 +692,7 @@ def _run_explain(args, command: list[str]) -> int:
     from repro.model import load_taskset
 
     taskset = load_taskset(args.path if args.taskset is None else args.taskset)
-    exp = explain_admission(
-        taskset, args.cores, args.scheme, probe_impl=args.probe_impl
-    )
+    exp = explain_admission(taskset, args.cores, args.scheme)
     document = json.dumps(exp.to_dict(), indent=2, allow_nan=False)
     if args.json == "-":
         print(document, file=args.out)
@@ -937,7 +930,6 @@ def _run_serve(args, command: list[str]) -> int:
         window_ms=args.window_ms,
         max_batch=args.max_batch,
         backlog=args.backlog,
-        probe_impl=args.probe_impl or probe_implementation(),
         metrics_path=args.metrics,
         log_json=args.log_json,
         slo=args.slo or [],
@@ -998,9 +990,9 @@ class Command:
     configure: Callable[[argparse.ArgumentParser], None] | None = None
 
 
-_SWEEP = ("run", "out", "obs", "probe")
+_SWEEP = ("run", "out", "obs")
 # `tables` takes the figure flags because `all` runs it in the figure loop.
-_FIGURE = _SWEEP + ("artifacts",)
+_FIGURE = _SWEEP + ("probe", "artifacts")
 
 COMMANDS: dict[str, Command] = {
     **{
@@ -1033,7 +1025,7 @@ COMMANDS: dict[str, Command] = {
         "decompose one admission decision (per-core Theorem-1 margins, "
         "headroom, rejection sensitivity)",
         _run_explain,
-        ("partition", "out", "probe"),
+        ("partition", "out"),
         _configure_explain,
     ),
     "inspect": Command(
@@ -1057,7 +1049,7 @@ COMMANDS: dict[str, Command] = {
     "serve": Command(
         "run the online admission-control daemon",
         _run_serve,
-        ("obs", "probe"),
+        ("obs",),
         _configure_serve,
     ),
     "top": Command(

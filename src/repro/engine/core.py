@@ -38,7 +38,6 @@ from repro.obs import runtime as obs
 from repro.obs.metrics import Histogram
 from repro.partition.backend import DEFAULT_BACKEND, get_backend
 from repro.partition.base import partition_lockstep
-from repro.partition.probe import probe_implementation, use_probe_implementation
 from repro.types import ReproError
 
 __all__ = [
@@ -110,9 +109,11 @@ def _generate_timed(config: WorkloadConfig, rng):
 LOCKSTEP_SETS = 64
 
 
-def _shard_results(config, schemes, seed, start, count):
-    """Every set x scheme of one shard, partitioned in lockstep; yields
-    each set's results in scheme order, set by set (accumulator order)."""
+def _shard_results(config, schemes, seed, start, count, probe_impl):
+    """Every set x scheme of one shard, partitioned in lockstep on the
+    ``probe_impl`` backend; yields each set's results in scheme order,
+    set by set (accumulator order)."""
+    backend = get_backend(probe_impl)
     partitioners = [spec.build() for spec in schemes]
     for lo in range(start, start + count, LOCKSTEP_SETS):
         tasksets = [
@@ -123,7 +124,7 @@ def _shard_results(config, schemes, seed, start, count):
             for i in range(lo, min(lo + LOCKSTEP_SETS, start + count))
         ]
         jobs = [(p, ts, config.cores) for ts in tasksets for p in partitioners]
-        results = iter(partition_lockstep(jobs))
+        results = iter(partition_lockstep(jobs, backend))
         for _ in tasksets:
             yield [next(results) for _ in partitioners]
 
@@ -134,10 +135,12 @@ def _run_stats_shard(
     seed: int,
     start: int,
     count: int,
+    *,
+    probe_impl: str,
 ) -> list[SchemeAccumulator]:
     """Evaluate task sets ``start .. start+count-1`` of a stats point."""
     accs = [SchemeAccumulator(spec.label) for spec in schemes]
-    for results in _shard_results(config, schemes, seed, start, count):
+    for results in _shard_results(config, schemes, seed, start, count, probe_impl):
         for acc, result in zip(accs, results):
             # Accumulators are keyed by label, which may differ from the
             # partitioner's registry name (e.g. alpha variants).
@@ -151,12 +154,14 @@ def _run_h2h_shard(
     seed: int,
     start: int,
     count: int,
+    *,
+    probe_impl: str,
 ) -> dict:
     """Pairwise dominance tallies over one shard of the common batch."""
     labels = [spec.label for spec in schemes]
     accepted = {label: 0 for label in labels}
     wins = {a: {b: 0 for b in labels if b != a} for a in labels}
-    for results in _shard_results(config, schemes, seed, start, count):
+    for results in _shard_results(config, schemes, seed, start, count, probe_impl):
         outcome = {lb: r.schedulable for lb, r in zip(labels, results)}
         for a in labels:
             accepted[a] += outcome[a]
@@ -170,7 +175,9 @@ def _run_h2h_shard(
 class ShardKind:
     """How the engine runs, persists, and merges one kind of shard.
 
-    ``run(config, schemes, seed, start, count)`` evaluates one shard;
+    ``run(config, schemes, seed, start, count, probe_impl=name)``
+    evaluates one shard on the named probe backend (a kind that
+    declares :attr:`PointSpec.params` also gets ``params=``);
     ``encode(result)`` / ``decode(payload)`` convert it to/from the
     strict-JSON form the :class:`ResultStore` checkpoints (``encode``
     must stamp ``{"kind": name}`` so ``decode`` can reject mismatched
@@ -197,14 +204,15 @@ _KIND_PROVIDERS = {
 }
 
 
-def _shard_run_kwargs(params: tuple[tuple[str, object], ...]) -> dict:
-    """Kind-specific knobs as runner kwargs.
-
-    Only kinds that declare :attr:`PointSpec.params` receive the extra
-    ``params`` argument, so the legacy 5-argument runner signature (and
-    with it every existing shard hash) is untouched.
-    """
-    return {"params": dict(params)} if params else {}
+def _shard_run_kwargs(
+    params: tuple[tuple[str, object], ...], probe_impl: str
+) -> dict:
+    """Runner kwargs: the probe backend name for every kind, plus
+    ``params`` only for kinds that declare :attr:`PointSpec.params`."""
+    extra = {"probe_impl": probe_impl}
+    if params:
+        extra["params"] = dict(params)
+    return extra
 
 
 def register_shard_kind(
@@ -237,16 +245,10 @@ def _run_shard_job(
     start: int,
     count: int,
     collect_metrics: bool,
-    probe_impl: str = DEFAULT_BACKEND,
-    params: tuple[tuple[str, object], ...] = (),
+    probe_impl: str,
+    params: tuple[tuple[str, object], ...],
 ):
     """Worker-process entry point: run one shard, optionally with metrics.
-
-    ``probe_impl`` is passed explicitly because contextvars do not cross
-    the ``ProcessPoolExecutor`` boundary: a worker interpreter starts on
-    the default backend, so the parent's selection must ride the job
-    arguments (it is also part of the shard key, so stores never mix
-    backends).
 
     When the parent engine runs instrumented, each worker evaluates its
     shard inside :func:`repro.obs.collect` (a fresh registry) and ships
@@ -258,20 +260,13 @@ def _run_shard_job(
     ``(result, metrics_dump_or_None, span_records_or_None)``.
     """
     run_shard = shard_kind(kind).run
-    extra = _shard_run_kwargs(params)
-    with use_probe_implementation(probe_impl):
-        if not collect_metrics:
-            return (
-                run_shard(config, schemes, seed, start, count, **extra),
-                None,
-                None,
-            )
-        with obs.collect() as registry:
-            with obs.span(
-                "engine.shard.compute", set_start=start, set_count=count
-            ):
-                result = run_shard(config, schemes, seed, start, count, **extra)
-            return result, registry.dump(), obs.drain_spans()
+    extra = _shard_run_kwargs(params, probe_impl)
+    if not collect_metrics:
+        return run_shard(config, schemes, seed, start, count, **extra), None, None
+    with obs.collect() as registry:
+        with obs.span("engine.shard.compute", set_start=start, set_count=count):
+            result = run_shard(config, schemes, seed, start, count, **extra)
+        return result, registry.dump(), obs.drain_spans()
 
 
 def _encode_stats(result) -> dict:
@@ -359,13 +354,9 @@ class Engine:
     progress:
         Optional hook receiving one event dict per point/shard.
     probe_impl:
-        Probe backend every shard evaluates under (and is keyed by in
-        the store).  ``None`` (default) resolves the ambient selection
-        (:func:`repro.partition.probe.probe_implementation`) at each
-        ``evaluate`` call, so ``with use_probe_implementation(...)``
-        around a sweep is honoured — including inside worker processes,
-        which receive the resolved name explicitly because contextvars
-        do not cross the pool boundary.
+        Name of the probe backend every shard evaluates on (and is keyed
+        by in the store); checked once here, then handed to each shard
+        runner, inline or in a worker process.
     """
 
     def __init__(
@@ -374,12 +365,11 @@ class Engine:
         jobs: int | None = 1,
         store: ResultStore | str | os.PathLike | None = None,
         progress: ProgressHook | None = None,
-        probe_impl: str | None = None,
+        probe_impl: str = DEFAULT_BACKEND,
     ) -> None:
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
-        if probe_impl is not None:
-            get_backend(probe_impl)  # fail fast on unknown names
+        get_backend(probe_impl)  # fail fast on unknown names
         if jobs is not None and jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
@@ -387,9 +377,6 @@ class Engine:
         self.progress = progress
         self.probe_impl = probe_impl
         self.stats = EngineRunStats()
-
-    def _resolved_impl(self) -> str:
-        return self.probe_impl or probe_implementation()
 
     # -- observability -------------------------------------------------
 
@@ -432,13 +419,14 @@ class Engine:
         jobs = os.cpu_count() or 1 if self.jobs is None else self.jobs
         return max(1, min(jobs, sets))
 
-    def _checkpoint(
-        self, point: PointSpec, start: int, count: int, result, impl: str
-    ) -> None:
+    def _key(self, point: PointSpec, start: int, count: int) -> str:
+        return shard_key(point, start, count, probe_impl=self.probe_impl)
+
+    def _checkpoint(self, point: PointSpec, start: int, count: int, result) -> None:
         if self.store is not None:
             with obs.span("engine.store.put"):
                 self.store.put(
-                    shard_key(point, start, count, probe_impl=impl),
+                    self._key(point, start, count),
                     shard_kind(point.kind).encode(result),
                 )
 
@@ -447,15 +435,14 @@ class Engine:
         point: PointSpec,
         missing: list[tuple[int, int]],
         jobs: int,
-        impl: str,
     ) -> dict[int, object]:
         """Run the uncached shards, checkpointing each as it completes."""
         run_shard = shard_kind(point.kind).run
-        extra = _shard_run_kwargs(point.params)
+        extra = _shard_run_kwargs(point.params, self.probe_impl)
         results: dict[int, object] = {}
 
         def finish(start: int, count: int, result, seconds: float) -> None:
-            self._checkpoint(point, start, count, result, impl)
+            self._checkpoint(point, start, count, result)
             self._record_shard(seconds)
             results[start] = result
             self._emit(
@@ -465,21 +452,18 @@ class Engine:
         if jobs == 1 or len(missing) == 1:
             # Inline execution: metrics (if enabled) accumulate straight
             # into the parent registry — no transfer step needed.
-            with use_probe_implementation(impl):
-                for start, count in missing:
-                    t0 = time.perf_counter()
-                    with obs.span(
-                        "engine.shard", set_start=start, set_count=count
-                    ):
-                        result = run_shard(
-                            point.config,
-                            point.schemes,
-                            point.seed,
-                            start,
-                            count,
-                            **extra,
-                        )
-                    finish(start, count, result, time.perf_counter() - t0)
+            for start, count in missing:
+                t0 = time.perf_counter()
+                with obs.span("engine.shard", set_start=start, set_count=count):
+                    result = run_shard(
+                        point.config,
+                        point.schemes,
+                        point.seed,
+                        start,
+                        count,
+                        **extra,
+                    )
+                finish(start, count, result, time.perf_counter() - t0)
             return results
 
         collect_metrics = obs.OBS.enabled
@@ -496,7 +480,7 @@ class Engine:
                         start,
                         count,
                         collect_metrics,
-                        impl,
+                        self.probe_impl,
                         point.params,
                     )
                     for start, count in missing
@@ -526,7 +510,7 @@ class Engine:
                             set_start=start,
                             set_count=count,
                             retried=True,
-                        ), use_probe_implementation(impl):
+                        ):
                             result = run_shard(
                                 point.config,
                                 point.schemes,
@@ -575,7 +559,6 @@ class Engine:
         """
         with obs.span("engine.point", kind=point.kind, sets=point.sets):
             kind = shard_kind(point.kind)
-            impl = self._resolved_impl()
             jobs = self._effective_jobs(point.sets)
             shards = plan_shards(point.sets, jobs)
             self.stats.points += 1
@@ -595,9 +578,7 @@ class Engine:
             for start, count in shards:
                 if self.store is not None:
                     with obs.span("engine.store.get"):
-                        cached = self.store.get(
-                            shard_key(point, start, count, probe_impl=impl)
-                        )
+                        cached = self.store.get(self._key(point, start, count))
                 else:
                     cached = None
                 if cached is not None:
@@ -616,7 +597,7 @@ class Engine:
                     missing.append((start, count))
 
             results.update(
-                self._compute_missing(point, missing, jobs, impl)
+                self._compute_missing(point, missing, jobs)
                 if missing
                 else {}
             )
@@ -671,7 +652,7 @@ def run_experiment(
     jobs: int | None = 1,
     store: ResultStore | str | os.PathLike | None = None,
     progress: ProgressHook | None = None,
-    probe_impl: str | None = None,
+    probe_impl: str = DEFAULT_BACKEND,
 ) -> SweepArtifact:
     """One-shot convenience wrapper around :meth:`Engine.run`."""
     return Engine(

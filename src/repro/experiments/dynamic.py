@@ -153,6 +153,8 @@ def _run_dynsim_shard(
     start: int,
     count: int,
     params: dict | None = None,
+    *,
+    probe_impl: str,
 ) -> dict:
     """Simulate task sets ``start .. start+count-1`` under the script.
 
@@ -161,6 +163,8 @@ def _run_dynsim_shard(
     cannot schedule are counted and skipped — there is no guarantee to
     stress.  Three decoupled seed streams per set (generation, script,
     simulation) keep every draw independent of the others' draw counts.
+    ``probe_impl`` is unused: partitioning and the event compiler probe
+    on the batch backend.
     """
     from repro.sched import RandomScenario, SystemSimulator, default_horizon
     from repro.sched.events import EventInjectionRuntime
@@ -316,14 +320,11 @@ def run_dynamic_sweep(
     progress: ProgressHook | None = None,
     config: WorkloadConfig | None = None,
     scheme: SchemeSpec | None = None,
-    probe_impl: str | None = None,
 ) -> DynamicSweepResult:
     """Evaluate the dynamic figure: one dynsim point per burst factor."""
     config = config or dynamic_config()
     scheme = scheme or SchemeSpec.make("ca-tpa", alpha=0.7)
-    engine = Engine(
-        jobs=jobs, store=store, progress=progress, probe_impl=probe_impl
-    )
+    engine = Engine(jobs=jobs, store=store, progress=progress)
     tallies = []
     for factor in factors:
         point = dynamic_point(

@@ -25,6 +25,7 @@ from repro.analysis.contribution import (
 from repro.gen.params import WorkloadConfig
 from repro.gen.generator import generate_taskset
 from repro.model.taskset import MCTaskSet
+from repro.partition.backend import BATCH, ProbeBackend
 from repro.partition.base import Attempt, Partitioner, advance
 from repro.partition.catpa import CATPA
 from repro.partition.classical import FirstFitDecreasing
@@ -111,14 +112,18 @@ class AllocationStep:
 
 
 def allocation_trace(
-    partitioner: Partitioner, taskset: MCTaskSet, cores: int
+    partitioner: Partitioner,
+    taskset: MCTaskSet,
+    cores: int,
+    backend: ProbeBackend = BATCH,
 ) -> list[AllocationStep]:
     """Replay a heuristic task by task, recording each intermediate state.
 
     This is exactly what Tables II and III tabulate: the task-to-core
     decisions in processing order with the evolving per-core level
-    utilizations.  One attempt driven through the scheme's step machine,
-    the same steps :meth:`~repro.partition.Partitioner.partition` takes.
+    utilizations.  One attempt driven through the scheme's step machine
+    on ``backend``, the same steps
+    :meth:`~repro.partition.Partitioner.partition` takes.
     """
     attempt = Attempt(partitioner, taskset, cores)
     partition = attempt.partition
@@ -126,7 +131,7 @@ def allocation_trace(
     live = [attempt]
     while live:
         task = attempt.task
-        live = advance(live)
+        live = advance(live, backend)
         core = partition.core_of(task)
         steps.append(
             AllocationStep(

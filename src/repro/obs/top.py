@@ -123,8 +123,7 @@ class DaemonSource:
         lines = [
             f"repro-mc top — {self.url}  "
             f"(up {history.get('uptime_seconds', 0.0):.0f}s, "
-            f"seq {health.get('seq', '?')}, "
-            f"probe {health.get('probe_impl', '?')})",
+            f"seq {health.get('seq', '?')})",
             "",
             f"  qps (10s)       {qps:8.1f}   {spark}",
             f"  http            {status_line}",

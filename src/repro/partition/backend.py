@@ -43,10 +43,10 @@ rows bit for bit.  The validate campaign pins scalar == batch end to
 end.  The kernels are called through this module's names, so a caller
 that wraps them here sees every stacked call.
 
-Backends are selected *by name* through the registry below; the
-contextvar that holds the active name (and the public module-level
-probe functions) lives in :mod:`repro.partition.probe`.  Unknown names
-raise :class:`repro.types.ModelError` (a
+Every caller holds its backend explicitly: the lockstep driver takes
+one as an argument (default :data:`BATCH`, the registered batch
+instance), and ``--probe-impl`` names one through the registry below.
+Unknown names raise :class:`repro.types.ModelError` (a
 :class:`~repro.types.ReproError`), never a bare ``KeyError``.
 
 Instrumentation mirrors the historical probe counters:
@@ -80,6 +80,7 @@ from repro.obs.runtime import OBS, add_span_time, scheme_tag
 from repro.types import EPS, INFEASIBLE, ModelError, PartitionError, fits_unit_capacity
 
 __all__ = [
+    "BATCH",
     "DEFAULT_BACKEND",
     "FEASIBLE",
     "ProbeBackend",
@@ -152,7 +153,7 @@ def _record_feasibility_stack(
 
 
 # ----------------------------------------------------------------------
-# Scalar primitives (one core at a time) — shared with repro.partition.probe
+# Scalar primitives (one core at a time)
 # ----------------------------------------------------------------------
 def candidate_level_matrix(
     partition: Partition, core: int, task_index: int
@@ -402,10 +403,8 @@ class BatchBackend(ProbeBackend):
 # ----------------------------------------------------------------------
 _BACKENDS: dict[str, ProbeBackend] = {}
 
-#: The backend every probe runs on unless ``--probe-impl`` (or
-#: :func:`repro.partition.probe.use_probe_implementation`) names another:
-#: the probe contextvar, engine shards and shard keys, and the serve
-#: daemon all default to this one name.
+#: The backend every probe runs on unless ``--probe-impl`` names another:
+#: the engine's shards and shard keys default to this one name.
 DEFAULT_BACKEND = "batch"
 
 
@@ -434,4 +433,6 @@ def get_backend(name: str) -> ProbeBackend:
 
 
 register_backend(ScalarBackend())
-register_backend(BatchBackend())
+#: The registered batch instance (:data:`DEFAULT_BACKEND`): what the
+#: lockstep driver, the serve flush and the explain layer probe on.
+BATCH = register_backend(BatchBackend())

@@ -21,8 +21,7 @@ import numpy as np
 from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.obs.runtime import OBS, record_span, scheme_tag
-from repro.partition.backend import FEASIBLE
-from repro.partition.probe import active_backend
+from repro.partition.backend import BATCH, FEASIBLE, ProbeBackend
 from repro.types import PartitionError
 
 __all__ = [
@@ -196,8 +195,8 @@ class Partitioner(abc.ABC):
 
     def partition(self, taskset: MCTaskSet, cores: int) -> PartitionResult:
         """Run the heuristic over the whole task set (the lockstep driver
-        over one attempt); stops at the first unplaceable task, as
-        Algorithm 1 does."""
+        over one attempt, on the batch backend); stops at the first
+        unplaceable task, as Algorithm 1 does."""
         return partition_lockstep([(self, taskset, cores)])[0]
 
     def _final_core_utils(self, attempt: Attempt) -> np.ndarray | None:
@@ -210,15 +209,14 @@ class Partitioner(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-def advance(attempts: list[Attempt]) -> list[Attempt]:
+def advance(attempts: list[Attempt], backend: ProbeBackend) -> list[Attempt]:
     """One placement step of every attempt; returns those still live.
 
     Requests are grouped by ``(kind, K)`` and each group is answered by
-    one call to the active backend — under the batch backend one stacked
-    kernel call, whose per-row independence gives every attempt the rows
-    it would get alone, bit for bit.
+    one call to ``backend`` — under the batch backend one stacked kernel
+    call, whose per-row independence gives every attempt the rows it
+    would get alone, bit for bit.
     """
-    backend = active_backend()
     clock = time.perf_counter if OBS.enabled else None
     groups: dict[tuple, list[Attempt]] = {}
     for a in attempts:
@@ -246,8 +244,10 @@ def advance(attempts: list[Attempt]) -> list[Attempt]:
 
 def partition_lockstep(
     jobs: Sequence[tuple[Partitioner, MCTaskSet, int]],
+    backend: ProbeBackend = BATCH,
 ) -> list[PartitionResult]:
-    """Partition every ``(scheme, taskset, cores)`` job in lockstep.
+    """Partition every ``(scheme, taskset, cores)`` job in lockstep,
+    every probe answered by ``backend``.
 
     Results come back in job order, each field for field what
     ``scheme.partition(taskset, cores)`` returns alone; attempts are
@@ -259,7 +259,7 @@ def partition_lockstep(
     live = attempts
     try:
         while live:
-            live = advance(live)
+            live = advance(live, backend)
     finally:
         if OBS.enabled:
             for a in attempts:

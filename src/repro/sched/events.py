@@ -18,8 +18,8 @@ switches on event kinds; everything data-dependent is resolved up front:
   :class:`~repro.types.SimulationError`, never a deep numpy traceback;
 * **compilation** (:meth:`EventInjectionRuntime.compile`) replays the
   structural events chronologically against a *live* copy of the
-  partition: arrivals are admitted through the same Theorem-1 probe
-  backends the serve daemon uses (rejections are counted, not crashed),
+  partition: arrivals are admitted through the batch Theorem-1 probe
+  backend the serve daemon uses (rejections are counted, not crashed),
   core failures displace their residents and re-partition them onto the
   surviving cores best-probe-first (Λ is re-reported before/after), and
   the result is a cumulative membership timeline — per core, who is
@@ -91,8 +91,7 @@ from repro.model.partition import Partition
 from repro.model.task import MCTask
 from repro.model.taskset import MCTaskSet
 from repro.obs.runtime import span
-from repro.partition.backend import get_backend
-from repro.partition.probe import probe_implementation
+from repro.partition.backend import BATCH
 from repro.types import SimulationError
 
 __all__ = [
@@ -528,13 +527,11 @@ class EventInjectionRuntime:
         self,
         events: Iterable[SimEvent],
         horizon: float,
-        probe_impl: str | None = None,
         rule: str = "max",
     ):
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
         self.horizon = float(horizon)
-        self.probe_impl = probe_impl
         self.rule = rule
         ordered = sorted(events, key=lambda e: e.start)  # stable: ties keep
         for e in ordered:  # authoring order
@@ -629,9 +626,6 @@ class EventInjectionRuntime:
         n_base = len(base)
         cores = partition.cores
         levels = base.levels
-        backend = get_backend(
-            self.probe_impl if self.probe_impl is not None else probe_implementation()
-        )
 
         arrivals = [e for e in self.events if e.kind == "task_arrival"]
         full = MCTaskSet(
@@ -676,7 +670,7 @@ class EventInjectionRuntime:
         def best_online_core(gidx: int) -> int | None:
             """Feasible online core with the smallest Eq.-(15) probe
             (ties to the lowest index — the serve daemon's rule)."""
-            row = backend.probe(live, gidx, rule=self.rule)
+            row = BATCH.probe(live, gidx, rule=self.rule)
             masked = np.where(
                 np.isfinite(row) & np.array(online, dtype=bool), row, np.inf
             )

@@ -8,17 +8,15 @@ handlers only enqueue work and await futures.  Each flush:
   — bit-identical to ``repro-mc``'s batch path by construction, pinned
   by the ``serve-offline`` oracle in :mod:`repro.validate`;
 * answers the flush's ``/place`` requests with **one** call into the
-  stacked probe kernel (:func:`repro.partition.probe.batch_probe_tasks`
-  over the whole micro-batch), then applies placements greedily in
-  arrival order.  After each assignment to core ``c`` only column ``c``
-  of the remaining rows is stale, so the flush re-probes that one column
+  stacked probe kernel (:func:`batch_probe_tasks` over the whole
+  micro-batch), then applies placements greedily in arrival order.
+  After each assignment to core ``c`` only column ``c`` of the remaining
+  rows is stale, so the flush re-probes that one column
   (``batch_probe_tasks(..., cores=[c])``) — bit-identical to a full
   re-probe, because the batch kernels are per-row independent.
 
-Every flush runs under the coordinator's configured probe backend
-(``--probe-impl``, default :data:`~repro.partition.backend.DEFAULT_BACKEND`).
-Both backends are pinned bit-identical, so the placement decisions (and
-the ``serve-offline`` oracle parity) do not depend on the choice.
+Every flush probes on the batch backend
+(:data:`~repro.partition.backend.BATCH`).
 
 Placement rule: best fit by Eq. (15) — the feasible core whose new
 Eq.-(9) utilization is smallest (ties to the lowest core index), i.e.
@@ -37,8 +35,7 @@ from repro.model import MCTask, MCTaskSet, Partition
 from repro.model.io import task_to_dict
 from repro.obs.live import LiveMetrics
 from repro.obs.runtime import OBS, current_span_id, record_span, span
-from repro.partition.backend import DEFAULT_BACKEND, get_backend
-from repro.partition.probe import batch_probe_tasks, use_probe_implementation
+from repro.partition.backend import BATCH
 from repro.partition.registry import get_partitioner
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.protocol import (
@@ -53,6 +50,20 @@ from repro.types import ReproError
 __all__ = ["Coordinator"]
 
 
+def batch_probe_tasks(
+    partition: Partition, idx: list[int], rule: str, cores: list[int] | None = None
+) -> np.ndarray:
+    """The flush's probe kernel: ``BATCH.probe_tasks(...)``.
+
+    A module-level function rather than an alias of the bound method, so
+    a caller that rebinds this name or wraps
+    :meth:`~repro.partition.backend.BatchBackend.probe_tasks` sees every
+    flush call (``perfbench/ledger.py`` does both).  Inline it once that
+    ledger reads the product's spans instead.
+    """
+    return BATCH.probe_tasks(partition, idx, rule=rule, cores=cores)
+
+
 class Coordinator:
     """Drains the batcher; the only writer of ``state``."""
 
@@ -61,14 +72,11 @@ class Coordinator:
         state: ServeState,
         batcher: MicroBatcher,
         rule: str = "max",
-        probe_impl: str = DEFAULT_BACKEND,
         live: LiveMetrics | None = None,
     ):
-        get_backend(probe_impl)  # fail fast on unknown names
         self.state = state
         self.batcher = batcher
         self.rule = rule
-        self.probe_impl = probe_impl
         self.live = live
 
     async def run(self) -> None:
@@ -79,10 +87,6 @@ class Coordinator:
     # ------------------------------------------------------------------
     def flush(self, batch: list[WorkItem]) -> None:
         """Resolve every future of one micro-batch (synchronous).
-
-        The whole flush — admission sweeps and placements alike — runs
-        under the configured probe backend; the selection rides a
-        contextvar, so concurrent readers are unaffected.
 
         Tracing: the flush is one shared ``serve.flush`` span; every
         request in the batch additionally gets its *own*
@@ -103,21 +107,20 @@ class Coordinator:
         places = [item for item in batch if item.kind == "place"]
         with span("serve.flush", batch=len(batch)):
             flush_id = current_span_id()
-            with use_probe_implementation(self.probe_impl):
-                for item in batch:
-                    if item.kind in ("admit", "explain"):
-                        fn = self._admit if item.kind == "admit" else self._explain
-                        t0 = time.perf_counter()
-                        self._resolve(item, fn, item.request)
-                        self._finish_request(
-                            item,
-                            flush_start,
-                            flush_id,
-                            kernel=time.perf_counter() - t0,
-                            apply=0.0,
-                        )
-                if places:
-                    self._place_flush(places, flush_start, flush_id)
+            for item in batch:
+                if item.kind in ("admit", "explain"):
+                    fn = self._admit if item.kind == "admit" else self._explain
+                    t0 = time.perf_counter()
+                    self._resolve(item, fn, item.request)
+                    self._finish_request(
+                        item,
+                        flush_start,
+                        flush_id,
+                        kernel=time.perf_counter() - t0,
+                        apply=0.0,
+                    )
+            if places:
+                self._place_flush(places, flush_start, flush_id)
 
     def _resolve(self, item: WorkItem, fn, *args) -> None:
         if item.future.cancelled():  # pragma: no cover - client went away
@@ -195,11 +198,8 @@ class Coordinator:
         if OBS.enabled:
             OBS.registry.counter(f"serve.explain.requests[{req.scheme}]").inc()
         with span("serve.flush.explain", scheme=req.scheme, cores=req.cores):
-            # The partitioning run inherits the flush's ambient probe
-            # backend; the recorded ``probe_impl`` field says which one
-            # decided.  Backends are pinned bit-identical, so the
-            # document matches an offline explain modulo that field —
-            # exactly what scripts/serve_smoke.py asserts.
+            # The same call as an offline explain, so the documents
+            # match — exactly what scripts/serve_smoke.py asserts.
             exp = explain_admission(
                 req.taskset, req.cores, req.scheme, rule=self.rule
             )

@@ -26,7 +26,6 @@ from repro.obs import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.live import LiveMetrics, SloMonitor, parse_slo
-from repro.partition.backend import DEFAULT_BACKEND
 from repro.serve.batcher import MicroBatcher
 from repro.serve.coordinator import Coordinator
 from repro.serve.handlers import Api
@@ -49,8 +48,6 @@ class ServeConfig:
     max_batch: int = 64
     backlog: int = 256
     rule: str = "max"
-    #: Probe backend the coordinator flushes under.
-    probe_impl: str = DEFAULT_BACKEND
     metrics_path: str | None = None
     log_json: str | None = None
     #: SLO rules (``"p95(serve.place.seconds) < 5ms"``…) checked every
@@ -83,11 +80,7 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        self.state = ServeState(
-            cores=config.cores,
-            levels=config.levels,
-            probe_impl=config.probe_impl,
-        )
+        self.state = ServeState(cores=config.cores, levels=config.levels)
         self.batcher = MicroBatcher(
             maxsize=config.backlog,
             window=config.window_ms / 1e3,
@@ -104,14 +97,8 @@ class ServeDaemon:
         self.live.gauge("serve.headroom", self._headroom_gauge)
         # Bad SLO syntax fails here, before any socket binds.
         self.slo = SloMonitor([parse_slo(rule) for rule in config.slo])
-        # The Coordinator validates probe_impl eagerly: an unknown name
-        # fails here with a clean ReproError, before any socket binds.
         self.coordinator = Coordinator(
-            self.state,
-            self.batcher,
-            rule=config.rule,
-            probe_impl=config.probe_impl,
-            live=self.live,
+            self.state, self.batcher, rule=config.rule, live=self.live
         )
         self.api = Api(self.state, self.batcher, live=self.live)
         self.server = HttpServer(self.api, config.host, config.port)

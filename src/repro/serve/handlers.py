@@ -108,12 +108,7 @@ class Api:
                 )
             return 200, self.live.history()
         if path == "/healthz" and method == "GET":
-            snap = self.state.snapshot
-            return 200, {
-                "ok": True,
-                "seq": snap.seq,
-                "probe_impl": snap.probe_impl,
-            }
+            return 200, {"ok": True, "seq": self.state.snapshot.seq}
         if path in (
             "/admit",
             "/explain",

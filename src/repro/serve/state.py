@@ -23,7 +23,6 @@ import numpy as np
 from repro.metrics.core import imbalance_factor
 from repro.model import MCTaskSet, Partition
 from repro.model.io import task_to_dict, taskset_to_dict
-from repro.partition.backend import DEFAULT_BACKEND
 
 __all__ = ["ServeState", "StateSnapshot"]
 
@@ -41,8 +40,6 @@ class StateSnapshot:
     levels: int
     seq: int
     partition: Partition | None
-    #: Probe backend the coordinator places under (informational).
-    probe_impl: str = DEFAULT_BACKEND
     #: The state's per-task JSON fragments; the first ``task_count`` are
     #: this snapshot's tasks (the list only ever grows).
     fragments: list[str] = field(default_factory=list, compare=False, repr=False)
@@ -81,7 +78,6 @@ class StateSnapshot:
             "levels": self.levels,
             "seq": self.seq,
             "tasks": self.task_count,
-            "probe_impl": self.probe_impl,
             "utilizations": utils.tolist(),
             "lambda": float(imbalance_factor(utils)),
         }
@@ -97,12 +93,9 @@ class StateSnapshot:
 class ServeState:
     """Holder of the live partition plus its published snapshot."""
 
-    def __init__(
-        self, cores: int, levels: int = 2, probe_impl: str = DEFAULT_BACKEND
-    ):
+    def __init__(self, cores: int, levels: int = 2):
         self.cores = int(cores)
         self.levels = int(levels)
-        self.probe_impl = str(probe_impl)
         self._partition: Partition | None = None
         # Append-only, like the live task set it encodes: no endpoint
         # removes a live task and a rejected task never enters it, so a
@@ -113,7 +106,6 @@ class ServeState:
             levels=self.levels,
             seq=0,
             partition=None,
-            probe_impl=self.probe_impl,
         )
 
     @property
@@ -143,7 +135,6 @@ class ServeState:
             levels=self.levels,
             seq=self._snapshot.seq + 1,
             partition=partition.snapshot(),
-            probe_impl=self.probe_impl,
             fragments=self._fragments,
         )
         self._snapshot = snap

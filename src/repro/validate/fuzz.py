@@ -117,8 +117,13 @@ def _run_validate_shard(
     seed: int,
     start: int,
     count: int,
+    *,
+    probe_impl: str,
 ) -> dict:
-    """Engine shard runner: cases ``start .. start+count-1`` of a point."""
+    """Engine shard runner: cases ``start .. start+count-1`` of a point.
+
+    ``probe_impl`` is unused: the oracles name the backends they compare.
+    """
     n_oracles = len(all_oracles())
     failures: list[dict] = []
     for i in range(start, start + count):

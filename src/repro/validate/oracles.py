@@ -80,8 +80,8 @@ from repro.engine.spec import SchemeSpec, default_schemes
 from repro.gen.params import WorkloadConfig
 from repro.model import MCTaskSet
 from repro.obs import runtime as obs
+from repro.partition.backend import BATCH, ProbeBackend, get_backend
 from repro.partition.base import PartitionResult, partition_lockstep
-from repro.partition.probe import use_probe_implementation
 from repro.sched import (
     CoreSimulator,
     HonestScenario,
@@ -135,14 +135,14 @@ class ValidationCase:
     def scheme_results(self) -> dict[str, PartitionResult]:
         """Partition outcome per scheme label (batch probe engine), cached."""
         if self._results is None:
-            with use_probe_implementation("batch"):
-                self._results = self.partition_all()
+            self._results = self.partition_all(BATCH)
         return self._results
 
-    def partition_all(self) -> dict[str, PartitionResult]:
-        """Every scheme's outcome under the active backend, in lockstep."""
+    def partition_all(self, backend: ProbeBackend) -> dict[str, PartitionResult]:
+        """Every scheme's outcome on ``backend``, in lockstep."""
         results = partition_lockstep(
-            [(spec.build(), self.taskset, self.config.cores) for spec in self.schemes]
+            [(spec.build(), self.taskset, self.config.cores) for spec in self.schemes],
+            backend,
         )
         return {spec.label: r for spec, r in zip(self.schemes, results)}
 
@@ -217,8 +217,7 @@ def get_oracle(name: str) -> Oracle:
 def _check_probe_equivalence(case: ValidationCase) -> list[str]:
     failures = []
     batch = case.scheme_results()
-    with use_probe_implementation("scalar"):
-        scalar = case.partition_all()
+    scalar = case.partition_all(get_backend("scalar"))
     for spec in case.schemes:
         b, s = batch[spec.label], scalar[spec.label]
         if (
@@ -540,28 +539,25 @@ def _check_explain_decision(case: ValidationCase) -> list[str]:
                 f"admitted={margins_admit} but the decision was "
                 f"admitted={exp.admitted}"
             )
-    with use_probe_implementation("scalar"):
-        scalar = case.partition_all()
-        for spec in case.schemes:
-            r = scalar[spec.label]
-            exp = explain_result(
-                case.taskset,
-                case.config.cores,
-                r,
-                probe_impl="scalar",
-                include_headroom=False,
-                include_sensitivity=False,
+    scalar = case.partition_all(get_backend("scalar"))
+    for spec in case.schemes:
+        exp = explain_result(
+            case.taskset,
+            case.config.cores,
+            scalar[spec.label],
+            probe_impl="scalar",
+            include_headroom=False,
+            include_sensitivity=False,
+        )
+        got = exp.to_dict()
+        want = reference[spec.label].to_dict()
+        got.pop("probe_impl")
+        want.pop("probe_impl")
+        if got != want:
+            diff = sorted(k for k in want if got.get(k) != want.get(k))
+            failures.append(
+                f"{spec.label}: scalar/batch explanations diverge on {diff}"
             )
-            got = exp.to_dict()
-            want = reference[spec.label].to_dict()
-            got.pop("probe_impl")
-            want.pop("probe_impl")
-            if got != want:
-                diff = sorted(k for k in want if got.get(k) != want.get(k))
-                failures.append(
-                    f"{spec.label}: scalar/batch explanations diverge "
-                    f"on {diff}"
-                )
     return failures
 
 

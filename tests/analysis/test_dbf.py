@@ -108,6 +108,19 @@ class TestTuning:
         ts = dual_set([((6.0,), 10.0), ((3.0, 8.0), 10.0)])
         assert tune_virtual_deadlines(ts) is None
 
+    def test_theorem1_admits_a_lone_hi_task_dbf_rejects(self):
+        """The two tests are incomparable: Theorem 1 admits a lone HI
+        task with wcets (6, 9) and period 10 (margin +0.1), but no
+        virtual deadline passes both DBF tests.  The LO test needs
+        d >= 6; the HI test charges the full c(2) = 9 from the offset
+        p - d, with no credit for the c(1) run before the switch, and
+        needs d <= 1."""
+        ts = dual_set([((6.0, 9.0), 10.0)])
+        assert is_feasible_theorem1(ts.level_matrix())
+        assert tune_virtual_deadlines(ts) is None
+        for d in (1.0, 5.9, 6.0, 10.0):
+            assert not is_feasible_dbf(ts, [d])
+
     def test_dbf_dominates_theorem1_on_random_sets(self, rng):
         """Wherever Theorem 1 accepts, the tuned DBF test almost always
         accepts too, and it accepts strictly more overall."""

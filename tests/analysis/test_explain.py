@@ -22,7 +22,8 @@ from repro.analysis.explain import (
     task_sensitivity,
 )
 from repro.model import MCTask, MCTaskSet
-from repro.partition.probe import available_backends, use_probe_implementation
+from repro.partition.backend import available_backends, get_backend
+from repro.partition.base import partition_lockstep
 from repro.partition.registry import available_schemes, get_partitioner
 from repro.types import EPS
 from tests.conftest import contract_workload, random_taskset
@@ -159,9 +160,10 @@ class TestBackendEquivalence:
             for scheme in available_schemes():
                 docs = []
                 for impl in available_backends():
-                    exp = explain_admission(
-                        ts, cores, scheme, probe_impl=impl
+                    (result,) = partition_lockstep(
+                        [(get_partitioner(scheme), ts, cores)], get_backend(impl)
                     )
+                    exp = explain_result(ts, cores, result, probe_impl=impl)
                     assert exp.probe_impl == impl
                     assert_margins_are_the_decision(exp)
                     doc = exp.to_dict()
@@ -170,10 +172,8 @@ class TestBackendEquivalence:
                     docs.append(doc)
                 assert len(docs) == 2 and docs[0] == docs[1], (ts.levels, scheme)
 
-    def test_ambient_backend_is_recorded(self):
+    def test_explain_admission_records_batch(self):
         ts = MCTaskSet([heavy_task(0.1)])
-        with use_probe_implementation("scalar"):
-            assert explain_admission(ts, 1).probe_impl == "scalar"
         assert explain_admission(ts, 1).probe_impl == "batch"
 
 

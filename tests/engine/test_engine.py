@@ -161,17 +161,23 @@ class TestHeadToHeadThroughEngine:
 
 class TestShardRunKwargs:
     def test_empty_params_keep_legacy_signature(self):
-        # Runners registered before `params` existed take exactly five
-        # arguments; a paramless point must not pass them a sixth.
-        from repro.engine.core import _shard_run_kwargs
+        # Every runner gets the backend name; only a kind that declares
+        # params (dynsim) takes a `params` argument.
+        import inspect
 
-        assert _shard_run_kwargs(()) == {}
+        from repro.engine.core import _shard_run_kwargs, shard_kind
+
+        assert _shard_run_kwargs((), "scalar") == {"probe_impl": "scalar"}
+        for name in ("stats", "h2h", "validate", "dynsim"):
+            accepted = inspect.signature(shard_kind(name).run).parameters
+            assert "probe_impl" in accepted, name
+            assert ("params" in accepted) == (name == "dynsim"), name
 
     def test_params_delivered_as_dict(self):
         from repro.engine.core import _shard_run_kwargs
 
-        kwargs = _shard_run_kwargs((("burst_factor", 2.0),))
-        assert kwargs == {"params": {"burst_factor": 2.0}}
+        kwargs = _shard_run_kwargs((("burst_factor", 2.0),), "batch")
+        assert kwargs == {"probe_impl": "batch", "params": {"burst_factor": 2.0}}
 
     def test_dynsim_kind_resolves_lazily(self):
         # The dynsim runner lives in repro.experiments.dynamic and is

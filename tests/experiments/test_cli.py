@@ -12,7 +12,7 @@ from repro._version import __version__
 from repro.engine import SweepArtifact
 from repro.experiments import sweeps
 from repro.obs import load_manifest
-from repro.partition.backend import DEFAULT_BACKEND
+from repro.partition.backend import DEFAULT_BACKEND, ScalarBackend
 
 SUBCOMMANDS = ["fig1", "fig2", "fig3", "fig4", "fig5", "tables", "all", "validate"]
 
@@ -131,11 +131,26 @@ class TestParser:
     def test_probe_impl_round_trips(self):
         args = cli.build_parser().parse_args(["fig1", "--probe-impl", "scalar"])
         assert args.probe_impl == "scalar"
-        # Default: defer to the library's contextvar default.
-        assert cli.build_parser().parse_args(["fig1"]).probe_impl is None
+        assert cli.build_parser().parse_args(["fig1"]).probe_impl == DEFAULT_BACKEND
 
 
 class TestProbeImpl:
+    def test_tables_probe_on_the_named_backend(self, monkeypatch, capsys):
+        assert cli.main(["tables"]) == 0
+        default = capsys.readouterr().out
+        calls = []
+        answer = ScalarBackend.answer
+
+        def counted(self, kind, attempts):
+            calls.append(kind)
+            return answer(self, kind, attempts)
+
+        monkeypatch.setattr(ScalarBackend, "answer", counted)
+        assert cli.main(["tables", "--probe-impl", "scalar"]) == 0
+        assert calls  # the allocation traces asked the scalar backend
+        scalar = capsys.readouterr().out
+        assert scalar.split("[tables")[0] == default.split("[tables")[0]
+
     def test_unknown_backend_exits_two_with_clean_message(self, capsys):
         assert cli.main(["fig1", "--sets", "2", "--probe-impl", "simd"]) == 2
         err = capsys.readouterr().err
@@ -153,24 +168,6 @@ class TestProbeImpl:
         assert (base_dir / "fig1.json").read_text() == (
             impl_dir / "fig1.json"
         ).read_text()
-
-    def test_validate_accepts_probe_impl(self, capsys):
-        assert (
-            cli.main(
-                [
-                    "validate",
-                    "--sets",
-                    "2",
-                    "--seed",
-                    "0",
-                    "--no-store",
-                    "--probe-impl",
-                    "scalar",
-                ]
-            )
-            == 0
-        )
-        assert "all green" in capsys.readouterr().out
 
 
 class TestMain:
@@ -580,20 +577,6 @@ class TestServeParser:
         assert args.cores == 4 and args.port == 8787
         assert args.window_ms == 1.0 and args.backlog == 256
 
-    @pytest.mark.parametrize(
-        "flags, resolved",
-        [([], DEFAULT_BACKEND), (["--probe-impl", "scalar"], "scalar")],
-    )
-    def test_probe_impl_resolves_like_every_subcommand(
-        self, monkeypatch, flags, resolved
-    ):
-        from repro.serve import daemon
-
-        configs = []
-        monkeypatch.setattr(daemon, "run_forever", configs.append)
-        cli.main(["serve", "--port", "0", *flags])
-        assert configs[0].probe_impl == resolved
-
 
 class TestServeSloFlags:
     def test_slo_rules_round_trip(self):
@@ -877,12 +860,11 @@ EXIT_CODES = [
     ("bench compare --jobs 2", 2, "unrecognized arguments: --jobs 2"),
     ("serve --sets 3", 2, "unrecognized arguments: --sets 3"),
     ("serve --slo 'p95(x) ~ 1'", 2, "bad SLO rule"),
-    ("serve --probe-impl simd", 2, "unknown probe implementation 'simd'"),
-    (
-        "serve --probe-impl incremental",
-        2,
-        "unknown probe implementation 'incremental'; available: batch, scalar\n",
-    ),
+    # --probe-impl belongs to fig1-fig5, tables and all only.
+    ("serve --probe-impl scalar", 2, "unrecognized arguments: --probe-impl scalar"),
+    ("validate --probe-impl scalar", 2, "unrecognized arguments: --probe-impl"),
+    ("dynamic --probe-impl scalar", 2, "unrecognized arguments: --probe-impl"),
+    (f"explain {DEMO} --probe-impl scalar", 2, "unrecognized arguments: --probe"),
     ("top", 2, "the following arguments are required: TARGET"),
     ("top a b", 2, "unrecognized arguments: b"),
     # -- runtime and input errors

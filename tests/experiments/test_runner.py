@@ -6,10 +6,10 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro.engine import Engine, PointSpec
 from repro.engine import core as engine_core
 from repro.experiments import SchemeSpec, default_schemes, evaluate_point
 from repro.gen import WorkloadConfig
-from repro.partition.probe import use_probe_implementation
 from repro.types import ReproError
 
 
@@ -90,10 +90,11 @@ class TestEvaluatePoint:
     def test_scalar_probe_path_reproduces_batch_numbers(self):
         # The vectorized probe engine must not move any reference number:
         # a full evaluation under either implementation is identical.
-        with use_probe_implementation("batch"):
-            batch = evaluate_point(SMALL, sets=10, seed=7)
-        with use_probe_implementation("scalar"):
-            scalar = evaluate_point(SMALL, sets=10, seed=7)
+        point = PointSpec(
+            config=SMALL, schemes=tuple(default_schemes()), sets=10, seed=7
+        )
+        batch = evaluate_point(SMALL, sets=10, seed=7)
+        scalar = Engine(probe_impl="scalar").evaluate(point)
         assert batch == scalar
 
     def test_custom_scheme_list(self):

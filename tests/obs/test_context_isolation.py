@@ -1,18 +1,15 @@
-"""Concurrency isolation of the context-scoped switches.
+"""Concurrency isolation of the context-scoped scheme tag.
 
-Regression tests for the process-global-state bugs the admission daemon
-exposed: ``use_probe_implementation`` and ``scheme_tag`` used to mutate
-module/singleton state, so two threads (or two asyncio tasks) flipped
-each other's probe engine and scheme attribution mid-decision.  Both now
-ride :class:`contextvars.ContextVar` — each context sees only its own
-selection, with the same context-manager API.
+Regression tests for a process-global-state bug the admission daemon
+exposed: ``scheme_tag`` used to mutate singleton state, so two threads
+(or two asyncio tasks) flipped each other's scheme attribution
+mid-decision.  It now rides a :class:`contextvars.ContextVar` — each
+context sees only its own tag, with the same context-manager API.
 """
 
-import asyncio
 import threading
 
 from repro.obs.runtime import OBS, scheme_tag
-from repro.partition.probe import probe_implementation, use_probe_implementation
 
 
 def _interleave(worker_a, worker_b):
@@ -36,48 +33,6 @@ def _interleave(worker_a, worker_b):
         t.join(timeout=10)
     if errors:
         raise errors[0]
-
-
-class TestProbeImplementationIsolation:
-    def test_two_threads_interleaved(self):
-        def scalar_side(sync):
-            assert probe_implementation() == "batch"
-            with use_probe_implementation("scalar"):
-                sync()  # both inside their with-blocks
-                assert probe_implementation() == "scalar"
-                sync()  # other thread asserted too
-            sync()  # both restored
-            assert probe_implementation() == "batch"
-
-        def batch_side(sync):
-            assert probe_implementation() == "batch"
-            with use_probe_implementation("batch"):
-                sync()
-                assert probe_implementation() == "batch"
-                sync()
-            sync()
-            assert probe_implementation() == "batch"
-
-        _interleave(scalar_side, batch_side)
-
-    def test_fresh_thread_sees_default(self):
-        seen = []
-        with use_probe_implementation("scalar"):
-            t = threading.Thread(target=lambda: seen.append(probe_implementation()))
-            t.start()
-            t.join(timeout=10)
-        assert seen == ["batch"]
-
-    def test_asyncio_tasks_isolated(self):
-        async def tagged(impl):
-            with use_probe_implementation(impl):
-                await asyncio.sleep(0)  # force an interleaving point
-                return probe_implementation()
-
-        async def main():
-            return await asyncio.gather(tagged("scalar"), tagged("batch"))
-
-        assert asyncio.run(main()) == ["scalar", "batch"]
 
 
 class TestSchemeTagIsolation:

@@ -159,7 +159,7 @@ HISTORY = {
     },
 }
 
-HEALTH = {"ok": True, "seq": 9, "probe_impl": "batch"}
+HEALTH = {"ok": True, "seq": 9}
 
 
 class TestDaemonSource:

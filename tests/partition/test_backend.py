@@ -31,11 +31,6 @@ from repro.partition.backend import (
 )
 from repro.partition.base import FEASIBLE, Attempt
 from repro.partition.classical import FirstFitDecreasing
-from repro.partition.probe import (
-    batch_probe,
-    batch_probe_tasks,
-    use_probe_implementation,
-)
 from repro.types import EPS, ModelError, PartitionError, ReproError, fits_unit_capacity
 from tests.conftest import feasible_row, make_task, random_taskset
 
@@ -87,11 +82,6 @@ class TestRegistry:
             pytest.fail("get_backend leaked a KeyError")
         except ReproError as exc:
             assert "available" in str(exc)
-
-    def test_use_probe_implementation_validates_eagerly(self):
-        with pytest.raises(ModelError):
-            with use_probe_implementation("simd"):
-                pass
 
     def test_register_requires_a_name(self):
         class Anonymous(ProbeBackend):
@@ -287,15 +277,15 @@ class TestObservability:
         assert counters["probe.calls.batch"] == 6
         assert counters["probe.cores_probed"] == 9
 
-    def test_plain_probe_functions_route_through_contextvar(self, rng):
+    def test_scalar_probes_count_every_hypothesis(self, rng):
         ts = random_taskset(rng, n=6)
         part = Partition(ts, cores=2)
-        with use_probe_implementation("scalar"):
-            with obs.collect() as registry:
-                batch_probe(part, 0)
-                batch_probe_tasks(part, [1, 2])
-                batch_probe_tasks(part, [1, 2], cores=[0])
-                counters = registry.snapshot()["counters"]
+        scalar = get_backend("scalar")
+        with obs.collect() as registry:
+            scalar.probe(part, 0)
+            scalar.probe_tasks(part, [1, 2])
+            scalar.probe_tasks(part, [1, 2], cores=[0])
+            counters = registry.snapshot()["counters"]
         # Scalar counts one call per evaluated (task, core) hypothesis.
         assert counters["probe.calls.scalar"] == 2 + 4 + 2
         assert "probe.calls.batch" not in counters

@@ -24,9 +24,9 @@ from repro.obs.trace import build_tree
 from repro.partition import CATPAVariant, available_schemes, get_partitioner
 from repro.partition import backend as backend_module
 from repro.partition.ablation import ORDERINGS, SELECTIONS
+from repro.partition.backend import get_backend
 from repro.partition.base import partition_lockstep
 from repro.partition.catpa import CATPA
-from repro.partition.probe import use_probe_implementation
 from tests.conftest import random_taskset
 
 #: Scheme factories drawn by the lockstep property.
@@ -89,9 +89,9 @@ class TestLockstepEqualsAlone:
     @settings(max_examples=40, deadline=None)
     @given(jobs=_jobs(), impl=st.sampled_from(["batch", "scalar"]))
     def test_mixed_attempts_match_one_at_a_time(self, jobs, impl):
-        with use_probe_implementation(impl):
-            together = partition_lockstep(jobs)
-            alone = [scheme.partition(ts, cores) for scheme, ts, cores in jobs]
+        backend = get_backend(impl)
+        together = partition_lockstep(jobs, backend)
+        alone = [partition_lockstep([job], backend)[0] for job in jobs]
         assert len(together) == len(jobs)
         for got, want in zip(together, alone):
             _assert_same(got, want)
@@ -129,7 +129,9 @@ def _alone(tasksets):
 
 
 def _run_shard():
-    return _run_stats_shard(CONFIG, tuple(default_schemes()), SHARD_SEED, 0, SHARD_SETS)
+    return _run_stats_shard(
+        CONFIG, tuple(default_schemes()), SHARD_SEED, 0, SHARD_SETS, probe_impl="batch"
+    )
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ benchmark reference numbers valid across the two implementations.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -21,26 +23,25 @@ from repro.partition import (
     HybridPartitioner,
     WorstFitDecreasing,
 )
-from repro.partition.backend import get_backend
-from repro.partition.base import Attempt
-from repro.partition.probe import (
-    batch_probe,
-    batch_probe_tasks,
+from repro.engine import Engine
+from repro.partition.backend import (
+    BATCH,
+    DEFAULT_BACKEND,
     candidate_level_matrix,
+    get_backend,
     probe_core_utilization,
     probe_feasible,
-    probe_implementation,
-    use_probe_implementation,
 )
+from repro.partition.base import Attempt, partition_lockstep
 from repro.types import ModelError
 from tests.conftest import feasible_row, random_taskset
 
 
-def _answer_first_hit(part, rule):
+def _answer_first_hit(backend, part, rule):
     """A lockstep first-hit request for task 0 in core order [1, 0]."""
     attempt = Attempt(FirstFitDecreasing(), part.taskset, part.cores)
     attempt.task, attempt.prefer = 0, [1, 0]
-    return get_backend(probe_implementation()).answer(rule, [attempt])
+    return backend.answer(rule, [attempt])
 
 
 def random_partial_partition(rng, ts, cores):
@@ -71,7 +72,7 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=12, levels=3, max_u=0.5)
             part = random_partial_partition(rng, ts, cores=5)
             task = int(rng.integers(0, len(ts)))
-            batch = batch_probe(part, task, rule=rule)
+            batch = BATCH.probe(part, task, rule=rule)
             scalar = np.array(
                 [
                     probe_core_utilization(part, m, task, rule=rule)
@@ -85,7 +86,7 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=12, levels=2, max_u=0.6)
             part = random_partial_partition(rng, ts, cores=3)
             task = int(rng.integers(0, len(ts)))
-            batch = feasible_row(get_backend("batch"), part, task)
+            batch = feasible_row(BATCH, part, task)
             scalar = np.array(
                 [probe_feasible(part, m, task) for m in range(3)]
             )
@@ -114,37 +115,27 @@ class TestPartitionerEquivalence:
     def test_scalar_and_batch_paths_place_identically(self, rng, scheme):
         for _ in range(15):
             ts = random_taskset(rng, n=14, levels=3, max_u=0.35)
-            with use_probe_implementation("batch"):
-                a = scheme.partition(ts, cores=4)
-            with use_probe_implementation("scalar"):
-                b = scheme.partition(ts, cores=4)
+            a = scheme.partition(ts, cores=4)
+            (b,) = partition_lockstep([(scheme, ts, 4)], get_backend("scalar"))
             assert a.schedulable == b.schedulable
             assert a.failed_task == b.failed_task
             np.testing.assert_array_equal(a.assignment, b.assignment)
 
 
 class TestImplementationToggle:
+    """The backend is named once (``--probe-impl``, ``Engine``) and
+    passed down explicitly; unnamed, every layer holds ``BATCH``."""
+
     def test_default_is_batch(self):
-        assert probe_implementation() == "batch"
-
-    def test_toggle_restores_on_exit(self):
-        with use_probe_implementation("scalar"):
-            assert probe_implementation() == "scalar"
-            with use_probe_implementation("batch"):
-                assert probe_implementation() == "batch"
-            assert probe_implementation() == "scalar"
-        assert probe_implementation() == "batch"
-
-    def test_restores_after_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_probe_implementation("scalar"):
-                raise RuntimeError("boom")
-        assert probe_implementation() == "batch"
+        assert DEFAULT_BACKEND == "batch"
+        assert get_backend(DEFAULT_BACKEND) is BATCH
+        assert Engine().probe_impl == DEFAULT_BACKEND
+        backend = inspect.signature(partition_lockstep).parameters["backend"]
+        assert backend.default is BATCH
 
     def test_unknown_implementation_rejected(self):
         with pytest.raises(ModelError):
-            with use_probe_implementation("simd"):
-                pass
+            Engine(probe_impl="simd")
 
 
 class TestMicroBatchProbes:
@@ -157,8 +148,8 @@ class TestMicroBatchProbes:
         ts = random_taskset(rng, n=14)
         part = random_partial_partition(rng, ts, cores=4)
         idx = [i for i in range(len(ts)) if part.core_of(i) < 0][:5]
-        got = batch_probe_tasks(part, idx, rule=rule)
-        want = np.stack([batch_probe(part, i, rule=rule) for i in idx])
+        got = BATCH.probe_tasks(part, idx, rule=rule)
+        want = np.stack([BATCH.probe(part, i, rule=rule) for i in idx])
         assert np.array_equal(got, want)  # bit-identical, same kernel
 
     def test_scalar_path_matches_batch_path(self):
@@ -166,16 +157,15 @@ class TestMicroBatchProbes:
         ts = random_taskset(rng, n=12)
         part = random_partial_partition(rng, ts, cores=3)
         idx = list(range(len(ts)))
-        batch_utils = batch_probe_tasks(part, idx)
-        with use_probe_implementation("scalar"):
-            scalar_utils = batch_probe_tasks(part, idx)
-        np.testing.assert_allclose(scalar_utils, batch_utils, rtol=0, atol=1e-12)
+        batch_utils = BATCH.probe_tasks(part, idx)
+        scalar_utils = get_backend("scalar").probe_tasks(part, idx)
+        np.testing.assert_array_equal(scalar_utils, batch_utils)  # bit-identity
 
     def test_empty_batch(self):
         rng = np.random.default_rng(1)
         ts = random_taskset(rng, n=6)
         part = random_partial_partition(rng, ts, cores=2)
-        assert batch_probe_tasks(part, []).shape == (0, 2)
+        assert BATCH.probe_tasks(part, []).shape == (0, 2)
 
     def test_bad_rule_rejected(self):
         """Every public entry point taking an Eq.-(9) rule rejects an
@@ -193,15 +183,21 @@ class TestMicroBatchProbes:
             lambda rule: part.core_utilizations(rule=rule),
             lambda rule: Partition(ts, cores=2).core_utilizations(rule=rule),
             lambda rule: probe_core_utilization(part, 0, 0, rule=rule),
-            lambda rule: batch_probe(part, 0, rule=rule),
-            lambda rule: batch_probe_tasks(part, [0], rule=rule),
-            lambda rule: batch_probe_tasks(part, [0], rule=rule, cores=[1]),
-            lambda rule: _answer_first_hit(part, rule),
+            *[
+                call
+                for backend in (BATCH, get_backend("scalar"))
+                for call in (
+                    lambda rule, b=backend: b.probe(part, 0, rule=rule),
+                    lambda rule, b=backend: b.probe_tasks(part, [0], rule=rule),
+                    lambda rule, b=backend: b.probe_tasks(
+                        part, [0], rule=rule, cores=[1]
+                    ),
+                    lambda rule, b=backend: _answer_first_hit(b, part, rule),
+                )
+            ],
         ]
         message = r"unknown Eq\. \(9\) rule 'median'; use 'max' or 'min'"
-        for impl in ("batch", "scalar"):
-            with use_probe_implementation(impl):
-                for call in entry_points:
-                    call("max")  # the entry point itself works
-                    with pytest.raises(ModelError, match=message):
-                        call("median")
+        for call in entry_points:
+            call("max")  # the entry point itself works
+            with pytest.raises(ModelError, match=message):
+                call("median")

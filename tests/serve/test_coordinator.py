@@ -6,24 +6,37 @@ import json
 import numpy as np
 import pytest
 
-from repro.partition.backend import DEFAULT_BACKEND
+from repro.partition.backend import BatchBackend, get_backend
 from repro.partition.registry import available_schemes, get_partitioner
+from repro.serve import coordinator as coordinator_module
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.coordinator import Coordinator
-from repro.serve.daemon import ServeConfig
 from repro.serve.protocol import AdmitRequest, PlaceRequest, ProtocolError
 from repro.serve.state import ServeState
-from repro.types import ReproError
 from tests.conftest import contract_workload, make_task, random_taskset
 
 
-def make_coordinator(cores=2, levels=2, probe_impl=None):
-    """A coordinator over fresh state; ``None`` keeps both defaults."""
-    if probe_impl is None:
-        state = ServeState(cores=cores, levels=levels)
-        return Coordinator(state, MicroBatcher()), state
-    state = ServeState(cores=cores, levels=levels, probe_impl=probe_impl)
-    return Coordinator(state, MicroBatcher(), probe_impl=probe_impl), state
+def make_coordinator(cores=2, levels=2):
+    """A coordinator over fresh state."""
+    state = ServeState(cores=cores, levels=levels)
+    return Coordinator(state, MicroBatcher()), state
+
+
+@pytest.fixture
+def flush_on(monkeypatch):
+    """``flush_on(impl)`` points the flush's probe kernel at a backend."""
+
+    def use(impl):
+        backend = get_backend(impl)
+        monkeypatch.setattr(
+            coordinator_module,
+            "batch_probe_tasks",
+            lambda part, idx, rule, cores=None: backend.probe_tasks(
+                part, idx, rule=rule, cores=cores
+            ),
+        )
+
+    return use
 
 
 def flush_one(coordinator, kind, request):
@@ -149,7 +162,7 @@ class TestPlace:
             future.result()
         assert state.partition is None
 
-    def test_backend_choice_never_moves_a_placement(self):
+    def test_backend_choice_never_moves_a_placement(self, flush_on):
         """scalar == batch == one request per flush, decision-level.
 
         The first flush holds two identical tasks on an empty system:
@@ -174,7 +187,8 @@ class TestPlace:
 
         outcomes = []
         for impl in ("batch", "scalar"):
-            coordinator, state = make_coordinator(cores=3, probe_impl=impl)
+            flush_on(impl)
+            coordinator, state = make_coordinator(cores=3)
             bodies = []
             # Several multi-request flushes against the same live state.
             for chunk in (tasks[:2], tasks[2:6], tasks[6:9], tasks[9:]):
@@ -188,7 +202,7 @@ class TestPlace:
         assert outcomes[0][0][:2] == [(True, 0), (True, 1)]
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
-    def test_multi_request_flush_decisions_are_pinned(self):
+    def test_multi_request_flush_decisions_are_pinned(self, flush_on):
         """Four multi-request flushes (with rejections) give exactly the
         decisions and final level matrices of the warm-cache placement
         path this flush replaced, under every backend."""
@@ -208,7 +222,8 @@ class TestPlace:
             [[0.5254699306372653, 0.0], [0.31732727828681034, 0.4285831135339019]],
         ]
         for impl in ("batch", "scalar"):
-            coordinator, state = make_coordinator(cores=3, probe_impl=impl)
+            flush_on(impl)
+            coordinator, state = make_coordinator(cores=3)
             bodies = []
             for lo, hi in ((0, 5), (5, 11), (11, 18), (18, 24)):
                 bodies += flush_many(
@@ -218,17 +233,22 @@ class TestPlace:
             assert [(b["accepted"], b["core"]) for b in bodies] == want_decisions
             assert state.partition.level_matrices().tolist() == want_matrices
 
-    def test_unknown_probe_impl_rejected_at_construction(self):
-        with pytest.raises(ReproError, match="unknown probe implementation"):
-            Coordinator(ServeState(cores=2), MicroBatcher(), probe_impl="simd")
+    def test_default_backend_is_batch(self, monkeypatch):
+        # Looked up on the class at call time, so a wrapper installed
+        # after import sees every flush call.
+        calls = []
+        probe_tasks = BatchBackend.probe_tasks
 
-    def test_default_backend_is_batch(self):
+        def counted(self, partition, idx, **kwargs):
+            calls.append(list(idx))
+            return probe_tasks(self, partition, idx, **kwargs)
+
+        monkeypatch.setattr(BatchBackend, "probe_tasks", counted)
         coordinator, state = make_coordinator()
-        assert DEFAULT_BACKEND == "batch"
-        assert coordinator.probe_impl == DEFAULT_BACKEND
-        assert state.snapshot.probe_impl == DEFAULT_BACKEND
-        assert state.snapshot.to_dict()["probe_impl"] == DEFAULT_BACKEND
-        assert ServeConfig().probe_impl == DEFAULT_BACKEND
+        tasks = [make_task([0.2, 0.3]), make_task([0.1])]
+        flush_many(coordinator, [("place", PlaceRequest(t)) for t in tasks])
+        assert calls == [[0, 1], [1]]  # the grid, then one column refresh
+        assert "probe_impl" not in state.snapshot.to_dict()
 
     def test_mixed_admit_and_place_flush(self):
         ts = random_taskset(np.random.default_rng(3), n=5)

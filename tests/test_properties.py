@@ -30,7 +30,6 @@ from repro.analysis.dual import DualUtilizations, is_feasible_classic
 from repro.metrics import imbalance_factor
 from repro.model import MCTask, MCTaskSet, Partition
 from repro.partition.backend import available_backends, get_backend
-from repro.partition.probe import batch_probe_tasks, use_probe_implementation
 from repro.types import EPS, fits_unit_capacity
 from tests.conftest import feasible_row
 
@@ -251,24 +250,24 @@ class TestColumnRefreshProperties:
             st.permutations(range(len(placed), len(ts))).map(list)
         )
         for impl in available_backends():
+            backend = get_backend(impl)
             part = Partition(ts, cores)
             for i, core in enumerate(placed):
                 part.assign(i, core)
-            with use_probe_implementation(impl):
-                utils = batch_probe_tasks(part, batch)
-                for t, task in enumerate(batch):
-                    finite = np.isfinite(utils[t])
-                    if not finite.any():
-                        continue
-                    core = int(np.argmin(np.where(finite, utils[t], np.inf)))
-                    part.assign(task, core)
-                    rest = batch[t + 1 :]
-                    utils[t + 1 :, [core]] = batch_probe_tasks(
-                        part, rest, cores=[core]
-                    )
-                    np.testing.assert_array_equal(
-                        utils[t + 1 :], batch_probe_tasks(part, rest)
-                    )
+            utils = backend.probe_tasks(part, batch)
+            for t, task in enumerate(batch):
+                finite = np.isfinite(utils[t])
+                if not finite.any():
+                    continue
+                core = int(np.argmin(np.where(finite, utils[t], np.inf)))
+                part.assign(task, core)
+                rest = batch[t + 1 :]
+                utils[t + 1 :, [core]] = backend.probe_tasks(
+                    part, rest, cores=[core]
+                )
+                np.testing.assert_array_equal(
+                    utils[t + 1 :], backend.probe_tasks(part, rest)
+                )
 
     @given(
         st.floats(min_value=-4.0, max_value=4.0),
