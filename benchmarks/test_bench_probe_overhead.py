@@ -3,11 +3,11 @@
 The observability layer's contract is that when :data:`repro.obs.OBS`
 is disabled (the default), an instrumented call site costs one attribute
 load and a branch.  This benchmark pins that contract: it replays the
-CA-TPA placement states of the Fig.-1 default workload (exactly like
-``test_bench_probe_speed.py``) and times the Eq.-(15) probe twice per
+CA-TPA placement states of the Fig.-1 default workload
+(``gate.replay_probe_states``) and times the Eq.-(15) probe twice per
 state —
 
-* **raw**: the bare batch kernel,
+* **raw**: the bare batch kernel (``gate.raw_probe``),
   ``_core_utilization_stack(partition.candidate_stack(i), "max")``,
   with no instrumentation guard at all;
 * **guarded**: the batch backend's public probe,
@@ -17,7 +17,8 @@ state —
 The acceptance gate is ``median(guarded / raw) <= 1.02`` over paired
 A/B/A chunk timings: the states are split into interleaved chunks, each
 chunk is timed raw -> guarded -> raw, and the chunk ratio divides the
-guarded time by the mean of its two surrounding raw times.  Pairing
+guarded time by the mean of its two surrounding raw times
+(``gate.paired_ratios``; the quick gate runs the same loop).  Pairing
 cancels clock drift and the median discards scheduler outliers — the
 per-probe kernel is tens of microseconds, so a plain two-big-loops
 comparison would gate on machine noise, not on the guard.  The
@@ -33,117 +34,46 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import pathlib
 import statistics
-import time
 
-import numpy as np
 from conftest import bench_sets
+from gate import (
+    OVERHEAD_BASELINE,
+    PARTITION_BASELINE,
+    REPO_ROOT,
+    SEED,
+    paired_ratios,
+    replay_probe_states,
+)
 
 from repro import obs
-from repro.analysis.batch import _core_utilization_stack
-from repro.gen import WorkloadConfig, generate_taskset
-from repro.model import Partition
-from repro.partition import ordering
+from repro.gen import WorkloadConfig
 from repro.partition.backend import BATCH
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_obs_overhead.json"
-BASELINE_PATH = REPO_ROOT / "BENCH_partition.json"
-SEED = 2016
+RESULT_PATH = REPO_ROOT / OVERHEAD_BASELINE
+BASELINE_PATH = REPO_ROOT / PARTITION_BASELINE
 CHUNKS = 16  #: interleaved state chunks, each timed raw -> guarded -> raw
 ROUNDS = 3  #: full passes over all chunks (CHUNKS * ROUNDS paired ratios)
 MAX_DISABLED_OVERHEAD = 1.02  #: median guarded/raw ratio gate (< 2 %)
 
 
-def _replay_states(config: WorkloadConfig, sets: int):
-    """The (partition, task_index) probe states of a greedy CA-TPA replay.
-
-    The partitions are materialized up front (placement replayed once),
-    so the timed loops below touch identical, pre-built state.
-    """
-    rng = np.random.default_rng(SEED)
-    states = []
-    for _ in range(sets):
-        taskset = generate_taskset(config, rng)
-        partition = Partition(taskset, config.cores)
-        placed: list[tuple[int, int]] = []
-        for task_index in ordering.by_contribution(taskset):
-            # A fresh partition per probe state keeps every recorded
-            # state alive and immutable for the timing loops.
-            snapshot = Partition(taskset, config.cores)
-            for i, m in placed:
-                snapshot.assign(i, m)
-            states.append((snapshot, task_index))
-            new_utils = _core_utilization_stack(
-                partition.candidate_stack(task_index), "max"
-            )
-            finite = np.isfinite(new_utils)
-            if not finite.any():
-                break
-            target = int(np.argmin(np.where(finite, new_utils, np.inf)))
-            partition.assign(task_index, target)
-            placed.append((task_index, target))
-    return states
-
-
-def _time_chunk(fn, chunk, passes: int = 3) -> float:
-    """Best-of-``passes`` wall time of ``fn`` over a chunk of states.
-
-    The minimum is the measurement least polluted by preemption and
-    frequency scaling; the A/B/A pairing around it handles the drift
-    that the minimum cannot.
-    """
-    best = float("inf")
-    for _ in range(passes):
-        start = time.perf_counter()
-        for partition, task_index in chunk:
-            fn(partition, task_index)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _raw(partition, task_index):
-    return _core_utilization_stack(partition.candidate_stack(task_index), "max")
-
-
-def _paired_ratios(fn, chunks) -> tuple[list[float], float, float]:
-    """Per-chunk ``fn / raw`` ratios from A/B/A paired timings.
-
-    Returns ``(ratios, total_raw_seconds, total_fn_seconds)``; each
-    chunk's raw time is the mean of the two runs bracketing the ``fn``
-    run, so slow clock drift cancels out of the ratio.
-    """
-    ratios = []
-    raw_total = fn_total = 0.0
-    for _ in range(ROUNDS):
-        for chunk in chunks:
-            before = _time_chunk(_raw, chunk)
-            timed = _time_chunk(fn, chunk)
-            after = _time_chunk(_raw, chunk)
-            ratios.append(timed / ((before + after) / 2))
-            raw_total += before + after
-            fn_total += timed
-    return ratios, raw_total / 2, fn_total
-
-
 def test_disabled_instrumentation_overhead(emit):
     config = WorkloadConfig()  # the Fig.-1 default point
     sets = bench_sets(60)
-    states = _replay_states(config, sets)
+    states = replay_probe_states(config, sets)
     chunks = [states[k::CHUNKS] for k in range(CHUNKS)]
     assert not obs.OBS.enabled  # the default state is what we are gating
 
-    disabled_ratios, raw_s, guarded_s = _paired_ratios(BATCH.probe, chunks)
+    disabled_ratios, raw_s, guarded_s = paired_ratios(BATCH.probe, chunks, ROUNDS)
     disabled_ratio = statistics.median(disabled_ratios)
 
     with obs.instrument():
-        enabled_ratios, _, enabled_s = _paired_ratios(BATCH.probe, chunks)
+        enabled_ratios, _, enabled_s = paired_ratios(BATCH.probe, chunks, ROUNDS)
         # Inside an open span the probe additionally accumulates its
         # timing bucket on the innermost frame — the cost an actual
         # instrumented sweep pays (informational, not gated).
         with obs.span("bench.overhead"):
-            in_span_ratios, _, in_span_s = _paired_ratios(BATCH.probe, chunks)
+            in_span_ratios, _, in_span_s = paired_ratios(BATCH.probe, chunks, ROUNDS)
     enabled_ratio = statistics.median(enabled_ratios)
     in_span_ratio = statistics.median(in_span_ratios)
 

@@ -10,11 +10,12 @@ one NumPy pass).  Each pair of probes is asserted bit-equal, so the
 speedup is measured on provably equivalent work.
 
 An end-to-end ``Engine(probe_impl=...).evaluate`` timing of all five
-schemes under both implementations is reported alongside; it is diluted
-by the probe-independent pipeline (task-set generation, sorting,
-bookkeeping) and by the scalar path's lazy early-exit in the
-feasibility scans, so its ratio is much smaller than the probe-engine
-ratio.
+schemes under both implementations is reported alongside
+(:func:`gate.time_evaluate`, which also checks that both give the same
+answer).  With jobs=1 that is one shard stepping every set x scheme
+through the lockstep driver, so the batch side makes one stacked
+kernel call per placement step where the scalar side probes core by
+core; its ratio exceeds the single-probe ratio.
 
 The third section pins the **column refresh** of the serve flush: a
 daemon-style placement loop (probe every pending task, place one,
@@ -33,23 +34,24 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import pathlib
 import time
 
 import numpy as np
 from conftest import bench_sets
+from gate import (
+    PARTITION_BASELINE,
+    REPO_ROOT,
+    SEED,
+    run_placement_bench,
+    time_evaluate,
+)
 
-from repro.bench import run_placement_bench
-from repro.engine import Engine, PointSpec
-from repro.experiments import default_schemes
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import Partition
 from repro.partition import ordering
 from repro.partition.backend import BATCH, get_backend
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_partition.json"
-SEED = 2016
+RESULT_PATH = REPO_ROOT / PARTITION_BASELINE
 
 
 def _replay_probe_timings(config: WorkloadConfig, sets: int):
@@ -80,15 +82,6 @@ def _replay_probe_timings(config: WorkloadConfig, sets: int):
     return probes, scalar_s, batch_s
 
 
-def _timed_evaluate(implementation: str, config: WorkloadConfig, sets: int):
-    point = PointSpec(
-        config=config, schemes=tuple(default_schemes()), sets=sets, seed=SEED
-    )
-    start = time.perf_counter()
-    stats = Engine(probe_impl=implementation).evaluate(point)
-    return stats, time.perf_counter() - start
-
-
 def test_probe_throughput(emit):
     config = WorkloadConfig()  # the Fig.-1 default point
     sets = bench_sets(60)
@@ -96,12 +89,8 @@ def test_probe_throughput(emit):
     probes, probe_scalar_s, probe_batch_s = _replay_probe_timings(config, sets)
     probe_speedup = probe_scalar_s / probe_batch_s
 
-    e2e_batch, e2e_batch_s = _timed_evaluate("batch", config, sets)
-    e2e_scalar, e2e_scalar_s = _timed_evaluate("scalar", config, sets)
-    assert e2e_batch == e2e_scalar  # both paths: identical SchemeStats
-    e2e_speedup = e2e_scalar_s / e2e_batch_s
-
-    placement = run_placement_bench(sets=bench_sets(6), seed=SEED)
+    end_to_end = time_evaluate(config, sets)
+    placement = run_placement_bench(sets=bench_sets(6))
 
     payload = {
         "benchmark": "theorem1-probe-throughput",
@@ -121,18 +110,7 @@ def test_probe_throughput(emit):
             "speedup": probe_speedup,
         },
         "placement": placement,
-        "end_to_end": {
-            "schemes": [spec.label for spec in default_schemes()],
-            "scalar": {
-                "seconds": e2e_scalar_s,
-                "sets_per_sec": sets / e2e_scalar_s,
-            },
-            "batch": {
-                "seconds": e2e_batch_s,
-                "sets_per_sec": sets / e2e_batch_s,
-            },
-            "speedup": e2e_speedup,
-        },
+        "end_to_end": end_to_end,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -159,12 +137,14 @@ def test_probe_throughput(emit):
         f"{placement['incremental']['probes_per_sec']:>12.0f}",
         f"  speedup: {placement['speedup']:.2f}x",
         "",
-        "End-to-end evaluate_point, 5 schemes, jobs=1 (diluted by the "
-        "probe-independent pipeline):",
+        "End-to-end Engine.evaluate, 5 schemes, jobs=1 (one lockstep shard):",
         f"  {'path':<8} {'seconds':>10} {'sets/sec':>12}",
-        f"  {'scalar':<8} {e2e_scalar_s:>10.3f} {sets / e2e_scalar_s:>12.2f}",
-        f"  {'batch':<8} {e2e_batch_s:>10.3f} {sets / e2e_batch_s:>12.2f}",
-        f"  speedup: {e2e_speedup:.2f}x",
+        *(
+            f"  {impl:<8} {end_to_end[impl]['seconds']:>10.3f} "
+            f"{end_to_end[impl]['sets_per_sec']:>12.2f}"
+            for impl in ("scalar", "batch")
+        ),
+        f"  speedup: {end_to_end['speedup']:.2f}x",
         "",
         f"[written to {RESULT_PATH.name}]",
     ]

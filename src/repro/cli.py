@@ -42,11 +42,6 @@ offline from the events file)::
     repro-mc trace events.jsonl --report
     repro-mc trace events.jsonl --chrome trace.json --folded stacks.folded
 
-Gate probe throughput/overhead against the committed ``BENCH_*.json``
-baselines (exits non-zero on regression; CI runs this)::
-
-    repro-mc bench compare
-
 Each subcommand accepts only its own flags: ``repro-mc <command> --help``.
 """
 
@@ -60,7 +55,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro import bench
 from repro._version import __version__
 from repro.engine import Engine, ResultStore, default_store_root
 from repro.experiments.report import (
@@ -806,62 +800,6 @@ def _run_trace(args, command: list[str]) -> int:
     return 0
 
 
-def _configure_bench(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths",
-        nargs=1,
-        choices=["compare"],
-        metavar="compare",
-        help="re-measure the quick probe bench and gate it",
-    )
-    parser.add_argument(
-        "--sets",
-        type=int,
-        default=bench.DEFAULT_SETS,
-        help=f"task sets the probe bench replays (default {bench.DEFAULT_SETS})",
-    )
-    parser.add_argument("--seed", type=int, default=bench.SEED, help="root RNG seed")
-    parser.add_argument(
-        "--gate-ratio",
-        type=float,
-        default=bench.DEFAULT_GATE_RATIO,
-        help=(
-            "measured throughput/speedup must be at least this fraction of "
-            f"the committed baseline (default {bench.DEFAULT_GATE_RATIO})"
-        ),
-    )
-    parser.add_argument(
-        "--overhead-gate",
-        type=float,
-        default=bench.DEFAULT_OVERHEAD_GATE,
-        help=(
-            "max median disabled guarded/raw probe ratio "
-            f"(default {bench.DEFAULT_OVERHEAD_GATE})"
-        ),
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        metavar="DIR",
-        help=(
-            "directory holding the committed BENCH_*.json baselines "
-            "(default: current directory)"
-        ),
-    )
-
-
-def _run_bench(args, command: list[str]) -> int:
-    """``repro-mc bench compare``: quick probe bench vs committed baselines."""
-    code, report = bench.run_compare(
-        sets=args.sets,
-        seed=args.seed,
-        baseline_dir=args.baseline_dir,
-        gate_ratio=args.gate_ratio,
-        overhead_gate=args.overhead_gate,
-    )
-    print(report, file=args.out)
-    return code
-
-
 def _configure_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cores", type=int, default=4, help="cores of the live system (default 4)"
@@ -1039,12 +977,6 @@ COMMANDS: dict[str, Command] = {
         _run_trace,
         ("out",),
         _configure_trace,
-    ),
-    "bench": Command(
-        "gate probe throughput against the committed baselines",
-        _run_bench,
-        ("out",),
-        _configure_bench,
     ),
     "serve": Command(
         "run the online admission-control daemon",

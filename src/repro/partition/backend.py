@@ -27,8 +27,8 @@ multi-request ``/place`` flush, and there no cache is needed: after a
 placement on core ``c`` only column ``c`` of the pending rows is stale,
 so the flush re-probes that column alone
 (``probe_tasks(..., cores=[c])``).  On the same VM the daemon-shaped
-placement loop (``repro.bench.run_placement_bench``, 3 alternating
-pairs) took 0.135-0.167 s with the column refresh against
+placement loop (``run_placement_bench`` in ``benchmarks/gate.py``, 3
+alternating pairs) took 0.135-0.167 s with the column refresh against
 0.176-0.279 s with the cache.
 
 Both that column refresh and the lockstep stack are bit-identical to

@@ -109,25 +109,6 @@ class TestParser:
         assert args.chrome == "out.json"
         assert args.top == 5
 
-    def test_bench_flags_round_trip(self):
-        args = cli.build_parser().parse_args(
-            [
-                "bench",
-                "compare",
-                "--gate-ratio",
-                "0.5",
-                "--overhead-gate",
-                "1.2",
-                "--baseline-dir",
-                "baselines",
-            ]
-        )
-        assert args.experiment == "bench"
-        assert args.paths == ["compare"]
-        assert args.gate_ratio == 0.5
-        assert args.overhead_gate == 1.2
-        assert args.baseline_dir == "baselines"
-
     def test_probe_impl_round_trips(self):
         args = cli.build_parser().parse_args(["fig1", "--probe-impl", "scalar"])
         assert args.probe_impl == "scalar"
@@ -463,41 +444,12 @@ class TestTraceCommand:
 
 
 class TestBenchCommand:
-    def test_compare_passes_with_loose_gates(self, capsys):
-        repo_root = Path(cli.__file__).resolve().parents[2]
-        argv = [
-            "bench",
-            "compare",
-            "--sets",
-            "1",
-            "--gate-ratio",
-            "0.000001",
-            "--overhead-gate",
-            "1000",
-            "--baseline-dir",
-            str(repo_root),
-        ]
-        assert cli.main(argv) == 0
-        assert "all gates passed" in capsys.readouterr().out
-
-    def test_compare_fails_on_impossible_gate(self, capsys):
-        repo_root = Path(cli.__file__).resolve().parents[2]
-        argv = [
-            "bench",
-            "compare",
-            "--sets",
-            "1",
-            "--gate-ratio",
-            "1000000",
-            "--baseline-dir",
-            str(repo_root),
-        ]
-        assert cli.main(argv) == 1
-        assert "FAIL" in capsys.readouterr().out
-
     def test_bench_without_compare_action_errors(self, capsys):
+        # The benchmark gate is benchmarks/gate.py; `bench` is no
+        # subcommand, with or without an action.
+        assert "bench" not in cli.COMMANDS
         assert cli.main(["bench"]) == 2
-        assert "compare" in capsys.readouterr().err
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestInspect:
@@ -813,12 +765,6 @@ EXIT_CODES = [
     (f"explain {DEMO} --cores 2", 0, ""),
     ("inspect {run}/fig1.json", 0, ""),
     ("trace {run}/events.jsonl", 0, ""),
-    (
-        "bench compare --sets 1 --gate-ratio 0.000001 --overhead-gate 1000 "
-        "--baseline-dir {repo}",
-        0,
-        "",
-    ),
     ("serve --port 0", 0, ""),  # the daemon loop is stubbed out below
     ("top {run}/events.jsonl --once", 0, ""),
     # -- usage errors
@@ -855,9 +801,16 @@ EXIT_CODES = [
     ("inspect", 2, "the following arguments are required: PATH"),
     ("trace", 2, "the following arguments are required: EVENTS"),
     ("trace a.jsonl b.jsonl", 2, "unrecognized arguments: b.jsonl"),
-    ("bench", 2, "the following arguments are required: compare"),
-    ("bench run", 2, "invalid choice: 'run'"),
-    ("bench compare --jobs 2", 2, "unrecognized arguments: --jobs 2"),
+    # The benchmark gate is benchmarks/gate.py, not a subcommand: the
+    # retired `bench` invocations are usage errors.
+    ("bench", 2, "invalid choice: 'bench'"),
+    ("bench compare --sets 0", 2, "invalid choice: 'bench'"),
+    (
+        "bench compare --sets 1 --gate-ratio 0.000001 --overhead-gate 1000 "
+        "--baseline-dir {repo}",
+        2,
+        "invalid choice: 'bench'",
+    ),
     ("serve --sets 3", 2, "unrecognized arguments: --sets 3"),
     ("serve --slo 'p95(x) ~ 1'", 2, "bad SLO rule"),
     # --probe-impl belongs to fig1-fig5, tables and all only.
@@ -892,8 +845,6 @@ EXIT_CODES = [
     ("inspect missing.json", 1, "cannot read run manifest"),
     ("inspect .", 1, "cannot read run manifest"),
     ("trace missing.jsonl", 1, "no such events file"),
-    ("bench compare --sets 0", 1, "sets must be >= 1, got 0"),
-    ("bench compare --seed -1", 1, "seed must be >= 0, got -1"),
     ("serve --cores 0", 1, "cores must be >= 1, got 0"),
     ("serve --levels 0", 1, "levels must be >= 1, got 0"),
     ("serve --window-ms -1", 1, "window_ms must be >= 0, got -1.0"),
