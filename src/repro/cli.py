@@ -839,7 +839,7 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
         "--backlog",
         type=int,
         default=256,
-        help="bounded request queue size; a full queue answers 503 (default 256)",
+        help="request queue size (full: 503) and listen backlog (default 256)",
     )
     parser.add_argument(
         "--slo",

@@ -19,6 +19,16 @@ The loop advances from event to event (release / completion / budget
 boundary), so simulated time is exact up to float rounding; no quantum
 is involved.
 
+Release timeline
+----------------
+Each task's next release is one ``(time, task index)`` entry of a
+heap, whose top is the next release event.  At each scheduling point
+every entry due within ``TIME_EPS`` is popped and the batch is released
+in *task-index* order, not heap order: near-coincident releases take
+their ``seq`` numbers and RNG draws by index.  A release at or after
+the task's leave (injected events) is never pushed, and a core failure
+drops the entries of the residents that left.
+
 Time comparison convention
 --------------------------
 Every float comparison goes through :func:`time_after` /
@@ -153,16 +163,17 @@ class CoreSimulator:
     def run(self) -> CoreReport:
         subset, plan, horizon = self.subset, self.plan, self.horizon
         report = CoreReport(horizon=horizon)
-        n = len(subset)
-        periods = np.array([t.period for t in subset], dtype=np.float64)
-        levels = subset.criticalities
+        tasks = list(subset)
+        periods = [t.period for t in tasks]
+        levels = [t.criticality for t in tasks]
 
         # Injected-event state (all inert when no view is attached: the
         # extra comparisons below are against +inf / None and change no
         # float nor any RNG draw of the static path).
         view = self.events
         if view is None:
-            next_release = np.zeros(n, dtype=np.float64)
+            # The release timeline: a heap of (next release, task index).
+            timeline = [(0.0, i) for i in range(len(tasks))]
             leaves = None
             burst = None
             recovery = None
@@ -170,10 +181,14 @@ class CoreSimulator:
             plan_changes = ()
             tallies: dict[str, int] | None = None
         else:
-            next_release = view.joins.astype(np.float64, copy=True)
-            leaves = view.leaves
+            leaves = view.leaves.tolist()
             # Entries whose residency is empty never release.
-            next_release[leaves <= next_release + TIME_EPS] = np.inf
+            timeline = [
+                (join, i)
+                for i, join in enumerate(view.joins.tolist())
+                if leaves[i] > join + TIME_EPS
+            ]
+            heapq.heapify(timeline)
             burst = view.burst
             recovery = view.recovery
             fail_times = view.failures
@@ -209,15 +224,22 @@ class CoreSimulator:
             for job in jobs:
                 push(job)
 
+        def next_release() -> float:
+            return timeline[0][0] if timeline else np.inf
+
         def release_due(now: float) -> None:
             nonlocal seq
-            due = np.flatnonzero(next_release <= now + TIME_EPS)
-            for i in due:
-                task = subset[int(i)]
-                r = float(next_release[i])
+            due, cutoff = [], now + TIME_EPS
+            while timeline and timeline[0][0] <= cutoff:
+                due.append(heapq.heappop(timeline))
+            # One due batch is released in task-index order, whatever
+            # the order of its (near-)coincident instants.
+            due.sort(key=lambda entry: entry[1])
+            for r, i in due:
+                task = tasks[i]
                 exec_time = float(self.scenario.draw(task, self.rng))
                 if burst is not None:
-                    factor = burst.factor(int(i), r)
+                    factor = burst.factor(i, r)
                     if factor != 1.0:
                         exec_time *= factor
                         tallies["burst_jobs"] += 1
@@ -226,10 +248,10 @@ class CoreSimulator:
                         f"scenario produced non-positive execution time {exec_time}"
                     )
                 job = Job(
-                    task_index=int(i),
-                    level=int(levels[i]),
+                    task_index=i,
+                    level=levels[i],
                     release=r,
-                    deadline=r + float(periods[i]),
+                    deadline=r + periods[i],
                     exec_time=exec_time,
                     seq=seq,
                 )
@@ -237,29 +259,26 @@ class CoreSimulator:
                 report.released += 1
                 if time_after(job.deadline, horizon):
                     report.censored += 1
-                record(EventKind.RELEASE, now, int(i))
+                record(EventKind.RELEASE, now, i)
                 if job.level < mode:
                     job.dropped_at = now
                     report.dropped += 1
-                    record(EventKind.DROP, now, int(i))
+                    record(EventKind.DROP, now, i)
                 else:
                     push(job)
                 if self.releases is None:
-                    gap = float(periods[i])
+                    gap = periods[i]
                 else:
                     gap = float(self.releases.interarrival(task, self.rng))
-                    if gap < float(periods[i]) - TIME_EPS:
+                    if gap < periods[i] - TIME_EPS:
                         raise SimulationError(
                             "release model produced an interarrival below"
                             f" the period ({gap} < {periods[i]})"
                         )
                 upcoming_release = r + gap
-                if leaves is not None and time_reached(
-                    upcoming_release, float(leaves[i])
-                ):
-                    # The residency ends first: no release at/after it.
-                    upcoming_release = np.inf
-                next_release[i] = upcoming_release
+                # The residency ends first: no release at/after it.
+                if leaves is None or not time_reached(upcoming_release, leaves[i]):
+                    heapq.heappush(timeline, (upcoming_release, i))
 
         def raise_mode(now: float) -> None:
             nonlocal mode
@@ -306,7 +325,8 @@ class CoreSimulator:
                 tallies["failure_drops"] += 1
                 record(EventKind.DROP, now, job.task_index)
             ready.clear()
-            next_release[leaves <= now + TIME_EPS] = np.inf
+            timeline[:] = [e for e in timeline if leaves[e[1]] > now + TIME_EPS]
+            heapq.heapify(timeline)
             mode = 1  # not an idle reset: the core restarts empty
 
         while not time_reached(time, horizon):
@@ -330,8 +350,7 @@ class CoreSimulator:
                 rebuild()
             release_due(time)
             if not ready:
-                upcoming = float(next_release.min())
-                idle_until = min(upcoming, horizon, next_fail)
+                idle_until = min(next_release(), horizon, next_fail)
                 if recovery is None:
                     if mode != 1:
                         # Idle instant: AMC resets to the lowest mode.
@@ -355,8 +374,8 @@ class CoreSimulator:
                 continue
 
             vd, _, job = ready[0]
-            task = subset[job.task_index]
-            next_event = min(float(next_release.min()), horizon)
+            task = tasks[job.task_index]
+            next_event = min(next_release(), horizon)
 
             # Budget boundary that would trigger a mode switch: only for
             # tasks above the current mode (Section II-A).

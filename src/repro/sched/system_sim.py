@@ -197,7 +197,13 @@ class SystemSimulator:
             if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed)
         )
-        children = root.spawn(self.partition.cores)
+        # Not ``root.spawn``, which advances a caller's reused sequence;
+        # for an unspawned root the children are the same.
+        key, pool = root.spawn_key, root.pool_size
+        children = [
+            np.random.SeedSequence(root.entropy, spawn_key=(*key, m), pool_size=pool)
+            for m in range(self.partition.cores)
+        ]
         compiled = self._compile_events()
         if compiled is not None and not compiled.is_trivial:
             report = self._run_evented(compiled, children)

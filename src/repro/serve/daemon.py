@@ -46,7 +46,7 @@ class ServeConfig:
     port: int = 0  #: 0 = ephemeral; the bound port is printed/exposed
     window_ms: float = 1.0
     max_batch: int = 64
-    backlog: int = 256
+    backlog: int = 256  #: request queue bound and listen backlog
     rule: str = "max"
     metrics_path: str | None = None
     log_json: str | None = None
@@ -101,7 +101,7 @@ class ServeDaemon:
             self.state, self.batcher, rule=config.rule, live=self.live
         )
         self.api = Api(self.state, self.batcher, live=self.live)
-        self.server = HttpServer(self.api, config.host, config.port)
+        self.server = HttpServer(self.api, config.host, config.port, config.backlog)
         self.run_id = new_run_id()
         self.bound: tuple[str, int] | None = None
 

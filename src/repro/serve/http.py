@@ -38,16 +38,19 @@ _REASONS = {
 class HttpServer:
     """Serves an :class:`Api` on a local TCP port."""
 
-    def __init__(self, api: Api, host: str = "127.0.0.1", port: int = 0):
+    def __init__(
+        self, api: Api, host: str = "127.0.0.1", port: int = 0, backlog: int = 100
+    ):
         self.api = api
         self.host = host
         self.port = port
+        self.backlog = backlog  #: connections the kernel holds unaccepted
         self._server: asyncio.AbstractServer | None = None
 
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the actual ``(host, port)``."""
         self._server = await asyncio.start_server(
-            self._client, self.host, self.port
+            self._client, self.host, self.port, backlog=self.backlog
         )
         sock = self._server.sockets[0]
         host, port = sock.getsockname()[:2]

@@ -1,0 +1,162 @@
+"""Bit-exact pins of the simulator's reports over a small seeded corpus.
+
+Each digest hashes the exact ``repr`` of every :class:`CoreReport`
+field (misses, trace events and slices included) plus the evented
+runs' ``event_telemetry()``.  Float ``repr`` round-trips, so any change
+in event order, RNG draw order or float arithmetic inside the simulator
+changes a digest.  The values were captured before the release path
+moved from a per-event array scan to a heap timeline; a refactor of the
+simulator that means to change no behaviour must leave them unchanged.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.analysis import assign_virtual_deadlines
+from repro.model import MCTask, MCTaskSet
+from repro.sched import (
+    CoreSimulator,
+    EventInjectionRuntime,
+    FaultyScenario,
+    HonestScenario,
+    LevelScenario,
+    RandomScenario,
+    SporadicReleases,
+    SystemSimulator,
+    default_horizon,
+)
+from repro.validate import CAMPAIGN_CONFIGS, make_case
+from repro.validate.oracles import _case_event_script
+
+#: (campaign config, set index) pairs of the corpus: sets at seed 2016
+#: that some scheme partitions, covering every config (K = 2, 3, 4)
+#: and both a CA-TPA and an FFD partition.
+CORPUS = [(0, 0), (0, 7), (1, 8), (1, 10), (2, 8), (3, 2), (3, 3)]
+SEED = 2016
+
+EXPECTED = {
+    "honest": "866a453a07bf73f9",
+    "level": "d408935ba7113da9",
+    "random": "aded86ab7c4039f7",
+    "faulty": "2cbefd8aec4a51f5",
+    "sporadic": "48c232c59788062b",
+    "traced-core": "7fcd726f580a5c57",
+    "evented": "c766629de988262b",
+}
+
+#: Two releases 5e-10 apart (inside ``TIME_EPS``) are due at one event.
+#: They must be processed in task-index order even though the later
+#: instant belongs to the lower index: their ``seq`` and RNG draws
+#: follow that order.
+COINCIDENT_DIGEST = "dfcaaa0df91b7099"
+COINCIDENT_BUSY_TIME = 56.99223919624541
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+def _core(report):
+    return None if report is None else dataclasses.asdict(report)
+
+
+def _system(report):
+    return ([_core(r) for r in report.core_reports], report.event_telemetry())
+
+
+def _cases():
+    for config, index in CORPUS:
+        case = make_case(CAMPAIGN_CONFIGS[config], (), seed=SEED, index=index)
+        _, result = case.first_schedulable()
+        if result is not None:
+            partition = result.partition
+            yield case, partition, default_horizon(partition, case.sim_cycles)
+
+
+def _system_runs(case, partition, horizon, kind):
+    scenario = {
+        "honest": HonestScenario(),
+        "level": LevelScenario(target=case.taskset.levels),
+        "random": RandomScenario(overrun_prob=0.3),
+        "faulty": FaultyScenario(excess=0.5),
+        "sporadic": RandomScenario(overrun_prob=0.3),
+    }[kind]
+    releases = SporadicReleases(0.5) if kind == "sporadic" else None
+    sim = SystemSimulator(partition, scenario, horizon=horizon, releases=releases)
+    return _system(sim.run(seed=case.sim_seed(7)))
+
+
+def _traced_core(case, partition, horizon):
+    core = next(m for m in range(partition.cores) if partition.core_size(m))
+    subset = partition.taskset.subset(partition.tasks_on(core))
+    return _core(
+        CoreSimulator(
+            subset=subset,
+            plan=assign_virtual_deadlines(subset),
+            scenario=RandomScenario(overrun_prob=0.3),
+            rng=np.random.default_rng(case.sim_seed(101)),
+            horizon=horizon,
+            record_trace=True,
+        ).run()
+    )
+
+
+def _evented(case, partition, horizon):
+    runtime = EventInjectionRuntime(
+        _case_event_script(case, partition, horizon), horizon=horizon
+    )
+    sim = SystemSimulator(
+        partition,
+        RandomScenario(overrun_prob=0.3),
+        horizon=horizon,
+        allow_infeasible=True,
+        events=runtime,
+    )
+    return _system(sim.run(seed=case.sim_seed(606)))
+
+
+def corpus_digest(kind: str) -> str:
+    payload = []
+    for case, partition, horizon in _cases():
+        if kind == "traced-core":
+            payload.append(_traced_core(case, partition, horizon))
+        elif kind == "evented":
+            payload.append(_evented(case, partition, horizon))
+        else:
+            payload.append(_system_runs(case, partition, horizon, kind))
+    return _digest(payload)
+
+
+def coincident_report():
+    subset = MCTaskSet(
+        [
+            MCTask(wcets=(3.0,), period=10.0 + 5e-10),
+            MCTask(wcets=(2.0, 4.0), period=10.0),
+        ],
+        levels=2,
+    )
+    return CoreSimulator(
+        subset=subset,
+        plan=assign_virtual_deadlines(subset),
+        scenario=RandomScenario(overrun_prob=0.5),
+        rng=np.random.default_rng(3),
+        horizon=200.0,
+        record_trace=True,
+    ).run()
+
+
+class TestPinnedDigests:
+    def test_corpus_has_every_config(self):
+        assert len(list(_cases())) == len(CORPUS)
+
+    @pytest.mark.parametrize("kind", sorted(EXPECTED))
+    def test_corpus_reports_unchanged(self, kind):
+        assert corpus_digest(kind) == EXPECTED[kind]
+
+    def test_near_coincident_releases_keep_index_order(self):
+        report = coincident_report()
+        assert report.busy_time == COINCIDENT_BUSY_TIME
+        assert _digest(_core(report)) == COINCIDENT_DIGEST

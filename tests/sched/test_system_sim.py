@@ -1,5 +1,6 @@
 """Tests for the multicore system simulator."""
 
+import numpy as np
 import pytest
 
 from repro.model import MCTask, MCTaskSet, Partition
@@ -7,6 +8,7 @@ from repro.partition import CATPA
 from repro.sched import (
     HonestScenario,
     LevelScenario,
+    RandomScenario,
     SystemSimulator,
     default_horizon,
 )
@@ -174,3 +176,18 @@ class TestSystemSimulator:
         assert a.released == b.released
         assert a.mode_switches == b.mode_switches
         assert a.miss_count == b.miss_count
+
+    def test_reused_seed_sequence_gives_the_same_run(self):
+        # Deriving the per-core streams must not advance the caller's
+        # SeedSequence: a second run on the same object repeats the first.
+        res = CATPA().partition(dual_taskset(), cores=2)
+        sim = SystemSimulator(
+            res.partition, RandomScenario(overrun_prob=0.5), horizon=2000.0
+        )
+        ss = np.random.SeedSequence(7, spawn_key=(3,))
+        first, second = sim.run(seed=ss), sim.run(seed=ss)
+        assert ss.n_children_spawned == 0
+        assert first.mode_switches > 0
+        assert repr(first.core_reports) == repr(second.core_reports)
+        fresh = sim.run(seed=np.random.SeedSequence(7, spawn_key=(3,)))
+        assert repr(fresh.core_reports) == repr(first.core_reports)

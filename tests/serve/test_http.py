@@ -10,7 +10,9 @@ concurrent burst), lock-free ``/state``, error statuses, backpressure
 
 import asyncio
 import json
+import select
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -406,6 +408,56 @@ class TestTelemetryEndpoints:
         assert place["window"]["count"] == 1
         assert body["gauges"]["serve.tasks"] == 1.0
         assert "serve.lambda" in body["gauges"]
+
+
+def _connects_completed(address, attempts: int, wait: float) -> int:
+    """Open ``attempts`` non-blocking connects, then block ``wait`` seconds.
+
+    Called from the daemon's own loop, so nothing is accepted meanwhile:
+    only connects the kernel's listen queue holds complete their
+    handshake.  The SYN of every later connect is dropped and retried
+    after about 1 s, beyond ``wait``.
+    """
+    socks = []
+    try:
+        poller = select.poll()
+        for _ in range(attempts):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setblocking(False)
+            sock.connect_ex(address)
+            socks.append(sock)
+            poller.register(sock, select.POLLOUT)
+        time.sleep(wait)
+        writable = {fd for fd, _ in poller.poll(0)}
+        return sum(
+            1
+            for sock in socks
+            if sock.fileno() in writable
+            and sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0
+        )
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+class TestListenBacklog:
+    """``--backlog`` also bounds the connections waiting to be accepted."""
+
+    @pytest.mark.parametrize("backlog", [256, 32])
+    def test_listen_queue_follows_backlog(self, backlog):
+        async def main():
+            async with DaemonHarness(backlog=backlog) as h:
+                completed = _connects_completed(h.daemon.bound, 200, 0.4)
+                return completed, await h.client.get("/healthz")
+
+        completed, (healthz, _) = run(main())
+        if backlog == 256:
+            assert completed == 200
+        else:
+            # The kernel holds about backlog + 1; asyncio's default
+            # listen queue of 100 would let 101 through.
+            assert completed < 100
+        assert healthz == 200
 
 
 class TestConfigChecks:

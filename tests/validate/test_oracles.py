@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gen import WorkloadConfig
+from repro.sched import LevelScenario, SystemSimulator, default_horizon
 from repro.types import ReproError
 from repro.validate import (
     all_oracles,
@@ -123,6 +124,73 @@ class TestRunCase:
         with obs.instrument():
             instrumented = run_case(make_case(PROP_CONFIG, (), seed=5, index=2))
         assert plain == instrumented
+
+
+class TestSharedLevelRun:
+    """``schedulable-no-miss`` and ``job-conservation`` check one level-K run."""
+
+    @staticmethod
+    def case():
+        return make_case(PROP_CONFIG, (), seed=11, index=1)
+
+    def test_level_scenario_run_is_seed_independent(self):
+        case = self.case()
+        _, result = case.first_schedulable()
+        sim = SystemSimulator(
+            result.partition,
+            LevelScenario(target=case.taskset.levels),
+            horizon=default_horizon(result.partition, cycles=case.sim_cycles),
+        )
+        a, b = sim.run(seed=case.sim_seed(1)), sim.run(seed=case.sim_seed(202))
+        assert a.mode_switches > 0
+        assert repr(a.core_reports) == repr(b.core_reports)
+
+    def test_both_oracles_share_one_run(self, monkeypatch):
+        level_runs = []
+        original = SystemSimulator.run
+
+        def counted(self, seed=0):
+            if isinstance(self.scenario, LevelScenario) and self.events is None:
+                level_runs.append(seed)
+            return original(self, seed)
+
+        monkeypatch.setattr(SystemSimulator, "run", counted)
+        case = self.case()
+        assert get_oracle("job-conservation").check(case) == []
+        assert get_oracle("schedulable-no-miss").check(case) == []
+        assert len(level_runs) == 1
+        assert case.level_run() is case.level_run()
+
+    def test_draw_above_top_budget_caught_through_the_shared_run(self, monkeypatch):
+        # Every level-K job demands more than c(l_i): the model is
+        # broken, and the shared run must show it whichever oracle ran
+        # it first.
+        monkeypatch.setattr(
+            LevelScenario,
+            "draw",
+            lambda self, task, rng: 1.5 * task.wcet(task.criticality),
+        )
+        case = self.case()
+        assert get_oracle("job-conservation").check(case) == []
+        messages = get_oracle("schedulable-no-miss").check(case)
+        assert len(messages) == 1
+        assert "under the level-3 scenario" in messages[0]
+
+    def test_off_by_one_pending_caught_through_the_shared_run(self, monkeypatch):
+        original = SystemSimulator.run
+
+        def planted(self, seed=0):
+            report = original(self, seed)
+            if isinstance(self.scenario, LevelScenario):
+                next(r for r in report.core_reports if r is not None).pending += 1
+            return report
+
+        monkeypatch.setattr(SystemSimulator, "run", planted)
+        case = self.case()
+        assert get_oracle("schedulable-no-miss").check(case) == []
+        messages = get_oracle("job-conservation").check(case)
+        assert any("released !=" in m and "pending" in m for m in messages)
+        assert messages[-1].startswith("system:")
 
 
 class TestProbeEquivalenceOracle:
