@@ -24,9 +24,10 @@ from repro.analysis.contribution import (
 )
 from repro.gen.params import WorkloadConfig
 from repro.gen.generator import generate_taskset
+from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.partition.backend import BATCH, ProbeBackend
-from repro.partition.base import Attempt, Partitioner, advance
+from repro.partition.base import Partitioner, partition_lockstep
 from repro.partition.catpa import CATPA
 from repro.partition.classical import FirstFitDecreasing
 from repro.types import ReproError
@@ -121,27 +122,21 @@ def allocation_trace(
 
     This is exactly what Tables II and III tabulate: the task-to-core
     decisions in processing order with the evolving per-core level
-    utilizations.  One attempt driven through the scheme's step machine
-    on ``backend``, the same steps
-    :meth:`~repro.partition.Partitioner.partition` takes.
+    utilizations.  The heuristic runs once on ``backend``; its result's
+    placements, up to the failed task, are replayed through
+    :meth:`Partition.assign` in placement order (the driver's sums).
     """
-    attempt = Attempt(partitioner, taskset, cores)
-    partition = attempt.partition
+    (result,) = partition_lockstep([(partitioner, taskset, cores)], backend)
+    partition = Partition(taskset, cores)
     steps: list[AllocationStep] = []
-    live = [attempt]
-    while live:
-        task = attempt.task
-        live = advance(live, backend)
-        core = partition.core_of(task)
-        steps.append(
-            AllocationStep(
-                task_index=task,
-                core=core if core >= 0 else None,
-                core_levels=tuple(
-                    partition.level_matrix(m).copy() for m in range(cores)
-                ),
-            )
-        )
+    for task in result.order:
+        core = result.partition.core_of(task)
+        if core >= 0:
+            partition.assign(task, core)
+        levels = tuple(partition.level_matrix(m).copy() for m in range(cores))
+        steps.append(AllocationStep(task, core if core >= 0 else None, levels))
+        if core < 0:
+            break
     return steps
 
 

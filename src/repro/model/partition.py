@@ -329,6 +329,16 @@ class Partition:
         return out
 
     @classmethod
+    def _from_state(cls, taskset, assignment, level_mats, counts) -> "Partition":
+        """A partition owning finished state (one lockstep attempt's slice):
+        the level matrices stay as summed, in placement order."""
+        part = cls(taskset, len(counts))
+        level_mats.setflags(write=False)
+        part._assignment, part._level_mats = assignment, level_mats
+        part._counts = counts
+        return part
+
+    @classmethod
     def from_assignment(
         cls, taskset: MCTaskSet, cores: int, assignment: Sequence[int] | Iterable[int]
     ) -> "Partition":

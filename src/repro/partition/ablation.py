@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
-from repro.partition.base import Attempt
 from repro.partition.catpa import CATPA
 from repro.types import PartitionError
 
@@ -28,7 +27,13 @@ ORDERINGS = {
     "criticality": ordering.by_criticality_then_utilization,
 }
 
-SELECTIONS = ("min-increment", "first-fit", "best-fit", "worst-fit")
+#: Selection rule -> first-hit key weight (``nan``: minimum increment).
+SELECTIONS = {
+    "min-increment": np.nan,
+    "first-fit": 0.0,
+    "best-fit": -1.0,
+    "worst-fit": 1.0,
+}
 
 
 class CATPAVariant(CATPA):
@@ -81,12 +86,5 @@ class CATPAVariant(CATPA):
             return ordering.randomized(taskset, self.rng)
         return ORDERINGS[self.order](taskset)
 
-    def _preference(self, attempt: Attempt):
-        if self.selection == "min-increment":
-            return None
-        if self.selection == "first-fit":
-            return range(attempt.cores)
-        utils = attempt.loads
-        if self.selection == "best-fit":
-            return np.argsort(-utils, kind="stable").tolist()
-        return np.argsort(utils, kind="stable").tolist()  # worst-fit
+    def weights(self, criticalities: np.ndarray) -> np.ndarray:
+        return np.full(len(criticalities), SELECTIONS[self.selection])

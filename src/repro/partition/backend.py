@@ -5,31 +5,22 @@ be if task ``i`` joined core ``m``?" — admits two evaluation strategies
 with bit-identical answers:
 
 * :class:`ScalarBackend` evaluates one ``(K, K)`` matrix per core with
-  :mod:`repro.analysis.edfvd`, lazily along a request's preference
-  order where one is given — the readable reference;
-* :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) stacks the candidate
-  matrices of every request of a placement step — across all attempts
-  the lockstep driver (:mod:`repro.partition.base`) advances — into one
-  ``(R, K, K)`` array for one :mod:`repro.analysis.batch` kernel call.
+  :mod:`repro.analysis.edfvd`, lazily along a first-hit row's key
+  order — the readable reference;
+* :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) answers the candidate
+  matrices of a whole placement step — every attempt of one
+  ``(K, M, kind)`` stack the lockstep driver (:mod:`repro.partition.base`)
+  advances, gathered into one ``(R, K, K)`` :class:`ProbeRequest` — with
+  one :mod:`repro.analysis.batch` kernel call.
 
-Why batch is the only vectorized backend: an incremental backend once
-sat beside it, caching probe answers on the partition next to per-core
-version counters and recomputing only the (task, core) pairs whose
-core had changed.  Its cache almost never answered — every scheme
-probes a task against a partition the previous placement just changed
-— so offline it was pure bookkeeping.  Measured on a 2-vCPU VM with
-``repro-mc fig1 --sets 30 --seed 2016 --no-store``, 8 alternating
-pairs: median CPU 9.07 s under batch against 9.57 s under incremental,
-batch cheaper in 6 of 8 pairs; the repo benchmark's sweep, serve and
-validate workloads recorded a cache-hit ratio of 0.  The one place a
-probe answer outlives a placement is the admission daemon's
-multi-request ``/place`` flush, and there no cache is needed: after a
-placement on core ``c`` only column ``c`` of the pending rows is stale,
-so the flush re-probes that column alone
-(``probe_tasks(..., cores=[c])``).  On the same VM the daemon-shaped
-placement loop (``run_placement_bench`` in ``benchmarks/gate.py``, 3
-alternating pairs) took 0.135-0.167 s with the column refresh against
-0.176-0.279 s with the cache.
+Why batch is the only vectorized backend: an incremental backend that
+cached probe answers per core version almost never hit, since every
+probe follows a placement that changed the partition (``fig1 --sets 30
+--seed 2016``, 8 alternating pairs on a 2-vCPU VM: median CPU 9.57 s
+against 9.07 s under batch), and the admission daemon's multi-request
+``/place`` flush does better without a cache: after a placement on core
+``c`` only column ``c`` of the pending rows is stale, so it re-probes
+that column alone (``probe_tasks(..., cores=[c])``).
 
 Both that column refresh and the lockstep stack are bit-identical to
 probing one task of one partition at a time because the batch kernels
@@ -61,10 +52,9 @@ the rows of every stacked kernel call.
 from __future__ import annotations
 
 import abc
-import functools
 import math
 import time
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,6 +74,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "FEASIBLE",
     "ProbeBackend",
+    "ProbeRequest",
     "ScalarBackend",
     "BatchBackend",
     "register_backend",
@@ -121,9 +112,9 @@ def _record_utilization_probe(
 
 
 def _record_feasibility_stack(
-    stack: np.ndarray, feasible: np.ndarray, impl: str = "batch"
+    stack: np.ndarray, feasible: np.ndarray, impl: str = "batch", calls: int = 1
 ) -> None:
-    """Count one feasibility probe and attribute every core to its
+    """Count ``calls`` feasibility probes and attribute every core to its
     admission path.
 
     ``eq4_pass`` counts cores admitted by the Eq.-(4) trace test alone;
@@ -133,7 +124,7 @@ def _record_feasibility_stack(
     counts cores that failed both.
     """
     reg = OBS.registry
-    reg.counter(_tagged(f"probe.calls.{impl}")).inc()
+    reg.counter(_tagged(f"probe.calls.{impl}")).inc(int(calls))
     reg.counter("probe.cores_probed").inc(int(feasible.size))
     eq4 = fits_unit_capacity(np.trace(stack, axis1=1, axis2=2))
     reg.counter(_tagged("theorem1.eq4_pass")).inc(int(np.count_nonzero(eq4)))
@@ -167,6 +158,19 @@ def candidate_level_matrix(
     return mat
 
 
+def _scalar_answer(mat: np.ndarray, rule: str | None):
+    """One counted probe: Eq.-(15) under ``rule``, or feasibility (None)."""
+    if rule is None:
+        feasible = is_feasible_core(mat)
+        if OBS.enabled:
+            _record_feasibility_stack(mat[None], np.array([feasible]), "scalar")
+        return feasible
+    new_util = core_utilization(mat, rule=rule)
+    if OBS.enabled:
+        _record_utilization_probe("scalar", np.array([new_util]))
+    return new_util
+
+
 def probe_core_utilization(
     partition: Partition, core: int, task_index: int, rule: str = "max"
 ) -> float:
@@ -176,21 +180,12 @@ def probe_core_utilization(
     fails Theorem 1, per Eq. (15a).  ``rule`` selects the Eq. (9)
     aggregation (see :func:`repro.analysis.core_utilization`).
     """
-    new_util = core_utilization(
-        candidate_level_matrix(partition, core, task_index), rule=rule
-    )
-    if OBS.enabled:
-        _record_utilization_probe("scalar", np.array([new_util]))
-    return new_util
+    return _scalar_answer(candidate_level_matrix(partition, core, task_index), rule)
 
 
 def probe_feasible(partition: Partition, core: int, task_index: int) -> bool:
     """Would the enlarged subset pass the Eq.(4)-or-Theorem-1 test?"""
-    mat = candidate_level_matrix(partition, core, task_index)
-    feasible = is_feasible_core(mat)
-    if OBS.enabled:
-        _record_feasibility_stack(mat[None], np.array([feasible]), "scalar")
-    return feasible
+    return _scalar_answer(candidate_level_matrix(partition, core, task_index), None)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +205,21 @@ def _columns(partition: Partition, cores: Sequence[int] | None) -> np.ndarray:
     return cols
 
 
+class ProbeRequest(NamedTuple):
+    """One placement step of ``A`` attempts that share ``K`` and ``M``."""
+
+    #: ``(A * M, K, K)``: attempt ``a``'s task added to each of its cores
+    #: (rows ``a * M .. a * M + M - 1``); read-only to the backend (the
+    #: driver keeps the placed rows as the attempts' new state).
+    stack: np.ndarray
+    #: ``(A, M)`` first-hit keys: the row is read lazily along
+    #: ``argsort(key, kind="stable")`` up to its first admitting core; a
+    #: ``nan`` row asks for every core.
+    keys: np.ndarray
+    #: The asking attempts' scheme names: the tags of their counters.
+    schemes: Sequence[str]
+
+
 class ProbeBackend(abc.ABC):
     """One strategy for answering every probe the heuristics can ask.
 
@@ -223,9 +233,11 @@ class ProbeBackend(abc.ABC):
     name: str = ""
 
     @abc.abstractmethod
-    def answer(self, kind: str, attempts: Sequence) -> list[list]:
-        """One row per attempt (:class:`~repro.partition.base.Attempt`,
-        all of one ``K``): ``kind`` answers for ``a.task`` on each core."""
+    def answer(self, kind: str, request: ProbeRequest) -> np.ndarray:
+        """``(A, M)`` answers of ``kind`` to every row of ``request``:
+        bools for :data:`FEASIBLE`, Eq.-(15) floats (``inf`` =
+        infeasible) for an Eq.-(9) rule.  A lazy backend leaves entries
+        past a first-hit row's first admitting core infeasible."""
 
     @abc.abstractmethod
     def probe(
@@ -251,30 +263,33 @@ class ProbeBackend(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Scalar backend: one (K, K) matrix per core, lazy preference order
+# Scalar backend: one (K, K) matrix per core, lazy first-hit order
 # ----------------------------------------------------------------------
 class ScalarBackend(ProbeBackend):
     """Per-core scalar evaluation via :mod:`repro.analysis.edfvd`."""
 
     name = "scalar"
 
-    def answer(self, kind: str, attempts: Sequence) -> list[list]:
-        # Row by row, lazily along the preference order: the historical
-        # behaviour (and probe counters) of the first-hit schemes.
+    def answer(self, kind: str, request: ProbeRequest) -> np.ndarray:
+        # Row by row, lazily along each first-hit key order: the
+        # historical behaviour (and probe counters) of the first-hit
+        # schemes.
         if kind == FEASIBLE:
-            probe, hit, miss = probe_feasible, bool, False
+            hit, miss, rule = bool, False, None
         else:
-            probe = functools.partial(probe_core_utilization, rule=kind)
-            hit, miss = math.isfinite, INFEASIBLE
-        rows = []
-        for a in attempts:
-            row, lazy = [miss] * a.cores, a.prefer is not None
-            with scheme_tag(a.scheme.name):
-                for m in a.prefer if lazy else range(a.cores):
-                    row[m] = probe(a.partition, int(m), a.task)
-                    if lazy and hit(row[m]):
+            check_eq9_rule(kind)
+            hit, miss, rule = math.isfinite, INFEASIBLE, kind
+        keys = request.keys
+        mats = request.stack.reshape(keys.shape + request.stack.shape[1:])
+        rows = np.full(keys.shape, miss)
+        for a, name in enumerate(request.schemes):
+            lazy = not math.isnan(keys[a, 0])
+            order = np.argsort(keys[a], kind="stable") if lazy else range(len(keys[a]))
+            with scheme_tag(name):
+                for m in order:
+                    rows[a, m] = value = _scalar_answer(mats[a, m], rule)
+                    if lazy and hit(value):
                         break
-            rows.append(row)
         return rows
 
     def probe(
@@ -313,51 +328,38 @@ class ScalarBackend(ProbeBackend):
 # ----------------------------------------------------------------------
 # Batch backend: every request of a step in one stacked kernel call
 # ----------------------------------------------------------------------
-def _candidate_rows(attempts: Sequence) -> np.ndarray:
-    """``(R, K, K)``: each attempt's task added to each of its cores, by
-    one concatenation and one add of each task's *full* utilization row
-    (exact: the row is zero above ``l_i``)."""
-    if len(attempts) == 1:
-        a = attempts[0]
-        return a.partition.candidate_stack(a.task)
-    stack = np.concatenate([a.partition.level_matrices() for a in attempts])
-    cores = [a.cores for a in attempts]
-    tasksets = [a.partition.taskset for a in attempts]
-    crit = [ts.criticalities[a.task] for ts, a in zip(tasksets, attempts)]
-    util = [ts.utilization_matrix[a.task] for ts, a in zip(tasksets, attempts)]
-    stack[np.arange(stack.shape[0]), np.repeat(crit, cores) - 1] += np.repeat(
-        util, cores, axis=0
-    )
-    return stack
-
-
 class BatchBackend(ProbeBackend):
     """Stacked ``(R, K, K)`` evaluation via :mod:`repro.analysis.batch`."""
 
     name = "batch"
 
-    def answer(self, kind: str, attempts: Sequence) -> list[list]:
-        stack = _candidate_rows(attempts)
+    def answer(self, kind: str, request: ProbeRequest) -> np.ndarray:
+        stack = request.stack
         if kind == FEASIBLE:
             out = _is_feasible_stack(stack)
         else:
             check_eq9_rule(kind)
             out = _core_utilization_stack(stack, kind)
+        rows = out.reshape(request.keys.shape)
         if OBS.enabled:
             OBS.registry.histogram("partition.lockstep.rows").observe(out.size)
-        flat, rows, lo = out.tolist(), [], 0
-        for a in attempts:
-            hi = lo + a.cores
-            rows.append(flat[lo:hi])
-            if OBS.enabled:
-                # Counters under the attempt's own scheme tag: exactly
-                # what probing it alone records.
-                with scheme_tag(a.scheme.name):
+            # Counters under each attempt's own scheme tag: exactly what
+            # probing the attempts one at a time records.
+            names = np.asarray(request.schemes, dtype=object)
+            per_attempt = stack.reshape(rows.shape + stack.shape[1:])
+            for name in dict.fromkeys(request.schemes):
+                mine = names == name
+                with scheme_tag(name):
                     if kind == FEASIBLE:
-                        _record_feasibility_stack(stack[lo:hi], out[lo:hi])
+                        _record_feasibility_stack(
+                            per_attempt[mine].reshape((-1,) + stack.shape[1:]),
+                            rows[mine].ravel(),
+                            calls=int(mine.sum()),
+                        )
                     else:
-                        _record_utilization_probe("batch", out[lo:hi])
-            lo = hi
+                        _record_utilization_probe(
+                            "batch", rows[mine], calls=int(mine.sum())
+                        )
         return rows
 
     def probe(

@@ -1,12 +1,18 @@
-"""Partitioner interface, the placement step contract, and the lockstep driver.
+"""Partitioner interface, the placement rule, and the lockstep driver.
 
 Every heuristic is a :class:`Partitioner`: it orders the tasks, then
-places one per *step* as a step machine over an :class:`Attempt`,
-stating a probe request (:meth:`~Partitioner.request`) and picking its
-core from the answer row (:meth:`~Partitioner.pick`).
-:func:`partition_lockstep` advances many attempts together, one backend
-call (one stacked kernel call under batch) per request kind per step;
-:meth:`Partitioner.partition` is that driver over one attempt.
+places one per *step* by a rule stated once, as array data: the probe
+:attr:`~Partitioner.kind`, the first-hit key weights of
+:meth:`~Partitioner.weights` and the Eq.-(16) threshold
+:attr:`~Partitioner.alpha`.  A scheme carries per-core ``loads``: the
+Eq.-(4) sum of ``u_i(l_i)`` under feasibility requests, the Eq.-(9)
+core utilization (the placed core's Eq.-(15) answer) under rule ones.
+
+:func:`partition_lockstep` holds every live attempt in stacked arrays,
+one set per ``(K, M, kind)``, and each step makes one candidate-stack
+add, one backend ``answer`` (one kernel call under batch), one
+vectorized pick, and one fancy-indexed write of the placed candidates;
+adding a task's *full* utilization row is exact (it is 0 above ``l_i``).
 """
 
 from __future__ import annotations
@@ -14,25 +20,23 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.obs.runtime import OBS, record_span, scheme_tag
-from repro.partition.backend import BATCH, FEASIBLE, ProbeBackend
-from repro.types import PartitionError
+from repro.partition.backend import BATCH, FEASIBLE, ProbeBackend, ProbeRequest
+from repro.types import EPS, PartitionError
 
-__all__ = [
-    "FEASIBLE",
-    "Attempt",
-    "Partitioner",
-    "PartitionResult",
-    "advance",
-    "first_hit",
-    "partition_lockstep",
-]
+__all__ = ["FEASIBLE", "TIE_EPS", "Partitioner", "PartitionResult",
+           "min_increment", "partition_lockstep"]
+
+#: Increments closer than this are treated as equal so that exact ties
+#: (which differ only by float round-off of Eq. (9)) deterministically go
+#: to the lower core index, as Algorithm 1 specifies.
+TIE_EPS: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,118 +84,29 @@ class PartitionResult:
         return self.partition.core_utilizations()
 
 
-class Attempt:
-    """One partitioning attempt: the state a scheme's step machine runs on.
-
-    ``task`` is this step's task, ``kind``/``prefer`` its request, and
-    ``row`` the answer: ``M`` bools for :data:`FEASIBLE`, Eq.-(15) floats
-    (``inf`` = infeasible) for a rule; a lazy backend leaves entries past
-    the first hit of ``prefer`` infeasible.
-    ``loads`` is the per-core figure the scheme carries between steps.
-    """
-
-    __slots__ = ("scheme", "partition", "order", "cores", "levels", "placed",
-                 "task", "kind", "prefer", "row", "loads", "result",
-                 "start", "seconds", "probe_seconds", "probes")
-
-    def __init__(self, scheme: "Partitioner", taskset: MCTaskSet, cores: int):
-        self.scheme = scheme
-        self.partition = Partition(taskset, cores)
-        self.order = scheme.order_tasks(taskset)
-        if sorted(self.order) != list(range(len(taskset))):
-            raise PartitionError(
-                f"{scheme.name}: order_tasks must return a permutation of all tasks"
-            )
-        self.cores, self.levels = self.partition.cores, taskset.levels
-        self.placed = 0
-        self.loads = np.zeros(self.cores, dtype=np.float64)
-        self.result: PartitionResult | None = None
-        # Instrumentation: own step time, and the share of stacked probe time.
-        self.start, self.seconds = time.time(), 0.0
-        self.probe_seconds, self.probes = 0.0, 0
-        self._request()
-
-    def _request(self) -> None:
-        self.task = self.order[self.placed]
-        self.kind, self.prefer = self.scheme.request(self)
-        self.row = None
-
-    def _step(self) -> bool:
-        """Pick and place this step's task, then state the next request;
-        ``False`` once the attempt has its :attr:`result`."""
-        target = self.scheme.pick(self)
-        placed = target is not None
-        if placed:
-            self.partition.assign(self.task, target)
-            self.placed += 1
-            if self.placed < len(self.order):
-                self._request()
-                return True
-        self.result = PartitionResult(
-            scheme=self.scheme.name,
-            schedulable=placed,
-            partition=self.partition,
-            order=tuple(self.order),
-            failed_task=None if placed else self.task,
-            _core_utils=self.scheme._final_core_utils(self) if placed else None,
-        )
-        return False
-
-    def _record(self) -> None:
-        """Outcome counters, and a scheme-tagged ``partition.attempt``
-        record (attempts interleave) with a synthetic ``probe`` child."""
-        name, result = self.scheme.name, self.result
-        if result is not None:
-            reg = OBS.registry
-            reg.counter(f"partition.attempts[{name}]").inc()
-            reg.counter(f"partition.tasks_placed[{name}]").inc(self.placed)
-            if not result.schedulable:
-                reg.counter(f"partition.failures[{name}]").inc()
-        with scheme_tag(name):
-            span_id = record_span(
-                "partition.attempt",
-                start=self.start,
-                seconds=self.seconds + self.probe_seconds,
-                error=result is None,
-            )
-            if self.probes:
-                record_span("probe", start=self.start, seconds=self.probe_seconds,
-                            parent_id=span_id, calls=self.probes, synthetic=True)
-
-
-def first_hit(row: list, prefer: Iterable[int], hit=bool) -> int | None:
-    """The first core of ``prefer`` whose answer admits the task:
-    ``True`` in a feasibility row, finite (``hit=math.isfinite``) in an
-    Eq.-(15) row."""
-    for m in prefer:
-        if hit(row[m]):
-            return int(m)
-    return None
-
-
 class Partitioner(abc.ABC):
     """Base class for task-to-core partitioning heuristics."""
 
     #: Registry name; subclasses override.
     name: str = "abstract"
+    #: What every step asks the backend: :data:`FEASIBLE`, or the
+    #: Eq.-(9) rule of an Eq.-(15) row.
+    kind: str = FEASIBLE
+    #: Eq.-(16) threshold: a step whose loaded cores' imbalance
+    #: ``(max - min) / max`` load exceeds it takes ``w = +1`` (the
+    #: least-loaded admitting core); ``None`` never overrides.
+    alpha: float | None = None
 
     @abc.abstractmethod
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
         """The order in which tasks are offered to cores."""
 
     @abc.abstractmethod
-    def request(self, attempt: Attempt) -> tuple[str, Sequence[int] | None]:
-        """This step's probe request for ``attempt.task``: ``(kind, prefer)``.
-
-        ``kind`` is :data:`FEASIBLE` or an Eq.-(9) rule (the Eq.-(15)
-        row); ``prefer`` is the core order of a first-hit pick, else
-        ``None``.
-        """
-
-    @abc.abstractmethod
-    def pick(self, attempt: Attempt) -> int | None:
-        """The core for ``attempt.task`` given ``attempt.row``, or
-        ``None`` when no core fits; updates ``attempt.loads``."""
+    def weights(self, criticalities: np.ndarray) -> np.ndarray:
+        """Each step's key weight ``w``, given the placed tasks' ``l_i``:
+        the task goes to the admitting core of least ``w * loads``, lowest
+        index first (0: first fit, +1: worst fit, -1: best fit); ``nan``
+        takes the minimum increment (:func:`min_increment`, rule kinds)."""
 
     def partition(self, taskset: MCTaskSet, cores: int) -> PartitionResult:
         """Run the heuristic over the whole task set (the lockstep driver
@@ -199,47 +114,146 @@ class Partitioner(abc.ABC):
         unplaceable task, as Algorithm 1 does."""
         return partition_lockstep([(self, taskset, cores)])[0]
 
-    def _final_core_utils(self, attempt: Attempt) -> np.ndarray | None:
-        """Hook: heuristics that track Eq.-(9) core utilizations
-        incrementally can hand them over to the result to avoid a
-        recompute; default is ``None`` (recompute on demand)."""
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-def advance(attempts: list[Attempt], backend: ProbeBackend) -> list[Attempt]:
-    """One placement step of every attempt; returns those still live.
+def min_increment(rows: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """CA-TPA's core per row by Algorithm 1's scan of the Eq.-(14)
+    increments ``rows - loads``: a core wins if more than :data:`TIE_EPS`
+    below the best so far.  Below the least earlier increment minus
+    ``TIE_EPS`` a core always wins, at or above it never, so only rows
+    with an increment in between (a near tie) are scanned core by core."""
+    increments = rows - loads
+    before = np.full_like(increments, np.inf)
+    np.fmin.accumulate(increments[:, :-1], axis=1, out=before[:, 1:])
+    wins, below = increments < before - TIE_EPS, increments < before
+    core = (wins * np.arange(rows.shape[1])).argmax(axis=1)  # the last win
+    near = () if np.count_nonzero(below) == np.count_nonzero(wins) else (
+        np.flatnonzero((below != wins).any(axis=1)))
+    for i in near:
+        best = np.inf
+        for m, increment in enumerate(increments[i].tolist()):
+            if increment < best - TIE_EPS:
+                best, core[i] = increment, m
+    return core
 
-    Requests are grouped by ``(kind, K)`` and each group is answered by
-    one call to ``backend`` — under the batch backend one stacked kernel
-    call, whose per-row independence gives every attempt the rows it
-    would get alone, bit for bit.
-    """
-    clock = time.perf_counter if OBS.enabled else None
-    groups: dict[tuple, list[Attempt]] = {}
-    for a in attempts:
-        groups.setdefault((a.kind, a.levels), []).append(a)
-    for (kind, _), group in groups.items():
-        if clock:
-            t0 = clock()
-        for a, row in zip(group, backend.answer(kind, group)):
-            a.row = row
-        if clock:
-            share = (clock() - t0) / sum(a.cores for a in group)
-            for a in group:
-                a.probe_seconds += share * a.cores
-                a.probes += 1
-    live = []
-    for a in attempts:
-        if clock:
-            t0 = clock()
-        if a._step():
-            live.append(a)
-        if clock:
-            a.seconds += clock() - t0
-    return live
+
+def _imbalance_exceeded(loads, loaded, alpha) -> np.ndarray:
+    """Eq. (16) per attempt over its loaded cores (an empty system, or
+    one loaded to at most ``EPS``, is balanced).  Idle cores carry load
+    0, never above a loaded core's, so the plain row max is ``U_sys``."""
+    u_sys = np.maximum.reduce(loads, axis=1)
+    u_min = np.minimum.reduce(np.where(loaded, loads, np.inf), axis=1)
+    imbalance = (u_sys - u_min) / np.maximum(u_sys, EPS)
+    return (u_sys > EPS) & (imbalance > alpha)
+
+
+class _Stack:
+    """The live attempts of one ``(K, M, kind)``: row ``i`` is job
+    ``ids[i]`` until it finishes; ``tasks`` (rows of ``delta`` and
+    ``umax``), ``w`` and ``picked`` (the chosen core) go by step."""
+
+    _ROWS = ("ids", "n", "mats", "loads", "loaded", "picked", "tasks", "w",
+             "offset", "alpha", "names")
+
+    def __init__(self, kind: str, members: list, orders: list):
+        (_, _, taskset, cores), a = members[0], len(members)
+        self.kind, self.cores, k = kind, cores, taskset.levels
+        tasksets = list({id(ts): ts for _, _, ts, _ in members}.values())
+        starts = dict(zip(map(id, tasksets), np.cumsum([0] + list(map(len, tasksets)))))
+        umat = np.concatenate([ts.utilization_matrix for ts in tasksets])
+        crit = np.concatenate([ts.criticalities for ts in tasksets]) - 1
+        # Each task's candidate add (its full utilization row in row l_i).
+        self.delta, self.umax = np.zeros((len(umat), 1, k, k)), umat.max(axis=1)
+        self.delta[np.arange(len(umat)), 0, crit] = umat
+        self.ids = np.array([job for job, *_ in members])
+        self.n = np.array([len(orders[job]) for job in self.ids])
+        self.offset = np.array([starts[id(ts)] for _, _, ts, _ in members])
+        self.mats, self.loads = np.zeros((a, cores, k, k)), np.zeros((a, cores))
+        self.loaded = np.zeros((a, cores), dtype=bool)
+        # Small dtypes: every weight (0, +1, -1, nan) is exact in float32.
+        self.picked, self.tasks = (np.zeros((a, self.n.max()), np.int32) for _ in "pt")
+        self.w = np.zeros((a, self.n.max()), np.float32)
+        for i, (job, scheme, taskset, _) in enumerate(members):
+            order = np.array(orders[job], dtype=np.int64)
+            self.tasks[i, : order.size] = order + self.offset[i]
+            self.w[i, : order.size] = scheme.weights(taskset.criticalities[order])
+        alphas = [np.inf if s.alpha is None else s.alpha for _, s, *_ in members]
+        self.alpha = np.array(alphas)
+        self.names = np.array([s.name for _, s, *_ in members], dtype=object)
+        self._reshaped()
+
+    def _reshaped(self) -> None:
+        a, m, k = self.mats.shape[:3]
+        self.base = np.arange(a) * m  # flat row i * M + c: core c of row i
+        self.flat_mats = self.mats.reshape(a * m, k * k)
+        self.end = int(self.n.min())
+        self.override = bool(np.isfinite(self.alpha).any())
+
+    def step(self, s: int, backend: ProbeBackend, clock=None):
+        """Place step ``s``'s task of every row; returns the finished rows
+        as ``(rows, placed)`` (or ``None``) and the answer's time."""
+        loads, kind = self.loads, self.kind
+        w = self.w[:, s]
+        if self.override:
+            w = np.where(_imbalance_exceeded(loads, self.loaded, self.alpha), 1.0, w)
+        keys = w[:, None] * loads
+        tasks = self.tasks[:, s]
+        cand = self.mats + self.delta[tasks]
+        request = ProbeRequest(cand.reshape((-1,) + cand.shape[2:]), keys, self.names)
+        t0 = clock() if clock else 0.0
+        answer = backend.answer(kind, request)
+        probe_s = clock() - t0 if clock else 0.0
+        ok = answer if kind == FEASIBLE else np.isfinite(answer)
+        hit = np.logical_or.reduce(ok, axis=1)
+        scan = np.isnan(w) if kind != FEASIBLE else None
+        scans = 0 if scan is None else np.count_nonzero(scan)
+        if scans < len(w):
+            target = np.where(ok, keys, np.inf).argmin(axis=1)
+        if scans:
+            target = min_increment(answer, loads) if scans == len(w) else (
+                np.where(scan, min_increment(answer, loads), target))
+        base, placed, rows = self.base, np.count_nonzero(hit), slice(None)
+        if placed < len(base):
+            rows, target, base, tasks = hit, target[hit], base[hit], tasks[hit]
+        flat = base + target  # the placed cores' candidates become state
+        self.flat_mats[flat] = cand.reshape(self.flat_mats.shape).take(flat, axis=0)
+        if self.override:
+            np.put(self.loaded, flat, True)
+        self.picked[rows, s] = target
+        if kind == FEASIBLE:
+            self.loads.reshape(-1)[flat] += self.umax[tasks]
+        else:
+            np.put(loads, flat, answer.take(flat))
+        if s + 1 < self.end and placed == len(w):
+            return None, probe_s
+        done = ~hit | (self.n == s + 1)
+        return (np.flatnonzero(done), hit[done]), probe_s
+
+    def result(self, i: int, s: int, placed: bool, jobs, orders) -> PartitionResult:
+        """Row ``i``'s result, finished at step ``s``: its partition owns
+        copies of its slice (sums in placement order, as stepped)."""
+        job = int(self.ids[i])
+        (scheme, taskset, _), order = jobs[job], orders[job]
+        picked = self.picked[i, : s + placed]
+        assignment = np.full(len(taskset), -1, dtype=np.int64)
+        assignment[self.tasks[i, : s + placed] - self.offset[i]] = picked
+        counts = np.bincount(picked, minlength=self.cores)
+        part = Partition._from_state(taskset, assignment, self.mats[i].copy(), counts)
+        utils = self.loads[i].copy() if placed and self.kind != FEASIBLE else None
+        failed = None if placed else order[s]
+        return PartitionResult(scheme.name, placed, part, tuple(order), failed, utils)
+
+    def drop(self, done: np.ndarray) -> None:
+        if len(done) == len(self.ids):
+            self.ids = self.ids[:0]
+            return
+        keep = np.ones(len(self.ids), dtype=bool)
+        keep[done] = False
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[keep])
+        self._reshaped()
 
 
 def partition_lockstep(
@@ -250,18 +264,60 @@ def partition_lockstep(
     every probe answered by ``backend``.
 
     Results come back in job order, each field for field what
-    ``scheme.partition(taskset, cores)`` returns alone; attempts are
-    built in job order, so a random task order draws from its generator
-    as sequential calls would.  When instrumented, each attempt records
-    its outcome counters and span at the end (``error`` if unfinished).
+    ``scheme.partition(taskset, cores)`` returns alone; task orders are
+    drawn in job order, as sequential calls would draw them.  When
+    instrumented, each attempt records its outcome counters and a
+    scheme-tagged ``partition.attempt`` span (``error`` if unfinished).
     """
-    attempts = [Attempt(scheme, taskset, cores) for scheme, taskset, cores in jobs]
-    live = attempts
+    orders, groups = [], {}
+    for job, (scheme, taskset, cores) in enumerate(jobs):
+        if cores < 1:
+            raise PartitionError(f"core count must be >= 1, got {cores}")
+        order = scheme.order_tasks(taskset)
+        if sorted(order) != list(range(len(taskset))):
+            raise PartitionError(
+                f"{scheme.name}: order_tasks must return a permutation of all tasks"
+            )
+        orders.append(order)
+        key = (taskset.levels, int(cores), scheme.kind)
+        groups.setdefault(key, []).append((job, scheme, taskset, int(cores)))
+    results: list[PartitionResult | None] = [None] * len(jobs)
+    clock = time.perf_counter if OBS.enabled else None
+    # Per attempt: its share of step time, of answer time, and of steps.
+    start, shares = time.time(), np.zeros((3, len(jobs)))
     try:
-        while live:
-            live = advance(live, backend)
+        for (_, _, kind), members in groups.items():
+            stack, s = _Stack(kind, members, orders), 0
+            while len(stack.ids):
+                t0, ids = clock() if clock else 0.0, stack.ids
+                finished, probe_s = stack.step(s, backend, clock)
+                if finished is not None:
+                    for i, placed in zip(*finished):
+                        results[ids[i]] = stack.result(i, s, bool(placed), jobs, orders)
+                    stack.drop(finished[0])
+                if clock:
+                    took = np.array([[clock() - t0], [probe_s], [len(ids)]])
+                    shares[:, ids] += took / len(ids)
+                s += 1
     finally:
-        if OBS.enabled:
-            for a in attempts:
-                a._record()
-    return [a.result for a in attempts]
+        if clock:
+            for job, (scheme, _, _) in enumerate(jobs):
+                _record_attempt(scheme.name, results[job], start, *shares[:, job])
+    return results
+
+
+def _record_attempt(name, result, start, seconds, probe_seconds, calls) -> None:
+    """Outcome counters, and a scheme-tagged ``partition.attempt``
+    record (attempts interleave) with a synthetic ``probe`` child."""
+    if result is not None:
+        reg, placed = OBS.registry, int(np.count_nonzero(result.assignment >= 0))
+        reg.counter(f"partition.attempts[{name}]").inc()
+        reg.counter(f"partition.tasks_placed[{name}]").inc(placed)
+        if not result.schedulable:
+            reg.counter(f"partition.failures[{name}]").inc()
+    with scheme_tag(name):
+        span_id = record_span("partition.attempt", start=start,
+                              seconds=float(seconds), error=result is None)
+        if calls:
+            record_span("probe", start=start, seconds=float(probe_seconds),
+                        parent_id=span_id, calls=round(calls), synthetic=True)

@@ -25,32 +25,24 @@ first ``M`` tasks for every ``alpha < 1``.  The *reported* imbalance
 metric, :func:`repro.metrics.imbalance_factor`, follows the same
 loaded-core convention for finished partitions.
 
-Each placement step requests the task's Eq.-(15) row under the Eq.-(9)
-rule — whole for the minimum increment, in ascending current-utilization
-order for the override — and the lockstep driver (:mod:`repro.partition.base`)
-answers every attempt it advances together with one stacked kernel call
-per step.  The per-core Eq.-(9) utilizations are tracked incrementally,
-so a full run costs ``O(N * M * K^2)`` probe work plus the
-``O(N log N)`` sort, matching the paper's complexity analysis.
+As a lockstep rule (:mod:`repro.partition.base`): each step reads the
+Eq.-(15) row under the Eq.-(9) rule, weight ``nan`` picks the minimum
+increment and ``alpha`` is the Eq.-(16) override.  The per-core Eq.-(9)
+utilizations are tracked incrementally, so a full run costs
+``O(N * M * K^2)`` probe work plus the ``O(N log N)`` sort, matching the
+paper's complexity analysis.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
-from repro.partition.base import Attempt, Partitioner, first_hit
-from repro.types import EPS, PartitionError
+from repro.partition.base import Partitioner
+from repro.types import PartitionError
 
 __all__ = ["CATPA"]
-
-#: Increments closer than this are treated as equal so that exact ties
-#: (which differ only by float round-off of Eq. (9)) deterministically go
-#: to the lower core index, as Algorithm 1 specifies.
-TIE_EPS: float = 1e-9
 
 
 class CATPA(Partitioner):
@@ -86,56 +78,10 @@ class CATPA(Partitioner):
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
         return ordering.by_contribution(taskset)
 
-    def request(self, attempt: Attempt):
-        if self._imbalance_exceeded(attempt):
-            # Min-utilization override: cores by ascending utilization,
-            # the stable sort keeping the lowest index first among ties.
-            return self.eq9_rule, np.argsort(attempt.loads, kind="stable").tolist()
-        return self.eq9_rule, self._preference(attempt)
+    @property
+    def kind(self) -> str:
+        """Every step reads the Eq.-(15) row under :attr:`eq9_rule`."""
+        return self.eq9_rule
 
-    def _preference(self, attempt: Attempt):
-        """Core order of the regular selection; ``None`` reads the whole
-        row for the minimum increment."""
-        return None
-
-    def pick(self, attempt: Attempt) -> int | None:
-        row, utils = attempt.row, attempt.loads
-        if attempt.prefer is None:
-            target = _min_increment(row, utils)
-        else:
-            target = first_hit(row, attempt.prefer, math.isfinite)
-        if target is not None:
-            utils[target] = row[target]
-        return target
-
-    def _final_core_utils(self, attempt: Attempt) -> np.ndarray:
-        return attempt.loads.copy()
-
-    # ------------------------------------------------------------------
-    def _imbalance_exceeded(self, attempt: Attempt) -> bool:
-        """Eq. (16) over the loaded cores of the partial mapping."""
-        if self.alpha is None:
-            return False
-        loaded = attempt.loads[attempt.partition.core_counts > 0]
-        if loaded.size == 0:
-            return False  # empty system: Lambda defined as 0
-        u_sys = float(loaded.max())
-        if u_sys <= EPS:
-            return False
-        imbalance = (u_sys - float(loaded.min())) / u_sys
-        return imbalance > self.alpha
-
-
-def _min_increment(row: list, utils: np.ndarray) -> int | None:
-    """The feasible core with the minimum Eq.-(14) increment."""
-    best_core: int | None = None
-    best_increment = np.inf
-    for m, new_util in enumerate(row):
-        if not math.isfinite(new_util):
-            continue
-        increment = new_util - utils[m]
-        # ties (within float noise) keep the lowest-index core
-        if increment < best_increment - TIE_EPS:
-            best_increment = increment
-            best_core = m
-    return best_core
+    def weights(self, criticalities: np.ndarray) -> np.ndarray:
+        return np.full(len(criticalities), np.nan)  # minimum increment

@@ -22,25 +22,24 @@ import numpy as np
 
 from repro.model.taskset import MCTaskSet
 from repro.partition import ordering
-from repro.partition.base import FEASIBLE, Attempt, Partitioner, first_hit
+from repro.partition.base import Partitioner
 
 __all__ = ["FirstFitDecreasing", "BestFitDecreasing", "WorstFitDecreasing"]
 
 
 class _ClassicalDecreasing(Partitioner):
     """Shared machinery for the load-tracking first-hit heuristics: each
-    step requests the feasibility row in the scheme's core preference
-    order (:meth:`request`) and takes the first feasible core."""
+    step asks for the feasibility row and takes the feasible core of
+    least ``weight * load``."""
+
+    #: First-hit key weight of every step (:meth:`Partitioner.weights`).
+    weight: float = 0.0
 
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
         return ordering.by_max_utilization(taskset)
 
-    def pick(self, attempt: Attempt) -> int | None:
-        target = first_hit(attempt.row, attempt.prefer)
-        if target is not None:
-            task = attempt.partition.taskset[attempt.task]
-            attempt.loads[target] += task.max_utilization
-        return target
+    def weights(self, criticalities: np.ndarray) -> np.ndarray:
+        return np.full(len(criticalities), self.weight)
 
 
 class FirstFitDecreasing(_ClassicalDecreasing):
@@ -48,20 +47,15 @@ class FirstFitDecreasing(_ClassicalDecreasing):
 
     name = "ffd"
 
-    def request(self, attempt: Attempt):
-        return FEASIBLE, range(attempt.cores)
-
 
 class BestFitDecreasing(_ClassicalDecreasing):
     """BFD: feasible core with the highest current load (tightest fit).
 
-    Ties go to the lowest core index (stable sort on descending load).
+    Ties go to the lowest core index.
     """
 
     name = "bfd"
-
-    def request(self, attempt: Attempt):
-        return FEASIBLE, np.argsort(-attempt.loads, kind="stable").tolist()
+    weight = -1.0
 
 
 class WorstFitDecreasing(_ClassicalDecreasing):
@@ -71,6 +65,4 @@ class WorstFitDecreasing(_ClassicalDecreasing):
     """
 
     name = "wfd"
-
-    def request(self, attempt: Attempt):
-        return FEASIBLE, np.argsort(attempt.loads, kind="stable").tolist()
+    weight = 1.0

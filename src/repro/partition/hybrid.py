@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.model.taskset import MCTaskSet
-from repro.partition.base import FEASIBLE, Attempt
 from repro.partition.classical import _ClassicalDecreasing
 from repro.types import PartitionError
 
@@ -42,8 +41,6 @@ class HybridPartitioner(_ClassicalDecreasing):
         # Final tie: lower index (lexsort stability).
         return np.lexsort((-umax, ~high)).tolist()
 
-    def request(self, attempt: Attempt):
-        task = attempt.partition.taskset[attempt.task]
-        if task.criticality >= self.high_threshold:
-            return FEASIBLE, np.argsort(attempt.loads, kind="stable").tolist()  # WFD
-        return FEASIBLE, range(attempt.cores)  # FFD
+    def weights(self, criticalities: np.ndarray) -> np.ndarray:
+        # WFD (+1) for the high group, FFD (0) for the rest.
+        return np.where(criticalities >= self.high_threshold, 1.0, 0.0)

@@ -322,31 +322,34 @@ class _RecoveryTracker:
     opportunities: AMC mode is core-local state).
     """
 
-    __slots__ = ("_windows",)
+    __slots__ = ("_pending", "_missed")
 
     def __init__(self, windows: Iterable[tuple[float, float]]):
-        self._windows = [[float(s), float(e), False] for s, e in windows]
+        # Windows neither consumed nor passed yet, by start time.
+        self._pending = sorted((float(s), float(e)) for s, e in windows)
+        self._missed = 0
 
     def claim(self, idle0: float, idle1: float) -> tuple[float | None, int]:
         """Consume every unconsumed window overlapping ``[idle0, idle1)``.
 
         Returns ``(earliest instant a reset may apply, windows consumed)``.
+        Idle instants only move forward, so a pending window that starts
+        before ``idle1`` leaves the cursor here: consumed if it reaches
+        ``idle0``, else passed for good (it stays unconsumed).
         """
-        if not _time_after(idle1, idle0):
-            return None, 0
-        applied: float | None = None
-        consumed = 0
-        for w in self._windows:
-            if w[2] or not _time_after(idle1, w[0]) or not _time_reached(w[1], idle0):
-                continue
-            w[2] = True
-            consumed += 1
-            at = max(idle0, w[0])
-            applied = at if applied is None else min(applied, at)
-        return applied, consumed
+        pending, due = self._pending, 1
+        if not (pending and _time_after(idle1, pending[0][0])
+                and _time_after(idle1, idle0)):
+            return None, 0  # no idle time, or no window starts in it
+        while due < len(pending) and _time_after(idle1, pending[due][0]):
+            due += 1
+        starts = [max(idle0, s) for s, e in pending[:due] if _time_reached(e, idle0)]
+        self._missed += due - len(starts)
+        del pending[:due]
+        return (min(starts) if starts else None), len(starts)
 
     def unconsumed(self) -> int:
-        return sum(1 for w in self._windows if not w[2])
+        return self._missed + len(self._pending)
 
 
 class CoreEventView:

@@ -126,8 +126,8 @@ class ValidationCase:
     seed: int = 0
     set_index: int = 0
     sim_cycles: float = SIM_CYCLES
-    _results: dict[str, PartitionResult] | None = field(
-        default=None, init=False, repr=False
+    _results: dict[str, dict[str, PartitionResult]] = field(
+        default_factory=dict, init=False, repr=False
     )
     _level_run: SystemReport | None = field(default=None, init=False, repr=False)
 
@@ -137,17 +137,18 @@ class ValidationCase:
 
     def scheme_results(self) -> dict[str, PartitionResult]:
         """Partition outcome per scheme label (batch probe engine), cached."""
-        if self._results is None:
-            self._results = self.partition_all(BATCH)
-        return self._results
+        return self.partition_all(BATCH)
 
     def partition_all(self, backend: ProbeBackend) -> dict[str, PartitionResult]:
-        """Every scheme's outcome on ``backend``, in lockstep."""
-        results = partition_lockstep(
-            [(spec.build(), self.taskset, self.config.cores) for spec in self.schemes],
-            backend,
-        )
-        return {spec.label: r for spec, r in zip(self.schemes, results)}
+        """Every scheme's outcome on ``backend``, in lockstep; cached per
+        backend, so the oracles that compare backends share one run."""
+        if backend.name not in self._results:
+            cores = self.config.cores
+            jobs = [(spec.build(), self.taskset, cores) for spec in self.schemes]
+            results = partition_lockstep(jobs, backend)
+            labels = [spec.label for spec in self.schemes]
+            self._results[backend.name] = dict(zip(labels, results))
+        return self._results[backend.name]
 
     def first_schedulable(self) -> tuple[str, PartitionResult] | tuple[None, None]:
         """The first scheme (in spec order) that produced a feasible partition."""

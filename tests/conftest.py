@@ -8,16 +8,27 @@ import pytest
 from repro.model import MCTask, MCTaskSet
 
 
+def probe_request(partition, task_index, order=None, scheme="ffd"):
+    """A one-attempt lockstep request (``ProbeBackend.answer``): task
+    ``task_index`` added to every core of ``partition``, read whole, or
+    lazily along the core order ``order`` (first hit)."""
+    from repro.partition.backend import ProbeRequest
+
+    cores = partition.cores
+    if order is None:
+        keys = np.full((1, cores), np.nan)
+    else:  # each core's rank in ``order``: argsort(keys) == order
+        keys = np.argsort(np.asarray(order))[None].astype(np.float64)
+    return ProbeRequest(partition.candidate_stack(task_index), keys, [scheme])
+
+
 def feasible_row(backend, partition, task_index):
     """``task_index``'s Eq.(4)-or-Theorem-1 feasibility on every core of
     ``partition``: ``(M,)`` bools, asked as one whole-row lockstep
-    request (``ProbeBackend.answer``)."""
-    from repro.partition import FirstFitDecreasing
-    from repro.partition.base import FEASIBLE, Attempt
+    request."""
+    from repro.partition.base import FEASIBLE
 
-    attempt = Attempt(FirstFitDecreasing(), partition.taskset, partition.cores)
-    attempt.partition, attempt.task, attempt.prefer = partition, task_index, None
-    (row,) = backend.answer(FEASIBLE, [attempt])
+    (row,) = backend.answer(FEASIBLE, probe_request(partition, task_index))
     return np.array(row, dtype=bool)
 
 

@@ -174,17 +174,17 @@ class TestSpanTree:
         import numpy as np
 
         from repro.gen import WorkloadConfig, generate_taskset
-        from repro.model.partition import Partition
+        from repro.partition import backend
         from repro.partition.catpa import CATPA
 
         config = WorkloadConfig(cores=2, task_count_range=(5, 6))
         taskset = generate_taskset(config, np.random.default_rng(0))
 
-        def exploding(self, task_index):
+        def exploding(mats, rule):
             raise RuntimeError("probe exploded")
 
         with obs.instrument() as state:
-            monkeypatch.setattr(Partition, "candidate_stack", exploding)
+            monkeypatch.setattr(backend, "_core_utilization_stack", exploding)
             with pytest.raises(RuntimeError, match="probe exploded"):
                 CATPA().partition(taskset, config.cores)
             attempts = [r for r in state.spans if r["name"] == "partition.attempt"]

@@ -29,10 +29,9 @@ from repro.partition.backend import (
     get_backend,
     register_backend,
 )
-from repro.partition.base import FEASIBLE, Attempt
-from repro.partition.classical import FirstFitDecreasing
+from repro.partition.base import FEASIBLE
 from repro.types import EPS, ModelError, PartitionError, ReproError, fits_unit_capacity
-from tests.conftest import feasible_row, make_task, random_taskset
+from tests.conftest import feasible_row, make_task, probe_request, random_taskset
 
 BATCH = BatchBackend()
 SCALAR = ScalarBackend()
@@ -169,11 +168,10 @@ class TestIncrementalEquivalence:
             order = [int(m) for m in np.argsort(rng.random(4))]
             for kind in (FEASIBLE, "max", "min"):
                 rows = []
+                part = Partition(ts, cores=4)
+                part.assign(0, 2)
                 for backend in (BATCH, SCALAR):
-                    attempt = Attempt(FirstFitDecreasing(), ts, cores=4)
-                    attempt.partition.assign(0, 2)
-                    attempt.task, attempt.prefer = 1, order
-                    (row,) = backend.answer(kind, [attempt])
+                    (row,) = backend.answer(kind, probe_request(part, 1, order))
                     rows.append(row)
                 hits = [
                     bool(v) if kind == FEASIBLE else bool(np.isfinite(v))

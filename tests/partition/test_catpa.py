@@ -10,6 +10,7 @@ from repro.analysis import (
 )
 from repro.model import MCTask, MCTaskSet
 from repro.partition import CATPA, FirstFitDecreasing, get_partitioner
+from repro.partition.base import TIE_EPS, min_increment
 from repro.types import PartitionError
 
 
@@ -73,6 +74,59 @@ class TestSelection:
         res = CATPA().partition(ts, cores=2)
         assert not res.schedulable
         assert res.failed_task is not None
+
+
+class TestMinIncrementScan:
+    """The pick keeps Algorithm 1's sequential ``TIE_EPS`` scan: a core
+    wins only if it beats the best *so far* by more than ``TIE_EPS``,
+    which neither ``argmin`` nor "lowest index within ``TIE_EPS`` of the
+    minimum" reproduces."""
+
+    @staticmethod
+    def pick(*increments):
+        rows = np.array([increments])
+        return int(min_increment(rows, np.zeros_like(rows))[0])
+
+    def test_within_tie_eps_keeps_the_lower_core(self):
+        # argmin would take core 1.
+        assert self.pick(1.0, 1.0 - 0.5e-9) == 0
+
+    def test_a_chain_of_near_ties_is_judged_against_the_best_so_far(self):
+        # Core 1 is within TIE_EPS of core 0, core 2 is not: the scan
+        # takes core 2 ("lowest index within TIE_EPS of the min" takes 1).
+        assert self.pick(1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9) == 2
+
+    def test_equals_the_sequential_scan_on_near_ties(self, rng):
+        """The shortcut (a core below the running minimum minus
+        ``TIE_EPS`` wins, one at or above it never does) and the
+        core-by-core rescan of near-tie rows reproduce the scan."""
+
+        def scan(row):
+            best, core = np.inf, 0
+            for m, increment in enumerate(row):
+                if increment < best - TIE_EPS:
+                    best, core = increment, m
+            return core
+
+        gaps = [0.0, 0.3e-9, 0.5e-9, 1e-9, 1.3e-9, 2e-9, -0.4e-9]
+        for _ in range(300):
+            a, m = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+            rows = rng.random((a, m)) * rng.choice([1e-8, 1.0, 100.0])
+            rows[rng.random((a, m)) < 0.2] = np.inf
+            for _ in range(3):  # plant exact and near ties
+                i, j = rng.integers(0, m, size=(2, a))
+                rows[np.arange(a), j] = rows[np.arange(a), i] - rng.choice(gaps, a)
+            loads = np.where(rng.random((a, m)) < 0.5, 0.0, rng.random((a, m)) * 1e-9)
+            got = min_increment(rows, loads)
+            for r in np.flatnonzero(np.isfinite(rows).any(axis=1)):
+                assert got[r] == scan((rows[r] - loads[r]).tolist())
+
+    def test_rows_are_scanned_independently(self):
+        inf = np.inf
+        rows = np.array([[inf, 0.4, 0.2], [0.3, inf, 0.3], [0.5, 0.5, 0.1]])
+        loads = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(min_increment(rows, loads), [2, 0, 2])
+        assert TIE_EPS == 1e-9
 
 
 class TestImbalanceOverride:

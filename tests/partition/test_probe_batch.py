@@ -32,16 +32,14 @@ from repro.partition.backend import (
     probe_core_utilization,
     probe_feasible,
 )
-from repro.partition.base import Attempt, partition_lockstep
+from repro.partition.base import partition_lockstep
 from repro.types import ModelError
-from tests.conftest import feasible_row, random_taskset
+from tests.conftest import feasible_row, probe_request, random_taskset
 
 
 def _answer_first_hit(backend, part, rule):
     """A lockstep first-hit request for task 0 in core order [1, 0]."""
-    attempt = Attempt(FirstFitDecreasing(), part.taskset, part.cores)
-    attempt.task, attempt.prefer = 0, [1, 0]
-    return backend.answer(rule, [attempt])
+    return backend.answer(rule, probe_request(part, 0, [1, 0]))
 
 
 def random_partial_partition(rng, ts, cores):
