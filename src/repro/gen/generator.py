@@ -12,7 +12,9 @@ The procedure, for a :class:`~repro.gen.params.WorkloadConfig`:
    ``c_i(k) = c_i(k-1) * (1 + IFC)`` for ``k = 2..l_i``.
 
 Everything is vectorized with NumPy (hot loop of the experiment
-harness); the per-task Python objects are only materialized at the end.
+harness), and the set is built from its arrays
+(:meth:`~repro.model.MCTaskSet.from_arrays`): no per-task Python object
+exists until a caller asks for one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gen.params import WorkloadConfig
-from repro.model.task import MCTask
 from repro.model.taskset import MCTaskSet
 from repro.types import GenerationError
 
@@ -75,16 +76,26 @@ def generate_taskset(
         crits = rng.choice(
             np.arange(1, config.levels + 1), size=n, p=weights / weights.sum()
         )
-    growth = 1.0 + config.ifc
+    return MCTaskSet.from_arrays(
+        level_wcets(c1, crits, config.levels, 1.0 + config.ifc),
+        periods,
+        crits,
+        levels=config.levels,
+    )
 
-    tasks = []
-    for i in range(n):
-        li = int(crits[i])
-        wcets = c1[i] * growth ** np.arange(li)
-        tasks.append(
-            MCTask(wcets=tuple(wcets), period=float(periods[i]), name=f"tau_{i+1}")
-        )
-    return MCTaskSet(tasks, levels=config.levels)
+
+def level_wcets(
+    c1: np.ndarray, crits: np.ndarray, levels: int, growth: float
+) -> np.ndarray:
+    """``(N, levels)`` WCETs ``c_i(k) = c_i(1) * growth ** (k - 1)`` for
+    ``k <= l_i``, 0 above.  The powers of each criticality are computed
+    as one ``growth ** np.arange(l_i)`` (a task's values do not depend
+    on the other tasks' levels)."""
+    wcets = np.zeros((len(c1), levels), dtype=np.float64)
+    for li in range(1, levels + 1):
+        rows = crits == li
+        wcets[rows, :li] = c1[rows, None] * growth ** np.arange(li)
+    return wcets
 
 
 def generate_batch(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.task import MCTask
+from repro.gen.generator import level_wcets
 from repro.model.taskset import MCTaskSet
 from repro.types import GenerationError
 
@@ -76,17 +76,10 @@ def uunifast_mc_taskset(
         raise GenerationError(f"invalid period range {period_range}")
     periods = rng.integers(plo, phi + 1, size=n).astype(np.float64)
     crits = rng.integers(1, levels + 1, size=n)
-    growth = 1.0 + ifc
-    tasks = []
-    for i in range(n):
-        li = int(crits[i])
-        c1 = utils[i] * periods[i]
-        if c1 <= 0.0:
-            # UUniFast can produce (near-)zero components; clamp to a
-            # negligible but valid execution time.
-            c1 = 1e-9 * periods[i]
-        wcets = c1 * growth ** np.arange(li)
-        tasks.append(
-            MCTask(wcets=tuple(wcets), period=float(periods[i]), name=f"tau_{i+1}")
-        )
-    return MCTaskSet(tasks, levels=levels)
+    # UUniFast can produce (near-)zero components; clamp them to a
+    # negligible but valid execution time.
+    c1 = utils * periods
+    c1 = np.where(c1 <= 0.0, 1e-9 * periods, c1)
+    return MCTaskSet.from_arrays(
+        level_wcets(c1, crits, levels, 1.0 + ifc), periods, crits, levels=levels
+    )

@@ -218,7 +218,7 @@ class Partition:
                 f" {self._assignment[task_index]}"
             )
         self._assignment[task_index] = core
-        crit = self._taskset[task_index].criticality
+        crit = int(self._taskset.criticalities[task_index])
         # The base array is writable only inside this window.
         self._level_mats.setflags(write=True)
         try:

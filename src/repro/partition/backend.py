@@ -151,9 +151,8 @@ def candidate_level_matrix(
 ) -> np.ndarray:
     """Level matrix of core ``core`` if ``task_index`` were added to it."""
     taskset = partition.taskset
-    task = taskset[task_index]
     mat = partition.level_matrix(core).copy()
-    crit = task.criticality
+    crit = int(taskset.criticalities[task_index])
     mat[crit - 1, :crit] += taskset.utilization_matrix[task_index, :crit]
     return mat
 

@@ -151,8 +151,8 @@ def _imbalance_exceeded(loads, loaded, alpha) -> np.ndarray:
 
 class _Stack:
     """The live attempts of one ``(K, M, kind)``: row ``i`` is job
-    ``ids[i]`` until it finishes; ``tasks`` (rows of ``delta`` and
-    ``umax``), ``w`` and ``picked`` (the chosen core) go by step."""
+    ``ids[i]`` until it finishes; ``tasks`` (rows of ``umat``, ``row``
+    and ``umax``), ``w`` and ``picked`` (the chosen core) go by step."""
 
     _ROWS = ("ids", "n", "mats", "loads", "loaded", "picked", "tasks", "w",
              "offset", "alpha", "names")
@@ -162,11 +162,10 @@ class _Stack:
         self.kind, self.cores, k = kind, cores, taskset.levels
         tasksets = list({id(ts): ts for _, _, ts, _ in members}.values())
         starts = dict(zip(map(id, tasksets), np.cumsum([0] + list(map(len, tasksets)))))
-        umat = np.concatenate([ts.utilization_matrix for ts in tasksets])
-        crit = np.concatenate([ts.criticalities for ts in tasksets]) - 1
-        # Each task's candidate add (its full utilization row in row l_i).
-        self.delta, self.umax = np.zeros((len(umat), 1, k, k)), umat.max(axis=1)
-        self.delta[np.arange(len(umat)), 0, crit] = umat
+        # Each task's candidate add: its full utilization row, in row l_i.
+        self.umat = np.concatenate([ts.utilization_matrix for ts in tasksets])
+        self.row = np.concatenate([ts.criticalities for ts in tasksets]) - 1
+        self.umax = self.umat.max(axis=1)
         self.ids = np.array([job for job, *_ in members])
         self.n = np.array([len(orders[job]) for job in self.ids])
         self.offset = np.array([starts[id(ts)] for _, _, ts, _ in members])
@@ -200,7 +199,10 @@ class _Stack:
             w = np.where(_imbalance_exceeded(loads, self.loaded, self.alpha), 1.0, w)
         keys = w[:, None] * loads
         tasks = self.tasks[:, s]
-        cand = self.mats + self.delta[tasks]
+        # Adding 0 elsewhere is exact: every entry is a non-negative sum.
+        delta = np.zeros((len(tasks), 1) + self.mats.shape[2:])
+        delta[np.arange(len(tasks)), 0, self.row[tasks]] = self.umat[tasks]
+        cand = self.mats + delta
         request = ProbeRequest(cand.reshape((-1,) + cand.shape[2:]), keys, self.names)
         t0 = clock() if clock else 0.0
         answer = backend.answer(kind, request)

@@ -34,7 +34,7 @@ class HybridPartitioner(_ClassicalDecreasing):
         self.high_threshold = high_threshold
 
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
-        umax = np.array([t.max_utilization for t in taskset])
+        umax = taskset.max_utilizations()
         crit = taskset.criticalities
         high = crit >= self.high_threshold
         # Primary key: high group first.  Secondary: decreasing umax.

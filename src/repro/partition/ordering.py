@@ -33,7 +33,7 @@ def by_max_utilization(taskset: MCTaskSet) -> list[int]:
     Ties broken by higher criticality, then by lower index (mirroring the
     paper's tie rules so comparisons isolate the sort key).
     """
-    umax = np.array([t.max_utilization for t in taskset])
+    umax = taskset.max_utilizations()
     crit = taskset.criticalities
     return np.lexsort((-crit, -umax)).tolist()
 
@@ -42,7 +42,7 @@ def by_criticality_then_utilization(taskset: MCTaskSet) -> list[int]:
     """Criticality-first order (higher criticality earlier), utilization
     ``u_i(l_i)`` descending within a level.  Used by criticality-aware
     baselines in the literature (e.g. Kelly et al.)."""
-    umax = np.array([t.max_utilization for t in taskset])
+    umax = taskset.max_utilizations()
     crit = taskset.criticalities
     return np.lexsort((-umax, -crit)).tolist()
 

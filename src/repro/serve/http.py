@@ -5,10 +5,12 @@ query strings, headers, ``Content-Length`` bodies (JSON only),
 keep-alive, and nothing else — no chunked encoding, no TLS, no external
 dependencies.  Anything malformed gets a ``400`` and the connection
 closed; so does a request line over the stream's 64 KiB line limit, and
-a header line over it gets a ``431``.  Responses are JSON by default; a
-handler returning ``bytes`` has them sent verbatim as JSON (the cached
-``/state`` body), and a ``str`` body is sent as ``text/plain`` (the
-Prometheus exposition path).
+a header line over it, or a header block over :data:`MAX_HEADER_LINES`
+lines, gets a ``431``.  A stream that ends inside the header block is a
+clean close: the truncated request is never dispatched.  Responses are
+JSON by default; a handler returning ``bytes`` has them sent verbatim
+as JSON (the cached ``/state`` body), and a ``str`` body is sent as
+``text/plain`` (the Prometheus exposition path).
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from urllib.parse import parse_qsl, unquote
 from repro.serve.handlers import Api
 from repro.serve.protocol import MAX_BODY_BYTES
 
-__all__ = ["HttpServer"]
+__all__ = ["HttpServer", "MAX_HEADER_LINES"]
+
+#: Header lines one request may carry; the next one gets a ``431``.
+MAX_HEADER_LINES = 100
+#: After a header-flood answer, unread request bytes are discarded (up
+#: to this many, until the client pauses) before closing: closing over
+#: unread bytes sends a reset, which can cost the client the answer.
+_DISCARD_BYTES = 1 << 20
+_DISCARD_IDLE_S = 0.05
 
 _REASONS = {
     200: "OK",
@@ -102,14 +112,24 @@ class HttpServer:
         query = dict(parse_qsl(query_string, keep_blank_values=True))
 
         headers: dict[str, str] = {}
-        while True:
+        for count in range(MAX_HEADER_LINES + 1):
             try:
                 line = (await reader.readline()).decode("latin-1")
             except ValueError:  # longer than the reader's line limit
                 await self._respond(writer, 431, {"error": "header line too long"})
                 return False
-            if line in ("\r\n", "\n", ""):
+            if not line:
+                return False  # the stream ended inside the header block
+            if line in ("\r\n", "\n"):
                 break
+            if count == MAX_HEADER_LINES:
+                await self._respond(
+                    writer,
+                    431,
+                    {"error": f"more than {MAX_HEADER_LINES} header lines"},
+                )
+                await _discard(reader)
+                return False
             if ":" in line:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
@@ -164,3 +184,17 @@ class HttpServer:
         )
         writer.write(head.encode("latin-1") + data)
         await writer.drain()
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    """Read and drop what the client is still sending, until it pauses
+    for :data:`_DISCARD_IDLE_S`, closes, or :data:`_DISCARD_BYTES` went."""
+    left = _DISCARD_BYTES
+    try:
+        while left > 0:
+            chunk = await asyncio.wait_for(reader.read(65536), _DISCARD_IDLE_S)
+            if not chunk:
+                return
+            left -= len(chunk)
+    except asyncio.TimeoutError:
+        pass

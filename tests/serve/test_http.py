@@ -21,6 +21,7 @@ from repro.model.io import taskset_to_dict
 from repro.obs import load_manifest
 from repro.partition.registry import get_partitioner
 from repro.serve import ServeConfig
+from repro.serve.http import MAX_HEADER_LINES
 from repro.types import ReproError
 from tests.conftest import random_taskset
 from tests.serve.conftest import DaemonHarness, task_entry
@@ -211,10 +212,23 @@ def _deep_json_post() -> bytes:
     )
 
 
-def _raw_exchange(address, payload: bytes) -> bytes:
-    """Send ``payload`` on a fresh socket; everything read until close."""
+def _header_flood(lines: int) -> bytes:
+    """A ``GET /healthz`` carrying ``lines`` header lines, the last one
+    ``Connection: close``."""
+    return (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i for i in range(lines - 1))
+        + b"Connection: close\r\n\r\n"
+    )
+
+
+def _raw_exchange(address, payload: bytes, half_close: bool = False) -> bytes:
+    """Send ``payload`` on a fresh socket (then end the stream, with
+    ``half_close``); everything read until close."""
     with socket.create_connection(address, timeout=10) as sock:
         sock.sendall(payload)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
@@ -230,8 +244,14 @@ class TestHostileInput:
             (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n", 400),
             (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
             (_deep_json_post(), 400),
+            (_header_flood(20_000), 431),
         ],
-        ids=["request-line-over-64k", "header-line-over-64k", "json-nested-50k"],
+        ids=[
+            "request-line-over-64k",
+            "header-line-over-64k",
+            "json-nested-50k",
+            "header-lines-20k",
+        ],
     )
     def test_answered_and_state_untouched(self, payload, status):
         async def main():
@@ -254,6 +274,45 @@ class TestHostileInput:
         assert f"Content-Length: {len(body)}" in lines
         assert "error" in json.loads(body)
         assert after["seq"] == before["seq"] == 1
+        assert recorded == []
+
+    def test_header_block_at_the_cap_is_served(self):
+        async def main():
+            async with DaemonHarness() as h:
+                return await asyncio.to_thread(
+                    _raw_exchange, h.daemon.bound, _header_flood(MAX_HEADER_LINES)
+                )
+
+        raw = run(main())
+        assert raw.split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n",
+            b"POST /place HTTP/1.1\r\nContent-Length: 40\r\nHost: t\r\n",
+            b"GET /state HTTP/1.1\r\nHost: t",
+        ],
+        ids=["get", "post", "mid-line"],
+    )
+    def test_stream_ending_inside_headers_is_a_clean_close(self, payload):
+        async def main():
+            recorded = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: recorded.append(context)
+            )
+            async with DaemonHarness() as h:
+                await h.client.post("/place", task_entry(10.0, [1.0, 2.0]))
+                _, before = await h.client.get("/state")
+                raw = await asyncio.to_thread(
+                    _raw_exchange, h.daemon.bound, payload, True
+                )
+                _, after = await h.client.get("/state")
+            return recorded, raw, before, after
+
+        recorded, raw, before, after = run(main())
+        assert raw == b""  # never dispatched, so never answered
+        assert after == before
         assert recorded == []
 
 
