@@ -5,8 +5,15 @@ objects: it plans contiguous shards over each data point's task sets,
 answers as many shards as possible from the content-addressed
 :class:`~repro.engine.store.ResultStore`, computes the rest (inline or
 via a ``ProcessPoolExecutor``), and **checkpoints every computed shard
-the moment it finishes** — an interrupted ``repro-mc all --sets 2000``
-resumes from the completed shards instead of starting over.
+the moment it is received** — an interrupted ``repro-mc all --sets
+2000`` resumes from the completed shards instead of starting over.
+
+A pooled run (:meth:`Engine.queued`) keeps one worker pool for all of
+its points and queues every point's missing shards on it up front, then
+receives them point by point, in ascending ``start`` order.  A shard of
+a later point that a worker finished early is therefore checkpointed
+when its point is received, after every earlier point; an interrupt
+before then loses it, and the resumed run computes it again.
 
 Determinism: every task set ``i`` of a point is generated from
 ``SeedSequence(seed, spawn_key=(i,))``, shards are merged in ascending
@@ -23,8 +30,9 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -338,19 +346,34 @@ register_shard_kind(
 )
 
 
+@dataclass
+class _PointPlan:
+    """One point of an engine run: its shard plan, what the store
+    answered, and the missing shards, with their pool futures when the
+    run queued them (none when the point computes inline)."""
+
+    point: PointSpec
+    jobs: int
+    shards: list[tuple[int, int]]
+    cached: dict[int, object] = field(default_factory=dict)
+    missing: list[tuple[int, int]] = field(default_factory=list)
+    futures: list = field(default_factory=list)
+    submitted: float = 0.0  #: epoch seconds the futures were queued
+
+
 class Engine:
     """Evaluates :class:`PointSpec` / :class:`ExperimentSpec` objects.
 
     Parameters
     ----------
     jobs:
-        Worker processes per point; 1 (default) runs inline — results
+        Worker processes per run; 1 (default) runs inline — results
         are bit-identical either way.  ``None`` uses ``os.cpu_count()``;
         anything below 1 raises :class:`ReproError`.
     store:
         Optional :class:`ResultStore` (or a path, coerced).  With a
-        store, completed shards are checkpointed as they finish and
-        later runs resume from them.
+        store, completed shards are checkpointed as they are received
+        and later runs resume from them.
     progress:
         Optional hook receiving one event dict per point/shard.
     probe_impl:
@@ -377,6 +400,10 @@ class Engine:
         self.progress = progress
         self.probe_impl = probe_impl
         self.stats = EngineRunStats()
+        #: Plans of the open run's points not yet received (``None``
+        #: outside :meth:`queued`), and the run's pool once it forks.
+        self._queue: list[_PointPlan] | None = None
+        self._pool: ProcessPoolExecutor | None = None
 
     # -- observability -------------------------------------------------
 
@@ -413,7 +440,7 @@ class Engine:
             obs.counter("engine.shards_computed").inc()
             obs.histogram("engine.shard_seconds").observe(seconds)
 
-    # -- shard execution ----------------------------------------------
+    # -- planning --------------------------------------------------------
 
     def _effective_jobs(self, sets: int) -> int:
         jobs = os.cpu_count() or 1 if self.jobs is None else self.jobs
@@ -430,13 +457,99 @@ class Engine:
                     shard_kind(point.kind).encode(result),
                 )
 
-    def _compute_missing(
-        self,
-        point: PointSpec,
-        missing: list[tuple[int, int]],
-        jobs: int,
-    ) -> dict[int, object]:
-        """Run the uncached shards, checkpointing each as it completes."""
+    def _plan(self, point: PointSpec) -> _PointPlan:
+        """Split one point into shards and look each up in the store."""
+        kind = shard_kind(point.kind)
+        jobs = self._effective_jobs(point.sets)
+        plan = _PointPlan(point, jobs, plan_shards(point.sets, jobs))
+        for start, count in plan.shards:
+            cached = None
+            if self.store is not None:
+                with obs.span("engine.store.get"):
+                    cached = self.store.get(self._key(point, start, count))
+            if cached is None:
+                plan.missing.append((start, count))
+            else:
+                plan.cached[start] = kind.decode(cached)
+        return plan
+
+    def _submit(self, plans: list[_PointPlan]) -> None:
+        """Queue the missing shards of every point that has more than
+        one on the run's pool, which forks at the first submit.  A point
+        missing a single shard computes it inline when received."""
+        pooled = [plan for plan in plans if len(plan.missing) > 1]
+        if not pooled:
+            return
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=max(min(p.jobs, len(p.missing)) for p in pooled)
+            )
+        collect_metrics = obs.OBS.enabled
+        with obs.span(
+            "engine.shard.submit", shards=sum(len(p.missing) for p in pooled)
+        ):
+            for plan in pooled:
+                point = plan.point
+                plan.submitted = time.time()
+                plan.futures = [
+                    self._pool.submit(
+                        _run_shard_job,
+                        point.kind,
+                        point.config,
+                        point.schemes,
+                        point.seed,
+                        start,
+                        count,
+                        collect_metrics,
+                        self.probe_impl,
+                        point.params,
+                    )
+                    for start, count in plan.missing
+                ]
+
+    @contextmanager
+    def queued(self, points: Sequence[PointSpec]) -> Iterator[None]:
+        """Open one engine run over ``points`` for the block.
+
+        When any point fans out (``jobs`` > 1 and more than one set),
+        every point is planned on entry (its store lookups) and every
+        point's missing shards are queued on one process pool before
+        any is received; :meth:`evaluate` then receives them point by
+        point, in any order.  A run of inline points plans each one
+        when it is evaluated.  The pool is shut down when the block
+        exits; on an exception, ``KeyboardInterrupt`` included, shards
+        still queued are cancelled and the workers joined first, so no
+        worker outlives the run.
+        """
+        if self._queue is not None:
+            raise ReproError("this engine already has a run open")
+        self._queue = []
+        try:
+            if any(self._effective_jobs(point.sets) > 1 for point in points):
+                self._queue = [self._plan(point) for point in points]
+                self._submit(self._queue)
+            yield
+        finally:
+            pool, self._pool, self._queue = self._pool, None, None
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+    def _take(self, point: PointSpec) -> _PointPlan:
+        """The open run's plan for ``point``; a point the run did not
+        queue is planned (and its shards queued) now."""
+        for index, plan in enumerate(self._queue):
+            if plan.point == point:
+                return self._queue.pop(index)
+        plan = self._plan(point)
+        self._submit([plan])
+        return plan
+
+    # -- shard execution ----------------------------------------------
+
+    def _compute_missing(self, plan: _PointPlan, opened: float) -> dict[int, object]:
+        """Compute or receive the uncached shards in ascending order,
+        checkpointing each before its ``shard`` event fires."""
+        point = plan.point
         run_shard = shard_kind(point.kind).run
         extra = _shard_run_kwargs(point.params, self.probe_impl)
         results: dict[int, object] = {}
@@ -449,103 +562,70 @@ class Engine:
                 "shard", start=start, count=count, cached=False, seconds=seconds
             )
 
-        if jobs == 1 or len(missing) == 1:
-            # Inline execution: metrics (if enabled) accumulate straight
-            # into the parent registry — no transfer step needed.
-            for start, count in missing:
+        def run_inline(start: int, count: int, **fields):
+            # Metrics (if enabled) accumulate straight into the parent
+            # registry — no transfer step needed.
+            with obs.span("engine.shard", set_start=start, set_count=count, **fields):
+                return run_shard(
+                    point.config, point.schemes, point.seed, start, count, **extra
+                )
+
+        if not plan.futures:
+            for start, count in plan.missing:
                 t0 = time.perf_counter()
-                with obs.span("engine.shard", set_start=start, set_count=count):
-                    result = run_shard(
-                        point.config,
-                        point.schemes,
-                        point.seed,
-                        start,
-                        count,
-                        **extra,
-                    )
+                result = run_inline(start, count)
                 finish(start, count, result, time.perf_counter() - t0)
             return results
 
-        collect_metrics = obs.OBS.enabled
-        with ProcessPoolExecutor(max_workers=min(jobs, len(missing))) as pool:
-            with obs.span("engine.shard.submit", shards=len(missing)):
-                t_submit = time.time()
-                futures = [
-                    pool.submit(
-                        _run_shard_job,
-                        point.kind,
-                        point.config,
-                        point.schemes,
-                        point.seed,
-                        start,
-                        count,
-                        collect_metrics,
-                        self.probe_impl,
-                        point.params,
-                    )
-                    for start, count in missing
-                ]
-            t0 = time.perf_counter()
-            for future, (start, count) in zip(futures, missing):
-                span_records = None
+        # A later point of a run was queued before its span opened: its
+        # shard spans open with the point, not at the submit.
+        t_open = max(plan.submitted, opened)
+        t0 = time.perf_counter()
+        for future, (start, count) in zip(plan.futures, plan.missing):
+            span_records = None
+            try:
+                with obs.span("engine.shard.receive", set_start=start, set_count=count):
+                    result, metrics_dump, span_records = future.result()
+            except BrokenProcessPool as pool_exc:
+                # A crashed worker poisons the whole pool and every
+                # pending future, later points' included; salvage each
+                # shard by re-running it inline (the shard is
+                # self-seeded, so the retry is bit-identical to a
+                # worker run).
+                self.stats.worker_retries += 1
+                if obs.OBS.enabled:
+                    obs.counter("engine.worker_retries").inc()
+                self._emit(
+                    "worker_retry", start=start, count=count, error=repr(pool_exc)
+                )
                 try:
-                    with obs.span(
-                        "engine.shard.receive", set_start=start, set_count=count
-                    ):
-                        result, metrics_dump, span_records = future.result()
-                except BrokenProcessPool as pool_exc:
-                    # A crashed worker poisons the whole pool and every
-                    # pending future; salvage the batch by re-running
-                    # this shard inline (the shard is self-seeded, so
-                    # the retry is bit-identical to a worker run).
-                    self.stats.worker_retries += 1
-                    if obs.OBS.enabled:
-                        obs.counter("engine.worker_retries").inc()
-                    self._emit(
-                        "worker_retry", start=start, count=count, error=repr(pool_exc)
+                    result = run_inline(start, count, retried=True)
+                    metrics_dump = None  # inline retry fed the registry
+                except Exception as retry_exc:
+                    raise ReproError(
+                        f"worker shard [{start}, {start + count}) crashed"
+                        f" ({pool_exc!r}) and the inline retry failed"
+                    ) from retry_exc
+            else:
+                # The shard's open->receive window can't be a ``with``
+                # block (the windows of concurrent shards overlap), so
+                # record it explicitly and re-root the worker's spans
+                # under it.
+                if obs.OBS.enabled:
+                    shard_span = obs.record_span(
+                        "engine.shard",
+                        start=t_open,
+                        seconds=time.time() - t_open,
+                        set_start=start,
+                        set_count=count,
                     )
-                    try:
-                        with obs.span(
-                            "engine.shard",
-                            set_start=start,
-                            set_count=count,
-                            retried=True,
-                        ):
-                            result = run_shard(
-                                point.config,
-                                point.schemes,
-                                point.seed,
-                                start,
-                                count,
-                                **extra,
-                            )
-                        metrics_dump = None  # inline retry fed the registry
-                        span_records = None
-                    except Exception as retry_exc:
-                        raise ReproError(
-                            f"worker shard [{start}, {start + count}) crashed"
-                            f" ({pool_exc!r}) and the inline retry failed"
-                        ) from retry_exc
-                else:
-                    # The shard's submit->receive window can't be a
-                    # ``with`` block (the windows of concurrent shards
-                    # overlap), so record it explicitly and re-root the
-                    # worker's spans under it.
-                    if obs.OBS.enabled:
-                        shard_span = obs.record_span(
-                            "engine.shard",
-                            start=t_submit,
-                            seconds=time.time() - t_submit,
-                            set_start=start,
-                            set_count=count,
-                        )
-                        if span_records:
-                            obs.adopt_spans(span_records, shard_span)
-                if metrics_dump is not None and obs.OBS.enabled:
-                    obs.OBS.registry.merge(metrics_dump)
-                t1 = time.perf_counter()
-                finish(start, count, result, t1 - t0)
-                t0 = t1
+                    if span_records:
+                        obs.adopt_spans(span_records, shard_span)
+            if metrics_dump is not None and obs.OBS.enabled:
+                obs.OBS.registry.merge(metrics_dump)
+            t1 = time.perf_counter()
+            finish(start, count, result, t1 - t0)
+            t0 = t1
         return results
 
     # -- public API ----------------------------------------------------
@@ -553,57 +633,48 @@ class Engine:
     def evaluate(self, point: PointSpec):
         """Evaluate one data point, resuming from checkpointed shards.
 
-        Returns ``dict[label, SchemeStats]`` for ``kind="stats"`` points,
-        the merged dominance payload for ``kind="h2h"`` points, and the
-        merged campaign payload for ``kind="validate"`` points.
+        Inside :meth:`queued` this receives the point's queued shards; a
+        lone call is a one-point run.  Returns ``dict[label,
+        SchemeStats]`` for ``kind="stats"`` points, the merged dominance
+        payload for ``kind="h2h"`` points, and the merged campaign
+        payload for ``kind="validate"`` points.
         """
         with obs.span("engine.point", kind=point.kind, sets=point.sets):
+            opened = time.time()
+            with ExitStack() as run:
+                if self._queue is None:
+                    run.enter_context(self.queued((point,)))
+                return self._receive(self._take(point), opened)
+
+    def _receive(self, plan: _PointPlan, opened: float):
+        point = plan.point
+        self.stats.points += 1
+        self.stats.shards_planned += len(plan.shards)
+        # The ETA anchor for live dashboards (repro-mc top): how
+        # much work this point holds and how wide it fans out.
+        self._emit(
+            "point_plan",
+            kind=point.kind,
+            sets=point.sets,
+            shards=len(plan.shards),
+            jobs=plan.jobs,
+        )
+        for start, count in plan.shards:
+            if start in plan.cached:
+                self.stats.cache_hits += 1
+                if obs.OBS.enabled:
+                    obs.counter("engine.cache_hits").inc()
+                self._emit(
+                    "shard", start=start, count=count, cached=True, seconds=0.0
+                )
+            elif self.store is not None:
+                self.stats.cache_misses += 1
+                if obs.OBS.enabled:
+                    obs.counter("engine.cache_misses").inc()
+        results = {**plan.cached, **self._compute_missing(plan, opened)}
+        with obs.span("engine.merge", kind=point.kind):
             kind = shard_kind(point.kind)
-            jobs = self._effective_jobs(point.sets)
-            shards = plan_shards(point.sets, jobs)
-            self.stats.points += 1
-            self.stats.shards_planned += len(shards)
-            # The ETA anchor for live dashboards (repro-mc top): how
-            # much work this point holds and how wide it fans out.
-            self._emit(
-                "point_plan",
-                kind=point.kind,
-                sets=point.sets,
-                shards=len(shards),
-                jobs=jobs,
-            )
-
-            results: dict[int, object] = {}
-            missing: list[tuple[int, int]] = []
-            for start, count in shards:
-                if self.store is not None:
-                    with obs.span("engine.store.get"):
-                        cached = self.store.get(self._key(point, start, count))
-                else:
-                    cached = None
-                if cached is not None:
-                    results[start] = kind.decode(cached)
-                    self.stats.cache_hits += 1
-                    if obs.OBS.enabled:
-                        obs.counter("engine.cache_hits").inc()
-                    self._emit(
-                        "shard", start=start, count=count, cached=True, seconds=0.0
-                    )
-                else:
-                    if self.store is not None:
-                        self.stats.cache_misses += 1
-                        if obs.OBS.enabled:
-                            obs.counter("engine.cache_misses").inc()
-                    missing.append((start, count))
-
-            results.update(
-                self._compute_missing(point, missing, jobs)
-                if missing
-                else {}
-            )
-            with obs.span("engine.merge", kind=point.kind):
-                ordered = [results[start] for start, _ in shards]
-                return kind.merge(point, ordered)
+            return kind.merge(point, [results[start] for start, _ in plan.shards])
 
     def run(self, spec: ExperimentSpec) -> SweepArtifact:
         """Evaluate a whole figure spec into a :class:`SweepArtifact`."""
@@ -611,6 +682,11 @@ class Engine:
             return self._run(spec)
 
     def _run(self, spec: ExperimentSpec) -> SweepArtifact:
+        for point in spec.points:
+            if point.kind != "stats":
+                raise ReproError(
+                    f"ExperimentSpec points must be kind='stats', got {point.kind!r}"
+                )
         rows = []
         self._emit(
             "run_plan",
@@ -618,23 +694,20 @@ class Engine:
             points=len(spec.points),
             sets_per_point=spec.sets_per_point,
         )
-        for value, point in zip(spec.values, spec.points):
-            if point.kind != "stats":
-                raise ReproError(
-                    f"ExperimentSpec points must be kind='stats', got {point.kind!r}"
+        with self.queued(spec.points):
+            for value, point in zip(spec.values, spec.points):
+                self._emit(
+                    "point", figure=spec.figure, parameter=spec.parameter, value=value
                 )
-            self._emit(
-                "point", figure=spec.figure, parameter=spec.parameter, value=value
-            )
-            stats = self.evaluate(point)
-            rows.append(
-                PointResult(
-                    value=value,
-                    config=point.config,
-                    schemes=point.schemes,
-                    stats=tuple(stats[label] for label in point.labels),
+                stats = self.evaluate(point)
+                rows.append(
+                    PointResult(
+                        value=value,
+                        config=point.config,
+                        schemes=point.schemes,
+                        stats=tuple(stats[label] for label in point.labels),
+                    )
                 )
-            )
         return SweepArtifact(
             figure=spec.figure,
             title=spec.title,

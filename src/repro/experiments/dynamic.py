@@ -325,12 +325,12 @@ def run_dynamic_sweep(
     config = config or dynamic_config()
     scheme = scheme or SchemeSpec.make("ca-tpa", alpha=0.7)
     engine = Engine(jobs=jobs, store=store, progress=progress)
-    tallies = []
-    for factor in factors:
-        point = dynamic_point(
-            factor, config=config, scheme=scheme, sets=sets, seed=seed
-        )
-        tallies.append(engine.evaluate(point))
+    points = [
+        dynamic_point(factor, config=config, scheme=scheme, sets=sets, seed=seed)
+        for factor in factors
+    ]
+    with engine.queued(points):
+        tallies = [engine.evaluate(point) for point in points]
     return DynamicSweepResult(
         factors=tuple(float(f) for f in factors),
         tallies=tuple(tallies),

@@ -7,7 +7,10 @@ dependencies.  Anything malformed gets a ``400`` and the connection
 closed; so does a request line over the stream's 64 KiB line limit, and
 a header line over it, or a header block over :data:`MAX_HEADER_LINES`
 lines, gets a ``431``.  A stream that ends inside the header block is a
-clean close: the truncated request is never dispatched.  Responses are
+clean close: the truncated request is never dispatched.  A body that
+has not fully arrived :data:`BODY_TIMEOUT_S` seconds after its headers
+gets a ``408``, so a client that declares more than it sends cannot
+hold its connection open.  Responses are
 JSON by default; a handler returning ``bytes`` has them sent verbatim
 as JSON (the cached ``/state`` body), and a ``str`` body is sent as
 ``text/plain`` (the Prometheus exposition path).
@@ -22,10 +25,13 @@ from urllib.parse import parse_qsl, unquote
 from repro.serve.handlers import Api
 from repro.serve.protocol import MAX_BODY_BYTES
 
-__all__ = ["HttpServer", "MAX_HEADER_LINES"]
+__all__ = ["BODY_TIMEOUT_S", "HttpServer", "MAX_HEADER_LINES"]
 
 #: Header lines one request may carry; the next one gets a ``431``.
 MAX_HEADER_LINES = 100
+#: Seconds a request body may take to arrive once its headers are in;
+#: a slower one gets a ``408`` and the connection closed.
+BODY_TIMEOUT_S = 10.0
 #: After a header-flood answer, unread request bytes are discarded (up
 #: to this many, until the client pauses) before closing: closing over
 #: unread bytes sends a reset, which can cost the client the answer.
@@ -37,6 +43,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
@@ -148,7 +155,14 @@ class HttpServer:
             return False
         payload = None
         if length:
-            raw = await reader.readexactly(length)
+            raw = await _read_body(reader, length)
+            if raw is None:
+                await self._respond(
+                    writer,
+                    408,
+                    {"error": f"body not received within {BODY_TIMEOUT_S:g} s"},
+                )
+                return False
             try:
                 payload = json.loads(raw)
             except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
@@ -184,6 +198,31 @@ class HttpServer:
         )
         writer.write(head.encode("latin-1") + data)
         await writer.drain()
+
+
+async def _read_body(reader: asyncio.StreamReader, length: int) -> bytes | None:
+    """The ``length``-byte body, or ``None`` if it has not arrived within
+    :data:`BODY_TIMEOUT_S`.  The deadline is a loop timer that cancels
+    this task: ``asyncio.wait_for`` would start a task per request before
+    Python 3.12, and ``asyncio.timeout`` needs 3.11."""
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(BODY_TIMEOUT_S, expire)
+    try:
+        return await reader.readexactly(length)
+    except asyncio.CancelledError:
+        # Re-raise a cancellation that is not (only) the deadline's.
+        if not expired or (hasattr(task, "uncancel") and task.uncancel() > 0):
+            raise
+        return None
+    finally:
+        timer.cancel()
 
 
 async def _discard(reader: asyncio.StreamReader) -> None:

@@ -244,14 +244,16 @@ def run_campaign(
     """Fuzz ``sets`` task sets per campaign config through every oracle.
 
     Resumable: with a ``store``, completed shards are checkpointed and a
-    re-run (same sets/seed/schemes) answers from cache.
+    re-run (same sets/seed/schemes) answers from cache.  The configs
+    are one engine run: pooled, every config's shards share one pool.
     """
     points = campaign_points(sets, seed, schemes=schemes, configs=configs)
     engine = Engine(jobs=jobs, store=store, progress=progress)
+    with engine.queued(points):
+        payloads = [engine.evaluate(point) for point in points]
     cases = checks = 0
     failures: list[OracleFailure] = []
-    for point in points:
-        payload = engine.evaluate(point)
+    for point, payload in zip(points, payloads):
         cases += payload["cases"]
         checks += payload["checks"]
         failures.extend(

@@ -6,6 +6,8 @@ checkpointed shards instead of recomputing them; and figures that share
 a data point share checkpoints.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.engine import (
@@ -117,6 +119,35 @@ class TestResume:
         assert resumed.stats.cache_misses == 2
         assert resumed.stats.shards_computed == 2
         assert result == baseline
+
+    def test_interrupted_multi_point_run_resumes_from_checkpoints(self, tmp_path):
+        # A pooled run queues every point's shards up front; a Ctrl-C in
+        # point 2 cancels the queued rest and joins the workers.
+        spec = _spec(sets=4)
+        baseline = Engine(jobs=1).run(spec)
+
+        computed = []
+
+        def die_in_point_two(event):
+            if event["event"] == "shard" and not event["cached"]:
+                computed.append(event)
+                if len(computed) == 3:  # point 1 holds two shards
+                    raise _Abort("killed mid-run")
+
+        first = Engine(jobs=2, store=tmp_path, progress=die_in_point_two)
+        with pytest.raises(_Abort):
+            first.run(spec)
+        assert multiprocessing.active_children() == []
+        # Point 1's shards and point 2's first were received, so they
+        # are checkpointed; shards queued for later were not.
+        assert len(ResultStore(tmp_path)) == 3
+
+        resumed = Engine(jobs=2, store=tmp_path)
+        result = resumed.run(spec)
+        assert resumed.stats.cache_hits == 3
+        assert resumed.stats.shards_computed == 1
+        assert result.to_json() == baseline.to_json()
+        assert multiprocessing.active_children() == []
 
     def test_shared_point_across_figures_hits_cache(self, tmp_path):
         # Fig. 1 at NSU=0.6 and Fig. 2 at IFC=0.4 are both the Section

@@ -220,6 +220,18 @@ class TestTrace:
             # submit->receive window.
             assert node.seconds <= parent.seconds + 0.5
 
+    def test_pooled_shard_spans_stay_inside_their_point(self, tmp_path):
+        # The run queues point 2's shards before point 2's span opens;
+        # their spans still open and close within it.
+        tree = self._run_traced(tmp_path, jobs=4)
+        shards = [n for n in tree.walk() if n.name == "engine.shard"]
+        assert len(shards) == 8
+        for node in shards:
+            point = tree.nodes[node.parent_id]
+            assert point.name == "engine.point"
+            assert node.start >= point.start
+            assert node.start + node.seconds <= point.start + point.seconds + 1e-3
+
     def test_probe_time_attributed_under_scheme_attempts(self, tmp_path):
         tree = self._run_traced(tmp_path, jobs=4)
         attempts = [n for n in tree.walk() if n.name == "partition.attempt"]

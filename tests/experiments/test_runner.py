@@ -1,6 +1,8 @@
 """Tests for the batch evaluation runner."""
 
 import dataclasses
+import multiprocessing
+import os
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -35,6 +37,9 @@ class _BrokenPool:
 
     def submit(self, fn, *args, **kwargs):
         return _BrokenFuture()
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 class TestSchemeSpec:
@@ -146,3 +151,43 @@ class TestWorkerCrashRecovery:
         )
         with pytest.raises(ReproError, match=r"shard \[0, 3\)"):
             evaluate_point(SMALL, sets=10, seed=9, jobs=3)
+
+    def _points(self):
+        return [
+            PointSpec(SMALL.with_(nsu=v), tuple(default_schemes()), sets=6, seed=9)
+            for v in (0.4, 0.5, 0.6)
+        ]
+
+    def test_queued_shards_of_later_points_are_rerun_inline(self, monkeypatch):
+        points = self._points()
+        expected = [Engine(jobs=1).evaluate(point) for point in points]
+        monkeypatch.setattr(engine_core, "ProcessPoolExecutor", _BrokenPool)
+        engine = Engine(jobs=3)
+        with engine.queued(points):
+            recovered = [engine.evaluate(point) for point in points]
+        assert repr(recovered) == repr(expected)
+        assert engine.stats.worker_retries == 9
+
+    def test_a_crashed_worker_salvages_every_queued_point(self, monkeypatch):
+        # Every worker dies on its first shard: the pool breaks, and the
+        # futures it still holds for later points fail with it.
+        points = self._points()
+        expected = [Engine(jobs=1).evaluate(point) for point in points]
+        stats_kind = engine_core._SHARD_KINDS["stats"]
+
+        def crash_in_worker(*args, **kwargs):
+            if multiprocessing.parent_process() is not None:
+                os._exit(3)
+            return stats_kind.run(*args, **kwargs)
+
+        monkeypatch.setitem(
+            engine_core._SHARD_KINDS,
+            "stats",
+            dataclasses.replace(stats_kind, run=crash_in_worker),
+        )
+        engine = Engine(jobs=2)
+        with engine.queued(points):
+            recovered = [engine.evaluate(point) for point in points]
+        assert repr(recovered) == repr(expected)
+        assert engine.stats.worker_retries == engine.stats.shards_computed == 6
+        assert multiprocessing.active_children() == []

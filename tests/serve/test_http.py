@@ -20,7 +20,7 @@ import pytest
 from repro.model.io import taskset_to_dict
 from repro.obs import load_manifest
 from repro.partition.registry import get_partitioner
-from repro.serve import ServeConfig
+from repro.serve import ServeConfig, http
 from repro.serve.http import MAX_HEADER_LINES
 from repro.types import ReproError
 from tests.conftest import random_taskset
@@ -312,6 +312,35 @@ class TestHostileInput:
 
         recorded, raw, before, after = run(main())
         assert raw == b""  # never dispatched, so never answered
+        assert after == before
+        assert recorded == []
+
+
+    def test_slow_body_gets_408_within_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(http, "BODY_TIMEOUT_S", 0.3)
+        payload = b"POST /place HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n{}"
+
+        async def main():
+            recorded = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: recorded.append(context)
+            )
+            async with DaemonHarness() as h:
+                await h.client.post("/place", task_entry(10.0, [1.0, 2.0]))
+                _, before = await h.client.get("/state")
+                t0 = time.perf_counter()
+                raw = await asyncio.to_thread(_raw_exchange, h.daemon.bound, payload)
+                elapsed = time.perf_counter() - t0
+                _, after = await h.client.get("/state")
+            return recorded, raw, elapsed, before, after
+
+        recorded, raw, elapsed, before, after = run(main())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 408 Request Timeout"
+        assert "Connection: close" in lines
+        assert "0.3 s" in json.loads(body)["error"]
+        assert 0.3 <= elapsed < 0.3 + 2.0  # the server closed, not the client
         assert after == before
         assert recorded == []
 
