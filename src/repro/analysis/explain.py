@@ -242,7 +242,6 @@ class ProbeExplanation:
 
     scheme: str | None
     cores: int
-    rule: str
     probe_impl: str | None
     admitted: bool
     failed_task: int | None
@@ -267,7 +266,7 @@ class ProbeExplanation:
             "version": self.version,
             "scheme": self.scheme,
             "cores": self.cores,
-            "rule": self.rule,
+            "rule": "max",  # the Eq.-(9) aggregation of every utilization
             "probe_impl": self.probe_impl,
             "admitted": self.admitted,
             "failed_task": self.failed_task,
@@ -299,7 +298,6 @@ def explain_level_matrix(
     *,
     core: int = 0,
     tasks: tuple[int, ...] = (),
-    rule: str = "max",
 ) -> CoreExplanation:
     """Decompose one ``(K, K)`` level matrix into a :class:`CoreExplanation`.
 
@@ -346,7 +344,7 @@ def explain_level_matrix(
         first_failing_condition=first_bad,
         feasible=bool(feasible),
         margin=float(margin),
-        utilization=float(core_utilization(mat, rule=rule)),
+        utilization=float(core_utilization(mat)),
     )
 
 
@@ -379,11 +377,7 @@ def _with_row(mat: np.ndarray, row: np.ndarray, crit: int) -> np.ndarray:
 
 
 def explain_candidates(
-    level_matrices: np.ndarray,
-    row: np.ndarray,
-    criticality: int,
-    *,
-    rule: str = "max",
+    level_matrices: np.ndarray, row: np.ndarray, criticality: int
 ) -> tuple[CoreExplanation, ...]:
     """Explanations of one task hypothetically added to every core.
 
@@ -391,11 +385,7 @@ def explain_candidates(
     the Eq.-(15) probe row the placement loop evaluated, core by core.
     """
     return tuple(
-        explain_level_matrix(
-            _with_row(level_matrices[m], row, criticality),
-            core=m,
-            rule=rule,
-        )
+        explain_level_matrix(_with_row(level_matrices[m], row, criticality), core=m)
         for m in range(level_matrices.shape[0])
     )
 
@@ -535,7 +525,6 @@ def explain_result(
     cores: int,
     result: PartitionResult,
     *,
-    rule: str = "max",
     probe_impl: str | None = None,
     include_headroom: bool = True,
     include_sensitivity: bool = True,
@@ -553,7 +542,6 @@ def explain_result(
             part.level_matrix(m),
             core=m,
             tasks=tuple(part.tasks_on(m)),
-            rule=rule,
         )
         for m in range(part.cores)
     )
@@ -561,9 +549,7 @@ def explain_result(
     sensitivity = None
     if not result.schedulable and result.failed_task is not None:
         row, crit = _task_row(taskset, result.failed_task, taskset.levels)
-        candidates = explain_candidates(
-            part.level_matrices(), row, crit, rule=rule
-        )
+        candidates = explain_candidates(part.level_matrices(), row, crit)
         if include_sensitivity:
             sensitivity = task_sensitivity(part, result.failed_task)
     headroom = (
@@ -574,7 +560,6 @@ def explain_result(
     return ProbeExplanation(
         scheme=result.scheme,
         cores=int(cores),
-        rule=rule,
         probe_impl=probe_impl,
         admitted=bool(result.schedulable),
         failed_task=result.failed_task,
@@ -591,7 +576,6 @@ def explain_admission(
     cores: int,
     scheme: str = "ca-tpa",
     *,
-    rule: str = "max",
     include_headroom: bool = True,
     include_sensitivity: bool = True,
     max_scale: float = HEADROOM_MAX_SCALE,
@@ -611,7 +595,6 @@ def explain_admission(
         taskset,
         cores,
         result,
-        rule=rule,
         probe_impl=BATCH.name,
         include_headroom=include_headroom,
         include_sensitivity=include_sensitivity,
@@ -619,9 +602,7 @@ def explain_admission(
     )
 
 
-def place_rejection_reason(
-    partition: Partition, task: MCTask, *, rule: str = "max"
-) -> dict:
+def place_rejection_reason(partition: Partition, task: MCTask) -> dict:
     """Structured reason for a rejected ``/place``: per-core margins.
 
     Compact by design — the full decomposition is one ``POST /explain``
@@ -630,9 +611,7 @@ def place_rejection_reason(
     condition.
     """
     row, crit = _task_row(task, None, partition.taskset.levels)
-    cands = explain_candidates(
-        partition.level_matrices(), row, crit, rule=rule
-    )
+    cands = explain_candidates(partition.level_matrices(), row, crit)
     best = max(cands, key=lambda ce: ce.margin)
     return {
         "best_core": best.core,
@@ -665,7 +644,7 @@ def format_explanation(exp: ProbeExplanation) -> str:
     verdict = "ADMITTED" if exp.admitted else "REJECTED"
     lines = [
         f"explain: {exp.scheme} on {exp.cores} cores — {verdict} "
-        f"(probe_impl={exp.probe_impl}, rule={exp.rule}, "
+        f"(probe_impl={exp.probe_impl}, rule=max, "
         f"schema v{exp.version})"
     ]
     if exp.headroom is not None:

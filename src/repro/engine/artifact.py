@@ -3,8 +3,8 @@
 A :class:`SweepArtifact` is the finished product of one figure sweep —
 swept values, full point provenance (workload config + scheme specs),
 and the finalized :class:`~repro.metrics.aggregate.SchemeStats` per
-scheme.  ``format_sweep``, ``sweep_to_csv``, the weighted-schedulability
-summary, and the CLI all render from this object; its JSON form is
+scheme.  ``format_sweep``, ``sweep_to_csv`` and the CLI all render
+from this object; its JSON form is
 strict (no NaN literals) and versioned via :data:`SCHEMA_VERSION`, and
 floats survive the round-trip bit-exactly (Python's shortest-repr float
 serialization), so ``from_json(to_json(a)) == a``.

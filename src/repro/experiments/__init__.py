@@ -17,7 +17,6 @@ from repro.experiments.dynamic import (
     run_dynamic_sweep,
 )
 from repro.experiments.export import save_sweep_csv, sweep_to_csv
-from repro.experiments.weighted import weighted_schedulability
 from repro.experiments.report import (
     format_allocation_trace,
     format_panel,
@@ -80,5 +79,4 @@ __all__ = [
     "sweep_to_csv",
     "search_paper_example",
     "table1_rows",
-    "weighted_schedulability",
 ]

@@ -7,9 +7,8 @@ a plotting dependency.  The panel letters match the paper:
 
 Everything renders from the one structured
 :class:`~repro.engine.SweepArtifact` schema the engine produces — the
-CSV exporter, the weighted-schedulability summary, and the CLI read the
-same object, so a renderer can be checked against a stored artifact
-without re-running the sweep.
+CSV exporter and the CLI read the same object, so a renderer can be
+checked against a stored artifact without re-running the sweep.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from repro.gen.params import (
     TASK_COUNT_RANGE,
     WorkloadConfig,
 )
-from repro.gen.uunifast import uunifast, uunifast_discard, uunifast_mc_taskset
 
 __all__ = [
     "ALPHA_RANGE",
@@ -24,7 +23,4 @@ __all__ = [
     "WorkloadConfig",
     "generate_batch",
     "generate_taskset",
-    "uunifast",
-    "uunifast_discard",
-    "uunifast_mc_taskset",
 ]

@@ -101,6 +101,8 @@ def taskset_to_dict(
 
 def taskset_from_dict(data: dict[str, Any]) -> MCTaskSet:
     """Inverse of :func:`taskset_to_dict` (validates format/version)."""
+    if not isinstance(data, dict):
+        raise ModelError(f"not a {_TASKSET_FORMAT} document: not a JSON object")
     if data.get("format") != _TASKSET_FORMAT:
         raise ModelError(
             f"not a {_TASKSET_FORMAT} document: format={data.get('format')!r}"

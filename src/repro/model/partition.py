@@ -62,8 +62,8 @@ class Partition:
         # view handed out (and every alias of it) is genuinely immutable.
         self._level_mats.setflags(write=False)
         self._counts = np.zeros(self._cores, dtype=np.int64)
-        # Per-rule caches of the Eq.-(9) core utilizations; nan = stale.
-        self._util_cache: dict[str, np.ndarray] = {}
+        # Cached Eq.-(9) core utilizations; nan = stale.
+        self._util_cache = np.full(self._cores, np.nan, dtype=np.float64)
         self._frozen = False
 
     # ------------------------------------------------------------------
@@ -169,39 +169,32 @@ class Partition:
         )
         return stacks
 
-    def core_utilizations(self, rule: str = "max") -> np.ndarray:
+    def core_utilizations(self) -> np.ndarray:
         """Per-core Eq.-(9) utilizations ``U^{Psi_m}``: a ``(M,)`` copy.
 
-        Empty cores are 0; infeasible cores are ``inf``.  Results are
-        cached per ``rule`` and invalidated core-by-core on
-        :meth:`assign`, so repeated metric evaluations only pay for the
-        cores that actually changed.
+        Eq. (9) aggregates with ``max``, the paper's rule (CA-TPA's
+        ``eq9_rule`` ablation probes under ``min`` on its own).  Empty
+        cores are 0; infeasible cores are ``inf``.  Results are cached
+        and invalidated core-by-core on :meth:`assign`, so repeated
+        metric evaluations only pay for the cores that actually changed.
         """
-        # Deferred imports: repro.analysis pulls this module in.
-        cache = self._util_cache.get(rule)
-        if cache is None:
-            from repro.analysis.edfvd import check_eq9_rule
-
-            check_eq9_rule(rule)  # once per rule, before it gets a cache
-            cache = np.full(self._cores, np.nan, dtype=np.float64)
-            self._util_cache[rule] = cache
+        cache = self._util_cache
         stale = np.flatnonzero(np.isnan(cache))
         if stale.size:
             empty = self._counts[stale] == 0
             cache[stale[empty]] = 0.0
             todo = stale[~empty]
             if todo.size:
+                # Deferred import: repro.analysis pulls this module in.
                 from repro.analysis.batch import batch_core_utilization
 
-                cache[todo] = batch_core_utilization(
-                    self._level_mats[todo], rule=rule
-                )
+                cache[todo] = batch_core_utilization(self._level_mats[todo])
         return cache.copy()
 
-    def core_utilization(self, core: int, rule: str = "max") -> float:
+    def core_utilization(self, core: int) -> float:
         """Cached Eq.-(9) utilization of one core (see :meth:`core_utilizations`)."""
         self._check_core(core)
-        return float(self.core_utilizations(rule)[core])
+        return float(self.core_utilizations()[core])
 
     # ------------------------------------------------------------------
     # Mutation
@@ -228,8 +221,7 @@ class Partition:
         finally:
             self._level_mats.setflags(write=False)
         self._counts[core] += 1
-        for cache in self._util_cache.values():
-            cache[core] = np.nan
+        self._util_cache[core] = np.nan
 
     def unassign(self, task_index: int) -> int:
         """Remove ``task_index`` from its core; returns that core.
@@ -264,8 +256,7 @@ class Partition:
             self._level_mats[core] = fresh
         finally:
             self._level_mats.setflags(write=False)
-        for cache in self._util_cache.values():
-            cache[core] = np.nan
+        self._util_cache[core] = np.nan
         return core
 
     # ------------------------------------------------------------------
@@ -288,9 +279,9 @@ class Partition:
         snap._level_mats.setflags(write=False)
         snap._counts = self._counts.copy()
         snap._counts.setflags(write=False)
-        # Utilization caches stay writable: lazy cache fill is not a
+        # The utilization cache stays writable: lazy cache fill is not a
         # logical mutation of the partition.
-        snap._util_cache = {r: c.copy() for r, c in self._util_cache.items()}
+        snap._util_cache = self._util_cache.copy()
         snap._frozen = True
         return snap
 

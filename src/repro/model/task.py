@@ -18,12 +18,26 @@ dropped, and by convention this module reports utilization 0 there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.types import ModelError
 
 __all__ = ["MCTask"]
+
+
+def _real(value: object, what: str) -> float:
+    """``value`` as a float: any real number (NumPy's included), but
+    never a bool or a str, which ``float()`` would coerce."""
+    if type(value) not in (float, int) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ModelError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ModelError(f"{what} must be finite, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -39,6 +53,10 @@ class MCTask:
         Period and relative deadline ``p > 0``.
     name:
         Optional human-readable label (e.g. ``"tau_3"``); purely cosmetic.
+
+    A period or WCET that is not a real number (a bool or a str
+    included), or a name that is not a str, raises
+    :class:`~repro.types.ModelError`.
 
     Examples
     --------
@@ -57,9 +75,11 @@ class MCTask:
     _utils: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        wcets = tuple(float(c) for c in self.wcets)
+        if not isinstance(self.name, str):
+            raise ModelError(f"task name must be a str, got {self.name!r}")
+        wcets = tuple(_real(c, f"c({k})") for k, c in enumerate(self.wcets, 1))
         object.__setattr__(self, "wcets", wcets)
-        object.__setattr__(self, "period", float(self.period))
+        object.__setattr__(self, "period", _real(self.period, "period"))
         self._validate()
         object.__setattr__(
             self, "_utils", tuple(c / self.period for c in wcets)

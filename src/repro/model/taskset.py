@@ -85,11 +85,18 @@ class MCTaskSet:
         ``criticalities[i]`` columns (the rest is ignored); the tasks
         are named ``tau_1 .. tau_N``.  Validation rejects exactly what
         :class:`MCTask` and the task-list constructor reject, with
-        :class:`~repro.types.ModelError`.
+        :class:`~repro.types.ModelError`: a non-numeric or bool dtype
+        fails before any conversion to float.
         """
         crit = np.asarray(criticalities)
-        periods = np.asarray(periods, dtype=np.float64)
-        wcets = np.asarray(wcets, dtype=np.float64)
+        periods, wcets = np.asarray(periods), np.asarray(wcets)
+        for what, array in (("periods", periods), ("WCETs", wcets)):
+            if array.dtype.kind not in "iuf":
+                raise ModelError(
+                    f"{what} must be real numbers, got dtype {array.dtype}"
+                )
+        periods = periods.astype(np.float64, copy=False)
+        wcets = wcets.astype(np.float64, copy=False)
         n = crit.size
         if n == 0:
             raise ModelError("task set must contain at least one task")
@@ -342,6 +349,8 @@ def _checked_levels(crit: np.ndarray, levels: int | None) -> int:
     max_crit = int(crit.max())
     if levels is None:
         levels = max_crit
+    elif isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
+        raise ModelError(f"K must be an integer, got {levels!r}")
     if levels < max_crit:
         raise ModelError(
             f"system criticality K={levels} is below the maximum task"

@@ -170,16 +170,13 @@ def _scalar_answer(mat: np.ndarray, rule: str | None):
     return new_util
 
 
-def probe_core_utilization(
-    partition: Partition, core: int, task_index: int, rule: str = "max"
-) -> float:
+def probe_core_utilization(partition: Partition, core: int, task_index: int) -> float:
     """Hypothetical new core utilization ``U^{Psi_m + tau_i}`` (Eq. (15)).
 
     ``inf`` (:data:`repro.types.INFEASIBLE`) when the enlarged subset
-    fails Theorem 1, per Eq. (15a).  ``rule`` selects the Eq. (9)
-    aggregation (see :func:`repro.analysis.core_utilization`).
+    fails Theorem 1, per Eq. (15a); Eq. (9) aggregates with ``max``.
     """
-    return _scalar_answer(candidate_level_matrix(partition, core, task_index), rule)
+    return _scalar_answer(candidate_level_matrix(partition, core, task_index), "max")
 
 
 def probe_feasible(partition: Partition, core: int, task_index: int) -> bool:
@@ -225,7 +222,8 @@ class ProbeBackend(abc.ABC):
     Implementations must be bit-identical to each other for every
     method: the schemes (and the admission daemon) switch backends
     without changing a single placement decision.  :meth:`answer` serves
-    the lockstep driver, ``probe``/``probe_tasks`` the daemon and benchmarks.
+    the lockstep driver under any request kind; ``probe``/``probe_tasks``
+    serve the daemon and benchmarks under Eq. (9)'s ``max`` rule.
     """
 
     #: Registry name; also the value of the ``--probe-impl`` flag.
@@ -239,9 +237,7 @@ class ProbeBackend(abc.ABC):
         past a first-hit row's first admitting core infeasible."""
 
     @abc.abstractmethod
-    def probe(
-        self, partition: Partition, task_index: int, rule: str = "max"
-    ) -> np.ndarray:
+    def probe(self, partition: Partition, task_index: int) -> np.ndarray:
         """Eq.-(15) probe of one task against every core: ``(M,)`` floats."""
 
     @abc.abstractmethod
@@ -249,7 +245,6 @@ class ProbeBackend(abc.ABC):
         self,
         partition: Partition,
         task_indices: Sequence[int],
-        rule: str = "max",
         cores: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Eq.-(15) probes of several tasks: ``(T, C)`` floats.
@@ -291,13 +286,11 @@ class ScalarBackend(ProbeBackend):
                         break
         return rows
 
-    def probe(
-        self, partition: Partition, task_index: int, rule: str = "max"
-    ) -> np.ndarray:
+    def probe(self, partition: Partition, task_index: int) -> np.ndarray:
         # Counters accrue inside the scalar primitive, one per core.
         return np.array(
             [
-                probe_core_utilization(partition, m, task_index, rule=rule)
+                probe_core_utilization(partition, m, task_index)
                 for m in range(partition.cores)
             ],
             dtype=np.float64,
@@ -307,17 +300,13 @@ class ScalarBackend(ProbeBackend):
         self,
         partition: Partition,
         task_indices: Sequence[int],
-        rule: str = "max",
         cores: Sequence[int] | None = None,
     ) -> np.ndarray:
         idx = np.asarray(task_indices, dtype=np.int64)
         cols = _columns(partition, cores)
         return np.array(
             [
-                [
-                    probe_core_utilization(partition, int(m), int(i), rule=rule)
-                    for m in cols
-                ]
+                [probe_core_utilization(partition, int(m), int(i)) for m in cols]
                 for i in idx
             ],
             dtype=np.float64,
@@ -361,37 +350,32 @@ class BatchBackend(ProbeBackend):
                         )
         return rows
 
-    def probe(
-        self, partition: Partition, task_index: int, rule: str = "max"
-    ) -> np.ndarray:
-        check_eq9_rule(rule)
+    def probe(self, partition: Partition, task_index: int) -> np.ndarray:
         if OBS.enabled:
             t0 = time.perf_counter()
             new_utils = _core_utilization_stack(
-                partition.candidate_stack(task_index), rule
+                partition.candidate_stack(task_index), "max"
             )
             add_span_time("probe", time.perf_counter() - t0)
             _record_utilization_probe("batch", new_utils)
             return new_utils
-        return _core_utilization_stack(partition.candidate_stack(task_index), rule)
+        return _core_utilization_stack(partition.candidate_stack(task_index), "max")
 
     def probe_tasks(
         self,
         partition: Partition,
         task_indices: Sequence[int],
-        rule: str = "max",
         cores: Sequence[int] | None = None,
     ) -> np.ndarray:
         idx = np.asarray(task_indices, dtype=np.int64)
         cols = _columns(partition, cores)
         if idx.size == 0:
             return np.empty((0, cols.size), dtype=np.float64)
-        check_eq9_rule(rule)
         if OBS.enabled:
             t0 = time.perf_counter()
         stacks = partition.candidate_stacks(idx, None if cores is None else cols)
         new_utils = _core_utilization_stack(
-            stacks.reshape((-1,) + stacks.shape[2:]), rule
+            stacks.reshape((-1,) + stacks.shape[2:]), "max"
         ).reshape(idx.size, cols.size)
         if OBS.enabled:
             add_span_time("probe", time.perf_counter() - t0)

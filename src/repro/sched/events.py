@@ -526,16 +526,10 @@ class EventInjectionRuntime:
     :meth:`CompiledEvents.core_view` adapters.
     """
 
-    def __init__(
-        self,
-        events: Iterable[SimEvent],
-        horizon: float,
-        rule: str = "max",
-    ):
+    def __init__(self, events: Iterable[SimEvent], horizon: float):
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
         self.horizon = float(horizon)
-        self.rule = rule
         ordered = sorted(events, key=lambda e: e.start)  # stable: ties keep
         for e in ordered:  # authoring order
             if _time_after(e.end, self.horizon):
@@ -673,7 +667,7 @@ class EventInjectionRuntime:
         def best_online_core(gidx: int) -> int | None:
             """Feasible online core with the smallest Eq.-(15) probe
             (ties to the lowest index — the serve daemon's rule)."""
-            row = BATCH.probe(live, gidx, rule=self.rule)
+            row = BATCH.probe(live, gidx)
             masked = np.where(
                 np.isfinite(row) & np.array(online, dtype=bool), row, np.inf
             )
@@ -720,9 +714,7 @@ class EventInjectionRuntime:
                     online[m] = False
                     if not _time_reached(event.start, self.horizon):
                         failures[m].append(event.start)
-                    lam_before = imbalance_factor(
-                        live.core_utilizations(self.rule)
-                    )
+                    lam_before = imbalance_factor(live.core_utilizations())
                     displaced = list(live.tasks_on(m))
                     for gidx in displaced:
                         close(gidx, event.start)
@@ -757,7 +749,7 @@ class EventInjectionRuntime:
                             "lost": lost,
                             "lambda_before": lam_before,
                             "lambda_after": imbalance_factor(
-                                live.core_utilizations(self.rule)
+                                live.core_utilizations()
                             ),
                         }
                     )

@@ -51,7 +51,7 @@ __all__ = ["Coordinator"]
 
 
 def batch_probe_tasks(
-    partition: Partition, idx: list[int], rule: str, cores: list[int] | None = None
+    partition: Partition, idx: list[int], cores: list[int] | None = None
 ) -> np.ndarray:
     """The flush's probe kernel: ``BATCH.probe_tasks(...)``.
 
@@ -61,7 +61,7 @@ def batch_probe_tasks(
     flush call (``perfbench/ledger.py`` does both).  Inline it once that
     ledger reads the product's spans instead.
     """
-    return BATCH.probe_tasks(partition, idx, rule=rule, cores=cores)
+    return BATCH.probe_tasks(partition, idx, cores=cores)
 
 
 class Coordinator:
@@ -71,12 +71,10 @@ class Coordinator:
         self,
         state: ServeState,
         batcher: MicroBatcher,
-        rule: str = "max",
         live: LiveMetrics | None = None,
     ):
         self.state = state
         self.batcher = batcher
-        self.rule = rule
         self.live = live
 
     async def run(self) -> None:
@@ -177,7 +175,7 @@ class Coordinator:
             reg.counter(f"serve.admit.requests[{req.scheme}]").inc()
         with span("serve.flush.admit", scheme=req.scheme, cores=req.cores):
             result = get_partitioner(req.scheme).partition(req.taskset, req.cores)
-        utils = result.partition.core_utilizations(self.rule)
+        utils = result.partition.core_utilizations()
         if OBS.enabled and result.schedulable:
             reg.counter(f"serve.admit.schedulable[{req.scheme}]").inc()
         return {
@@ -200,9 +198,7 @@ class Coordinator:
         with span("serve.flush.explain", scheme=req.scheme, cores=req.cores):
             # The same call as an offline explain, so the documents
             # match — exactly what scripts/serve_smoke.py asserts.
-            exp = explain_admission(
-                req.taskset, req.cores, req.scheme, rule=self.rule
-            )
+            exp = explain_admission(req.taskset, req.cores, req.scheme)
         return exp.to_dict()
 
     # ------------------------------------------------------------------
@@ -248,7 +244,7 @@ class Coordinator:
             # THE kernel call of the flush: every (task, core) hypothesis
             # of the micro-batch in one stacked NumPy pass.
             t0 = time.perf_counter()
-            utils = batch_probe_tasks(part, idx, rule=self.rule)
+            utils = batch_probe_tasks(part, idx)
             kernel_total += time.perf_counter() - t0
             decisions: list[int | None] = []
             reasons: list[dict | None] = []
@@ -259,11 +255,7 @@ class Coordinator:
                     # Explain the refusal against the exact partition
                     # state this row was probed on (scalar kernel, only
                     # for rejected rows — the accept path is untouched).
-                    reasons.append(
-                        place_rejection_reason(
-                            part, new_tasks[t], rule=self.rule
-                        )
-                    )
+                    reasons.append(place_rejection_reason(part, new_tasks[t]))
                     continue
                 reasons.append(None)
                 part.assign(task_index, core)
@@ -273,7 +265,7 @@ class Coordinator:
                     # that column of the rows still waiting.
                     t0 = time.perf_counter()
                     utils[t + 1 :, [core]] = batch_probe_tasks(
-                        part, remaining, rule=self.rule, cores=[core]
+                        part, remaining, cores=[core]
                     )
                     kernel_total += time.perf_counter() - t0
 

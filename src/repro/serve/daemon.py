@@ -47,7 +47,6 @@ class ServeConfig:
     window_ms: float = 1.0
     max_batch: int = 64
     backlog: int = 256  #: request queue bound and listen backlog
-    rule: str = "max"
     metrics_path: str | None = None
     log_json: str | None = None
     #: SLO rules (``"p95(serve.place.seconds) < 5ms"``…) checked every
@@ -55,9 +54,6 @@ class ServeConfig:
     #: ``slo.alert`` events and bump ``serve.slo.alerts``.
     slo: list[str] = field(default_factory=list)
     slo_interval_s: float = 1.0
-    #: Live-window geometry (ring of fixed-width time buckets).
-    bucket_seconds: float = 1.0
-    history_buckets: int = 120
     command: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -86,10 +82,7 @@ class ServeDaemon:
             window=config.window_ms / 1e3,
             max_batch=config.max_batch,
         )
-        self.live = LiveMetrics(
-            bucket_seconds=config.bucket_seconds,
-            buckets=config.history_buckets,
-        )
+        self.live = LiveMetrics()
         self.live.gauge("serve.queue_depth", lambda: self.batcher.depth)
         self.live.gauge("serve.state_seq", lambda: self.state.snapshot.seq)
         self.live.gauge("serve.tasks", lambda: self.state.snapshot.task_count)
@@ -97,9 +90,7 @@ class ServeDaemon:
         self.live.gauge("serve.headroom", self._headroom_gauge)
         # Bad SLO syntax fails here, before any socket binds.
         self.slo = SloMonitor([parse_slo(rule) for rule in config.slo])
-        self.coordinator = Coordinator(
-            self.state, self.batcher, rule=config.rule, live=self.live
-        )
+        self.coordinator = Coordinator(self.state, self.batcher, live=self.live)
         self.api = Api(self.state, self.batcher, live=self.live)
         self.server = HttpServer(self.api, config.host, config.port, config.backlog)
         self.run_id = new_run_id()

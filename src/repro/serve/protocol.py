@@ -29,6 +29,12 @@ __all__ = [
 #: Largest request body the transport will read, in bytes.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Largest ``cores`` an ``/admit`` or ``/explain`` may ask for.  The
+#: coordinator partitions inside its one flush loop, in time and memory
+#: linear in the core count, so an unbounded value would stall every
+#: request queued behind it; the paper's largest M is 32.
+MAX_CORES = 1024
+
 
 class ProtocolError(ReproError):
     """A malformed request; ``status`` is the HTTP answer (400/404/413)."""
@@ -84,8 +90,11 @@ def parse_admit(payload: object) -> AdmitRequest:
     except (ModelError, TypeError) as exc:
         raise ProtocolError(f"bad taskset: {exc}") from exc
     cores = body.get("cores")
-    if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
-        raise ProtocolError(f"'cores' must be a positive integer, got {cores!r}")
+    if (not isinstance(cores, int) or isinstance(cores, bool)
+            or not 1 <= cores <= MAX_CORES):
+        raise ProtocolError(
+            f"'cores' must be an integer in [1, {MAX_CORES}], got {cores!r}"
+        )
     scheme = body.get("scheme", "ca-tpa")
     if scheme not in available_schemes():
         raise ProtocolError(

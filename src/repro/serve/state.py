@@ -48,14 +48,14 @@ class StateSnapshot:
     def task_count(self) -> int:
         return 0 if self.partition is None else len(self.partition.taskset)
 
-    def utilizations(self, rule: str = "max") -> np.ndarray:
+    def utilizations(self) -> np.ndarray:
         if self.partition is None:
             return np.zeros(self.cores, dtype=np.float64)
-        return self.partition.core_utilizations(rule)
+        return self.partition.core_utilizations()
 
-    def to_dict(self, rule: str = "max") -> dict:
+    def to_dict(self) -> dict:
         """The ``GET /state`` document: the reference encoder of :attr:`body`."""
-        return self._document(rule, tasks=None)
+        return self._document(tasks=None)
 
     @cached_property
     def body(self) -> bytes:
@@ -65,14 +65,14 @@ class StateSnapshot:
         encoded with an empty task list, which is its last value, and the
         committed per-task fragments are spliced into that list.
         """
-        text = json.dumps(self._document("max", tasks=[]))
+        text = json.dumps(self._document(tasks=[]))
         if self.partition is None:
             return text.encode()
         tasks = ", ".join(self.fragments[: self.task_count])
         return (text[:-3] + tasks + text[-3:]).encode()  # text ends "[]}}"
 
-    def _document(self, rule: str, tasks: list | None) -> dict:
-        utils = self.utilizations(rule)
+    def _document(self, tasks: list | None) -> dict:
+        utils = self.utilizations()
         doc = {
             "cores": self.cores,
             "levels": self.levels,

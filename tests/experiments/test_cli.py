@@ -750,6 +750,22 @@ class TestDynamicCommand:
 REPO = Path(__file__).resolve().parents[2]
 DEMO = "{examples}/taskset_demo.json"
 
+# Saved task sets with one malformed field each: file stem -> (document
+# change, stderr substring).  Each is rejected at load, never coerced.
+MALFORMED_TASKSETS = {
+    "period-str": ({"tasks": [{"period": "x", "wcets": [1]}]},
+                   "period must be a real number, got 'x'"),
+    "wcet-str": ({"tasks": [{"period": 10, "wcets": ["a"]}]},
+                 "c(1) must be a real number, got 'a'"),
+    "wcets-string": ({"tasks": [{"period": "10", "wcets": "12"}]},
+                     "c(1) must be a real number, got '1'"),
+    "wcet-bool": ({"tasks": [{"period": 10, "wcets": [True]}]},
+                  "c(1) must be a real number, got True"),
+    "name-list": ({"tasks": [{"period": 10, "wcets": [1], "name": ["x"]}]},
+                  "task name must be a str, got ['x']"),
+    "levels-str": ({"levels": "2"}, "K must be an integer, got '2'"),
+}
+
 # The exit-code contract, one row per invocation: (argv, exit code, a
 # stderr substring).  0 = success; 1 = a runtime or input error, one
 # "repro-mc <command>: <message>" line; 2 = a usage error from argparse.
@@ -841,6 +857,11 @@ EXIT_CODES = [
     (f"simulate --taskset {DEMO} --cores 2 --cycles nan", 1, "positive and finite"),
     ("explain missing.json", 1, "cannot read task set missing.json"),
     ("explain garbled.json", 1, "cannot read task set garbled.json"),
+    *[
+        (f"{command}{stem}.json", 1, message)
+        for stem, (_, message) in MALFORMED_TASKSETS.items()
+        for command in ("simulate --taskset ", "explain ")
+    ],
     (f"explain {DEMO} --scheme bogus", 1, "unknown scheme 'bogus'"),
     ("inspect missing.json", 1, "cannot read run manifest"),
     ("inspect .", 1, "cannot read run manifest"),
@@ -900,6 +921,9 @@ class TestExitCodes:
         monkeypatch.setattr(daemon, "run_forever", lambda config: 0)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "garbled.json").write_text("{garbled")
+        demo = json.loads((EXAMPLES / "taskset_demo.json").read_text())
+        for stem, (change, _) in MALFORMED_TASKSETS.items():
+            (tmp_path / f"{stem}.json").write_text(json.dumps({**demo, **change}))
         paths = {"examples": EXAMPLES, "run": instrumented_run, "repo": REPO}
         argv = [token.format(**paths) for token in shlex.split(line)]
         out = tmp_path / "report.txt"

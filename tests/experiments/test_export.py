@@ -83,30 +83,3 @@ class TestCliCsvFlag:
         out = (tmp_path / "csv" / "fig1.csv").read_text()
         assert "sched_ratio" in out
 
-
-class TestWeightedSchedulability:
-    def test_summary_values(self, tiny_result):
-        from repro.experiments import weighted_schedulability
-
-        summary = weighted_schedulability(tiny_result)
-        assert set(summary) == set(tiny_result.schemes)
-        for scheme, value in summary.items():
-            ratios = tiny_result.series("sched_ratio")[scheme]
-            assert min(ratios) - 1e-12 <= value <= max(ratios) + 1e-12
-
-    def test_hand_computed(self, tiny_result):
-        from repro.experiments import weighted_schedulability
-
-        ratios = tiny_result.series("sched_ratio")["ffd"]
-        expected = (0.4 * ratios[0] + 0.6 * ratios[1]) / 1.0
-        assert weighted_schedulability(tiny_result)["ffd"] == pytest.approx(expected)
-
-    def test_nonnumeric_values_rejected(self, tiny_result):
-        import dataclasses
-
-        from repro.experiments import weighted_schedulability
-        from repro.types import ReproError
-
-        broken = dataclasses.replace(tiny_result, values=("a", "b"))
-        with pytest.raises(ReproError):
-            weighted_schedulability(broken)

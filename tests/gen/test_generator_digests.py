@@ -4,8 +4,8 @@ Each case digest hashes, over a few seeded sets, the raw bytes of
 ``utilization_matrix`` and ``criticalities`` and the ``repr`` of every
 materialized task's ``(wcets, period, name)``.  The corpus covers every
 figure's default point and its swept extremes (NSU, IFC, M, K), the
-``exact_nsu`` and ``crit_weights`` knobs, a fixed ``n_tasks``,
-``generate_batch`` and ``uunifast_mc_taskset``.
+``exact_nsu`` and ``crit_weights`` knobs, a fixed ``n_tasks`` and
+``generate_batch``.
 
 The values were captured while the generator still built one
 :class:`~repro.model.MCTask` per task; building the sets from arrays
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.gen import WorkloadConfig, generate_batch, generate_taskset
-from repro.gen.uunifast import uunifast_mc_taskset
 from repro.model import MCTask, MCTaskSet
 from repro.types import ModelError
 
@@ -56,7 +55,6 @@ EXPECTED = {
     "n-tasks-7": ("f931e64a4297d7ee", "6075854868902d0a", "db3a254b0968bd72"),
     "nsu-0.4": ("caa1c3a1a3601d27", "5323edf808fdd4f8", "5f55a8fbf2133434"),
     "nsu-0.8": ("e8f3c2acb9b8a753", "5323edf808fdd4f8", "3604d658dfaf1913"),
-    "uunifast": ("31cab80c989d9e16", "339164f7276ff022", "5e4f17da04faddf3"),
 }
 
 
@@ -73,10 +71,6 @@ def _cases() -> dict[str, list[MCTaskSet]]:
         generate_taskset(DEFAULT, _rng(i), n_tasks=7) for i in range(SETS)
     ]
     cases["batch"] = generate_batch(DEFAULT.with_(levels=3), SETS, SEED)
-    cases["uunifast"] = [
-        uunifast_mc_taskset(12, 2.5, levels=4, ifc=0.5, rng=_rng(i))
-        for i in range(SETS)
-    ]
     return cases
 
 
@@ -134,6 +128,22 @@ def test_array_path_rejects_what_mctask_rejects(wcets, periods):
     with pytest.raises(ModelError):
         [MCTask(tuple(w[:l]), p) for w, p, l in zip(wcets, periods, GOOD_CRITS)]
     with pytest.raises(ModelError):
+        MCTaskSet.from_arrays(wcets, periods, GOOD_CRITS)
+
+
+@pytest.mark.parametrize(
+    "wcets, periods",
+    [
+        (GOOD_WCETS.astype(str), GOOD_PERIODS),
+        (GOOD_WCETS > 0, GOOD_PERIODS),
+        (GOOD_WCETS, GOOD_PERIODS.astype(str)),
+        (GOOD_WCETS, GOOD_PERIODS > 0),
+    ],
+    ids=["str-wcets", "bool-wcets", "str-periods", "bool-periods"],
+)
+def test_array_path_rejects_non_real_dtypes(wcets, periods):
+    # float() would coerce each of these; MCTask rejects them too.
+    with pytest.raises(ModelError, match="must be real numbers"):
         MCTaskSet.from_arrays(wcets, periods, GOOD_CRITS)
 
 

@@ -141,18 +141,6 @@ class TestUtilizationCache:
         assert after[0] == before[0]  # untouched core kept its entry
         assert after[1] > 0.0
 
-    def test_per_rule_caches_are_independent(self, ts):
-        part = Partition(ts, cores=2)
-        part.assign(1, 0)
-        part.assign(2, 0)
-        from repro.analysis import core_utilization
-
-        for rule in ("max", "min"):
-            expected = np.array(
-                [core_utilization(part.level_matrix(m), rule=rule) for m in range(2)]
-            )
-            np.testing.assert_array_equal(part.core_utilizations(rule), expected)
-
     def test_matrix_updates_after_each_assign(self, ts):
         part = Partition(ts, cores=1)
         part.assign(1, 0)

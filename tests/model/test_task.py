@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.model import MCTask
@@ -20,19 +21,35 @@ class TestConstruction:
         assert t.wcets == (1.0, 2.0)
         assert isinstance(t.period, float)
 
+    def test_numpy_real_scalars_accepted(self):
+        t = MCTask(wcets=(np.int64(1), np.float32(2.5)), period=np.float64(10.0))
+        assert t.wcets == (1.0, 2.5) and t.period == 10.0
+        assert all(type(v) is float for v in (*t.wcets, t.period))
+
     def test_empty_wcets_rejected(self):
         with pytest.raises(ModelError, match="empty"):
             MCTask(wcets=(), period=10.0)
 
-    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "period", [0.0, -1.0, math.inf, math.nan, "x", "10", True, None, 10**400]
+    )
     def test_bad_period_rejected(self, period):
         with pytest.raises(ModelError):
             MCTask(wcets=(1.0,), period=period)
 
-    @pytest.mark.parametrize("wcets", [(0.0,), (-1.0, 2.0), (math.inf,), (math.nan, 1.0)])
+    @pytest.mark.parametrize(
+        "wcets",
+        [(0.0,), (-1.0, 2.0), (math.inf,), (math.nan, 1.0), ("a",), "12", (True,),
+         (1.0, np.bool_(True))],
+    )
     def test_bad_wcets_rejected(self, wcets):
         with pytest.raises(ModelError):
             MCTask(wcets=wcets, period=10.0)
+
+    @pytest.mark.parametrize("name", [["x"], None, 1])
+    def test_non_str_name_rejected(self, name):
+        with pytest.raises(ModelError, match="name must be a str"):
+            MCTask(wcets=(1.0,), period=10.0, name=name)
 
     def test_decreasing_wcets_rejected(self):
         with pytest.raises(ModelError, match="non-decreasing"):

@@ -87,10 +87,10 @@ class TestRegistry:
             def answer(self, kind, attempts):
                 raise NotImplementedError
 
-            def probe(self, partition, task_index, rule="max"):
+            def probe(self, partition, task_index):
                 raise NotImplementedError
 
-            def probe_tasks(self, partition, task_indices, rule="max", cores=None):
+            def probe_tasks(self, partition, task_indices, cores=None):
                 raise NotImplementedError
 
         with pytest.raises(ModelError, match="name"):
@@ -119,22 +119,18 @@ class TestIncrementalEquivalence:
             probe_idx = (unplaced + assigned)[:5]
             assert_backend_parity(part, probe_idx)
 
-    @pytest.mark.parametrize("rule", ["max", "min"])
-    def test_rules_are_cached_independently(self, rng, rule):
+    def test_cached_utilizations_see_mutation(self, rng):
         ts = random_taskset(rng, n=10, levels=3, max_u=0.5)
         part = Partition(ts, cores=3)
-        # Warm both per-rule Eq.-(9) caches, mutate, re-read: each rule
-        # must see the mutation (a shared cache row would leak the
-        # other rule's values or the stale ones).
-        part.core_utilizations("max")
-        part.core_utilizations("min")
+        # Warm the Eq.-(9) cache, mutate, re-read: the read must see the
+        # mutation, not the stale entry.
+        part.core_utilizations()
         part.assign(1, 0)
         np.testing.assert_array_equal(
-            part.core_utilizations(rule),
-            fresh_rebuild(part).core_utilizations(rule),
+            part.core_utilizations(), fresh_rebuild(part).core_utilizations()
         )
-        got = BATCH.probe(part, 0, rule=rule)
-        want = BATCH.probe(fresh_rebuild(part), 0, rule=rule)
+        got = BATCH.probe(part, 0)
+        want = BATCH.probe(fresh_rebuild(part), 0)
         np.testing.assert_array_equal(got, want)
 
     def test_repeated_probe_is_stable(self, rng):
@@ -236,17 +232,16 @@ class TestColumnSelection:
     """``probe_tasks(..., cores=...)`` == the matching full-grid columns."""
 
     @pytest.mark.parametrize("backend", [BATCH, SCALAR], ids=lambda b: b.name)
-    @pytest.mark.parametrize("rule", ["max", "min"])
-    def test_selected_columns_match_full_grid(self, rng, backend, rule):
+    def test_selected_columns_match_full_grid(self, rng, backend):
         for _ in range(5):
             ts = random_taskset(rng, n=12, levels=3, max_u=0.4)
             part = Partition(ts, cores=4)
             for i in range(0, 12, 2):
                 part.assign(i, int(rng.integers(4)))
             idx = list(range(1, 12, 2))
-            full = backend.probe_tasks(part, idx, rule=rule)
+            full = backend.probe_tasks(part, idx)
             for cores in ([2], [3, 0], [1, 1], []):
-                got = backend.probe_tasks(part, idx, rule=rule, cores=cores)
+                got = backend.probe_tasks(part, idx, cores=cores)
                 assert got.shape == (len(idx), len(cores))
                 np.testing.assert_array_equal(got, full[:, cores])
 

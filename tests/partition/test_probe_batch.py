@@ -64,18 +64,14 @@ class TestBatchProbe:
                     stack[m], candidate_level_matrix(part, m, task)
                 )
 
-    @pytest.mark.parametrize("rule", ["max", "min"])
-    def test_batch_probe_matches_scalar(self, rng, rule):
+    def test_batch_probe_matches_scalar(self, rng):
         for _ in range(20):
             ts = random_taskset(rng, n=12, levels=3, max_u=0.5)
             part = random_partial_partition(rng, ts, cores=5)
             task = int(rng.integers(0, len(ts)))
-            batch = BATCH.probe(part, task, rule=rule)
+            batch = BATCH.probe(part, task)
             scalar = np.array(
-                [
-                    probe_core_utilization(part, m, task, rule=rule)
-                    for m in range(5)
-                ]
+                [probe_core_utilization(part, m, task) for m in range(5)]
             )
             np.testing.assert_array_equal(batch, scalar)
 
@@ -140,14 +136,13 @@ class TestMicroBatchProbes:
     """The (T, M) micro-batch primitives equal T single-task probes."""
 
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("rule", ["max", "min"])
-    def test_batch_probe_tasks_bit_identical(self, seed, rule):
+    def test_batch_probe_tasks_bit_identical(self, seed):
         rng = np.random.default_rng(seed)
         ts = random_taskset(rng, n=14)
         part = random_partial_partition(rng, ts, cores=4)
         idx = [i for i in range(len(ts)) if part.core_of(i) < 0][:5]
-        got = BATCH.probe_tasks(part, idx, rule=rule)
-        want = np.stack([BATCH.probe(part, i, rule=rule) for i in idx])
+        got = BATCH.probe_tasks(part, idx)
+        want = np.stack([BATCH.probe(part, i) for i in idx])
         assert np.array_equal(got, want)  # bit-identical, same kernel
 
     def test_scalar_path_matches_batch_path(self):
@@ -178,20 +173,9 @@ class TestMicroBatchProbes:
             lambda rule: core_utilization(np.zeros((2, 2)), rule=rule),
             lambda rule: core_utilization(overloaded, rule=rule),
             lambda rule: batch_core_utilization(overloaded[None], rule=rule),
-            lambda rule: part.core_utilizations(rule=rule),
-            lambda rule: Partition(ts, cores=2).core_utilizations(rule=rule),
-            lambda rule: probe_core_utilization(part, 0, 0, rule=rule),
             *[
-                call
+                lambda rule, b=backend: _answer_first_hit(b, part, rule)
                 for backend in (BATCH, get_backend("scalar"))
-                for call in (
-                    lambda rule, b=backend: b.probe(part, 0, rule=rule),
-                    lambda rule, b=backend: b.probe_tasks(part, [0], rule=rule),
-                    lambda rule, b=backend: b.probe_tasks(
-                        part, [0], rule=rule, cores=[1]
-                    ),
-                    lambda rule, b=backend: _answer_first_hit(b, part, rule),
-                )
             ],
         ]
         message = r"unknown Eq\. \(9\) rule 'median'; use 'max' or 'min'"

@@ -29,11 +29,7 @@ def flush_on(monkeypatch):
     def use(impl):
         backend = get_backend(impl)
         monkeypatch.setattr(
-            coordinator_module,
-            "batch_probe_tasks",
-            lambda part, idx, rule, cores=None: backend.probe_tasks(
-                part, idx, rule=rule, cores=cores
-            ),
+            coordinator_module, "batch_probe_tasks", backend.probe_tasks
         )
 
     return use

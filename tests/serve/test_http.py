@@ -22,6 +22,7 @@ from repro.obs import load_manifest
 from repro.partition.registry import get_partitioner
 from repro.serve import ServeConfig, http
 from repro.serve.http import MAX_HEADER_LINES
+from repro.serve.protocol import MAX_CORES
 from repro.types import ReproError
 from tests.conftest import random_taskset
 from tests.serve.conftest import DaemonHarness, task_entry
@@ -222,6 +223,51 @@ def _header_flood(lines: int) -> bytes:
     )
 
 
+def _json_post(path: str, doc) -> bytes:
+    """A one-shot ``POST`` of ``doc`` as JSON, asking for ``Connection: close``."""
+    body = json.dumps(doc).encode()
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode() + body
+
+
+def _taskset_doc(**change) -> dict:
+    """A one-task ``repro-mc-taskset`` document with ``change`` applied."""
+    doc = {"format": "repro-mc-taskset", "version": 1, "levels": 2,
+           "tasks": [{"period": 10, "wcets": [1, 2]}]}
+    return {**doc, **change}
+
+
+#: ``/place`` task entries with one malformed field each.
+_BAD_TASKS = {
+    "period-str": {"period": "x", "wcets": [1]},
+    "wcet-str": {"period": 10, "wcets": ["a"]},
+    "wcets-string": {"period": "10", "wcets": "12"},
+    "wcet-bool": {"period": 10, "wcets": [True]},
+    "period-bool": {"period": True, "wcets": [1]},
+    "name-list": {"period": 10, "wcets": [1], "name": ["x"]},
+    "period-int-past-float": {"period": 10**400, "wcets": [1]},
+}
+
+#: Malformed ``/admit`` and ``/explain`` bodies (sent to both paths).
+_BAD_ADMITS = {
+    "taskset-period-str": {"taskset": _taskset_doc(
+        tasks=[{"period": "x", "wcets": [1]}]), "cores": 2},
+    "taskset-wcet-str": {"taskset": _taskset_doc(
+        tasks=[{"period": 10, "wcets": ["a"]}]), "cores": 2},
+    "taskset-not-object": {"taskset": [1], "cores": 2},
+    "taskset-levels-str": {"taskset": _taskset_doc(levels="2"), "cores": 2},
+    "cores-past-bound": {"taskset": _taskset_doc(), "cores": MAX_CORES + 1},
+}
+
+_BAD_BODIES = {
+    **{f"place-{k}": _json_post("/place", {"task": v}) for k, v in _BAD_TASKS.items()},
+    **{f"{path}-{k}": _json_post(f"/{path}", v)
+       for k, v in _BAD_ADMITS.items() for path in ("admit", "explain")},
+}
+
+
 def _raw_exchange(address, payload: bytes, half_close: bool = False) -> bytes:
     """Send ``payload`` on a fresh socket (then end the stream, with
     ``half_close``); everything read until close."""
@@ -236,7 +282,8 @@ def _raw_exchange(address, payload: bytes, half_close: bool = False) -> bytes:
 
 
 class TestHostileInput:
-    """Input past the transport's limits gets a 4xx, not a dead task."""
+    """Input past the transport's limits, or a body the protocol cannot
+    take, gets a 4xx, not a dead task."""
 
     @pytest.mark.parametrize(
         "payload, status",
@@ -245,12 +292,14 @@ class TestHostileInput:
             (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
             (_deep_json_post(), 400),
             (_header_flood(20_000), 431),
+            *[(payload, 400) for payload in _BAD_BODIES.values()],
         ],
         ids=[
             "request-line-over-64k",
             "header-line-over-64k",
             "json-nested-50k",
             "header-lines-20k",
+            *_BAD_BODIES,
         ],
     )
     def test_answered_and_state_untouched(self, payload, status):

@@ -335,20 +335,6 @@ class TestHeuristicProperties:
 
 class TestGeneratorProperties:
     @given(
-        st.integers(min_value=1, max_value=40),
-        st.floats(min_value=0.1, max_value=8.0),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_uunifast_partition_of_total(self, n, total, seed):
-        from repro.gen import uunifast
-
-        rng = np.random.default_rng(seed)
-        utils = uunifast(n, total, rng)
-        assert utils.shape == (n,)
-        assert (utils >= -1e-12).all()
-        assert utils.sum() == abs_approx(total)
-
-    @given(
         st.integers(min_value=2, max_value=6),
         st.floats(min_value=0.3, max_value=0.7),
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -409,26 +395,6 @@ class TestDbfProperties:
             assert task.wcet(1) - 1e-9 <= plan.deadlines[i] <= task.period + 1e-9
             if task.criticality == 1:
                 assert plan.deadlines[i] == task.period
-
-
-class TestElasticProperties:
-    @given(
-        st.floats(min_value=0.01, max_value=0.9),
-        st.floats(min_value=1.0, max_value=5.0),
-        st.floats(min_value=1.0, max_value=10.0),
-    )
-    def test_stretch_divides_utilization(self, u, max_stretch, factor):
-        from repro.elastic import ElasticMCTask
-        from repro.model import MCTask
-
-        e = ElasticMCTask(
-            task=MCTask.from_utilizations([u], 10.0),
-            max_period=10.0 * max_stretch,
-        )
-        applied = min(factor, max_stretch)
-        stretched = e.stretched(factor)
-        assert stretched.utilization(1) == abs_approx(u / applied)
-        assert e.service_level(factor) == abs_approx(1.0 / applied)
 
 
 class TestSerializationProperties:
