@@ -4,22 +4,26 @@ The partitioning probes of Algorithm 1 ask the same question for every
 core at once: "what would ``U^{Psi_m + tau_i}`` be on core ``m``?"
 (Eqs. (14)-(15)).  The scalar functions in :mod:`repro.analysis.edfvd`
 answer it one ``(K, K)`` matrix at a time, which costs one full Python
-pass per core.  This module evaluates an ``(M, K, K)`` *stack* of level
-matrices in a single NumPy pass: the sequential recurrence of Eq. (6)
-stays a loop over the ``K`` criticality levels (it is inherently
-sequential in ``j``), but every core is advanced simultaneously, so the
-per-core Python overhead disappears.
+pass per core.  This module evaluates an ``(R, K, K)`` *stack* of level
+matrices level by level: every step is one NumPy operation on an
+``(R,)`` slice (a diagonal entry, a column entry, a running product), so
+the ``K`` criticality levels cost a handful of slice operations each and
+no reduction runs over an axis of length ``K``.  Per-condition arrays
+are levels first, ``(K - 1, R)``.
 
 Numerical contract: every function here performs, element for element,
 the *same IEEE-754 operations in the same order* as its scalar
-counterpart, so results are bit-identical — the partitioners can switch
-between the paths without changing a single placement decision (the
-test suite pins this property on random, NaN-lambda and infeasible
-stacks).
+counterpart, so results are bit-identical at every ``K`` — the
+partitioners can switch between the paths without changing a single
+placement decision.  Both paths add in level order: the Eq.-(4) load
+``U_1(1) + U_2(2) + ...`` and each Eq.-(6) column sum ``U_j(j-1) +
+U_{j+1}(j-1) + ...`` are running sums, never a NumPy reduction (which
+adds eight or more terms pairwise).  The test suite pins the property on
+random, NaN-lambda and infeasible stacks up to ``K = 12``.
 
-Shapes: inputs are ``(M, K, K)`` stacks; per-level outputs are
-``(M, K)`` (lambdas) or ``(M, max(K - 1, 1))`` (conditions); reductions
-are ``(M,)``.
+Shapes: inputs are ``(M, K, K)`` stacks; the public per-level outputs
+are ``(M, K)`` (lambdas) or ``(M, max(K - 1, 1))`` (conditions);
+reductions are ``(M,)``.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ __all__ = [
 ]
 
 
+#: The Eq.-(15) values of a stack with no Eq.-(15) rows (read-only).
+_NO_ROWS = np.empty(0)
+_NO_ROWS.flags.writeable = False
+
+
 def _check_stack(level_matrices: np.ndarray) -> np.ndarray:
     arr = np.asarray(level_matrices, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
@@ -49,64 +58,98 @@ def _check_stack(level_matrices: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Strict-lower-triangle masks by K.  Summing a masked copy along the row
-# axis yields every column's "criticalities above j-1" sum in one pass;
-# for K < 8 NumPy reduces sequentially in row order, so the prepended
-# zero rows leave each partial sum bit-identical to the scalar slice sum.
-_BELOW_MASKS: dict[int, np.ndarray] = {}
+def _level_trace(mats: np.ndarray) -> np.ndarray:
+    """Eq.-(4) load ``U_1(1) + U_2(2) + ...`` per matrix, in level order."""
+    load = mats[:, 0, 0].copy()
+    for c in range(1, mats.shape[1]):
+        load += mats[:, c, c]
+    return load
 
 
-def _strict_lower_mask(k_levels: int) -> np.ndarray:
-    mask = _BELOW_MASKS.get(k_levels)
-    if mask is None:
-        mask = np.tril(np.ones((k_levels, k_levels), dtype=bool), k=-1)
-        _BELOW_MASKS[k_levels] = mask
-    return mask
+def _column_below(mats: np.ndarray, c: int) -> np.ndarray:
+    """``sum_{x > c} U_x(c)`` per matrix (0-based), in level order: the
+    Eq.-(6) numerator of ``lambda_{c+2}`` before scaling."""
+    total = mats[:, c + 1, c].copy()
+    for x in range(c + 2, mats.shape[1]):
+        total += mats[:, x, c]
+    return total
 
 
-def _lambda_factors(
-    mats: np.ndarray, diag: np.ndarray, upto: int
-) -> np.ndarray:
-    """Unchecked core of :func:`batch_lambda_factors` (shared ``diag``).
+def _eq6(mats: np.ndarray, upto: int):
+    """The Eq.-(6) recurrence for ``j = 2 .. upto``, level by level.
 
-    Runs the Eq.-(6) recurrence for ``lambda_2 .. lambda_upto`` only;
-    entries past ``upto`` stay ``nan``.  Callers must wrap in
-    ``np.errstate`` (division warnings are expected on dead rows).  The
-    Theorem-1 chain passes ``upto = K - 1`` because ``theta(K-1)`` is
-    the deepest capacity term — ``lambda_K`` never feeds a condition.
+    Yields ``(lam, ok, p)`` per level: the factor ``lambda_j`` (valid
+    where ``ok``), whether it is defined, and the running product
+    ``P_j = prod_{x <= j} (1 - lambda_x)`` — ``nan`` from the first
+    undefined factor on, so a dead chain fails every later ``>`` test
+    without a mask.  Level matrices are non-negative, so a passing
+    denominator makes ``lambda_j >= 0`` automatic and the scalar lower
+    bound check is skipped.  Callers wrap in ``np.errstate`` (dead rows
+    divide by non-positive numbers).
     """
-    m_stack, k_levels = mats.shape[0], mats.shape[1]
-    lambdas = np.full((m_stack, k_levels), np.nan, dtype=np.float64)
-    lambdas[:, 0] = 0.0
-    if k_levels == 1 or m_stack == 0:
-        return lambdas
-    if upto < 2:
-        return lambdas
-    below = np.where(_strict_lower_mask(k_levels), mats, 0.0).sum(axis=1)
-    # j = 2: P_1 is exactly 1, so the divisions by the running product
-    # are identities (x / 1.0 == x) and can be skipped bit-safely.
-    denominator = 1.0 - diag[:, 0]
-    lam = below[:, 0] / denominator
-    # Level matrices are non-negative by construction, so whenever the
-    # denominator check passes, lam >= 0 is automatic (and a NaN lam
-    # fails `lam < 1.0` just like the scalar `0.0 <= lam` test); the
-    # scalar path's lower-bound check is skipped here and below.
-    alive = (denominator > EPS) & (lam < 1.0)
-    np.copyto(lambdas[:, 1], lam, where=alive)
-    if upto == 2 or not alive.any():
-        return lambdas
-    product = np.where(alive, 1.0 - lam, 1.0)  # P_2 per matrix
-    for j in range(3, upto + 1):
-        numerator = below[:, j - 2] / product
-        denominator = 1.0 - diag[:, j - 2] / product
-        lam = numerator / denominator
-        ok = alive & (denominator > EPS) & (lam < 1.0)
-        np.copyto(lambdas[:, j - 1], lam, where=ok)
-        if not ok.any():
-            break
-        product = np.where(ok, product * (1.0 - lam), product)
-        alive = ok
-    return lambdas
+    p = None
+    for j in range(2, upto + 1):
+        c = j - 2
+        lam = _column_below(mats, c)
+        if p is None:
+            # P_1 is exactly 1: dividing by it is an identity, skipped.
+            den = 1.0 - mats[:, 0, 0]
+            lam /= den
+        else:
+            den = 1.0 - mats[:, c, c] / p
+            lam /= p
+            lam /= den
+        ok = (den > EPS) & (lam < 1.0)
+        p = np.where(ok, 1.0 - lam if p is None else p * (1.0 - lam), np.nan)
+        yield lam, ok, p
+
+
+def _demand_levels(mats: np.ndarray) -> np.ndarray:
+    """``mu(k)`` for ``k = 1 .. K-1``, levels first ``(K-1, R)``; ``K >= 2``.
+
+    The suffix sums run from ``U_{K-1}(K-1)`` down, the order of the
+    scalar path's reversed ``cumsum``.
+    """
+    k_levels = mats.shape[1]
+    own, below = mats[:, -1, -1], mats[:, -1, -2]  # U_K(K), U_K(K-1)
+    # The ratio is meaningless where U_K(K) >= 1; such rows fail anyway.
+    top = np.where(own < 1.0 - EPS, np.minimum(own, below / (1.0 - own)), own)
+    mu = np.empty((k_levels - 1, mats.shape[0]))
+    suffix = mats[:, k_levels - 2, k_levels - 2].copy()
+    np.add(suffix, top, out=mu[k_levels - 2])
+    for c in range(k_levels - 3, -1, -1):
+        suffix += mats[:, c, c]
+        np.add(suffix, top, out=mu[c])
+    return mu
+
+
+def _avail_levels(mats: np.ndarray) -> np.ndarray:
+    """``A(k) = theta(k) - mu(k)`` (Eq. 8), levels first ``(K-1, R)``
+    (``(1, R)`` of ``1 - U_1(1)`` at ``K = 1``), ``nan`` where the chain
+    is undefined.  ``theta(k)`` is the running product ``P_k``; the
+    recurrence stops at ``lambda_{K-1}``, the deepest factor Ineq. (5)
+    reads.  Callers wrap in ``np.errstate``."""
+    k_levels = mats.shape[1]
+    if k_levels == 1:
+        return (1.0 - mats[:, 0, 0])[None]
+    avail = _demand_levels(mats)
+    np.subtract(1.0, avail[0], out=avail[0])  # theta(1) = 1
+    for c, (_, _, p) in enumerate(_eq6(mats, k_levels - 1), start=1):
+        np.subtract(p, avail[c], out=avail[c])
+    return avail
+
+
+def _eq9(avail: np.ndarray, ok: np.ndarray, rule: str) -> np.ndarray:
+    """Eq.-(9) utilization per column of levels-first ``avail``:
+    :data:`INFEASIBLE` where no condition passes (``ok`` is ``avail >=
+    -EPS``; a passing ``A`` is finite, so ``1 - A`` is too)."""
+    if rule == "max":
+        out = np.where(ok, 1.0 - avail, -np.inf).max(axis=0)
+        out[np.isneginf(out)] = INFEASIBLE
+        return out
+    # rule == "min": the all-failed identity element is +inf, which is
+    # already the INFEASIBLE marker.
+    return np.where(ok, 1.0 - avail, np.inf).min(axis=0)
 
 
 def batch_lambda_factors(level_matrices: np.ndarray) -> np.ndarray:
@@ -114,56 +157,16 @@ def batch_lambda_factors(level_matrices: np.ndarray) -> np.ndarray:
 
     Row semantics match :func:`repro.analysis.edfvd.lambda_factors`:
     ``lambda_1 = 0`` and entries are ``nan`` from the first undefined
-    factor on.  The recurrence over ``j`` is sequential, but all ``M``
-    matrices advance together; a row that dies is masked out of later
-    steps (``alive``) exactly like the scalar early ``break``.
+    factor on.
     """
     mats = _check_stack(level_matrices)
-    diag = np.diagonal(mats, axis1=1, axis2=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _lambda_factors(mats, diag, mats.shape[1])
-
-
-def _demand_terms(mats: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Unchecked core of :func:`batch_demand_terms` (shared ``diag``).
-
-    Callers must wrap in ``np.errstate`` (the ``U_K(K) >= 1`` rows
-    divide by a non-positive denominator before being masked out).
-    """
-    if mats.shape[1] == 1:
-        return diag.copy()
-    u_top_own = diag[:, -1]  # U_K(K)
-    u_top_below = mats[:, -1, -2]  # U_K(K-1)
-    ratio = u_top_below / (1.0 - u_top_own)
-    min_term = np.where(
-        u_top_own < 1.0 - EPS, np.minimum(u_top_own, ratio), u_top_own
-    )
-    # suffix sums of the diagonal over i = k..K-1, per matrix
-    partial = np.cumsum(diag[:, :-1][:, ::-1], axis=1)[:, ::-1]
-    return partial + min_term[:, None]
-
-
-def _available_utilizations(mats: np.ndarray) -> np.ndarray:
-    """Unchecked core of :func:`batch_available_utilizations`.
-
-    Computes the diagonal once and feeds it to both the lambda recurrence
-    and the demand terms — the scalar path extracts it twice.  The
-    recurrence stops at ``lambda_{K-1}``: ``theta(K-1)`` is the deepest
-    capacity term of Ineq. (5), so ``lambda_K`` (which the scalar path
-    computes and discards) is never evaluated here.
-    """
     k_levels = mats.shape[1]
-    diag = np.diagonal(mats, axis1=1, axis2=2)  # (M, K)
+    lambdas = np.full((k_levels, mats.shape[0]), np.nan)
+    lambdas[0] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = _demand_terms(mats, diag)
-        if k_levels == 1:
-            theta = np.ones_like(mu)
-        else:
-            lambdas = _lambda_factors(mats, diag, k_levels - 1)
-            theta = np.cumprod(1.0 - lambdas[:, : k_levels - 1], axis=1)
-    avail = theta - mu
-    avail[np.isnan(avail)] = -np.inf
-    return avail
+        for c, (lam, ok, _) in enumerate(_eq6(mats, k_levels), start=1):
+            np.copyto(lambdas[c], lam, where=ok)
+    return np.ascontiguousarray(lambdas.T)
 
 
 def batch_demand_terms(level_matrices: np.ndarray) -> np.ndarray:
@@ -173,23 +176,30 @@ def batch_demand_terms(level_matrices: np.ndarray) -> np.ndarray:
     :func:`repro.analysis.edfvd.demand_terms`.
     """
     mats = _check_stack(level_matrices)
+    if mats.shape[1] == 1:
+        return mats[:, :, 0].copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _demand_terms(mats, np.diagonal(mats, axis1=1, axis2=2))
+        return np.ascontiguousarray(_demand_levels(mats).T)
 
 
 def batch_capacity_terms(level_matrices: np.ndarray) -> np.ndarray:
     """``theta(k)`` per matrix: ``(M, K-1)`` (``(M, 1)`` of ones for K=1)."""
     mats = _check_stack(level_matrices)
-    m_stack, k_levels = mats.shape[0], mats.shape[1]
-    if k_levels == 1:
-        return np.ones((m_stack, 1), dtype=np.float64)
-    lambdas = batch_lambda_factors(mats)
-    return np.cumprod(1.0 - lambdas[:, : k_levels - 1], axis=1)
+    k_levels = mats.shape[1]
+    theta = np.ones((max(k_levels - 1, 1), mats.shape[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, (_, _, p) in enumerate(_eq6(mats, k_levels - 1), start=1):
+            theta[c] = p
+    return np.ascontiguousarray(theta.T)
 
 
 def batch_available_utilizations(level_matrices: np.ndarray) -> np.ndarray:
     """``A(k) = theta(k) - mu(k)`` per matrix (Eq. 8), ``-inf`` if undefined."""
-    return _available_utilizations(_check_stack(level_matrices))
+    mats = _check_stack(level_matrices)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avail = np.ascontiguousarray(_avail_levels(mats).T)
+    avail[np.isnan(avail)] = -np.inf
+    return avail
 
 
 def batch_core_utilization(
@@ -206,27 +216,15 @@ def batch_core_utilization(
 
 
 def _core_utilization_stack(mats: np.ndarray, rule: str) -> np.ndarray:
-    """Unchecked core of :func:`batch_core_utilization`.
-
-    ``1 - A(k)`` is finite for every condition that passes ``A(k) >=
-    -EPS`` (a passing ``A`` is finite), so a row with no passing
-    condition is recognisable from the reduction's identity element
-    alone — no separate ``ok.any()`` pass is needed.
-    """
-    avail = _available_utilizations(mats)
-    ok = avail >= -EPS
-    if rule == "max":
-        out = np.where(ok, 1.0 - avail, -np.inf).max(axis=1)
-        return np.where(np.isneginf(out), INFEASIBLE, out)
-    # rule == "min": the all-failed identity element is +inf, which is
-    # already the INFEASIBLE marker.
-    return np.where(ok, 1.0 - avail, np.inf).min(axis=1)
+    """Unchecked core of :func:`batch_core_utilization`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avail = _avail_levels(mats)
+    return _eq9(avail, avail >= -EPS, rule)
 
 
 def batch_worst_case_load(level_matrices: np.ndarray) -> np.ndarray:
     """Eq.-(4) load figure ``sum_k U_k(k)`` per matrix: ``(M,)``."""
-    mats = _check_stack(level_matrices)
-    return np.trace(mats, axis1=1, axis2=2)
+    return _level_trace(_check_stack(level_matrices))
 
 
 def batch_is_feasible_core(level_matrices: np.ndarray) -> np.ndarray:
@@ -234,19 +232,47 @@ def batch_is_feasible_core(level_matrices: np.ndarray) -> np.ndarray:
 
     The vectorized twin of :func:`repro.analysis.is_feasible_core`,
     including its short-circuit: the Theorem-1 chain only runs on the
-    rows that fail the Eq.-(4) trace test (feasibility is per-row, so
+    rows that fail the Eq.-(4) load test (feasibility is per-row, so
     gating cannot change any answer).  During the early, lightly-loaded
     phase of a partitioning run most candidate cores pass Eq. (4), which
     makes the feasibility probes nearly free.
     """
-    return _is_feasible_stack(_check_stack(level_matrices))
+    return _is_feasible_stack(_check_stack(level_matrices))[0]
 
 
-def _is_feasible_stack(mats: np.ndarray) -> np.ndarray:
-    """Unchecked core of :func:`batch_is_feasible_core`."""
-    feasible = fits_unit_capacity(np.trace(mats, axis1=1, axis2=2))
-    if not feasible.all():
-        hard = np.flatnonzero(~feasible)
-        avail = _available_utilizations(mats[hard])
-        feasible[hard] = (avail >= -EPS).any(axis=1)
-    return feasible
+def _is_feasible_stack(
+    mats: np.ndarray, rule: str = "max", rows: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked core of :func:`batch_is_feasible_core`, and the whole
+    lockstep step's one kernel call: ``(admits, utilizations)``.
+
+    The first ``rows`` matrices are Eq.-(15) rows: ``utilizations``
+    holds their core utilization under ``rule``, and they admit where it
+    is finite.  The rest admit by the Eq.(4)-or-Theorem-1 test, whose
+    chain runs only where the Eq.-(4) load test fails.  The chain runs
+    once, over the Eq.-(15) rows and those rows together.
+    """
+    n, hard = rows, None
+    if n < len(mats):
+        feasible = fits_unit_capacity(_level_trace(mats[n:] if n else mats))
+        if not feasible.all():
+            hard = np.flatnonzero(~feasible)
+    utils = _NO_ROWS
+    if n or hard is not None:
+        chain = mats[:n]
+        if hard is not None:
+            index = n + hard
+            chain = mats.take(
+                np.concatenate((np.arange(n), index)) if n else index, axis=0
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            avail = _avail_levels(chain)
+        ok = avail >= -EPS
+        if hard is not None:
+            feasible[hard] = np.logical_or.reduce(ok[:, n:], axis=0)
+        if n:
+            utils = _eq9(avail[:, :n], ok[:, :n], rule)
+            if n == len(mats):
+                return np.isfinite(utils), utils
+            return np.concatenate((np.isfinite(utils), feasible)), utils
+    return feasible, utils

@@ -77,8 +77,13 @@ def lambda_factors(level_matrix: np.ndarray) -> np.ndarray:
     lambdas[0] = 0.0
     running_product = 1.0  # P_{j-1} = prod_{x=1}^{j-1} (1 - lambda_x)
     for j in range(2, k_levels + 1):
-        # numerator: sum_{x=j}^{K} U_x(j-1), scaled by 1/P_{j-1}
-        numerator = float(mat[j - 1 :, j - 2].sum()) / running_product
+        # numerator: sum_{x=j}^{K} U_x(j-1) in level order (as the batch
+        # kernel adds it, at every K), scaled by 1/P_{j-1}
+        column = mat[j - 1 :, j - 2].tolist()
+        numerator = column[0]
+        for u in column[1:]:
+            numerator += u
+        numerator /= running_product
         denominator = 1.0 - float(mat[j - 2, j - 2]) / running_product
         if denominator <= EPS:
             break  # undefined from j on

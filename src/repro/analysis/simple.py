@@ -27,7 +27,12 @@ def worst_case_load(level_matrix: np.ndarray) -> float:
     mat = np.asarray(level_matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ModelError(f"level matrix must be square (K, K), got {mat.shape}")
-    return float(np.trace(mat))
+    # Level order at every K, as the batch kernel adds it (np.trace sums
+    # eight or more terms pairwise).
+    load = 0.0
+    for u in np.diagonal(mat).tolist():
+        load += u
+    return load
 
 
 def is_feasible_simple(level_matrix: np.ndarray) -> bool:

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.model.partition import Partition
-from repro.model.task import MCTask
+from repro.model.task import MCTask, _real
 from repro.model.taskset import MCTaskSet
 from repro.types import ModelError
 
@@ -168,9 +168,12 @@ def partition_from_dict(data: dict[str, Any]) -> Partition:
         raise ModelError(f"unsupported version {data.get('version')!r}")
     taskset = taskset_from_dict(data["taskset"])
     try:
-        return Partition.from_assignment(
-            taskset, int(data["cores"]), data["assignment"]
-        )
+        cores = data["cores"]
+        if isinstance(cores, bool) or not isinstance(cores, int) or cores < 1:
+            raise ModelError(
+                f"partition cores must be a positive integer, got {cores!r}"
+            )
+        return Partition.from_assignment(taskset, cores, data["assignment"])
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed partition document: {exc}") from exc
 
@@ -220,9 +223,11 @@ def events_to_dict(events) -> dict[str, Any]:
 def events_from_dict(data: dict[str, Any]):
     """Inverse of :func:`events_to_dict` (validates format/version).
 
-    Document-shape problems raise :class:`ModelError`; structurally
-    invalid events raise the event constructor's
-    :class:`~repro.types.SimulationError` with the offending field named.
+    Document-shape problems, and a ``time``, ``start``, ``end`` or
+    ``factor`` that is not a real number (a bool or a str included),
+    raise :class:`ModelError`; structurally invalid events raise the
+    event constructor's :class:`~repro.types.SimulationError` with the
+    offending field named.
     """
     from repro.sched.events import SimEvent
 
@@ -242,10 +247,13 @@ def events_from_dict(data: dict[str, Any]):
         try:
             kind = entry["kind"]
             if "time" in entry:
-                start = end = float(entry["time"])
+                start = end = _real(entry["time"], f"event #{pos} time")
             else:
-                start = float(entry["start"])
-                end = float(entry.get("end", entry["start"]))
+                start = _real(entry["start"], f"event #{pos} start")
+                end = _real(entry.get("end", start), f"event #{pos} end")
+            factor = entry.get("factor")
+            if factor is not None:
+                factor = _real(factor, f"event #{pos} factor")
             task = entry.get("task")
             if task is not None:
                 task = MCTask(
@@ -258,7 +266,7 @@ def events_from_dict(data: dict[str, Any]):
                     kind=kind,
                     start=start,
                     end=end,
-                    factor=entry.get("factor"),
+                    factor=factor,
                     tasks=(
                         tuple(entry["tasks"])
                         if entry.get("tasks") is not None

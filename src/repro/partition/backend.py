@@ -9,9 +9,10 @@ with bit-identical answers:
   order — the readable reference;
 * :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) answers the candidate
   matrices of a whole placement step — every attempt of one
-  ``(K, M, kind)`` stack the lockstep driver (:mod:`repro.partition.base`)
-  advances, gathered into one ``(R, K, K)`` :class:`ProbeRequest` — with
-  one :mod:`repro.analysis.batch` kernel call.
+  ``(K, M, rule)`` stack the lockstep driver (:mod:`repro.partition.base`)
+  advances, its Eq.-(15) and its feasibility attempts together, gathered
+  into one ``(R, K, K)`` :class:`ProbeRequest` — with one
+  :mod:`repro.analysis.batch` kernel call.
 
 Why batch is the only vectorized backend: an incremental backend that
 cached probe answers per core version almost never hit, since every
@@ -24,15 +25,15 @@ that column alone (``probe_tasks(..., cores=[c])``).
 
 Both that column refresh and the lockstep stack are bit-identical to
 probing one task of one partition at a time because the batch kernels
-(:func:`~repro.analysis.batch._core_utilization_stack` and
-:func:`~repro.analysis.batch._is_feasible_stack`) are per-row
-independent — rows interact only through masked writes and an early
-``break`` taken when *all* rows are dead, at which point every
-remaining entry is ``nan``-final anyway.  Evaluating any sub- or
-super-stack of candidate matrices therefore reproduces the matching
-rows bit for bit.  The validate campaign pins scalar == batch end to
-end.  The kernels are called through this module's names, so a caller
-that wraps them here sees every stacked call.
+(:func:`~repro.analysis.batch._is_feasible_stack` for a lockstep step,
+:func:`~repro.analysis.batch._core_utilization_stack` for ``probe`` and
+``probe_tasks``) are per-row independent: every operation is
+elementwise along the stack, and which rows run the Theorem-1 chain
+depends on each row alone.  Evaluating any sub- or super-stack of
+candidate matrices therefore reproduces the matching rows bit for bit.
+The validate campaign pins scalar == batch end to end.  The kernels are
+called through this module's names, so a caller that wraps them here
+sees every stacked call.
 
 Every caller holds its backend explicitly: the lockstep driver takes
 one as an argument (default :data:`BATCH`, the registered batch
@@ -46,7 +47,7 @@ scheme tag), ``probe.cores_probed`` the (task, core) hypotheses
 evaluated, ``probe.infeasible_cores`` the Theorem-1 failures among
 them, and feasibility probes attribute every core to its
 ``theorem1.*`` admission path.  ``partition.lockstep.rows`` observes
-the rows of every stacked kernel call.
+the rows of every stacked kernel call (one per lockstep step).
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.analysis.batch import (
-    _available_utilizations,
+    _avail_levels,
     _core_utilization_stack,
     _is_feasible_stack,
+    _level_trace,
 )
 from repro.analysis.edfvd import check_eq9_rule, core_utilization
 from repro.analysis.feasibility import is_feasible_core
@@ -85,8 +87,9 @@ __all__ = [
     "probe_feasible",
 ]
 
-#: Request kind of a feasibility probe; the other kinds are the Eq.-(9)
-#: rules (``"max"`` / ``"min"``) of an Eq.-(15) utilization probe.
+#: :attr:`~repro.partition.base.Partitioner.kind` of a scheme that asks
+#: for feasibility rows; the other kinds are the Eq.-(9) rules
+#: (``"max"`` / ``"min"``) of an Eq.-(15) utilization probe.
 FEASIBLE = "feasible"
 
 
@@ -126,7 +129,7 @@ def _record_feasibility_stack(
     reg = OBS.registry
     reg.counter(_tagged(f"probe.calls.{impl}")).inc(int(calls))
     reg.counter("probe.cores_probed").inc(int(feasible.size))
-    eq4 = fits_unit_capacity(np.trace(stack, axis1=1, axis2=2))
+    eq4 = fits_unit_capacity(_level_trace(stack))
     reg.counter(_tagged("theorem1.eq4_pass")).inc(int(np.count_nonzero(eq4)))
     reg.counter(_tagged("theorem1.rejected")).inc(
         int(np.count_nonzero(~feasible))
@@ -135,8 +138,9 @@ def _record_feasibility_stack(
     n_admitted = int(np.count_nonzero(admitted))
     reg.counter(_tagged("theorem1.admitted")).inc(n_admitted)
     if n_admitted:
-        avail = _available_utilizations(stack[admitted])
-        first = np.argmax(avail >= -EPS, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            avail = _avail_levels(stack[admitted])
+        first = np.argmax(avail >= -EPS, axis=0)
         for k in np.unique(first):
             reg.counter(_tagged(f"theorem1.cond_pass.k{int(k) + 1}")).inc(
                 int(np.count_nonzero(first == k))
@@ -202,7 +206,9 @@ def _columns(partition: Partition, cores: Sequence[int] | None) -> np.ndarray:
 
 
 class ProbeRequest(NamedTuple):
-    """One placement step of ``A`` attempts that share ``K`` and ``M``."""
+    """One placement step of ``A`` attempts that share ``K`` and ``M``:
+    the first :attr:`split` ask for Eq.-(15) rows under :attr:`rule`,
+    the rest for feasibility rows."""
 
     #: ``(A * M, K, K)``: attempt ``a``'s task added to each of its cores
     #: (rows ``a * M .. a * M + M - 1``); read-only to the backend (the
@@ -214,6 +220,11 @@ class ProbeRequest(NamedTuple):
     keys: np.ndarray
     #: The asking attempts' scheme names: the tags of their counters.
     schemes: Sequence[str]
+    #: The Eq.-(9) rule of the leading attempts' Eq.-(15) rows.
+    rule: str = "max"
+    #: How many leading attempts ask for Eq.-(15) rows (none by default:
+    #: a pure feasibility request).
+    split: int = 0
 
 
 class ProbeBackend(abc.ABC):
@@ -222,7 +233,7 @@ class ProbeBackend(abc.ABC):
     Implementations must be bit-identical to each other for every
     method: the schemes (and the admission daemon) switch backends
     without changing a single placement decision.  :meth:`answer` serves
-    the lockstep driver under any request kind; ``probe``/``probe_tasks``
+    the lockstep driver, one call per step; ``probe``/``probe_tasks``
     serve the daemon and benchmarks under Eq. (9)'s ``max`` rule.
     """
 
@@ -230,11 +241,13 @@ class ProbeBackend(abc.ABC):
     name: str = ""
 
     @abc.abstractmethod
-    def answer(self, kind: str, request: ProbeRequest) -> np.ndarray:
-        """``(A, M)`` answers of ``kind`` to every row of ``request``:
-        bools for :data:`FEASIBLE`, Eq.-(15) floats (``inf`` =
-        infeasible) for an Eq.-(9) rule.  A lazy backend leaves entries
-        past a first-hit row's first admitting core infeasible."""
+    def answer(self, request: ProbeRequest) -> tuple[np.ndarray, np.ndarray]:
+        """``(admits, utilizations)`` for every row of ``request``:
+        ``(A, M)`` bools, whether each core admits the attempt's task,
+        and ``(split, M)`` Eq.-(15) floats of the leading attempts
+        (``inf`` = infeasible; such a core admits where its value is
+        finite).  A lazy backend leaves entries past a first-hit row's
+        first admitting core refused."""
 
     @abc.abstractmethod
     def probe(self, partition: Partition, task_index: int) -> np.ndarray:
@@ -264,27 +277,29 @@ class ScalarBackend(ProbeBackend):
 
     name = "scalar"
 
-    def answer(self, kind: str, request: ProbeRequest) -> np.ndarray:
+    def answer(self, request: ProbeRequest) -> tuple[np.ndarray, np.ndarray]:
         # Row by row, lazily along each first-hit key order: the
         # historical behaviour (and probe counters) of the first-hit
         # schemes.
-        if kind == FEASIBLE:
-            hit, miss, rule = bool, False, None
-        else:
-            check_eq9_rule(kind)
-            hit, miss, rule = math.isfinite, INFEASIBLE, kind
-        keys = request.keys
+        check_eq9_rule(request.rule)
+        keys, split = request.keys, request.split
         mats = request.stack.reshape(keys.shape + request.stack.shape[1:])
-        rows = np.full(keys.shape, miss)
+        admits = np.zeros(keys.shape, dtype=bool)
+        utils = np.full((split, keys.shape[1]), INFEASIBLE)
         for a, name in enumerate(request.schemes):
+            rule = request.rule if a < split else None
             lazy = not math.isnan(keys[a, 0])
             order = np.argsort(keys[a], kind="stable") if lazy else range(len(keys[a]))
             with scheme_tag(name):
                 for m in order:
-                    rows[a, m] = value = _scalar_answer(mats[a, m], rule)
-                    if lazy and hit(value):
+                    value = _scalar_answer(mats[a, m], rule)
+                    if rule is not None:
+                        utils[a, m] = value
+                        value = math.isfinite(value)
+                    admits[a, m] = value
+                    if lazy and value:
                         break
-        return rows
+        return admits, utils
 
     def probe(self, partition: Partition, task_index: int) -> np.ndarray:
         # Counters accrue inside the scalar primitive, one per core.
@@ -321,34 +336,32 @@ class BatchBackend(ProbeBackend):
 
     name = "batch"
 
-    def answer(self, kind: str, request: ProbeRequest) -> np.ndarray:
-        stack = request.stack
-        if kind == FEASIBLE:
-            out = _is_feasible_stack(stack)
-        else:
-            check_eq9_rule(kind)
-            out = _core_utilization_stack(stack, kind)
-        rows = out.reshape(request.keys.shape)
+    def answer(self, request: ProbeRequest) -> tuple[np.ndarray, np.ndarray]:
+        stack, keys, split = request.stack, request.keys, request.split
+        check_eq9_rule(request.rule)
+        admits, utils = _is_feasible_stack(stack, request.rule, split * keys.shape[1])
+        admits, utils = admits.reshape(keys.shape), utils.reshape(split, keys.shape[1])
         if OBS.enabled:
-            OBS.registry.histogram("partition.lockstep.rows").observe(out.size)
+            OBS.registry.histogram("partition.lockstep.rows").observe(len(stack))
             # Counters under each attempt's own scheme tag: exactly what
             # probing the attempts one at a time records.
             names = np.asarray(request.schemes, dtype=object)
-            per_attempt = stack.reshape(rows.shape + stack.shape[1:])
+            per_attempt = stack.reshape(keys.shape + stack.shape[1:])
             for name in dict.fromkeys(request.schemes):
                 mine = names == name
+                rule, feas = mine[:split], mine[split:]
                 with scheme_tag(name):
-                    if kind == FEASIBLE:
-                        _record_feasibility_stack(
-                            per_attempt[mine].reshape((-1,) + stack.shape[1:]),
-                            rows[mine].ravel(),
-                            calls=int(mine.sum()),
-                        )
-                    else:
+                    if rule.any():
                         _record_utilization_probe(
-                            "batch", rows[mine], calls=int(mine.sum())
+                            "batch", utils[rule], calls=int(rule.sum())
                         )
-        return rows
+                    if feas.any():
+                        _record_feasibility_stack(
+                            per_attempt[split:][feas].reshape((-1,) + stack.shape[1:]),
+                            admits[split:][feas].ravel(),
+                            calls=int(feas.sum()),
+                        )
+        return admits, utils
 
     def probe(self, partition: Partition, task_index: int) -> np.ndarray:
         if OBS.enabled:

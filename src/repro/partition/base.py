@@ -9,10 +9,12 @@ Eq.-(4) sum of ``u_i(l_i)`` under feasibility requests, the Eq.-(9)
 core utilization (the placed core's Eq.-(15) answer) under rule ones.
 
 :func:`partition_lockstep` holds every live attempt in stacked arrays,
-one set per ``(K, M, kind)``, and each step makes one candidate-stack
-add, one backend ``answer`` (one kernel call under batch), one
-vectorized pick, and one fancy-indexed write of the placed candidates;
-adding a task's *full* utilization row is exact (it is 0 above ``l_i``).
+one set per ``(K, M, rule)``: the Eq.-(15) attempts under that Eq.-(9)
+rule first, then the feasibility attempts.  Each step makes one
+candidate-stack add, one backend ``answer`` (one kernel call under
+batch) for both kinds, one vectorized pick, and one fancy-indexed write
+of the placed candidates; adding a task's *full* utilization row is
+exact (it is 0 above ``l_i``).
 """
 
 from __future__ import annotations
@@ -150,16 +152,19 @@ def _imbalance_exceeded(loads, loaded, alpha) -> np.ndarray:
 
 
 class _Stack:
-    """The live attempts of one ``(K, M, kind)``: row ``i`` is job
-    ``ids[i]`` until it finishes; ``tasks`` (rows of ``umat``, ``row``
-    and ``umax``), ``w`` and ``picked`` (the chosen core) go by step."""
+    """The live attempts of one ``(K, M, rule)``: row ``i`` is job
+    ``ids[i]`` until it finishes; rows below ``split`` ask for Eq.-(15)
+    rows under ``rule``, the rest for feasibility rows.  ``tasks`` (rows
+    of ``umat``, ``row`` and ``umax``), ``w`` and ``picked`` (the chosen
+    core) go by step."""
 
     _ROWS = ("ids", "n", "mats", "loads", "loaded", "picked", "tasks", "w",
              "offset", "alpha", "names")
 
-    def __init__(self, kind: str, members: list, orders: list):
+    def __init__(self, rule: str, members: list, orders: list):
         (_, _, taskset, cores), a = members[0], len(members)
-        self.kind, self.cores, k = kind, cores, taskset.levels
+        self.rule, self.cores, k = rule, cores, taskset.levels
+        self.split = sum(s.kind != FEASIBLE for _, s, *_ in members)
         tasksets = list({id(ts): ts for _, _, ts, _ in members}.values())
         starts = dict(zip(map(id, tasksets), np.cumsum([0] + list(map(len, tasksets)))))
         # Each task's candidate add: its full utilization row, in row l_i.
@@ -193,41 +198,51 @@ class _Stack:
     def step(self, s: int, backend: ProbeBackend, clock=None):
         """Place step ``s``'s task of every row; returns the finished rows
         as ``(rows, placed)`` (or ``None``) and the answer's time."""
-        loads, kind = self.loads, self.kind
+        loads, lead = self.loads, self.split
         w = self.w[:, s]
-        if self.override:
-            w = np.where(_imbalance_exceeded(loads, self.loaded, self.alpha), 1.0, w)
+        if self.override:  # only Eq.-(15) rows carry a finite alpha
+            w = w.astype(np.float64)
+            over = _imbalance_exceeded(loads[:lead], self.loaded[:lead], self.alpha[:lead])
+            w[:lead][over] = 1.0
         keys = w[:, None] * loads
         tasks = self.tasks[:, s]
         # Adding 0 elsewhere is exact: every entry is a non-negative sum.
         delta = np.zeros((len(tasks), 1) + self.mats.shape[2:])
         delta[np.arange(len(tasks)), 0, self.row[tasks]] = self.umat[tasks]
         cand = self.mats + delta
-        request = ProbeRequest(cand.reshape((-1,) + cand.shape[2:]), keys, self.names)
+        request = ProbeRequest(cand.reshape((-1,) + cand.shape[2:]), keys,
+                               self.names, self.rule, lead)
         t0 = clock() if clock else 0.0
-        answer = backend.answer(kind, request)
+        ok, utils = backend.answer(request)
         probe_s = clock() - t0 if clock else 0.0
-        ok = answer if kind == FEASIBLE else np.isfinite(answer)
         hit = np.logical_or.reduce(ok, axis=1)
-        scan = np.isnan(w) if kind != FEASIBLE else None
-        scans = 0 if scan is None else np.count_nonzero(scan)
+        # Eq.-(15) rows of weight nan take the minimum increment; every
+        # other row its first hit.
+        scan = np.isnan(w[:lead]) if lead else None
+        scans = np.count_nonzero(scan) if lead else 0
         if scans < len(w):
             target = np.where(ok, keys, np.inf).argmin(axis=1)
         if scans:
-            target = min_increment(answer, loads) if scans == len(w) else (
-                np.where(scan, min_increment(answer, loads), target))
+            least = min_increment(utils, loads[:lead])
+            if scans == len(w):
+                target = least
+            else:
+                target[:lead] = least if scans == lead else (
+                    np.where(scan, least, target[:lead]))
         base, placed, rows = self.base, np.count_nonzero(hit), slice(None)
+        ranked = lead  # the placed Eq.-(15) rows lead
         if placed < len(base):
+            ranked = np.count_nonzero(hit[:lead]) if lead else 0
             rows, target, base, tasks = hit, target[hit], base[hit], tasks[hit]
         flat = base + target  # the placed cores' candidates become state
         self.flat_mats[flat] = cand.reshape(self.flat_mats.shape).take(flat, axis=0)
         if self.override:
             np.put(self.loaded, flat, True)
         self.picked[rows, s] = target
-        if kind == FEASIBLE:
-            self.loads.reshape(-1)[flat] += self.umax[tasks]
-        else:
-            np.put(loads, flat, answer.take(flat))
+        if ranked:  # Eq.-(15) rows take the answer, the rest add u_i(l_i)
+            np.put(loads, flat[:ranked], utils.take(flat[:ranked]))
+        if ranked < len(flat):
+            loads.reshape(-1)[flat[ranked:]] += self.umax[tasks[ranked:]]
         if s + 1 < self.end and placed == len(w):
             return None, probe_s
         done = ~hit | (self.n == s + 1)
@@ -243,7 +258,7 @@ class _Stack:
         assignment[self.tasks[i, : s + placed] - self.offset[i]] = picked
         counts = np.bincount(picked, minlength=self.cores)
         part = Partition._from_state(taskset, assignment, self.mats[i].copy(), counts)
-        utils = self.loads[i].copy() if placed and self.kind != FEASIBLE else None
+        utils = self.loads[i].copy() if placed and i < self.split else None
         failed = None if placed else order[s]
         return PartitionResult(scheme.name, placed, part, tuple(order), failed, utils)
 
@@ -253,6 +268,7 @@ class _Stack:
             return
         keep = np.ones(len(self.ids), dtype=bool)
         keep[done] = False
+        self.split = int(np.count_nonzero(keep[: self.split]))
         for name in self._ROWS:
             setattr(self, name, getattr(self, name)[keep])
         self._reshaped()
@@ -281,15 +297,18 @@ def partition_lockstep(
                 f"{scheme.name}: order_tasks must return a permutation of all tasks"
             )
         orders.append(order)
-        key = (taskset.levels, int(cores), scheme.kind)
-        groups.setdefault(key, []).append((job, scheme, taskset, int(cores)))
+        rule = "max" if scheme.kind == FEASIBLE else scheme.kind
+        groups.setdefault((taskset.levels, int(cores), rule), []).append(
+            (job, scheme, taskset, int(cores)))
     results: list[PartitionResult | None] = [None] * len(jobs)
     clock = time.perf_counter if OBS.enabled else None
     # Per attempt: its share of step time, of answer time, and of steps.
     start, shares = time.time(), np.zeros((3, len(jobs)))
     try:
-        for (_, _, kind), members in groups.items():
-            stack, s = _Stack(kind, members, orders), 0
+        for (_, _, rule), members in groups.items():
+            # Eq.-(15) attempts first: a leading slice of every array.
+            members.sort(key=lambda member: member[1].kind == FEASIBLE)
+            stack, s = _Stack(rule, members, orders), 0
             while len(stack.ids):
                 t0, ids = clock() if clock else 0.0, stack.ids
                 finished, probe_s = stack.step(s, backend, clock)

@@ -7,10 +7,13 @@ dependencies.  Anything malformed gets a ``400`` and the connection
 closed; so does a request line over the stream's 64 KiB line limit, and
 a header line over it, or a header block over :data:`MAX_HEADER_LINES`
 lines, gets a ``431``.  A stream that ends inside the header block is a
-clean close: the truncated request is never dispatched.  A body that
+clean close: the truncated request is never dispatched.  A request
+line and header block not in :data:`HEADER_TIMEOUT_S` seconds after
+the connection began waiting for them get a ``408`` (or, when not even
+the request line arrived, a close without a response), and a body that
 has not fully arrived :data:`BODY_TIMEOUT_S` seconds after its headers
-gets a ``408``, so a client that declares more than it sends cannot
-hold its connection open.  Responses are
+gets a ``408``, so neither an idle nor a trickling client can hold its
+connection open.  Responses are
 JSON by default; a handler returning ``bytes`` has them sent verbatim
 as JSON (the cached ``/state`` body), and a ``str`` body is sent as
 ``text/plain`` (the Prometheus exposition path).
@@ -25,10 +28,15 @@ from urllib.parse import parse_qsl, unquote
 from repro.serve.handlers import Api
 from repro.serve.protocol import MAX_BODY_BYTES
 
-__all__ = ["BODY_TIMEOUT_S", "HttpServer", "MAX_HEADER_LINES"]
+__all__ = ["BODY_TIMEOUT_S", "HEADER_TIMEOUT_S", "HttpServer", "MAX_HEADER_LINES"]
 
 #: Header lines one request may carry; the next one gets a ``431``.
 MAX_HEADER_LINES = 100
+#: Seconds a connection waits for its next request line and header
+#: block: an idle one is then closed without a response, an incomplete
+#: header block gets a ``408``.  Generous, as keep-alive clients idle
+#: between requests.
+HEADER_TIMEOUT_S = 30.0
 #: Seconds a request body may take to arrive once its headers are in;
 #: a slower one gets a ``408`` and the connection closed.
 BODY_TIMEOUT_S = 10.0
@@ -37,6 +45,8 @@ BODY_TIMEOUT_S = 10.0
 #: unread bytes sends a reset, which can cost the client the answer.
 _DISCARD_BYTES = 1 << 20
 _DISCARD_IDLE_S = 0.05
+#: What :func:`_within` returns when its deadline passed first.
+_EXPIRED = object()
 
 _REASONS = {
     200: "OK",
@@ -50,6 +60,15 @@ _REASONS = {
     431: "Request Header Fields Too Large",
     503: "Service Unavailable",
 }
+
+
+class _Rejected(Exception):
+    """A request answered with ``status`` (the message as its error) and
+    closed before dispatch; ``discard`` drops its unread bytes first."""
+
+    def __init__(self, status: int, error: str, discard: bool = False):
+        super().__init__(error)
+        self.status, self.discard = status, discard
 
 
 class HttpServer:
@@ -102,72 +121,24 @@ class HttpServer:
                 pass
 
     async def _one_request(self, reader, writer) -> bool:
+        line_in: list[bool] = []  # non-empty once the request line is in
         try:
-            request_line = (await reader.readline()).decode("latin-1").strip()
-        except ValueError:  # longer than the reader's line limit
-            await self._respond(writer, 400, {"error": "request line too long"})
-            return False
-        if not request_line:
-            return False  # clean close between keep-alive requests
-        parts = request_line.split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            await self._respond(writer, 400, {"error": "malformed request line"})
-            return False
-        method, target, _version = parts
-        path, _, query_string = target.partition("?")
-        path = unquote(path)
-        query = dict(parse_qsl(query_string, keep_blank_values=True))
-
-        headers: dict[str, str] = {}
-        for count in range(MAX_HEADER_LINES + 1):
-            try:
-                line = (await reader.readline()).decode("latin-1")
-            except ValueError:  # longer than the reader's line limit
-                await self._respond(writer, 431, {"error": "header line too long"})
-                return False
-            if not line:
-                return False  # the stream ended inside the header block
-            if line in ("\r\n", "\n"):
-                break
-            if count == MAX_HEADER_LINES:
-                await self._respond(
-                    writer,
-                    431,
-                    {"error": f"more than {MAX_HEADER_LINES} header lines"},
+            head = await _within(HEADER_TIMEOUT_S, _read_head(reader, line_in))
+            if head is _EXPIRED:
+                if not line_in:
+                    return False  # idle before a request: close unanswered
+                raise _Rejected(
+                    408, f"headers not received within {HEADER_TIMEOUT_S:g} s"
                 )
+            if head is None:
+                return False  # the stream ended between or inside requests
+            method, path, query, headers = head
+            payload = await _read_payload(reader, headers)
+        except _Rejected as exc:
+            await self._respond(writer, exc.status, {"error": str(exc)})
+            if exc.discard:
                 await _discard(reader)
-                return False
-            if ":" in line:
-                key, value = line.split(":", 1)
-                headers[key.strip().lower()] = value.strip()
-
-        try:
-            length = int(headers.get("content-length", 0))
-        except ValueError:
-            length = -1
-        if length < 0:  # readexactly(-n) would raise inside this task
-            await self._respond(writer, 400, {"error": "bad Content-Length"})
             return False
-        if length > MAX_BODY_BYTES:
-            await self._respond(
-                writer, 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
-            )
-            return False
-        payload = None
-        if length:
-            raw = await _read_body(reader, length)
-            if raw is None:
-                await self._respond(
-                    writer,
-                    408,
-                    {"error": f"body not received within {BODY_TIMEOUT_S:g} s"},
-                )
-                return False
-            try:
-                payload = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
-                await self._respond(writer, 400, {"error": "body is not JSON"})
-                return False
 
         status, body = await self.api.handle(
             method.upper(), path, payload, query=query
@@ -200,10 +171,70 @@ class HttpServer:
         await writer.drain()
 
 
-async def _read_body(reader: asyncio.StreamReader, length: int) -> bytes | None:
-    """The ``length``-byte body, or ``None`` if it has not arrived within
-    :data:`BODY_TIMEOUT_S`.  The deadline is a loop timer that cancels
-    this task: ``asyncio.wait_for`` would start a task per request before
+async def _read_head(reader: asyncio.StreamReader, line_in: list):
+    """The request line and header block as ``(method, path, query,
+    headers)``, or ``None`` if the stream ends first; appends to
+    ``line_in`` once the request line is in."""
+    try:
+        request_line = (await reader.readline()).decode("latin-1").strip()
+    except ValueError:  # longer than the reader's line limit
+        raise _Rejected(400, "request line too long") from None
+    if not request_line:
+        return None  # clean close between keep-alive requests
+    line_in.append(True)
+    parts = request_line.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise _Rejected(400, "malformed request line")
+    method, target, _version = parts
+    path, _, query_string = target.partition("?")
+
+    headers: dict[str, str] = {}
+    for count in range(MAX_HEADER_LINES + 1):
+        try:
+            line = (await reader.readline()).decode("latin-1")
+        except ValueError:  # longer than the reader's line limit
+            raise _Rejected(431, "header line too long") from None
+        if not line:
+            return None  # the stream ended inside the header block
+        if line in ("\r\n", "\n"):
+            break
+        if count == MAX_HEADER_LINES:
+            raise _Rejected(
+                431, f"more than {MAX_HEADER_LINES} header lines", discard=True
+            )
+        if ":" in line:
+            key, value = line.split(":", 1)
+            headers[key.strip().lower()] = value.strip()
+    query = dict(parse_qsl(query_string, keep_blank_values=True))
+    return method, unquote(path), query, headers
+
+
+async def _read_payload(reader: asyncio.StreamReader, headers: dict):
+    """The request's JSON body (``None`` without one), due within
+    :data:`BODY_TIMEOUT_S` of its headers."""
+    try:
+        length = int(headers.get("content-length", 0))
+    except ValueError:
+        length = -1
+    if length < 0:  # readexactly(-n) would raise inside this task
+        raise _Rejected(400, "bad Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise _Rejected(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+    if not length:
+        return None
+    raw = await _within(BODY_TIMEOUT_S, reader.readexactly(length))
+    if raw is _EXPIRED:
+        raise _Rejected(408, f"body not received within {BODY_TIMEOUT_S:g} s")
+    try:
+        return json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+        raise _Rejected(400, "body is not JSON") from None
+
+
+async def _within(seconds: float, awaitable):
+    """``await awaitable``, or :data:`_EXPIRED` if it has not finished
+    within ``seconds``.  The deadline is a loop timer that cancels this
+    task: ``asyncio.wait_for`` would start a task per request before
     Python 3.12, and ``asyncio.timeout`` needs 3.11."""
     task = asyncio.current_task()
     expired = False
@@ -213,14 +244,14 @@ async def _read_body(reader: asyncio.StreamReader, length: int) -> bytes | None:
         expired = True
         task.cancel()
 
-    timer = asyncio.get_running_loop().call_later(BODY_TIMEOUT_S, expire)
+    timer = asyncio.get_running_loop().call_later(seconds, expire)
     try:
-        return await reader.readexactly(length)
+        return await awaitable
     except asyncio.CancelledError:
         # Re-raise a cancellation that is not (only) the deadline's.
         if not expired or (hasattr(task, "uncancel") and task.uncancel() > 0):
             raise
-        return None
+        return _EXPIRED
     finally:
         timer.cancel()
 

@@ -30,6 +30,7 @@ from repro.analysis import (
     lambda_factors,
     worst_case_load,
 )
+from repro.analysis.batch import _is_feasible_stack
 from repro.types import ModelError
 
 # ----------------------------------------------------------------------
@@ -37,18 +38,22 @@ from repro.types import ModelError
 # ----------------------------------------------------------------------
 # Entries up to ~1.6 routinely produce undefined lambda factors
 # (denominator <= 0), failed conditions, and infeasible matrices, so the
-# NaN/-inf/inf code paths all get exercised.
+# NaN/-inf/inf code paths all get exercised; half the stacks are scaled
+# by 0.1, so that long chains stay defined.  K runs to 12: NumPy adds
+# eight or more terms pairwise, so the level-order summation contract
+# only shows past K = 8.
 
 
 @st.composite
 def level_matrix_stacks(draw):
-    k = draw(st.integers(min_value=1, max_value=6))
-    m = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=8 if k <= 6 else 2))
     entries = st.floats(min_value=0.0, max_value=1.6, allow_nan=False)
     flat = draw(
         st.lists(entries, min_size=m * k * k, max_size=m * k * k)
     )
-    mats = np.array(flat, dtype=np.float64).reshape(m, k, k)
+    scale = draw(st.sampled_from([1.0, 0.1]))
+    mats = np.array(flat, dtype=np.float64).reshape(m, k, k) * scale
     # Level matrices are lower-triangular by construction (no utilization
     # above a task's own criticality); zero the strict upper triangle on
     # half the stacks so both shapes are covered.
@@ -113,6 +118,19 @@ class TestBatchMatchesScalar:
         scalar = np.array([is_feasible_core(mat) for mat in mats])
         np.testing.assert_array_equal(batch, scalar)
 
+    @STACK_SETTINGS
+    @given(level_matrix_stacks(), st.sampled_from(["max", "min"]), st.data())
+    def test_split_stack(self, mats, rule, data):
+        """The lockstep's one call: Eq.-(15) values for the leading rows
+        (admitted where finite), feasibility for the rest."""
+        rows = data.draw(st.integers(0, len(mats)))
+        admits, utils = _is_feasible_stack(mats, rule, rows)
+        lead = np.array([core_utilization(mat, rule=rule) for mat in mats[:rows]])
+        np.testing.assert_array_equal(utils, lead.reshape(rows))
+        np.testing.assert_array_equal(admits[:rows], np.isfinite(lead))
+        rest = np.array([is_feasible_core(mat) for mat in mats[rows:]], dtype=bool)
+        np.testing.assert_array_equal(admits[rows:], rest)
+
 
 # ----------------------------------------------------------------------
 # Targeted corners
@@ -127,6 +145,23 @@ class TestCorners:
         lambdas = batch_lambda_factors(stack)
         assert np.isnan(lambdas[0, 1]) and np.isnan(lambdas[0, 2])
         np.testing.assert_array_equal(lambdas[1], np.array([0.0, 0.0, 0.0]))
+
+    def test_level_order_sums_at_every_k(self):
+        # Dense small entries keep every chain defined, so each sum shows.
+        rng = np.random.default_rng(2016)
+        for k in (7, 8, 9, 10, 12):
+            mats = np.tril(rng.uniform(0.0, 0.15, size=(200, k, k)))
+            np.testing.assert_array_equal(
+                batch_lambda_factors(mats), np.stack([lambda_factors(m) for m in mats])
+            )
+            np.testing.assert_array_equal(
+                batch_worst_case_load(mats), [worst_case_load(m) for m in mats]
+            )
+            for rule in ("max", "min"):
+                np.testing.assert_array_equal(
+                    batch_core_utilization(mats, rule),
+                    [core_utilization(m, rule=rule) for m in mats],
+                )
 
     def test_infeasible_rows_are_inf_feasible_rows_finite(self):
         heavy = np.full((2, 2), 2.0)

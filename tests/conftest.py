@@ -8,10 +8,11 @@ import pytest
 from repro.model import MCTask, MCTaskSet
 
 
-def probe_request(partition, task_index, order=None, scheme="ffd"):
+def probe_request(partition, task_index, order=None, scheme="ffd", rule=None):
     """A one-attempt lockstep request (``ProbeBackend.answer``): task
     ``task_index`` added to every core of ``partition``, read whole, or
-    lazily along the core order ``order`` (first hit)."""
+    lazily along the core order ``order`` (first hit); an Eq.-(15) row
+    under ``rule``, or a feasibility row when ``rule`` is ``None``."""
     from repro.partition.backend import ProbeRequest
 
     cores = partition.cores
@@ -19,17 +20,18 @@ def probe_request(partition, task_index, order=None, scheme="ffd"):
         keys = np.full((1, cores), np.nan)
     else:  # each core's rank in ``order``: argsort(keys) == order
         keys = np.argsort(np.asarray(order))[None].astype(np.float64)
-    return ProbeRequest(partition.candidate_stack(task_index), keys, [scheme])
+    stack = partition.candidate_stack(task_index)
+    if rule is None:
+        return ProbeRequest(stack, keys, [scheme])
+    return ProbeRequest(stack, keys, [scheme], rule, 1)
 
 
 def feasible_row(backend, partition, task_index):
     """``task_index``'s Eq.(4)-or-Theorem-1 feasibility on every core of
     ``partition``: ``(M,)`` bools, asked as one whole-row lockstep
     request."""
-    from repro.partition.base import FEASIBLE
-
-    (row,) = backend.answer(FEASIBLE, probe_request(partition, task_index))
-    return np.array(row, dtype=bool)
+    (row,), _ = backend.answer(probe_request(partition, task_index))
+    return row
 
 
 def contract_workload():

@@ -122,9 +122,9 @@ class TestProbeImpl:
         calls = []
         answer = ScalarBackend.answer
 
-        def counted(self, kind, attempts):
-            calls.append(kind)
-            return answer(self, kind, attempts)
+        def counted(self, request):
+            calls.append(request.rule)
+            return answer(self, request)
 
         monkeypatch.setattr(ScalarBackend, "answer", counted)
         assert cli.main(["tables", "--probe-impl", "scalar"]) == 0

@@ -108,6 +108,13 @@ class TestPartitionRoundTrip:
         with pytest.raises(ModelError, match="format"):
             partition_from_dict(taskset_to_dict(taskset))
 
+    @pytest.mark.parametrize("cores", ["x", "2", 2.7, 2.0, True, 0, -1, None])
+    def test_cores_must_be_a_positive_int(self, taskset, cores):
+        doc = partition_to_dict(Partition(taskset, cores=2))
+        doc["cores"] = cores
+        with pytest.raises(ModelError, match="cores must be a positive integer"):
+            partition_from_dict(doc)
+
     def test_level_matrices_rebuilt(self, taskset):
         import numpy as np
 
@@ -189,6 +196,44 @@ class TestEventsRoundTrip:
         doc["events"][0]["factor"] = -1.0
         with pytest.raises(SimulationError, match="factor must be positive"):
             events_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "pos, field, value",
+        [
+            (0, "start", True),
+            (0, "start", "10"),
+            (0, "end", "5"),
+            (0, "end", False),
+            (0, "factor", "2.5"),
+            (0, "factor", True),
+            (2, "time", "50"),
+            (2, "time", None),
+        ],
+    )
+    def test_times_and_factors_must_be_real_numbers(self, events, pos, field, value):
+        doc = events_to_dict(events)
+        doc["events"][pos][field] = value
+        message = f"event #{pos} {field} must be a real number, got {value!r}"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            events_from_dict(doc)
+
+    def test_simulate_rejects_a_bool_start_in_one_line(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro import cli
+
+        examples = Path(__file__).resolve().parents[2] / "examples"
+        doc = json.loads((examples / "events_demo.json").read_text())
+        doc["events"][0]["start"] = True
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--taskset", str(examples / "taskset_demo.json"),
+                "--events", str(path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "repro-mc simulate: event #0 start must be a real number, got True\n"
+        )
 
     def test_document_is_plain_json(self, events, tmp_path):
         path = tmp_path / "events.json"

@@ -180,11 +180,11 @@ class TestSpanTree:
         config = WorkloadConfig(cores=2, task_count_range=(5, 6))
         taskset = generate_taskset(config, np.random.default_rng(0))
 
-        def exploding(mats, rule):
+        def exploding(mats, *args):
             raise RuntimeError("probe exploded")
 
         with obs.instrument() as state:
-            monkeypatch.setattr(backend, "_core_utilization_stack", exploding)
+            monkeypatch.setattr(backend, "_is_feasible_stack", exploding)
             with pytest.raises(RuntimeError, match="probe exploded"):
                 CATPA().partition(taskset, config.cores)
             attempts = [r for r in state.spans if r["name"] == "partition.attempt"]

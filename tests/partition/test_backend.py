@@ -84,7 +84,7 @@ class TestRegistry:
 
     def test_register_requires_a_name(self):
         class Anonymous(ProbeBackend):
-            def answer(self, kind, attempts):
+            def answer(self, request):
                 raise NotImplementedError
 
             def probe(self, partition, task_index):
@@ -166,9 +166,12 @@ class TestIncrementalEquivalence:
                 rows = []
                 part = Partition(ts, cores=4)
                 part.assign(0, 2)
+                rule = None if kind == FEASIBLE else kind
                 for backend in (BATCH, SCALAR):
-                    (row,) = backend.answer(kind, probe_request(part, 1, order))
-                    rows.append(row)
+                    admits, utils = backend.answer(
+                        probe_request(part, 1, order, rule=rule)
+                    )
+                    rows.append(admits[0] if rule is None else utils[0])
                 hits = [
                     bool(v) if kind == FEASIBLE else bool(np.isfinite(v))
                     for v in (rows[0][m] for m in order)

@@ -39,7 +39,7 @@ from tests.conftest import feasible_row, probe_request, random_taskset
 
 def _answer_first_hit(backend, part, rule):
     """A lockstep first-hit request for task 0 in core order [1, 0]."""
-    return backend.answer(rule, probe_request(part, 0, [1, 0]))
+    return backend.answer(probe_request(part, 0, [1, 0], rule=rule))[1]
 
 
 def random_partial_partition(rng, ts, cores):

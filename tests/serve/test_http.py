@@ -394,6 +394,63 @@ class TestHostileInput:
         assert recorded == []
 
 
+    def test_idle_keep_alive_connection_closes_unanswered(self, monkeypatch):
+        monkeypatch.setattr(http, "HEADER_TIMEOUT_S", 0.3)
+
+        async def main():
+            recorded = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: recorded.append(context)
+            )
+            async with DaemonHarness() as h:
+                await h.client.post("/place", task_entry(10.0, [1.0, 2.0]))
+                _, before = await h.client.get("/state")
+                reader, writer = await asyncio.open_connection(*h.daemon.bound)
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                await writer.drain()
+                first = await _read_response(reader)
+                t0 = time.perf_counter()
+                rest = await asyncio.wait_for(reader.read(), timeout=10)
+                elapsed = time.perf_counter() - t0
+                writer.close()
+                _, after = await h.client.get("/state")
+            return recorded, first, rest, elapsed, before, after
+
+        recorded, first, rest, elapsed, before, after = run(main())
+        assert first["ok"]  # served, kept alive, then idle
+        assert rest == b""  # closed without a response
+        assert 0.3 - 0.05 <= elapsed < 0.3 + 2.0
+        assert after == before
+        assert recorded == []
+
+    def test_slow_header_block_gets_408_within_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(http, "HEADER_TIMEOUT_S", 0.3)
+        payload = b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Slow: 1"
+
+        async def main():
+            recorded = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: recorded.append(context)
+            )
+            async with DaemonHarness() as h:
+                await h.client.post("/place", task_entry(10.0, [1.0, 2.0]))
+                _, before = await h.client.get("/state")
+                t0 = time.perf_counter()
+                raw = await asyncio.to_thread(_raw_exchange, h.daemon.bound, payload)
+                elapsed = time.perf_counter() - t0
+                _, after = await h.client.get("/state")
+            return recorded, raw, elapsed, before, after
+
+        recorded, raw, elapsed, before, after = run(main())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 408 Request Timeout"
+        assert "Connection: close" in lines
+        assert "0.3 s" in json.loads(body)["error"]
+        assert 0.3 - 0.05 <= elapsed < 0.3 + 2.0  # the server closed, not the client
+        assert after == before
+        assert recorded == []
+
 class TestKeepAlive:
     def test_two_requests_one_connection(self):
         async def main():
