@@ -7,14 +7,17 @@ committed ``BENCH_partition.json`` / ``BENCH_serve.json`` /
 fails.  It measures
 
 * Theorem-1 probe throughput, batch vs scalar, on replayed CA-TPA
-  states;
+  states: ``answer`` of a one-task ``probe_request``, the one way every
+  caller probes;
 * the lockstep sweep: ``Engine(probe_impl=...).evaluate`` on the Fig.-1
   default point, batch vs scalar — with jobs=1 and no store, one inline
   shard stepping every set x scheme through ``partition_lockstep``, the
   path every figure runs;
-* the daemon-style placement loop, one-column refresh vs full re-probe;
+* the daemon-style placement loop, one-column refresh vs full re-probe,
+  through the serve flush's own probe call;
 * a serve ``/place`` burst over keep-alive connections;
-* the disabled-instrumentation overhead on the probe hot path.
+* the disabled-instrumentation overhead on the probe hot path: batch
+  ``answer`` against the same call without its ``OBS.enabled`` branch.
 
 The full benchmarks (``test_bench_probe_speed.py``,
 ``test_bench_probe_overhead.py``) import their helpers from here, so the
@@ -59,13 +62,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.batch import _core_utilization_stack
+from repro.analysis.batch import _is_feasible_stack
+from repro.analysis.edfvd import check_eq9_rule
 from repro.engine import Engine, PointSpec
 from repro.experiments import default_schemes
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import Partition
 from repro.partition import ordering
-from repro.partition.backend import BATCH, get_backend
+from repro.partition.backend import BATCH, best_core, get_backend, probe_request
+from repro.serve.coordinator import batch_probe_tasks
 from repro.types import ReproError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -125,19 +130,34 @@ def replay_probe_states(
             for i, m in placed:
                 snapshot.assign(i, m)
             states.append((snapshot, task_index))
-            new_utils = raw_probe(partition, task_index)
-            finite = np.isfinite(new_utils)
-            if not finite.any():
+            target = best_core(raw_probe(partition, task_index))
+            if target is None:
                 break
-            target = int(np.argmin(np.where(finite, new_utils, np.inf)))
             partition.assign(task_index, target)
             placed.append((task_index, target))
     return states
 
 
-def raw_probe(partition: Partition, task_index: int) -> np.ndarray:
-    """The bare batch kernel: ``BATCH.probe`` without its guard."""
-    return _core_utilization_stack(partition.candidate_stack(task_index), "max")
+def raw_answer(request):
+    """``BatchBackend.answer`` without its ``OBS.enabled`` branch: the
+    instrumentation cost is what the disabled-overhead row divides out."""
+    stack, keys, split = request.stack, request.keys, request.split
+    check_eq9_rule(request.rule)
+    admits, utils = _is_feasible_stack(stack, request.rule, split * keys.shape[1])
+    return admits.reshape(keys.shape), utils.reshape(split, keys.shape[1])
+
+
+def one_task_probe(answer):
+    """``(partition, task_index) -> (M,)`` Eq.-(15) row: ``answer`` of a
+    one-task :func:`~repro.partition.backend.probe_request`."""
+
+    def probe(partition: Partition, task_index: int) -> np.ndarray:
+        return answer(probe_request(partition, [task_index]))[1][0]
+
+    return probe
+
+
+raw_probe = one_task_probe(raw_answer)
 
 
 def best_of(fn, states) -> float:
@@ -217,29 +237,29 @@ def placement_loop(taskset, cores: int, refresh: bool = True) -> int:
 
     Mirrors the coordinator's ``/place`` flush: probe *every* pending
     task against every core, place the head of the queue on its best
-    finite core, bring the remaining rows up to date, repeat.  With
-    ``refresh`` the loop makes the flush's own call — re-probe only the
-    placed core's column; without it every round re-probes the full
-    ``(pending, cores)`` grid.  Identical answers, different cost; the
-    returned count is the full grid of every round either way.
+    finite core, bring the remaining rows up to date, repeat.  Every probe
+    is the flush's own call (``batch_probe_tasks``); with ``refresh`` it
+    re-probes only the placed core's column, without it every round
+    re-probes the full ``(pending, cores)`` grid.  Identical answers,
+    different cost; the returned count is the full grid of every round
+    either way.
     """
     partition = Partition(taskset, cores)
     pending = list(ordering.by_contribution(taskset))
-    utils = BATCH.probe_tasks(partition, pending)
+    utils = batch_probe_tasks(partition, pending)
     hypotheses = 0
     while pending:
         hypotheses += utils.size
         head, utils = utils[0], utils[1:]
         task_index = pending.pop(0)
-        finite = np.isfinite(head)
-        if not finite.any():
+        core = best_core(head)
+        if core is None:
             continue  # no feasible core: skip, keep placing the rest
-        core = int(np.argmin(np.where(finite, head, np.inf)))
         partition.assign(task_index, core)
         if refresh:
-            utils[:, [core]] = BATCH.probe_tasks(partition, pending, cores=[core])
+            utils[:, [core]] = batch_probe_tasks(partition, pending, cores=[core])
         else:
-            utils = BATCH.probe_tasks(partition, pending)
+            utils = batch_probe_tasks(partition, pending)
     return hypotheses
 
 
@@ -376,11 +396,10 @@ def measure(sets: int = DEFAULT_SETS) -> dict:
         raise ReproError(f"sets must be >= 1, got {sets}")
     config = WorkloadConfig()  # the Fig.-1 default point
     states = replay_probe_states(config, sets)
-    batch_seconds = best_of(BATCH.probe, states)
-    scalar_seconds = best_of(get_backend("scalar").probe, states)
-    ratios, _, _ = paired_ratios(
-        BATCH.probe, [states[k::CHUNKS] for k in range(CHUNKS)]
-    )
+    batch = one_task_probe(BATCH.answer)
+    batch_seconds = best_of(batch, states)
+    scalar_seconds = best_of(one_task_probe(get_backend("scalar").answer), states)
+    ratios, _, _ = paired_ratios(batch, [states[k::CHUNKS] for k in range(CHUNKS)])
     return {
         "sets": sets,
         "seed": SEED,

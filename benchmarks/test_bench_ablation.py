@@ -8,7 +8,7 @@ variant on the same workload, alongside FFD as the classical anchor.
 import numpy as np
 from conftest import bench_sets, emit as _emit  # noqa: F401
 
-from repro.experiments import SchemeSpec, evaluate_point
+from repro.engine import Engine, PointSpec, SchemeSpec
 from repro.gen import WorkloadConfig
 
 
@@ -37,9 +37,8 @@ def test_catpa_ablation(benchmark, emit):
     config = WorkloadConfig(nsu=0.55)  # mid-transition: differences visible
 
     def run():
-        return evaluate_point(
-            config, schemes=ablation_specs(), sets=bench_sets(), seed=2016, jobs=None
-        )
+        point = PointSpec(config, tuple(ablation_specs()), bench_sets(), seed=2016)
+        return Engine(jobs=None).evaluate(point)
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
 

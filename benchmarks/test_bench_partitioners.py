@@ -33,12 +33,12 @@ def test_catpa_scales_with_cores(benchmark):
 
 
 def test_probe_cost(benchmark):
-    """A single CA-TPA probe (the hot inner loop)."""
+    """A single CA-TPA probe of every core (the hot inner loop)."""
     from repro.model import Partition
-    from repro.partition.backend import probe_core_utilization
+    from repro.partition.backend import BATCH, probe_request
 
     config, ts = workload()
     part = Partition(ts, config.cores)
     for i in range(40):
         part.assign(i, i % config.cores)
-    benchmark(probe_core_utilization, part, 0, 41)
+    benchmark(lambda: BATCH.answer(probe_request(part, [41])))

@@ -7,12 +7,11 @@ CA-TPA placement states of the Fig.-1 default workload
 (``gate.replay_probe_states``) and times the Eq.-(15) probe twice per
 state —
 
-* **raw**: the bare batch kernel (``gate.raw_probe``),
-  ``_core_utilization_stack(partition.candidate_stack(i), "max")``,
-  with no instrumentation guard at all;
-* **guarded**: the batch backend's public probe,
-  :meth:`repro.partition.backend.BatchBackend.probe` on ``BATCH``, which
-  adds the ``if OBS.enabled:`` guard (and the rule validation).
+* **raw**: ``gate.raw_probe``, a one-task ``probe_request`` answered
+  by the body of :meth:`repro.partition.backend.BatchBackend.answer`
+  without its ``if OBS.enabled:`` branch;
+* **guarded**: the same request answered by ``BATCH.answer`` itself,
+  which adds only that guard.
 
 The acceptance gate is ``median(guarded / raw) <= 1.02`` over paired
 A/B/A chunk timings: the states are split into interleaved chunks, each
@@ -42,6 +41,7 @@ from gate import (
     PARTITION_BASELINE,
     REPO_ROOT,
     SEED,
+    one_task_probe,
     paired_ratios,
     replay_probe_states,
 )
@@ -64,16 +64,17 @@ def test_disabled_instrumentation_overhead(emit):
     chunks = [states[k::CHUNKS] for k in range(CHUNKS)]
     assert not obs.OBS.enabled  # the default state is what we are gating
 
-    disabled_ratios, raw_s, guarded_s = paired_ratios(BATCH.probe, chunks, ROUNDS)
+    guarded = one_task_probe(BATCH.answer)
+    disabled_ratios, raw_s, guarded_s = paired_ratios(guarded, chunks, ROUNDS)
     disabled_ratio = statistics.median(disabled_ratios)
 
     with obs.instrument():
-        enabled_ratios, _, enabled_s = paired_ratios(BATCH.probe, chunks, ROUNDS)
-        # Inside an open span the probe additionally accumulates its
-        # timing bucket on the innermost frame — the cost an actual
-        # instrumented sweep pays (informational, not gated).
+        enabled_ratios, _, enabled_s = paired_ratios(guarded, chunks, ROUNDS)
+        # Inside an open span the counters are recorded the same way —
+        # the cost an actual instrumented sweep pays (informational, not
+        # gated).
         with obs.span("bench.overhead"):
-            in_span_ratios, _, in_span_s = paired_ratios(BATCH.probe, chunks, ROUNDS)
+            in_span_ratios, _, in_span_s = paired_ratios(guarded, chunks, ROUNDS)
     enabled_ratio = statistics.median(enabled_ratios)
     in_span_ratio = statistics.median(in_span_ratios)
 

@@ -2,12 +2,12 @@
 
 Replays the placement decisions of a CA-TPA run on the Fig.-1 default
 workload (paper parameters, seed 2016) and times every Eq.-(15) probe
-twice on the *identical* partition state: once through the legacy
-scalar path (one ``(K, K)`` candidate matrix and one Theorem-1 chain
-per core — what every scheme did before the batch engine) and once
-through the vectorized batch path (one broadcasted ``(M, K, K)`` stack,
-one NumPy pass).  Each pair of probes is asserted bit-equal, so the
-speedup is measured on provably equivalent work.
+twice on the *identical* partition state, each the ``answer`` of a
+one-task ``probe_request``: once by the scalar backend (one ``(K, K)``
+candidate matrix and one Theorem-1 chain per core — what every scheme
+did before the batch engine) and once by the batch backend (one
+``(M, K, K)`` stack, one NumPy pass).  Each pair of probes is asserted
+bit-equal, so the speedup is measured on provably equivalent work.
 
 An end-to-end ``Engine(probe_impl=...).evaluate`` timing of all five
 schemes under both implementations is reported alongside
@@ -42,6 +42,7 @@ from gate import (
     PARTITION_BASELINE,
     REPO_ROOT,
     SEED,
+    one_task_probe,
     run_placement_bench,
     time_evaluate,
 )
@@ -49,7 +50,7 @@ from gate import (
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import Partition
 from repro.partition import ordering
-from repro.partition.backend import BATCH, get_backend
+from repro.partition.backend import BATCH, best_core, get_backend
 
 RESULT_PATH = REPO_ROOT / PARTITION_BASELINE
 
@@ -57,7 +58,8 @@ RESULT_PATH = REPO_ROOT / PARTITION_BASELINE
 def _replay_probe_timings(config: WorkloadConfig, sets: int):
     """Time scalar vs batch probes on identical replayed CA-TPA states."""
     rng = np.random.default_rng(SEED)
-    scalar = get_backend("scalar")
+    batch = one_task_probe(BATCH.answer)
+    scalar = one_task_probe(get_backend("scalar").answer)
     probes = 0
     scalar_s = 0.0
     batch_s = 0.0
@@ -66,18 +68,17 @@ def _replay_probe_timings(config: WorkloadConfig, sets: int):
         partition = Partition(taskset, config.cores)
         for task_index in ordering.by_contribution(taskset):
             start = time.perf_counter()
-            new_utils = BATCH.probe(partition, task_index)
+            new_utils = batch(partition, task_index)
             batch_s += time.perf_counter() - start
             start = time.perf_counter()
-            scalar_utils = scalar.probe(partition, task_index)
+            scalar_utils = scalar(partition, task_index)
             scalar_s += time.perf_counter() - start
             np.testing.assert_array_equal(new_utils, scalar_utils)
             probes += 1
-            # Greedy min-increment placement, as in Algorithm 1.
-            finite = np.isfinite(new_utils)
-            if not finite.any():
+            # Greedy least-utilization placement, as the gate replays it.
+            target = best_core(new_utils)
+            if target is None:
                 break  # task set not schedulable; next set
-            target = int(np.argmin(np.where(finite, new_utils, np.inf)))
             partition.assign(task_index, target)
     return probes, scalar_s, batch_s
 

@@ -9,7 +9,7 @@ allocation matters most.
 
 from conftest import bench_sets
 
-from repro.experiments import SchemeSpec, evaluate_point
+from repro.engine import Engine, PointSpec, SchemeSpec
 from repro.gen import WorkloadConfig
 
 MIXES = {
@@ -29,7 +29,8 @@ def test_criticality_mix_sensitivity(benchmark, emit):
         table = {}
         for label, weights in MIXES.items():
             cfg = WorkloadConfig(nsu=0.5, crit_weights=weights)
-            stats = evaluate_point(cfg, schemes=schemes, sets=sets, seed=2016)
+            point = PointSpec(cfg, tuple(schemes), sets, seed=2016)
+            stats = Engine().evaluate(point)
             table[label] = {k: v.sched_ratio for k, v in stats.items()}
         return table
 

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from repro.experiments import evaluate_point, default_schemes
+from repro.engine import Engine, PointSpec, default_schemes
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.partition import PAPER_SCHEMES, get_partitioner
 
@@ -48,14 +48,12 @@ def main() -> None:
     header = f"{'M':>4} | " + " ".join(f"{s:>8}" for s in PAPER_SCHEMES)
     print(header)
     print("-" * len(header))
+    engine = Engine(jobs=args.jobs)
     for cores in (2, 4, 8, 16):
-        stats = evaluate_point(
-            WorkloadConfig(cores=cores),
-            schemes=default_schemes(),
-            sets=args.sets,
-            seed=11,
-            jobs=args.jobs,
+        point = PointSpec(
+            WorkloadConfig(cores=cores), tuple(default_schemes()), args.sets, seed=11
         )
+        stats = engine.evaluate(point)
         cells = " ".join(f"{stats[s].sched_ratio:>8.3f}" for s in PAPER_SCHEMES)
         print(f"{cores:>4} | {cells}")
 

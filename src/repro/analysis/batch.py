@@ -252,11 +252,13 @@ def _is_feasible_stack(
     chain runs only where the Eq.-(4) load test fails.  The chain runs
     once, over the Eq.-(15) rows and those rows together.
     """
+    if rows == len(mats):  # Eq.-(15) rows only (or none): no Eq.-(4) test
+        utils = _core_utilization_stack(mats, rule)
+        return np.isfinite(utils), utils
     n, hard = rows, None
-    if n < len(mats):
-        feasible = fits_unit_capacity(_level_trace(mats[n:] if n else mats))
-        if not feasible.all():
-            hard = np.flatnonzero(~feasible)
+    feasible = fits_unit_capacity(_level_trace(mats[n:] if n else mats))
+    if not feasible.all():
+        hard = np.flatnonzero(~feasible)
     utils = _NO_ROWS
     if n or hard is not None:
         chain = mats[:n]
@@ -272,7 +274,5 @@ def _is_feasible_stack(
             feasible[hard] = np.logical_or.reduce(ok[:, n:], axis=0)
         if n:
             utils = _eq9(avail[:, :n], ok[:, :n], rule)
-            if n == len(mats):
-                return np.isfinite(utils), utils
             return np.concatenate((np.isfinite(utils), feasible)), utils
     return feasible, utils

@@ -10,7 +10,7 @@ layout and invalidation rules.
 """
 
 from repro.engine.artifact import SCHEMA_VERSION, PointResult, SweepArtifact
-from repro.engine.core import Engine, EngineRunStats, run_experiment
+from repro.engine.core import Engine, EngineRunStats
 from repro.engine.spec import (
     ExperimentSpec,
     PointSpec,
@@ -33,6 +33,5 @@ __all__ = [
     "default_schemes",
     "default_store_root",
     "plan_shards",
-    "run_experiment",
     "shard_key",
 ]

@@ -54,7 +54,6 @@ __all__ = [
     "ShardKind",
     "register_shard_kind",
     "shard_kind",
-    "run_experiment",
 ]
 
 #: Progress hook: called with one event dict per shard / point; see
@@ -717,17 +716,3 @@ class Engine:
             seed=spec.seed,
             rows=tuple(rows),
         )
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    *,
-    jobs: int | None = 1,
-    store: ResultStore | str | os.PathLike | None = None,
-    progress: ProgressHook | None = None,
-    probe_impl: str = DEFAULT_BACKEND,
-) -> SweepArtifact:
-    """One-shot convenience wrapper around :meth:`Engine.run`."""
-    return Engine(
-        jobs=jobs, store=store, progress=progress, probe_impl=probe_impl
-    ).run(spec)

@@ -1,13 +1,15 @@
 """Experiment harness: figure sweeps, worked-example tables, reporting.
 
-Since the engine refactor every harness entry point is a thin builder
-over :mod:`repro.engine`: sweeps, head-to-head comparisons, and single
-data points all lower to declarative specs, evaluate on the resumable
-checkpointed :class:`~repro.engine.Engine`, and render from the one
-structured :class:`~repro.engine.SweepArtifact` schema.
+Every harness entry point is a thin builder over :mod:`repro.engine`:
+sweeps and head-to-head comparisons lower to declarative specs,
+evaluate on the resumable checkpointed :class:`~repro.engine.Engine`,
+and render from the one structured :class:`~repro.engine.SweepArtifact`
+schema.  A single data point is ``Engine(jobs=…, store=…).evaluate(
+PointSpec(…))``.
 """
 
 from repro.engine.artifact import PointResult, SweepArtifact
+from repro.engine.spec import SchemeSpec, default_schemes
 from repro.experiments.compare import HeadToHead, format_head_to_head, head_to_head
 from repro.experiments.dynamic import (
     DEFAULT_BURST_FACTORS,
@@ -23,7 +25,6 @@ from repro.experiments.report import (
     format_sweep,
     format_table1,
 )
-from repro.experiments.runner import SchemeSpec, default_schemes, evaluate_point
 from repro.experiments.sweeps import (
     FIGURES,
     SweepDefinition,
@@ -63,7 +64,6 @@ __all__ = [
     "allocation_trace",
     "default_schemes",
     "definition_to_spec",
-    "evaluate_point",
     "figure1_nsu",
     "figure2_ifc",
     "figure3_alpha",

@@ -127,48 +127,6 @@ class Partition:
         """
         return self._level_mats[:]
 
-    def candidate_stack(self, task_index: int) -> np.ndarray:
-        """Writable ``(M, K, K)`` copy with ``task_index`` added to every core.
-
-        Stack entry ``m`` is the hypothetical level matrix
-        ``U^{Psi_m + tau_i}`` of the Eq.-(15) probes, built with a single
-        broadcasted add.  This is the probe hot path, so it reads the
-        slots directly instead of going through the read-only views.
-        """
-        taskset = self._taskset
-        crit = int(taskset.criticalities[task_index])
-        mats = self._level_mats.copy()
-        mats[:, crit - 1, :crit] += taskset.utilization_matrix[task_index, :crit]
-        return mats
-
-    def candidate_stacks(
-        self, task_indices: Sequence[int], cores: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Writable ``(T, C, K, K)`` stacks: each task added to each core.
-
-        Entry ``[t, c]`` is the hypothetical level matrix
-        ``U^{Psi_m + tau_{i_t}}`` for core ``m = cores[c]`` (every core,
-        ``C = M``, when ``cores`` is ``None``; the caller passes valid
-        indices) — the multi-task generalization of
-        :meth:`candidate_stack`, built with a single fancy-indexed add so
-        the admission daemon can probe a whole micro-batch, or one core's
-        column of it, in one kernel call.  Correct because
-        ``utilization_matrix`` rows are zero above each task's
-        criticality, so adding the *full* row into row ``l_i - 1``
-        touches exactly the ``:crit`` prefix.
-        """
-        idx = np.asarray(task_indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise PartitionError("task_indices must be a 1-D sequence")
-        taskset = self._taskset
-        base = self._level_mats if cores is None else self._level_mats[cores]
-        stacks = base[None].repeat(idx.size, axis=0)
-        rows = taskset.criticalities[idx] - 1
-        stacks[np.arange(idx.size), :, rows, :] += (
-            taskset.utilization_matrix[idx][:, None, :]
-        )
-        return stacks
-
     def core_utilizations(self) -> np.ndarray:
         """Per-core Eq.-(9) utilizations ``U^{Psi_m}``: a ``(M,)`` copy.
 

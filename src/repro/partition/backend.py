@@ -1,18 +1,27 @@
 """Pluggable probe backends: scalar (the reference) and batch (the default).
 
-The probing question of Algorithm 1 — "what would ``U^{Psi_m + tau_i}``
-be if task ``i`` joined core ``m``?" — admits two evaluation strategies
-with bit-identical answers:
+Algorithm 1 asks one question at every placement step — "what would
+``U^{Psi_m + tau_i}`` be if task ``i`` joined core ``m``?" (Eq. (15)) —
+and every caller asks it one way: a :class:`ProbeRequest` of candidate
+level matrices, answered by :meth:`ProbeBackend.answer`.
+
+* The lockstep driver (:mod:`repro.partition.base`) asks once per
+  placement step for every attempt of one ``(K, M, rule)`` stack, its
+  Eq.-(15) and its feasibility attempts together.
+* The admission daemon's ``/place`` flush and the event runtime's
+  placements ask :func:`probe_request`: tasks of one partition against
+  every core (or a selection), Eq.-(15) rows under ``max``, each row
+  read whole; :func:`best_core` takes the feasible core of least value.
+
+Both build their candidates with the one add :func:`add_tasks`.  Two
+backends answer, bit-identically:
 
 * :class:`ScalarBackend` evaluates one ``(K, K)`` matrix per core with
   :mod:`repro.analysis.edfvd`, lazily along a first-hit row's key
   order — the readable reference;
-* :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) answers the candidate
-  matrices of a whole placement step — every attempt of one
-  ``(K, M, rule)`` stack the lockstep driver (:mod:`repro.partition.base`)
-  advances, its Eq.-(15) and its feasibility attempts together, gathered
-  into one ``(R, K, K)`` :class:`ProbeRequest` — with one
-  :mod:`repro.analysis.batch` kernel call.
+* :class:`BatchBackend` (:data:`DEFAULT_BACKEND`) answers the whole
+  ``(R, K, K)`` request with one :mod:`repro.analysis.batch` kernel
+  call.
 
 Why batch is the only vectorized backend: an incremental backend that
 cached probe answers per core version almost never hit, since every
@@ -21,19 +30,17 @@ probe follows a placement that changed the partition (``fig1 --sets 30
 against 9.07 s under batch), and the admission daemon's multi-request
 ``/place`` flush does better without a cache: after a placement on core
 ``c`` only column ``c`` of the pending rows is stale, so it re-probes
-that column alone (``probe_tasks(..., cores=[c])``).
+that column alone (``probe_request(partition, rows, cores=[c])``).
 
 Both that column refresh and the lockstep stack are bit-identical to
-probing one task of one partition at a time because the batch kernels
-(:func:`~repro.analysis.batch._is_feasible_stack` for a lockstep step,
-:func:`~repro.analysis.batch._core_utilization_stack` for ``probe`` and
-``probe_tasks``) are per-row independent: every operation is
-elementwise along the stack, and which rows run the Theorem-1 chain
-depends on each row alone.  Evaluating any sub- or super-stack of
-candidate matrices therefore reproduces the matching rows bit for bit.
-The validate campaign pins scalar == batch end to end.  The kernels are
-called through this module's names, so a caller that wraps them here
-sees every stacked call.
+probing one task of one partition at a time because the batch kernel
+(:func:`~repro.analysis.batch._is_feasible_stack`) is per-row
+independent: every operation is elementwise along the stack, and which
+rows run the Theorem-1 chain depends on each row alone.  Evaluating any
+sub- or super-stack of candidate matrices therefore reproduces the
+matching rows bit for bit.  The validate campaign pins scalar == batch
+end to end.  The kernel is called through this module's name, so a
+caller that wraps it here sees every stacked call.
 
 Every caller holds its backend explicitly: the lockstep driver takes
 one as an argument (default :data:`BATCH`, the registered batch
@@ -46,29 +53,30 @@ Instrumentation mirrors the historical probe counters:
 scheme tag), ``probe.cores_probed`` the (task, core) hypotheses
 evaluated, ``probe.infeasible_cores`` the Theorem-1 failures among
 them, and feasibility probes attribute every core to its
-``theorem1.*`` admission path.  ``partition.lockstep.rows`` observes
-the rows of every stacked kernel call (one per lockstep step).
+``theorem1.*`` admission path.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import time
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+# ``_core_utilization_stack`` is bound here although no backend calls it:
+# ``perfbench/ledger.py`` rebinds both kernel names on this module with
+# ``getattr``, and a missing name would stop its traced runs.
 from repro.analysis.batch import (
     _avail_levels,
-    _core_utilization_stack,
+    _core_utilization_stack,  # noqa: F401
     _is_feasible_stack,
     _level_trace,
 )
 from repro.analysis.edfvd import check_eq9_rule, core_utilization
 from repro.analysis.feasibility import is_feasible_core
 from repro.model.partition import Partition
-from repro.obs.runtime import OBS, add_span_time, scheme_tag
+from repro.obs.runtime import OBS, scheme_tag
 from repro.types import EPS, INFEASIBLE, ModelError, PartitionError, fits_unit_capacity
 
 __all__ = [
@@ -79,12 +87,12 @@ __all__ = [
     "ProbeRequest",
     "ScalarBackend",
     "BatchBackend",
+    "add_tasks",
+    "best_core",
+    "probe_request",
     "register_backend",
     "get_backend",
     "available_backends",
-    "candidate_level_matrix",
-    "probe_core_utilization",
-    "probe_feasible",
 ]
 
 #: :attr:`~repro.partition.base.Partitioner.kind` of a scheme that asks
@@ -148,71 +156,16 @@ def _record_feasibility_stack(
 
 
 # ----------------------------------------------------------------------
-# Scalar primitives (one core at a time)
+# The request and its builder
 # ----------------------------------------------------------------------
-def candidate_level_matrix(
-    partition: Partition, core: int, task_index: int
-) -> np.ndarray:
-    """Level matrix of core ``core`` if ``task_index`` were added to it."""
-    taskset = partition.taskset
-    mat = partition.level_matrix(core).copy()
-    crit = int(taskset.criticalities[task_index])
-    mat[crit - 1, :crit] += taskset.utilization_matrix[task_index, :crit]
-    return mat
-
-
-def _scalar_answer(mat: np.ndarray, rule: str | None):
-    """One counted probe: Eq.-(15) under ``rule``, or feasibility (None)."""
-    if rule is None:
-        feasible = is_feasible_core(mat)
-        if OBS.enabled:
-            _record_feasibility_stack(mat[None], np.array([feasible]), "scalar")
-        return feasible
-    new_util = core_utilization(mat, rule=rule)
-    if OBS.enabled:
-        _record_utilization_probe("scalar", np.array([new_util]))
-    return new_util
-
-
-def probe_core_utilization(partition: Partition, core: int, task_index: int) -> float:
-    """Hypothetical new core utilization ``U^{Psi_m + tau_i}`` (Eq. (15)).
-
-    ``inf`` (:data:`repro.types.INFEASIBLE`) when the enlarged subset
-    fails Theorem 1, per Eq. (15a); Eq. (9) aggregates with ``max``.
-    """
-    return _scalar_answer(candidate_level_matrix(partition, core, task_index), "max")
-
-
-def probe_feasible(partition: Partition, core: int, task_index: int) -> bool:
-    """Would the enlarged subset pass the Eq.(4)-or-Theorem-1 test?"""
-    return _scalar_answer(candidate_level_matrix(partition, core, task_index), None)
-
-
-# ----------------------------------------------------------------------
-# The backend protocol
-# ----------------------------------------------------------------------
-def _columns(partition: Partition, cores: Sequence[int] | None) -> np.ndarray:
-    """The probed core indices: every core, or a checked selection."""
-    if cores is None:
-        return np.arange(partition.cores)
-    cols = np.asarray(cores, dtype=np.int64)
-    m = partition.cores
-    if cols.ndim != 1 or not all(0 <= c < m for c in cols.tolist()):
-        raise PartitionError(
-            f"cores must be a 1-D selection of [0, {partition.cores}), "
-            f"got {np.asarray(cores).tolist()}"
-        )
-    return cols
-
-
 class ProbeRequest(NamedTuple):
-    """One placement step of ``A`` attempts that share ``K`` and ``M``:
-    the first :attr:`split` ask for Eq.-(15) rows under :attr:`rule`,
-    the rest for feasibility rows."""
+    """One question of ``A`` attempts that share ``K`` and ``M``: the
+    first :attr:`split` ask for Eq.-(15) rows under :attr:`rule`, the
+    rest for feasibility rows."""
 
     #: ``(A * M, K, K)``: attempt ``a``'s task added to each of its cores
     #: (rows ``a * M .. a * M + M - 1``); read-only to the backend (the
-    #: driver keeps the placed rows as the attempts' new state).
+    #: lockstep driver keeps the placed rows as the attempts' new state).
     stack: np.ndarray
     #: ``(A, M)`` first-hit keys: the row is read lazily along
     #: ``argsort(key, kind="stable")`` up to its first admitting core; a
@@ -227,14 +180,76 @@ class ProbeRequest(NamedTuple):
     split: int = 0
 
 
+def add_tasks(mats: np.ndarray, rows: np.ndarray, utils: np.ndarray) -> np.ndarray:
+    """``(A, M, K, K)`` candidates: attempt ``a``'s task added to every
+    core of ``mats`` (``(A, M, K, K)``, or ``(1, M, K, K)`` shared), its
+    full utilization row ``utils[a]`` into row ``rows[a]`` (``l_i - 1``).
+
+    Adding the full row is exact: it is 0 above ``l_i``, and adding 0 to
+    a non-negative sum leaves it bit for bit.
+    """
+    delta = np.zeros((len(rows), 1) + mats.shape[2:])
+    delta[np.arange(len(rows)), 0, rows] = utils
+    return mats + delta
+
+
+def probe_request(
+    partition: Partition,
+    task_indices: Sequence[int],
+    cores: Sequence[int] | None = None,
+) -> ProbeRequest:
+    """Eq.-(15) rows under ``max`` for ``task_indices`` of ``partition``.
+
+    Each task is added to every core, or to each of ``cores``; ``nan``
+    keys read every core.  The answer's utilizations are ``(T, C)``:
+    column ``c`` probes core ``cores[c]`` (every core, ``C = M``, when
+    ``cores`` is ``None``), bit-identical to the matching column of the
+    full grid — so a caller that changed one core re-asks that column.
+    Counters carry the scheme tag active when the request is built.
+    """
+    idx = np.asarray(task_indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise PartitionError("task_indices must be a 1-D sequence")
+    mats = partition.level_matrices()
+    if cores is not None:
+        cols = np.asarray(cores, dtype=np.int64)
+        if cols.ndim != 1 or not all(0 <= c < len(mats) for c in cols.tolist()):
+            raise PartitionError(
+                f"cores must be a 1-D selection of [0, {len(mats)}), "
+                f"got {np.asarray(cores).tolist()}"
+            )
+        mats = mats[cols]
+    taskset = partition.taskset
+    stack = add_tasks(
+        mats[None], taskset.criticalities[idx] - 1, taskset.utilization_matrix[idx]
+    )
+    return ProbeRequest(
+        stack.reshape((-1,) + stack.shape[2:]),
+        np.full(stack.shape[:2], np.nan),
+        (OBS.scheme,) * len(idx),
+        "max",
+        len(idx),
+    )
+
+
+def best_core(row: np.ndarray, allowed: np.ndarray | None = None) -> int | None:
+    """The core of least finite Eq.-(15) value in ``row`` (among the
+    ``allowed`` ones), ties to the lower index; ``None`` if none admits."""
+    ok = np.isfinite(row) if allowed is None else np.isfinite(row) & allowed
+    if not ok.any():
+        return None
+    return int(np.argmin(np.where(ok, row, np.inf)))
+
+
+# ----------------------------------------------------------------------
+# The backend protocol
+# ----------------------------------------------------------------------
 class ProbeBackend(abc.ABC):
     """One strategy for answering every probe the heuristics can ask.
 
-    Implementations must be bit-identical to each other for every
-    method: the schemes (and the admission daemon) switch backends
-    without changing a single placement decision.  :meth:`answer` serves
-    the lockstep driver, one call per step; ``probe``/``probe_tasks``
-    serve the daemon and benchmarks under Eq. (9)'s ``max`` rule.
+    Implementations must be bit-identical to each other: the schemes,
+    the admission daemon and the event runtime switch backends without
+    changing a single placement decision.
     """
 
     #: Registry name; also the value of the ``--probe-impl`` flag.
@@ -249,29 +264,23 @@ class ProbeBackend(abc.ABC):
         finite).  A lazy backend leaves entries past a first-hit row's
         first admitting core refused."""
 
-    @abc.abstractmethod
-    def probe(self, partition: Partition, task_index: int) -> np.ndarray:
-        """Eq.-(15) probe of one task against every core: ``(M,)`` floats."""
-
-    @abc.abstractmethod
-    def probe_tasks(
-        self,
-        partition: Partition,
-        task_indices: Sequence[int],
-        cores: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Eq.-(15) probes of several tasks: ``(T, C)`` floats.
-
-        Column ``c`` probes core ``cores[c]`` (every core, ``C = M``,
-        when ``cores`` is ``None``).  Each entry is bit-identical to the
-        matching entry of the full ``(T, M)`` grid, so a caller that
-        mutated one core can re-probe just that core's column.
-        """
-
 
 # ----------------------------------------------------------------------
 # Scalar backend: one (K, K) matrix per core, lazy first-hit order
 # ----------------------------------------------------------------------
+def _scalar_answer(mat: np.ndarray, rule: str | None):
+    """One counted probe: Eq.-(15) under ``rule``, or feasibility (None)."""
+    if rule is None:
+        feasible = is_feasible_core(mat)
+        if OBS.enabled:
+            _record_feasibility_stack(mat[None], np.array([feasible]), "scalar")
+        return feasible
+    new_util = core_utilization(mat, rule=rule)
+    if OBS.enabled:
+        _record_utilization_probe("scalar", np.array([new_util]))
+    return new_util
+
+
 class ScalarBackend(ProbeBackend):
     """Per-core scalar evaluation via :mod:`repro.analysis.edfvd`."""
 
@@ -288,8 +297,9 @@ class ScalarBackend(ProbeBackend):
         utils = np.full((split, keys.shape[1]), INFEASIBLE)
         for a, name in enumerate(request.schemes):
             rule = request.rule if a < split else None
-            lazy = not math.isnan(keys[a, 0])
-            order = np.argsort(keys[a], kind="stable") if lazy else range(len(keys[a]))
+            row = keys[a]
+            lazy = row.size and not math.isnan(row[0])  # a nan row: every core
+            order = np.argsort(row, kind="stable") if lazy else range(row.size)
             with scheme_tag(name):
                 for m in order:
                     value = _scalar_answer(mats[a, m], rule)
@@ -301,35 +311,9 @@ class ScalarBackend(ProbeBackend):
                         break
         return admits, utils
 
-    def probe(self, partition: Partition, task_index: int) -> np.ndarray:
-        # Counters accrue inside the scalar primitive, one per core.
-        return np.array(
-            [
-                probe_core_utilization(partition, m, task_index)
-                for m in range(partition.cores)
-            ],
-            dtype=np.float64,
-        )
-
-    def probe_tasks(
-        self,
-        partition: Partition,
-        task_indices: Sequence[int],
-        cores: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        idx = np.asarray(task_indices, dtype=np.int64)
-        cols = _columns(partition, cores)
-        return np.array(
-            [
-                [probe_core_utilization(partition, int(m), int(i)) for m in cols]
-                for i in idx
-            ],
-            dtype=np.float64,
-        ).reshape(idx.size, cols.size)
-
 
 # ----------------------------------------------------------------------
-# Batch backend: every request of a step in one stacked kernel call
+# Batch backend: the whole request in one stacked kernel call
 # ----------------------------------------------------------------------
 class BatchBackend(ProbeBackend):
     """Stacked ``(R, K, K)`` evaluation via :mod:`repro.analysis.batch`."""
@@ -342,7 +326,6 @@ class BatchBackend(ProbeBackend):
         admits, utils = _is_feasible_stack(stack, request.rule, split * keys.shape[1])
         admits, utils = admits.reshape(keys.shape), utils.reshape(split, keys.shape[1])
         if OBS.enabled:
-            OBS.registry.histogram("partition.lockstep.rows").observe(len(stack))
             # Counters under each attempt's own scheme tag: exactly what
             # probing the attempts one at a time records.
             names = np.asarray(request.schemes, dtype=object)
@@ -362,38 +345,6 @@ class BatchBackend(ProbeBackend):
                             calls=int(feas.sum()),
                         )
         return admits, utils
-
-    def probe(self, partition: Partition, task_index: int) -> np.ndarray:
-        if OBS.enabled:
-            t0 = time.perf_counter()
-            new_utils = _core_utilization_stack(
-                partition.candidate_stack(task_index), "max"
-            )
-            add_span_time("probe", time.perf_counter() - t0)
-            _record_utilization_probe("batch", new_utils)
-            return new_utils
-        return _core_utilization_stack(partition.candidate_stack(task_index), "max")
-
-    def probe_tasks(
-        self,
-        partition: Partition,
-        task_indices: Sequence[int],
-        cores: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        idx = np.asarray(task_indices, dtype=np.int64)
-        cols = _columns(partition, cores)
-        if idx.size == 0:
-            return np.empty((0, cols.size), dtype=np.float64)
-        if OBS.enabled:
-            t0 = time.perf_counter()
-        stacks = partition.candidate_stacks(idx, None if cores is None else cols)
-        new_utils = _core_utilization_stack(
-            stacks.reshape((-1,) + stacks.shape[2:]), "max"
-        ).reshape(idx.size, cols.size)
-        if OBS.enabled:
-            add_span_time("probe", time.perf_counter() - t0)
-            _record_utilization_probe("batch", new_utils, calls=idx.size)
-        return new_utils
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,10 @@ core utilization (the placed core's Eq.-(15) answer) under rule ones.
 :func:`partition_lockstep` holds every live attempt in stacked arrays,
 one set per ``(K, M, rule)``: the Eq.-(15) attempts under that Eq.-(9)
 rule first, then the feasibility attempts.  Each step makes one
-candidate-stack add, one backend ``answer`` (one kernel call under
+candidate-stack add (:func:`~repro.partition.backend.add_tasks`, the add
+of every probe request), one backend ``answer`` (one kernel call under
 batch) for both kinds, one vectorized pick, and one fancy-indexed write
-of the placed candidates; adding a task's *full* utilization row is
-exact (it is 0 above ``l_i``).
+of the placed candidates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ import numpy as np
 from repro.model.partition import Partition
 from repro.model.taskset import MCTaskSet
 from repro.obs.runtime import OBS, record_span, scheme_tag
-from repro.partition.backend import BATCH, FEASIBLE, ProbeBackend, ProbeRequest
+from repro.partition.backend import (
+    BATCH,
+    FEASIBLE,
+    ProbeBackend,
+    ProbeRequest,
+    add_tasks,
+)
 from repro.types import EPS, PartitionError
 
 __all__ = ["FEASIBLE", "TIE_EPS", "Partitioner", "PartitionResult",
@@ -180,7 +186,7 @@ class _Stack:
         self.picked, self.tasks = (np.zeros((a, self.n.max()), np.int32) for _ in "pt")
         self.w = np.zeros((a, self.n.max()), np.float32)
         for i, (job, scheme, taskset, _) in enumerate(members):
-            order = np.array(orders[job], dtype=np.int64)
+            order = orders[job]
             self.tasks[i, : order.size] = order + self.offset[i]
             self.w[i, : order.size] = scheme.weights(taskset.criticalities[order])
         alphas = [np.inf if s.alpha is None else s.alpha for _, s, *_ in members]
@@ -206,12 +212,12 @@ class _Stack:
             w[:lead][over] = 1.0
         keys = w[:, None] * loads
         tasks = self.tasks[:, s]
-        # Adding 0 elsewhere is exact: every entry is a non-negative sum.
-        delta = np.zeros((len(tasks), 1) + self.mats.shape[2:])
-        delta[np.arange(len(tasks)), 0, self.row[tasks]] = self.umat[tasks]
-        cand = self.mats + delta
+        cand = add_tasks(self.mats, self.row[tasks], self.umat[tasks])
         request = ProbeRequest(cand.reshape((-1,) + cand.shape[2:]), keys,
                                self.names, self.rule, lead)
+        if clock:  # one observation per step: the rows of its one call
+            OBS.registry.histogram("partition.lockstep.rows").observe(
+                len(request.stack))
         t0 = clock() if clock else 0.0
         ok, utils = backend.answer(request)
         probe_s = clock() - t0 if clock else 0.0
@@ -259,8 +265,9 @@ class _Stack:
         counts = np.bincount(picked, minlength=self.cores)
         part = Partition._from_state(taskset, assignment, self.mats[i].copy(), counts)
         utils = self.loads[i].copy() if placed and i < self.split else None
-        failed = None if placed else order[s]
-        return PartitionResult(scheme.name, placed, part, tuple(order), failed, utils)
+        failed = None if placed else int(order[s])
+        return PartitionResult(scheme.name, placed, part, tuple(order.tolist()),
+                               failed, utils)
 
     def drop(self, done: np.ndarray) -> None:
         if len(done) == len(self.ids):
@@ -291,8 +298,9 @@ def partition_lockstep(
     for job, (scheme, taskset, cores) in enumerate(jobs):
         if cores < 1:
             raise PartitionError(f"core count must be >= 1, got {cores}")
-        order = scheme.order_tasks(taskset)
-        if sorted(order) != list(range(len(taskset))):
+        order, n = np.asarray(scheme.order_tasks(taskset)), len(taskset)
+        if (order.dtype.kind not in "iu" or order.shape != (n,)
+                or not (np.sort(order) == np.arange(n)).all()):
             raise PartitionError(
                 f"{scheme.name}: order_tasks must return a permutation of all tasks"
             )

@@ -78,6 +78,7 @@ code path untouched — injection is provably zero-impact when unused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -90,8 +91,8 @@ from repro.metrics.core import imbalance_factor
 from repro.model.partition import Partition
 from repro.model.task import MCTask
 from repro.model.taskset import MCTaskSet
-from repro.obs.runtime import span
-from repro.partition.backend import BATCH
+from repro.obs.runtime import OBS, add_span_time, span
+from repro.partition.backend import BATCH, best_core, probe_request
 from repro.types import SimulationError
 
 __all__ = [
@@ -631,7 +632,7 @@ class EventInjectionRuntime:
         assignment = [int(c) for c in partition.assignment] + [-1] * len(arrivals)
         live = Partition.from_assignment(full, cores, assignment)
 
-        online = [True] * cores
+        online = np.ones(cores, dtype=bool)
         # Per-task open residency: global index -> (core, join instant).
         open_slot: dict[int, tuple[int, float]] = {
             i: (assignment[i], 0.0) for i in range(n_base)
@@ -665,15 +666,13 @@ class EventInjectionRuntime:
             )
 
         def best_online_core(gidx: int) -> int | None:
-            """Feasible online core with the smallest Eq.-(15) probe
-            (ties to the lowest index — the serve daemon's rule)."""
-            row = BATCH.probe(live, gidx)
-            masked = np.where(
-                np.isfinite(row) & np.array(online, dtype=bool), row, np.inf
-            )
-            if not np.isfinite(masked).any():
-                return None
-            return int(np.argmin(masked))
+            """The serve daemon's pick (:func:`best_core`) among the
+            online cores, or ``None``."""
+            t0 = perf_counter()
+            (row,) = BATCH.answer(probe_request(live, [gidx]))[1]
+            if OBS.enabled:
+                add_span_time("probe", perf_counter() - t0)
+            return best_core(row, online)
 
         for event in self.events:
             with span(f"sim.event.{event.kind}", t=event.start):

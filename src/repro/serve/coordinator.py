@@ -7,20 +7,20 @@ handlers only enqueue work and await futures.  Each flush:
 * answers every ``/admit`` by running the *offline* partitioner verbatim
   — bit-identical to ``repro-mc``'s batch path by construction, pinned
   by the ``serve-offline`` oracle in :mod:`repro.validate`;
-* answers the flush's ``/place`` requests with **one** call into the
-  stacked probe kernel (:func:`batch_probe_tasks` over the whole
-  micro-batch), then applies placements greedily in arrival order.
-  After each assignment to core ``c`` only column ``c`` of the remaining
-  rows is stale, so the flush re-probes that one column
-  (``batch_probe_tasks(..., cores=[c])``) — bit-identical to a full
-  re-probe, because the batch kernels are per-row independent.
+* answers the flush's ``/place`` requests with **one** probe of the
+  whole micro-batch (:func:`batch_probe_tasks`: one
+  :func:`~repro.partition.backend.probe_request` answered by
+  :data:`~repro.partition.backend.BATCH`), then applies placements
+  greedily in arrival order.  After each assignment to core ``c`` only
+  column ``c`` of the remaining rows is stale, so the flush re-probes
+  that one column (``batch_probe_tasks(..., cores=[c])``) —
+  bit-identical to a full re-probe, because the batch kernel is per-row
+  independent.
 
-Every flush probes on the batch backend
-(:data:`~repro.partition.backend.BATCH`).
-
-Placement rule: best fit by Eq. (15) — the feasible core whose new
-Eq.-(9) utilization is smallest (ties to the lowest core index), i.e.
-the worst-fit/best-balance choice CA-TPA's probes are built for.
+Placement rule: :func:`~repro.partition.backend.best_core` — the
+feasible core whose new Eq.-(9) utilization is smallest (ties to the
+lowest core index), i.e. the worst-fit/best-balance choice CA-TPA's
+probes are built for.
 """
 
 from __future__ import annotations
@@ -34,8 +34,14 @@ from repro.metrics.core import imbalance_factor
 from repro.model import MCTask, MCTaskSet, Partition
 from repro.model.io import task_to_dict
 from repro.obs.live import LiveMetrics
-from repro.obs.runtime import OBS, current_span_id, record_span, span
-from repro.partition.backend import BATCH
+from repro.obs.runtime import (
+    OBS,
+    add_span_time,
+    current_span_id,
+    record_span,
+    span,
+)
+from repro.partition.backend import BATCH, best_core, probe_request
 from repro.partition.registry import get_partitioner
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.protocol import (
@@ -53,15 +59,20 @@ __all__ = ["Coordinator"]
 def batch_probe_tasks(
     partition: Partition, idx: list[int], cores: list[int] | None = None
 ) -> np.ndarray:
-    """The flush's probe kernel: ``BATCH.probe_tasks(...)``.
+    """The flush's probe: ``BATCH.answer`` of a
+    :func:`~repro.partition.backend.probe_request`, its ``(T, C)``
+    Eq.-(15) rows; instrumented, its time goes to the enclosing span's
+    ``probe`` bucket.
 
-    A module-level function rather than an alias of the bound method, so
-    a caller that rebinds this name or wraps
-    :meth:`~repro.partition.backend.BatchBackend.probe_tasks` sees every
-    flush call (``perfbench/ledger.py`` does both).  Inline it once that
-    ledger reads the product's spans instead.
+    A module-level function, so a caller that rebinds this name sees
+    every flush call (``perfbench/ledger.py`` does).  Inline it once
+    that ledger reads the product's spans instead.
     """
-    return BATCH.probe_tasks(partition, idx, cores=cores)
+    t0 = time.perf_counter()
+    utils = BATCH.answer(probe_request(partition, idx, cores))[1]
+    if OBS.enabled:
+        add_span_time("probe", time.perf_counter() - t0)
+    return utils
 
 
 class Coordinator:
@@ -249,7 +260,7 @@ class Coordinator:
             decisions: list[int | None] = []
             reasons: list[dict | None] = []
             for t, task_index in enumerate(idx):
-                core = self._best_core(utils[t])
+                core = best_core(utils[t])
                 decisions.append(core)
                 if core is None:
                     # Explain the refusal against the exact partition
@@ -344,12 +355,3 @@ class Coordinator:
     @staticmethod
     def _raise(exc: Exception) -> None:
         raise exc
-
-    @staticmethod
-    def _best_core(row: np.ndarray) -> int | None:
-        """Feasible core with the smallest Eq.-(15) probe, or ``None``."""
-        finite = np.isfinite(row)
-        if not finite.any():
-            return None
-        best = np.where(finite, row, np.inf)
-        return int(np.argmin(best))  # argmin ties to the lowest index

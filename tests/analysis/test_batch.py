@@ -190,3 +190,4 @@ class TestCorners:
         # exactly the stale subset, which may be anything from 0 to M.
         out = batch_core_utilization(np.zeros((0, 3, 3)))
         assert out.shape == (0,)
+        assert batch_is_feasible_core(np.zeros((0, 3, 3))).shape == (0,)

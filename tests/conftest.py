@@ -8,29 +8,34 @@ import pytest
 from repro.model import MCTask, MCTaskSet
 
 
-def probe_request(partition, task_index, order=None, scheme="ffd", rule=None):
-    """A one-attempt lockstep request (``ProbeBackend.answer``): task
-    ``task_index`` added to every core of ``partition``, read whole, or
-    lazily along the core order ``order`` (first hit); an Eq.-(15) row
-    under ``rule``, or a feasibility row when ``rule`` is ``None``."""
-    from repro.partition.backend import ProbeRequest
+def attempt_request(partition, task_index, order=None, scheme="ffd", rule=None):
+    """One attempt's request: :func:`repro.partition.backend.probe_request`
+    for ``task_index``, read whole, or lazily along the core order
+    ``order`` (first hit); an Eq.-(15) row under ``rule``, or a
+    feasibility row when ``rule`` is ``None``."""
+    from repro.partition.backend import probe_request
 
-    cores = partition.cores
-    if order is None:
-        keys = np.full((1, cores), np.nan)
-    else:  # each core's rank in ``order``: argsort(keys) == order
+    request = probe_request(partition, [task_index])._replace(schemes=[scheme])
+    if order is not None:  # each core's rank in ``order``: argsort(keys) == order
         keys = np.argsort(np.asarray(order))[None].astype(np.float64)
-    stack = partition.candidate_stack(task_index)
+        request = request._replace(keys=keys)
     if rule is None:
-        return ProbeRequest(stack, keys, [scheme])
-    return ProbeRequest(stack, keys, [scheme], rule, 1)
+        return request._replace(split=0)
+    return request._replace(rule=rule)
+
+
+def eq15_rows(backend, partition, task_indices, cores=None):
+    """``backend``'s ``(T, C)`` Eq.-(15) rows for ``task_indices``: the
+    answer to :func:`repro.partition.backend.probe_request`."""
+    from repro.partition.backend import probe_request
+
+    return backend.answer(probe_request(partition, task_indices, cores))[1]
 
 
 def feasible_row(backend, partition, task_index):
     """``task_index``'s Eq.(4)-or-Theorem-1 feasibility on every core of
-    ``partition``: ``(M,)`` bools, asked as one whole-row lockstep
-    request."""
-    (row,), _ = backend.answer(probe_request(partition, task_index))
+    ``partition``: ``(M,)`` bools, asked as one whole-row request."""
+    (row,), _ = backend.answer(attempt_request(partition, task_index))
     return row
 
 

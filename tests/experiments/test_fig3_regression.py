@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import SchemeSpec, evaluate_point
+from repro.engine import Engine, PointSpec, SchemeSpec
 from repro.gen.params import WorkloadConfig
 
 # alpha -> (schedulable_sets out of 30, mean U_sys, mean Lambda)
@@ -29,15 +29,17 @@ PINNED = {
 }
 
 
+def _catpa_stats(alpha):
+    """CA-TPA's stats at the reduced Fig.-3 point (30 sets, seed 2016)."""
+    schemes = (SchemeSpec.make("ca-tpa", alpha=alpha),)
+    point = PointSpec(WorkloadConfig(), schemes, sets=30, seed=2016)
+    return Engine().evaluate(point)["ca-tpa"]
+
+
 @pytest.mark.parametrize("alpha", sorted(PINNED))
 def test_fig3_catpa_numbers_pinned(alpha):
     expected_count, expected_u_sys, expected_imbalance = PINNED[alpha]
-    stats = evaluate_point(
-        WorkloadConfig(),
-        schemes=[SchemeSpec.make("ca-tpa", alpha=alpha)],
-        sets=30,
-        seed=2016,
-    )["ca-tpa"]
+    stats = _catpa_stats(alpha)
     assert stats.schedulable_sets == expected_count
     assert stats.u_sys == pytest.approx(expected_u_sys, rel=1e-9)
     assert stats.imbalance == pytest.approx(expected_imbalance, rel=1e-9)
@@ -46,10 +48,5 @@ def test_fig3_catpa_numbers_pinned(alpha):
 def test_imbalance_stays_roughly_bounded_by_alpha():
     # The override's whole point: with a tight threshold the *final*
     # imbalance over loaded cores stays small even while packing.
-    stats = evaluate_point(
-        WorkloadConfig(),
-        schemes=[SchemeSpec.make("ca-tpa", alpha=0.1)],
-        sets=30,
-        seed=2016,
-    )["ca-tpa"]
+    stats = _catpa_stats(0.1)
     assert stats.imbalance < 0.25

@@ -1,4 +1,4 @@
-"""Tests for the batch evaluation runner."""
+"""One data point through the engine: ``Engine(...).evaluate(PointSpec(...))``."""
 
 import dataclasses
 import multiprocessing
@@ -10,12 +10,18 @@ import pytest
 
 from repro.engine import Engine, PointSpec
 from repro.engine import core as engine_core
-from repro.experiments import SchemeSpec, default_schemes, evaluate_point
+from repro.experiments import SchemeSpec, default_schemes
 from repro.gen import WorkloadConfig
 from repro.types import ReproError
 
 
 SMALL = WorkloadConfig(cores=2, levels=2, nsu=0.6, task_count_range=(8, 12))
+
+
+def point(config, sets, seed=2016, schemes=None):
+    """``config``'s point over ``schemes`` (the paper's five by default)."""
+    schemes = default_schemes() if schemes is None else schemes
+    return PointSpec(config=config, schemes=tuple(schemes), sets=sets, seed=seed)
 
 
 class _BrokenFuture:
@@ -67,20 +73,20 @@ class TestSchemeSpec:
 
 class TestEvaluatePoint:
     def test_returns_stats_per_scheme(self):
-        stats = evaluate_point(SMALL, sets=10, seed=1)
+        stats = Engine().evaluate(point(SMALL, 10, seed=1))
         assert set(stats) == {"ca-tpa", "ffd", "bfd", "wfd", "hybrid"}
         for s in stats.values():
             assert s.total_sets == 10
             assert 0.0 <= s.sched_ratio <= 1.0
 
     def test_reproducible(self):
-        a = evaluate_point(SMALL, sets=15, seed=3)
-        b = evaluate_point(SMALL, sets=15, seed=3)
+        a = Engine().evaluate(point(SMALL, 15, seed=3))
+        b = Engine().evaluate(point(SMALL, 15, seed=3))
         assert a == b
 
     def test_seed_changes_results(self):
-        a = evaluate_point(SMALL, sets=15, seed=3)
-        b = evaluate_point(SMALL, sets=15, seed=4)
+        a = Engine().evaluate(point(SMALL, 15, seed=3))
+        b = Engine().evaluate(point(SMALL, 15, seed=4))
         assert a != b
 
     def test_parallel_matches_serial_bit_exact(self):
@@ -88,18 +94,15 @@ class TestEvaluatePoint:
         # worker count": finalize() sums per-set values with math.fsum
         # (exactly rounded, order-independent), so SchemeStats compare
         # *equal*, not merely approximately.
-        serial = evaluate_point(SMALL, sets=12, seed=5, jobs=1)
-        parallel = evaluate_point(SMALL, sets=12, seed=5, jobs=4)
+        serial = Engine(jobs=1).evaluate(point(SMALL, 12, seed=5))
+        parallel = Engine(jobs=4).evaluate(point(SMALL, 12, seed=5))
         assert serial == parallel
 
     def test_scalar_probe_path_reproduces_batch_numbers(self):
         # The vectorized probe engine must not move any reference number:
         # a full evaluation under either implementation is identical.
-        point = PointSpec(
-            config=SMALL, schemes=tuple(default_schemes()), sets=10, seed=7
-        )
-        batch = evaluate_point(SMALL, sets=10, seed=7)
-        scalar = Engine(probe_impl="scalar").evaluate(point)
+        batch = Engine().evaluate(point(SMALL, 10, seed=7))
+        scalar = Engine(probe_impl="scalar").evaluate(point(SMALL, 10, seed=7))
         assert batch == scalar
 
     def test_custom_scheme_list(self):
@@ -107,22 +110,22 @@ class TestEvaluatePoint:
             SchemeSpec.make("ca-tpa", label="ca-a", alpha=0.1),
             SchemeSpec.make("ca-tpa", label="ca-b", alpha=None),
         ]
-        stats = evaluate_point(SMALL, schemes=specs, sets=8, seed=1)
+        stats = Engine().evaluate(point(SMALL, 8, seed=1, schemes=specs))
         assert set(stats) == {"ca-a", "ca-b"}
 
     def test_duplicate_labels_rejected(self):
         specs = [SchemeSpec.make("ffd"), SchemeSpec.make("ffd")]
         with pytest.raises(ReproError, match="duplicate"):
-            evaluate_point(SMALL, schemes=specs, sets=4)
+            point(SMALL, 4, schemes=specs)
 
     def test_zero_sets_rejected(self):
         with pytest.raises(ReproError):
-            evaluate_point(SMALL, sets=0)
+            point(SMALL, 0)
 
     def test_quality_metrics_only_when_schedulable(self):
         # Overloaded config: nothing schedulable -> nan quality metrics.
         heavy = WorkloadConfig(cores=2, levels=2, nsu=2.5, task_count_range=(8, 10))
-        stats = evaluate_point(heavy, sets=5, seed=1)
+        stats = Engine().evaluate(point(heavy, 5, seed=1))
         for s in stats.values():
             assert s.sched_ratio == 0.0
             assert np.isnan(s.u_sys)
@@ -130,9 +133,9 @@ class TestEvaluatePoint:
 
 class TestWorkerCrashRecovery:
     def test_broken_pool_shards_are_rerun_inline(self, monkeypatch):
-        expected = evaluate_point(SMALL, sets=10, seed=9, jobs=1)
+        expected = Engine(jobs=1).evaluate(point(SMALL, 10, seed=9))
         monkeypatch.setattr(engine_core, "ProcessPoolExecutor", _BrokenPool)
-        recovered = evaluate_point(SMALL, sets=10, seed=9, jobs=3)
+        recovered = Engine(jobs=3).evaluate(point(SMALL, 10, seed=9))
         # Every shard fell back to the inline path; the self-seeded
         # shards make the recovery bit-identical to a clean run.
         assert recovered == expected
@@ -150,13 +153,10 @@ class TestWorkerCrashRecovery:
             dataclasses.replace(stats_kind, run=explode),
         )
         with pytest.raises(ReproError, match=r"shard \[0, 3\)"):
-            evaluate_point(SMALL, sets=10, seed=9, jobs=3)
+            Engine(jobs=3).evaluate(point(SMALL, 10, seed=9))
 
     def _points(self):
-        return [
-            PointSpec(SMALL.with_(nsu=v), tuple(default_schemes()), sets=6, seed=9)
-            for v in (0.4, 0.5, 0.6)
-        ]
+        return [point(SMALL.with_(nsu=v), 6, seed=9) for v in (0.4, 0.5, 0.6)]
 
     def test_queued_shards_of_later_points_are_rerun_inline(self, monkeypatch):
         points = self._points()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model import MCTask, MCTaskSet, Partition
+from repro.partition.backend import probe_request
 from repro.types import ModelError, PartitionError
 
 
@@ -257,7 +258,9 @@ class TestSnapshot:
         snap = part.snapshot()
         assert snap.core_utilization(0) == part.core_utilization(0)
         assert snap.tasks_on(0) == [1]
-        assert np.array_equal(snap.candidate_stack(2), part.candidate_stack(2))
+        assert np.array_equal(
+            probe_request(snap, [2]).stack, probe_request(part, [2]).stack
+        )
 
 
 class TestExtended:
@@ -287,31 +290,32 @@ class TestExtended:
 
 
 class TestCandidateStacks:
+    """The candidate stacks a probe request builds over a partition."""
+
     def test_matches_single_task_stacks(self, ts):
         part = Partition(ts, cores=3)
         part.assign(0, 0)
         part.assign(1, 2)
-        stacks = part.candidate_stacks([0, 1, 2])
+        stacks = probe_request(part, [0, 1, 2]).stack.reshape(3, 3, 2, 2)
         for t, i in enumerate([0, 1, 2]):
-            assert np.array_equal(stacks[t], part.candidate_stack(i))
+            assert np.array_equal(stacks[t], probe_request(part, [i]).stack)
         # A core selection is exactly those columns of the full stacks.
-        assert np.array_equal(
-            part.candidate_stacks([0, 1, 2], cores=[2, 0]), stacks[:, [2, 0]]
-        )
+        selected = probe_request(part, [0, 1, 2], cores=[2, 0]).stack
+        assert np.array_equal(selected.reshape(3, 2, 2, 2), stacks[:, [2, 0]])
 
     def test_empty_and_repeated_indices(self, ts):
         part = Partition(ts, cores=2)
-        assert part.candidate_stacks([]).shape == (0, 2, 2, 2)
-        stacks = part.candidate_stacks([2, 2])
+        assert probe_request(part, []).stack.shape == (0, 2, 2)
+        stacks = probe_request(part, [2, 2]).stack.reshape(2, 2, 2, 2)
         assert np.array_equal(stacks[0], stacks[1])
 
     def test_rejects_2d_indices(self, ts):
         part = Partition(ts, cores=2)
         with pytest.raises(PartitionError, match="1-D"):
-            part.candidate_stacks([[0, 1]])
+            probe_request(part, [[0, 1]])
 
     def test_writable_and_detached(self, ts):
         part = Partition(ts, cores=2)
-        stacks = part.candidate_stacks([0])
+        stacks = probe_request(part, [0]).stack
         stacks += 1.0  # writable copy
         assert np.array_equal(part.level_matrix(0), np.zeros((2, 2)))

@@ -1,13 +1,15 @@
 """The pluggable probe-backend layer: registry, protocol, equivalence.
 
-Pins the guarantees of the two-backend probe layer:
+Pins the guarantees of the two-backend probe layer, every probe asked
+the one way callers ask it — :meth:`ProbeBackend.answer` of a
+:func:`~repro.partition.backend.probe_request`:
 
 * the registry resolves by name and rejects unknown names with a clean
   :class:`~repro.types.ReproError` (never a bare ``KeyError``);
 * probes on an incrementally mutated partition — arbitrary
   ``assign``/``unassign``/``extended`` interleavings — are bit-identical
   to batch probes on a from-scratch rebuild, under every backend;
-* a core selection (``probe_tasks(..., cores=...)``) answers exactly
+* a core selection (``probe_request(..., cores=...)``) answers exactly
   the matching columns of the full grid, which is what lets the serve
   flush re-probe only the placed core;
 * observability: every evaluated hypothesis counts as
@@ -27,11 +29,18 @@ from repro.partition.backend import (
     ScalarBackend,
     available_backends,
     get_backend,
+    probe_request,
     register_backend,
 )
 from repro.partition.base import FEASIBLE
 from repro.types import EPS, ModelError, PartitionError, ReproError, fits_unit_capacity
-from tests.conftest import feasible_row, make_task, probe_request, random_taskset
+from tests.conftest import (
+    attempt_request,
+    eq15_rows,
+    feasible_row,
+    make_task,
+    random_taskset,
+)
 
 BATCH = BatchBackend()
 SCALAR = ScalarBackend()
@@ -50,15 +59,14 @@ def assert_backend_parity(part: Partition, idx: list[int]) -> None:
     for backend in (BATCH, SCALAR):
         for i in idx:
             np.testing.assert_array_equal(
-                backend.probe(part, i), BATCH.probe(cold, i)
+                eq15_rows(backend, part, [i]), eq15_rows(BATCH, cold, [i])
             )
             np.testing.assert_array_equal(
                 feasible_row(backend, part, i), feasible_row(BATCH, cold, i)
             )
         if idx:
             np.testing.assert_array_equal(
-                backend.probe_tasks(part, idx),
-                BATCH.probe_tasks(cold, idx),
+                eq15_rows(backend, part, idx), eq15_rows(BATCH, cold, idx)
             )
 
 
@@ -87,14 +95,11 @@ class TestRegistry:
             def answer(self, request):
                 raise NotImplementedError
 
-            def probe(self, partition, task_index):
-                raise NotImplementedError
-
-            def probe_tasks(self, partition, task_indices, cores=None):
-                raise NotImplementedError
-
         with pytest.raises(ModelError, match="name"):
             register_backend(Anonymous())
+
+    def test_answer_is_the_only_probe_method(self):
+        assert ProbeBackend.__abstractmethods__ == {"answer"}
 
 
 class TestIncrementalEquivalence:
@@ -129,8 +134,8 @@ class TestIncrementalEquivalence:
         np.testing.assert_array_equal(
             part.core_utilizations(), fresh_rebuild(part).core_utilizations()
         )
-        got = BATCH.probe(part, 0)
-        want = BATCH.probe(fresh_rebuild(part), 0)
+        got = eq15_rows(BATCH, part, [0])
+        want = eq15_rows(BATCH, fresh_rebuild(part), [0])
         np.testing.assert_array_equal(got, want)
 
     def test_repeated_probe_is_stable(self, rng):
@@ -138,22 +143,22 @@ class TestIncrementalEquivalence:
         part = Partition(ts, cores=3)
         part.assign(0, 1)
         for backend in (BATCH, SCALAR):
-            first = backend.probe(part, 2)
-            second = backend.probe(part, 2)
+            first = eq15_rows(backend, part, [2])
+            second = eq15_rows(backend, part, [2])
             np.testing.assert_array_equal(first, second)
             # Returned rows are fresh arrays: the caller cannot poison
             # a later answer.
             first[:] = -1.0
-            np.testing.assert_array_equal(backend.probe(part, 2), second)
+            np.testing.assert_array_equal(eq15_rows(backend, part, [2]), second)
 
     def test_duplicate_task_indices_in_micro_batch(self, rng):
         ts = random_taskset(rng, n=8)
         part = Partition(ts, cores=3)
         part.assign(0, 0)
-        want = BATCH.probe_tasks(fresh_rebuild(part), [2, 2, 3])
+        want = eq15_rows(BATCH, fresh_rebuild(part), [2, 2, 3])
         np.testing.assert_array_equal(want[0], want[1])
         for backend in (BATCH, SCALAR):
-            got = backend.probe_tasks(part, [2, 2, 3])
+            got = eq15_rows(backend, part, [2, 2, 3])
             np.testing.assert_array_equal(got, want)
 
     def test_preference_order_scans_match_all_backends(self, rng):
@@ -169,7 +174,7 @@ class TestIncrementalEquivalence:
                 rule = None if kind == FEASIBLE else kind
                 for backend in (BATCH, SCALAR):
                     admits, utils = backend.answer(
-                        probe_request(part, 1, order, rule=rule)
+                        attempt_request(part, 1, order, rule=rule)
                     )
                     rows.append(admits[0] if rule is None else utils[0])
                 hits = [
@@ -189,13 +194,13 @@ class TestInvalidation:
         part = Partition(ts, cores=3)
         for i in range(6):
             part.assign(i, i % 3)
-        before = BATCH.probe(part, 7)
+        before = eq15_rows(BATCH, part, [7])
         part.unassign(3)  # core 0 shrinks
-        want = BATCH.probe(fresh_rebuild(part), 7)
+        want = eq15_rows(BATCH, fresh_rebuild(part), [7])
         for backend in (BATCH, SCALAR):
-            np.testing.assert_array_equal(backend.probe(part, 7), want)
+            np.testing.assert_array_equal(eq15_rows(backend, part, [7]), want)
         # Only core 0 changed, so only its column may move.
-        np.testing.assert_array_equal(want[1:], before[1:])
+        np.testing.assert_array_equal(want[:, 1:], before[:, 1:])
 
     def test_unassign_then_candidate_stacks_on_warm_prefix(self, rng):
         """unassign + probes on an ``extended`` (warm-prefix) partition.
@@ -212,12 +217,12 @@ class TestInvalidation:
         assert len(ext.taskset) == 9
         ext.unassign(0)  # mutate a prefix core of the carried matrices
         np.testing.assert_array_equal(
-            BATCH.probe_tasks(ext, list(range(9))),
-            BATCH.probe_tasks(fresh_rebuild(ext), list(range(9))),
+            eq15_rows(BATCH, ext, list(range(9))),
+            eq15_rows(BATCH, fresh_rebuild(ext), list(range(9))),
         )
         np.testing.assert_array_equal(
-            ext.candidate_stacks(np.arange(9)),
-            fresh_rebuild(ext).candidate_stacks(np.arange(9)),
+            probe_request(ext, np.arange(9)).stack,
+            probe_request(fresh_rebuild(ext), np.arange(9)).stack,
         )
 
     def test_snapshot_stays_consistent(self, rng):
@@ -225,14 +230,14 @@ class TestInvalidation:
         part = Partition(ts, cores=2)
         part.assign(0, 0)
         snap = part.snapshot()
-        want = BATCH.probe(fresh_rebuild(part), 1)
+        want = eq15_rows(BATCH, fresh_rebuild(part), [1])
         part.assign(2, 0)  # the live partition moves on, the copy does not
         for backend in (BATCH, SCALAR):
-            np.testing.assert_array_equal(backend.probe(snap, 1), want)
+            np.testing.assert_array_equal(eq15_rows(backend, snap, [1]), want)
 
 
 class TestColumnSelection:
-    """``probe_tasks(..., cores=...)`` == the matching full-grid columns."""
+    """``probe_request(..., cores=...)`` == the matching full-grid columns."""
 
     @pytest.mark.parametrize("backend", [BATCH, SCALAR], ids=lambda b: b.name)
     def test_selected_columns_match_full_grid(self, rng, backend):
@@ -242,24 +247,23 @@ class TestColumnSelection:
             for i in range(0, 12, 2):
                 part.assign(i, int(rng.integers(4)))
             idx = list(range(1, 12, 2))
-            full = backend.probe_tasks(part, idx)
+            full = eq15_rows(backend, part, idx)
             for cores in ([2], [3, 0], [1, 1], []):
-                got = backend.probe_tasks(part, idx, cores=cores)
+                got = eq15_rows(backend, part, idx, cores=cores)
                 assert got.shape == (len(idx), len(cores))
                 np.testing.assert_array_equal(got, full[:, cores])
 
     def test_empty_task_list_keeps_the_column_count(self, rng):
         part = Partition(random_taskset(rng, n=4), cores=3)
         for backend in (BATCH, SCALAR):
-            assert backend.probe_tasks(part, [], cores=[1]).shape == (0, 1)
-            assert backend.probe_tasks(part, []).shape == (0, 3)
+            assert eq15_rows(backend, part, [], cores=[1]).shape == (0, 1)
+            assert eq15_rows(backend, part, []).shape == (0, 3)
 
     @pytest.mark.parametrize("cores", [[3], [-1], [[0]]])
     def test_out_of_range_selection_rejected(self, rng, cores):
         part = Partition(random_taskset(rng, n=4), cores=3)
-        for backend in (BATCH, SCALAR):
-            with pytest.raises(PartitionError, match="cores must be"):
-                backend.probe_tasks(part, [0], cores=cores)
+        with pytest.raises(PartitionError, match="cores must be"):
+            probe_request(part, [0], cores=cores)
 
 
 class TestObservability:
@@ -267,8 +271,8 @@ class TestObservability:
         ts = random_taskset(rng, n=8)
         part = Partition(ts, cores=2)
         with obs.collect() as registry:
-            BATCH.probe_tasks(part, [0, 1, 2])
-            BATCH.probe_tasks(part, [0, 1, 2], cores=[1])
+            eq15_rows(BATCH, part, [0, 1, 2])
+            eq15_rows(BATCH, part, [0, 1, 2], cores=[1])
             counters = registry.snapshot()["counters"]
         assert counters["probe.calls.batch"] == 6
         assert counters["probe.cores_probed"] == 9
@@ -278,9 +282,9 @@ class TestObservability:
         part = Partition(ts, cores=2)
         scalar = get_backend("scalar")
         with obs.collect() as registry:
-            scalar.probe(part, 0)
-            scalar.probe_tasks(part, [1, 2])
-            scalar.probe_tasks(part, [1, 2], cores=[0])
+            eq15_rows(scalar, part, [0])
+            eq15_rows(scalar, part, [1, 2])
+            eq15_rows(scalar, part, [1, 2], cores=[0])
             counters = registry.snapshot()["counters"]
         # Scalar counts one call per evaluated (task, core) hypothesis.
         assert counters["probe.calls.scalar"] == 2 + 4 + 2

@@ -10,8 +10,11 @@ from repro.types import PartitionError
 class BrokenOrder(FirstFitDecreasing):
     name = "broken-order"
 
+    def __init__(self, order):
+        self.order = order
+
     def order_tasks(self, taskset):
-        return [0, 0]  # not a permutation
+        return self.order  # not a permutation
 
 
 class TestPartitionerContract:
@@ -21,9 +24,11 @@ class TestPartitionerContract:
             FirstFitDecreasing().partition(ts, cores=0)
 
     def test_non_permutation_order_rejected(self):
-        ts = MCTaskSet([MCTask(wcets=(1.0,), period=10.0) for _ in range(2)])
-        with pytest.raises(PartitionError, match="permutation"):
-            BrokenOrder().partition(ts, cores=1)
+        ts = MCTaskSet([MCTask(wcets=(1.0,), period=10.0) for _ in range(3)])
+        # A duplicate, a missing, a negative and an out-of-range index.
+        for order in ([0, 0, 2], [0, 1], [-1, 0, 1], [0, 1, 3]):
+            with pytest.raises(PartitionError, match="broken-order: .*permutation"):
+                BrokenOrder(order).partition(ts, cores=1)
 
     def test_abstract_base_cannot_instantiate(self):
         with pytest.raises(TypeError):

@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.analysis import batch_core_utilization, core_utilization
+from repro.analysis import batch_core_utilization, core_utilization, is_feasible_core
 from repro.model import Partition
 from repro.partition import (
     CATPA,
@@ -27,19 +27,26 @@ from repro.engine import Engine
 from repro.partition.backend import (
     BATCH,
     DEFAULT_BACKEND,
-    candidate_level_matrix,
     get_backend,
-    probe_core_utilization,
-    probe_feasible,
+    probe_request,
 )
 from repro.partition.base import partition_lockstep
 from repro.types import ModelError
-from tests.conftest import feasible_row, probe_request, random_taskset
+from tests.conftest import attempt_request, eq15_rows, feasible_row, random_taskset
 
 
 def _answer_first_hit(backend, part, rule):
     """A lockstep first-hit request for task 0 in core order [1, 0]."""
-    return backend.answer(probe_request(part, 0, [1, 0], rule=rule))[1]
+    return backend.answer(attempt_request(part, 0, [1, 0], rule=rule))[1]
+
+
+def candidate_matrix(part, core, task):
+    """Core ``core``'s level matrix with ``task`` added, one core at a
+    time: ``U_{l_i}(k) += u_i(k)`` for ``k <= l_i`` (Eq. (3))."""
+    mat = part.level_matrix(core).copy()
+    crit = int(part.taskset.criticalities[task])
+    mat[crit - 1, :crit] += part.taskset.utilization_matrix[task, :crit]
+    return mat
 
 
 def random_partial_partition(rng, ts, cores):
@@ -58,10 +65,12 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=10, levels=4, max_u=0.4)
             part = random_partial_partition(rng, ts, cores=4)
             task = int(rng.integers(0, len(ts)))
-            stack = part.candidate_stack(task)
+            stack = probe_request(part, [task]).stack
             for m in range(4):
+                want = candidate_matrix(part, m, task)
+                np.testing.assert_array_equal(stack[m], want)
                 np.testing.assert_array_equal(
-                    stack[m], candidate_level_matrix(part, m, task)
+                    probe_request(part, [task], cores=[m]).stack[0], want
                 )
 
     def test_batch_probe_matches_scalar(self, rng):
@@ -69,11 +78,14 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=12, levels=3, max_u=0.5)
             part = random_partial_partition(rng, ts, cores=5)
             task = int(rng.integers(0, len(ts)))
-            batch = BATCH.probe(part, task)
+            (batch,) = eq15_rows(BATCH, part, [task])
             scalar = np.array(
-                [probe_core_utilization(part, m, task) for m in range(5)]
+                [core_utilization(candidate_matrix(part, m, task)) for m in range(5)]
             )
             np.testing.assert_array_equal(batch, scalar)
+            np.testing.assert_array_equal(
+                eq15_rows(get_backend("scalar"), part, [task])[0], scalar
+            )
 
     def test_batch_feasible_matches_scalar(self, rng):
         for _ in range(20):
@@ -82,9 +94,12 @@ class TestBatchProbe:
             task = int(rng.integers(0, len(ts)))
             batch = feasible_row(BATCH, part, task)
             scalar = np.array(
-                [probe_feasible(part, m, task) for m in range(3)]
+                [is_feasible_core(candidate_matrix(part, m, task)) for m in range(3)]
             )
             np.testing.assert_array_equal(batch, scalar)
+            np.testing.assert_array_equal(
+                feasible_row(get_backend("scalar"), part, task), scalar
+            )
 
 
 SCHEMES = [
@@ -133,7 +148,7 @@ class TestImplementationToggle:
 
 
 class TestMicroBatchProbes:
-    """The (T, M) micro-batch primitives equal T single-task probes."""
+    """A ``(T, M)`` micro-batch request equals T single-task requests."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_batch_probe_tasks_bit_identical(self, seed):
@@ -141,8 +156,8 @@ class TestMicroBatchProbes:
         ts = random_taskset(rng, n=14)
         part = random_partial_partition(rng, ts, cores=4)
         idx = [i for i in range(len(ts)) if part.core_of(i) < 0][:5]
-        got = BATCH.probe_tasks(part, idx)
-        want = np.stack([BATCH.probe(part, i) for i in idx])
+        got = eq15_rows(BATCH, part, idx)
+        want = np.concatenate([eq15_rows(BATCH, part, [i]) for i in idx])
         assert np.array_equal(got, want)  # bit-identical, same kernel
 
     def test_scalar_path_matches_batch_path(self):
@@ -150,15 +165,15 @@ class TestMicroBatchProbes:
         ts = random_taskset(rng, n=12)
         part = random_partial_partition(rng, ts, cores=3)
         idx = list(range(len(ts)))
-        batch_utils = BATCH.probe_tasks(part, idx)
-        scalar_utils = get_backend("scalar").probe_tasks(part, idx)
+        batch_utils = eq15_rows(BATCH, part, idx)
+        scalar_utils = eq15_rows(get_backend("scalar"), part, idx)
         np.testing.assert_array_equal(scalar_utils, batch_utils)  # bit-identity
 
     def test_empty_batch(self):
         rng = np.random.default_rng(1)
         ts = random_taskset(rng, n=6)
         part = random_partial_partition(rng, ts, cores=2)
-        assert BATCH.probe_tasks(part, []).shape == (0, 2)
+        assert eq15_rows(BATCH, part, []).shape == (0, 2)
 
     def test_bad_rule_rejected(self):
         """Every public entry point taking an Eq.-(9) rule rejects an

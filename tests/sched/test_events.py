@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.model import MCTask, MCTaskSet, Partition
 from repro.sched import (
     EventInjectionRuntime,
@@ -532,6 +533,28 @@ class TestAllKindsTogether:
         assert ev["arrival_admitted"] + ev["arrival_rejected"] == 1
         telemetry = report.event_telemetry()
         assert telemetry["sim.event.injected"] == 6
+
+    def test_placements_record_their_probe_time(self):
+        """Each placing event's span keeps a synthetic ``probe`` child:
+        one probe per arrival, one per displaced task."""
+        part = small_partition(cores=2)
+        newcomer = MCTask(wcets=(0.5,), period=10.0, name="new")
+        rt = EventInjectionRuntime(
+            [task_arrival(10.0, newcomer), core_failure(20.0, 1)], horizon=100.0
+        )
+        with obs.instrument() as state:
+            compiled = rt.compile(part)
+            spans = {s["span_id"]: s for s in state.spans}
+        probes = {
+            spans[s["parent_id"]]["name"]: s["calls"]
+            for s in spans.values()
+            if s["name"] == "probe"
+        }
+        displaced = compiled.repartitions[0]["displaced"]
+        assert probes == {
+            "sim.event.task_arrival": 1,
+            "sim.event.core_failure": displaced,
+        }
 
     def test_deterministic_across_runs(self):
         part = small_partition(cores=2)

@@ -1,6 +1,7 @@
 """Coordinator semantics: offline parity, batched placement, rollback."""
 
 import asyncio
+import functools
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.coordinator import Coordinator
 from repro.serve.protocol import AdmitRequest, PlaceRequest, ProtocolError
 from repro.serve.state import ServeState
-from tests.conftest import contract_workload, make_task, random_taskset
+from tests.conftest import contract_workload, eq15_rows, make_task, random_taskset
 
 
 def make_coordinator(cores=2, levels=2):
@@ -27,10 +28,8 @@ def flush_on(monkeypatch):
     """``flush_on(impl)`` points the flush's probe kernel at a backend."""
 
     def use(impl):
-        backend = get_backend(impl)
-        monkeypatch.setattr(
-            coordinator_module, "batch_probe_tasks", backend.probe_tasks
-        )
+        probe = functools.partial(eq15_rows, get_backend(impl))
+        monkeypatch.setattr(coordinator_module, "batch_probe_tasks", probe)
 
     return use
 
@@ -233,17 +232,17 @@ class TestPlace:
         # Looked up on the class at call time, so a wrapper installed
         # after import sees every flush call.
         calls = []
-        probe_tasks = BatchBackend.probe_tasks
+        answer = BatchBackend.answer
 
-        def counted(self, partition, idx, **kwargs):
-            calls.append(list(idx))
-            return probe_tasks(self, partition, idx, **kwargs)
+        def counted(self, request):
+            calls.append(request.keys.shape)
+            return answer(self, request)
 
-        monkeypatch.setattr(BatchBackend, "probe_tasks", counted)
+        monkeypatch.setattr(BatchBackend, "answer", counted)
         coordinator, state = make_coordinator()
         tasks = [make_task([0.2, 0.3]), make_task([0.1])]
         flush_many(coordinator, [("place", PlaceRequest(t)) for t in tasks])
-        assert calls == [[0, 1], [1]]  # the grid, then one column refresh
+        assert calls == [(2, 2), (1, 1)]  # the grid, then one column refresh
         assert "probe_impl" not in state.snapshot.to_dict()
 
     def test_mixed_admit_and_place_flush(self):

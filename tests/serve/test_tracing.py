@@ -86,6 +86,22 @@ class TestRequestSpans:
         assert len(parents) == 1
         assert all(s["kind"] == "place" for s in requests)
 
+    def test_place_flush_keeps_its_probe_child(self, tmp_path):
+        """The flush's probe time stays a synthetic ``probe`` child of
+        ``serve.flush.place``: the grid, then one column per placement
+        that leaves tasks waiting."""
+        events = tmp_path / "events.jsonl"
+        run_burst(events)
+        spans = read_spans(events)
+        places = {
+            s["span_id"] for s in spans if s["event"] == "span.serve.flush.place"
+        }
+        probes = [
+            s for s in spans if s["event"] == "span.probe" and s["parent_id"] in places
+        ]
+        assert len(probes) == len(places) == 1
+        assert probes[0]["calls"] == BURST  # the grid + BURST - 1 refreshes
+
     def test_request_ids_propagate_to_responses_and_spans(self, tmp_path):
         events = tmp_path / "events.jsonl"
         results = run_burst(events)

@@ -9,6 +9,8 @@ rules, partition incrementality, and generator postconditions.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,9 +31,9 @@ from repro.analysis import (
 from repro.analysis.dual import DualUtilizations, is_feasible_classic
 from repro.metrics import imbalance_factor
 from repro.model import MCTask, MCTaskSet, Partition
-from repro.partition.backend import available_backends, get_backend
+from repro.partition.backend import available_backends, best_core, get_backend
 from repro.types import EPS, fits_unit_capacity
-from tests.conftest import feasible_row
+from tests.conftest import eq15_rows, feasible_row
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -250,24 +252,19 @@ class TestColumnRefreshProperties:
             st.permutations(range(len(placed), len(ts))).map(list)
         )
         for impl in available_backends():
-            backend = get_backend(impl)
+            probe = functools.partial(eq15_rows, get_backend(impl))
             part = Partition(ts, cores)
             for i, core in enumerate(placed):
                 part.assign(i, core)
-            utils = backend.probe_tasks(part, batch)
+            utils = probe(part, batch)
             for t, task in enumerate(batch):
-                finite = np.isfinite(utils[t])
-                if not finite.any():
+                core = best_core(utils[t])
+                if core is None:
                     continue
-                core = int(np.argmin(np.where(finite, utils[t], np.inf)))
                 part.assign(task, core)
                 rest = batch[t + 1 :]
-                utils[t + 1 :, [core]] = backend.probe_tasks(
-                    part, rest, cores=[core]
-                )
-                np.testing.assert_array_equal(
-                    utils[t + 1 :], backend.probe_tasks(part, rest)
-                )
+                utils[t + 1 :, [core]] = probe(part, rest, cores=[core])
+                np.testing.assert_array_equal(utils[t + 1 :], probe(part, rest))
 
     @given(
         st.floats(min_value=-4.0, max_value=4.0),

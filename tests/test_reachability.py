@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 UNREACHED = {
     "repro.analysis.dbf": "the K=2 Ekberg-Yi DBF cross-check of Theorem 1",
     "repro.experiments.compare": "the head-to-head bench and its win/loss counts",
-    "repro.experiments.runner": "evaluate_point, the benches' one-point entry",
     "repro.sched.releases": "the check that sporadic arrivals cause no misses",
 }
 
