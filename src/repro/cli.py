@@ -599,7 +599,6 @@ def _run_simulate(args, command: list[str]) -> int:
     from repro.model import load_events, load_taskset
     from repro.partition.registry import get_partitioner
     from repro.sched import (
-        EventInjectionRuntime,
         HonestScenario,
         LevelScenario,
         RandomScenario,
@@ -620,9 +619,7 @@ def _run_simulate(args, command: list[str]) -> int:
             "pass --allow-infeasible to simulate it anyway"
         )
     horizon = default_horizon(result.partition, cycles=args.cycles)
-    runtime = None
-    if args.events is not None:
-        runtime = EventInjectionRuntime(load_events(args.events), horizon=horizon)
+    events = None if args.events is None else load_events(args.events)
     scenario = {
         "honest": lambda: HonestScenario(),
         "random": lambda: RandomScenario(overrun_prob=args.overrun_prob),
@@ -633,7 +630,7 @@ def _run_simulate(args, command: list[str]) -> int:
         scenario,
         horizon=horizon,
         allow_infeasible=args.allow_infeasible,
-        events=runtime,
+        events=events,
     )
     with _Instrumentation(args, command) as inst:
         report, _ = inst.call(

@@ -167,7 +167,6 @@ def _run_dynsim_shard(
     on the batch backend.
     """
     from repro.sched import RandomScenario, SystemSimulator, default_horizon
-    from repro.sched.events import EventInjectionRuntime
 
     params = params or {}
     factor = float(params.get("burst_factor", 1.0))
@@ -188,18 +187,14 @@ def _run_dynsim_shard(
         script_rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(i, 0xD1))
         )
-        runtime = EventInjectionRuntime(
-            standard_event_script(
-                taskset, partition.cores, horizon, factor, script_rng
-            ),
-            horizon=horizon,
-        )
         report = SystemSimulator(
             partition,
             RandomScenario(overrun_prob=OVERRUN_PROB),
             horizon=horizon,
             allow_infeasible=True,  # failure re-partitioning may overload
-            events=runtime,
+            events=standard_event_script(
+                taskset, partition.cores, horizon, factor, script_rng
+            ),
         ).run(seed=np.random.SeedSequence(seed, spawn_key=(i, 0xD2)))
         tally["simulated"] += 1
         tally["released"] += report.released

@@ -225,9 +225,10 @@ def events_from_dict(data: dict[str, Any]):
 
     Document-shape problems, and a ``time``, ``start``, ``end`` or
     ``factor`` that is not a real number (a bool or a str included),
-    raise :class:`ModelError`; structurally invalid events raise the
-    event constructor's :class:`~repro.types.SimulationError` with the
-    offending field named.
+    raise :class:`ModelError`; structurally invalid events, and a
+    ``task_index``, ``core`` or ``tasks`` entry that is not an integer,
+    raise the event constructor's :class:`~repro.types.SimulationError`
+    with the event and the offending field named.
     """
     from repro.sched.events import SimEvent
 
@@ -267,11 +268,7 @@ def events_from_dict(data: dict[str, Any]):
                     start=start,
                     end=end,
                     factor=factor,
-                    tasks=(
-                        tuple(entry["tasks"])
-                        if entry.get("tasks") is not None
-                        else None
-                    ),
+                    tasks=entry.get("tasks"),
                     task=task,
                     task_index=entry.get("task_index"),
                     core=entry.get("core"),

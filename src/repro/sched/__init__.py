@@ -3,7 +3,6 @@
 from repro.sched.core_sim import CoreReport, CoreSimulator, DeadlineMiss
 from repro.sched.events import (
     EVENT_KINDS,
-    EventInjectionRuntime,
     EventOutcome,
     SimEvent,
     core_failure,
@@ -36,7 +35,6 @@ __all__ = [
     "CoreSimulator",
     "DeadlineMiss",
     "EVENT_KINDS",
-    "EventInjectionRuntime",
     "EventKind",
     "EventOutcome",
     "SimEvent",

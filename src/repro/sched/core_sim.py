@@ -21,13 +21,20 @@ is involved.
 
 Release timeline
 ----------------
-Each task's next release is one ``(time, task index)`` entry of a
+Every run reads a :class:`CoreEventView`: entry ``i`` of the subset is
+resident over ``[joins[i], leaves[i])``, and the view lists the core's
+failure instants, plan rebinds, WCET bursts and recovery windows, all
+resolved before the run (:func:`repro.sched.events.compile_events`).
+A simulator built without a view reads the static one: every entry
+joins at 0 and never leaves, and nothing else happens.
+
+Each entry's next release is one ``(time, entry index)`` item of a
 heap, whose top is the next release event.  At each scheduling point
-every entry due within ``TIME_EPS`` is popped and the batch is released
-in *task-index* order, not heap order: near-coincident releases take
-their ``seq`` numbers and RNG draws by index.  A release at or after
-the task's leave (injected events) is never pushed, and a core failure
-drops the entries of the residents that left.
+every item due within ``TIME_EPS`` is popped and the batch is released
+in *index* order, not heap order: near-coincident releases take their
+``seq`` numbers and RNG draws by index.  A release at or after the
+entry's leave is never pushed, and a core failure drops the items of
+the residents that left.
 
 Time comparison convention
 --------------------------
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -60,9 +68,11 @@ from repro.sched.trace import EventKind, ExecutionSlice, Trace, TraceEvent
 from repro.types import SimulationError
 
 __all__ = [
+    "CoreEventView",
     "CoreSimulator",
     "CoreReport",
     "DeadlineMiss",
+    "checked_horizon",
     "time_after",
     "time_reached",
 ]
@@ -79,6 +89,45 @@ def time_after(a: float, b: float) -> bool:
 def time_reached(a: float, b: float) -> bool:
     """True when ``a`` has reached ``b`` (equal within ``TIME_EPS`` or past)."""
     return a >= b - TIME_EPS
+
+
+def checked_horizon(horizon: float) -> float:
+    """``horizon`` as a float, once it is positive and finite (a NaN or
+    infinite horizon is never reached, so the run would never end)."""
+    horizon = float(horizon)
+    if not 0.0 < horizon < np.inf:
+        raise SimulationError(f"horizon must be positive and finite, got {horizon}")
+    return horizon
+
+
+@dataclass(frozen=True)
+class CoreEventView:
+    """What one core's run reads of the event timeline.
+
+    Entry ``i`` of the simulated subset is resident over ``[joins[i],
+    leaves[i])``.  Everything is resolved before the run; the loop
+    reads it and never interprets events.
+    """
+
+    joins: tuple[float, ...]
+    leaves: tuple[float, ...]  #: ``inf`` for an entry that never leaves
+    #: instants the core goes offline, ascending
+    failures: tuple[float, ...] = ()
+    #: ``(instant, plan)`` rebinds after the constructor's plan
+    plan_changes: tuple[tuple[float, VirtualDeadlineAssignment], ...] = ()
+    #: per-entry WCET-burst factors (``factor(entry, release)``), or ``None``
+    burst: Any = None
+    #: the ``mode_recovery`` window tracker, or ``None`` (automatic idle
+    #: resets)
+    recovery: Any = None
+    #: run tallies, shared by the views of one system run
+    tallies: dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def static(cls, entries: int) -> CoreEventView:
+        """The view of a run without events: every entry joins at 0 and
+        never leaves."""
+        return cls(joins=(0.0,) * entries, leaves=(np.inf,) * entries)
 
 
 @dataclass(frozen=True)
@@ -131,10 +180,8 @@ class CoreSimulator:
         horizon: float,
         record_trace: bool = False,
         releases=None,
-        events=None,
+        events: CoreEventView | None = None,
     ):
-        if horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {horizon}")
         if plan.levels != subset.levels:
             raise SimulationError(
                 f"plan has {plan.levels} levels but subset has {subset.levels}"
@@ -143,19 +190,17 @@ class CoreSimulator:
         self.plan = plan
         self.scenario = scenario
         self.rng = rng
-        self.horizon = float(horizon)
+        self.horizon = checked_horizon(horizon)
         self.record_trace = record_trace
         #: arrival model; ``None`` means strictly periodic releases.
         #: See :mod:`repro.sched.releases`.
         self.releases = releases
-        #: compiled per-core event adapter
-        #: (:class:`repro.sched.events.CoreEventView`) or ``None``.  With
-        #: ``None`` every event hook below short-circuits and the loop is
-        #: the original static simulation, bit for bit.
-        self.events = events
-        if events is not None and len(events.joins) != len(subset):
+        #: the core's view of the event timeline; without one, the
+        #: static view (every entry joins at 0 and never leaves)
+        self.events = CoreEventView.static(len(subset)) if events is None else events
+        if len(self.events.joins) != len(subset):
             raise SimulationError(
-                f"event view describes {len(events.joins)} membership "
+                f"event view describes {len(self.events.joins)} membership "
                 f"entries but the subset has {len(subset)} tasks"
             )
 
@@ -167,33 +212,18 @@ class CoreSimulator:
         periods = [t.period for t in tasks]
         levels = [t.criticality for t in tasks]
 
-        # Injected-event state (all inert when no view is attached: the
-        # extra comparisons below are against +inf / None and change no
-        # float nor any RNG draw of the static path).
         view = self.events
-        if view is None:
-            # The release timeline: a heap of (next release, task index).
-            timeline = [(0.0, i) for i in range(len(tasks))]
-            leaves = None
-            burst = None
-            recovery = None
-            fail_times: tuple[float, ...] = ()
-            plan_changes = ()
-            tallies: dict[str, int] | None = None
-        else:
-            leaves = view.leaves.tolist()
-            # Entries whose residency is empty never release.
-            timeline = [
-                (join, i)
-                for i, join in enumerate(view.joins.tolist())
-                if leaves[i] > join + TIME_EPS
-            ]
-            heapq.heapify(timeline)
-            burst = view.burst
-            recovery = view.recovery
-            fail_times = view.failures
-            plan_changes = view.plan_changes
-            tallies = view.tallies
+        leaves = view.leaves
+        # The release timeline: a heap of (next release, entry index).
+        # Entries whose residency is empty never release.
+        timeline = [
+            (join, i)
+            for i, join in enumerate(view.joins)
+            if time_after(leaves[i], join)
+        ]
+        heapq.heapify(timeline)
+        burst, recovery, tallies = view.burst, view.recovery, view.tallies
+        fail_times, plan_changes = view.failures, view.plan_changes
         fail_idx = 0
         next_fail = fail_times[0] if fail_times else np.inf
         plan_idx = 0
@@ -277,7 +307,7 @@ class CoreSimulator:
                         )
                 upcoming_release = r + gap
                 # The residency ends first: no release at/after it.
-                if leaves is None or not time_reached(upcoming_release, leaves[i]):
+                if not time_reached(upcoming_release, leaves[i]):
                     heapq.heappush(timeline, (upcoming_release, i))
 
         def raise_mode(now: float) -> None:

@@ -1,32 +1,37 @@
-"""Validated runtime event injection for the partitioned simulator.
+"""The event timeline every partitioned simulation runs on.
 
 The static simulator answers "does this partition survive this
-scenario?"; the event runtime answers "does it survive this scenario
-*while the world changes underneath it*?".  An
-:class:`EventInjectionRuntime` holds a validated, time-sorted registry
-of :class:`SimEvent` records and compiles them — against a concrete
-partition — into per-core read-only adapters
-(:class:`CoreEventView`) that :class:`~repro.sched.CoreSimulator`
-consults at its release / dispatch / finish points.  The hot loop never
-switches on event kinds; everything data-dependent is resolved up front:
+scenario?"; an event script answers "does it survive this scenario
+*while the world changes underneath it*?".  A script is a sequence of
+:class:`SimEvent` records.  :class:`~repro.sched.SystemSimulator` takes
+it as ``events=`` and compiles it, against its partition, into per-core
+read-only views (:class:`~repro.sched.core_sim.CoreEventView`) that
+:class:`~repro.sched.CoreSimulator` consults at its release / dispatch
+/ finish points.  The hot loop never switches on event kinds;
+everything data-dependent is resolved up front:
 
 * **validation** happens before any simulation: malformed events
-  (negative durations, ends past the horizon, unknown kinds) are
-  rejected at construction, unknown task/core ids and impossible
-  sequences (failing an offline core, departing twice) are rejected by
-  :meth:`EventInjectionRuntime.validate_against` — always as a clean
+  (negative durations, unknown kinds, ids that are not integers) are
+  rejected by :class:`SimEvent`; events that end past the horizon,
+  unknown task/core ids and impossible sequences (failing an offline
+  core, departing twice) are rejected by :func:`check_events`, which
+  the simulator calls at construction — always as a clean
   :class:`~repro.types.SimulationError`, never a deep numpy traceback;
-* **compilation** (:meth:`EventInjectionRuntime.compile`) replays the
-  structural events chronologically against a *live* copy of the
-  partition: arrivals are admitted through the batch Theorem-1 probe
-  backend the serve daemon uses (rejections are counted, not crashed),
-  core failures displace their residents and re-partition them onto the
+* **compilation** (:func:`compile_events`) replays the structural
+  events chronologically against a *live* copy of the partition:
+  arrivals are admitted through the batch Theorem-1 probe backend the
+  serve daemon uses (rejections are counted, not crashed), core
+  failures displace their residents and re-partition them onto the
   surviving cores best-probe-first (Λ is re-reported before/after), and
   the result is a cumulative membership timeline — per core, who is
   resident when, under which deadline-scaling plan;
-* at **run time** the core simulator only reads arrays: per-entry
+* at **run time** the core simulator only reads the view: per-entry
   join/leave instants, failure instants, a plan schedule, per-entry
   WCET-burst intervals, and (optionally) a mode-recovery tracker.
+
+A run without events compiles the empty script: every task joins its
+core at 0 and never leaves, and nothing else happens, so there is one
+simulation path, with or without a script.
 
 Event kinds (schema v1)
 -----------------------
@@ -53,7 +58,8 @@ Event kinds (schema v1)
     highest criticality first, then largest utilization), each through
     the probe backend; tasks with no feasible core are *lost* and
     counted.  Displaced tasks restart their release pattern on the new
-    core at the failure instant.
+    core at the failure instant and stay there: a hotplug only makes
+    the core available to later arrivals and re-partitions.
 ``mode_recovery``
     A sanctioned recovery window ``[start, end]``.  Its presence
     switches every simulated core from automatic idle resets to the
@@ -68,15 +74,14 @@ Instantaneous kinds (arrival / departure / failure / hotplug) must have
 ``end >= start``.  All times must satisfy ``0 <= start <= end <=
 horizon``.
 
-The runtime is deliberately *static*: every placement decision is made
-at compile time, before the first job is drawn, so a compiled schedule
-is deterministic, reusable across seeds, and free for the simulation
-hot path.  With zero events attached the simulator takes its original
-code path untouched — injection is provably zero-impact when unused.
+Compilation is deliberately *static*: every placement decision is made
+before the first job is drawn, so a compiled timeline is deterministic,
+reusable across seeds, and free for the simulation hot path.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Iterable, Sequence
@@ -93,6 +98,7 @@ from repro.model.task import MCTask
 from repro.model.taskset import MCTaskSet
 from repro.obs.runtime import OBS, add_span_time, span
 from repro.partition.backend import BATCH, best_core, probe_request
+from repro.sched.core_sim import CoreEventView, time_after, time_reached
 from repro.types import SimulationError
 
 __all__ = [
@@ -104,9 +110,9 @@ __all__ = [
     "core_failure",
     "core_hotplug",
     "mode_recovery",
-    "EventInjectionRuntime",
+    "check_events",
+    "compile_events",
     "CompiledEvents",
-    "CoreEventView",
     "EventOutcome",
     "Membership",
     "identity_plan",
@@ -137,18 +143,15 @@ _INSTANT_KINDS = frozenset(
     {"task_arrival", "task_departure", "core_failure", "core_hotplug"}
 )
 
-# Mirror of the simulator's single comparison tolerance (importing it
-# from core_sim would create a cycle: core_sim consumes the views built
-# here).  Pinned equal by a test.
-_TIME_EPS = 1e-9
 
-
-def _time_after(a: float, b: float) -> bool:
-    return a > b + _TIME_EPS
-
-
-def _time_reached(a: float, b: float) -> bool:
-    return a >= b - _TIME_EPS
+def _index(value: object, what: str) -> int:
+    """``value`` as an index ``>= 0``: any integer (NumPy's included),
+    but never a bool, a float or a str, which ``int()`` would coerce."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SimulationError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise SimulationError(f"{what} must be >= 0, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -213,28 +216,21 @@ class SimEvent:
                     f"wcet_burst factor must be positive, got {self.factor}"
                 )
             if self.tasks is not None:
-                idx = tuple(int(i) for i in self.tasks)
-                if any(i < 0 for i in idx):
+                if isinstance(self.tasks, str):
                     raise SimulationError(
-                        f"wcet_burst task indices must be >= 0, got {idx}"
+                        "wcet_burst tasks must be a list of task indices, "
+                        f"got {self.tasks!r}"
                     )
+                idx = tuple(_index(i, "wcet_burst task index") for i in self.tasks)
                 object.__setattr__(self, "tasks", idx)
         elif self.kind == "task_arrival":
             if not isinstance(self.task, MCTask):
                 raise SimulationError("task_arrival requires an MCTask payload")
         elif self.kind == "task_departure":
-            if self.task_index is None or int(self.task_index) < 0:
-                raise SimulationError(
-                    "task_departure requires a task_index >= 0, "
-                    f"got {self.task_index}"
-                )
-            object.__setattr__(self, "task_index", int(self.task_index))
+            index = _index(self.task_index, "task_departure task_index")
+            object.__setattr__(self, "task_index", index)
         elif self.kind in ("core_failure", "core_hotplug"):
-            if self.core is None or int(self.core) < 0:
-                raise SimulationError(
-                    f"{self.kind} requires a core index >= 0, got {self.core}"
-                )
-            object.__setattr__(self, "core", int(self.core))
+            object.__setattr__(self, "core", _index(self.core, f"{self.kind} core"))
 
 
 # ----------------------------------------------------------------------
@@ -248,11 +244,7 @@ def wcet_burst(
 ) -> SimEvent:
     """Demand multiplier ``factor`` on ``tasks`` while ``start <= t < end``."""
     return SimEvent(
-        kind="wcet_burst",
-        start=start,
-        end=end,
-        factor=factor,
-        tasks=None if tasks is None else tuple(tasks),
+        kind="wcet_burst", start=start, end=end, factor=factor, tasks=tasks
     )
 
 
@@ -291,7 +283,6 @@ class Membership:
     """One residency interval of a task on a core: ``[join, leave)``."""
 
     global_index: int  #: index in the compiled full task set
-    task: MCTask
     join: float
     leave: float  #: ``inf`` when the task never leaves the core
 
@@ -307,13 +298,9 @@ class _BurstIndex:
     def factor(self, entry: int, release: float) -> float:
         f = 1.0
         for s, e, factor in self._intervals[entry]:
-            if _time_reached(release, s) and _time_after(e, release):
+            if time_reached(release, s) and time_after(e, release):
                 f *= factor
         return f
-
-    @property
-    def intervals(self):
-        return self._intervals
 
 
 class _RecoveryTracker:
@@ -339,54 +326,18 @@ class _RecoveryTracker:
         ``idle0``, else passed for good (it stays unconsumed).
         """
         pending, due = self._pending, 1
-        if not (pending and _time_after(idle1, pending[0][0])
-                and _time_after(idle1, idle0)):
+        if not (pending and time_after(idle1, pending[0][0])
+                and time_after(idle1, idle0)):
             return None, 0  # no idle time, or no window starts in it
-        while due < len(pending) and _time_after(idle1, pending[due][0]):
+        while due < len(pending) and time_after(idle1, pending[due][0]):
             due += 1
-        starts = [max(idle0, s) for s, e in pending[:due] if _time_reached(e, idle0)]
+        starts = [max(idle0, s) for s, e in pending[:due] if time_reached(e, idle0)]
         self._missed += due - len(starts)
         del pending[:due]
         return (min(starts) if starts else None), len(starts)
 
     def unconsumed(self) -> int:
         return self._missed + len(self._pending)
-
-
-class CoreEventView:
-    """Read-only per-core adapter the core simulator consults.
-
-    Everything is resolved to arrays/instants at compile time; the
-    simulator's hot loop reads, it never interprets events.
-    """
-
-    __slots__ = (
-        "joins",
-        "leaves",
-        "failures",
-        "plan_changes",
-        "burst",
-        "recovery",
-        "tallies",
-    )
-
-    def __init__(
-        self,
-        joins: np.ndarray,
-        leaves: np.ndarray,
-        failures: tuple[float, ...],
-        plan_changes: tuple[tuple[float, VirtualDeadlineAssignment], ...],
-        burst: _BurstIndex | None,
-        recovery: _RecoveryTracker | None,
-        tallies: dict[str, int],
-    ):
-        self.joins = joins
-        self.leaves = leaves
-        self.failures = failures
-        self.plan_changes = plan_changes
-        self.burst = burst
-        self.recovery = recovery
-        self.tallies = tallies
 
 
 #: Tallies accumulated while the cores simulate (per run).
@@ -422,13 +373,16 @@ class EventOutcome:
 
 @dataclass(frozen=True)
 class CompiledEvents:
-    """The static compilation of a runtime against one partition."""
+    """An event script compiled against one partition: its timeline."""
 
-    horizon: float
-    cores: int
+    #: the base task set followed by every arrival, in script order
     full_taskset: MCTaskSet
     #: per core: residency intervals, chronological join order
     memberships: tuple[tuple[Membership, ...], ...]
+    #: per core: the tasks of its membership entries, in entry order (the
+    #: subset its :class:`~repro.sched.CoreSimulator` runs), or ``None``
+    #: for a core that never hosts a task
+    residents: tuple[MCTaskSet | None, ...]
     #: per core: failure instants strictly inside the horizon, ascending
     failures: tuple[tuple[float, ...], ...]
     #: per core: deadline-scaling plan per membership epoch, as
@@ -446,11 +400,6 @@ class CompiledEvents:
     arrivals: tuple[dict[str, Any], ...]
     repartitions: tuple[dict[str, Any], ...]
 
-    @property
-    def is_trivial(self) -> bool:
-        """True when no events were injected (plain simulation path)."""
-        return int(self.static_counters.get("injected", 0)) == 0
-
     def infeasible_epochs(self) -> list[tuple[int, float]]:
         """``(core, epoch start)`` of every resident subset that fails
         the Theorem-1 analysis (arrival admission never creates one, but
@@ -466,14 +415,17 @@ class CompiledEvents:
         """A zeroed run-tally dict shared by one run's core views."""
         return {k: 0 for k in _RUN_TALLY_KEYS}
 
+    def first_plan(self, core: int) -> VirtualDeadlineAssignment:
+        """``core``'s plan at time 0 (identity scaling when infeasible)."""
+        plan = self.plans[core][0][1]
+        return identity_plan(self.full_taskset.levels) if plan is None else plan
+
     def core_view(self, core: int, tallies: dict[str, int]) -> CoreEventView | None:
         """The live adapter for ``core``, or ``None`` when it never hosts
         a task (the system simulator skips it entirely)."""
         entries = self.memberships[core]
         if not entries:
             return None
-        joins = np.array([e.join for e in entries], dtype=np.float64)
-        leaves = np.array([e.leave for e in entries], dtype=np.float64)
         # Plan epochs beyond the first become run-time rebinds; epoch 0
         # is the constructor plan.  Infeasible epochs degrade to
         # identity scaling (plain EDF) — the system simulator raises
@@ -494,8 +446,8 @@ class CompiledEvents:
             else None
         )
         return CoreEventView(
-            joins=joins,
-            leaves=leaves,
+            joins=tuple(e.join for e in entries),
+            leaves=tuple(e.leave for e in entries),
             failures=self.failures[core],
             plan_changes=changes,
             burst=burst,
@@ -514,289 +466,266 @@ class CompiledEvents:
 
 
 # ----------------------------------------------------------------------
-# The runtime
+# Checking and compiling a script
 # ----------------------------------------------------------------------
-class EventInjectionRuntime:
-    """Central registry of injection events for one simulated horizon.
+def check_events(
+    events: Iterable[SimEvent], partition: Partition, horizon: float
+) -> tuple[SimEvent, ...]:
+    """The script in time order, once nothing in it can fail mid-run.
 
-    Lifecycle: construct (structural validation) →
-    :meth:`validate_against` a partition (id / sequence validation;
-    the system simulator calls this on attach, so bad events fail
-    *before* any job is drawn) → :meth:`compile` (placement decisions,
-    membership timeline, per-event spans) → per-run
-    :meth:`CompiledEvents.core_view` adapters.
+    Rejects an event that ends past ``horizon``, an unknown task or
+    core id, an arrival above the system's ``K``, and an impossible
+    sequence (a task departing twice, failing an offline core,
+    hotplugging an online one).  Cheap (no probes): the system
+    simulator calls it at construction, so a bad script fails before
+    any job is drawn.
     """
-
-    def __init__(self, events: Iterable[SimEvent], horizon: float):
-        if horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {horizon}")
-        self.horizon = float(horizon)
-        ordered = sorted(events, key=lambda e: e.start)  # stable: ties keep
-        for e in ordered:  # authoring order
-            if _time_after(e.end, self.horizon):
-                raise SimulationError(
-                    f"{e.kind} event ends past the horizon "
-                    f"({e.end} > {self.horizon})"
-                )
-        self.events: tuple[SimEvent, ...] = tuple(ordered)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    # ------------------------------------------------------------------
-    def validate_against(self, partition: Partition) -> None:
-        """Reject unknown ids and impossible event sequences.
-
-        Cheap (no probes): run at simulator construction so errors
-        surface up front, not mid-run.
-        """
-        n_base = len(partition.taskset)
-        cores = partition.cores
-        levels = partition.taskset.levels
-        online = [True] * cores
-        departed: set[int] = set()
-        for e in self.events:
-            if e.kind == "wcet_burst" and e.tasks is not None:
-                for i in e.tasks:
-                    if i >= n_base:
-                        raise SimulationError(
-                            f"wcet_burst names unknown task {i} "
-                            f"(task set has {n_base} tasks)"
-                        )
-            elif e.kind == "task_arrival":
-                if e.task.criticality > levels:
+    # Stable: events at one instant keep their authoring order.
+    ordered = tuple(sorted(events, key=lambda e: e.start))
+    n_base = len(partition.taskset)
+    cores = partition.cores
+    levels = partition.taskset.levels
+    online = [True] * cores
+    departed: set[int] = set()
+    for e in ordered:
+        if time_after(e.end, horizon):
+            raise SimulationError(
+                f"{e.kind} event ends past the horizon ({e.end} > {horizon})"
+            )
+        if e.kind == "wcet_burst" and e.tasks is not None:
+            for i in e.tasks:
+                if i >= n_base:
                     raise SimulationError(
-                        f"task_arrival criticality {e.task.criticality} "
-                        f"exceeds the system's K={levels}"
-                    )
-            elif e.kind == "task_departure":
-                if e.task_index >= n_base:
-                    raise SimulationError(
-                        f"task_departure names unknown task {e.task_index} "
+                        f"wcet_burst names unknown task {i} "
                         f"(task set has {n_base} tasks)"
                     )
-                if e.task_index in departed:
-                    raise SimulationError(
-                        f"task {e.task_index} departs twice (second at "
-                        f"t={e.start})"
-                    )
-                departed.add(e.task_index)
-            elif e.kind == "core_failure":
-                if e.core >= cores:
-                    raise SimulationError(
-                        f"core_failure names unknown core {e.core} "
-                        f"(system has {cores} cores)"
-                    )
-                if not online[e.core]:
-                    raise SimulationError(
-                        f"core {e.core} fails at t={e.start} but is already "
-                        "offline"
-                    )
-                online[e.core] = False
-            elif e.kind == "core_hotplug":
-                if e.core >= cores:
-                    raise SimulationError(
-                        f"core_hotplug names unknown core {e.core} "
-                        f"(system has {cores} cores)"
-                    )
-                if online[e.core]:
-                    raise SimulationError(
-                        f"core {e.core} hotplugs at t={e.start} but is "
-                        "already online"
-                    )
-                online[e.core] = True
-
-    # ------------------------------------------------------------------
-    def compile(self, partition: Partition) -> CompiledEvents:
-        """Replay the events against ``partition`` and freeze the timeline.
-
-        Deterministic and RNG-free: placement is pure Theorem-1 probing,
-        so one compilation serves any number of seeded runs.  Emits one
-        ``sim.event.<kind>`` span per event under a
-        ``sim.events.compile`` parent when instrumentation is on.
-        """
-        self.validate_against(partition)
-        with span("sim.events.compile", events=len(self.events)):
-            return self._compile(partition)
-
-    def _compile(self, partition: Partition) -> CompiledEvents:
-        base = partition.taskset
-        n_base = len(base)
-        cores = partition.cores
-        levels = base.levels
-
-        arrivals = [e for e in self.events if e.kind == "task_arrival"]
-        full = MCTaskSet(
-            list(base) + [e.task for e in arrivals], levels=levels
-        )
-        assignment = [int(c) for c in partition.assignment] + [-1] * len(arrivals)
-        live = Partition.from_assignment(full, cores, assignment)
-
-        online = np.ones(cores, dtype=bool)
-        # Per-task open residency: global index -> (core, join instant).
-        open_slot: dict[int, tuple[int, float]] = {
-            i: (assignment[i], 0.0) for i in range(n_base)
-        }
-        memberships: list[list[Membership]] = [[] for _ in range(cores)]
-        failures: list[list[float]] = [[] for _ in range(cores)]
-        recovery_windows: list[tuple[float, float]] = []
-        bursts: list[SimEvent] = []
-        arrival_records: list[dict[str, Any]] = []
-        repartition_records: list[dict[str, Any]] = []
-        counters: dict[str, int] = {
-            "injected": len(self.events),
-            "arrival_admitted": 0,
-            "arrival_rejected": 0,
-            "departures": 0,
-            "departure_noop": 0,
-            "core_failures": 0,
-            "core_hotplugs": 0,
-            "displaced": 0,
-            "replaced": 0,
-            "repartition_lost": 0,
-        }
-        next_arrival = n_base
-
-        def close(gidx: int, leave: float) -> None:
-            core, join = open_slot.pop(gidx)
-            memberships[core].append(
-                Membership(
-                    global_index=gidx, task=full[gidx], join=join, leave=leave
+        elif e.kind == "task_arrival":
+            if e.task.criticality > levels:
+                raise SimulationError(
+                    f"task_arrival criticality {e.task.criticality} "
+                    f"exceeds the system's K={levels}"
                 )
-            )
+        elif e.kind == "task_departure":
+            if e.task_index >= n_base:
+                raise SimulationError(
+                    f"task_departure names unknown task {e.task_index} "
+                    f"(task set has {n_base} tasks)"
+                )
+            if e.task_index in departed:
+                raise SimulationError(
+                    f"task {e.task_index} departs twice (second at "
+                    f"t={e.start})"
+                )
+            departed.add(e.task_index)
+        elif e.kind in ("core_failure", "core_hotplug"):
+            if e.core >= cores:
+                raise SimulationError(
+                    f"{e.kind} names unknown core {e.core} "
+                    f"(system has {cores} cores)"
+                )
+            failing = e.kind == "core_failure"
+            if online[e.core] != failing:
+                verb = "fails" if failing else "hotplugs"
+                state = "offline" if failing else "online"
+                raise SimulationError(
+                    f"core {e.core} {verb} at t={e.start} but is already {state}"
+                )
+            online[e.core] = not failing
+    return ordered
 
-        def best_online_core(gidx: int) -> int | None:
-            """The serve daemon's pick (:func:`best_core`) among the
-            online cores, or ``None``."""
-            t0 = perf_counter()
-            (row,) = BATCH.answer(probe_request(live, [gidx]))[1]
-            if OBS.enabled:
-                add_span_time("probe", perf_counter() - t0)
-            return best_core(row, online)
 
-        for event in self.events:
-            with span(f"sim.event.{event.kind}", t=event.start):
-                if event.kind == "wcet_burst":
-                    bursts.append(event)
-                elif event.kind == "mode_recovery":
-                    recovery_windows.append((event.start, event.end))
-                elif event.kind == "task_arrival":
-                    gidx = next_arrival
-                    next_arrival += 1
+def compile_events(
+    events: Sequence[SimEvent], partition: Partition, horizon: float
+) -> CompiledEvents:
+    """Replay a checked script against ``partition`` and freeze its timeline.
+
+    ``events`` is the script as :func:`check_events` returns it; the
+    empty script gives the static timeline (every task joins its core
+    at 0 and never leaves).  Deterministic and RNG-free: placement is
+    pure Theorem-1 probing, so one compilation serves any number of
+    seeded runs.  Emits one ``sim.event.<kind>`` span per event under a
+    ``sim.events.compile`` parent when instrumentation is on.
+    """
+    with span("sim.events.compile", events=len(events)):
+        return _compile(events, partition, horizon)
+
+
+def _compile(
+    events: Sequence[SimEvent], partition: Partition, horizon: float
+) -> CompiledEvents:
+    base = partition.taskset
+    n_base = len(base)
+    cores = partition.cores
+
+    arriving = [e.task for e in events if e.kind == "task_arrival"]
+    full = base.appended(arriving) if arriving else base
+    assignment = partition.assignment.tolist() + [-1] * len(arriving)
+    # Only arrivals and failures place tasks: without them nothing
+    # probes the live copy, so none is built.
+    placing = any(e.kind in ("task_arrival", "core_failure") for e in events)
+    live = Partition.from_assignment(full, cores, assignment) if placing else None
+
+    online = np.ones(cores, dtype=bool)
+    # Per-task open residency: global index -> (core, join instant).
+    open_slot: dict[int, tuple[int, float]] = {
+        i: (assignment[i], 0.0) for i in range(n_base)
+    }
+    memberships: list[list[Membership]] = [[] for _ in range(cores)]
+    failures: list[list[float]] = [[] for _ in range(cores)]
+    recovery_windows: list[tuple[float, float]] = []
+    bursts: list[SimEvent] = []
+    arrival_records: list[dict[str, Any]] = []
+    repartition_records: list[dict[str, Any]] = []
+    counters: dict[str, int] = {
+        "injected": len(events),
+        "arrival_admitted": 0,
+        "arrival_rejected": 0,
+        "departures": 0,
+        "departure_noop": 0,
+        "core_failures": 0,
+        "core_hotplugs": 0,
+        "displaced": 0,
+        "replaced": 0,
+        "repartition_lost": 0,
+    }
+    next_arrival = n_base
+
+    def close(gidx: int, leave: float) -> None:
+        core, join = open_slot.pop(gidx)
+        memberships[core].append(Membership(global_index=gidx, join=join, leave=leave))
+
+    def best_online_core(gidx: int) -> int | None:
+        """The serve daemon's pick (:func:`best_core`) among the
+        online cores, or ``None``."""
+        t0 = perf_counter()
+        (row,) = BATCH.answer(probe_request(live, [gidx]))[1]
+        if OBS.enabled:
+            add_span_time("probe", perf_counter() - t0)
+        return best_core(row, online)
+
+    for event in events:
+        with span(f"sim.event.{event.kind}", t=event.start):
+            if event.kind == "wcet_burst":
+                bursts.append(event)
+            elif event.kind == "mode_recovery":
+                recovery_windows.append((event.start, event.end))
+            elif event.kind == "task_arrival":
+                gidx = next_arrival
+                next_arrival += 1
+                core = best_online_core(gidx)
+                if core is None:
+                    counters["arrival_rejected"] += 1
+                else:
+                    live.assign(gidx, core)
+                    open_slot[gidx] = (core, event.start)
+                    counters["arrival_admitted"] += 1
+                arrival_records.append(
+                    {
+                        "time": event.start,
+                        "task": full.names[gidx] or f"task{gidx}",
+                        "core": core,
+                    }
+                )
+            elif event.kind == "task_departure":
+                gidx = event.task_index
+                if gidx in open_slot:
+                    close(gidx, event.start)
+                    if live is not None:
+                        live.unassign(gidx)
+                    counters["departures"] += 1
+                else:
+                    # Lost in an earlier failed re-partition: the
+                    # departure has nothing left to remove.
+                    counters["departure_noop"] += 1
+            elif event.kind == "core_failure":
+                m = event.core
+                counters["core_failures"] += 1
+                online[m] = False
+                if not time_reached(event.start, horizon):
+                    failures[m].append(event.start)
+                lam_before = imbalance_factor(live.core_utilizations())
+                displaced = list(live.tasks_on(m))
+                for gidx in displaced:
+                    close(gidx, event.start)
+                    live.unassign(gidx)
+                # Criticality-aware order: highest criticality first,
+                # then largest own-level utilization — the most
+                # constrained tasks pick their core first.
+                own = full.max_utilizations()
+                crit = full.criticalities
+                displaced.sort(key=lambda i: (-crit[i], -own[i]))
+                replaced = lost = 0
+                for gidx in displaced:
                     core = best_online_core(gidx)
                     if core is None:
-                        counters["arrival_rejected"] += 1
+                        lost += 1
                     else:
                         live.assign(gidx, core)
                         open_slot[gidx] = (core, event.start)
-                        counters["arrival_admitted"] += 1
-                    arrival_records.append(
-                        {
-                            "time": event.start,
-                            "task": full[gidx].name or f"task{gidx}",
-                            "core": core,
-                        }
-                    )
-                elif event.kind == "task_departure":
-                    gidx = event.task_index
-                    if gidx in open_slot:
-                        close(gidx, event.start)
-                        live.unassign(gidx)
-                        counters["departures"] += 1
-                    else:
-                        # Lost in an earlier failed re-partition: the
-                        # departure has nothing left to remove.
-                        counters["departure_noop"] += 1
-                elif event.kind == "core_failure":
-                    m = event.core
-                    counters["core_failures"] += 1
-                    online[m] = False
-                    if not _time_reached(event.start, self.horizon):
-                        failures[m].append(event.start)
-                    lam_before = imbalance_factor(live.core_utilizations())
-                    displaced = list(live.tasks_on(m))
-                    for gidx in displaced:
-                        close(gidx, event.start)
-                        live.unassign(gidx)
-                    # Criticality-aware order: highest criticality
-                    # first, then largest own-level utilization — the
-                    # most constrained tasks pick their core first.
-                    displaced.sort(
-                        key=lambda i: (
-                            -full[i].criticality,
-                            -full[i].utilization(full[i].criticality),
-                        )
-                    )
-                    replaced = lost = 0
-                    for gidx in displaced:
-                        core = best_online_core(gidx)
-                        if core is None:
-                            lost += 1
-                        else:
-                            live.assign(gidx, core)
-                            open_slot[gidx] = (core, event.start)
-                            replaced += 1
-                    counters["displaced"] += len(displaced)
-                    counters["replaced"] += replaced
-                    counters["repartition_lost"] += lost
-                    repartition_records.append(
-                        {
-                            "time": event.start,
-                            "core": m,
-                            "displaced": len(displaced),
-                            "replaced": replaced,
-                            "lost": lost,
-                            "lambda_before": lam_before,
-                            "lambda_after": imbalance_factor(
-                                live.core_utilizations()
-                            ),
-                        }
-                    )
-                elif event.kind == "core_hotplug":
-                    counters["core_hotplugs"] += 1
-                    online[event.core] = True
-
-        # Close every residency still open at the horizon.
-        for gidx in sorted(open_slot):
-            close(gidx, float("inf"))
-
-        membership_tuple = tuple(tuple(ms) for ms in memberships)
-        burst_intervals = tuple(
-            tuple(
-                tuple(
-                    (b.start, b.end, b.factor)
-                    for b in bursts
-                    if b.tasks is None or entry.global_index in b.tasks
+                        replaced += 1
+                counters["displaced"] += len(displaced)
+                counters["replaced"] += replaced
+                counters["repartition_lost"] += lost
+                repartition_records.append(
+                    {
+                        "time": event.start,
+                        "core": m,
+                        "displaced": len(displaced),
+                        "replaced": replaced,
+                        "lost": lost,
+                        "lambda_before": lam_before,
+                        "lambda_after": imbalance_factor(live.core_utilizations()),
+                    }
                 )
-                for entry in ms
+            elif event.kind == "core_hotplug":
+                counters["core_hotplugs"] += 1
+                online[event.core] = True
+
+    # Close every residency still open at the horizon.
+    for gidx in sorted(open_slot):
+        close(gidx, float("inf"))
+
+    membership_tuple = tuple(tuple(ms) for ms in memberships)
+    residents = tuple(
+        full.subset([e.global_index for e in ms]) if ms else None
+        for ms in membership_tuple
+    )
+    burst_intervals = tuple(
+        tuple(
+            tuple(
+                (b.start, b.end, b.factor)
+                for b in bursts
+                if b.tasks is None or entry.global_index in b.tasks
             )
-            for ms in membership_tuple
+            for entry in ms
         )
-        plans = tuple(
-            _plan_schedule(ms, levels) for ms in membership_tuple
-        )
-        return CompiledEvents(
-            horizon=self.horizon,
-            cores=cores,
-            full_taskset=full,
-            memberships=membership_tuple,
-            failures=tuple(tuple(f) for f in failures),
-            plans=plans,
-            burst_intervals=burst_intervals,
-            recovery_windows=tuple(recovery_windows),
-            static_counters=counters,
-            arrivals=tuple(arrival_records),
-            repartitions=tuple(repartition_records),
-        )
+        for ms in membership_tuple
+    )
+    return CompiledEvents(
+        full_taskset=full,
+        memberships=membership_tuple,
+        residents=residents,
+        failures=tuple(tuple(f) for f in failures),
+        plans=tuple(
+            _plan_schedule(ms, subset)
+            for ms, subset in zip(membership_tuple, residents)
+        ),
+        burst_intervals=burst_intervals,
+        recovery_windows=tuple(recovery_windows),
+        static_counters=counters,
+        arrivals=tuple(arrival_records),
+        repartitions=tuple(repartition_records),
+    )
 
 
 def _plan_schedule(
-    entries: Sequence[Membership], levels: int
+    entries: Sequence[Membership], subset: MCTaskSet | None
 ) -> tuple[tuple[float, VirtualDeadlineAssignment | None], ...]:
     """Deadline-scaling plan per membership epoch of one core.
 
-    Epoch boundaries are the distinct join/leave instants; the plan of
-    an epoch is the Theorem-1 assignment over the tasks resident
+    ``subset`` holds the tasks of ``entries``, in order.  Epoch
+    boundaries are the distinct join/leave instants; the plan of an
+    epoch is the Theorem-1 assignment over the tasks resident
     throughout it (identity when the core is empty, ``None`` when the
     resident subset is infeasible — the caller decides what that
     means).
@@ -811,13 +740,13 @@ def _plan_schedule(
     schedule: list[tuple[float, VirtualDeadlineAssignment | None]] = []
     for t in sorted(marks):
         resident = [
-            e.task
-            for e in entries
-            if _time_reached(t, e.join) and _time_after(e.leave, t)
+            i
+            for i, e in enumerate(entries)
+            if time_reached(t, e.join) and time_after(e.leave, t)
         ]
         if not resident:
-            plan: VirtualDeadlineAssignment | None = identity_plan(levels)
+            plan: VirtualDeadlineAssignment | None = identity_plan(subset.levels)
         else:
-            plan = assign_virtual_deadlines(MCTaskSet(resident, levels=levels))
+            plan = assign_virtual_deadlines(subset.subset(resident))
         schedule.append((t, plan))
     return tuple(schedule)

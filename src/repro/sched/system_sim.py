@@ -3,25 +3,27 @@
 Under partitioned scheduling the cores share nothing at run time, so the
 system simulator simply runs one :class:`~repro.sched.CoreSimulator` per
 non-empty core (each with its own child RNG stream) and aggregates the
-reports.
+reports.  Every run reads a compiled event timeline
+(:mod:`repro.sched.events`): the simulator's event script, or the empty
+one, in which every task stays on its core for the whole horizon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.virtual_deadlines import assign_virtual_deadlines
 from repro.model.partition import Partition
-from repro.model.taskset import MCTaskSet
 from repro.obs.runtime import OBS, span
-from repro.sched.core_sim import TIME_EPS, CoreReport, CoreSimulator
+from repro.sched.core_sim import CoreReport, CoreSimulator, checked_horizon
 from repro.sched.events import (
     CompiledEvents,
-    EventInjectionRuntime,
     EventOutcome,
-    identity_plan,
+    SimEvent,
+    check_events,
+    compile_events,
 )
 from repro.sched.scenario import ExecutionScenario
 from repro.types import SimulationError
@@ -52,7 +54,7 @@ class SystemReport:
     """Aggregated simulation outcome for a whole partition."""
 
     core_reports: list[CoreReport | None]  #: ``None`` for empty cores
-    #: what the injected events did (only when a runtime was attached)
+    #: what the injected events did (``None`` for a run without a script)
     events: EventOutcome | None = None
 
     @property
@@ -116,8 +118,8 @@ class SystemReport:
         }
 
     def event_telemetry(self) -> dict[str, int]:
-        """``sim.event.*`` tallies of the attached runtime (empty when
-        no events were injected into the run)."""
+        """``sim.event.*`` tallies of the event script (empty for a run
+        without one)."""
         return {} if self.events is None else self.events.telemetry()
 
 
@@ -131,13 +133,24 @@ class SystemSimulator:
     scenario:
         Execution-demand scenario shared by all cores.
     horizon:
-        Simulated time span; defaults to :func:`default_horizon`.
+        Simulated time span, positive and finite; defaults to
+        :func:`default_horizon`.
     allow_infeasible:
-        When False (default), a core subset that fails the Theorem-1
-        analysis raises :class:`SimulationError` — simulating it would
-        have no guarantee to validate.  Failure-injection experiments
-        pass True, in which case such cores run plain EDF (identity
-        deadline scaling) and misses are expected.
+        When False (default), a core whose resident subset fails the
+        Theorem-1 analysis (at the start, or after an event
+        re-partitioned it) raises :class:`SimulationError` — simulating
+        it would have no guarantee to validate.  Failure-injection
+        experiments pass True, in which case such cores run plain EDF
+        (identity deadline scaling) and misses are expected.
+    releases:
+        Arrival model shared by all cores (``None`` = periodic); see
+        :mod:`repro.sched.releases`.
+    events:
+        An event script, a sequence of
+        :class:`~repro.sched.events.SimEvent` (requires periodic
+        releases).  It is checked against the horizon and the partition
+        here, and compiled on the first :meth:`run`.  ``None`` runs the
+        empty timeline and reports no event outcome.
     """
 
     def __init__(
@@ -147,37 +160,28 @@ class SystemSimulator:
         horizon: float | None = None,
         allow_infeasible: bool = False,
         releases=None,
-        events: EventInjectionRuntime | None = None,
+        events: Sequence[SimEvent] | None = None,
     ):
         if not partition.is_complete:
             raise SimulationError("partition must assign every task")
         self.partition = partition
         self.scenario = scenario
-        self.horizon = (
-            default_horizon(partition) if horizon is None else float(horizon)
+        self.horizon = checked_horizon(
+            default_horizon(partition) if horizon is None else horizon
         )
         self.allow_infeasible = allow_infeasible
-        #: arrival model shared by all cores (None = periodic);
-        #: see :mod:`repro.sched.releases`.
         self.releases = releases
-        #: injected-event runtime (:mod:`repro.sched.events`) or ``None``.
-        self.events = events
+        if events is not None and releases is not None:
+            raise SimulationError(
+                "event injection requires periodic releases; "
+                "combining it with a release model is not supported"
+            )
+        #: the event script in time order, or ``None``.  Unknown ids and
+        #: impossible sequences fail here, before any job is drawn.
+        self.events = (
+            None if events is None else check_events(events, partition, self.horizon)
+        )
         self._compiled: CompiledEvents | None = None
-        if events is not None:
-            if releases is not None:
-                raise SimulationError(
-                    "event injection requires periodic releases; "
-                    "combining it with a release model is not supported"
-                )
-            if abs(events.horizon - self.horizon) > TIME_EPS:
-                raise SimulationError(
-                    f"event runtime was validated for horizon "
-                    f"{events.horizon} but the simulator runs to "
-                    f"{self.horizon}"
-                )
-            # Up-front: unknown ids / impossible sequences fail here,
-            # before any job is drawn.
-            events.validate_against(partition)
 
     def run(self, seed: int | np.random.SeedSequence = 0) -> SystemReport:
         """Simulate every non-empty core; one trace span per core.
@@ -204,92 +208,58 @@ class SystemSimulator:
             np.random.SeedSequence(root.entropy, spawn_key=(*key, m), pool_size=pool)
             for m in range(self.partition.cores)
         ]
-        compiled = self._compile_events()
-        if compiled is not None and not compiled.is_trivial:
-            report = self._run_evented(compiled, children)
-        else:
-            reports: list[CoreReport | None] = []
-            for m in range(self.partition.cores):
-                subset_indices = self.partition.tasks_on(m)
-                if not subset_indices:
-                    reports.append(None)
-                    continue
-                subset = self.partition.taskset.subset(subset_indices)
-                plan = assign_virtual_deadlines(subset)
-                if plan is None:
-                    if not self.allow_infeasible:
-                        raise SimulationError(
-                            f"core {m} fails the EDF-VD schedulability "
-                            "analysis; pass allow_infeasible=True to "
-                            "simulate it anyway"
-                        )
-                    plan = identity_plan(subset.levels)
-                sim = CoreSimulator(
-                    subset=subset,
-                    plan=plan,
-                    scenario=self.scenario,
-                    rng=np.random.default_rng(children[m]),
-                    horizon=self.horizon,
-                    releases=self.releases,
-                )
-                with span("sim.core", core=m, tasks=len(subset_indices)):
-                    reports.append(sim.run())
-            report = SystemReport(core_reports=reports)
-            if compiled is not None:
-                # Zero events: the simulation above is the original
-                # static path bit for bit; the outcome just says so.
-                report.events = compiled.outcome(compiled.fresh_tallies())
-        if report.events is not None and OBS.enabled:
-            reg = OBS.registry
-            for name, value in report.events.telemetry().items():
-                reg.counter(name).inc(value)
-        return report
-
-    def _compile_events(self) -> CompiledEvents | None:
-        """Compile the attached runtime once (lazily, so the per-event
-        spans land inside the caller's instrumentation window)."""
-        if self.events is None:
-            return None
-        if self._compiled is None:
-            self._compiled = self.events.compile(self.partition)
-        return self._compiled
-
-    def _run_evented(
-        self,
-        compiled: CompiledEvents,
-        children: list[np.random.SeedSequence],
-    ) -> SystemReport:
+        compiled = self._timeline()
         infeasible = compiled.infeasible_epochs()
         if infeasible and not self.allow_infeasible:
             core, at = infeasible[0]
             raise SimulationError(
-                f"re-partitioned core {core} fails the EDF-VD "
-                f"schedulability analysis from t={at}; pass "
-                "allow_infeasible=True to simulate it anyway"
+                f"core {core} fails the EDF-VD schedulability analysis "
+                f"from t={at}; pass allow_infeasible=True to simulate it "
+                "anyway"
             )
-        levels = compiled.full_taskset.levels
         tallies = compiled.fresh_tallies()
         reports: list[CoreReport | None] = []
-        for m in range(compiled.cores):
+        for m in range(self.partition.cores):
             view = compiled.core_view(m, tallies)
             if view is None:
                 reports.append(None)
                 continue
-            entries = compiled.memberships[m]
-            subset = MCTaskSet([e.task for e in entries], levels=levels)
-            plan0 = compiled.plans[m][0][1]
-            if plan0 is None:
-                plan0 = identity_plan(levels)
             sim = CoreSimulator(
-                subset=subset,
-                plan=plan0,
+                subset=compiled.residents[m],
+                plan=compiled.first_plan(m),
                 scenario=self.scenario,
                 rng=np.random.default_rng(children[m]),
                 horizon=self.horizon,
+                releases=self.releases,
                 events=view,
             )
-            with span("sim.core", core=m, tasks=len(entries)):
+            with span("sim.core", core=m, tasks=len(view.joins)):
                 reports.append(sim.run())
         return SystemReport(
-            core_reports=reports, events=compiled.outcome(tallies)
+            core_reports=reports, events=self._outcome(compiled, tallies)
         )
+
+    def _timeline(self) -> CompiledEvents:
+        """The script (or the empty one) compiled once, on the first run,
+        so the compile spans land inside the caller's instrumentation
+        window."""
+        if self._compiled is None:
+            self._compiled = compile_events(
+                self.events or (), self.partition, self.horizon
+            )
+        return self._compiled
+
+    def _outcome(
+        self, compiled: CompiledEvents, tallies: dict[str, int]
+    ) -> EventOutcome | None:
+        """What the script did to one run, mirrored into the
+        ``sim.event.*`` counters; ``None`` without a script, so a plain
+        run reports and records no event outcome."""
+        if self.events is None:
+            return None
+        outcome = compiled.outcome(tallies)
+        if OBS.enabled:
+            reg = OBS.registry
+            for name, value in outcome.telemetry().items():
+                reg.counter(name).inc(value)
+        return outcome

@@ -86,15 +86,17 @@ def run_case(case: ValidationCase) -> list[dict]:
     """Run every registered oracle over one case.
 
     Returns one JSON-able failure record per failing oracle (empty =
-    all green).  Instrumented runs tally ``validate.cases``,
-    ``validate.checks``, and ``validate.failures.<oracle>`` counters.
+    all green); an oracle that raises fails with the exception as its
+    message (:meth:`~repro.validate.oracles.Oracle.failures`).
+    Instrumented runs tally ``validate.cases``, ``validate.checks``,
+    and ``validate.failures.<oracle>`` counters.
     """
     records = []
     instrumented = obs.OBS.enabled
     if instrumented:
         obs.counter("validate.cases").inc()
     for oracle in all_oracles():
-        messages = oracle.check(case)
+        messages = oracle.failures(case)
         if instrumented:
             obs.counter("validate.checks").inc()
         if messages:

@@ -193,12 +193,23 @@ class Oracle:
     """A named cross-layer invariant over one :class:`ValidationCase`.
 
     ``check(case)`` returns failure messages; empty means the invariant
-    held for this case.
+    held for this case.  Callers ask :meth:`failures`, which also turns
+    an exception into a failure.
     """
 
     name: str
     description: str
     check: Callable[[ValidationCase], list[str]]
+
+    def failures(self, case: ValidationCase) -> list[str]:
+        """``check(case)``, with any exception it raises recorded as
+        its one failure message (type and text), so the campaign
+        records the oracle and the case and the shrinker shrinks it
+        like any other failure.  Call ``check`` for the traceback."""
+        try:
+            return self.check(case)
+        except Exception as exc:
+            return [f"raised {type(exc).__name__}: {exc}"]
 
 
 _ORACLES: dict[str, Oracle] = {}
@@ -630,27 +641,21 @@ def _case_event_script(case: ValidationCase, partition, horizon: float) -> list:
     "job conservation holds across injected arrival/departure/failure events",
 )
 def _check_events_job_conservation(case: ValidationCase) -> list[str]:
-    from repro.sched.events import EventInjectionRuntime
-
     label, result = case.first_schedulable()
     if result is None:
         return []
     horizon = default_horizon(result.partition, cycles=case.sim_cycles)
-    runtime = EventInjectionRuntime(
-        _case_event_script(case, result.partition, horizon), horizon=horizon
-    )
+    script = _case_event_script(case, result.partition, horizon)
     report = SystemSimulator(
         result.partition,
         LevelScenario(target=case.taskset.levels),
         horizon=horizon,
         allow_infeasible=True,  # failure re-partitioning may overload cores
-        events=runtime,
+        events=script,
     ).run(seed=case.sim_seed(505))
     failures = _conservation_failures(report)
     ev = report.events.counters
-    n_arrivals = sum(
-        1 for e in runtime.events if e.kind == "task_arrival"
-    )
+    n_arrivals = sum(1 for e in script if e.kind == "task_arrival")
     if ev["arrival_admitted"] + ev["arrival_rejected"] != n_arrivals:
         failures.append(
             f"arrivals leak: {ev['arrival_admitted']} admitted + "
@@ -661,7 +666,7 @@ def _check_events_job_conservation(case: ValidationCase) -> list[str]:
             f"re-partition leak: {ev['displaced']} displaced != "
             f"{ev['replaced']} replaced + {ev['repartition_lost']} lost"
         )
-    n_windows = sum(1 for e in runtime.events if e.kind == "mode_recovery")
+    n_windows = sum(1 for e in script if e.kind == "mode_recovery")
     resolved = (
         ev["mode_recovery_applied"]
         + ev["mode_recovery_noop"]
@@ -683,8 +688,6 @@ def _check_events_job_conservation(case: ValidationCase) -> list[str]:
     "telemetry reconciliation holds under every injected event kind",
 )
 def _check_events_telemetry(case: ValidationCase) -> list[str]:
-    from repro.sched.events import EventInjectionRuntime
-
     label, result = case.first_schedulable()
     if result is None:
         return []
@@ -700,7 +703,7 @@ def _check_events_telemetry(case: ValidationCase) -> list[str]:
             RandomScenario(overrun_prob=0.3),
             horizon=horizon,
             allow_infeasible=True,
-            events=EventInjectionRuntime(script, horizon=horizon),
+            events=script,
         ).run(seed=case.sim_seed(606))
 
     plain = simulate()

@@ -89,7 +89,7 @@ def shrink_case(
     there is nothing to shrink (and silently returning the input would
     mask a flaky, non-deterministic oracle).
     """
-    messages = oracle.check(_fresh_case(case, case.taskset))
+    messages = oracle.failures(_fresh_case(case, case.taskset))
     if not messages:
         raise ReproError(
             f"cannot shrink: oracle {oracle.name!r} passes on the given case"
@@ -101,7 +101,7 @@ def shrink_case(
         shrunk = False
         for i in range(len(current)):
             candidate = _without_task(current, i)
-            msgs = oracle.check(_fresh_case(case, candidate))
+            msgs = oracle.failures(_fresh_case(case, candidate))
             if msgs:
                 current, current_messages = candidate, msgs
                 shrunk = True
@@ -113,7 +113,7 @@ def shrink_case(
         mid = (lo + hi) / 2.0
         if mid <= 0.0:  # pragma: no cover - lo starts at 0, mid > 0
             break
-        msgs = oracle.check(_fresh_case(case, _scaled(current, mid)))
+        msgs = oracle.failures(_fresh_case(case, _scaled(current, mid)))
         if msgs:
             hi, current_messages = mid, msgs
         else:
@@ -194,4 +194,4 @@ def check_repro(doc_or_path: dict | str | Path) -> list[str]:
         seed=int(doc["seed"]),
         set_index=int(doc["set_index"]),
     )
-    return get_oracle(doc["oracle"]).check(case)
+    return get_oracle(doc["oracle"]).failures(case)

@@ -217,6 +217,52 @@ class TestEventsRoundTrip:
         with pytest.raises(ModelError, match=re.escape(message)):
             events_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "pos, field, value",
+        [
+            (2, "task_index", 2.7),
+            (2, "task_index", True),
+            (2, "task_index", "3"),
+            (3, "core", 1.5),
+            (3, "core", True),
+            (0, "tasks", "01"),
+            (0, "tasks", [0.9, 1.2]),
+            (0, "tasks", [True]),
+        ],
+    )
+    def test_ids_must_be_integers(self, events, pos, field, value):
+        doc = events_to_dict(events)
+        doc["events"][pos][field] = value
+        kind = doc["events"][pos]["kind"]
+        with pytest.raises(SimulationError, match=rf"^{kind} .*must be"):
+            events_from_dict(doc)
+
+    def test_numpy_integer_ids_pass(self):
+        import numpy as np
+
+        assert task_departure(5.0, np.int64(2)).task_index == 2
+        assert core_failure(5.0, np.int32(1)).core == 1
+        assert wcet_burst(0.0, 1.0, 2.0, tasks=np.arange(2)).tasks == (0, 1)
+
+    def test_simulate_rejects_a_float_core_in_one_line(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro import cli
+
+        examples = Path(__file__).resolve().parents[2] / "examples"
+        doc = json.loads((examples / "events_demo.json").read_text())
+        failure = next(e for e in doc["events"] if e["kind"] == "core_failure")
+        failure["core"] = 1.5
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--taskset", str(examples / "taskset_demo.json"),
+                "--events", str(path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "repro-mc simulate: core_failure core must be an integer, got 1.5\n"
+        )
+
     def test_simulate_rejects_a_bool_start_in_one_line(self, tmp_path, capsys):
         from pathlib import Path
 

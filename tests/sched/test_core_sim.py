@@ -62,6 +62,17 @@ class TestBasics:
         with pytest.raises(SimulationError):
             CoreSimulator(subset, plan, HonestScenario(), np.random.default_rng(), 0.0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected_at_construction(self, horizon):
+        # Such a horizon is never reached: run() would never return, so
+        # the constructor must refuse it (never call run here).
+        subset = MCTaskSet([MCTask(wcets=(1.0,), period=10.0)])
+        plan = assign_virtual_deadlines(subset)
+        with pytest.raises(SimulationError, match="positive and finite"):
+            CoreSimulator(
+                subset, plan, HonestScenario(), np.random.default_rng(), horizon
+            )
+
     def test_full_utilization_edf_meets_everything(self):
         # Two tasks with total utilization exactly 1 under EDF.
         sim = make_sim(

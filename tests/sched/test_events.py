@@ -6,7 +6,6 @@ import pytest
 from repro import obs
 from repro.model import MCTask, MCTaskSet, Partition
 from repro.sched import (
-    EventInjectionRuntime,
     HonestScenario,
     LevelScenario,
     SporadicReleases,
@@ -19,9 +18,7 @@ from repro.sched import (
     task_departure,
     wcet_burst,
 )
-from repro.sched import events as events_mod
-from repro.sched.core_sim import TIME_EPS
-from repro.sched.events import SimEvent
+from repro.sched.events import SimEvent, check_events, compile_events
 from repro.types import SimulationError
 
 
@@ -40,11 +37,9 @@ def small_partition(cores=2):
     return Partition.from_assignment(ts, cores, assignment[: len(ts)])
 
 
-class TestTimeEps:
-    def test_mirrors_core_sim_tolerance(self):
-        # events.py re-declares the tolerance privately (importing it
-        # from core_sim would be a cycle); the two must never drift.
-        assert events_mod._TIME_EPS == TIME_EPS
+def timeline_of(script, part, horizon):
+    """``script`` checked and compiled the way the simulator does it."""
+    return compile_events(check_events(script, part, horizon), part, horizon)
 
 
 class TestStructuralValidation:
@@ -98,98 +93,97 @@ class TestStructuralValidation:
 class TestRuntimeValidation:
     def test_event_past_horizon_rejected(self):
         with pytest.raises(SimulationError, match="past the horizon"):
-            EventInjectionRuntime([wcet_burst(0.0, 200.0, 2.0)], horizon=100.0)
+            SystemSimulator(
+                small_partition(),
+                HonestScenario(),
+                horizon=100.0,
+                events=[wcet_burst(0.0, 200.0, 2.0)],
+            )
 
     def test_non_positive_horizon_rejected(self):
         with pytest.raises(SimulationError, match="horizon"):
-            EventInjectionRuntime([], horizon=0.0)
+            SystemSimulator(
+                small_partition(), HonestScenario(), horizon=0.0, events=[]
+            )
 
     def test_events_sorted_by_start(self):
-        rt = EventInjectionRuntime(
+        script = check_events(
             [task_departure(50.0, 0), wcet_burst(10.0, 20.0, 2.0)],
-            horizon=100.0,
+            small_partition(),
+            100.0,
         )
-        assert [e.start for e in rt.events] == [10.0, 50.0]
+        assert [e.start for e in script] == [10.0, 50.0]
 
     def test_burst_unknown_task(self):
-        part = small_partition()
-        rt = EventInjectionRuntime(
-            [wcet_burst(0.0, 10.0, 2.0, tasks=[99])], horizon=100.0
-        )
         with pytest.raises(SimulationError, match="unknown task 99"):
-            rt.validate_against(part)
+            check_events(
+                [wcet_burst(0.0, 10.0, 2.0, tasks=[99])], small_partition(), 100.0
+            )
 
     def test_arrival_criticality_above_k(self):
-        part = small_partition()
         deep = MCTask(wcets=(1.0, 2.0, 3.0), period=50.0)
-        rt = EventInjectionRuntime([task_arrival(5.0, deep)], horizon=100.0)
         with pytest.raises(SimulationError, match="criticality"):
-            rt.validate_against(part)
+            check_events([task_arrival(5.0, deep)], small_partition(), 100.0)
 
     def test_departure_unknown_task(self):
-        part = small_partition()
-        rt = EventInjectionRuntime([task_departure(5.0, 42)], horizon=100.0)
         with pytest.raises(SimulationError, match="unknown task 42"):
-            rt.validate_against(part)
+            check_events([task_departure(5.0, 42)], small_partition(), 100.0)
 
     def test_double_departure(self):
-        part = small_partition()
-        rt = EventInjectionRuntime(
-            [task_departure(5.0, 0), task_departure(9.0, 0)], horizon=100.0
-        )
+        script = [task_departure(5.0, 0), task_departure(9.0, 0)]
         with pytest.raises(SimulationError, match="departs twice"):
-            rt.validate_against(part)
+            check_events(script, small_partition(), 100.0)
 
     def test_failure_unknown_core(self):
-        part = small_partition()
-        rt = EventInjectionRuntime([core_failure(5.0, 7)], horizon=100.0)
         with pytest.raises(SimulationError, match="unknown core 7"):
-            rt.validate_against(part)
+            check_events([core_failure(5.0, 7)], small_partition(), 100.0)
 
     def test_failure_of_offline_core(self):
-        part = small_partition()
-        rt = EventInjectionRuntime(
-            [core_failure(5.0, 1), core_failure(9.0, 1)], horizon=100.0
-        )
+        script = [core_failure(5.0, 1), core_failure(9.0, 1)]
         with pytest.raises(SimulationError, match="already"):
-            rt.validate_against(part)
+            check_events(script, small_partition(), 100.0)
 
     def test_hotplug_of_online_core(self):
-        part = small_partition()
-        rt = EventInjectionRuntime([core_hotplug(5.0, 0)], horizon=100.0)
         with pytest.raises(SimulationError, match="already online"):
-            rt.validate_against(part)
+            check_events([core_hotplug(5.0, 0)], small_partition(), 100.0)
 
     def test_validation_happens_at_simulator_construction(self):
         part = small_partition()
-        rt = EventInjectionRuntime([task_departure(5.0, 42)], horizon=100.0)
         with pytest.raises(SimulationError, match="unknown task 42"):
-            SystemSimulator(part, HonestScenario(), horizon=100.0, events=rt)
-
-    def test_horizon_mismatch_rejected(self):
-        part = small_partition()
-        rt = EventInjectionRuntime([], horizon=100.0)
-        with pytest.raises(SimulationError, match="horizon"):
-            SystemSimulator(part, HonestScenario(), horizon=50.0, events=rt)
+            SystemSimulator(
+                part,
+                HonestScenario(),
+                horizon=100.0,
+                events=[task_departure(5.0, 42)],
+            )
 
     def test_events_with_release_model_rejected(self):
         part = small_partition()
-        rt = EventInjectionRuntime([], horizon=100.0)
         with pytest.raises(SimulationError, match="release"):
             SystemSimulator(
                 part,
                 HonestScenario(),
                 horizon=100.0,
                 releases=SporadicReleases(max_delay=0.1),
-                events=rt,
+                events=[],
             )
 
 
 class TestTrivialPath:
-    def test_empty_runtime_is_trivial(self):
+    def test_empty_script_compiles_to_the_static_view(self):
+        # No events: every task joins its core at 0 and never leaves,
+        # under the core's Theorem-1 plan, and nothing else happens.
         part = small_partition()
-        rt = EventInjectionRuntime([], horizon=100.0)
-        assert rt.compile(part).is_trivial
+        timeline = timeline_of((), part, 100.0)
+        assert timeline.static_counters["injected"] == 0
+        assert timeline.infeasible_epochs() == []
+        for m in range(part.cores):
+            view = timeline.core_view(m, timeline.fresh_tallies())
+            assert view.joins == (0.0, 0.0)
+            assert view.leaves == (float("inf"), float("inf"))
+            assert view.failures == view.plan_changes == ()
+            assert view.burst is None and view.recovery is None
+            assert timeline.residents[m] == part.taskset.subset(part.tasks_on(m))
 
     def test_empty_runtime_bit_identical_to_plain_run(self):
         part = small_partition()
@@ -197,9 +191,8 @@ class TestTrivialPath:
         plain = SystemSimulator(part, HonestScenario(), horizon=200.0).run(
             seed=seed
         )
-        rt = EventInjectionRuntime([], horizon=200.0)
         evented = SystemSimulator(
-            part, HonestScenario(), horizon=200.0, events=rt
+            part, HonestScenario(), horizon=200.0, events=[]
         ).run(seed=seed)
         assert plain.telemetry() == evented.telemetry()
         for a, b in zip(plain.core_reports, evented.core_reports):
@@ -211,6 +204,15 @@ class TestTrivialPath:
         assert evented.events is not None
         assert evented.events.counters["injected"] == 0
         assert plain.events is None
+        assert plain.event_telemetry() == {}
+
+    def test_plain_run_records_no_event_counter(self):
+        part = small_partition()
+        with obs.collect() as registry:
+            SystemSimulator(part, HonestScenario(), horizon=200.0).run(seed=7)
+            counters = registry.snapshot()["counters"]
+        assert counters["sim.cores_simulated"] == 2
+        assert not [k for k in counters if k.startswith("sim.event.")]
 
     def test_zero_length_burst_is_a_noop(self):
         # A zero-length window matches no release (start <= r < end is
@@ -220,11 +222,11 @@ class TestTrivialPath:
         plain = SystemSimulator(part, HonestScenario(), horizon=200.0).run(
             seed=seed
         )
-        rt = EventInjectionRuntime(
-            [wcet_burst(50.0, 50.0, 9.0)], horizon=200.0
-        )
         evented = SystemSimulator(
-            part, HonestScenario(), horizon=200.0, events=rt
+            part,
+            HonestScenario(),
+            horizon=200.0,
+            events=[wcet_burst(50.0, 50.0, 9.0)],
         ).run(seed=seed)
         assert plain.telemetry() == evented.telemetry()
         assert evented.events.counters["burst_jobs"] == 0
@@ -235,11 +237,11 @@ class TestTrivialPath:
         plain = SystemSimulator(part, HonestScenario(), horizon=200.0).run(
             seed=seed
         )
-        rt = EventInjectionRuntime(
-            [wcet_burst(0.0, 200.0, 1.0)], horizon=200.0
-        )
         evented = SystemSimulator(
-            part, HonestScenario(), horizon=200.0, events=rt
+            part,
+            HonestScenario(),
+            horizon=200.0,
+            events=[wcet_burst(0.0, 200.0, 1.0)],
         ).run(seed=seed)
         assert plain.telemetry() == evented.telemetry()
         assert evented.events.counters["burst_jobs"] == 0
@@ -259,15 +261,13 @@ class TestBurst:
     def test_burst_inflates_demand_and_counts_jobs(self):
         part = self.one_core_partition()
         horizon = 200.0
-        rt = EventInjectionRuntime(
-            [wcet_burst(40.0, 160.0, 5.0)], horizon=horizon
-        )
+        script = [wcet_burst(40.0, 160.0, 5.0)]
         report = SystemSimulator(
             part,
             HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
-            events=rt,
+            events=script,
         ).run(seed=1)
         ev = report.events.counters
         assert ev["burst_jobs"] > 0
@@ -282,11 +282,9 @@ class TestBurst:
     def test_burst_task_filter_only_hits_named_tasks(self):
         part = self.one_core_partition()
         horizon = 200.0
-        rt = EventInjectionRuntime(
-            [wcet_burst(0.0, 200.0, 1.5, tasks=[1])], horizon=horizon
-        )
+        script = [wcet_burst(0.0, 200.0, 1.5, tasks=[1])]
         report = SystemSimulator(
-            part, HonestScenario(), horizon=horizon, events=rt
+            part, HonestScenario(), horizon=horizon, events=script
         ).run(seed=1)
         # Task 1 (period 20) releases 10 jobs in [0, 200); each is
         # multiplied, the other task's 20 jobs are not.
@@ -294,12 +292,9 @@ class TestBurst:
 
     def test_overlapping_burst_factors_multiply(self):
         part = self.one_core_partition()
-        rt = EventInjectionRuntime(
-            [wcet_burst(0.0, 100.0, 2.0), wcet_burst(50.0, 100.0, 3.0)],
-            horizon=200.0,
-        )
-        compiled = rt.compile(part)
-        view = compiled.core_view(0, compiled.fresh_tallies())
+        script = [wcet_burst(0.0, 100.0, 2.0), wcet_burst(50.0, 100.0, 3.0)]
+        timeline = timeline_of(script, part, 200.0)
+        view = timeline.core_view(0, timeline.fresh_tallies())
         assert view.burst.factor(0, 10.0) == 2.0
         assert view.burst.factor(0, 60.0) == 6.0
         assert view.burst.factor(0, 150.0) == 1.0
@@ -310,14 +305,12 @@ class TestArrivalDeparture:
         part = small_partition()
         horizon = 200.0
         newcomer = MCTask(wcets=(1.0,), period=10.0, name="new")
-        rt = EventInjectionRuntime(
-            [task_arrival(100.0, newcomer)], horizon=horizon
-        )
+        script = [task_arrival(100.0, newcomer)]
         baseline = SystemSimulator(
             part, HonestScenario(), horizon=horizon
         ).run(seed=3)
         report = SystemSimulator(
-            part, HonestScenario(), horizon=horizon, events=rt
+            part, HonestScenario(), horizon=horizon, events=script
         ).run(seed=3)
         ev = report.events.counters
         assert ev["arrival_admitted"] == 1
@@ -333,9 +326,9 @@ class TestArrivalDeparture:
         )
         part = Partition.from_assignment(ts, 1, [0])
         giant = MCTask(wcets=(8.0,), period=10.0, name="giant")
-        rt = EventInjectionRuntime([task_arrival(50.0, giant)], horizon=100.0)
+        script = [task_arrival(50.0, giant)]
         report = SystemSimulator(
-            part, HonestScenario(), horizon=100.0, events=rt
+            part, HonestScenario(), horizon=100.0, events=script
         ).run(seed=0)
         ev = report.events.counters
         assert ev["arrival_admitted"] == 0
@@ -346,14 +339,12 @@ class TestArrivalDeparture:
     def test_departure_stops_releases(self):
         part = small_partition()
         horizon = 200.0
-        rt = EventInjectionRuntime(
-            [task_departure(100.0, 0)], horizon=horizon
-        )
+        script = [task_departure(100.0, 0)]
         baseline = SystemSimulator(
             part, HonestScenario(), horizon=horizon
         ).run(seed=3)
         report = SystemSimulator(
-            part, HonestScenario(), horizon=horizon, events=rt
+            part, HonestScenario(), horizon=horizon, events=script
         ).run(seed=3)
         assert report.events.counters["departures"] == 1
         # Task 0 (period 10) loses its releases at t = 100 .. 190.
@@ -364,13 +355,13 @@ class TestFailureHotplug:
     def test_failure_displaces_and_repartitions(self):
         part = small_partition(cores=2)
         horizon = 200.0
-        rt = EventInjectionRuntime([core_failure(100.0, 1)], horizon=horizon)
+        script = [core_failure(100.0, 1)]
         report = SystemSimulator(
             part,
             HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
-            events=rt,
+            events=script,
         ).run(seed=5)
         ev = report.events.counters
         assert ev["core_failures"] == 1
@@ -384,15 +375,13 @@ class TestFailureHotplug:
     def test_failure_then_hotplug_runs_clean(self):
         part = small_partition(cores=2)
         horizon = 200.0
-        rt = EventInjectionRuntime(
-            [core_failure(80.0, 1), core_hotplug(160.0, 1)], horizon=horizon
-        )
+        script = [core_failure(80.0, 1), core_hotplug(160.0, 1)]
         report = SystemSimulator(
             part,
             HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
-            events=rt,
+            events=script,
         ).run(seed=5)
         ev = report.events.counters
         assert ev["core_failures"] == 1
@@ -402,6 +391,19 @@ class TestFailureHotplug:
             report.released
             == report.completed + report.dropped + report.pending
         )
+
+    def test_hotplug_brings_the_core_back_empty(self):
+        # Displaced tasks stay where they were re-placed: with no later
+        # arrival, nothing ever joins core 1 again.
+        part = small_partition(cores=2)
+        script = [core_failure(80.0, 1), core_hotplug(160.0, 1)]
+        timeline = timeline_of(script, part, 200.0)
+        entries = timeline.memberships[1]
+        assert [e.global_index for e in entries] == part.tasks_on(1)
+        assert all(e.leave == 80.0 for e in entries)
+        entries = timeline.memberships[0]
+        assert [e.global_index for e in entries] == [0, 1, 2, 3]
+        assert all(e.leave == float("inf") for e in entries)
 
 
 class TestModeRecovery:
@@ -418,14 +420,12 @@ class TestModeRecovery:
     def test_window_applied_at_idle_instant(self):
         part = self.escalating_partition()
         horizon = 200.0
-        rt = EventInjectionRuntime(
-            [mode_recovery(0.0, 200.0)], horizon=horizon
-        )
+        script = [mode_recovery(0.0, 200.0)]
         # LevelScenario(2) exhausts the level-2 budget: the core
         # escalates, idles eventually, and the window sanctions the
         # reset.
         report = SystemSimulator(
-            part, LevelScenario(2), horizon=horizon, events=rt
+            part, LevelScenario(2), horizon=horizon, events=script
         ).run(seed=2)
         ev = report.events.counters
         assert ev["mode_recovery_applied"] == 1
@@ -441,9 +441,9 @@ class TestModeRecovery:
         # Window [0, 1] is consumed by (or before) the first idle
         # instant; every later idle instant has no window left, so no
         # automatic resets happen.
-        rt = EventInjectionRuntime([mode_recovery(0.0, 1.0)], horizon=horizon)
+        script = [mode_recovery(0.0, 1.0)]
         gated = SystemSimulator(
-            part, LevelScenario(2), horizon=horizon, events=rt
+            part, LevelScenario(2), horizon=horizon, events=script
         ).run(seed=2)
         assert gated.idle_resets <= 1
         assert plain.idle_resets > gated.idle_resets
@@ -451,12 +451,9 @@ class TestModeRecovery:
     def test_recovery_accounting_is_conserved(self):
         part = self.escalating_partition()
         horizon = 200.0
-        rt = EventInjectionRuntime(
-            [mode_recovery(0.0, 50.0), mode_recovery(60.0, 80.0)],
-            horizon=horizon,
-        )
+        script = [mode_recovery(0.0, 50.0), mode_recovery(60.0, 80.0)]
         report = SystemSimulator(
-            part, LevelScenario(2), horizon=horizon, events=rt
+            part, LevelScenario(2), horizon=horizon, events=script
         ).run(seed=2)
         ev = report.events.counters
         resolved = (
@@ -472,19 +469,16 @@ class TestModeRecovery:
         # dropped low-criticality tasks even while demand is inflated.
         part = self.escalating_partition()
         horizon = 400.0
-        rt = EventInjectionRuntime(
-            [
+        script = [
                 wcet_burst(0.0, 300.0, 1.9),
                 mode_recovery(100.0, 300.0),
-            ],
-            horizon=horizon,
-        )
+            ]
         report = SystemSimulator(
             part,
             HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
-            events=rt,
+            events=script,
         ).run(seed=4)
         ev = report.events.counters
         # The burst (1.9 * 1.0 = 1.9 > wcet(1)) escalates the core;
@@ -505,23 +499,20 @@ class TestAllKindsTogether:
         part = small_partition(cores=2)
         horizon = default_horizon(part, cycles=10.0)
         newcomer = MCTask(wcets=(0.5,), period=10.0, name="new")
-        rt = EventInjectionRuntime(
-            [
+        script = [
                 wcet_burst(0.25 * horizon, 0.6 * horizon, 3.0),
                 mode_recovery(0.3 * horizon, 0.7 * horizon),
                 task_arrival(0.2 * horizon, newcomer),
                 task_departure(0.5 * horizon, 0),
                 core_failure(0.4 * horizon, 1),
                 core_hotplug(0.8 * horizon, 1),
-            ],
-            horizon=horizon,
-        )
+            ]
         report = SystemSimulator(
             part,
             LevelScenario(2),
             horizon=horizon,
             allow_infeasible=True,
-            events=rt,
+            events=script,
         ).run(seed=9)
         ev = report.events.counters
         assert ev["injected"] == 6
@@ -539,18 +530,16 @@ class TestAllKindsTogether:
         one probe per arrival, one per displaced task."""
         part = small_partition(cores=2)
         newcomer = MCTask(wcets=(0.5,), period=10.0, name="new")
-        rt = EventInjectionRuntime(
-            [task_arrival(10.0, newcomer), core_failure(20.0, 1)], horizon=100.0
-        )
+        script = [task_arrival(10.0, newcomer), core_failure(20.0, 1)]
         with obs.instrument() as state:
-            compiled = rt.compile(part)
+            timeline = timeline_of(script, part, 100.0)
             spans = {s["span_id"]: s for s in state.spans}
         probes = {
             spans[s["parent_id"]]["name"]: s["calls"]
             for s in spans.values()
             if s["name"] == "probe"
         }
-        displaced = compiled.repartitions[0]["displaced"]
+        displaced = timeline.repartitions[0]["displaced"]
         assert probes == {
             "sim.event.task_arrival": 1,
             "sim.event.core_failure": displaced,
@@ -566,13 +555,12 @@ class TestAllKindsTogether:
         ]
 
         def run():
-            rt = EventInjectionRuntime(script, horizon=horizon)
             return SystemSimulator(
                 part,
                 LevelScenario(2),
                 horizon=horizon,
                 allow_infeasible=True,
-                events=rt,
+                events=script,
             ).run(seed=42)
 
         a, b = run(), run()

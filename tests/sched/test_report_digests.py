@@ -19,7 +19,6 @@ from repro.analysis import assign_virtual_deadlines
 from repro.model import MCTask, MCTaskSet
 from repro.sched import (
     CoreSimulator,
-    EventInjectionRuntime,
     FaultyScenario,
     HonestScenario,
     LevelScenario,
@@ -105,15 +104,12 @@ def _traced_core(case, partition, horizon):
 
 
 def _evented(case, partition, horizon):
-    runtime = EventInjectionRuntime(
-        _case_event_script(case, partition, horizon), horizon=horizon
-    )
     sim = SystemSimulator(
         partition,
         RandomScenario(overrun_prob=0.3),
         horizon=horizon,
         allow_infeasible=True,
-        events=runtime,
+        events=_case_event_script(case, partition, horizon),
     )
     return _system(sim.run(seed=case.sim_seed(606)))
 

@@ -126,6 +126,14 @@ class TestSystemSimulator:
         with pytest.raises(SimulationError, match="cycles"):
             default_horizon(part, cycles=0.0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # A NaN or infinite horizon is never reached: run() would never
+        # return, so the constructor must refuse it (never call run here).
+        res = CATPA().partition(dual_taskset(), cores=2)
+        with pytest.raises(SimulationError, match="positive and finite"):
+            SystemSimulator(res.partition, HonestScenario(), horizon=horizon)
+
     @pytest.mark.parametrize("cycles", [float("nan"), float("inf")])
     def test_default_horizon_rejects_non_finite_cycles(self, cycles):
         res = CATPA().partition(dual_taskset(), cores=2)

@@ -9,17 +9,21 @@ written repro file replays red under the bug and green once it is
 fixed.
 """
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from repro.gen import WorkloadConfig
-from repro.types import ReproError
+from repro.model.io import taskset_to_dict
+from repro.types import ReproError, SimulationError
 from repro.validate import (
+    CAMPAIGN_CONFIGS,
     check_repro,
     get_oracle,
     load_repro,
     make_case,
     run_campaign,
+    run_case,
     shrink_case,
     shrink_failure,
     write_repro,
@@ -63,6 +67,52 @@ class TestShrinkCase:
         before = case.taskset
         shrink_case(get_oracle(failure.oracle), case)
         assert case.taskset == before
+
+
+class TestRaisingOracle:
+    """An oracle that raises fails like one that returns messages."""
+
+    MESSAGE = "raised SimulationError: core 0 fails the EDF-VD analysis"
+
+    @pytest.fixture
+    def raising(self, monkeypatch):
+        """``job-conservation`` raising on any set with a top-level task."""
+        from repro.validate import oracles
+
+        def check(case):
+            if (case.taskset.criticalities == case.taskset.levels).any():
+                raise SimulationError("core 0 fails the EDF-VD analysis")
+            return []
+
+        oracle = dataclasses.replace(get_oracle("job-conservation"), check=check)
+        monkeypatch.setitem(oracles._ORACLES, oracle.name, oracle)
+        return oracle
+
+    def case(self):
+        case = make_case(CAMPAIGN_CONFIGS[0], (), seed=0, index=0)
+        assert len(case.taskset) > 1
+        assert (case.taskset.criticalities == case.taskset.levels).any()
+        return case
+
+    def test_run_case_records_the_exception(self, raising):
+        case = self.case()
+        (record,) = [r for r in run_case(case) if r["oracle"] == raising.name]
+        assert record["messages"] == [self.MESSAGE]
+        assert record["set_index"] == case.set_index
+
+    def test_shrink_case_shrinks_it(self, raising):
+        shrunk, messages = shrink_case(raising, self.case())
+        assert len(shrunk.taskset) == 1
+        assert messages == [self.MESSAGE]
+        doc = {
+            "oracle": raising.name,
+            "seed": shrunk.seed,
+            "set_index": shrunk.set_index,
+            "config": shrunk.config.to_dict(),
+            "schemes": [s.to_dict() for s in shrunk.schemes],
+            "taskset": taskset_to_dict(shrunk.taskset),
+        }
+        assert check_repro(doc) == [self.MESSAGE]
 
 
 class TestSeededBugAcceptance:
