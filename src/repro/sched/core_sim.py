@@ -38,10 +38,10 @@ the residents that left.
 
 Time comparison convention
 --------------------------
-Every float comparison goes through :func:`time_after` /
-:func:`time_reached` with the single tolerance ``TIME_EPS``: two
-instants (or durations) closer than ``TIME_EPS`` are the *same*
-instant.  Two consequences worth spelling out:
+Every float comparison is :func:`time_after` or :func:`time_reached`
+(the run loop spells them out inline) with the single tolerance
+``TIME_EPS``: two instants (or durations) closer than ``TIME_EPS`` are
+the *same* instant.  Two consequences worth spelling out:
 
 * a demand within ``TIME_EPS`` of the level-``m`` budget counts as
   completing *at* the budget, never as an overrun — the budget trigger
@@ -206,11 +206,17 @@ class CoreSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> CoreReport:
+        # The loop spells out time_after(a, b) as ``a > b + eps``,
+        # time_reached(a, b) as ``a >= b - eps`` and Job.remaining as
+        # ``exec_time - executed``: the same operations, without a call.
         subset, plan, horizon = self.subset, self.plan, self.horizon
+        draw, rng, releases = self.scenario.draw, self.rng, self.releases
+        eps, inf = TIME_EPS, np.inf
         report = CoreReport(horizon=horizon)
         tasks = list(subset)
         periods = [t.period for t in tasks]
         levels = [t.criticality for t in tasks]
+        wcets = [t.wcets for t in tasks]
 
         view = self.events
         leaves = view.leaves
@@ -225,8 +231,8 @@ class CoreSimulator:
         burst, recovery, tallies = view.burst, view.recovery, view.tallies
         fail_times, plan_changes = view.failures, view.plan_changes
         fail_idx = 0
-        next_fail = fail_times[0] if fail_times else np.inf
-        plan_idx = 0
+        next_fail = fail_times[0] if fail_times else inf
+        plan_idx, n_changes = 0, len(plan_changes)
 
         mode = 1
         time = 0.0
@@ -234,19 +240,26 @@ class CoreSimulator:
         # heap entries: (virtual_deadline, seq, job)
         ready: list[tuple[float, int, Job]] = []
         trace = Trace(events=[], slices=[]) if self.record_trace else None
+        # scales[i, mode]: entry i's deadline scale at ``mode`` under the
+        # current plan, asked of the plan once and cleared at a rebind.
+        # Keyed by entry, not level: a per-task plan scales each task on
+        # its own.
+        scales: dict[tuple[int, int], float] = {}
 
         def record(kind: EventKind, now: float, task_index: int | None = None):
-            if trace is not None:
-                trace.events.append(
-                    TraceEvent(time=now, kind=kind, task_index=task_index, mode=mode)
-                )
-
-        def virtual_deadline(job: Job) -> float:
-            scale = plan.task_scale(job.task_index, int(job.level), mode)
-            return job.release + scale * (job.deadline - job.release)
+            trace.events.append(
+                TraceEvent(time=now, kind=kind, task_index=task_index, mode=mode)
+            )
 
         def push(job: Job) -> None:
-            heapq.heappush(ready, (virtual_deadline(job), job.seq, job))
+            i = job.task_index
+            scale = scales.get((i, mode))
+            if scale is None:
+                scale = scales[i, mode] = plan.task_scale(i, int(job.level), mode)
+            release = job.release
+            heapq.heappush(
+                ready, (release + scale * (job.deadline - release), job.seq, job)
+            )
 
         def rebuild() -> None:
             jobs = [entry[2] for entry in ready]
@@ -254,60 +267,60 @@ class CoreSimulator:
             for job in jobs:
                 push(job)
 
-        def next_release() -> float:
-            return timeline[0][0] if timeline else np.inf
-
         def release_due(now: float) -> None:
             nonlocal seq
-            due, cutoff = [], now + TIME_EPS
+            due, cutoff = [], now + eps
             while timeline and timeline[0][0] <= cutoff:
                 due.append(heapq.heappop(timeline))
             # One due batch is released in task-index order, whatever
             # the order of its (near-)coincident instants.
-            due.sort(key=lambda entry: entry[1])
+            if len(due) > 1:
+                due.sort(key=lambda entry: entry[1])
             for r, i in due:
                 task = tasks[i]
-                exec_time = float(self.scenario.draw(task, self.rng))
+                exec_time = float(draw(task, rng))
                 if burst is not None:
                     factor = burst.factor(i, r)
                     if factor != 1.0:
                         exec_time *= factor
                         tallies["burst_jobs"] += 1
-                if exec_time <= 0:
+                # NaN fails this test too: a NaN demand corrupts the
+                # report, and an infinite one never completes.
+                if not 0.0 < exec_time < inf:
                     raise SimulationError(
-                        f"scenario produced non-positive execution time {exec_time}"
+                        f"entry {i}: execution demand must be positive and "
+                        f"finite, got {exec_time}"
                     )
-                job = Job(
-                    task_index=i,
-                    level=levels[i],
-                    release=r,
-                    deadline=r + periods[i],
-                    exec_time=exec_time,
-                    seq=seq,
-                )
+                # task_index, level, release, deadline, exec_time, seq
+                job = Job(i, levels[i], r, r + periods[i], exec_time, seq)
                 seq += 1
                 report.released += 1
-                if time_after(job.deadline, horizon):
+                if job.deadline > horizon + eps:
                     report.censored += 1
-                record(EventKind.RELEASE, now, i)
+                if trace is not None:
+                    record(EventKind.RELEASE, now, i)
                 if job.level < mode:
                     job.dropped_at = now
                     report.dropped += 1
-                    record(EventKind.DROP, now, i)
+                    if trace is not None:
+                        record(EventKind.DROP, now, i)
                 else:
                     push(job)
-                if self.releases is None:
+                if releases is None:
                     gap = periods[i]
                 else:
-                    gap = float(self.releases.interarrival(task, self.rng))
-                    if gap < periods[i] - TIME_EPS:
+                    gap = float(releases.interarrival(task, rng))
+                    # A NaN gap fails this test too: its release would
+                    # never be due, and the run would never end.  An
+                    # infinite gap is legal: the task never releases again.
+                    if not gap >= periods[i] - eps:
                         raise SimulationError(
-                            "release model produced an interarrival below"
-                            f" the period ({gap} < {periods[i]})"
+                            f"entry {i}: interarrival must be a number no less "
+                            f"than the period {periods[i]}, got {gap}"
                         )
                 upcoming_release = r + gap
                 # The residency ends first: no release at/after it.
-                if not time_reached(upcoming_release, leaves[i]):
+                if not upcoming_release >= leaves[i] - eps:
                     heapq.heappush(timeline, (upcoming_release, i))
 
         def raise_mode(now: float) -> None:
@@ -315,14 +328,17 @@ class CoreSimulator:
             mode += 1
             report.mode_switches += 1
             report.max_mode = max(report.max_mode, mode)
-            record(EventKind.MODE_UP, now)
-            # Cancel jobs of tasks below the new mode.
+            if trace is not None:
+                record(EventKind.MODE_UP, now)
+            # Cancel jobs of tasks below the new mode, and re-key the
+            # survivors' virtual deadlines at it.
             survivors = []
             for _, _, job in ready:
                 if job.level < mode:
                     job.dropped_at = now
                     report.dropped += 1
-                    record(EventKind.DROP, now, job.task_index)
+                    if trace is not None:
+                        record(EventKind.DROP, now, job.task_index)
                 else:
                     survivors.append(job)
             ready.clear()
@@ -332,16 +348,19 @@ class CoreSimulator:
         def finish(job: Job, now: float) -> None:
             job.completion = now
             report.completed += 1
-            record(EventKind.COMPLETE, now, job.task_index)
-            if not time_after(job.deadline, horizon) and time_after(now, job.deadline):
-                record(EventKind.MISS, now, job.task_index)
+            if trace is not None:
+                record(EventKind.COMPLETE, now, job.task_index)
+            deadline = job.deadline
+            if not deadline > horizon + eps and now > deadline + eps:
+                if trace is not None:
+                    record(EventKind.MISS, now, job.task_index)
                 report.misses.append(
                     DeadlineMiss(
                         task_index=job.task_index,
                         level=job.level,
                         release=job.release,
-                        deadline=job.deadline,
-                        lateness=now - job.deadline,
+                        deadline=deadline,
+                        lateness=now - deadline,
                     )
                 )
 
@@ -353,40 +372,43 @@ class CoreSimulator:
                 job.dropped_at = now
                 report.dropped += 1
                 tallies["failure_drops"] += 1
-                record(EventKind.DROP, now, job.task_index)
+                if trace is not None:
+                    record(EventKind.DROP, now, job.task_index)
             ready.clear()
-            timeline[:] = [e for e in timeline if leaves[e[1]] > now + TIME_EPS]
+            timeline[:] = [e for e in timeline if leaves[e[1]] > now + eps]
             heapq.heapify(timeline)
             mode = 1  # not an idle reset: the core restarts empty
 
-        while not time_reached(time, horizon):
-            if time_reached(time, next_fail):
+        while not time >= horizon - eps:
+            if time >= next_fail - eps:
                 apply_failure(next_fail)
                 fail_idx += 1
                 next_fail = (
                     fail_times[fail_idx]
                     if fail_idx < len(fail_times)
-                    else np.inf
+                    else inf
                 )
                 continue
             # Membership changed: rebind the deadline-scaling plan at the
             # next scheduling point at/after the epoch boundary (jobs
             # already keyed keep the plan they were released under).
-            while plan_idx < len(plan_changes) and time_reached(
-                time, plan_changes[plan_idx][0]
-            ):
+            while plan_idx < n_changes and time >= plan_changes[plan_idx][0] - eps:
                 plan = plan_changes[plan_idx][1]
                 plan_idx += 1
+                scales.clear()
                 rebuild()
-            release_due(time)
+            if timeline and timeline[0][0] <= time + eps:
+                release_due(time)
+            next_release = timeline[0][0] if timeline else inf
             if not ready:
-                idle_until = min(next_release(), horizon, next_fail)
+                idle_until = min(next_release, horizon, next_fail)
                 if recovery is None:
                     if mode != 1:
                         # Idle instant: AMC resets to the lowest mode.
                         mode = 1
                         report.idle_resets += 1
-                        record(EventKind.IDLE_RESET, time)
+                        if trace is not None:
+                            record(EventKind.IDLE_RESET, time)
                 else:
                     # Explicit-recovery protocol: the reset needs an idle
                     # instant *inside a sanctioned window* (consumed
@@ -396,7 +418,8 @@ class CoreSimulator:
                         if mode != 1:
                             mode = 1
                             report.idle_resets += 1
-                            record(EventKind.IDLE_RESET, applied)
+                            if trace is not None:
+                                record(EventKind.IDLE_RESET, applied)
                             tallies["mode_recovery_applied"] += consumed
                         else:
                             tallies["mode_recovery_noop"] += consumed
@@ -404,16 +427,16 @@ class CoreSimulator:
                 continue
 
             vd, _, job = ready[0]
-            task = tasks[job.task_index]
-            next_event = min(next_release(), horizon)
+            next_event = min(next_release, horizon)
 
             # Budget boundary that would trigger a mode switch: only for
-            # tasks above the current mode (Section II-A).
-            budget_trigger = np.inf
+            # tasks above the current mode (Section II-A).  There
+            # ``mode < l_i``, so the budget index is in range.
+            budget_trigger = inf
             if job.level > mode:
-                budget = task.wcet(mode)
-                if time_after(job.exec_time, budget):
-                    if time_reached(job.executed, budget):
+                budget = wcets[job.task_index][mode - 1]
+                if job.exec_time > budget + eps:
+                    if job.executed >= budget - eps:
                         # Already at the boundary (e.g. a release landed
                         # exactly there): the overrun happens the instant
                         # the job resumes.
@@ -421,12 +444,13 @@ class CoreSimulator:
                     else:
                         budget_trigger = time + (budget - job.executed)
 
-            completion_at = time + job.remaining
+            completion_at = time + (job.exec_time - job.executed)
             run_until = min(completion_at, next_event, budget_trigger, next_fail)
             delta = run_until - time
-            if delta < -TIME_EPS:
+            if delta < -eps:
                 raise SimulationError("simulation time went backwards")
-            delta = max(delta, 0.0)
+            if delta < 0.0:
+                delta = 0.0
             job.executed += delta
             report.busy_time += delta
             if trace is not None and delta > 0.0:
@@ -434,7 +458,7 @@ class CoreSimulator:
                 if (
                     last is not None
                     and last.task_index == job.task_index
-                    and abs(last.end - time) <= TIME_EPS
+                    and abs(last.end - time) <= eps
                 ):
                     last.end = run_until  # merge contiguous slices
                 else:
@@ -453,12 +477,11 @@ class CoreSimulator:
             # deliberately ignores next_event: a release coinciding
             # with the budget instant must be processed under the
             # raised mode (see module docstring).
-            if not time_after(job.remaining, 0.0):
+            if not job.exec_time - job.executed > eps:
                 heapq.heappop(ready)
                 finish(job, time)
-            elif time_reached(time, budget_trigger):
-                raise_mode(time)
-                rebuild()
+            elif time >= budget_trigger - eps:
+                raise_mode(time)  # re-keys the survivors itself
             # else: a release preempts; loop handles it.
 
         # Horizon reached: pending jobs whose deadline passed are misses.

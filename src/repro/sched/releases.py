@@ -26,7 +26,8 @@ class ReleaseModel(abc.ABC):
 
     @abc.abstractmethod
     def interarrival(self, task: MCTask, rng: np.random.Generator) -> float:
-        """Time from one release to the next; must be ``>= task.period``."""
+        """Time from one release to the next; must be ``>= task.period``
+        (never NaN).  ``inf`` means the task never releases again."""
 
 
 class PeriodicReleases(ReleaseModel):

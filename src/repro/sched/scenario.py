@@ -43,6 +43,7 @@ class ExecutionScenario(abc.ABC):
         """Actual execution time of the next job of ``task``.
 
         Model-conformant scenarios return a value in ``(0, c(l_i)]``.
+        The simulator rejects a demand that is not positive and finite.
         """
 
 
@@ -55,7 +56,7 @@ class HonestScenario(ExecutionScenario):
         self.fraction = fraction
 
     def draw(self, task: MCTask, rng: np.random.Generator) -> float:
-        return self.fraction * task.wcet(1)
+        return self.fraction * task.wcets[0]
 
 
 class LevelScenario(ExecutionScenario):
@@ -73,7 +74,8 @@ class LevelScenario(ExecutionScenario):
         self.target = target
 
     def draw(self, task: MCTask, rng: np.random.Generator) -> float:
-        return task.wcet(min(self.target, task.criticality))
+        wcets = task.wcets
+        return wcets[min(self.target, len(wcets)) - 1]
 
 
 class RandomScenario(ExecutionScenario):
@@ -93,11 +95,12 @@ class RandomScenario(ExecutionScenario):
         self.overrun_prob = overrun_prob
 
     def draw(self, task: MCTask, rng: np.random.Generator) -> float:
+        wcets = task.wcets
         level = 1
-        while level < task.criticality and rng.random() < self.overrun_prob:
+        while level < len(wcets) and rng.random() < self.overrun_prob:
             level += 1
-        low = task.wcet(level - 1) if level > 1 else 0.0
-        high = task.wcet(level)
+        low = wcets[level - 2] if level > 1 else 0.0
+        high = wcets[level - 1]
         # Uniform in (low, high]: `uniform` draws the half-open
         # [0, high - low), so reflecting it off `high` excludes `low`
         # (which would not constitute an overrun of the previous

@@ -42,8 +42,8 @@ Built-in oracles
     counters.
 ``serve-offline``
     The admission daemon's ``/admit`` answers (coordinator + micro-
-    batcher, all schemes submitted concurrently) are bit-identical to
-    the offline partitioner's results.
+    batcher, all schemes answered by one flush) are bit-identical to
+    the offline partitioners' results, stepped in one lockstep.
 ``explain-decision``
     The structured explanation layer reproduces every backend's
     admission decision: ``ProbeExplanation.admitted`` matches the
@@ -473,10 +473,13 @@ def _check_telemetry_counters(case: ValidationCase) -> list[str]:
 def _check_serve_offline(case: ValidationCase) -> list[str]:
     """Differential: online service vs. offline batch, same question.
 
-    Spins up an in-process coordinator (no sockets), submits one
-    ``/admit`` per paper scheme *concurrently* — so the answers come out
-    of real coalesced flushes — and requires byte-identical agreement
-    with a direct offline run of each partitioner.
+    Spins up an in-process coordinator (no sockets) and queues one
+    ``/admit`` per paper scheme before it first runs, so one real flush
+    answers them all (no coalescing window: nothing is left to wait
+    for).  The daemon answers each with a one-attempt ``partition()``;
+    the offline side steps every scheme in one lockstep, and the two
+    must agree byte for byte.  Paper schemes, not ``case.schemes``:
+    ``/admit`` carries no scheme options.
     """
     import asyncio
 
@@ -488,7 +491,7 @@ def _check_serve_offline(case: ValidationCase) -> list[str]:
 
     async def query() -> list[dict]:
         state = ServeState(cores=cores, levels=case.taskset.levels)
-        batcher = MicroBatcher(window=0.001)
+        batcher = MicroBatcher(window=0.0)
         worker = asyncio.create_task(Coordinator(state, batcher).run())
         futures = [
             batcher.submit(
@@ -501,9 +504,12 @@ def _check_serve_offline(case: ValidationCase) -> list[str]:
         await worker
         return bodies
 
+    bodies = asyncio.run(query())
+    offline_results = partition_lockstep(
+        [(get_partitioner(s), case.taskset, cores) for s in PAPER_SCHEMES]
+    )
     failures = []
-    for scheme, body in zip(PAPER_SCHEMES, asyncio.run(query())):
-        offline = get_partitioner(scheme).partition(case.taskset, cores)
+    for scheme, body, offline in zip(PAPER_SCHEMES, bodies, offline_results):
         expected = {
             "schedulable": bool(offline.schedulable),
             "assignment": offline.partition.assignment.tolist(),

@@ -7,6 +7,7 @@ from repro.analysis import assign_virtual_deadlines
 from repro.model import MCTask, MCTaskSet
 from repro.sched import (
     CoreSimulator,
+    ExecutionScenario,
     FaultyScenario,
     HonestScenario,
     LevelScenario,
@@ -72,6 +73,22 @@ class TestBasics:
             CoreSimulator(
                 subset, plan, HonestScenario(), np.random.default_rng(), horizon
             )
+
+    @pytest.mark.parametrize("demand", [0.0, -1.0, float("nan"), float("inf")])
+    def test_demand_must_be_positive_and_finite(self, demand):
+        # Unchecked, a NaN demand reads as a clean run with a NaN busy
+        # time, and an infinite one never completes.
+        class Bad(ExecutionScenario):
+            def draw(self, task, rng):
+                return demand if task.criticality == 2 else task.wcet(1)
+
+        sim = make_sim(
+            [MCTask(wcets=(1.0,), period=10.0), MCTask(wcets=(2.0, 4.0), period=10.0)],
+            Bad(),
+            50.0,
+        )
+        with pytest.raises(SimulationError, match=f"entry 1: .*got {demand}$"):
+            sim.run()
 
     def test_full_utilization_edf_meets_everything(self):
         # Two tasks with total utilization exactly 1 under EDF.

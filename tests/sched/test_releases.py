@@ -85,6 +85,43 @@ class TestSimulatorIntegration:
         with pytest.raises(SimulationError, match="interarrival"):
             sim.run()
 
+    def test_nan_interarrival_caught(self):
+        # Unchecked, a NaN gap enters the release heap and is never due:
+        # simulated time stops advancing and the run hangs.
+        class Broken(SporadicReleases):
+            def interarrival(self, task, rng):
+                return float("nan") if task.criticality == 2 else task.period
+
+        subset = self.subset()
+        sim = CoreSimulator(
+            subset,
+            assign_virtual_deadlines(subset),
+            HonestScenario(),
+            np.random.default_rng(0),
+            50.0,
+            releases=Broken(),
+        )
+        with pytest.raises(SimulationError, match="entry 1: interarrival .*got nan"):
+            sim.run()
+
+    def test_infinite_interarrival_ends_the_task(self):
+        # An infinite gap is legal: the HI task releases once.
+        class Once(SporadicReleases):
+            def interarrival(self, task, rng):
+                return float("inf") if task.criticality == 2 else task.period
+
+        subset = self.subset()
+        report = CoreSimulator(
+            subset,
+            assign_virtual_deadlines(subset),
+            HonestScenario(),
+            np.random.default_rng(0),
+            50.0,
+            releases=Once(),
+        ).run()
+        assert report.released == 5 + 1
+        assert report.completed == report.released
+
     def test_sustainability_no_misses_under_sporadic(self, rng):
         """Analysis-accepted subsets stay miss-free when arrivals are
         sporadic (the theory's actual model)."""

@@ -5,8 +5,11 @@ field (misses, trace events and slices included) plus the evented
 runs' ``event_telemetry()``.  Float ``repr`` round-trips, so any change
 in event order, RNG draw order or float arithmetic inside the simulator
 changes a digest.  The values were captured before the release path
-moved from a per-event array scan to a heap timeline; a refactor of the
-simulator that means to change no behaviour must leave them unchanged.
+moved from a per-event array scan to a heap timeline, and ``per-task``
+before the run loop began caching each entry's deadline scale; a
+refactor of the simulator that means to change no behaviour must leave
+them unchanged.  Only ``per-task`` runs plans that scale each task on
+its own (``DualPerTaskPlan``): the others scale by level.
 """
 
 import dataclasses
@@ -15,7 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis import assign_virtual_deadlines
+from repro.analysis import assign_virtual_deadlines, tune_virtual_deadlines
+from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import MCTask, MCTaskSet
 from repro.sched import (
     CoreSimulator,
@@ -44,6 +48,7 @@ EXPECTED = {
     "sporadic": "48c232c59788062b",
     "traced-core": "7fcd726f580a5c57",
     "evented": "c766629de988262b",
+    "per-task": "b9de363bbfcf6086",
 }
 
 #: Two releases 5e-10 apart (inside ``TIME_EPS``) are due at one event.
@@ -114,7 +119,35 @@ def _evented(case, partition, horizon):
     return _system(sim.run(seed=case.sim_seed(606)))
 
 
+def _per_task_plans():
+    """Traced core runs of per-task deadline plans (``DualPerTaskPlan``),
+    which scale each task on its own, not by level.  The corpus is the
+    plannable sets of ``test_tuned_plans_survive_simulation``."""
+    cfg = WorkloadConfig(cores=1, levels=2, nsu=0.7, task_count_range=(5, 5))
+    payload = []
+    for i in range(30):
+        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(i,)))
+        taskset = generate_taskset(cfg, rng)
+        plan = tune_virtual_deadlines(taskset)
+        if plan is None:
+            continue
+        horizon = 25.0 * max(t.period for t in taskset)
+        for scenario in (LevelScenario(2), RandomScenario(0.4)):
+            report = CoreSimulator(
+                taskset,
+                plan,
+                scenario,
+                np.random.default_rng(i),
+                horizon,
+                record_trace=True,
+            ).run()
+            payload.append(_core(report))
+    return payload
+
+
 def corpus_digest(kind: str) -> str:
+    if kind == "per-task":
+        return _digest(_per_task_plans())
     payload = []
     for case, partition, horizon in _cases():
         if kind == "traced-core":

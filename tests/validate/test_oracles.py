@@ -7,7 +7,6 @@ acceptance really does imply a miss-free simulation, and jobs are
 conserved, over generator-distribution workloads.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +233,42 @@ class TestServeOfflineOracle:
         messages = get_oracle("serve-offline").check(case)
         assert messages
         assert "diverges from the offline partitioner" in messages[0]
+
+    def test_detects_offline_divergence(self, monkeypatch):
+        # Corrupt the offline lockstep only: the daemon's one-attempt
+        # partition() is checked against it, not against itself.
+        import dataclasses
+
+        from repro.validate import oracles
+
+        original = oracles.partition_lockstep
+
+        def corrupted(jobs, *args):
+            return [
+                dataclasses.replace(r, schedulable=not r.schedulable)
+                for r in original(jobs, *args)
+            ]
+
+        monkeypatch.setattr(oracles, "partition_lockstep", corrupted)
+        case = make_case(DUAL_CONFIG, (), seed=11, index=0)
+        messages = get_oracle("serve-offline").check(case)
+        assert len(messages) == 5
+        assert "diverges from the offline partitioner" in messages[0]
+
+    def test_one_flush_answers_every_scheme(self, monkeypatch):
+        # All /admit requests are queued before the coordinator first
+        # runs, so exactly one flush answers them together.
+        from repro.partition.registry import PAPER_SCHEMES
+        from repro.serve.coordinator import Coordinator
+
+        sizes = []
+        original = Coordinator.flush
+
+        def counted(self, batch):
+            sizes.append(len(batch))
+            return original(self, batch)
+
+        monkeypatch.setattr(Coordinator, "flush", counted)
+        case = make_case(DUAL_CONFIG, (), seed=11, index=0)
+        assert get_oracle("serve-offline").check(case) == []
+        assert sizes == [len(PAPER_SCHEMES)]
