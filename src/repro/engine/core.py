@@ -8,12 +8,16 @@ via a ``ProcessPoolExecutor``), and **checkpoints every computed shard
 the moment it is received** — an interrupted ``repro-mc all --sets
 2000`` resumes from the completed shards instead of starting over.
 
-A pooled run (:meth:`Engine.queued`) keeps one worker pool for all of
-its points and queues every point's missing shards on it up front, then
-receives them point by point, in ascending ``start`` order.  A shard of
-a later point that a worker finished early is therefore checkpointed
-when its point is received, after every earlier point; an interrupt
-before then loses it, and the resumed run computes it again.
+Every run (:meth:`Engine.queued`) plans all of its points on entry,
+then receives them point by point, in ascending ``start`` order.  A
+point missing more than one shard fans out: one worker pool for the
+whole run gets every such shard up front.  Every other missing shard
+computes inline, in a *pack* (:data:`PACK_SETS`): consecutive missing
+shards of one kind that one runner call steps together, computed when
+the first of its points is received.  A shard computed before its point
+is received — by a worker that finished early, or in the pack of an
+earlier point — is checkpointed only when its point is received; an
+interrupt before then loses it, and the resumed run computes it again.
 
 Determinism: every task set ``i`` of a point is generated from
 ``SeedSequence(seed, spawn_key=(i,))``, shards are merged in ascending
@@ -37,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.engine.artifact import PointResult, SweepArtifact
-from repro.engine.spec import ExperimentSpec, PointSpec, SchemeSpec, plan_shards
+from repro.engine.spec import ExperimentSpec, PointSpec, plan_shards
 from repro.engine.store import ResultStore, shard_key
 from repro.gen.generator import generate_taskset
 from repro.gen.params import WorkloadConfig
@@ -115,76 +119,97 @@ def _generate_timed(config: WorkloadConfig, rng):
 #: whole-point (``--jobs 1``) shard from holding every set alive.
 LOCKSTEP_SETS = 64
 
+#: Sets one pack of inline shards holds at most (a bigger shard is a
+#: pack of its own).  The lockstep's per-step cost is mostly fixed, so
+#: small points stepped together pay it once.  perfbench ``sweep``
+#: (``fig1 --sets 10``, 2-vCPU VM, medians) read 497 sets/s point by
+#: point, 730 at packs of at most 32 sets (30 + 20) and 871 at one
+#: 50-set pack, but peak RSS grows with the pack: +2.3% at 32 sets and
+#: +4.3% at 50, against the benchmark's 5% bound.
+PACK_SETS = 32
 
-def _shard_results(config, schemes, seed, start, count, probe_impl):
-    """Every set x scheme of one shard, partitioned in lockstep on the
-    ``probe_impl`` backend; yields each set's results in scheme order,
-    set by set (accumulator order)."""
+
+def _shard_results(shards, probe_impl):
+    """Every set x scheme of ``shards`` (``(point, start, count)``
+    triples), partitioned in lockstep on the ``probe_impl`` backend, at
+    most ``LOCKSTEP_SETS`` sets per call; yields ``(shard index, the
+    set's results in scheme order)`` set by set, shard by shard
+    (accumulator order)."""
     backend = get_backend(probe_impl)
-    partitioners = [spec.build() for spec in schemes]
-    for lo in range(start, start + count, LOCKSTEP_SETS):
+    partitioners = [
+        [spec.build() for spec in point.schemes] for point, _, _ in shards
+    ]
+    sets = [
+        (index, point, i)
+        for index, (point, start, count) in enumerate(shards)
+        for i in range(start, start + count)
+    ]
+    for lo in range(0, len(sets), LOCKSTEP_SETS):
+        chunk = sets[lo : lo + LOCKSTEP_SETS]
         tasksets = [
             _generate_timed(
-                config,
-                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+                point.config,
+                np.random.default_rng(
+                    np.random.SeedSequence(point.seed, spawn_key=(i,))
+                ),
             )
-            for i in range(lo, min(lo + LOCKSTEP_SETS, start + count))
+            for _, point, i in chunk
         ]
-        jobs = [(p, ts, config.cores) for ts in tasksets for p in partitioners]
+        jobs = [
+            (p, ts, point.config.cores)
+            for (index, point, _), ts in zip(chunk, tasksets)
+            for p in partitioners[index]
+        ]
         results = iter(partition_lockstep(jobs, backend))
-        for _ in tasksets:
-            yield [next(results) for _ in partitioners]
+        for index, _, _ in chunk:
+            yield index, [next(results) for _ in partitioners[index]]
 
 
-def _run_stats_shard(
-    config: WorkloadConfig,
-    schemes: tuple[SchemeSpec, ...],
-    seed: int,
-    start: int,
-    count: int,
-    *,
-    probe_impl: str,
-) -> list[SchemeAccumulator]:
-    """Evaluate task sets ``start .. start+count-1`` of a stats point."""
-    accs = [SchemeAccumulator(spec.label) for spec in schemes]
-    for results in _shard_results(config, schemes, seed, start, count, probe_impl):
-        for acc, result in zip(accs, results):
+def _run_stats_shards(shards, *, probe_impl: str) -> list[list[SchemeAccumulator]]:
+    """Each stats shard's per-scheme accumulators."""
+    accs = [
+        [SchemeAccumulator(spec.label) for spec in point.schemes]
+        for point, _, _ in shards
+    ]
+    for index, results in _shard_results(shards, probe_impl):
+        for acc, result in zip(accs[index], results):
             # Accumulators are keyed by label, which may differ from the
             # partitioner's registry name (e.g. alpha variants).
             acc.add(result, check_scheme=False)
     return accs
 
 
-def _run_h2h_shard(
-    config: WorkloadConfig,
-    schemes: tuple[SchemeSpec, ...],
-    seed: int,
-    start: int,
-    count: int,
-    *,
-    probe_impl: str,
-) -> dict:
-    """Pairwise dominance tallies over one shard of the common batch."""
-    labels = [spec.label for spec in schemes]
-    accepted = {label: 0 for label in labels}
-    wins = {a: {b: 0 for b in labels if b != a} for a in labels}
-    for results in _shard_results(config, schemes, seed, start, count, probe_impl):
-        outcome = {lb: r.schedulable for lb, r in zip(labels, results)}
-        for a in labels:
-            accepted[a] += outcome[a]
-            for b in labels:
-                if a != b and outcome[a] and not outcome[b]:
-                    wins[a][b] += 1
-    return {"labels": labels, "accepted": accepted, "wins": wins, "sets": count}
+def _h2h_tally(labels: list[str], sets: int) -> dict:
+    return {
+        "labels": labels,
+        "accepted": {label: 0 for label in labels},
+        "wins": {a: {b: 0 for b in labels if b != a} for a in labels},
+        "sets": sets,
+    }
+
+
+def _run_h2h_shards(shards, *, probe_impl: str) -> list[dict]:
+    """Pairwise dominance tallies of each shard of a common batch."""
+    tallies = [_h2h_tally(list(point.labels), count) for point, _, count in shards]
+    for index, results in _shard_results(shards, probe_impl):
+        tally = tallies[index]
+        outcome = {lb: r.schedulable for lb, r in zip(tally["labels"], results)}
+        for a, row in tally["wins"].items():
+            tally["accepted"][a] += outcome[a]
+            for b in row:
+                if outcome[a] and not outcome[b]:
+                    row[b] += 1
+    return tallies
 
 
 @dataclass(frozen=True)
 class ShardKind:
     """How the engine runs, persists, and merges one kind of shard.
 
-    ``run(config, schemes, seed, start, count, probe_impl=name)``
-    evaluates one shard on the named probe backend (a kind that
-    declares :attr:`PointSpec.params` also gets ``params=``);
+    ``run(shards, probe_impl=name)`` evaluates a list of ``(point,
+    start, count)`` shards of this kind on the named probe backend and
+    returns one result per shard, in order (a kind with
+    :attr:`PointSpec.params` reads them off the point);
     ``encode(result)`` / ``decode(payload)`` convert it to/from the
     strict-JSON form the :class:`ResultStore` checkpoints (``encode``
     must stamp ``{"kind": name}`` so ``decode`` can reject mismatched
@@ -211,17 +236,6 @@ _KIND_PROVIDERS = {
 }
 
 
-def _shard_run_kwargs(
-    params: tuple[tuple[str, object], ...], probe_impl: str
-) -> dict:
-    """Runner kwargs: the probe backend name for every kind, plus
-    ``params`` only for kinds that declare :attr:`PointSpec.params`."""
-    extra = {"probe_impl": probe_impl}
-    if params:
-        extra["params"] = dict(params)
-    return extra
-
-
 def register_shard_kind(
     name: str, *, run: Callable, encode: Callable, decode: Callable, merge: Callable
 ) -> None:
@@ -245,15 +259,7 @@ def shard_kind(name: str) -> ShardKind:
 
 
 def _run_shard_job(
-    kind: str,
-    config: WorkloadConfig,
-    schemes: tuple[SchemeSpec, ...],
-    seed: int,
-    start: int,
-    count: int,
-    collect_metrics: bool,
-    probe_impl: str,
-    params: tuple[tuple[str, object], ...],
+    point: PointSpec, start: int, count: int, collect_metrics: bool, probe_impl: str
 ):
     """Worker-process entry point: run one shard, optionally with metrics.
 
@@ -266,13 +272,12 @@ def _run_shard_job(
     the process boundary.  Returns
     ``(result, metrics_dump_or_None, span_records_or_None)``.
     """
-    run_shard = shard_kind(kind).run
-    extra = _shard_run_kwargs(params, probe_impl)
+    run_shards, shards = shard_kind(point.kind).run, [(point, start, count)]
     if not collect_metrics:
-        return run_shard(config, schemes, seed, start, count, **extra), None, None
+        return run_shards(shards, probe_impl=probe_impl)[0], None, None
     with obs.collect() as registry:
         with obs.span("engine.shard.compute", set_start=start, set_count=count):
-            result = run_shard(config, schemes, seed, start, count, **extra)
+            (result,) = run_shards(shards, probe_impl=probe_impl)
         return result, registry.dump(), obs.drain_spans()
 
 
@@ -316,29 +321,26 @@ def _merge_stats(point: PointSpec, shards: list) -> dict[str, SchemeStats]:
 
 
 def _merge_h2h(point: PointSpec, shards: list) -> dict:
-    labels = list(point.labels)
-    accepted = {label: 0 for label in labels}
-    wins = {a: {b: 0 for b in labels if b != a} for a in labels}
-    sets = 0
+    merged = _h2h_tally(list(point.labels), 0)
     for shard in shards:
-        sets += shard["sets"]
-        for a in labels:
-            accepted[a] += shard["accepted"][a]
+        merged["sets"] += shard["sets"]
+        for a, row in merged["wins"].items():
+            merged["accepted"][a] += shard["accepted"][a]
             for b, n in shard["wins"][a].items():
-                wins[a][b] += n
-    return {"labels": labels, "accepted": accepted, "wins": wins, "sets": sets}
+                row[b] += n
+    return merged
 
 
 register_shard_kind(
     "stats",
-    run=_run_stats_shard,
+    run=_run_stats_shards,
     encode=_encode_stats,
     decode=_decode_stats,
     merge=_merge_stats,
 )
 register_shard_kind(
     "h2h",
-    run=_run_h2h_shard,
+    run=_run_h2h_shards,
     encode=_encode_h2h,
     decode=_decode_h2h,
     merge=_merge_h2h,
@@ -346,10 +348,22 @@ register_shard_kind(
 
 
 @dataclass
+class _Pack:
+    """Missing shards of one kind that an inline run computes with one
+    runner call, on the first receipt of any of their points."""
+
+    kind: str
+    shards: list[tuple[PointSpec, int, int]] = field(default_factory=list)
+    sets: int = 0
+    results: list | None = None
+
+
+@dataclass
 class _PointPlan:
     """One point of an engine run: its shard plan, what the store
     answered, and the missing shards, with their pool futures when the
-    run queued them (none when the point computes inline)."""
+    run queued them, or else the pack (and slot in it) of the point's
+    one missing shard."""
 
     point: PointSpec
     jobs: int
@@ -358,6 +372,8 @@ class _PointPlan:
     missing: list[tuple[int, int]] = field(default_factory=list)
     futures: list = field(default_factory=list)
     submitted: float = 0.0  #: epoch seconds the futures were queued
+    pack: _Pack | None = None
+    slot: int = 0
 
 
 class Engine:
@@ -472,10 +488,23 @@ class Engine:
                 plan.cached[start] = kind.decode(cached)
         return plan
 
-    def _submit(self, plans: list[_PointPlan]) -> None:
-        """Queue the missing shards of every point that has more than
-        one on the run's pool, which forks at the first submit.  A point
-        missing a single shard computes it inline when received."""
+    def _schedule(self, plans: list[_PointPlan]) -> None:
+        """Pack each point's only missing shard with the ones before it
+        (one kind, at most ``PACK_SETS`` sets; a bigger shard is a pack
+        of its own), and queue the missing shards of every point that
+        has more than one on the run's pool, which forks at the first
+        submit."""
+        pack = None
+        for plan in plans:
+            if len(plan.missing) != 1:
+                continue
+            ((start, count),) = plan.missing
+            kind = plan.point.kind
+            if pack is None or pack.kind != kind or pack.sets + count > PACK_SETS:
+                pack = _Pack(kind)
+            plan.pack, plan.slot = pack, len(pack.shards)
+            pack.shards.append((plan.point, start, count))
+            pack.sets += count
         pooled = [plan for plan in plans if len(plan.missing) > 1]
         if not pooled:
             return
@@ -493,15 +522,11 @@ class Engine:
                 plan.futures = [
                     self._pool.submit(
                         _run_shard_job,
-                        point.kind,
-                        point.config,
-                        point.schemes,
-                        point.seed,
+                        point,
                         start,
                         count,
                         collect_metrics,
                         self.probe_impl,
-                        point.params,
                     )
                     for start, count in plan.missing
                 ]
@@ -510,23 +535,24 @@ class Engine:
     def queued(self, points: Sequence[PointSpec]) -> Iterator[None]:
         """Open one engine run over ``points`` for the block.
 
-        When any point fans out (``jobs`` > 1 and more than one set),
-        every point is planned on entry (its store lookups) and every
-        point's missing shards are queued on one process pool before
-        any is received; :meth:`evaluate` then receives them point by
-        point, in any order.  A run of inline points plans each one
-        when it is evaluated.  The pool is shut down when the block
-        exits; on an exception, ``KeyboardInterrupt`` included, shards
-        still queued are cancelled and the workers joined first, so no
-        worker outlives the run.
+        Every point is planned on entry (its store lookups), and the
+        run's work is fixed there: the missing shards of every point
+        that fans out (``jobs`` > 1, more than one set, more than one
+        shard missing) are queued on one process pool before any is
+        received, and every other point's missing shard joins an inline
+        pack (:meth:`_schedule`).  :meth:`evaluate` then receives the
+        points one by one, in any order; the first receipt of any point
+        of a pack computes the whole pack.  The pool is shut down when
+        the block exits; on an exception, ``KeyboardInterrupt``
+        included, shards still queued are cancelled and the workers
+        joined first, so no worker outlives the run.
         """
         if self._queue is not None:
             raise ReproError("this engine already has a run open")
         self._queue = []
         try:
-            if any(self._effective_jobs(point.sets) > 1 for point in points):
-                self._queue = [self._plan(point) for point in points]
-                self._submit(self._queue)
+            self._queue = [self._plan(point) for point in points]
+            self._schedule(self._queue)
             yield
         finally:
             pool, self._pool, self._queue = self._pool, None, None
@@ -535,22 +561,31 @@ class Engine:
 
     def _take(self, point: PointSpec) -> _PointPlan:
         """The open run's plan for ``point``; a point the run did not
-        queue is planned (and its shards queued) now."""
+        queue is planned (and its shards scheduled) now."""
         for index, plan in enumerate(self._queue):
             if plan.point == point:
                 return self._queue.pop(index)
         plan = self._plan(point)
-        self._submit([plan])
+        self._schedule([plan])
         return plan
 
     # -- shard execution ----------------------------------------------
 
+    def _run_inline(self, kind: str, shards: list, **fields) -> list:
+        """Run ``shards`` of one kind in this process, under one
+        ``engine.shard`` span; metrics (if enabled) accumulate straight
+        into the parent registry — no transfer step needed."""
+        sets = sum(count for _, _, count in shards)
+        with obs.span("engine.shard", shards=len(shards), set_count=sets, **fields):
+            return shard_kind(kind).run(shards, probe_impl=self.probe_impl)
+
     def _compute_missing(self, plan: _PointPlan, opened: float) -> dict[int, object]:
         """Compute or receive the uncached shards in ascending order,
-        checkpointing each before its ``shard`` event fires."""
+        checkpointing each before its ``shard`` event fires.  A shard's
+        ``seconds`` run from the previous receipt (or the start of the
+        point's receiving) to its own, so a pack's compute time lands on
+        the shard whose receipt computed it."""
         point = plan.point
-        run_shard = shard_kind(point.kind).run
-        extra = _shard_run_kwargs(point.params, self.probe_impl)
         results: dict[int, object] = {}
 
         def finish(start: int, count: int, result, seconds: float) -> None:
@@ -561,19 +596,13 @@ class Engine:
                 "shard", start=start, count=count, cached=False, seconds=seconds
             )
 
-        def run_inline(start: int, count: int, **fields):
-            # Metrics (if enabled) accumulate straight into the parent
-            # registry — no transfer step needed.
-            with obs.span("engine.shard", set_start=start, set_count=count, **fields):
-                return run_shard(
-                    point.config, point.schemes, point.seed, start, count, **extra
-                )
-
-        if not plan.futures:
-            for start, count in plan.missing:
-                t0 = time.perf_counter()
-                result = run_inline(start, count)
-                finish(start, count, result, time.perf_counter() - t0)
+        pack = plan.pack
+        if pack is not None:  # the point's one missing shard, inline
+            t0 = time.perf_counter()
+            if pack.results is None:
+                pack.results = self._run_inline(pack.kind, pack.shards)
+            ((start, count),) = plan.missing
+            finish(start, count, pack.results[plan.slot], time.perf_counter() - t0)
             return results
 
         # A later point of a run was queued before its span opened: its
@@ -598,7 +627,10 @@ class Engine:
                     "worker_retry", start=start, count=count, error=repr(pool_exc)
                 )
                 try:
-                    result = run_inline(start, count, retried=True)
+                    (result,) = self._run_inline(
+                        point.kind, [(point, start, count)], set_start=start,
+                        retried=True,
+                    )
                     metrics_dump = None  # inline retry fed the registry
                 except Exception as retry_exc:
                     raise ReproError(

@@ -146,16 +146,14 @@ def standard_event_script(
     return events
 
 
-def _run_dynsim_shard(
-    config: WorkloadConfig,
-    schemes: tuple[SchemeSpec, ...],
-    seed: int,
-    start: int,
-    count: int,
-    params: dict | None = None,
-    *,
-    probe_impl: str,
-) -> dict:
+def _run_dynsim_shards(shards, *, probe_impl: str) -> list[dict]:
+    """Engine shard runner: one tally per ``(point, start, count)``
+    shard.  ``probe_impl`` is unused: partitioning and the event
+    compiler probe on the batch backend."""
+    return [_dynsim_tally(point, start, count) for point, start, count in shards]
+
+
+def _dynsim_tally(point: PointSpec, start: int, count: int) -> dict:
     """Simulate task sets ``start .. start+count-1`` under the script.
 
     Only the first scheme partitions (the figure is about runtime
@@ -163,14 +161,14 @@ def _run_dynsim_shard(
     cannot schedule are counted and skipped — there is no guarantee to
     stress.  Three decoupled seed streams per set (generation, script,
     simulation) keep every draw independent of the others' draw counts.
-    ``probe_impl`` is unused: partitioning and the event compiler probe
-    on the batch backend.
+    The burst factor is the point's ``burst_factor`` param (1.0 if
+    absent).
     """
     from repro.sched import RandomScenario, SystemSimulator, default_horizon
 
-    params = params or {}
-    factor = float(params.get("burst_factor", 1.0))
-    partitioner = schemes[0].build()
+    config, seed = point.config, point.seed
+    factor = float(dict(point.params).get("burst_factor", 1.0))
+    partitioner = point.schemes[0].build()
     tally = dict.fromkeys(_TALLY_KEYS, 0)
     for i in range(start, start + count):
         tally["sets"] += 1
@@ -233,7 +231,7 @@ def _merge_dynsim(point: PointSpec, shards: list) -> dict:
 
 register_shard_kind(
     "dynsim",
-    run=_run_dynsim_shard,
+    run=_run_dynsim_shards,
     encode=_encode_dynsim,
     decode=_decode_dynsim,
     merge=_merge_dynsim,

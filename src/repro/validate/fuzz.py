@@ -113,24 +113,24 @@ def run_case(case: ValidationCase) -> list[dict]:
     return records
 
 
-def _run_validate_shard(
-    config: WorkloadConfig,
-    schemes: tuple[SchemeSpec, ...],
-    seed: int,
-    start: int,
-    count: int,
-    *,
-    probe_impl: str,
-) -> dict:
-    """Engine shard runner: cases ``start .. start+count-1`` of a point.
+def _run_validate_shards(shards, *, probe_impl: str) -> list[dict]:
+    """Engine shard runner: cases ``start .. start+count-1`` of each
+    ``(point, start, count)`` shard, one payload per shard.
 
     ``probe_impl`` is unused: the oracles name the backends they compare.
     """
     n_oracles = len(all_oracles())
-    failures: list[dict] = []
-    for i in range(start, start + count):
-        failures.extend(run_case(make_case(config, schemes, seed, i)))
-    return {"cases": count, "checks": count * n_oracles, "failures": failures}
+    payloads = []
+    for point, start, count in shards:
+        failures: list[dict] = []
+        for i in range(start, start + count):
+            failures.extend(
+                run_case(make_case(point.config, point.schemes, point.seed, i))
+            )
+        payloads.append(
+            {"cases": count, "checks": count * n_oracles, "failures": failures}
+        )
+    return payloads
 
 
 def _encode_validate(result: dict) -> dict:
@@ -160,7 +160,7 @@ def _merge_validate(point: PointSpec, shards: list) -> dict:
 
 register_shard_kind(
     "validate",
-    run=_run_validate_shard,
+    run=_run_validate_shards,
     encode=_encode_validate,
     decode=_decode_validate,
     merge=_merge_validate,

@@ -191,24 +191,28 @@ class TestHeadToHeadThroughEngine:
 
 
 class TestShardRunKwargs:
-    def test_empty_params_keep_legacy_signature(self):
-        # Every runner gets the backend name; only a kind that declares
-        # params (dynsim) takes a `params` argument.
+    def test_runners_take_a_shard_list_and_the_backend_name(self):
+        # A runner gets its shards as (point, start, count) triples and
+        # the probe backend's name, nothing else: kind-specific knobs
+        # (the dynsim burst factor) ride on the point.
         import inspect
 
-        from repro.engine.core import _shard_run_kwargs, shard_kind
+        from repro.engine.core import shard_kind
 
-        assert _shard_run_kwargs((), "scalar") == {"probe_impl": "scalar"}
         for name in ("stats", "h2h", "validate", "dynsim"):
             accepted = inspect.signature(shard_kind(name).run).parameters
-            assert "probe_impl" in accepted, name
-            assert ("params" in accepted) == (name == "dynsim"), name
+            assert list(accepted) == ["shards", "probe_impl"], name
+            assert accepted["probe_impl"].kind is inspect.Parameter.KEYWORD_ONLY
 
-    def test_params_delivered_as_dict(self):
-        from repro.engine.core import _shard_run_kwargs
+    def test_dynsim_reads_its_burst_factor_off_the_point(self):
+        from repro.engine.core import shard_kind
+        from repro.experiments.dynamic import dynamic_point
 
-        kwargs = _shard_run_kwargs((("burst_factor", 2.0),), "batch")
-        assert kwargs == {"probe_impl": "batch", "params": {"burst_factor": 2.0}}
+        run = shard_kind("dynsim").run
+        shards = [(dynamic_point(f, sets=2, seed=1), 0, 2) for f in (1.0, 3.0)]
+        calm, burst = run(shards, probe_impl="batch")
+        assert calm["burst_jobs"] == 0 < burst["burst_jobs"]
+        assert [calm, burst] == [run([s], probe_impl="batch")[0] for s in shards]
 
     def test_dynsim_kind_resolves_lazily(self):
         # The dynsim runner lives in repro.experiments.dynamic and is

@@ -41,8 +41,8 @@ def _spec(sets=4, seed=11) -> ExperimentSpec:
     return ExperimentSpec("figX", "tiny sweep", "NSU", VALUES, points)
 
 
-def _pid_shard(config, schemes, seed, start, count, *, probe_impl):
-    return os.getpid()
+def _pid_shards(shards, *, probe_impl):
+    return [os.getpid()] * len(shards)
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ def pid_kind(monkeypatch):
     monkeypatch.setitem(
         engine_core._SHARD_KINDS,
         "stats",
-        dataclasses.replace(stats, run=_pid_shard, merge=lambda point, shards: shards),
+        dataclasses.replace(stats, run=_pid_shards, merge=lambda point, shards: shards),
     )
 
 

@@ -1,25 +1,45 @@
 """A whole figure run through the engine, end to end.
 
 Inline, each point's task sets are generated from arrays (no
-``MCTask`` object) and stepped through :func:`partition_lockstep`
-point by point, at most ``LOCKSTEP_SETS`` sets at a time; the first
-``point`` event comes before any set is generated.  The inline run
-equals per-point ``evaluate`` and a pooled run field for field, and the
-store objects it writes are byte-identical to the ones written when task
-sets were built from task objects (digests captured before that change).
+``MCTask`` object) and stepped through :func:`partition_lockstep` in
+packs: consecutive points' shards share one call up to ``PACK_SETS``
+sets, and a bigger shard steps alone, at most ``LOCKSTEP_SETS`` sets at
+a time; the first ``point`` event comes before any set is generated.
+The inline run equals per-point ``evaluate`` and a pooled run field for
+field, and the store objects it writes are byte-identical to the ones
+written when task sets were built from task objects (digests captured
+before that change).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import io
 
 import pytest
 
-from repro.engine import Engine, ExperimentSpec, PointSpec, default_schemes
+from repro import obs
+from repro.engine import (
+    Engine,
+    ExperimentSpec,
+    PointSpec,
+    ResultStore,
+    default_schemes,
+    shard_key,
+)
 from repro.engine import core as engine_core
-from repro.experiments.sweeps import definition_to_spec, figure1_nsu
+from repro.experiments.sweeps import (
+    definition_to_spec,
+    figure1_nsu,
+    figure2_ifc,
+    figure3_alpha,
+    figure4_cores,
+    figure5_levels,
+)
 from repro.gen.params import WorkloadConfig
 from repro.model.task import MCTask
+from repro.obs.top import run_top
 
 SETS = 10
 SEED = 2016
@@ -54,6 +74,32 @@ def _object_digests(root) -> list[str]:
     )
 
 
+def _stats_of(spec: ExperimentSpec, results: list[dict]) -> str:
+    """``repr`` of per-point ``evaluate`` results in an artifact's row
+    form (repr, not ==: the stats of an all-failing point hold nan)."""
+    return repr(
+        [tuple(stats[lb] for lb in point.labels)
+         for point, stats in zip(spec.points, results)]
+    )
+
+
+@pytest.fixture
+def runner_log(monkeypatch):
+    """``(NSU, start, count)`` shards of every ``stats`` runner call,
+    one list per call."""
+    log: list[list[tuple[float, int, int]]] = []
+    stats = engine_core._SHARD_KINDS["stats"]
+
+    def logged(shards, **kwargs):
+        log.append([(point.config.nsu, s, c) for point, s, c in shards])
+        return stats.run(shards, **kwargs)
+
+    monkeypatch.setitem(
+        engine_core._SHARD_KINDS, "stats", dataclasses.replace(stats, run=logged)
+    )
+    return log
+
+
 @pytest.fixture
 def lockstep_log(monkeypatch):
     """Task sets of every ``partition_lockstep`` call the engine makes."""
@@ -80,9 +126,44 @@ class TestRunEquivalence:
             alone = Engine(jobs=1).evaluate(point)
             assert repr(row.stats) == repr(tuple(alone[lb] for lb in point.labels))
 
-    def test_one_lockstep_call_per_point(self, lockstep_log):
+    @pytest.mark.parametrize(
+        "definition",
+        [figure1_nsu, figure2_ifc, figure3_alpha, figure4_cores, figure5_levels],
+    )
+    def test_packed_run_equals_points_alone_and_pooled(self, definition):
+        # At 7 sets a pack holds four points' shards (28 sets); in fig3
+        # they differ in alpha, in fig4 in M and in fig5 in K.
+        spec = definition_to_spec(definition(), sets=7, seed=SEED)
+        inline = Engine(jobs=1).run(spec)
+        pooled = Engine(jobs=2).run(spec)
+        assert repr(inline) == repr(pooled)
+        assert inline.to_json() == pooled.to_json()
+        alone = [Engine(jobs=1).evaluate(point) for point in spec.points]
+        assert repr([row.stats for row in inline.rows]) == _stats_of(spec, alone)
+
+    def test_one_lockstep_call_per_pack(self, lockstep_log):
         Engine(jobs=1).run(_fig1())
-        assert lockstep_log == [SETS] * 5
+        assert engine_core.PACK_SETS == 32
+        assert lockstep_log == [3 * SETS, 2 * SETS]
+
+    def test_points_received_in_reverse_compute_each_pack_once(
+        self, runner_log, lockstep_log
+    ):
+        spec = _fig1()
+        engine = Engine(jobs=1)
+        with engine.queued(spec.points):
+            backward = [engine.evaluate(point) for point in reversed(spec.points)]
+        # Receiving NSU 0.8 computes the second pack, NSU 0.6 the first.
+        assert runner_log == [
+            [(0.7, 0, SETS), (0.8, 0, SETS)],
+            [(0.4, 0, SETS), (0.5, 0, SETS), (0.6, 0, SETS)],
+        ]
+        assert lockstep_log == [2 * SETS, 3 * SETS]
+        assert engine.stats.shards_computed == 5
+        forward = Engine(jobs=1).run(spec)
+        assert repr([row.stats for row in forward.rows]) == _stats_of(
+            spec, backward[::-1]
+        )
 
     def test_builds_no_task_objects(self, monkeypatch):
         built = []
@@ -150,8 +231,77 @@ class TestStoreObjects:
         resumed = Engine(jobs=1, store=tmp_path)
         assert resumed.run(_fig1()).to_json() == cold.to_json()
         assert resumed.stats.cache_hits == len(objects[1::2])
-        assert lockstep_log == [SETS] * len(objects[::2])
+        # The three missing shards (30 sets) share one pack.
+        assert lockstep_log == [SETS * len(objects[::2])]
+
+    def test_an_interrupted_run_keeps_what_it_received(self, tmp_path, lockstep_log):
+        # At 7 sets the first pack holds points 1-4 (28 sets), so the
+        # interrupt comes after the pack computed a point not received.
+        spec = _fig1(sets=7)
+        cold = Engine(jobs=1).run(spec)
+        lockstep_log.clear()
+        shards: list[dict] = []
+
+        def interrupt_at_the_third_shard(event):
+            if event["event"] == "shard":
+                shards.append(event)
+                if len(shards) == 3:
+                    raise KeyboardInterrupt
+
+        interrupted = Engine(
+            jobs=1, store=tmp_path, progress=interrupt_at_the_third_shard
+        )
+        with pytest.raises(KeyboardInterrupt):
+            interrupted.run(spec)
+        # Each shard was checkpointed when its point was received, before
+        # its event: point 4, computed but not received, was not.
+        assert lockstep_log == [28]
+        store = ResultStore(tmp_path)
+        stored = [
+            store.get(shard_key(point, 0, 7, probe_impl="batch")) is not None
+            for point in spec.points
+        ]
+        assert stored == [True, True, True, False, False]
+        assert len(store) == 3
+
+        lockstep_log.clear()
+        resumed = Engine(jobs=1, store=tmp_path)
+        assert resumed.run(spec).to_json() == cold.to_json()
+        assert resumed.stats.cache_hits == 3
+        assert resumed.stats.shards_computed == 2
+        assert lockstep_log == [14]
 
     def test_h2h_object_matches(self, tmp_path):
         Engine(jobs=1, store=tmp_path).evaluate(_h2h_point())
         assert _object_digests(tmp_path) == [EXPECTED_H2H_OBJECT]
+
+
+class TestPackObservability:
+    def test_a_pack_is_one_shard_span_and_every_total_holds(self):
+        events: list[dict] = []
+        with obs.instrument() as state:
+            engine = Engine(jobs=1, progress=events.append)
+            engine.run(_fig1())
+            spans = [r for r in state.spans if r["name"] == "engine.shard"]
+            hist = state.registry.snapshot()["histograms"]["engine.shard_seconds"]
+        assert [(s["shards"], s["set_count"]) for s in spans] == [
+            (3, 3 * SETS), (2, 2 * SETS),
+        ]
+        seconds = [e["seconds"] for e in events if e["event"] == "shard"]
+        assert engine.stats.shards_computed == len(seconds) == 5
+        assert engine.stats.shard_seconds_hist.count == hist["count"] == 5
+        assert engine.stats.compute_seconds == pytest.approx(sum(seconds))
+        # A pack's time lands on the shard whose receipt computed it.
+        first, second = (s["seconds"] for s in spans)
+        assert seconds[0] >= first and seconds[3] >= second
+        assert max(seconds[1], seconds[2], seconds[4]) < min(first, second)
+
+    def test_top_shows_every_point_of_a_packed_run_done(self, tmp_path):
+        log = tmp_path / "events.jsonl"
+        with obs.instrument(log_path=log):
+            Engine(jobs=1).run(_fig1())
+        out = io.StringIO()
+        assert run_top(str(log), once=True, stream=out) == 0
+        frame = out.getvalue()
+        assert "points          5/5" in frame
+        assert "shards          5/5 done" in frame

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.engine.core import _run_stats_shard
-from repro.engine.spec import default_schemes
+from repro.engine.core import _run_stats_shards
+from repro.engine.spec import PointSpec, default_schemes
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import MCTask, MCTaskSet
 from repro.obs.trace import build_tree
@@ -130,9 +130,8 @@ def _alone(tasksets):
 
 
 def _run_shard():
-    return _run_stats_shard(
-        CONFIG, tuple(default_schemes()), SHARD_SEED, 0, SHARD_SETS, probe_impl="batch"
-    )
+    point = PointSpec(CONFIG, tuple(default_schemes()), SHARD_SETS, SHARD_SEED)
+    return _run_stats_shards([(point, 0, SHARD_SETS)], probe_impl="batch")[0]
 
 
 @pytest.fixture
