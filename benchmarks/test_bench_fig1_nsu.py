@@ -23,7 +23,7 @@ def test_fig1_nsu(benchmark, emit_artifact):
         for lo, hi in zip(series, series[1:]):
             assert hi <= lo + 0.05, f"{scheme} ratio increased with NSU: {series}"
     # (shape) WFD is never the best scheme at a contended point.
-    for i, nsu in enumerate(result.definition.values):
+    for i, nsu in enumerate(result.values):
         point = {s: ratios[s][i] for s in ratios}
         if 0.03 < max(point.values()) < 0.97:
             assert point["wfd"] <= max(point.values()), nsu

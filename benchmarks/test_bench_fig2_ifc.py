@@ -23,7 +23,7 @@ def test_fig2_ifc(benchmark, emit_artifact):
     # CA-TPA stays competitive with the best classical scheme and is
     # more balanced than FFD/BFD wherever it schedules sets.
     imb = result.series("imbalance")
-    for i in range(len(result.definition.values)):
+    for i in range(len(result.values)):
         best = max(ratios[s][i] for s in ratios)
         assert ratios["ca-tpa"][i] >= best - 0.07
         if ratios["ca-tpa"][i] > 0.05 and ratios["ffd"][i] > 0.05:

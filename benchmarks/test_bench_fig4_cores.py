@@ -20,7 +20,7 @@ def test_fig4_cores(benchmark, emit_artifact):
     ratios = result.series("sched_ratio")
     imb = result.series("imbalance")
     # CA-TPA stays within noise of the best scheme at every M...
-    for i, cores in enumerate(result.definition.values):
+    for i, cores in enumerate(result.values):
         best = max(ratios[s][i] for s in ratios)
         assert ratios["ca-tpa"][i] >= best - 0.07, cores
         # ...and is more balanced than FFD wherever the comparison is

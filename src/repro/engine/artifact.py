@@ -3,7 +3,7 @@
 A :class:`SweepArtifact` is the finished product of one figure sweep —
 swept values, full point provenance (workload config + scheme specs),
 and the finalized :class:`~repro.metrics.aggregate.SchemeStats` per
-scheme.  ``format_sweep``, ``sweep_to_csv`` and the CLI all render
+scheme, each with its pairwise wins over the point's other schemes.  ``format_sweep``, ``sweep_to_csv`` and the CLI all render
 from this object; its JSON form is
 strict (no NaN literals) and versioned via :data:`SCHEMA_VERSION`, and
 floats survive the round-trip bit-exactly (Python's shortest-repr float
@@ -25,7 +25,8 @@ __all__ = ["SCHEMA_VERSION", "PointResult", "SweepArtifact"]
 #: Version of the artifact/store JSON schema.  Bump on any change to the
 #: serialized shape *or* to the semantics of the recorded numbers; the
 #: shard store keys on it, so bumping also invalidates every checkpoint.
-SCHEMA_VERSION = 1
+#: Version 2 added each scheme's pairwise ``wins``.
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,9 @@ class PointResult:
     def items(self):
         return [(spec.label, stats) for spec, stats in zip(self.schemes, self.stats)]
 
-    def to_point_spec(self, sets: int, seed: int, kind: str = "stats") -> PointSpec:
+    def to_point_spec(self, sets: int, seed: int) -> PointSpec:
         """The spec that regenerates this row (provenance is executable)."""
-        return PointSpec(
-            config=self.config, schemes=self.schemes, sets=sets, seed=seed, kind=kind
-        )
+        return PointSpec(config=self.config, schemes=self.schemes, sets=sets, seed=seed)
 
     def to_dict(self) -> dict:
         return {
@@ -107,13 +106,6 @@ class SweepArtifact:
     #: rows[i] corresponds to values[i]
     rows: tuple[PointResult, ...]
     schema_version: int = field(default=SCHEMA_VERSION)
-
-    @property
-    def definition(self) -> "SweepArtifact":
-        """Back-compat shim: the artifact carries its own definition
-        fields (``figure``/``title``/``parameter``/``values``), so old
-        ``result.definition.values``-style callers keep working."""
-        return self
 
     @property
     def schemes(self) -> list[str]:

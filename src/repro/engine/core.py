@@ -129,13 +129,27 @@ LOCKSTEP_SETS = 64
 PACK_SETS = 32
 
 
-def _shard_results(shards, probe_impl):
-    """Every set x scheme of ``shards`` (``(point, start, count)``
-    triples), partitioned in lockstep on the ``probe_impl`` backend, at
-    most ``LOCKSTEP_SETS`` sets per call; yields ``(shard index, the
-    set's results in scheme order)`` set by set, shard by shard
-    (accumulator order)."""
+def _accumulators(point: PointSpec) -> list[SchemeAccumulator]:
+    """One empty accumulator per scheme label of ``point``, with a zero
+    win count over each other label (in label order, which the merged
+    point keeps whatever order a stored shard decodes in)."""
+    return [
+        SchemeAccumulator(a, wins={b: 0 for b in point.labels if b != a})
+        for a in point.labels
+    ]
+
+
+def _run_stats_shards(shards, *, probe_impl: str) -> list[list[SchemeAccumulator]]:
+    """Each stats shard's per-scheme accumulators, keyed by label.
+
+    Every set x scheme of ``shards`` (``(point, start, count)``
+    triples) is partitioned in lockstep on the ``probe_impl`` backend,
+    at most ``LOCKSTEP_SETS`` sets per call, and recorded set by set,
+    shard by shard (accumulator order).  A set one scheme schedules and
+    another does not counts in the first one's ``wins`` over the other.
+    """
     backend = get_backend(probe_impl)
+    accs = [_accumulators(point) for point, _, _ in shards]
     partitioners = [
         [spec.build() for spec in point.schemes] for point, _, _ in shards
     ]
@@ -162,44 +176,14 @@ def _shard_results(shards, probe_impl):
         ]
         results = iter(partition_lockstep(jobs, backend))
         for index, _, _ in chunk:
-            yield index, [next(results) for _ in partitioners[index]]
-
-
-def _run_stats_shards(shards, *, probe_impl: str) -> list[list[SchemeAccumulator]]:
-    """Each stats shard's per-scheme accumulators."""
-    accs = [
-        [SchemeAccumulator(spec.label) for spec in point.schemes]
-        for point, _, _ in shards
-    ]
-    for index, results in _shard_results(shards, probe_impl):
-        for acc, result in zip(accs[index], results):
-            # Accumulators are keyed by label, which may differ from the
-            # partitioner's registry name (e.g. alpha variants).
-            acc.add(result, check_scheme=False)
+            outcome = [(acc, next(results)) for acc in accs[index]]
+            failed = [acc.scheme for acc, r in outcome if not r.schedulable]
+            for acc, result in outcome:
+                acc.add(result)
+                if result.schedulable:
+                    for label in failed:
+                        acc.wins[label] += 1
     return accs
-
-
-def _h2h_tally(labels: list[str], sets: int) -> dict:
-    return {
-        "labels": labels,
-        "accepted": {label: 0 for label in labels},
-        "wins": {a: {b: 0 for b in labels if b != a} for a in labels},
-        "sets": sets,
-    }
-
-
-def _run_h2h_shards(shards, *, probe_impl: str) -> list[dict]:
-    """Pairwise dominance tallies of each shard of a common batch."""
-    tallies = [_h2h_tally(list(point.labels), count) for point, _, count in shards]
-    for index, results in _shard_results(shards, probe_impl):
-        tally = tallies[index]
-        outcome = {lb: r.schedulable for lb, r in zip(tally["labels"], results)}
-        for a, row in tally["wins"].items():
-            tally["accepted"][a] += outcome[a]
-            for b in row:
-                if outcome[a] and not outcome[b]:
-                    row[b] += 1
-    return tallies
 
 
 @dataclass(frozen=True)
@@ -211,10 +195,10 @@ class ShardKind:
     returns one result per shard, in order (a kind with
     :attr:`PointSpec.params` reads them off the point);
     ``encode(result)`` / ``decode(payload)`` convert it to/from the
-    strict-JSON form the :class:`ResultStore` checkpoints (``encode``
-    must stamp ``{"kind": name}`` so ``decode`` can reject mismatched
-    entries); ``merge(point, shards)`` folds the ascending-``start``
-    shard list into the point result.
+    strict-JSON object the :class:`ResultStore` checkpoints (the engine
+    stamps ``{"kind": name}`` on each object it stores and rejects a
+    stored object of another kind); ``merge(point, shards)`` folds the
+    ascending-``start`` shard list into the point result.
     """
 
     name: str
@@ -282,53 +266,19 @@ def _run_shard_job(
 
 
 def _encode_stats(result) -> dict:
-    return {"kind": "stats", "accumulators": [a.to_dict() for a in result]}
-
-
-def _encode_h2h(result) -> dict:
-    return {"kind": "h2h", **result}
-
-
-def _checked_kind(kind: str, payload: dict) -> dict:
-    if payload.get("kind") != kind:
-        raise ReproError(
-            f"stored shard kind {payload.get('kind')!r} != requested {kind!r}"
-        )
-    return payload
+    return {"accumulators": [a.to_dict() for a in result]}
 
 
 def _decode_stats(payload: dict):
-    payload = _checked_kind("stats", payload)
     return [SchemeAccumulator.from_dict(d) for d in payload["accumulators"]]
 
 
-def _decode_h2h(payload: dict):
-    payload = _checked_kind("h2h", payload)
-    return {
-        "labels": list(payload["labels"]),
-        "accepted": dict(payload["accepted"]),
-        "wins": {a: dict(row) for a, row in payload["wins"].items()},
-        "sets": int(payload["sets"]),
-    }
-
-
 def _merge_stats(point: PointSpec, shards: list) -> dict[str, SchemeStats]:
-    merged = {label: SchemeAccumulator(label) for label in point.labels}
+    merged = {acc.scheme: acc for acc in _accumulators(point)}
     for shard in shards:
         for acc in shard:
             merged[acc.scheme].merge(acc)
     return {label: merged[label].finalize() for label in point.labels}
-
-
-def _merge_h2h(point: PointSpec, shards: list) -> dict:
-    merged = _h2h_tally(list(point.labels), 0)
-    for shard in shards:
-        merged["sets"] += shard["sets"]
-        for a, row in merged["wins"].items():
-            merged["accepted"][a] += shard["accepted"][a]
-            for b, n in shard["wins"][a].items():
-                row[b] += n
-    return merged
 
 
 register_shard_kind(
@@ -337,13 +287,6 @@ register_shard_kind(
     encode=_encode_stats,
     decode=_decode_stats,
     merge=_merge_stats,
-)
-register_shard_kind(
-    "h2h",
-    run=_run_h2h_shards,
-    encode=_encode_h2h,
-    decode=_decode_h2h,
-    merge=_merge_h2h,
 )
 
 
@@ -467,9 +410,9 @@ class Engine:
     def _checkpoint(self, point: PointSpec, start: int, count: int, result) -> None:
         if self.store is not None:
             with obs.span("engine.store.put"):
+                payload = shard_kind(point.kind).encode(result)
                 self.store.put(
-                    self._key(point, start, count),
-                    shard_kind(point.kind).encode(result),
+                    self._key(point, start, count), {**payload, "kind": point.kind}
                 )
 
     def _plan(self, point: PointSpec) -> _PointPlan:
@@ -484,8 +427,13 @@ class Engine:
                     cached = self.store.get(self._key(point, start, count))
             if cached is None:
                 plan.missing.append((start, count))
-            else:
-                plan.cached[start] = kind.decode(cached)
+                continue
+            stamp = cached.get("kind") if isinstance(cached, dict) else None
+            if stamp != point.kind:
+                raise ReproError(
+                    f"stored shard kind {stamp!r} != requested {point.kind!r}"
+                )
+            plan.cached[start] = kind.decode(cached)
         return plan
 
     def _schedule(self, plans: list[_PointPlan]) -> None:
@@ -666,9 +614,9 @@ class Engine:
 
         Inside :meth:`queued` this receives the point's queued shards; a
         lone call is a one-point run.  Returns ``dict[label,
-        SchemeStats]`` for ``kind="stats"`` points, the merged dominance
-        payload for ``kind="h2h"`` points, and the merged campaign
-        payload for ``kind="validate"`` points.
+        SchemeStats]`` (each with its ``wins``) for ``kind="stats"``
+        points, the merged campaign payload for ``kind="validate"``
+        points and the merged tally for ``kind="dynsim"`` points.
         """
         with obs.span("engine.point", kind=point.kind, sets=point.sets):
             opened = time.time()

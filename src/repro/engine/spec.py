@@ -3,7 +3,7 @@
 An experiment is a JSON-serializable *plan*, not code: a grid of
 (:class:`~repro.gen.params.WorkloadConfig`, scheme list, sets, seed)
 points.  The figure builders in :mod:`repro.experiments.sweeps`, the
-head-to-head harness, and the CLI all produce these specs; the
+validate and dynamic campaigns, and the CLI all produce these specs; the
 :class:`~repro.engine.core.Engine` evaluates them.  Because a spec is
 pure data, two different call sites that describe the same point (e.g.
 Fig. 1 at NSU = 0.6 and Fig. 2 at IFC = 0.4 — both the Section IV-A
@@ -28,14 +28,14 @@ __all__ = [
 ]
 
 #: Evaluation modes a :class:`PointSpec` supports: ``stats`` accumulates
-#: the four paper metrics per scheme; ``h2h`` tallies the pairwise
-#: dominance matrix over the common task-set batch; ``validate`` sweeps
-#: the task sets through the :mod:`repro.validate` oracle registry;
-#: ``dynsim`` simulates each set under an injected-event script
+#: the four paper metrics per scheme and each scheme's pairwise wins over
+#: the others on the common task sets; ``validate`` sweeps the task sets
+#: through the :mod:`repro.validate` oracle registry; ``dynsim``
+#: simulates each set under an injected-event script
 #: (:mod:`repro.experiments.dynamic`).  The engine resolves each kind's
 #: runner/codec through its shard-kind registry
 #: (:func:`repro.engine.core.shard_kind`).
-POINT_KINDS = ("stats", "h2h", "validate", "dynsim")
+POINT_KINDS = ("stats", "validate", "dynsim")
 
 
 @dataclass(frozen=True)

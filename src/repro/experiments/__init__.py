@@ -1,16 +1,16 @@
 """Experiment harness: figure sweeps, worked-example tables, reporting.
 
 Every harness entry point is a thin builder over :mod:`repro.engine`:
-sweeps and head-to-head comparisons lower to declarative specs,
-evaluate on the resumable checkpointed :class:`~repro.engine.Engine`,
-and render from the one structured :class:`~repro.engine.SweepArtifact`
-schema.  A single data point is ``Engine(jobs=…, store=…).evaluate(
-PointSpec(…))``.
+sweeps lower to declarative specs, evaluate on the resumable
+checkpointed :class:`~repro.engine.Engine`, and render from the one
+structured :class:`~repro.engine.SweepArtifact` schema.  A single data
+point is ``Engine(jobs=…, store=…).evaluate(PointSpec(…))``; its
+``label -> SchemeStats`` result prints as a paired head-to-head table
+with :func:`format_head_to_head`.
 """
 
 from repro.engine.artifact import PointResult, SweepArtifact
 from repro.engine.spec import SchemeSpec, default_schemes
-from repro.experiments.compare import HeadToHead, format_head_to_head, head_to_head
 from repro.experiments.dynamic import (
     DEFAULT_BURST_FACTORS,
     DynamicSweepResult,
@@ -21,6 +21,7 @@ from repro.experiments.dynamic import (
 from repro.experiments.export import save_sweep_csv, sweep_to_csv
 from repro.experiments.report import (
     format_allocation_trace,
+    format_head_to_head,
     format_panel,
     format_sweep,
     format_table1,
@@ -28,7 +29,6 @@ from repro.experiments.report import (
 from repro.experiments.sweeps import (
     FIGURES,
     SweepDefinition,
-    SweepResult,
     definition_to_spec,
     figure1_nsu,
     figure2_ifc,
@@ -50,17 +50,14 @@ __all__ = [
     "DEFAULT_BURST_FACTORS",
     "DynamicSweepResult",
     "FIGURES",
-    "HeadToHead",
     "dynamic_point",
     "format_dynamic",
     "run_dynamic_sweep",
     "PointResult",
     "SweepArtifact",
     "format_head_to_head",
-    "head_to_head",
     "SchemeSpec",
     "SweepDefinition",
-    "SweepResult",
     "allocation_trace",
     "default_schemes",
     "definition_to_spec",

@@ -29,7 +29,6 @@ from repro.engine.store import ResultStore
 from repro.gen.generator import generate_taskset
 from repro.gen.params import WorkloadConfig
 from repro.model.task import MCTask
-from repro.types import ReproError
 
 __all__ = [
     "DEFAULT_BURST_FACTORS",
@@ -210,14 +209,10 @@ def _dynsim_tally(point: PointSpec, start: int, count: int) -> dict:
 
 
 def _encode_dynsim(result: dict) -> dict:
-    return {"kind": "dynsim", "tally": dict(result)}
+    return {"tally": dict(result)}
 
 
 def _decode_dynsim(payload: dict) -> dict:
-    if payload.get("kind") != "dynsim":
-        raise ReproError(
-            f"stored shard kind {payload.get('kind')!r} != requested 'dynsim'"
-        )
     return {key: int(payload["tally"].get(key, 0)) for key in _TALLY_KEYS}
 
 

@@ -9,22 +9,28 @@ Everything renders from the one structured
 :class:`~repro.engine.SweepArtifact` schema the engine produces — the
 CSV exporter and the CLI read the same object, so a renderer can be
 checked against a stored artifact without re-running the sweep.
+:func:`format_head_to_head` prints one point's paired evidence: every
+scheme runs on the same task sets, so the sets one scheme schedules and
+another does not decide between them with an exact sign test.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.engine.artifact import SweepArtifact
 from repro.experiments.tables import AllocationStep, table1_rows
+from repro.metrics.aggregate import SchemeStats
 from repro.model.taskset import MCTaskSet
 
 __all__ = [
     "format_panel",
     "format_sweep",
+    "format_head_to_head",
     "format_table1",
     "format_allocation_trace",
+    "sign_test_p",
 ]
 
 PANELS = (
@@ -65,6 +71,52 @@ def format_sweep(result: SweepArtifact) -> str:
         out.append(format_panel(result, metric, f"({letter}) {title}"))
         out.append("")
     return "\n".join(out)
+
+
+def sign_test_p(b: int, c: int) -> float:
+    """Exact two-sided sign-test p of ``b`` against ``c`` discordant sets.
+
+    Under the null hypothesis each discordant set goes either way with
+    probability 1/2, so the smaller count is Binomial(b + c, 1/2); the
+    p-value doubles its lower tail, capped at 1 (``p(0, 0) == 1``).
+    """
+    n = b + c
+    tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def format_head_to_head(stats: Mapping[str, SchemeStats]) -> str:
+    """One point's ``label -> SchemeStats`` as its dominance matrix (cell
+    = row schedules, column does not; with each scheme's ratio), then per
+    scheme pair both discordant counts and the sign-test p."""
+    labels = list(stats)
+    width = max(8, max(len(s) for s in labels) + 1)
+    header = (
+        f"{'wins over ->':>{width}} |"
+        + "".join(f"{s:>{width}}" for s in labels)
+        + f"{'ratio':>{width}}"
+    )
+    lines = [
+        f"Head-to-head on {stats[labels[0]].total_sets} common task sets"
+        " (cell = row schedules, column does not)",
+        header,
+        "-" * len(header),
+    ]
+    for a in labels:
+        cells = "".join(
+            f"{'-':>{width}}" if a == b else f"{stats[a].wins[b]:>{width}}"
+            for b in labels
+        )
+        lines.append(f"{a:>{width}} |{cells}{stats[a].sched_ratio:>{width}.3f}")
+    lines += ["", "Sign test per pair (left only : right only, exact two-sided p)"]
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            ab, ba = stats[a].wins[b], stats[b].wins[a]
+            lines.append(
+                f"{a:>{width}} vs {b:<{width}}{ab:>6} : {ba:<6}"
+                f"p = {sign_test_p(ab, ba):.3g}"
+            )
+    return "\n".join(lines)
 
 
 def format_table1(taskset: MCTaskSet) -> str:

@@ -36,7 +36,6 @@ from repro.gen.params import CORE_COUNTS, WorkloadConfig
 
 __all__ = [
     "SweepDefinition",
-    "SweepResult",
     "definition_to_spec",
     "figure1_nsu",
     "figure2_ifc",
@@ -46,12 +45,6 @@ __all__ = [
     "FIGURES",
     "run_sweep",
 ]
-
-#: Backwards-compatible alias: ``run_sweep`` now returns the engine's
-#: structured artifact, which supports the old ``SweepResult`` surface
-#: (``definition``/``rows``/``series``/``schemes``).
-SweepResult = SweepArtifact
-
 
 @dataclass(frozen=True)
 class SweepDefinition:

@@ -4,7 +4,9 @@ One :class:`SchemeAccumulator` per (scheme, data point).  Feed it each
 task set's :class:`~repro.partition.PartitionResult`; it records the
 schedulability count and the per-set ``U_sys`` / ``U_avg`` / ``Lambda``
 figures over the *schedulable* sets (matching the paper: "these metrics
-are obtained by considering only the schedulable task sets").
+are obtained by considering only the schedulable task sets").  Its
+``wins`` count, per other scheme of the point, the sets this scheme
+schedules and that one does not: the paired counts a sign test reads.
 
 Accumulators are picklable and mergeable, so the parallel harness can
 reduce per-worker partial results.  Finalization sums the per-set values
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
 
 from repro.metrics.core import (
     average_core_utilization,
@@ -50,6 +51,8 @@ class SchemeStats:
     u_sys: float  #: mean U_sys over schedulable sets (nan if none)
     u_avg: float  #: mean U_avg over schedulable sets (nan if none)
     imbalance: float  #: mean Lambda over schedulable sets (nan if none)
+    #: per other scheme label: sets this scheme schedules, that one not
+    wins: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Strict-JSON form: NaN means (no schedulable sets) map to null.
@@ -65,6 +68,7 @@ class SchemeStats:
             "u_sys": _nan_to_none(self.u_sys),
             "u_avg": _nan_to_none(self.u_avg),
             "imbalance": _nan_to_none(self.imbalance),
+            "wins": dict(self.wins),
         }
 
     @classmethod
@@ -77,7 +81,12 @@ class SchemeStats:
             u_sys=_none_to_nan(data["u_sys"]),
             u_avg=_none_to_nan(data["u_avg"]),
             imbalance=_none_to_nan(data["imbalance"]),
+            wins=_counts(data["wins"]),
         )
+
+
+def _counts(wins: dict) -> dict[str, int]:
+    return {label: int(n) for label, n in wins.items()}
 
 
 @dataclass
@@ -89,22 +98,17 @@ class SchemeAccumulator:
     u_sys_values: list[float] = field(default_factory=list)
     u_avg_values: list[float] = field(default_factory=list)
     imbalance_values: list[float] = field(default_factory=list)
+    #: per other scheme label: sets this scheme schedules, that one not
+    wins: dict[str, int] = field(default_factory=dict)
 
     @property
     def schedulable_sets(self) -> int:
         return len(self.u_sys_values)
 
-    def add(self, result: PartitionResult, *, check_scheme: bool = True) -> None:
-        """Record one task set's outcome.
-
-        ``check_scheme=False`` skips the name guard — used when the
-        accumulator is keyed by a *label* that differs from the
-        partitioner's registry name (e.g. ``ca-tpa`` alpha variants).
-        """
-        if check_scheme and result.scheme != self.scheme:
-            raise ModelError(
-                f"accumulator for {self.scheme!r} got result for {result.scheme!r}"
-            )
+    def add(self, result: PartitionResult) -> None:
+        """Record one task set's outcome (the accumulator is keyed by
+        scheme *label*, which may differ from ``result.scheme``, e.g.
+        for ``ca-tpa`` alpha variants)."""
         self.total_sets += 1
         if not result.schedulable:
             return
@@ -123,6 +127,8 @@ class SchemeAccumulator:
         self.u_sys_values.extend(other.u_sys_values)
         self.u_avg_values.extend(other.u_avg_values)
         self.imbalance_values.extend(other.imbalance_values)
+        for label, n in other.wins.items():
+            self.wins[label] = self.wins.get(label, 0) + n
 
     def to_dict(self) -> dict:
         """Checkpoint form for the engine's shard store.
@@ -138,6 +144,7 @@ class SchemeAccumulator:
             "u_sys_values": list(self.u_sys_values),
             "u_avg_values": list(self.u_avg_values),
             "imbalance_values": list(self.imbalance_values),
+            "wins": dict(self.wins),
         }
 
     @classmethod
@@ -148,6 +155,7 @@ class SchemeAccumulator:
             u_sys_values=[float(v) for v in data["u_sys_values"]],
             u_avg_values=[float(v) for v in data["u_avg_values"]],
             imbalance_values=[float(v) for v in data["imbalance_values"]],
+            wins=_counts(data["wins"]),
         )
 
     def finalize(self) -> SchemeStats:
@@ -163,4 +171,5 @@ class SchemeAccumulator:
             imbalance=(
                 math.fsum(self.imbalance_values) / n_ok if n_ok else float("nan")
             ),
+            wins=dict(self.wins),
         )

@@ -114,18 +114,30 @@ def write_manifest(path: Path | str, manifest: dict) -> Path:
     return path
 
 
+#: Keys :func:`format_manifest` reads from every manifest.
+_REQUIRED_KEYS = ("run_id", "created", "repro_version")
+
+
 def load_manifest(path: Path | str) -> dict:
+    """Read a run manifest; anything ``format_manifest`` cannot render
+    (unreadable bytes, a non-object document, another version, a missing
+    required key) raises :class:`ReproError`."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReproError(f"cannot read run manifest {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ReproError(f"run manifest {path} is not a JSON object")
     version = data.get("manifest_version")
     if version != MANIFEST_VERSION:
         raise ReproError(
             f"unsupported manifest version {version!r} in {path}"
             f" (this build reads version {MANIFEST_VERSION})"
         )
+    missing = [key for key in _REQUIRED_KEYS if key not in data]
+    if missing:
+        raise ReproError(f"run manifest {path} lacks {', '.join(missing)}")
     return data
 
 

@@ -176,17 +176,21 @@ class SweepSource:
         self.last_ts: float | None = None
 
     def _ingest(self) -> None:
-        with self.path.open("r", encoding="utf-8") as fh:
-            fh.seek(self._offset)
-            for line in fh:
-                if not line.endswith("\n"):
-                    break  # half-written tail; re-read next refresh
-                self._offset += len(line.encode("utf-8"))
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                self._fold(event)
+        try:
+            with self.path.open("r", encoding="utf-8") as fh:
+                fh.seek(self._offset)
+                for line in fh:
+                    if not line.endswith("\n"):
+                        break  # half-written tail; re-read next refresh
+                    self._offset += len(line.encode("utf-8"))
+                    try:
+                        event = json.loads(line)
+                    except json.JSONDecodeError:
+                        continue
+                    if isinstance(event, dict):
+                        self._fold(event)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ReproError(f"cannot read events file {self.path}: {exc}") from exc
 
     def _fold(self, event: dict) -> None:
         name = event.get("event", "")

@@ -145,26 +145,29 @@ def read_events(path: str | os.PathLike) -> list[dict]:
     """Parse a JSONL events file (tolerating a torn final line).
 
     A crashed run may leave a truncated last line; it is skipped.  A
-    malformed line anywhere else is a corrupt file and raises
-    :class:`ReproError`.
+    malformed line anywhere else, or a line that is not a JSON object,
+    is a corrupt file and raises :class:`ReproError`.
     """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReproError(f"cannot read events file {path}: {exc}") from exc
     events = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            events.append(json.loads(line))
+            event = json.loads(line)
         except json.JSONDecodeError as exc:
             if lineno == len(lines):
                 break  # torn tail of a crashed run
             raise ReproError(
                 f"{path}:{lineno}: malformed event line ({exc})"
             ) from exc
+        if not isinstance(event, dict):
+            raise ReproError(f"{path}:{lineno}: event line is not a JSON object")
+        events.append(event)
     return events
 
 

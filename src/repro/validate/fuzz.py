@@ -27,7 +27,6 @@ from repro.gen.generator import generate_taskset
 from repro.gen.params import WorkloadConfig
 from repro.model.io import taskset_from_dict, taskset_to_dict
 from repro.obs import runtime as obs
-from repro.types import ReproError
 from repro.validate.oracles import SIM_CYCLES, ValidationCase, all_oracles
 
 __all__ = [
@@ -134,14 +133,10 @@ def _run_validate_shards(shards, *, probe_impl: str) -> list[dict]:
 
 
 def _encode_validate(result: dict) -> dict:
-    return {"kind": "validate", **result}
+    return dict(result)
 
 
 def _decode_validate(payload: dict) -> dict:
-    if payload.get("kind") != "validate":
-        raise ReproError(
-            f"stored shard kind {payload.get('kind')!r} != requested 'validate'"
-        )
     return {
         "cases": int(payload["cases"]),
         "checks": int(payload["checks"]),

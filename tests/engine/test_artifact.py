@@ -78,12 +78,6 @@ class TestPointResultSurface:
         with pytest.raises(KeyError):
             row["nope"]
 
-    def test_definition_shim(self, artifact):
-        # Old SweepResult callers read result.definition.values etc.
-        assert artifact.definition.values == artifact.values
-        assert artifact.definition.parameter == "NSU"
-        assert artifact.definition.figure == "fig1"
-
     def test_series(self, artifact):
         series = artifact.series("sched_ratio")
         assert set(series) == set(artifact.schemes)

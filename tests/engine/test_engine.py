@@ -18,7 +18,7 @@ from repro.engine import (
     default_schemes,
     shard_key,
 )
-from repro.experiments.compare import head_to_head
+from repro.engine.spec import POINT_KINDS
 from repro.experiments.sweeps import definition_to_spec, figure1_nsu, figure2_ifc
 from repro.gen.params import WorkloadConfig
 from repro.types import ReproError
@@ -167,27 +167,51 @@ class TestResume:
 
 
 class TestHeadToHeadThroughEngine:
+    """Every stats point tallies each scheme's wins over the others."""
+
+    @staticmethod
+    def _wins(stats) -> dict:
+        return {label: s.wins for label, s in stats.items()}
+
     def test_parallel_matches_serial(self):
-        serial = head_to_head(TINY, default_schemes(), sets=9, seed=5, jobs=1)
-        parallel = head_to_head(TINY, default_schemes(), sets=9, seed=5, jobs=3)
+        serial = Engine(jobs=1).evaluate(_point(sets=9, seed=5))
+        parallel = Engine(jobs=3).evaluate(_point(sets=9, seed=5))
+        assert self._wins(serial) == self._wins(parallel)
         assert serial == parallel
 
     def test_warm_run_matches_cold(self, tmp_path):
-        cold = head_to_head(TINY, default_schemes(), sets=9, seed=5, store=tmp_path)
-        warm = head_to_head(TINY, default_schemes(), sets=9, seed=5, store=tmp_path)
-        assert warm == cold
+        cold = Engine(jobs=1, store=tmp_path).evaluate(_point(sets=9, seed=5))
+        warm_engine = Engine(jobs=1, store=tmp_path)
+        warm = warm_engine.evaluate(_point(sets=9, seed=5))
+        assert warm_engine.stats.shards_computed == 0
+        assert self._wins(warm) == self._wins(cold)
 
-    def test_h2h_and_stats_shards_do_not_collide(self, tmp_path):
+    def test_scalar_backend_tallies_the_same_wins(self):
+        batch = Engine(jobs=1).evaluate(_point(sets=9, seed=5))
+        scalar = Engine(jobs=1, probe_impl="scalar").evaluate(_point(sets=9, seed=5))
+        assert self._wins(scalar) == self._wins(batch)
+
+    def test_stats_and_validate_shards_do_not_collide(self, tmp_path):
         # Same content, different kind: the store must keep them apart.
         assert shard_key(_point(kind="stats"), 0, 8) != shard_key(
-            _point(kind="h2h"), 0, 8
+            _point(kind="validate"), 0, 8
         )
 
-    def test_mismatched_kind_payload_rejected(self):
-        from repro.engine.core import shard_kind
+    def test_mismatched_kind_payload_rejected(self, tmp_path):
+        # The engine stamps each stored object with its kind and refuses
+        # an object of another kind under a point's key.
+        point = _point(sets=2)
+        ResultStore(tmp_path).put(
+            shard_key(point, 0, 2), {"kind": "validate", "cases": 2}
+        )
+        with pytest.raises(ReproError, match="stored shard kind 'validate'"):
+            Engine(jobs=1, store=tmp_path).evaluate(point)
 
-        with pytest.raises(ReproError, match="kind"):
-            shard_kind("stats").decode({"kind": "h2h"})
+    def test_non_object_payload_rejected(self, tmp_path):
+        point = _point(sets=2)
+        ResultStore(tmp_path).put(shard_key(point, 0, 2), [1, 2])
+        with pytest.raises(ReproError, match="stored shard kind None"):
+            Engine(jobs=1, store=tmp_path).evaluate(point)
 
 
 class TestShardRunKwargs:
@@ -199,7 +223,7 @@ class TestShardRunKwargs:
 
         from repro.engine.core import shard_kind
 
-        for name in ("stats", "h2h", "validate", "dynsim"):
+        for name in POINT_KINDS:
             accepted = inspect.signature(shard_kind(name).run).parameters
             assert list(accepted) == ["shards", "probe_impl"], name
             assert accepted["probe_impl"].kind is inspect.Parameter.KEYWORD_ONLY
@@ -229,13 +253,14 @@ class TestRunValidation:
             Engine(jobs=jobs)
 
     def test_run_rejects_h2h_points(self):
+        # A figure's points are stats points; any other kind is refused.
         spec = _spec(sets=2)
         bad = ExperimentSpec(
             figure=spec.figure,
             title=spec.title,
             parameter=spec.parameter,
             values=(0.5,),
-            points=(_point(sets=2, kind="h2h"),),
+            points=(_point(sets=2, kind="validate"),),
         )
         with pytest.raises(ReproError, match="stats"):
             Engine(jobs=1).run(bad)

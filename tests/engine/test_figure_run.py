@@ -6,9 +6,10 @@ packs: consecutive points' shards share one call up to ``PACK_SETS``
 sets, and a bigger shard steps alone, at most ``LOCKSTEP_SETS`` sets at
 a time; the first ``point`` event comes before any set is generated.
 The inline run equals per-point ``evaluate`` and a pooled run field for
-field, and the store objects it writes are byte-identical to the ones
-written when task sets were built from task objects (digests captured
-before that change).
+field.  The store objects it writes are pinned, and with each
+accumulator's ``wins`` stripped they are byte-identical to the ones
+written before stats shards tallied wins (and before task sets were
+generated from arrays).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.engine import (
     shard_key,
 )
 from repro.engine import core as engine_core
+from repro.engine.store import _canonical
 from repro.experiments.sweeps import (
     definition_to_spec,
     figure1_nsu,
@@ -45,33 +48,46 @@ SETS = 10
 SEED = 2016
 
 #: sha256 (first 16 hex digits) of every store object a 5-point fig1
-#: run at 10 sets and seed 2016 writes, sorted, and of one h2h point.
+#: run at 10 sets and seed 2016 writes, sorted.
 EXPECTED_FIG1_OBJECTS = [
+    "2f2f4aa83ce43ec1",
+    "95ecc2313fbb5437",
+    "b8d1aa59cf097d9e",
+    "b8d1aa59cf097d9e",  # NSU 0.7 and 0.8: every set fails under every scheme
+    "d1f4904daea68a48",
+]
+#: The same objects with each accumulator's ``wins`` stripped and the
+#: rest re-canonicalized: the digests of the objects written before
+#: stats shards tallied wins, so the accumulator bytes are unchanged.
+EXPECTED_FIG1_ACCUMULATORS = [
     "6da57d2214cdc951",
     "72e9129aba150781",
     "abee354c60cdbbbf",
     "d9d06f8aa188bb1b",
-    "d9d06f8aa188bb1b",  # NSU 0.7 and 0.8: every set fails under every scheme
+    "d9d06f8aa188bb1b",
 ]
-EXPECTED_H2H_OBJECT = "498cafebec872191"
 
 
 def _fig1(sets: int = SETS) -> ExperimentSpec:
     return definition_to_spec(figure1_nsu(), sets=sets, seed=SEED)
 
 
-def _h2h_point() -> PointSpec:
-    return PointSpec(
-        config=WorkloadConfig(), schemes=tuple(default_schemes()), sets=SETS,
-        seed=SEED, kind="h2h",
-    )
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _object_digests(root) -> list[str]:
-    return sorted(
-        hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-        for path in root.glob("objects/*/*.json")
-    )
+    return sorted(_digest(path.read_bytes()) for path in root.glob("objects/*/*.json"))
+
+
+def _accumulator_digests(root) -> list[str]:
+    digests = []
+    for path in root.glob("objects/*/*.json"):
+        payload = json.loads(path.read_bytes())
+        for acc in payload["accumulators"]:
+            del acc["wins"]
+        digests.append(_digest(_canonical(payload).encode("utf-8")))
+    return sorted(digests)
 
 
 def _stats_of(spec: ExperimentSpec, results: list[dict]) -> str:
@@ -215,6 +231,7 @@ class TestStoreObjects:
     ):
         Engine(jobs=1, store=tmp_path).run(_fig1())
         assert _object_digests(tmp_path) == EXPECTED_FIG1_OBJECTS
+        assert _accumulator_digests(tmp_path) == EXPECTED_FIG1_ACCUMULATORS
         warm = Engine(jobs=1, store=tmp_path)
         warm.run(_fig1())
         assert warm.stats.cache_hits == 5
@@ -270,10 +287,6 @@ class TestStoreObjects:
         assert resumed.stats.cache_hits == 3
         assert resumed.stats.shards_computed == 2
         assert lockstep_log == [14]
-
-    def test_h2h_object_matches(self, tmp_path):
-        Engine(jobs=1, store=tmp_path).evaluate(_h2h_point())
-        assert _object_digests(tmp_path) == [EXPECTED_H2H_OBJECT]
 
 
 class TestPackObservability:

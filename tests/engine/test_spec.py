@@ -68,7 +68,7 @@ class TestPointSpec:
             schemes=tuple(default_schemes(alpha=0.3)),
             sets=50,
             seed=7,
-            kind="h2h",
+            kind="validate",
         )
         assert PointSpec.from_dict(point.to_dict()) == point
 

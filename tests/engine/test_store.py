@@ -31,7 +31,7 @@ class TestShardKey:
         assert shard_key(_point(seed=6), 0, 10) != base
         assert shard_key(_point(config=WorkloadConfig(cores=4)), 0, 10) != base
         assert shard_key(_point(schemes=(SchemeSpec.make("ffd"),)), 0, 10) != base
-        assert shard_key(_point(kind="h2h"), 0, 10) != base
+        assert shard_key(_point(kind="validate"), 0, 10) != base
         assert shard_key(_point(), 5, 10) != base
         assert shard_key(_point(), 0, 5) != base
 

@@ -766,6 +766,22 @@ MALFORMED_TASKSETS = {
     "levels-str": ({"levels": "2"}, "K must be an integer, got '2'"),
 }
 
+# Run manifests and events logs that inspect, trace and top must refuse
+# in one line (top skips a line that is not a JSON object, as it skips a
+# malformed one): file name -> bytes.
+_EVENT = b'{"event": "engine.shard", "ts": 1.0}\n'
+NON_OBJECT_LINES = {"list": b"[1, 2]", "str": b'"str"', "number": b"3", "null": b"null"}
+MALFORMED_RUN_FILES = {
+    "array.manifest.json": b"[1, 2]",
+    "bare.manifest.json": b'{"manifest_version": 1}',
+    "latin1.manifest.json": b'{"manifest_version": 1, "run_id": "\xff"}',
+    "latin1.jsonl": _EVENT + b"\xff\xfe\n",
+    **{
+        f"{stem}.jsonl": _EVENT + line + b"\n" + _EVENT
+        for stem, line in NON_OBJECT_LINES.items()
+    },
+}
+
 # The exit-code contract, one row per invocation: (argv, exit code, a
 # stderr substring).  0 = success; 1 = a runtime or input error, one
 # "repro-mc <command>: <message>" line; 2 = a usage error from argparse.
@@ -865,7 +881,15 @@ EXIT_CODES = [
     (f"explain {DEMO} --scheme bogus", 1, "unknown scheme 'bogus'"),
     ("inspect missing.json", 1, "cannot read run manifest"),
     ("inspect .", 1, "cannot read run manifest"),
+    ("inspect array.manifest.json", 1, "array.manifest.json is not a JSON object"),
+    ("inspect bare.manifest.json", 1, "lacks run_id, created, repro_version"),
+    ("inspect latin1.manifest.json", 1, "cannot read run manifest latin1.manifest"),
     ("trace missing.jsonl", 1, "no such events file"),
+    ("trace latin1.jsonl", 1, "cannot read events file latin1.jsonl"),
+    *[
+        (f"trace {stem}.jsonl --report", 1, f"{stem}.jsonl:2: event line is not")
+        for stem in NON_OBJECT_LINES
+    ],
     ("serve --cores 0", 1, "cores must be >= 1, got 0"),
     ("serve --levels 0", 1, "levels must be >= 1, got 0"),
     ("serve --window-ms -1", 1, "window_ms must be >= 0, got -1.0"),
@@ -874,6 +898,8 @@ EXIT_CODES = [
     ("serve --backlog 0", 1, "backlog must be >= 1, got 0"),
     ("serve --port 65536", 1, "port must be in [0, 65535], got 65536"),
     ("top missing.jsonl --once", 1, "no events file"),
+    ("top latin1.jsonl --once", 1, "cannot read events file latin1.jsonl"),
+    *[(f"top {stem}.jsonl --once", 0, "") for stem in NON_OBJECT_LINES],
 ]
 
 
@@ -921,6 +947,8 @@ class TestExitCodes:
         monkeypatch.setattr(daemon, "run_forever", lambda config: 0)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "garbled.json").write_text("{garbled")
+        for name, data in MALFORMED_RUN_FILES.items():
+            (tmp_path / name).write_bytes(data)
         demo = json.loads((EXAMPLES / "taskset_demo.json").read_text())
         for stem, (change, _) in MALFORMED_TASKSETS.items():
             (tmp_path / f"{stem}.json").write_text(json.dumps({**demo, **change}))

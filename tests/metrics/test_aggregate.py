@@ -49,10 +49,11 @@ class TestAccumulator:
         stats = SchemeAccumulator("ffd").finalize()
         assert math.isnan(stats.sched_ratio)
 
-    def test_scheme_mismatch_rejected(self):
-        acc = SchemeAccumulator("ca-tpa")
-        with pytest.raises(ModelError):
-            acc.add(result_for([0.5]))
+    def test_accumulators_are_keyed_by_label(self):
+        # A label may differ from the partitioner's registry name.
+        acc = SchemeAccumulator("ffd-as-baseline")
+        acc.add(result_for([0.5]))
+        assert acc.finalize().scheme == "ffd-as-baseline"
 
     def test_merge(self):
         a = SchemeAccumulator("ffd")
@@ -64,6 +65,13 @@ class TestAccumulator:
         stats = a.finalize()
         assert stats.total_sets == 3
         assert stats.schedulable_sets == 2
+
+    def test_merge_adds_wins(self):
+        a = SchemeAccumulator("ffd", wins={"wfd": 2, "bfd": 0})
+        b = SchemeAccumulator("ffd", wins={"wfd": 1, "bfd": 3})
+        a.merge(b)
+        assert a.wins == {"wfd": 3, "bfd": 3}
+        assert a.finalize().wins == {"wfd": 3, "bfd": 3}
 
     def test_merge_mismatch_rejected(self):
         a = SchemeAccumulator("ffd")
@@ -82,7 +90,7 @@ class TestJsonRoundTrip:
     """The engine checkpoints accumulators and stats as strict JSON."""
 
     def _loaded(self):
-        acc = SchemeAccumulator("ffd")
+        acc = SchemeAccumulator("ffd", wins={"wfd": 1, "ca-tpa": 0})
         acc.add(result_for([0.5, 0.4]))
         acc.add(result_for([0.9, 0.9, 0.9]))
         acc.add(result_for([0.3]))

@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules no CLI path imports, each kept for the reason given.
 UNREACHED = {
     "repro.analysis.dbf": "the K=2 Ekberg-Yi DBF cross-check of Theorem 1",
-    "repro.experiments.compare": "the head-to-head bench and its win/loss counts",
     "repro.sched.releases": "the check that sporadic arrivals cause no misses",
 }
 

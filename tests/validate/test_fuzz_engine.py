@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from repro import obs
-from repro.engine import Engine
+from repro.engine import Engine, ResultStore, shard_key
 from repro.engine.core import shard_kind
 from repro.gen import WorkloadConfig
 from repro.types import ReproError
@@ -44,9 +44,15 @@ class TestShardKind:
         payload = {"cases": 3, "checks": 21, "failures": []}
         assert kind.decode(kind.encode(payload)) == payload
 
-    def test_decode_rejects_foreign_kind(self):
+    def test_decode_rejects_foreign_kind(self, tmp_path):
+        # The engine owns the kind stamp: a stats object stored under a
+        # validate point's key is refused, not decoded.
+        point = _point(sets=2)
+        ResultStore(tmp_path).put(
+            shard_key(point, 0, 2), {"kind": "stats", "accumulators": []}
+        )
         with pytest.raises(ReproError, match="kind"):
-            shard_kind("validate").decode({"kind": "stats"})
+            Engine(jobs=1, store=tmp_path).evaluate(point)
 
     def test_lazy_provider_import(self):
         # A fresh interpreter that only imports the engine must still
