@@ -33,9 +33,9 @@ def test_validation_campaign(benchmark, emit):
                 if i % 2
                 else LevelScenario(target=config.levels)
             )
-            report = SystemSimulator(
-                res.partition, scenario, horizon=10000.0
-            ).run(seed=i)
+            report = SystemSimulator(res.partition, horizon=10000.0).run(
+                scenario, seed=i
+            )
             simulated += 1
             misses += report.miss_count
             switches += report.mode_switches
@@ -66,6 +66,6 @@ def test_simulator_throughput(benchmark):
     ts = generate_taskset(config, np.random.default_rng(3), n_tasks=12)
     res = CATPA().partition(ts, 1)
     assert res.schedulable
-    sim = SystemSimulator(res.partition, RandomScenario(0.2), horizon=50000.0)
-    report = benchmark(sim.run, 7)
+    sim = SystemSimulator(res.partition, horizon=50000.0)
+    report = benchmark(sim.run, RandomScenario(0.2), 7)
     assert report.miss_count == 0

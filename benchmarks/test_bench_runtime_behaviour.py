@@ -38,11 +38,9 @@ def test_runtime_behaviour_of_partitions(benchmark, emit):
             if not all(r.schedulable for r in results.values()):
                 continue  # compare behaviour on commonly-accepted sets only
             for s, res in results.items():
-                report = SystemSimulator(
-                    res.partition,
-                    RandomScenario(overrun_prob=0.15),
-                    horizon=10000.0,
-                ).run(seed=i)
+                report = SystemSimulator(res.partition, horizon=10000.0).run(
+                    RandomScenario(overrun_prob=0.15), seed=i
+                )
                 t = totals[s]
                 t["sets"] += 1
                 t["switches"] += report.mode_switches

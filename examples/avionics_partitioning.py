@@ -69,10 +69,9 @@ for m in range(CORES):
 # Certification stress: drive the system to each assurance level in turn.
 # ----------------------------------------------------------------------
 print("\nOverload simulations (horizon = 100 major frames):")
+sim = SystemSimulator(chosen.partition, horizon=20000.0)
 for target in (1, 2, 3):
-    report = SystemSimulator(
-        chosen.partition, LevelScenario(target=target), horizon=20000.0
-    ).run()
+    report = sim.run(LevelScenario(target=target))
     print(
         f"  exhaust level-{target} budgets: mode reached {report.max_mode}, "
         f"switches={report.mode_switches}, dropped={report.dropped}, "
@@ -81,9 +80,9 @@ for target in (1, 2, 3):
     assert report.all_deadlines_met()
 
 # And a long randomized campaign with sporadic overruns.
-report = SystemSimulator(
-    chosen.partition, RandomScenario(overrun_prob=0.05), horizon=100000.0
-).run(seed=42)
+report = SystemSimulator(chosen.partition, horizon=100000.0).run(
+    RandomScenario(overrun_prob=0.05), seed=42
+)
 print(
     f"  randomized campaign: {report.released} jobs, "
     f"{report.mode_switches} mode switches, misses={report.miss_count}"

@@ -44,11 +44,12 @@ print(
 # ----------------------------------------------------------------------
 # 3. Validate at run time: simulate EDF-VD + AMC on the partition.
 # ----------------------------------------------------------------------
+sim = SystemSimulator(result.partition, horizon=2000.0)
 for scenario, label in [
     (HonestScenario(), "honest (all jobs within LO budgets)"),
     (LevelScenario(target=2), "overload (HI tasks exhaust HI budgets)"),
 ]:
-    report = SystemSimulator(result.partition, scenario, horizon=2000.0).run()
+    report = sim.run(scenario)
     print(
         f"{label}: released={report.released} completed={report.completed} "
         f"dropped={report.dropped} mode_switches={report.mode_switches} "

@@ -625,17 +625,15 @@ def _run_simulate(args, command: list[str]) -> int:
         "random": lambda: RandomScenario(overrun_prob=args.overrun_prob),
         "level": lambda: LevelScenario(target=taskset.levels),
     }[args.scenario]()
-    sim = SystemSimulator(
-        result.partition,
-        scenario,
-        horizon=horizon,
-        allow_infeasible=args.allow_infeasible,
-        events=events,
-    )
     with _Instrumentation(args, command) as inst:
         report, _ = inst.call(
             "simulate",
-            lambda: sim.run(seed=args.seed),
+            lambda: SystemSimulator(
+                result.partition,
+                horizon=horizon,
+                allow_infeasible=args.allow_infeasible,
+                events=events,
+            ).run(scenario, seed=args.seed),
             taskset=args.taskset,
             events=args.events,
             scheme=args.scheme,

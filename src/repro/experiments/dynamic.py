@@ -186,13 +186,15 @@ def _dynsim_tally(point: PointSpec, start: int, count: int) -> dict:
         )
         report = SystemSimulator(
             partition,
-            RandomScenario(overrun_prob=OVERRUN_PROB),
             horizon=horizon,
             allow_infeasible=True,  # failure re-partitioning may overload
             events=standard_event_script(
                 taskset, partition.cores, horizon, factor, script_rng
             ),
-        ).run(seed=np.random.SeedSequence(seed, spawn_key=(i, 0xD2)))
+        ).run(
+            RandomScenario(overrun_prob=OVERRUN_PROB),
+            seed=np.random.SeedSequence(seed, spawn_key=(i, 0xD2)),
+        )
         tally["simulated"] += 1
         tally["released"] += report.released
         tally["completed"] += report.completed

@@ -118,10 +118,67 @@ def write_manifest(path: Path | str, manifest: dict) -> Path:
 _REQUIRED_KEYS = ("run_id", "created", "repro_version")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_digest(h) -> bool:
+    """A histogram digest :func:`_format_histogram_row` can render: a
+    numeric count, and numeric quantiles unless it is empty."""
+    return (
+        isinstance(h, dict)
+        and _is_number(h.get("count"))
+        and (
+            not h["count"]
+            or all(_is_number(h.get(k)) for k in ("p50", "p95", "p99", "max"))
+        )
+    )
+
+
+def _malformed(data: dict) -> str | None:
+    """The first section or field :func:`format_manifest` reads that it
+    could not render, or ``None``."""
+    command, artifact = data.get("command"), data.get("artifact")
+    engine, metrics = data.get("engine"), data.get("metrics")
+    if command and not (
+        isinstance(command, list) and all(isinstance(a, str) for a in command)
+    ):
+        return "command must be a list of strings"
+    if artifact and not (
+        isinstance(artifact, dict)
+        and "path" in artifact
+        and isinstance(artifact.get("sha256"), str)
+    ):
+        return "artifact must hold a path and a sha256 string"
+    if engine:
+        if not isinstance(engine, dict):
+            return "engine must be an object"
+        if not _is_number(engine.get("compute_seconds", 0.0)):
+            return "engine compute_seconds must be a number"
+        if engine.get("shard_seconds_hist") and not _is_digest(
+            engine["shard_seconds_hist"]
+        ):
+            return "engine shard_seconds_hist must be a histogram digest"
+    if metrics:
+        if not isinstance(metrics, dict):
+            return "metrics must be an object"
+        counters, histograms = metrics.get("counters"), metrics.get("histograms")
+        if counters and not (
+            isinstance(counters, dict) and all(map(_is_number, counters.values()))
+        ):
+            return "metrics counters must map names to numbers"
+        if histograms and not (
+            isinstance(histograms, dict) and all(map(_is_digest, histograms.values()))
+        ):
+            return "metrics histograms must map names to digests"
+    return None
+
+
 def load_manifest(path: Path | str) -> dict:
     """Read a run manifest; anything ``format_manifest`` cannot render
     (unreadable bytes, a non-object document, another version, a missing
-    required key) raises :class:`ReproError`."""
+    required key, a section or field of the wrong type) raises
+    :class:`ReproError`."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -138,6 +195,9 @@ def load_manifest(path: Path | str) -> dict:
     missing = [key for key in _REQUIRED_KEYS if key not in data]
     if missing:
         raise ReproError(f"run manifest {path} lacks {', '.join(missing)}")
+    problem = _malformed(data)
+    if problem is not None:
+        raise ReproError(f"run manifest {path}: {problem}")
     return data
 
 

@@ -24,6 +24,7 @@ read-only: ``top`` never mutates the daemon or the sweep it watches.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 from urllib.error import URLError
@@ -34,6 +35,24 @@ from repro.types import ReproError
 __all__ = ["DaemonSource", "SweepSource", "make_source", "run_top"]
 
 _SPARK = "▁▂▃▄▅▆▇█"
+
+#: The numeric fields :meth:`SweepSource._fold` reads from each engine
+#: event, besides every event's ``ts``.
+_NUMERIC_FIELDS = {
+    "engine.run_plan": ("points",),
+    "engine.point_plan": ("shards", "jobs"),
+    "engine.shard": ("seconds",),
+}
+
+
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def fetch_json(url: str, timeout: float = 2.0) -> dict:
@@ -59,7 +78,7 @@ def _fmt_seconds(value: float | None) -> str:
 
 
 def _fmt_eta(seconds: float | None) -> str:
-    if seconds is None or seconds != seconds or seconds < 0:
+    if seconds is None or not math.isfinite(seconds) or seconds < 0:
         return "-"
     seconds = int(seconds)
     if seconds >= 3600:
@@ -194,11 +213,13 @@ class SweepSource:
 
     def _fold(self, event: dict) -> None:
         name = event.get("event", "")
-        ts = event.get("ts")
-        if isinstance(ts, (int, float)):
+        numeric = _NUMERIC_FIELDS.get(name, ()) if isinstance(name, str) else ()
+        if not all(_finite(event[key]) for key in ("ts", *numeric) if key in event):
+            return  # skipped, like a malformed line
+        if "ts" in event:
             if self.first_ts is None:
-                self.first_ts = float(ts)
-            self.last_ts = float(ts)
+                self.first_ts = float(event["ts"])
+            self.last_ts = float(event["ts"])
         self.run_id = event.get("run_id", self.run_id)
         if name == "engine.run_plan":
             self.figure = event.get("figure", self.figure)

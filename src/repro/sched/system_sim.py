@@ -3,8 +3,8 @@
 Under partitioned scheduling the cores share nothing at run time, so the
 system simulator simply runs one :class:`~repro.sched.CoreSimulator` per
 non-empty core (each with its own child RNG stream) and aggregates the
-reports.  Every run reads a compiled event timeline
-(:mod:`repro.sched.events`): the simulator's event script, or the empty
+reports.  Every run reads the event timeline (:mod:`repro.sched.events`)
+its simulator compiled once: the simulator's event script, or the empty
 one, in which every task stays on its core for the whole horizon.
 """
 
@@ -19,7 +19,6 @@ from repro.model.partition import Partition
 from repro.obs.runtime import OBS, span
 from repro.sched.core_sim import CoreReport, CoreSimulator, checked_horizon
 from repro.sched.events import (
-    CompiledEvents,
     EventOutcome,
     SimEvent,
     check_events,
@@ -126,12 +125,15 @@ class SystemReport:
 class SystemSimulator:
     """Simulates a complete task-to-core partition.
 
+    The constructor checks the event script and compiles the timeline
+    once; every :meth:`run` simulates that timeline under its own
+    scenario and seed, so the scenarios of one partition share a
+    simulator.
+
     Parameters
     ----------
     partition:
         A complete partition (every task assigned).
-    scenario:
-        Execution-demand scenario shared by all cores.
     horizon:
         Simulated time span, positive and finite; defaults to
         :func:`default_horizon`.
@@ -148,15 +150,14 @@ class SystemSimulator:
     events:
         An event script, a sequence of
         :class:`~repro.sched.events.SimEvent` (requires periodic
-        releases).  It is checked against the horizon and the partition
-        here, and compiled on the first :meth:`run`.  ``None`` runs the
-        empty timeline and reports no event outcome.
+        releases), checked against the horizon and the partition and
+        compiled here.  ``None`` runs the empty timeline and reports no
+        event outcome.
     """
 
     def __init__(
         self,
         partition: Partition,
-        scenario: ExecutionScenario,
         horizon: float | None = None,
         allow_infeasible: bool = False,
         releases=None,
@@ -165,11 +166,9 @@ class SystemSimulator:
         if not partition.is_complete:
             raise SimulationError("partition must assign every task")
         self.partition = partition
-        self.scenario = scenario
         self.horizon = checked_horizon(
             default_horizon(partition) if horizon is None else horizon
         )
-        self.allow_infeasible = allow_infeasible
         self.releases = releases
         if events is not None and releases is not None:
             raise SimulationError(
@@ -181,19 +180,35 @@ class SystemSimulator:
         self.events = (
             None if events is None else check_events(events, partition, self.horizon)
         )
-        self._compiled: CompiledEvents | None = None
+        #: the script (or the empty one) compiled against the partition
+        self.timeline = compile_events(self.events or (), partition, self.horizon)
+        infeasible = self.timeline.infeasible_epochs()
+        if infeasible and not allow_infeasible:
+            core, at = infeasible[0]
+            raise SimulationError(
+                f"core {core} fails the EDF-VD schedulability analysis "
+                f"from t={at}; pass allow_infeasible=True to simulate it "
+                "anyway"
+            )
 
-    def run(self, seed: int | np.random.SeedSequence = 0) -> SystemReport:
-        """Simulate every non-empty core; one trace span per core.
+    def run(
+        self,
+        scenario: ExecutionScenario,
+        seed: int | np.random.SeedSequence = 0,
+    ) -> SystemReport:
+        """Simulate every non-empty core under ``scenario`` (shared by
+        all cores); one trace span per core.
 
         Instrumented, the whole run is a ``sim.system`` span with one
         ``sim.core`` child per simulated core, so a trace shows which
         core dominated the simulation time.
         """
         with span("sim.system", cores=self.partition.cores):
-            return self._run(seed)
+            return self._run(scenario, seed)
 
-    def _run(self, seed: int | np.random.SeedSequence) -> SystemReport:
+    def _run(
+        self, scenario: ExecutionScenario, seed: int | np.random.SeedSequence
+    ) -> SystemReport:
         if not isinstance(seed, np.random.SeedSequence) and seed < 0:
             raise SimulationError(f"seed must be >= 0, got {seed}")
         root = (
@@ -208,26 +223,17 @@ class SystemSimulator:
             np.random.SeedSequence(root.entropy, spawn_key=(*key, m), pool_size=pool)
             for m in range(self.partition.cores)
         ]
-        compiled = self._timeline()
-        infeasible = compiled.infeasible_epochs()
-        if infeasible and not self.allow_infeasible:
-            core, at = infeasible[0]
-            raise SimulationError(
-                f"core {core} fails the EDF-VD schedulability analysis "
-                f"from t={at}; pass allow_infeasible=True to simulate it "
-                "anyway"
-            )
-        tallies = compiled.fresh_tallies()
+        tallies = self.timeline.fresh_tallies()
         reports: list[CoreReport | None] = []
         for m in range(self.partition.cores):
-            view = compiled.core_view(m, tallies)
+            view = self.timeline.core_view(m, tallies)
             if view is None:
                 reports.append(None)
                 continue
             sim = CoreSimulator(
-                subset=compiled.residents[m],
-                plan=compiled.first_plan(m),
-                scenario=self.scenario,
+                subset=self.timeline.residents[m],
+                plan=self.timeline.first_plan(m),
+                scenario=scenario,
                 rng=np.random.default_rng(children[m]),
                 horizon=self.horizon,
                 releases=self.releases,
@@ -235,29 +241,15 @@ class SystemSimulator:
             )
             with span("sim.core", core=m, tasks=len(view.joins)):
                 reports.append(sim.run())
-        return SystemReport(
-            core_reports=reports, events=self._outcome(compiled, tallies)
-        )
+        return SystemReport(core_reports=reports, events=self._outcome(tallies))
 
-    def _timeline(self) -> CompiledEvents:
-        """The script (or the empty one) compiled once, on the first run,
-        so the compile spans land inside the caller's instrumentation
-        window."""
-        if self._compiled is None:
-            self._compiled = compile_events(
-                self.events or (), self.partition, self.horizon
-            )
-        return self._compiled
-
-    def _outcome(
-        self, compiled: CompiledEvents, tallies: dict[str, int]
-    ) -> EventOutcome | None:
+    def _outcome(self, tallies: dict[str, int]) -> EventOutcome | None:
         """What the script did to one run, mirrored into the
         ``sim.event.*`` counters; ``None`` without a script, so a plain
         run reports and records no event outcome."""
         if self.events is None:
             return None
-        outcome = compiled.outcome(tallies)
+        outcome = self.timeline.outcome(tallies)
         if OBS.enabled:
             reg = OBS.registry
             for name, value in outcome.telemetry().items():

@@ -115,9 +115,11 @@ class ValidationCase:
 
     Partition outcomes are computed lazily and cached — several oracles
     look at the same schedulable partition, and partitioning (not
-    checking) dominates the cost of a case.  The case therefore must be
-    treated as immutable: the shrinker builds a *fresh* case per
-    candidate task set instead of mutating one.
+    checking) dominates the cost of a case — and so are that
+    partition's two simulators, each compiled once for every scenario
+    run on it.  The case therefore must be treated as immutable: the
+    shrinker builds a *fresh* case per candidate task set instead of
+    mutating one.
     """
 
     taskset: MCTaskSet
@@ -127,6 +129,9 @@ class ValidationCase:
     set_index: int = 0
     sim_cycles: float = SIM_CYCLES
     _results: dict[str, dict[str, PartitionResult]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _sims: dict[bool, SystemSimulator] = field(
         default_factory=dict, init=False, repr=False
     )
     _level_run: SystemReport | None = field(default=None, init=False, repr=False)
@@ -157,6 +162,26 @@ class ValidationCase:
                 return label, result
         return None, None
 
+    def simulator(self, evented: bool = False) -> SystemSimulator | None:
+        """The first schedulable partition's simulator over
+        ``sim_cycles`` longest periods, cached (``None`` when no scheme
+        is schedulable).  ``evented`` gives the one that runs
+        :func:`_case_event_script`, whose failure re-partitioning may
+        overload cores."""
+        if evented not in self._sims:
+            _, result = self.first_schedulable()
+            if result is None:
+                return None
+            part = result.partition
+            horizon = default_horizon(part, cycles=self.sim_cycles)
+            self._sims[evented] = SystemSimulator(
+                part,
+                horizon=horizon,
+                allow_infeasible=evented,
+                events=_case_event_script(self, part, horizon) if evented else None,
+            )
+        return self._sims[evented]
+
     def level_run(self) -> SystemReport | None:
         """The first schedulable partition simulated under the level-K
         scenario, cached (``None`` when no scheme is schedulable).
@@ -166,14 +191,12 @@ class ValidationCase:
         both check it.
         """
         if self._level_run is None:
-            _, result = self.first_schedulable()
-            if result is None:
+            sim = self.simulator()
+            if sim is None:
                 return None
-            self._level_run = SystemSimulator(
-                result.partition,
-                LevelScenario(target=self.taskset.levels),
-                horizon=default_horizon(result.partition, cycles=self.sim_cycles),
-            ).run(seed=self.sim_seed(1))
+            self._level_run = sim.run(
+                LevelScenario(target=self.taskset.levels), seed=self.sim_seed(1)
+            )
         return self._level_run
 
     def sim_seed(self, salt: int) -> np.random.SeedSequence:
@@ -331,27 +354,21 @@ def _check_admission_monotonicity(case: ValidationCase) -> list[str]:
     "a Theorem-1-schedulable partition never misses a deadline in simulation",
 )
 def _check_schedulable_no_miss(case: ValidationCase) -> list[str]:
-    label, result = case.first_schedulable()
-    if result is None:
+    label, _ = case.first_schedulable()
+    sim = case.simulator()
+    if sim is None:
         return []
-    horizon = default_horizon(result.partition, cycles=case.sim_cycles)
-
-    def simulate(scenario, salt: int) -> SystemReport:
-        return SystemSimulator(
-            result.partition, scenario, horizon=horizon
-        ).run(seed=case.sim_seed(salt))
-
     runs = [
-        ("honest", simulate(HonestScenario(), 0)),
+        ("honest", sim.run(HonestScenario(), seed=case.sim_seed(0))),
         (f"level-{case.taskset.levels}", case.level_run()),
-        ("random", simulate(RandomScenario(overrun_prob=0.3), 2)),
+        ("random", sim.run(RandomScenario(overrun_prob=0.3), seed=case.sim_seed(2))),
     ]
     failures = []
     for name, report in runs:
         if report.miss_count:
             failures.append(
                 f"{label}: {report.miss_count} deadline miss(es) under the "
-                f"{name} scenario over horizon {horizon:g}"
+                f"{name} scenario over horizon {sim.horizon:g}"
             )
     return failures
 
@@ -440,16 +457,14 @@ def _conservation_failures(report: SystemReport) -> list[str]:
     "instrumented runs change nothing and reconcile with sim.* counters",
 )
 def _check_telemetry_counters(case: ValidationCase) -> list[str]:
-    label, result = case.first_schedulable()
-    if result is None:
+    label, _ = case.first_schedulable()
+    sim = case.simulator()
+    if sim is None:
         return []
-    horizon = default_horizon(result.partition, cycles=case.sim_cycles)
-    sim = SystemSimulator(
-        result.partition, RandomScenario(overrun_prob=0.3), horizon=horizon
-    )
-    plain = sim.run(seed=case.sim_seed(303))
+    scenario = RandomScenario(overrun_prob=0.3)
+    plain = sim.run(scenario, seed=case.sim_seed(303))
     with obs.collect() as registry:
-        instrumented = sim.run(seed=case.sim_seed(303))
+        instrumented = sim.run(scenario, seed=case.sim_seed(303))
         counters = registry.snapshot()["counters"]
     failures = []
     if plain.telemetry() != instrumented.telemetry():
@@ -647,21 +662,15 @@ def _case_event_script(case: ValidationCase, partition, horizon: float) -> list:
     "job conservation holds across injected arrival/departure/failure events",
 )
 def _check_events_job_conservation(case: ValidationCase) -> list[str]:
-    label, result = case.first_schedulable()
-    if result is None:
+    sim = case.simulator(evented=True)
+    if sim is None:
         return []
-    horizon = default_horizon(result.partition, cycles=case.sim_cycles)
-    script = _case_event_script(case, result.partition, horizon)
-    report = SystemSimulator(
-        result.partition,
-        LevelScenario(target=case.taskset.levels),
-        horizon=horizon,
-        allow_infeasible=True,  # failure re-partitioning may overload cores
-        events=script,
-    ).run(seed=case.sim_seed(505))
+    report = sim.run(
+        LevelScenario(target=case.taskset.levels), seed=case.sim_seed(505)
+    )
     failures = _conservation_failures(report)
     ev = report.events.counters
-    n_arrivals = sum(1 for e in script if e.kind == "task_arrival")
+    n_arrivals = sum(1 for e in sim.events if e.kind == "task_arrival")
     if ev["arrival_admitted"] + ev["arrival_rejected"] != n_arrivals:
         failures.append(
             f"arrivals leak: {ev['arrival_admitted']} admitted + "
@@ -672,7 +681,7 @@ def _check_events_job_conservation(case: ValidationCase) -> list[str]:
             f"re-partition leak: {ev['displaced']} displaced != "
             f"{ev['replaced']} replaced + {ev['repartition_lost']} lost"
         )
-    n_windows = sum(1 for e in script if e.kind == "mode_recovery")
+    n_windows = sum(1 for e in sim.events if e.kind == "mode_recovery")
     resolved = (
         ev["mode_recovery_applied"]
         + ev["mode_recovery_noop"]
@@ -694,27 +703,19 @@ def _check_events_job_conservation(case: ValidationCase) -> list[str]:
     "telemetry reconciliation holds under every injected event kind",
 )
 def _check_events_telemetry(case: ValidationCase) -> list[str]:
-    label, result = case.first_schedulable()
-    if result is None:
+    label, _ = case.first_schedulable()
+    sim = case.simulator(evented=True)
+    if sim is None:
         return []
-    horizon = default_horizon(result.partition, cycles=case.sim_cycles)
-    script = _case_event_script(case, result.partition, horizon)
-
-    def simulate():
-        # A fresh simulator per run: compilation is deterministic, so
-        # recompiling under instrumentation must change nothing except
-        # the spans it emits.
-        return SystemSimulator(
-            result.partition,
-            RandomScenario(overrun_prob=0.3),
-            horizon=horizon,
-            allow_infeasible=True,
-            events=script,
-        ).run(seed=case.sim_seed(606))
-
-    plain = simulate()
+    scenario = RandomScenario(overrun_prob=0.3)
+    plain = sim.run(scenario, seed=case.sim_seed(606))
     with obs.collect() as registry:
-        instrumented = simulate()
+        # A fresh compile of the same script: compilation is
+        # deterministic, so recompiling under instrumentation must
+        # change nothing except the spans it emits.
+        instrumented = SystemSimulator(
+            sim.partition, sim.horizon, allow_infeasible=True, events=sim.events
+        ).run(scenario, seed=case.sim_seed(606))
         counters = registry.snapshot()["counters"]
     failures = []
     if plain.telemetry() != instrumented.telemetry():

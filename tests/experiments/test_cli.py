@@ -771,10 +771,37 @@ MALFORMED_TASKSETS = {
 # malformed one): file name -> bytes.
 _EVENT = b'{"event": "engine.shard", "ts": 1.0}\n'
 NON_OBJECT_LINES = {"list": b"[1, 2]", "str": b'"str"', "number": b"3", "null": b"null"}
+# Manifests with every required key and one section format_manifest
+# cannot render: stem -> (section, message).
+_MANIFEST = {"manifest_version": 1, "run_id": "r", "created": "c", "repro_version": "v"}
+MALFORMED_MANIFESTS = {
+    "engine-str": ({"engine": "oops"}, "engine must be an object"),
+    "engine-seconds": (
+        {"engine": {"compute_seconds": "x"}},
+        "engine compute_seconds must be a number",
+    ),
+    "artifact-no-sha": (
+        {"artifact": {"path": 3}},
+        "artifact must hold a path and a sha256 string",
+    ),
+    "command-ints": ({"command": [1, 2]}, "command must be a list of strings"),
+    "counter-str": (
+        {"metrics": {"counters": {"a": "x"}}},
+        "metrics counters must map names to numbers",
+    ),
+    "histogram-empty": (
+        {"metrics": {"histograms": {"h": {}}}},
+        "metrics histograms must map names to digests",
+    ),
+}
 MALFORMED_RUN_FILES = {
     "array.manifest.json": b"[1, 2]",
     "bare.manifest.json": b'{"manifest_version": 1}',
     "latin1.manifest.json": b'{"manifest_version": 1, "run_id": "\xff"}',
+    **{
+        f"{stem}.manifest.json": json.dumps({**_MANIFEST, **section}).encode()
+        for stem, (section, _) in MALFORMED_MANIFESTS.items()
+    },
     "latin1.jsonl": _EVENT + b"\xff\xfe\n",
     **{
         f"{stem}.jsonl": _EVENT + line + b"\n" + _EVENT
@@ -884,6 +911,10 @@ EXIT_CODES = [
     ("inspect array.manifest.json", 1, "array.manifest.json is not a JSON object"),
     ("inspect bare.manifest.json", 1, "lacks run_id, created, repro_version"),
     ("inspect latin1.manifest.json", 1, "cannot read run manifest latin1.manifest"),
+    *[
+        (f"inspect {stem}.manifest.json", 1, f"{stem}.manifest.json: {message}")
+        for stem, (_, message) in MALFORMED_MANIFESTS.items()
+    ],
     ("trace missing.jsonl", 1, "no such events file"),
     ("trace latin1.jsonl", 1, "cannot read events file latin1.jsonl"),
     *[

@@ -54,6 +54,20 @@ SWEEP_EVENTS = [
 ]
 
 
+#: Engine events whose numeric field is not a finite number, each
+#: followed by the valid events it must not break.
+BAD_NUMERIC_EVENTS = {
+    "shards-string": ['{"event": "engine.point_plan", "shards": "x", "ts": 1.0}'],
+    "shards-overflow": ['{"event": "engine.point_plan", "shards": 1e400, "ts": 1.0}'],
+    "jobs-null": ['{"event": "engine.point_plan", "jobs": null, "ts": 1.0}'],
+    "seconds-string": ['{"event": "engine.shard", "seconds": "x", "ts": 1.0}'],
+    "points-string": [
+        '{"event": "engine.run_plan", "points": "x", "ts": 1.0}',
+        SWEEP_EVENTS[1],
+    ],
+}
+
+
 class TestSweepSource:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ReproError, match="no events file"):
@@ -123,6 +137,19 @@ class TestSweepSource:
         source = SweepSource(path)
         source.frame()
         assert source.shards_done == 2
+
+    @pytest.mark.parametrize(
+        "bad", BAD_NUMERIC_EVENTS.values(), ids=list(BAD_NUMERIC_EVENTS)
+    )
+    def test_event_with_a_non_finite_number_is_skipped(self, tmp_path, bad):
+        # The bad event folds nothing: the frame equals the one of the
+        # log without it, and `top --once` renders it and exits 0.
+        path, clean = tmp_path / "bad.jsonl", tmp_path / "clean.jsonl"
+        _write_sweep(path, [*SWEEP_EVENTS, *bad])
+        _write_sweep(clean, [*SWEEP_EVENTS, *bad[1:]])
+        stream = io.StringIO()
+        assert run_top(str(path), once=True, stream=stream) == 0
+        assert stream.getvalue() == SweepSource(clean).frame() + "\n"
 
 
 HISTORY = {

@@ -95,16 +95,13 @@ class TestRuntimeValidation:
         with pytest.raises(SimulationError, match="past the horizon"):
             SystemSimulator(
                 small_partition(),
-                HonestScenario(),
                 horizon=100.0,
                 events=[wcet_burst(0.0, 200.0, 2.0)],
             )
 
     def test_non_positive_horizon_rejected(self):
         with pytest.raises(SimulationError, match="horizon"):
-            SystemSimulator(
-                small_partition(), HonestScenario(), horizon=0.0, events=[]
-            )
+            SystemSimulator(small_partition(), horizon=0.0, events=[])
 
     def test_events_sorted_by_start(self):
         script = check_events(
@@ -152,7 +149,6 @@ class TestRuntimeValidation:
         with pytest.raises(SimulationError, match="unknown task 42"):
             SystemSimulator(
                 part,
-                HonestScenario(),
                 horizon=100.0,
                 events=[task_departure(5.0, 42)],
             )
@@ -162,7 +158,6 @@ class TestRuntimeValidation:
         with pytest.raises(SimulationError, match="release"):
             SystemSimulator(
                 part,
-                HonestScenario(),
                 horizon=100.0,
                 releases=SporadicReleases(max_delay=0.1),
                 events=[],
@@ -188,12 +183,10 @@ class TestTrivialPath:
     def test_empty_runtime_bit_identical_to_plain_run(self):
         part = small_partition()
         seed = np.random.SeedSequence(7)
-        plain = SystemSimulator(part, HonestScenario(), horizon=200.0).run(
-            seed=seed
+        plain = SystemSimulator(part, horizon=200.0).run(HonestScenario(), seed=seed)
+        evented = SystemSimulator(part, horizon=200.0, events=[]).run(
+            HonestScenario(), seed=seed
         )
-        evented = SystemSimulator(
-            part, HonestScenario(), horizon=200.0, events=[]
-        ).run(seed=seed)
         assert plain.telemetry() == evented.telemetry()
         for a, b in zip(plain.core_reports, evented.core_reports):
             if a is None:
@@ -209,7 +202,7 @@ class TestTrivialPath:
     def test_plain_run_records_no_event_counter(self):
         part = small_partition()
         with obs.collect() as registry:
-            SystemSimulator(part, HonestScenario(), horizon=200.0).run(seed=7)
+            SystemSimulator(part, horizon=200.0).run(HonestScenario(), seed=7)
             counters = registry.snapshot()["counters"]
         assert counters["sim.cores_simulated"] == 2
         assert not [k for k in counters if k.startswith("sim.event.")]
@@ -219,30 +212,24 @@ class TestTrivialPath:
         # empty), so the run must be indistinguishable from plain.
         part = small_partition()
         seed = np.random.SeedSequence(11)
-        plain = SystemSimulator(part, HonestScenario(), horizon=200.0).run(
-            seed=seed
-        )
+        plain = SystemSimulator(part, horizon=200.0).run(HonestScenario(), seed=seed)
         evented = SystemSimulator(
             part,
-            HonestScenario(),
             horizon=200.0,
             events=[wcet_burst(50.0, 50.0, 9.0)],
-        ).run(seed=seed)
+        ).run(HonestScenario(), seed=seed)
         assert plain.telemetry() == evented.telemetry()
         assert evented.events.counters["burst_jobs"] == 0
 
     def test_factor_one_burst_changes_nothing(self):
         part = small_partition()
         seed = np.random.SeedSequence(13)
-        plain = SystemSimulator(part, HonestScenario(), horizon=200.0).run(
-            seed=seed
-        )
+        plain = SystemSimulator(part, horizon=200.0).run(HonestScenario(), seed=seed)
         evented = SystemSimulator(
             part,
-            HonestScenario(),
             horizon=200.0,
             events=[wcet_burst(0.0, 200.0, 1.0)],
-        ).run(seed=seed)
+        ).run(HonestScenario(), seed=seed)
         assert plain.telemetry() == evented.telemetry()
         assert evented.events.counters["burst_jobs"] == 0
 
@@ -264,11 +251,10 @@ class TestBurst:
         script = [wcet_burst(40.0, 160.0, 5.0)]
         report = SystemSimulator(
             part,
-            HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
             events=script,
-        ).run(seed=1)
+        ).run(HonestScenario(), seed=1)
         ev = report.events.counters
         assert ev["burst_jobs"] > 0
         # Quintupled demand on a busy core must leave a mark: a mode
@@ -283,9 +269,9 @@ class TestBurst:
         part = self.one_core_partition()
         horizon = 200.0
         script = [wcet_burst(0.0, 200.0, 1.5, tasks=[1])]
-        report = SystemSimulator(
-            part, HonestScenario(), horizon=horizon, events=script
-        ).run(seed=1)
+        report = SystemSimulator(part, horizon=horizon, events=script).run(
+            HonestScenario(), seed=1
+        )
         # Task 1 (period 20) releases 10 jobs in [0, 200); each is
         # multiplied, the other task's 20 jobs are not.
         assert report.events.counters["burst_jobs"] == 10
@@ -306,12 +292,10 @@ class TestArrivalDeparture:
         horizon = 200.0
         newcomer = MCTask(wcets=(1.0,), period=10.0, name="new")
         script = [task_arrival(100.0, newcomer)]
-        baseline = SystemSimulator(
-            part, HonestScenario(), horizon=horizon
-        ).run(seed=3)
-        report = SystemSimulator(
-            part, HonestScenario(), horizon=horizon, events=script
-        ).run(seed=3)
+        baseline = SystemSimulator(part, horizon=horizon).run(HonestScenario(), seed=3)
+        report = SystemSimulator(part, horizon=horizon, events=script).run(
+            HonestScenario(), seed=3
+        )
         ev = report.events.counters
         assert ev["arrival_admitted"] == 1
         assert ev["arrival_rejected"] == 0
@@ -327,9 +311,9 @@ class TestArrivalDeparture:
         part = Partition.from_assignment(ts, 1, [0])
         giant = MCTask(wcets=(8.0,), period=10.0, name="giant")
         script = [task_arrival(50.0, giant)]
-        report = SystemSimulator(
-            part, HonestScenario(), horizon=100.0, events=script
-        ).run(seed=0)
+        report = SystemSimulator(part, horizon=100.0, events=script).run(
+            HonestScenario(), seed=0
+        )
         ev = report.events.counters
         assert ev["arrival_admitted"] == 0
         assert ev["arrival_rejected"] == 1
@@ -340,12 +324,10 @@ class TestArrivalDeparture:
         part = small_partition()
         horizon = 200.0
         script = [task_departure(100.0, 0)]
-        baseline = SystemSimulator(
-            part, HonestScenario(), horizon=horizon
-        ).run(seed=3)
-        report = SystemSimulator(
-            part, HonestScenario(), horizon=horizon, events=script
-        ).run(seed=3)
+        baseline = SystemSimulator(part, horizon=horizon).run(HonestScenario(), seed=3)
+        report = SystemSimulator(part, horizon=horizon, events=script).run(
+            HonestScenario(), seed=3
+        )
         assert report.events.counters["departures"] == 1
         # Task 0 (period 10) loses its releases at t = 100 .. 190.
         assert report.released == baseline.released - 10
@@ -358,11 +340,10 @@ class TestFailureHotplug:
         script = [core_failure(100.0, 1)]
         report = SystemSimulator(
             part,
-            HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
             events=script,
-        ).run(seed=5)
+        ).run(HonestScenario(), seed=5)
         ev = report.events.counters
         assert ev["core_failures"] == 1
         assert ev["displaced"] == 2  # both residents of core 1
@@ -378,11 +359,10 @@ class TestFailureHotplug:
         script = [core_failure(80.0, 1), core_hotplug(160.0, 1)]
         report = SystemSimulator(
             part,
-            HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
             events=script,
-        ).run(seed=5)
+        ).run(HonestScenario(), seed=5)
         ev = report.events.counters
         assert ev["core_failures"] == 1
         assert ev["core_hotplugs"] == 1
@@ -424,9 +404,9 @@ class TestModeRecovery:
         # LevelScenario(2) exhausts the level-2 budget: the core
         # escalates, idles eventually, and the window sanctions the
         # reset.
-        report = SystemSimulator(
-            part, LevelScenario(2), horizon=horizon, events=script
-        ).run(seed=2)
+        report = SystemSimulator(part, horizon=horizon, events=script).run(
+            LevelScenario(2), seed=2
+        )
         ev = report.events.counters
         assert ev["mode_recovery_applied"] == 1
         assert report.idle_resets == 1
@@ -435,16 +415,14 @@ class TestModeRecovery:
     def test_windows_suppress_automatic_resets(self):
         part = self.escalating_partition()
         horizon = 200.0
-        plain = SystemSimulator(
-            part, LevelScenario(2), horizon=horizon
-        ).run(seed=2)
+        plain = SystemSimulator(part, horizon=horizon).run(LevelScenario(2), seed=2)
         # Window [0, 1] is consumed by (or before) the first idle
         # instant; every later idle instant has no window left, so no
         # automatic resets happen.
         script = [mode_recovery(0.0, 1.0)]
-        gated = SystemSimulator(
-            part, LevelScenario(2), horizon=horizon, events=script
-        ).run(seed=2)
+        gated = SystemSimulator(part, horizon=horizon, events=script).run(
+            LevelScenario(2), seed=2
+        )
         assert gated.idle_resets <= 1
         assert plain.idle_resets > gated.idle_resets
 
@@ -452,9 +430,9 @@ class TestModeRecovery:
         part = self.escalating_partition()
         horizon = 200.0
         script = [mode_recovery(0.0, 50.0), mode_recovery(60.0, 80.0)]
-        report = SystemSimulator(
-            part, LevelScenario(2), horizon=horizon, events=script
-        ).run(seed=2)
+        report = SystemSimulator(part, horizon=horizon, events=script).run(
+            LevelScenario(2), seed=2
+        )
         ev = report.events.counters
         resolved = (
             ev["mode_recovery_applied"]
@@ -475,11 +453,10 @@ class TestModeRecovery:
             ]
         report = SystemSimulator(
             part,
-            HonestScenario(),
             horizon=horizon,
             allow_infeasible=True,
             events=script,
-        ).run(seed=4)
+        ).run(HonestScenario(), seed=4)
         ev = report.events.counters
         # The burst (1.9 * 1.0 = 1.9 > wcet(1)) escalates the core;
         # the window then brings it back down mid-burst.
@@ -509,11 +486,10 @@ class TestAllKindsTogether:
             ]
         report = SystemSimulator(
             part,
-            LevelScenario(2),
             horizon=horizon,
             allow_infeasible=True,
             events=script,
-        ).run(seed=9)
+        ).run(LevelScenario(2), seed=9)
         ev = report.events.counters
         assert ev["injected"] == 6
         assert (
@@ -557,11 +533,10 @@ class TestAllKindsTogether:
         def run():
             return SystemSimulator(
                 part,
-                LevelScenario(2),
                 horizon=horizon,
                 allow_infeasible=True,
                 events=script,
-            ).run(seed=42)
+            ).run(LevelScenario(2), seed=42)
 
         a, b = run(), run()
         assert a.telemetry() == b.telemetry()

@@ -152,9 +152,8 @@ class TestSimulatorIntegration:
         assert res.schedulable
         report = SystemSimulator(
             res.partition,
-            LevelScenario(target=2),
             horizon=2000.0,
             releases=SporadicReleases(max_delay=0.3),
-        ).run()
+        ).run(LevelScenario(target=2))
         assert report.all_deadlines_met()
         assert report.released > 0

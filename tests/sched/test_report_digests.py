@@ -10,6 +10,10 @@ before the run loop began caching each entry's deadline scale; a
 refactor of the simulator that means to change no behaviour must leave
 them unchanged.  Only ``per-task`` runs plans that scale each task on
 its own (``DualPerTaskPlan``): the others scale by level.
+
+``honest``, ``level``, ``random`` and ``faulty`` run on one simulator
+per corpus partition, in either order, so the pins also hold a reused
+simulator to the reports of a fresh one.
 """
 
 import dataclasses
@@ -58,6 +62,10 @@ EXPECTED = {
 COINCIDENT_DIGEST = "dfcaaa0df91b7099"
 COINCIDENT_BUSY_TIME = 56.99223919624541
 
+#: The kinds that share one simulator per corpus partition; ``sporadic``
+#: builds its own, since releases bind at construction.
+SHARED = ("honest", "level", "random", "faulty")
+
 
 def _digest(payload) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
@@ -80,17 +88,26 @@ def _cases():
             yield case, partition, default_horizon(partition, case.sim_cycles)
 
 
-def _system_runs(case, partition, horizon, kind):
-    scenario = {
-        "honest": HonestScenario(),
-        "level": LevelScenario(target=case.taskset.levels),
-        "random": RandomScenario(overrun_prob=0.3),
-        "faulty": FaultyScenario(excess=0.5),
-        "sporadic": RandomScenario(overrun_prob=0.3),
-    }[kind]
-    releases = SporadicReleases(0.5) if kind == "sporadic" else None
-    sim = SystemSimulator(partition, scenario, horizon=horizon, releases=releases)
-    return _system(sim.run(seed=case.sim_seed(7)))
+def _shared_runs(order: tuple[str, ...]) -> dict[str, list]:
+    """Each ``SHARED`` kind's reports, run in ``order`` on one simulator
+    per corpus partition."""
+    payloads = {kind: [] for kind in order}
+    for case, partition, horizon in _cases():
+        sim = SystemSimulator(partition, horizon=horizon)
+        for kind in order:
+            scenario = {
+                "honest": HonestScenario(),
+                "level": LevelScenario(target=case.taskset.levels),
+                "random": RandomScenario(overrun_prob=0.3),
+                "faulty": FaultyScenario(excess=0.5),
+            }[kind]
+            payloads[kind].append(_system(sim.run(scenario, seed=case.sim_seed(7))))
+    return payloads
+
+
+def _sporadic(case, partition, horizon):
+    sim = SystemSimulator(partition, horizon=horizon, releases=SporadicReleases(0.5))
+    return _system(sim.run(RandomScenario(overrun_prob=0.3), seed=case.sim_seed(7)))
 
 
 def _traced_core(case, partition, horizon):
@@ -111,12 +128,11 @@ def _traced_core(case, partition, horizon):
 def _evented(case, partition, horizon):
     sim = SystemSimulator(
         partition,
-        RandomScenario(overrun_prob=0.3),
         horizon=horizon,
         allow_infeasible=True,
         events=_case_event_script(case, partition, horizon),
     )
-    return _system(sim.run(seed=case.sim_seed(606)))
+    return _system(sim.run(RandomScenario(overrun_prob=0.3), seed=case.sim_seed(606)))
 
 
 def _per_task_plans():
@@ -148,15 +164,10 @@ def _per_task_plans():
 def corpus_digest(kind: str) -> str:
     if kind == "per-task":
         return _digest(_per_task_plans())
-    payload = []
-    for case, partition, horizon in _cases():
-        if kind == "traced-core":
-            payload.append(_traced_core(case, partition, horizon))
-        elif kind == "evented":
-            payload.append(_evented(case, partition, horizon))
-        else:
-            payload.append(_system_runs(case, partition, horizon, kind))
-    return _digest(payload)
+    if kind in SHARED:
+        return _digest(_shared_runs(SHARED)[kind])
+    runs = {"traced-core": _traced_core, "evented": _evented, "sporadic": _sporadic}
+    return _digest([runs[kind](*case) for case in _cases()])
 
 
 def coincident_report():
@@ -184,6 +195,11 @@ class TestPinnedDigests:
     @pytest.mark.parametrize("kind", sorted(EXPECTED))
     def test_corpus_reports_unchanged(self, kind):
         assert corpus_digest(kind) == EXPECTED[kind]
+
+    def test_reused_simulator_in_reverse_order_unchanged(self):
+        order = SHARED[::-1]
+        digests = {kind: _digest(p) for kind, p in _shared_runs(order).items()}
+        assert digests == {kind: EXPECTED[kind] for kind in order}
 
     def test_near_coincident_releases_keep_index_order(self):
         report = coincident_report()

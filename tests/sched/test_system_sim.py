@@ -32,7 +32,7 @@ class TestSystemSimulator:
         ts = dual_taskset()
         res = CATPA().partition(ts, cores=2)
         assert res.schedulable
-        report = SystemSimulator(res.partition, HonestScenario(), horizon=500.0).run()
+        report = SystemSimulator(res.partition, horizon=500.0).run(HonestScenario())
         assert report.all_deadlines_met()
         assert report.released > 0
         assert report.completed > 0
@@ -41,23 +41,23 @@ class TestSystemSimulator:
         ts = MCTaskSet([MCTask(wcets=(1.0,), period=10.0)], levels=1)
         part = Partition(ts, cores=3)
         part.assign(0, 1)
-        report = SystemSimulator(part, HonestScenario(), horizon=100.0).run()
+        report = SystemSimulator(part, horizon=100.0).run(HonestScenario())
         assert report.core_reports[0] is None
         assert report.core_reports[2] is None
         assert report.core_reports[1] is not None
 
     def test_negative_seed_rejected(self):
         res = CATPA().partition(dual_taskset(), cores=2)
-        sim = SystemSimulator(res.partition, HonestScenario(), horizon=50.0)
+        sim = SystemSimulator(res.partition, horizon=50.0)
         with pytest.raises(SimulationError, match="seed must be >= 0"):
-            sim.run(seed=-1)
+            sim.run(HonestScenario(), seed=-1)
 
     def test_incomplete_partition_rejected(self):
         ts = dual_taskset()
         part = Partition(ts, cores=2)
         part.assign(0, 0)
         with pytest.raises(SimulationError, match="every task"):
-            SystemSimulator(part, HonestScenario())
+            SystemSimulator(part)
 
     def test_infeasible_core_rejected_by_default(self):
         ts = MCTaskSet(
@@ -68,7 +68,7 @@ class TestSystemSimulator:
         part.assign(0, 0)
         part.assign(1, 0)
         with pytest.raises(SimulationError, match="allow_infeasible"):
-            SystemSimulator(part, HonestScenario(), horizon=100.0).run()
+            SystemSimulator(part, horizon=100.0).run(HonestScenario())
 
     def test_failure_injection_observes_misses(self):
         ts = MCTaskSet(
@@ -78,9 +78,9 @@ class TestSystemSimulator:
         part = Partition(ts, cores=1)
         part.assign(0, 0)
         part.assign(1, 0)
-        report = SystemSimulator(
-            part, HonestScenario(), horizon=200.0, allow_infeasible=True
-        ).run()
+        report = SystemSimulator(part, horizon=200.0, allow_infeasible=True).run(
+            HonestScenario()
+        )
         assert report.miss_count > 0
 
     def test_mode_switches_confined_to_their_core(self):
@@ -92,9 +92,7 @@ class TestSystemSimulator:
         part.assign(3, 0)  # HI
         part.assign(0, 1)  # LO
         part.assign(2, 1)  # LO
-        report = SystemSimulator(
-            part, LevelScenario(target=2), horizon=1000.0
-        ).run()
+        report = SystemSimulator(part, horizon=1000.0).run(LevelScenario(target=2))
         assert report.core_reports[0].mode_switches > 0
         assert report.core_reports[1].mode_switches == 0
         assert report.core_reports[1].dropped == 0
@@ -132,7 +130,7 @@ class TestSystemSimulator:
         # return, so the constructor must refuse it (never call run here).
         res = CATPA().partition(dual_taskset(), cores=2)
         with pytest.raises(SimulationError, match="positive and finite"):
-            SystemSimulator(res.partition, HonestScenario(), horizon=horizon)
+            SystemSimulator(res.partition, horizon=horizon)
 
     @pytest.mark.parametrize("cycles", [float("nan"), float("inf")])
     def test_default_horizon_rejects_non_finite_cycles(self, cycles):
@@ -168,7 +166,7 @@ class TestSystemSimulator:
         part = Partition(ts, cores=1)
         for i in range(2):
             part.assign(i, 0)
-        report = SystemSimulator(part, HonestScenario(), horizon=200.0).run()
+        report = SystemSimulator(part, horizon=200.0).run(HonestScenario())
         assert len(report.core_reports) == 1
         core = report.core_reports[0]
         assert report.released == core.released
@@ -179,8 +177,9 @@ class TestSystemSimulator:
     def test_seeded_runs_reproducible(self):
         ts = dual_taskset()
         res = CATPA().partition(ts, cores=2)
-        sim = SystemSimulator(res.partition, LevelScenario(target=2), horizon=500.0)
-        a, b = sim.run(seed=5), sim.run(seed=5)
+        sim = SystemSimulator(res.partition, horizon=500.0)
+        scenario = LevelScenario(target=2)
+        a, b = sim.run(scenario, seed=5), sim.run(scenario, seed=5)
         assert a.released == b.released
         assert a.mode_switches == b.mode_switches
         assert a.miss_count == b.miss_count
@@ -189,13 +188,12 @@ class TestSystemSimulator:
         # Deriving the per-core streams must not advance the caller's
         # SeedSequence: a second run on the same object repeats the first.
         res = CATPA().partition(dual_taskset(), cores=2)
-        sim = SystemSimulator(
-            res.partition, RandomScenario(overrun_prob=0.5), horizon=2000.0
-        )
+        sim = SystemSimulator(res.partition, horizon=2000.0)
+        scenario = RandomScenario(overrun_prob=0.5)
         ss = np.random.SeedSequence(7, spawn_key=(3,))
-        first, second = sim.run(seed=ss), sim.run(seed=ss)
+        first, second = sim.run(scenario, seed=ss), sim.run(scenario, seed=ss)
         assert ss.n_children_spawned == 0
         assert first.mode_switches > 0
         assert repr(first.core_reports) == repr(second.core_reports)
-        fresh = sim.run(seed=np.random.SeedSequence(7, spawn_key=(3,)))
+        fresh = sim.run(scenario, seed=np.random.SeedSequence(7, spawn_key=(3,)))
         assert repr(fresh.core_reports) == repr(first.core_reports)

@@ -45,10 +45,9 @@ class TestFullJourney:
         # 3. simulate the deployment under stress
         report = SystemSimulator(
             result.partition,
-            RandomScenario(overrun_prob=0.2),
             horizon=20000.0,
             releases=SporadicReleases(max_delay=0.3),
-        ).run(seed=1)
+        ).run(RandomScenario(overrun_prob=0.2), seed=1)
         assert report.all_deadlines_met()
         assert report.completed > 0
 
@@ -56,7 +55,7 @@ class TestFullJourney:
         save_partition(result.partition, tmp_path / "d.json")
         deployed = load_partition(tmp_path / "d.json")
         assert is_feasible_partition(deployed)
-        report2 = SystemSimulator(deployed, LevelScenario(2), horizon=5000.0).run()
+        report2 = SystemSimulator(deployed, horizon=5000.0).run(LevelScenario(2))
         assert report2.all_deadlines_met()
 
     def test_every_registered_scheme_runs_on_dual_workload(self, workload):
@@ -78,9 +77,9 @@ class TestFullJourney:
             result = get_partitioner(name).partition(ts, cfg.cores)
             if not result.schedulable:
                 continue
-            report = SystemSimulator(
-                result.partition, LevelScenario(2), horizon=10000.0
-            ).run(seed=3)
+            report = SystemSimulator(result.partition, horizon=10000.0).run(
+                LevelScenario(2), seed=3
+            )
             assert report.all_deadlines_met(), name
 
     def test_experiment_pipeline_to_csv(self, tmp_path):

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gen import WorkloadConfig
-from repro.sched import LevelScenario, SystemSimulator, default_horizon
+from repro.sched import LevelScenario, SystemSimulator, system_sim
 from repro.types import ReproError
 from repro.validate import (
+    CAMPAIGN_CONFIGS,
     all_oracles,
     get_oracle,
     make_case,
@@ -134,13 +135,9 @@ class TestSharedLevelRun:
 
     def test_level_scenario_run_is_seed_independent(self):
         case = self.case()
-        _, result = case.first_schedulable()
-        sim = SystemSimulator(
-            result.partition,
-            LevelScenario(target=case.taskset.levels),
-            horizon=default_horizon(result.partition, cycles=case.sim_cycles),
-        )
-        a, b = sim.run(seed=case.sim_seed(1)), sim.run(seed=case.sim_seed(202))
+        sim, scenario = case.simulator(), LevelScenario(target=case.taskset.levels)
+        a = sim.run(scenario, seed=case.sim_seed(1))
+        b = sim.run(scenario, seed=case.sim_seed(202))
         assert a.mode_switches > 0
         assert repr(a.core_reports) == repr(b.core_reports)
 
@@ -148,10 +145,10 @@ class TestSharedLevelRun:
         level_runs = []
         original = SystemSimulator.run
 
-        def counted(self, seed=0):
-            if isinstance(self.scenario, LevelScenario) and self.events is None:
+        def counted(self, scenario, seed=0):
+            if isinstance(scenario, LevelScenario) and self.events is None:
                 level_runs.append(seed)
-            return original(self, seed)
+            return original(self, scenario, seed)
 
         monkeypatch.setattr(SystemSimulator, "run", counted)
         case = self.case()
@@ -178,9 +175,9 @@ class TestSharedLevelRun:
     def test_off_by_one_pending_caught_through_the_shared_run(self, monkeypatch):
         original = SystemSimulator.run
 
-        def planted(self, seed=0):
-            report = original(self, seed)
-            if isinstance(self.scenario, LevelScenario):
+        def planted(self, scenario, seed=0):
+            report = original(self, scenario, seed)
+            if isinstance(scenario, LevelScenario):
                 next(r for r in report.core_reports if r is not None).pending += 1
             return report
 
@@ -190,6 +187,31 @@ class TestSharedLevelRun:
         messages = get_oracle("job-conservation").check(case)
         assert any("released !=" in m and "pending" in m for m in messages)
         assert messages[-1].startswith("system:")
+
+
+class TestOneSimulatorPerPartition:
+    """A case compiles one timeline per simulator it caches, plain and
+    evented, plus the fresh compile ``events-telemetry`` makes on
+    purpose for its instrumented run."""
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_every_oracle_compiles_three_timelines(self, monkeypatch, index):
+        compiles = []
+        original = system_sim.compile_events
+
+        def counted(events, partition, horizon):
+            compiles.append(len(events))
+            return original(events, partition, horizon)
+
+        monkeypatch.setattr(system_sim, "compile_events", counted)
+        case = make_case(CAMPAIGN_CONFIGS[0], (), seed=2016, index=index)
+        assert case.first_schedulable()[1] is not None
+        for oracle in all_oracles():
+            assert oracle.check(case) == [], oracle.name
+        assert len(compiles) == 3
+        assert compiles.count(0) == 1  # the plain timeline, compiled once
+        assert case.simulator() is case.simulator()
+        assert case.simulator(evented=True).events
 
 
 class TestProbeEquivalenceOracle:
