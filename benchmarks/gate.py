@@ -152,7 +152,10 @@ def one_task_probe(answer):
     one-task :func:`~repro.partition.backend.probe_request`."""
 
     def probe(partition: Partition, task_index: int) -> np.ndarray:
-        return answer(probe_request(partition, [task_index]))[1][0]
+        request = probe_request(
+            partition.level_matrices(), partition.taskset, [task_index]
+        )
+        return answer(request)[1][0]
 
     return probe
 
@@ -246,7 +249,7 @@ def placement_loop(taskset, cores: int, refresh: bool = True) -> int:
     """
     partition = Partition(taskset, cores)
     pending = list(ordering.by_contribution(taskset))
-    utils = batch_probe_tasks(partition, pending)
+    utils = batch_probe_tasks(partition.level_matrices(), taskset, pending)
     hypotheses = 0
     while pending:
         hypotheses += utils.size
@@ -256,10 +259,11 @@ def placement_loop(taskset, cores: int, refresh: bool = True) -> int:
         if core is None:
             continue  # no feasible core: skip, keep placing the rest
         partition.assign(task_index, core)
+        mats = partition.level_matrices()
         if refresh:
-            utils[:, [core]] = batch_probe_tasks(partition, pending, cores=[core])
+            utils[:, [core]] = batch_probe_tasks(mats, taskset, pending, cores=[core])
         else:
-            utils = batch_probe_tasks(partition, pending)
+            utils = batch_probe_tasks(mats, taskset, pending)
     return hypotheses
 
 

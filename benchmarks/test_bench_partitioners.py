@@ -41,4 +41,4 @@ def test_probe_cost(benchmark):
     part = Partition(ts, config.cores)
     for i in range(40):
         part.assign(i, i % config.cores)
-    benchmark(lambda: BATCH.answer(probe_request(part, [41])))
+    benchmark(lambda: BATCH.answer(probe_request(part.level_matrices(), ts, [41])))

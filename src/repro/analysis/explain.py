@@ -602,16 +602,17 @@ def explain_admission(
     )
 
 
-def place_rejection_reason(partition: Partition, task: MCTask) -> dict:
-    """Structured reason for a rejected ``/place``: per-core margins.
+def place_rejection_reason(level_matrices: np.ndarray, task: MCTask) -> dict:
+    """Structured reason for a rejected ``/place``: per-core margins of
+    ``task`` against the ``(M, K, K)`` per-core ``level_matrices``.
 
     Compact by design — the full decomposition is one ``POST /explain``
     away; the 409 body carries what an operator needs at a glance: the
     closest core, how far off it was, and each core's first failing
     condition.
     """
-    row, crit = _task_row(task, None, partition.taskset.levels)
-    cands = explain_candidates(partition.level_matrices(), row, crit)
+    row, crit = _task_row(task, None, level_matrices.shape[-1])
+    cands = explain_candidates(level_matrices, row, crit)
     best = max(cands, key=lambda ce: ce.margin)
     return {
         "best_core": best.core,

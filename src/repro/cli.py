@@ -299,8 +299,7 @@ def _engine_options(args) -> dict:
     """Engine keywords from the ``--jobs/--store/--no-store/--progress`` group."""
     store = None
     if not args.no_store:
-        root = Path(args.store).expanduser() if args.store else default_store_root()
-        store = ResultStore(root)
+        store = ResultStore(args.store or default_store_root())
     return {
         "jobs": None if args.jobs == 0 else args.jobs,
         "store": store,

@@ -65,11 +65,9 @@ _TEMP_SEQ = itertools.count()
 
 
 def default_store_root() -> Path:
-    """CLI default: ``$REPRO_MC_STORE`` or ``~/.cache/repro-mc/store``."""
-    env = os.environ.get(STORE_ENV)
-    if env:
-        return Path(env).expanduser()
-    return Path("~/.cache/repro-mc/store").expanduser()
+    """CLI default: ``$REPRO_MC_STORE`` or ``~/.cache/repro-mc/store``
+    (:class:`ResultStore` expands the ``~``)."""
+    return Path(os.environ.get(STORE_ENV) or "~/.cache/repro-mc/store")
 
 
 def _canonical(payload: dict) -> str:
@@ -108,7 +106,8 @@ def shard_key(
 
 
 class ResultStore:
-    """Filesystem-backed shard checkpoint store.
+    """Filesystem-backed shard checkpoint store under ``root`` (a leading
+    ``~`` is the user's home).
 
     Safe for concurrent writers of the *same* content (last atomic
     rename wins with identical bytes) — which is exactly the CI case of
@@ -116,7 +115,7 @@ class ResultStore:
     """
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
+        self.root = Path(root).expanduser()
         self.hits = 0  #: lifetime get() hits (per-run counts live on Engine)
         self.misses = 0
         self.temps_purged = self._purge_stale_temps()

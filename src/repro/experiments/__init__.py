@@ -41,7 +41,6 @@ from repro.experiments.tables import (
     AllocationStep,
     allocation_trace,
     paper_example_taskset,
-    search_paper_example,
     table1_rows,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "run_sweep",
     "save_sweep_csv",
     "sweep_to_csv",
-    "search_paper_example",
     "table1_rows",
 ]

@@ -79,7 +79,7 @@ class Partition:
 
     @property
     def is_frozen(self) -> bool:
-        """True for immutable :meth:`snapshot` copies."""
+        """True once :meth:`freeze` has made this partition immutable."""
         return self._frozen
 
     @property
@@ -186,8 +186,8 @@ class Partition:
 
         The core's level matrix is *recomputed* from its remaining tasks
         rather than decremented, so repeated assign/unassign cycles (the
-        admission daemon rolling back a rejected placement) never
-        accumulate floating-point drift.
+        event runtime's arrivals and departures) never accumulate
+        floating-point drift.
         """
         self._check_mutable()
         if not 0 <= task_index < len(self._taskset):
@@ -220,37 +220,28 @@ class Partition:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def snapshot(self) -> "Partition":
-        """A frozen, independent copy for lock-free concurrent readers.
+    def freeze(self) -> None:
+        """Make this partition immutable, in place.
 
-        The copy shares the (immutable) task set but owns its arrays;
-        :meth:`assign`/:meth:`unassign` on it raise, so the admission
-        daemon can hand snapshots to reader tasks while the coordinator
-        keeps mutating the live partition.
+        :meth:`assign`/:meth:`unassign` raise from now on, so the
+        admission daemon publishes a committed partition to lock-free
+        readers as it is; the next commit grows a new one
+        (:meth:`extended` copies every array it carries over).  The
+        utilization cache stays writable: filling it lazily is not a
+        logical mutation.
         """
-        snap = Partition.__new__(Partition)
-        snap._taskset = self._taskset
-        snap._cores = self._cores
-        snap._assignment = self._assignment.copy()
-        snap._assignment.setflags(write=False)
-        snap._level_mats = self._level_mats.copy()
-        snap._level_mats.setflags(write=False)
-        snap._counts = self._counts.copy()
-        snap._counts.setflags(write=False)
-        # The utilization cache stays writable: lazy cache fill is not a
-        # logical mutation of the partition.
-        snap._util_cache = self._util_cache.copy()
-        snap._frozen = True
-        return snap
+        self._frozen = True
+        self._assignment.setflags(write=False)
+        self._counts.setflags(write=False)
 
-    def extended(self, tasks: Iterable[MCTask]) -> "Partition":
+    def extended(self, tasks: MCTaskSet | Iterable[MCTask]) -> "Partition":
         """A new mutable partition with ``tasks`` appended, warm-started.
 
         The task set grows by :meth:`MCTaskSet.appended` (same ``K``; a
         task above it raises :class:`~repro.types.ModelError`), and the
         new tasks start unassigned.  The per-core level matrices and
         counts carry over verbatim — no O(N) reassignment loop — which
-        is how the admission daemon admits new tasks into a live system
+        is how the admission daemon commits new tasks into a live system
         without replaying history.
         """
         n = len(self._taskset)
@@ -301,7 +292,7 @@ class Partition:
     # ------------------------------------------------------------------
     def _check_mutable(self) -> None:
         if self._frozen:
-            raise PartitionError("partition snapshot is immutable")
+            raise PartitionError("frozen partition is immutable")
 
     def _check_core(self, core: int) -> None:
         if not 0 <= core < self._cores:

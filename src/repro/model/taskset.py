@@ -282,7 +282,8 @@ class MCTaskSet:
     # Derived sets
     # ------------------------------------------------------------------
     def subset(self, indices: Sequence[int]) -> "MCTaskSet":
-        """A new task set containing only ``indices`` (same ``K``)."""
+        """A new task set containing only ``indices`` (same ``K``), which
+        keeps their utilization rows."""
         idx = np.asarray(list(indices), dtype=np.intp)
         if not idx.size:
             raise ModelError("subset must be non-empty")
@@ -291,6 +292,7 @@ class MCTaskSet:
             self._wcets[idx], self._periods[idx], self._crit[idx],
             tuple(names[i] for i in idx.tolist()), self._levels,
             None if self._tasks is None else tuple(self._tasks[i] for i in idx.tolist()),
+            self._umat[idx],
         )
 
     def with_levels(self, levels: int) -> "MCTaskSet":
@@ -302,22 +304,31 @@ class MCTaskSet:
         return self._derived(wcets, self._periods, self._crit, self._names,
                              levels, self._tasks)
 
-    def appended(self, tasks: Iterable[MCTask]) -> "MCTaskSet":
+    def appended(self, tasks: "MCTaskSet | Iterable[MCTask]") -> "MCTaskSet":
         """This set grown by ``tasks`` (same ``K``), validating the new tasks only.
 
-        The tail goes through the constructor (so a task above ``K``
-        raises :class:`ModelError`) and its arrays are joined onto the
-        stored ones: the result equals
+        ``tasks`` is a task set of this ``K``, whose arrays are joined
+        as they are (no row is computed again), or tasks, which go
+        through the constructor first (so a task above ``K`` raises
+        :class:`ModelError`).  The result equals
         ``MCTaskSet(list(self) + list(tasks), levels=K)`` bit for bit,
         and no task object of ``self`` is built for it.
         """
-        tail = MCTaskSet(tasks, levels=self._levels)
+        if isinstance(tasks, MCTaskSet):
+            tail = tasks
+        else:
+            tail = MCTaskSet(tasks, levels=self._levels)
+        if tail._levels != self._levels:
+            raise ModelError(
+                f"cannot append a K={tail._levels} set to a K={self._levels} set"
+            )
         return self._derived(
             np.concatenate((self._wcets, tail._wcets)),
             np.concatenate((self._periods, tail._periods)),
             np.concatenate((self._crit, tail._crit)),
-            self.names + tail._names, self._levels,
-            None if self._tasks is None else self._tasks + tail._tasks,
+            self.names + tail.names, self._levels,
+            None if self._tasks is None or tail._tasks is None
+            else self._tasks + tail._tasks,
             np.concatenate((self._umat, tail._umat)),
         )
 

@@ -32,7 +32,6 @@ from repro.obs.manifest import (
 )
 from repro.obs.live import (
     LiveMetrics,
-    MetricsView,
     SloMonitor,
     SloResult,
     SloRule,
@@ -84,7 +83,6 @@ __all__ = [
     "LiveMetrics",
     "MANIFEST_VERSION",
     "MetricsRegistry",
-    "MetricsView",
     "SloMonitor",
     "SloResult",
     "SloRule",

@@ -19,13 +19,15 @@ a handful of list/dict touches, never I/O):
   (``serve_admit_requests_total{scheme="ca-tpa"}``).
 * :class:`SloRule` / :class:`SloMonitor` — threshold rules over windows
   (``p95(serve.place.seconds) < 5ms``, ``rate(serve.rejected_503) == 0``)
-  evaluated against a live window or an exported metrics snapshot; the
-  monitor tracks ok→alert transitions so the daemon can emit one
-  ``slo.alert`` event per violation edge instead of one per tick.
+  evaluated against a live window; the monitor tracks ok→alert
+  transitions so the daemon can emit one ``slo.alert`` event per
+  violation edge instead of one per tick.
 
 Nothing here touches the probe hot path: live windows are fed only by
-the serve layer (which always runs instrumented) and read by the
-``/metrics``-family endpoints and ``repro-mc top``.
+the serve layer and read by the ``/metrics``-family endpoints and
+``repro-mc top``.  A window write also records into the active
+``OBS.registry`` when instrumentation is on, so one call feeds both the
+window and the run's lifetime metrics.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ import time
 from dataclasses import dataclass
 
 from repro.obs.metrics import HIST_EDGES, Histogram, MetricsRegistry
+from repro.obs.runtime import OBS
 from repro.types import ReproError
 
 __all__ = [
     "LiveMetrics",
-    "MetricsView",
     "SloMonitor",
     "SloResult",
     "SloRule",
@@ -126,6 +128,8 @@ class LiveMetrics:
         self._gauges: dict[str, object] = {}
 
     # -- writes --------------------------------------------------------
+    # Each also records into the active registry when instrumentation is
+    # on, looked up per call: ``instrument()`` swaps ``OBS.registry``.
 
     def inc(self, name: str, n: float = 1) -> None:
         ring = self._counters.get(name)
@@ -135,6 +139,8 @@ class LiveMetrics:
             )
         slot = ring.advance(self.clock())
         ring.slots[slot] += n
+        if OBS.enabled:
+            OBS.registry.counter(name).inc(n)
 
     def observe(self, name: str, value: float) -> None:
         ring = self._histograms.get(name)
@@ -144,6 +150,8 @@ class LiveMetrics:
             )
         slot = ring.advance(self.clock())
         ring.slots[slot].observe(value)
+        if OBS.enabled:
+            OBS.registry.histogram(name).observe(value)
 
     def gauge(self, name: str, source) -> None:
         """Register a gauge: a callable read at scrape time, or a value."""
@@ -420,34 +428,6 @@ def evaluate_slo(rule: SloRule, view) -> SloResult:
     value = float(view.slo_value(rule.fn, rule.metric))
     ok = value == value and bool(_OPS[rule.op](value, rule.threshold))
     return SloResult(rule=rule, value=value, ok=ok)
-
-
-class MetricsView:
-    """SLO view over an exported metrics snapshot (post-mortem gating).
-
-    ``snapshot`` is the ``{"counters", "histograms"}`` dict a metrics
-    dump carries.  ``elapsed`` (seconds) turns counter totals into
-    rates; without it, ``rate`` degenerates to the total count, which
-    is still exact for ``== 0`` gates.
-    """
-
-    def __init__(self, snapshot: dict, *, elapsed: float | None = None):
-        self.snapshot = snapshot or {}
-        self.elapsed = elapsed
-
-    def slo_value(self, fn: str, metric: str) -> float:
-        if fn in ("rate", "count"):
-            count = float(self.snapshot.get("counters", {}).get(metric, 0))
-            if fn == "rate" and self.elapsed:
-                return count / self.elapsed
-            return count
-        if fn == "value":
-            return float("nan")  # snapshots carry no gauges
-        digest = self.snapshot.get("histograms", {}).get(metric)
-        if not digest or not digest.get("count"):
-            return float("nan")
-        value = digest.get(fn)
-        return float(value) if value is not None else float("nan")
 
 
 class SloMonitor:

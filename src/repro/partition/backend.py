@@ -9,9 +9,10 @@ level matrices, answered by :meth:`ProbeBackend.answer`.
   placement step for every attempt of one ``(K, M, rule)`` stack, its
   Eq.-(15) and its feasibility attempts together.
 * The admission daemon's ``/place`` flush and the event runtime's
-  placements ask :func:`probe_request`: tasks of one partition against
-  every core (or a selection), Eq.-(15) rows under ``max``, each row
-  read whole; :func:`best_core` takes the feasible core of least value.
+  placements ask :func:`probe_request`: tasks of a task set against
+  per-core level matrices, every core or a selection, Eq.-(15) rows
+  under ``max``, each row read whole; :func:`best_core` takes the
+  feasible core of least value.
 
 Both build their candidates with the one add :func:`add_tasks`.  Two
 backends answer, bit-identically:
@@ -30,7 +31,7 @@ probe follows a placement that changed the partition (``fig1 --sets 30
 against 9.07 s under batch), and the admission daemon's multi-request
 ``/place`` flush does better without a cache: after a placement on core
 ``c`` only column ``c`` of the pending rows is stale, so it re-probes
-that column alone (``probe_request(partition, rows, cores=[c])``).
+that column alone (``probe_request(mats, taskset, rows, cores=[c])``).
 
 Both that column refresh and the lockstep stack are bit-identical to
 probing one task of one partition at a time because the batch kernel
@@ -75,7 +76,7 @@ from repro.analysis.batch import (
 )
 from repro.analysis.edfvd import check_eq9_rule, core_utilization
 from repro.analysis.feasibility import is_feasible_core
-from repro.model.partition import Partition
+from repro.model.taskset import MCTaskSet
 from repro.obs.runtime import OBS, scheme_tag
 from repro.types import EPS, INFEASIBLE, ModelError, PartitionError, fits_unit_capacity
 
@@ -194,11 +195,13 @@ def add_tasks(mats: np.ndarray, rows: np.ndarray, utils: np.ndarray) -> np.ndarr
 
 
 def probe_request(
-    partition: Partition,
+    level_matrices: np.ndarray,
+    taskset: MCTaskSet,
     task_indices: Sequence[int],
     cores: Sequence[int] | None = None,
 ) -> ProbeRequest:
-    """Eq.-(15) rows under ``max`` for ``task_indices`` of ``partition``.
+    """Eq.-(15) rows under ``max`` for ``task_indices`` of ``taskset``
+    against the ``(M, K, K)`` per-core ``level_matrices``.
 
     Each task is added to every core, or to each of ``cores``; ``nan``
     keys read every core.  The answer's utilizations are ``(T, C)``:
@@ -210,7 +213,7 @@ def probe_request(
     idx = np.asarray(task_indices, dtype=np.int64)
     if idx.ndim != 1:
         raise PartitionError("task_indices must be a 1-D sequence")
-    mats = partition.level_matrices()
+    mats = level_matrices
     if cores is not None:
         cols = np.asarray(cores, dtype=np.int64)
         if cols.ndim != 1 or not all(0 <= c < len(mats) for c in cols.tolist()):
@@ -219,7 +222,6 @@ def probe_request(
                 f"got {np.asarray(cores).tolist()}"
             )
         mats = mats[cols]
-    taskset = partition.taskset
     stack = add_tasks(
         mats[None], taskset.criticalities[idx] - 1, taskset.utilization_matrix[idx]
     )

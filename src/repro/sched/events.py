@@ -598,7 +598,9 @@ def _compile(
         """The serve daemon's pick (:func:`best_core`) among the
         online cores, or ``None``."""
         t0 = perf_counter()
-        (row,) = BATCH.answer(probe_request(live, [gidx]))[1]
+        (row,) = BATCH.answer(
+            probe_request(live.level_matrices(), full, [gidx])
+        )[1]
         if OBS.enabled:
             add_span_time("probe", perf_counter() - t0)
         return best_core(row, online)

@@ -10,12 +10,17 @@ handlers only enqueue work and await futures.  Each flush:
 * answers the flush's ``/place`` requests with **one** probe of the
   whole micro-batch (:func:`batch_probe_tasks`: one
   :func:`~repro.partition.backend.probe_request` answered by
-  :data:`~repro.partition.backend.BATCH`), then applies placements
-  greedily in arrival order.  After each assignment to core ``c`` only
-  column ``c`` of the remaining rows is stale, so the flush re-probes
-  that one column (``batch_probe_tasks(..., cores=[c])``) —
-  bit-identical to a full re-probe, because the batch kernel is per-row
-  independent.
+  :data:`~repro.partition.backend.BATCH`) against a copy of the
+  committed level matrices, then decides placements greedily in
+  arrival order, adding each placed task to its core's matrix
+  (:func:`~repro.partition.backend.add_tasks`).  After each placement
+  on core ``c`` only column ``c`` of the remaining rows is stale, so the
+  flush re-probes that one column (``batch_probe_tasks(..., cores=[c])``)
+  — bit-identical to a full re-probe, because the batch kernel is
+  per-row independent;
+* commits its accepted tasks and their cores once
+  (:meth:`~repro.serve.state.ServeState.commit`), which runs the same
+  additions in the same order on the committed partition.
 
 Placement rule: :func:`~repro.partition.backend.best_core` — the
 feasible core whose new Eq.-(9) utilization is smallest (ties to the
@@ -26,12 +31,13 @@ probes are built for.
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.explain import explain_admission, place_rejection_reason
 from repro.metrics.core import imbalance_factor
-from repro.model import MCTask, MCTaskSet, Partition
+from repro.model import MCTaskSet
 from repro.model.io import task_to_dict
 from repro.obs.live import LiveMetrics
 from repro.obs.runtime import (
@@ -41,7 +47,7 @@ from repro.obs.runtime import (
     record_span,
     span,
 )
-from repro.partition.backend import BATCH, best_core, probe_request
+from repro.partition.backend import BATCH, add_tasks, best_core, probe_request
 from repro.partition.registry import get_partitioner
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.protocol import (
@@ -57,7 +63,10 @@ __all__ = ["Coordinator"]
 
 
 def batch_probe_tasks(
-    partition: Partition, idx: list[int], cores: list[int] | None = None
+    level_matrices: np.ndarray,
+    taskset: MCTaskSet,
+    idx: Sequence[int],
+    cores: list[int] | None = None,
 ) -> np.ndarray:
     """The flush's probe: ``BATCH.answer`` of a
     :func:`~repro.partition.backend.probe_request`, its ``(T, C)``
@@ -69,7 +78,7 @@ def batch_probe_tasks(
     that ledger reads the product's spans instead.
     """
     t0 = time.perf_counter()
-    utils = BATCH.answer(probe_request(partition, idx, cores))[1]
+    utils = BATCH.answer(probe_request(level_matrices, taskset, idx, cores))[1]
     if OBS.enabled:
         add_span_time("probe", time.perf_counter() - t0)
     return utils
@@ -86,7 +95,7 @@ class Coordinator:
     ):
         self.state = state
         self.batcher = batcher
-        self.live = live
+        self.live = live if live is not None else LiveMetrics()
 
     async def run(self) -> None:
         """Flush batches until the batcher is closed and drained."""
@@ -109,10 +118,7 @@ class Coordinator:
         so their own ``.seconds`` never mix into those histograms.
         """
         flush_start = time.perf_counter()
-        if OBS.enabled:
-            OBS.registry.histogram("serve.batch_size").observe(float(len(batch)))
-        if self.live is not None:
-            self.live.observe("serve.batch_size", float(len(batch)))
+        self.live.observe("serve.batch_size", float(len(batch)))
         places = [item for item in batch if item.kind == "place"]
         with span("serve.flush", batch=len(batch)):
             flush_id = current_span_id()
@@ -161,8 +167,8 @@ class Coordinator:
         """
         queue_wait = max(flush_start - item.enqueued, 0.0)
         seconds = queue_wait + kernel + apply
+        self.live.observe(f"serve.{item.kind}.seconds", seconds)
         if OBS.enabled:
-            OBS.registry.histogram(f"serve.{item.kind}.seconds").observe(seconds)
             record_span(
                 "serve.request",
                 start=item.wall,
@@ -174,8 +180,6 @@ class Coordinator:
                 kernel=kernel,
                 apply=apply,
             )
-        if self.live is not None:
-            self.live.observe(f"serve.{item.kind}.seconds", seconds)
 
     # ------------------------------------------------------------------
     # /admit: the offline partitioner, verbatim
@@ -243,11 +247,16 @@ class Coordinator:
         if not ready:
             return
 
-        old = state.partition
         new_tasks = [item.request.task for item in ready]
-        part = self._grown(new_tasks)
-        base = len(old.taskset) if old is not None else 0
-        idx = list(range(base, base + len(ready)))
+        batch = MCTaskSet(new_tasks, levels=state.levels)
+        # Decide on a copy: the committed state changes only in commit().
+        committed = state.snapshot.partition
+        if committed is None:
+            mats = np.zeros((state.cores, state.levels, state.levels))
+        else:
+            mats = committed.level_matrices().copy()
+        rows = batch.criticalities - 1
+        umat = batch.utilization_matrix
 
         place_start = time.perf_counter()
         kernel_total = 0.0
@@ -255,64 +264,51 @@ class Coordinator:
             # THE kernel call of the flush: every (task, core) hypothesis
             # of the micro-batch in one stacked NumPy pass.
             t0 = time.perf_counter()
-            utils = batch_probe_tasks(part, idx)
+            utils = batch_probe_tasks(mats, batch, range(len(ready)))
             kernel_total += time.perf_counter() - t0
             decisions: list[int | None] = []
             reasons: list[dict | None] = []
-            for t, task_index in enumerate(idx):
+            for t in range(len(ready)):
                 core = best_core(utils[t])
                 decisions.append(core)
                 if core is None:
-                    # Explain the refusal against the exact partition
-                    # state this row was probed on (scalar kernel, only
-                    # for rejected rows — the accept path is untouched).
-                    reasons.append(place_rejection_reason(part, new_tasks[t]))
+                    # Explain the refusal against the exact matrices this
+                    # row was probed on (scalar kernel, only for rejected
+                    # rows — the accept path is untouched).
+                    reasons.append(place_rejection_reason(mats, new_tasks[t]))
                     continue
                 reasons.append(None)
-                part.assign(task_index, core)
-                remaining = idx[t + 1 :]
-                if remaining:
+                mats[core] = add_tasks(mats[None, [core]], rows[[t]], umat[[t]])[0, 0]
+                if t + 1 < len(ready):
                     # Only the chosen core's column went stale: re-probe
                     # that column of the rows still waiting.
                     t0 = time.perf_counter()
                     utils[t + 1 :, [core]] = batch_probe_tasks(
-                        part, remaining, cores=[core]
+                        mats, batch, range(t + 1, len(ready)), cores=[core]
                     )
                     kernel_total += time.perf_counter() - t0
 
         accepted = [t for t, core in enumerate(decisions) if core is not None]
-        if len(accepted) < len(ready):
-            # Rejected tasks never enter the live set: grow the old state
-            # by the accepted tasks only and replay their assignments.
-            # Decisions are unaffected — rejected tasks were never
-            # assigned, so they contributed nothing to any level matrix.
-            if accepted:
-                part = self._grown([new_tasks[t] for t in accepted])
-                for offset, t in enumerate(accepted):
-                    part.assign(base + offset, decisions[t])
-            else:
-                part = old  # nothing accepted: state is unchanged
-        if part is not None and part is not old:
-            state.commit(part)
+        if accepted:
+            # Rejected tasks never enter the live set: they were never
+            # added to a matrix, so the decisions are unaffected.
+            tasks = batch if len(accepted) == len(ready) else batch.subset(accepted)
+            state.commit(tasks, [decisions[t] for t in accepted])
         snap_seq = state.snapshot.seq
 
         # Attribution shares: kernel time is the measured probe-kernel
         # total, apply is everything else in the placement block
-        # (assignments, rebuild, commit) — both split evenly across the
+        # (matrix updates, commit) — both split evenly across the
         # batch, since the stacked kernel serves all rows at once.
         place_total = time.perf_counter() - place_start
         apply_total = max(place_total - kernel_total, 0.0)
         kernel_share = kernel_total / len(ready)
         apply_share = apply_total / len(ready)
 
-        reg = OBS.registry
         for item, core, reason in zip(ready, decisions, reasons):
-            if OBS.enabled:
-                name = "accepted" if core is not None else "rejected"
-                reg.counter(f"serve.place.{name}").inc()
-            if self.live is not None:
-                name = "accepted" if core is not None else "rejected"
-                self.live.inc(f"serve.place.{name}")
+            self.live.inc(
+                "serve.place.accepted" if core is not None else "serve.place.rejected"
+            )
             self._resolve(
                 item, self._place_response, item.request, core, snap_seq, reason
             )
@@ -323,14 +319,6 @@ class Coordinator:
                 kernel=kernel_share,
                 apply=apply_share,
             )
-
-    def _grown(self, tasks: list[MCTask]) -> Partition:
-        """The live partition with ``tasks`` appended, unassigned."""
-        old = self.state.partition
-        if old is None:
-            taskset = MCTaskSet(tasks, levels=self.state.levels)
-            return Partition(taskset, self.state.cores)
-        return old.extended(tasks)
 
     def _place_response(
         self,

@@ -45,7 +45,7 @@ class Api:
     ):
         self.state = state
         self.batcher = batcher
-        self.live = live
+        self.live = live if live is not None else LiveMetrics()
 
     async def handle(
         self, method: str, path: str, payload: object, query: dict | None = None
@@ -60,21 +60,13 @@ class Api:
         except ServeOverflow as exc:
             if OBS.enabled:
                 OBS.registry.counter("serve.overflow_503").inc()
-                OBS.registry.counter("serve.rejected_503").inc()
-            if self.live is not None:
-                self.live.inc("serve.rejected_503")
+            self.live.inc("serve.rejected_503")
             status, body = 503, {"error": str(exc)}
         except ReproError as exc:
             status, body = 422, {"error": str(exc)}
-        elapsed = time.perf_counter() - started
-        if OBS.enabled:
-            OBS.registry.histogram("serve.handle.seconds").observe(elapsed)
-            OBS.registry.counter("serve.requests").inc()
-            OBS.registry.counter(f"serve.http.{status}").inc()
-        if self.live is not None:
-            self.live.inc("serve.requests")
-            self.live.inc(f"serve.http.{status}")
-            self.live.observe("serve.handle.seconds", elapsed)
+        self.live.observe("serve.handle.seconds", time.perf_counter() - started)
+        self.live.inc("serve.requests")
+        self.live.inc(f"serve.http.{status}")
         return status, body
 
     async def _route(self, method: str, path: str, payload: object, query: dict):
@@ -93,8 +85,7 @@ class Api:
         if path == "/metrics" and method == "GET":
             fmt = query.get("format", "json")
             if fmt == "prometheus":
-                gauges = self.live.gauges() if self.live is not None else {}
-                return 200, render_prometheus(OBS.registry, gauges=gauges)
+                return 200, render_prometheus(OBS.registry, gauges=self.live.gauges())
             if fmt != "json":
                 raise ProtocolError(f"unknown metrics format: {fmt!r}")
             return 200, {
@@ -102,10 +93,6 @@ class Api:
                 "metrics": OBS.registry.snapshot(),
             }
         if path == "/metrics/history" and method == "GET":
-            if self.live is None:
-                raise ProtocolError(
-                    "live telemetry is not enabled on this daemon", status=404
-                )
             return 200, self.live.history()
         if path == "/healthz" and method == "GET":
             return 200, {"ok": True, "seq": self.state.snapshot.seq}

@@ -1,11 +1,15 @@
-"""Live daemon state: one mutable partition, immutable read snapshots.
+"""Live daemon state: immutable snapshots, one state transition.
 
-The coordinator is the only writer.  Every commit publishes a fresh
-:class:`StateSnapshot` holding a *frozen* :class:`~repro.model.Partition`
-copy (see :meth:`Partition.snapshot`), replacing the previous one with a
-single attribute store — atomic under both the GIL and asyncio's
-cooperative scheduling — so ``GET /state`` handlers read without any
-lock and can never observe a half-applied flush.
+The coordinator is the only writer, and :meth:`ServeState.commit` is
+its one transition: a flush's accepted tasks and their cores.  A commit
+grows the committed partition by those tasks, assigns them in decision
+order, freezes the result in place (:meth:`Partition.freeze`) and
+publishes it in a fresh :class:`StateSnapshot`, replacing the previous
+one with a single attribute store — atomic under both the GIL and
+asyncio's cooperative scheduling — so ``GET /state`` handlers read
+without any lock and can never observe a half-applied flush.  Replaying
+the same ``(tasks, cores)`` records on a fresh state rebuilds the same
+snapshots.
 
 The live task set only grows, so a commit JSON-encodes its new tasks
 only, and a snapshot encodes its ``/state`` body once, on the first read
@@ -17,12 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from repro.metrics.core import imbalance_factor
 from repro.model import MCTaskSet, Partition
 from repro.model.io import task_to_dict, taskset_to_dict
+from repro.types import PartitionError
 
 __all__ = ["ServeState", "StateSnapshot"]
 
@@ -91,12 +97,11 @@ class StateSnapshot:
 
 
 class ServeState:
-    """Holder of the live partition plus its published snapshot."""
+    """Holder of the published snapshot; :meth:`commit` moves it on."""
 
     def __init__(self, cores: int, levels: int = 2):
         self.cores = int(cores)
         self.levels = int(levels)
-        self._partition: Partition | None = None
         # Append-only, like the live task set it encodes: no endpoint
         # removes a live task and a rejected task never enters it, so a
         # commit encodes the new tail and every snapshot shares the list.
@@ -113,28 +118,27 @@ class ServeState:
         """The current immutable view (lock-free read)."""
         return self._snapshot
 
-    @property
-    def partition(self) -> Partition | None:
-        """The live (mutable) partition — coordinator use only."""
-        return self._partition
+    def commit(self, tasks: MCTaskSet, cores: Sequence[int]) -> StateSnapshot:
+        """Add ``tasks`` (of this state's ``K``) on ``cores``; publish.
 
-    @property
-    def taskset(self) -> MCTaskSet | None:
-        return None if self._partition is None else self._partition.taskset
-
-    def commit(self, partition: Partition) -> StateSnapshot:
-        """Install ``partition`` as the live state; publish its snapshot.
-
-        ``partition``'s task set must extend the committed one.
+        The committed partition grows once, by ``tasks`` (warm-started,
+        :meth:`Partition.extended`); task ``t`` goes to ``cores[t]``, in
+        that order, and the grown partition is frozen and published.
         """
-        self._partition = partition
-        new_tasks = partition.taskset.tasks[len(self._fragments) :]
-        self._fragments.extend(json.dumps(task_to_dict(t)) for t in new_tasks)
+        if len(cores) != len(tasks):
+            raise PartitionError(f"{len(tasks)} tasks but {len(cores)} cores")
+        old = self._snapshot.partition
+        part = Partition(tasks, self.cores) if old is None else old.extended(tasks)
+        base = len(part.taskset) - len(tasks)
+        for offset, core in enumerate(cores):
+            part.assign(base + offset, core)
+        part.freeze()
+        self._fragments.extend(json.dumps(task_to_dict(t)) for t in tasks)
         snap = StateSnapshot(
             cores=self.cores,
             levels=self.levels,
             seq=self._snapshot.seq + 1,
-            partition=partition.snapshot(),
+            partition=part,
             fragments=self._fragments,
         )
         self._snapshot = snap

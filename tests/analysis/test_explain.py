@@ -242,7 +242,7 @@ class TestPlaceRejectionReason:
     def test_reason_shape(self):
         ts = MCTaskSet([heavy_task(), heavy_task()])
         part = get_partitioner("ca-tpa").partition(ts, 2).partition
-        reason = place_rejection_reason(part, heavy_task())
+        reason = place_rejection_reason(part.level_matrices(), heavy_task())
         assert set(reason) == {"best_core", "best_margin", "cores"}
         assert reason["best_margin"] < 0.0
         assert len(reason["cores"]) == 2

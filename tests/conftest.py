@@ -15,7 +15,9 @@ def attempt_request(partition, task_index, order=None, scheme="ffd", rule=None):
     feasibility row when ``rule`` is ``None``."""
     from repro.partition.backend import probe_request
 
-    request = probe_request(partition, [task_index])._replace(schemes=[scheme])
+    request = probe_request(
+        partition.level_matrices(), partition.taskset, [task_index]
+    )._replace(schemes=[scheme])
     if order is not None:  # each core's rank in ``order``: argsort(keys) == order
         keys = np.argsort(np.asarray(order))[None].astype(np.float64)
         request = request._replace(keys=keys)
@@ -25,11 +27,15 @@ def attempt_request(partition, task_index, order=None, scheme="ffd", rule=None):
 
 
 def eq15_rows(backend, partition, task_indices, cores=None):
-    """``backend``'s ``(T, C)`` Eq.-(15) rows for ``task_indices``: the
-    answer to :func:`repro.partition.backend.probe_request`."""
+    """``backend``'s ``(T, C)`` Eq.-(15) rows for ``task_indices`` of
+    ``partition``: the answer to
+    :func:`repro.partition.backend.probe_request` on its level matrices."""
     from repro.partition.backend import probe_request
 
-    return backend.answer(probe_request(partition, task_indices, cores))[1]
+    request = probe_request(
+        partition.level_matrices(), partition.taskset, task_indices, cores
+    )
+    return backend.answer(request)[1]
 
 
 def feasible_row(backend, partition, task_index):

@@ -100,6 +100,17 @@ class TestResultStore:
         monkeypatch.setenv("REPRO_MC_STORE", str(tmp_path / "elsewhere"))
         assert default_store_root() == tmp_path / "elsewhere"
 
+    def test_tilde_root_is_the_home_directory(self, tmp_path, monkeypatch):
+        from repro.engine import Engine
+
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        engine = Engine(store="~/s")
+        assert engine.store.root == tmp_path / "s"
+        engine.store.put("ab" * 32, {"v": 1})
+        assert (tmp_path / "s" / "objects").is_dir()
+        assert not (tmp_path / "~").exists()
+
 
 class TestTempFileSafety:
     """Regression: PID-only temp suffixes raced across threads and

@@ -20,6 +20,13 @@ def ts():
     )
 
 
+def stacks_of(part, task_indices, cores=None):
+    """The candidate stack of a probe request on ``part``'s matrices."""
+    return probe_request(
+        part.level_matrices(), part.taskset, task_indices, cores
+    ).stack
+
+
 class TestAssignment:
     def test_initially_unassigned(self, ts):
         part = Partition(ts, cores=2)
@@ -231,36 +238,44 @@ class TestUnassign:
 
 
 class TestSnapshot:
+    """A frozen partition: what the admission daemon publishes."""
+
     def test_snapshot_is_immutable(self, ts):
         part = Partition(ts, cores=2)
         part.assign(0, 0)
-        snap = part.snapshot()
-        assert snap.is_frozen and not part.is_frozen
+        assert not part.is_frozen
+        part.freeze()
+        assert part.is_frozen
         with pytest.raises(PartitionError, match="immutable"):
-            snap.assign(1, 1)
+            part.assign(1, 1)
         with pytest.raises(PartitionError, match="immutable"):
-            snap.unassign(0)
+            part.unassign(0)
+        with pytest.raises(ValueError, match="read-only"):
+            part.level_matrices()[0, 0, 0] = 1.0
 
     def test_snapshot_unaffected_by_later_mutation(self, ts):
-        part = Partition(ts, cores=2)
+        # The next commit grows a new partition; nothing it does
+        # reaches the frozen one.
+        part = Partition(ts.subset([0]), cores=2)
         part.assign(0, 0)
-        snap = part.snapshot()
-        mats = snap.level_matrices().copy()
-        part.assign(1, 0)
-        part.assign(2, 1)
-        assert np.array_equal(snap.level_matrices(), mats)
-        assert snap.core_of(1) == -1
-        assert snap.core_size(1) == 0
+        part.freeze()
+        mats = part.level_matrices().copy()
+        ext = part.extended(ts.subset([1, 2]))
+        ext.assign(1, 0)
+        ext.assign(2, 1)
+        ext.unassign(0)
+        assert np.array_equal(part.level_matrices(), mats)
+        assert part.assignment.tolist() == [0]
+        assert part.core_size(0) == 1 and part.core_size(1) == 0
 
     def test_snapshot_reads_work(self, ts):
         part = Partition(ts, cores=2)
         part.assign(1, 0)
-        snap = part.snapshot()
-        assert snap.core_utilization(0) == part.core_utilization(0)
-        assert snap.tasks_on(0) == [1]
-        assert np.array_equal(
-            probe_request(snap, [2]).stack, probe_request(part, [2]).stack
-        )
+        live = Partition.from_assignment(ts, 2, part.assignment)
+        part.freeze()
+        assert part.core_utilization(0) == live.core_utilization(0)
+        assert part.tasks_on(0) == [1]
+        assert np.array_equal(stacks_of(part, [2]), stacks_of(live, [2]))
 
 
 class TestExtended:
@@ -296,26 +311,26 @@ class TestCandidateStacks:
         part = Partition(ts, cores=3)
         part.assign(0, 0)
         part.assign(1, 2)
-        stacks = probe_request(part, [0, 1, 2]).stack.reshape(3, 3, 2, 2)
+        stacks = stacks_of(part, [0, 1, 2]).reshape(3, 3, 2, 2)
         for t, i in enumerate([0, 1, 2]):
-            assert np.array_equal(stacks[t], probe_request(part, [i]).stack)
+            assert np.array_equal(stacks[t], stacks_of(part, [i]))
         # A core selection is exactly those columns of the full stacks.
-        selected = probe_request(part, [0, 1, 2], cores=[2, 0]).stack
+        selected = stacks_of(part, [0, 1, 2], cores=[2, 0])
         assert np.array_equal(selected.reshape(3, 2, 2, 2), stacks[:, [2, 0]])
 
     def test_empty_and_repeated_indices(self, ts):
         part = Partition(ts, cores=2)
-        assert probe_request(part, []).stack.shape == (0, 2, 2)
-        stacks = probe_request(part, [2, 2]).stack.reshape(2, 2, 2, 2)
+        assert stacks_of(part, []).shape == (0, 2, 2)
+        stacks = stacks_of(part, [2, 2]).reshape(2, 2, 2, 2)
         assert np.array_equal(stacks[0], stacks[1])
 
     def test_rejects_2d_indices(self, ts):
         part = Partition(ts, cores=2)
         with pytest.raises(PartitionError, match="1-D"):
-            probe_request(part, [[0, 1]])
+            stacks_of(part, [[0, 1]])
 
     def test_writable_and_detached(self, ts):
         part = Partition(ts, cores=2)
-        stacks = probe_request(part, [0]).stack
+        stacks = stacks_of(part, [0])
         stacks += 1.0  # writable copy
         assert np.array_equal(part.level_matrix(0), np.zeros((2, 2)))

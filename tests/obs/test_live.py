@@ -11,7 +11,6 @@ import pytest
 
 from repro.obs.live import (
     LiveMetrics,
-    MetricsView,
     SloMonitor,
     evaluate_slo,
     parse_slo,
@@ -108,6 +107,21 @@ class TestWindowedHistograms:
 
     def test_unknown_stream_is_empty(self, live):
         assert live.window_histogram("nope").count == 0
+
+
+class TestRegistryRecording:
+    def test_writes_reach_the_active_registry(self, live):
+        live.inc("off")  # instrumentation off: the window only
+        with instrument() as state:
+            live.inc("n", 2)
+            live.observe("lat", 0.5)
+            snap = state.registry.snapshot()
+        assert snap["counters"] == {"n": 2}
+        assert snap["histograms"]["lat"]["count"] == 1
+        with instrument() as state:  # a new registry, looked up per write
+            live.inc("n")
+            assert state.registry.snapshot()["counters"] == {"n": 1}
+        assert live.total("n") == 3.0 and live.total("off") == 1.0
 
 
 class TestGaugesAndHistory:
@@ -261,6 +275,25 @@ class TestSloEvaluation:
         bad = evaluate_slo(parse_slo("p95(serve.place.seconds) < 1us"), live)
         assert not bad.ok
 
+    @pytest.mark.parametrize("fn", ["p50", "p90", "p95", "p99"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.001 + i * 1e-4 for i in range(10)],
+            [10 ** (i / 20 - 4) for i in range(100)],
+        ],
+        ids=["ten-1-2ms", "five-decades"],
+    )
+    def test_window_percentiles_match_one_histogram(self, live, fn, values):
+        hist = Histogram("lat")
+        for v in values:
+            hist.observe(v)
+            live.observe("lat", v)
+        value = live.slo_value(fn, "lat")
+        assert not math.isnan(value)
+        assert value == hist.percentile(float(fn[1:]))
+        assert evaluate_slo(parse_slo(f"{fn}(lat) < 20s"), live).ok
+
     def test_nan_fails_every_comparison(self, live):
         # A metric that never reported is violated, not vacuously met.
         result = evaluate_slo(parse_slo("p95(ghost) < 1s"), live)
@@ -291,59 +324,3 @@ class TestSloEvaluation:
         # Still failing: no re-alert.
         _, failing, _ = monitor.check(live)
         assert not failing and monitor.alerts == 1
-
-
-class TestMetricsView:
-    SNAPSHOT = {
-        "counters": {"serve.rejected_503": 0, "serve.requests": 120},
-        "summaries": {"old.lat": {"count": 3, "p95": 0.2}},
-        "histograms": {"serve.place.seconds": {"count": 9, "p95": 0.004}},
-    }
-
-    def test_count_and_rate(self):
-        view = MetricsView(self.SNAPSHOT, elapsed=60.0)
-        assert view.slo_value("count", "serve.requests") == 120.0
-        assert view.slo_value("rate", "serve.requests") == pytest.approx(2.0)
-        # Without elapsed, rate degenerates to the total count — still
-        # exact for == 0 gates.
-        assert MetricsView(self.SNAPSHOT).slo_value("rate", "serve.requests") == 120.0
-
-    def test_percentiles_prefer_histograms(self):
-        view = MetricsView(self.SNAPSHOT)
-        assert view.slo_value("p95", "serve.place.seconds") == 0.004
-        # Percentiles come from histograms only: the reservoir section
-        # of an older dump is not read.
-        assert math.isnan(view.slo_value("p95", "old.lat"))
-
-    @pytest.mark.parametrize("fn", ["p50", "p90", "p95", "p99"])
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [0.001 + i * 1e-4 for i in range(10)],
-            [10 ** (i / 20 - 4) for i in range(100)],
-        ],
-        ids=["ten-1-2ms", "five-decades"],
-    )
-    def test_post_mortem_percentiles_match_the_live_window(
-        self, live, fn, values
-    ):
-        reg = MetricsRegistry()
-        for v in values:
-            reg.histogram("lat").observe(v)
-            live.observe("lat", v)
-        post_mortem = MetricsView(reg.snapshot()).slo_value(fn, "lat")
-        assert not math.isnan(post_mortem)
-        assert post_mortem == live.slo_value(fn, "lat")
-        rule = parse_slo(f"{fn}(lat) < 20s")
-        assert evaluate_slo(rule, MetricsView(reg.snapshot())).ok
-        assert evaluate_slo(rule, live).ok
-
-    def test_missing_metric_is_nan(self):
-        view = MetricsView(self.SNAPSHOT)
-        assert math.isnan(view.slo_value("p95", "ghost"))
-        assert math.isnan(view.slo_value("value", "anything"))
-
-    def test_post_mortem_gate(self):
-        view = MetricsView(self.SNAPSHOT, elapsed=60.0)
-        assert evaluate_slo(parse_slo("rate(serve.rejected_503) == 0"), view).ok
-        assert evaluate_slo(parse_slo("p95(serve.place.seconds) < 5ms"), view).ok

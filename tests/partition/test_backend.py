@@ -216,24 +216,28 @@ class TestInvalidation:
         ext = part.extended([make_task([0.1, 0.2], period=50.0, name="new")])
         assert len(ext.taskset) == 9
         ext.unassign(0)  # mutate a prefix core of the carried matrices
+        fresh = fresh_rebuild(ext)
         np.testing.assert_array_equal(
             eq15_rows(BATCH, ext, list(range(9))),
-            eq15_rows(BATCH, fresh_rebuild(ext), list(range(9))),
+            eq15_rows(BATCH, fresh, list(range(9))),
         )
         np.testing.assert_array_equal(
-            probe_request(ext, np.arange(9)).stack,
-            probe_request(fresh_rebuild(ext), np.arange(9)).stack,
+            probe_request(ext.level_matrices(), ext.taskset, np.arange(9)).stack,
+            probe_request(fresh.level_matrices(), fresh.taskset, np.arange(9)).stack,
         )
 
     def test_snapshot_stays_consistent(self, rng):
         ts = random_taskset(rng, n=6)
         part = Partition(ts, cores=2)
         part.assign(0, 0)
-        snap = part.snapshot()
+        part.freeze()
         want = eq15_rows(BATCH, fresh_rebuild(part), [1])
-        part.assign(2, 0)  # the live partition moves on, the copy does not
+        # The next commit grows a new partition; the frozen one stays.
+        ext = part.extended([make_task([0.1, 0.2], period=50.0, name="new")])
+        ext.assign(2, 0)
+        ext.assign(6, 0)
         for backend in (BATCH, SCALAR):
-            np.testing.assert_array_equal(eq15_rows(backend, snap, [1]), want)
+            np.testing.assert_array_equal(eq15_rows(backend, part, [1]), want)
 
 
 class TestColumnSelection:
@@ -263,7 +267,7 @@ class TestColumnSelection:
     def test_out_of_range_selection_rejected(self, rng, cores):
         part = Partition(random_taskset(rng, n=4), cores=3)
         with pytest.raises(PartitionError, match="cores must be"):
-            probe_request(part, [0], cores=cores)
+            probe_request(part.level_matrices(), part.taskset, [0], cores=cores)
 
 
 class TestObservability:

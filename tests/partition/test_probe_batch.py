@@ -65,12 +65,13 @@ class TestBatchProbe:
             ts = random_taskset(rng, n=10, levels=4, max_u=0.4)
             part = random_partial_partition(rng, ts, cores=4)
             task = int(rng.integers(0, len(ts)))
-            stack = probe_request(part, [task]).stack
+            mats = part.level_matrices()
+            stack = probe_request(mats, ts, [task]).stack
             for m in range(4):
                 want = candidate_matrix(part, m, task)
                 np.testing.assert_array_equal(stack[m], want)
                 np.testing.assert_array_equal(
-                    probe_request(part, [task], cores=[m]).stack[0], want
+                    probe_request(mats, ts, [task], cores=[m]).stack[0], want
                 )
 
     def test_batch_probe_matches_scalar(self, rng):

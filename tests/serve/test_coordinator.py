@@ -1,20 +1,19 @@
 """Coordinator semantics: offline parity, batched placement, rollback."""
 
 import asyncio
-import functools
 import json
 
 import numpy as np
 import pytest
 
-from repro.partition.backend import BatchBackend, get_backend
+from repro.partition.backend import BatchBackend, get_backend, probe_request
 from repro.partition.registry import available_schemes, get_partitioner
 from repro.serve import coordinator as coordinator_module
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.coordinator import Coordinator
 from repro.serve.protocol import AdmitRequest, PlaceRequest, ProtocolError
 from repro.serve.state import ServeState
-from tests.conftest import contract_workload, eq15_rows, make_task, random_taskset
+from tests.conftest import contract_workload, make_task, random_taskset
 
 
 def make_coordinator(cores=2, levels=2):
@@ -28,7 +27,12 @@ def flush_on(monkeypatch):
     """``flush_on(impl)`` points the flush's probe kernel at a backend."""
 
     def use(impl):
-        probe = functools.partial(eq15_rows, get_backend(impl))
+        backend = get_backend(impl)
+
+        def probe(level_matrices, taskset, idx, cores=None):
+            request = probe_request(level_matrices, taskset, idx, cores)
+            return backend.answer(request)[1]
+
         monkeypatch.setattr(coordinator_module, "batch_probe_tasks", probe)
 
     return use
@@ -77,7 +81,7 @@ class TestAdmit:
         before = state.snapshot
         flush_one(coordinator, "admit", AdmitRequest(ts, 2, "ca-tpa"))
         assert state.snapshot is before
-        assert state.partition is None
+        assert state.snapshot.partition is None
 
 
 class TestPlace:
@@ -89,7 +93,7 @@ class TestPlace:
         assert body["accepted"] is True and body["core"] in (0, 1)
         assert state.snapshot.task_count == 1
         assert state.snapshot.seq == 1
-        assert state.partition.core_of(0) == body["core"]
+        assert state.snapshot.partition.core_of(0) == body["core"]
 
     def test_batch_equals_sequential_placement(self):
         """One coalesced flush decides exactly like one-at-a-time flushes."""
@@ -107,8 +111,8 @@ class TestPlace:
         ]
         assert [b["core"] for b in batch_bodies] == [b["core"] for b in seq_bodies]
         assert np.array_equal(
-            batched_state.partition.level_matrices(),
-            sequential_state.partition.level_matrices(),
+            batched_state.snapshot.partition.level_matrices(),
+            sequential_state.snapshot.partition.level_matrices(),
         )
 
     def test_rejected_task_leaves_no_trace(self):
@@ -116,13 +120,13 @@ class TestPlace:
         assert flush_one(
             coordinator, "place", PlaceRequest(make_task([0.6, 0.8], name="big"))
         )["accepted"]
-        before_mats = state.partition.level_matrices().copy()
+        before_mats = state.snapshot.partition.level_matrices().copy()
         body = flush_one(
             coordinator, "place", PlaceRequest(make_task([0.6, 0.9], name="too-big"))
         )
         assert body["accepted"] is False and body["core"] is None
         assert state.snapshot.task_count == 1  # not a member of the live set
-        assert np.array_equal(state.partition.level_matrices(), before_mats)
+        assert np.array_equal(state.snapshot.partition.level_matrices(), before_mats)
 
     def test_mixed_batch_keeps_only_accepted(self):
         coordinator, state = make_coordinator(cores=1)
@@ -135,9 +139,9 @@ class TestPlace:
             ],
         )
         assert [b["accepted"] for b in bodies] == [True, False, True]
-        names = [t.name for t in state.partition.taskset]
+        names = [t.name for t in state.snapshot.partition.taskset]
         assert names == ["fits", "fits-too"]
-        assert state.partition.is_complete
+        assert state.snapshot.partition.is_complete
 
     def test_criticality_above_daemon_levels_rejected(self):
         coordinator, state = make_coordinator(levels=2)
@@ -155,7 +159,7 @@ class TestPlace:
         future = asyncio.run(main())
         with pytest.raises(ProtocolError, match="K=2"):
             future.result()
-        assert state.partition is None
+        assert state.snapshot.partition is None
 
     def test_backend_choice_never_moves_a_placement(self, flush_on):
         """scalar == batch == one request per flush, decision-level.
@@ -176,8 +180,8 @@ class TestPlace:
         def outcome(bodies, state):
             return (
                 [(b["accepted"], b["core"]) for b in bodies],
-                state.partition.assignment.tolist(),
-                state.partition.level_matrices().tolist(),
+                state.snapshot.partition.assignment.tolist(),
+                state.snapshot.partition.level_matrices().tolist(),
             )
 
         outcomes = []
@@ -226,7 +230,7 @@ class TestPlace:
                     [("place", PlaceRequest(t)) for t in tasks[lo:hi]],
                 )
             assert [(b["accepted"], b["core"]) for b in bodies] == want_decisions
-            assert state.partition.level_matrices().tolist() == want_matrices
+            assert state.snapshot.partition.level_matrices().tolist() == want_matrices
 
     def test_default_backend_is_batch(self, monkeypatch):
         # Looked up on the class at call time, so a wrapper installed

@@ -1,10 +1,12 @@
 """Append-only live state: flush growth and the once-per-commit /state body.
 
 A ``/place`` flush grows the live task set by its accepted tasks only,
-and ``GET /state`` answers with bytes encoded once per commit ``seq``
-from per-task fragments.  These tests pin that the shortcut is exact:
-the grown set equals a cold build, the level matrices equal a replay,
-and the body equals the reference encoder, after every flush.
+in one :meth:`ServeState.commit` of ``(accepted tasks, cores)``, and
+``GET /state`` answers with bytes encoded once per commit ``seq`` from
+per-task fragments.  These tests pin that the shortcut is exact: the
+grown set equals a cold build, the level matrices equal a replay, the
+body equals the reference encoder, and replaying the commit records on
+a fresh state gives the same bytes, after every flush.
 """
 
 import asyncio
@@ -75,6 +77,9 @@ class TestGrowthProperty:
         levels, cores, batches = plan
         state = ServeState(cores=cores, levels=levels)
         coordinator = Coordinator(state, MicroBatcher())
+        # A restart's replay: every commit's (accepted tasks, cores)
+        # record, fed in order to a fresh state.
+        restarted = ServeState(cores=cores, levels=levels)
         accepted: list[MCTask] = []
         commits = []
         pending = iter(batches)
@@ -88,10 +93,15 @@ class TestGrowthProperty:
             assert_body_is_reference(snap)
             assert snap.seq == len(commits)
             assert snap.task_count == len(accepted)
-            live = state.partition
+            if kept:
+                cores_of = [b["core"] for b in bodies if b["accepted"]]
+                restarted.commit(MCTaskSet(kept, levels=levels), cores_of)
+            assert restarted.snapshot.body == snap.body
+            live = snap.partition
             if live is None:
                 assert not accepted
                 return
+            assert live.is_frozen
             assert list(live.taskset) == accepted
             cold = MCTaskSet(accepted, levels=levels)
             assert live.taskset == cold and hash(live.taskset) == hash(cold)
@@ -115,11 +125,7 @@ def loaded_state(n, cores=4, levels=2):
         MCTask(wcets=(0.01, 0.02), period=100.0, name=f"t{i}") for i in range(n)
     ]
     state = ServeState(cores=cores, levels=levels)
-    state.commit(
-        Partition.from_assignment(
-            MCTaskSet(tasks, levels=levels), cores, [i % cores for i in range(n)]
-        )
-    )
+    state.commit(MCTaskSet(tasks, levels=levels), [i % cores for i in range(n)])
     return state
 
 
@@ -141,6 +147,29 @@ class TestFlushCost:
         assert bodies[0]["accepted"]
         assert calls == [new]
         assert state.snapshot.task_count == 2001
+
+    def test_refusing_flush_grows_nothing(self, monkeypatch):
+        state = loaded_state(8, cores=2)
+        coordinator = Coordinator(state, MicroBatcher())
+        before = state.snapshot
+        grown = []
+        for cls, name in ((Partition, "extended"), (MCTaskSet, "appended")):
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                grown.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        too_big = [
+            MCTask(wcets=(0.9, 1.0), period=1.0, name=f"big{i}") for i in range(3)
+        ]
+        bodies = []
+        run_flushes(coordinator, [too_big], bodies.extend)
+        assert [b["accepted"] for b in bodies] == [False] * 3
+        assert all(b["seq"] == before.seq for b in bodies)
+        assert grown == []
+        assert state.snapshot is before
 
 
 class TestStateBody:
